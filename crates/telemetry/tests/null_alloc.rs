@@ -4,18 +4,29 @@
 //! The allocation check uses a counting global allocator — crude but
 //! airtight: if the null path ever grows a heap allocation (boxing an
 //! event, formatting a label, …) the counter moves and the test fails.
+//! The counter is per thread: the harness runs the sibling test (and
+//! its own bookkeeping) on other threads of this process, and their
+//! allocations are not the null path's.
 
 use heardof_telemetry::{Event, EventKind, Telemetry};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from
+    // inside the allocator neither allocates nor outlives its thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|count| count.set(count.get() + 1));
         System.alloc(layout)
     }
 
@@ -33,14 +44,14 @@ fn null_emit_path_performs_zero_allocations() {
     // Warm anything lazy before the measured window.
     telemetry.emit(Event::link(EventKind::LinkDelivered, 1, 0, 1, 32));
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for round in 1..=5_000u64 {
         telemetry.emit(Event::link(EventKind::LinkDelivered, round, 0, 1, 32));
         telemetry.emit(Event::link(EventKind::LinkCorrected, round, 2, 3, 48));
         telemetry.emit(Event::local(EventKind::RungHeld, round, 0, 1));
         telemetry.emit(Event::local(EventKind::PressureSample, round, 0, 250));
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
 
     assert_eq!(
         after - before,

@@ -44,6 +44,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = NetConfig {
         faults,
         seed: 3,
+        // Paid only by a round that lost a frame from some peer; a full
+        // round closes on its last arrival, and the run's end is
+        // signalled rather than timed out.
         round_timeout: Duration::from_millis(30),
         copies: 3, // retransmit against the 10% drops
         max_rounds: 120,
