@@ -1,22 +1,42 @@
 //! Criterion: wire codec and threaded-runtime costs.
 
+use bytes::BytesMut;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use heardof_core::{Ate, AteParams, UteMsg};
-use heardof_net::{crc32, decode_frame, encode_frame, run_threaded, Frame, LinkFaults, NetConfig};
+use heardof_engine::{encode_body_into, Framing};
+use heardof_net::{crc32, run_threaded, CodeSpec, Frame, LinkFaults, NetConfig, WireMessage};
 use std::time::Duration;
+
+/// `frame` through the default (CRC-32) framing, into the two arenas an
+/// engine reuses per link.
+fn encode_frame<M: WireMessage>(
+    framing: &Framing,
+    frame: &Frame<M>,
+    body: &mut BytesMut,
+    wire: &mut BytesMut,
+) {
+    body.clear();
+    encode_body_into(frame, body);
+    wire.clear();
+    framing.encode_raw_into(body, wire);
+}
 
 fn codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("codec");
+    let framing = Framing::fixed(CodeSpec::DEFAULT);
+    let (mut body, mut wire) = (BytesMut::new(), BytesMut::new());
     let frame = Frame {
         round: 12,
         sender: 3,
         copy: 0,
         msg: 0xDEAD_BEEFu64,
     };
-    group.bench_function("encode_u64_frame", |b| b.iter(|| encode_frame(&frame)));
-    let encoded = encode_frame(&frame);
+    group.bench_function("encode_u64_frame", |b| {
+        b.iter(|| encode_frame(&framing, &frame, &mut body, &mut wire))
+    });
+    let encoded = wire.to_vec();
     group.bench_function("decode_u64_frame", |b| {
-        b.iter(|| decode_frame::<u64>(&encoded).unwrap())
+        b.iter(|| framing.decode_scan::<u64>(&encoded).frame.unwrap())
     });
     let vote_frame = Frame {
         round: 12,
@@ -25,7 +45,7 @@ fn codec(c: &mut Criterion) {
         msg: UteMsg::Vote(Some(7u64)),
     };
     group.bench_function("encode_vote_frame", |b| {
-        b.iter(|| encode_frame(&vote_frame))
+        b.iter(|| encode_frame(&framing, &vote_frame, &mut body, &mut wire))
     });
 
     for &len in &[64usize, 1024, 65536] {

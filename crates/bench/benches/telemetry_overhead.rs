@@ -54,12 +54,17 @@ fn mesh_run(telemetry: Option<&Telemetry>) -> u64 {
         })
         .collect();
     for r in 1..=ROUNDS {
-        let outgoing: Vec<Vec<_>> = engines.iter_mut().map(|e| e.begin_round()).collect();
-        for (sender, frames) in outgoing.into_iter().enumerate() {
-            for mut frame in frames {
-                trace.corrupt_frame(r, sender as u32, frame.dest, frame.copy, &mut frame.bytes);
-                engines[frame.dest as usize].ingest(&frame.bytes);
-            }
+        // Every process sends before any process reads.
+        let mut in_flight: Vec<(u32, Vec<u8>)> = Vec::new();
+        for (sender, engine) in engines.iter_mut().enumerate() {
+            engine.begin_round_with(|dest, copy, wire| {
+                let mut bytes = wire.to_vec();
+                trace.corrupt_frame(r, sender as u32, dest, copy, &mut bytes);
+                in_flight.push((dest, bytes));
+            });
+        }
+        for (dest, bytes) in &in_flight {
+            engines[*dest as usize].ingest(bytes);
         }
         for engine in engines.iter_mut() {
             engine.finish_round();

@@ -28,12 +28,11 @@ use heardof_bench::report::BenchReport;
 use heardof_coding::bitslice::{self, LANES};
 use heardof_coding::{
     deinterleave_bits, deinterleave_bits_scalar, interleave_bits, interleave_bits_scalar,
-    pack_slots, pack_slots_into, unpack_slots, unpack_slots_view, CodeSpec,
+    pack_slots_into, patch_slots, unpack_slots_view, CodeSpec,
 };
 use heardof_core::{Ate, AteParams};
 use heardof_engine::{
-    decode_body, encode_body, encode_body_into, refresh_crc, Frame, Framing, Ingest, RoundEngine,
-    COPY_OFFSET,
+    decode_body, encode_body_into, Frame, Framing, Ingest, RoundEngine, COPY_OFFSET,
 };
 use heardof_model::ProcessId;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -219,8 +218,9 @@ const MUX_SLOTS: usize = 64;
 const MUX_ROUNDS: usize = 256;
 
 /// Retransmission copies per round — the fan-out the arena path
-/// serves by patching the copy byte and refreshing the image CRC in
-/// place, where the copying baseline rebuilds everything.
+/// serves by patching the copy byte and resealing the image CRC in
+/// place ([`patch_slots`]), where the copying baseline rebuilds
+/// everything.
 const MUX_COPIES: u8 = 3;
 
 /// The deterministic per-slot message for round `r`, slot `i`.
@@ -230,23 +230,29 @@ fn mux_msg(r: usize, i: usize) -> u64 {
         .wrapping_add(r as u64)
 }
 
-/// The copying baseline: every copy of every round rebuilds every
-/// stage in its own owned buffer — per-slot bodies, the packed image,
-/// the coded wire, the decoded image, the unpacked slot bodies —
-/// exactly what the engine's send/ingest path did before the arena
-/// rework.
+/// The copying baseline: the same single codec path, but every copy of
+/// every round rebuilds every stage in a fresh owned buffer — per-slot
+/// bodies, the packed image, the coded wire, the decoded image, the
+/// unpacked slot bodies — which is what the engine's send/ingest path
+/// did before it held arenas. It exists only as this bench's
+/// reference point.
 fn mux_copying_pass(framing: &Framing) -> u64 {
     let mut acc = 0u64;
     for r in 0..MUX_ROUNDS {
         for copy in 0..MUX_COPIES {
             let bodies: Vec<Vec<u8>> = (0..MUX_SLOTS)
                 .map(|i| {
-                    encode_body(&Frame {
-                        round: r as u64,
-                        sender: 7,
-                        copy,
-                        msg: mux_msg(r, i),
-                    })
+                    let mut body = BytesMut::with_capacity(32);
+                    encode_body_into(
+                        &Frame {
+                            round: r as u64,
+                            sender: 7,
+                            copy,
+                            msg: mux_msg(r, i),
+                        },
+                        &mut body,
+                    );
+                    body.to_vec()
                 })
                 .collect();
             let slots: Vec<(u32, &[u8])> = bodies
@@ -254,11 +260,20 @@ fn mux_copying_pass(framing: &Framing) -> u64 {
                 .enumerate()
                 .map(|(i, b)| (i as u32, b.as_slice()))
                 .collect();
-            let image = pack_slots(&slots);
-            let wire = framing.encode_raw(&image);
-            let scan = framing.decode_raw_scan(&wire);
+            let mut image = Vec::new();
+            pack_slots_into(&slots, &mut image);
+            let mut wire = BytesMut::new();
+            framing.encode_raw_into(&image, &mut wire);
+            let wire = wire.to_vec();
+            let scan = framing.decode_raw_view(&wire);
             let (image, _, _) = scan.image.expect("clean wire decodes");
-            for (id, body) in unpack_slots(&image).expect("valid image unpacks") {
+            let image = image.into_owned();
+            let unpacked: Vec<(u32, Vec<u8>)> = unpack_slots_view(&image)
+                .expect("valid image unpacks")
+                .iter()
+                .map(|(id, body)| (id, body.to_vec()))
+                .collect();
+            for (id, body) in unpacked {
                 let frame: Frame<u64> = decode_body(&body).expect("slot body parses");
                 acc = acc
                     .wrapping_add(frame.msg)
@@ -272,7 +287,7 @@ fn mux_copying_pass(framing: &Framing) -> u64 {
 
 /// The arena pipeline: bodies packed once per round into one reused
 /// slab, retransmission copies produced by patching the copy byte and
-/// [`refresh_crc`]-ing the image in place, and the receive side
+/// resealing the image in place ([`patch_slots`]), and the receive side
 /// reading borrowed views all the way down to the per-slot frame
 /// parse.
 fn mux_arena_pass(framing: &Framing) -> u64 {
@@ -305,13 +320,7 @@ fn mux_arena_pass(framing: &Framing) -> u64 {
         pack_slots_into(&slots, &mut image);
         for copy in 0..MUX_COPIES {
             if copy > 0 {
-                let mut at = 1;
-                for &(start, end) in &ranges {
-                    at += 6;
-                    image[at + COPY_OFFSET] = copy;
-                    at += end - start;
-                }
-                refresh_crc(&mut image);
+                patch_slots(&mut image, |body| body[COPY_OFFSET] = copy);
             }
             wire.clear();
             framing.encode_raw_into(&image, &mut wire);

@@ -24,6 +24,7 @@
 //! adaptive controller stays feasible, keeps making progress through
 //! the bursts, and undercuts every feasible static that does the same.
 
+use bytes::BytesMut;
 use heardof_bench::chernoff_alpha;
 use heardof_coding::{
     AdaptiveConfig, AdaptiveController, ChannelCode, CodeBook, CodeSpec, NoiseTrace, RoundTally,
@@ -96,6 +97,7 @@ const LINK_KINDS: [EventKind; 4] = [
 fn run(policy: &mut Policy, trace: &NoiseTrace, seed: u64) -> Outcome {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut body = vec![0u8; BODY_LEN];
+    let mut wire = BytesMut::new();
     // Every wire verdict flows through the telemetry plane (per-round
     // counters, no event ring) and the table's tallies are read back
     // from it: these columns are the flight recorder's counters by
@@ -112,21 +114,33 @@ fn run(policy: &mut Policy, trace: &NoiseTrace, seed: u64) -> Outcome {
             for b in body.iter_mut() {
                 *b = rng.next_u64() as u8;
             }
-            let mut wire = match policy {
-                Policy::Static(_) => static_code.as_ref().unwrap().encode(&body),
-                Policy::Adaptive(ctl, book) => book.encode_tagged(ctl.code_id(), &body),
+            wire.clear();
+            match policy {
+                Policy::Static(_) => {
+                    let code = static_code.as_ref().unwrap();
+                    code.encode_into(&body, None, &mut wire)
+                }
+                Policy::Adaptive(ctl, book) => {
+                    book.encode_tagged(ctl.code_id(), None, None, &body, &mut wire)
+                }
             };
             trace.corrupt_frame(r, s, 0, 0, &mut wire);
             let verdict = match policy {
-                Policy::Static(_) => static_code.as_ref().unwrap().decode_repaired(&wire).ok(),
+                Policy::Static(_) => static_code
+                    .as_ref()
+                    .unwrap()
+                    .decode_scan(&wire)
+                    .outcome
+                    .ok(),
                 Policy::Adaptive(_, book) => book
-                    .decode_tagged_repaired(&wire)
+                    .decode_tagged(&wire)
+                    .0
                     .ok()
-                    .map(|(_, p, rep)| (p, rep)),
+                    .map(|t| (t.body, t.repaired)),
             };
             let kind = match verdict {
                 None => EventKind::LinkDetected,
-                Some((payload, repaired)) if payload == body => {
+                Some((payload, repaired)) if *payload == *body => {
                     if repaired {
                         EventKind::LinkCorrected
                     } else {

@@ -198,7 +198,7 @@ pub struct RoundTally {
     pub delivered: usize,
     /// Of the delivered frames, how many arrived *repaired* — the
     /// decoder corrected channel errors on the way (see
-    /// [`ChannelCode::decode_repaired`]). Observable noise evidence: a
+    /// [`ChannelCode::decode_scan`]). Observable noise evidence: a
     /// correcting rung that is quietly absorbing a burst reports it
     /// here, which is what stops the controller from stepping down into
     /// an ongoing attack.
@@ -210,7 +210,7 @@ pub struct RoundTally {
     pub value_faults: usize,
     /// Of the frames that were *rejected*, how many carried repair
     /// evidence scanned out of the wreckage (see
-    /// [`ChannelCode::decode_scanned`](crate::ChannelCode::decode_scanned)):
+    /// [`ChannelCode::decode_scan`](crate::ChannelCode::decode_scan)):
     /// SECDED blocks corrected before a double-error block killed the
     /// frame, fountain erasures patched before the solve failed. Counted
     /// frame-level (0/1 per rejected frame), the same unit as
@@ -1408,26 +1408,11 @@ pub struct CodeBook {
 
 /// A fully decoded tagged wire image: which code epoch it named,
 /// whether the decoder repaired channel errors, the piggybacked rung
-/// advertisement (if the sender gossips), and the recovered body.
+/// advertisement (if the sender gossips), and the recovered body — a
+/// [`Cow`] that stays borrowed from the wire whenever the named code
+/// decodes in place (`none`, `checksum*`), the zero-copy receive path.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TaggedWire {
-    /// The ladder index the frame named.
-    pub code_id: u8,
-    /// `true` when the code corrected errors while decoding.
-    pub repaired: bool,
-    /// The sender's rung advertisement, when the frame carries one.
-    pub advert: Option<RungAdvert>,
-    /// The decoded body.
-    pub body: Vec<u8>,
-}
-
-/// A borrowed [`TaggedWire`]: the same fully decoded tagged image, but
-/// with the body as a [`Cow`] that stays borrowed from the wire
-/// whenever the named code decodes in place (`none`, `checksum*`) —
-/// the zero-copy receive path. [`TaggedView::into_owned`] recovers the
-/// owned form.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TaggedView<'a> {
+pub struct TaggedWire<'a> {
     /// The ladder index the frame named.
     pub code_id: u8,
     /// `true` when the code corrected errors while decoding.
@@ -1436,19 +1421,6 @@ pub struct TaggedView<'a> {
     pub advert: Option<RungAdvert>,
     /// The decoded body, borrowed from the wire when the code allows.
     pub body: Cow<'a, [u8]>,
-}
-
-impl TaggedView<'_> {
-    /// Converts into the owned [`TaggedWire`], copying the body only if
-    /// it was still borrowed.
-    pub fn into_owned(self) -> TaggedWire {
-        TaggedWire {
-            code_id: self.code_id,
-            repaired: self.repaired,
-            advert: self.advert,
-            body: self.body.into_owned(),
-        }
-    }
 }
 
 /// Why a [`CodeBook`] could not be built from a ladder of specs.
@@ -1530,49 +1502,27 @@ impl CodeBook {
         self.codes.get(id as usize)
     }
 
-    /// Encodes `body` under code `id`, prefixing the id byte.
+    /// Appends the tagged wire image of `body` under code `id` to `out`:
+    /// `[id] ++ coded`, or with `Some(advert)` the gossip form
+    /// `[GOSSIP_FLAG | id] [advert byte] ++ coded`. On cheap rungs
+    /// ([`crate::NoCode`], [`crate::Checksum`]) the coded body is
+    /// written straight into `out` with no intermediate buffer.
+    ///
+    /// `budget` is the incremental-symbol pathway for a rateless rung
+    /// (see [`ChannelCode::encode_into`]). Budgets never change the wire
+    /// identity: the id byte and symbol format are the same, a frame
+    /// just carries more repair symbols, so receivers decode mixed
+    /// budgets exactly like mixed epochs. The advertisement and the
+    /// budget are orthogonal wire features.
     ///
     /// # Panics
     ///
     /// Panics if `id` is not in the book.
-    pub fn encode_tagged(&self, id: u8, body: &[u8]) -> Vec<u8> {
-        self.encode_tagged_advert(id, None, body)
-    }
-
-    /// Encodes `body` under code `id`, optionally piggybacking a rung
-    /// advertisement: with `Some(advert)` the frame leads with
-    /// `[GOSSIP_FLAG | id] [advert byte]`, with `None` it is exactly
-    /// [`CodeBook::encode_tagged`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not in the book.
-    pub fn encode_tagged_advert(&self, id: u8, advert: Option<RungAdvert>, body: &[u8]) -> Vec<u8> {
-        let code = self.codes.get(id as usize).expect("code id in book");
-        let mut wire = Vec::with_capacity(2 + code.encoded_len(body.len()));
-        match advert {
-            Some(ad) => {
-                wire.push(GOSSIP_FLAG | id);
-                wire.push(ad.to_byte());
-            }
-            None => wire.push(id),
-        }
-        wire.extend_from_slice(&code.encode(body));
-        wire
-    }
-
-    /// The arena form of [`CodeBook::encode_tagged_advert`]: appends the
-    /// tagged wire image to `out` instead of allocating a fresh `Vec`.
-    /// On cheap rungs ([`crate::NoCode`], [`crate::Checksum`]) the coded
-    /// body is written straight into `out` with no intermediate buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not in the book.
-    pub fn encode_tagged_advert_into(
+    pub fn encode_tagged(
         &self,
         id: u8,
         advert: Option<RungAdvert>,
+        budget: Option<crate::SymbolBudget>,
         body: &[u8],
         out: &mut BytesMut,
     ) {
@@ -1585,158 +1535,25 @@ impl CodeBook {
             }
             None => out.put_u8(id),
         }
-        code.encode_into(body, out);
-    }
-
-    /// Like [`CodeBook::encode_tagged`], spending an explicit
-    /// [`crate::SymbolBudget`] — the incremental-symbol pathway for a
-    /// rateless rung. Budgets never change the wire identity: the
-    /// id byte and symbol format are the same, a frame just carries
-    /// more repair symbols, so receivers decode mixed budgets exactly
-    /// like mixed epochs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not in the book.
-    pub fn encode_tagged_budget(
-        &self,
-        id: u8,
-        body: &[u8],
-        budget: crate::SymbolBudget,
-    ) -> Vec<u8> {
-        self.encode_tagged_advert_budget(id, None, body, budget)
-    }
-
-    /// Like [`CodeBook::encode_tagged_advert`], spending an explicit
-    /// [`crate::SymbolBudget`] — gossiping rateless rungs use this; the
-    /// advertisement and the budget are orthogonal wire features.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not in the book.
-    pub fn encode_tagged_advert_budget(
-        &self,
-        id: u8,
-        advert: Option<RungAdvert>,
-        body: &[u8],
-        budget: crate::SymbolBudget,
-    ) -> Vec<u8> {
-        let code = self.codes.get(id as usize).expect("code id in book");
-        let mut wire = Vec::with_capacity(2 + code.encoded_len(body.len()));
-        match advert {
-            Some(ad) => {
-                wire.push(GOSSIP_FLAG | id);
-                wire.push(ad.to_byte());
-            }
-            None => wire.push(id),
-        }
-        wire.extend_from_slice(&code.encode_with_budget(body, budget));
-        wire
-    }
-
-    /// The arena form of [`CodeBook::encode_tagged_advert_budget`]:
-    /// appends the tagged wire image to `out` instead of allocating a
-    /// fresh `Vec`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not in the book.
-    pub fn encode_tagged_advert_budget_into(
-        &self,
-        id: u8,
-        advert: Option<RungAdvert>,
-        body: &[u8],
-        budget: crate::SymbolBudget,
-        out: &mut BytesMut,
-    ) {
-        let code = self.codes.get(id as usize).expect("code id in book");
-        out.reserve(2 + code.encoded_len(body.len()));
-        match advert {
-            Some(ad) => {
-                out.put_u8(GOSSIP_FLAG | id);
-                out.put_u8(ad.to_byte());
-            }
-            None => out.put_u8(id),
-        }
-        code.encode_with_budget_into(body, budget, out);
-    }
-
-    /// Decodes a tagged wire image, returning the id it named and the
-    /// body its code recovered.
-    ///
-    /// # Errors
-    ///
-    /// [`CodeError::Malformed`] on an empty frame or unknown id,
-    /// or whatever the named code's decoder reports.
-    pub fn decode_tagged(&self, wire: &[u8]) -> Result<(u8, Vec<u8>), CodeError> {
-        let (id, body, _) = self.decode_tagged_repaired(wire)?;
-        Ok((id, body))
-    }
-
-    /// Like [`CodeBook::decode_tagged`], additionally reporting whether
-    /// the named code repaired channel errors (see
-    /// [`ChannelCode::decode_repaired`]) — the per-frame noise evidence
-    /// behind [`RoundTally::corrected`].
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`CodeBook::decode_tagged`].
-    pub fn decode_tagged_repaired(&self, wire: &[u8]) -> Result<(u8, Vec<u8>, bool), CodeError> {
-        let t = self.decode_tagged_full(wire)?;
-        Ok((t.code_id, t.body, t.repaired))
+        code.encode_into(body, budget, out);
     }
 
     /// Decodes a tagged wire image in either format — legacy
     /// (`[id] ++ coded`) or gossip (`[GOSSIP_FLAG | id] [advert] ++
-    /// coded`) — returning everything the frame carries.
+    /// coded`) — returning everything the frame carries, plus the
+    /// repair events the named code observed while scanning the whole
+    /// coded body ([`ChannelCode::decode_scan`]) — nonzero even when the
+    /// frame is rejected, which is the evidence behind
+    /// [`RoundTally::evidence`]. The body stays borrowed from `wire`
+    /// whenever the named code decodes in place.
     ///
     /// # Errors
     ///
     /// [`CodeError::Malformed`] on an empty or truncated prefix or an
-    /// unknown id, or whatever the named code's decoder reports. All of
-    /// these are *detected omissions* to the caller.
-    pub fn decode_tagged_full(&self, wire: &[u8]) -> Result<TaggedWire, CodeError> {
-        let (&first, rest) = wire.split_first().ok_or(CodeError::Malformed)?;
-        let (id, advert, coded) = if first & GOSSIP_FLAG != 0 {
-            let (&ad, coded) = rest.split_first().ok_or(CodeError::Malformed)?;
-            // A parity-failing advert byte is a *detected* corruption of
-            // the advertisement alone: the frame still decodes, the
-            // receiver just hears no advertisement from this peer.
-            (first & !GOSSIP_FLAG, RungAdvert::from_byte(ad), coded)
-        } else {
-            (first, None, rest)
-        };
-        let code = self.codes.get(id as usize).ok_or(CodeError::Malformed)?;
-        let (body, repaired) = code.decode_repaired(coded)?;
-        Ok(TaggedWire {
-            code_id: id,
-            repaired,
-            advert,
-            body,
-        })
-    }
-
-    /// The scanning variant of [`CodeBook::decode_tagged_full`]: the
-    /// same outcome, plus the repair events the named code observed
-    /// while scanning the whole coded body
-    /// ([`ChannelCode::decode_scanned`]) — nonzero even when the frame
-    /// is rejected, which is the evidence behind
-    /// [`RoundTally::evidence`]. An unreadable prefix (empty frame,
-    /// truncated advert, unknown id) reports zero repairs: no decoder
-    /// ever ran.
-    pub fn decode_tagged_scanned(&self, wire: &[u8]) -> (Result<TaggedWire, CodeError>, usize) {
-        let (outcome, repairs) = self.decode_tagged_scanned_view(wire);
-        (outcome.map(TaggedView::into_owned), repairs)
-    }
-
-    /// The borrowed form of [`CodeBook::decode_tagged_scanned`]: the
-    /// body comes back as a [`Cow`] that stays borrowed from `wire`
-    /// whenever the named code decodes in place — the receive hot path
-    /// pays zero copies on `none`/`checksum*` rungs.
-    pub fn decode_tagged_scanned_view<'a>(
-        &self,
-        wire: &'a [u8],
-    ) -> (Result<TaggedView<'a>, CodeError>, usize) {
+    /// unknown id (with zero repairs: no decoder ever ran), or whatever
+    /// the named code's decoder reports. All of these are *detected
+    /// omissions* to the caller.
+    pub fn decode_tagged<'a>(&self, wire: &'a [u8]) -> (Result<TaggedWire<'a>, CodeError>, usize) {
         let Some((&first, rest)) = wire.split_first() else {
             return (Err(CodeError::Malformed), 0);
         };
@@ -1744,6 +1561,9 @@ impl CodeBook {
             let Some((&ad, coded)) = rest.split_first() else {
                 return (Err(CodeError::Malformed), 0);
             };
+            // A parity-failing advert byte is a *detected* corruption of
+            // the advertisement alone: the frame still decodes, the
+            // receiver just hears no advertisement from this peer.
             (first & !GOSSIP_FLAG, RungAdvert::from_byte(ad), coded)
         } else {
             (first, None, rest)
@@ -1751,8 +1571,8 @@ impl CodeBook {
         let Some(code) = self.codes.get(id as usize) else {
             return (Err(CodeError::Malformed), 0);
         };
-        let scan = code.decode_scanned_view(coded);
-        let outcome = scan.outcome.map(|(body, repaired)| TaggedView {
+        let scan = code.decode_scan(coded);
+        let outcome = scan.outcome.map(|(body, repaired)| TaggedWire {
             code_id: id,
             repaired,
             advert,
@@ -1764,11 +1584,22 @@ impl CodeBook {
     /// Classifies what a receiver experiences when `wire_after_noise`
     /// (a possibly-corrupted tagged encoding of `body`) arrives.
     pub fn classify_tagged(&self, body: &[u8], wire_after_noise: &[u8]) -> FrameOutcome {
-        match self.decode_tagged(wire_after_noise) {
+        match self.decode_tagged(wire_after_noise).0 {
             Err(_) => FrameOutcome::DetectedOmission,
-            Ok((_, decoded)) if decoded == body => FrameOutcome::Delivered,
+            Ok(tagged) if *tagged.body == *body => FrameOutcome::Delivered,
             Ok(_) => FrameOutcome::UndetectedValueFault,
         }
+    }
+}
+
+#[cfg(test)]
+impl CodeBook {
+    /// The tagged wire image of `body` as a fresh `Vec` (baseline
+    /// budget) — what the unit tests corrupt and feed back.
+    pub(crate) fn tagged(&self, id: u8, advert: Option<RungAdvert>, body: &[u8]) -> Vec<u8> {
+        let mut wire = BytesMut::new();
+        self.encode_tagged(id, advert, None, body, &mut wire);
+        wire.into()
     }
 }
 
@@ -2103,11 +1934,11 @@ mod tests {
                 evidence: 0,
             };
             for sender in 1..n as u32 {
-                let mut wire = book.encode_tagged(ctl.code_id(), &body);
+                let mut wire = book.tagged(ctl.code_id(), None, &body);
                 trace.corrupt_frame(r, sender, 0, 0, &mut wire);
-                if let Ok((_, _, repaired)) = book.decode_tagged_repaired(&wire) {
+                if let Ok(t) = book.decode_tagged(&wire).0 {
                     tally.delivered += 1;
-                    tally.corrected += usize::from(repaired);
+                    tally.corrected += usize::from(t.repaired);
                 }
             }
             ctl.observe(tally);
@@ -2210,11 +2041,11 @@ mod tests {
         assert_eq!(book.len(), 5);
         let body = b"mixed-epoch".to_vec();
         for id in 0..book.len() as u8 {
-            let wire = book.encode_tagged(id, &body);
+            let wire = book.tagged(id, None, &body);
             assert_eq!(wire[0], id);
-            let (got_id, got) = book.decode_tagged(&wire).unwrap();
-            assert_eq!(got_id, id);
-            assert_eq!(got, body);
+            let got = book.decode_tagged(&wire).0.unwrap();
+            assert_eq!(got.code_id, id);
+            assert_eq!(*got.body, *body);
             assert_eq!(book.classify_tagged(&body, &wire), FrameOutcome::Delivered);
         }
     }
@@ -2222,10 +2053,10 @@ mod tests {
     #[test]
     fn codebook_rejects_unknown_id_and_empty() {
         let book = CodeBook::from_specs(&[CodeSpec::Hamming74]);
-        assert_eq!(book.decode_tagged(&[]), Err(CodeError::Malformed));
-        let mut wire = book.encode_tagged(0, b"x");
+        assert_eq!(book.decode_tagged(&[]), (Err(CodeError::Malformed), 0));
+        let mut wire = book.tagged(0, None, b"x");
         wire[0] = 9; // corrupt the tag to an unknown id
-        assert_eq!(book.decode_tagged(&wire), Err(CodeError::Malformed));
+        assert_eq!(book.decode_tagged(&wire), (Err(CodeError::Malformed), 0));
         assert_eq!(book.spec(0), Some(CodeSpec::Hamming74));
         assert_eq!(book.spec(3), None);
     }
@@ -2480,25 +2311,25 @@ mod tests {
         let body = b"piggyback".to_vec();
         let ad = RungAdvert { rung: 2, epoch: 9 };
         for id in 0..book.len() as u8 {
-            let wire = book.encode_tagged_advert(id, Some(ad), &body);
+            let wire = book.tagged(id, Some(ad), &body);
             assert_eq!(wire[0], GOSSIP_FLAG | id, "the flag leads the frame");
             assert_eq!(wire[1], ad.to_byte());
-            let t = book.decode_tagged_full(&wire).unwrap();
+            let t = book.decode_tagged(&wire).0.unwrap();
             assert_eq!(t.code_id, id);
             assert_eq!(t.advert, Some(ad));
-            assert_eq!(t.body, body);
+            assert_eq!(*t.body, *body);
             // Legacy frames decode through the same pathway, advert-free.
-            let legacy = book.encode_tagged(id, &body);
-            let t = book.decode_tagged_full(&legacy).unwrap();
+            let legacy = book.tagged(id, None, &body);
+            let t = book.decode_tagged(&legacy).0.unwrap();
             assert_eq!(t.advert, None);
-            assert_eq!(t.body, body);
+            assert_eq!(*t.body, *body);
         }
         // A gossip frame truncated to its flag byte is malformed, not a
         // panic.
-        let wire = book.encode_tagged_advert(0, Some(ad), &body);
+        let wire = book.tagged(0, Some(ad), &body);
         assert_eq!(
-            book.decode_tagged_full(&wire[..1]).map(|t| t.body),
-            Err(CodeError::Malformed)
+            book.decode_tagged(&wire[..1]),
+            (Err(CodeError::Malformed), 0)
         );
     }
 

@@ -25,7 +25,7 @@
 //! `tests/code_props.rs` hammers corrupted headers at this bound).
 //!
 //! The format is deliberately *inside* the channel code: the wire is
-//! `[tag][advert?] ++ code.encode(pack_slots(...))`, so the coding
+//! `[tag][advert?] ++ code.encode(packed slots)`, so the coding
 //! hot path — bitsliced SECDED over 64-block chunks — amortizes over
 //! every instance in the batch.
 
@@ -82,15 +82,26 @@ pub fn pack_slots_into<B: AsRef<[u8]>>(slots: &[(u32, B)], image: &mut Vec<u8>) 
     image.extend_from_slice(&crc.to_le_bytes());
 }
 
-/// Packs `(instance_id, body)` slots into one self-checking mux image.
+/// Hands every slot body of a packed image to `patch`, mutably and in
+/// slot order, then reseals the CRC-32 trailer — how a retransmission
+/// copy differs from the first one without re-packing anything. `patch`
+/// may rewrite a body's bytes but not its length.
 ///
 /// # Panics
 ///
-/// Exactly as [`pack_slots_into`].
-pub fn pack_slots<B: AsRef<[u8]>>(slots: &[(u32, B)]) -> Vec<u8> {
-    let mut image = Vec::new();
-    pack_slots_into(slots, &mut image);
-    image
+/// Panics unless `image` is a well-formed [`pack_slots_into`] output:
+/// this edits an image the caller just packed, never wire input.
+pub fn patch_slots(image: &mut [u8], mut patch: impl FnMut(&mut [u8])) {
+    let body_len = image.len() - 4;
+    let (body, trailer) = image.split_at_mut(body_len);
+    let (&mut count, mut rest) = body.split_first_mut().expect("count byte");
+    for _ in 0..count {
+        let len = u16::from_le_bytes([rest[4], rest[5]]) as usize;
+        let (slot, tail) = rest[6..].split_at_mut(len);
+        patch(slot);
+        rest = tail;
+    }
+    trailer.copy_from_slice(&crc32(body).to_le_bytes());
 }
 
 /// A validated, borrowed view of a mux image's slots: the structural
@@ -164,7 +175,7 @@ impl<'a> Iterator for SlotsIter<'a> {
 impl ExactSizeIterator for SlotsIter<'_> {}
 
 /// Validates a mux image and returns a borrowed [`SlotsView`] over its
-/// slots — [`unpack_slots`] without the per-slot copies.
+/// slots; nothing is copied.
 ///
 /// # Errors
 ///
@@ -206,20 +217,20 @@ pub fn unpack_slots_view(image: &[u8]) -> Result<SlotsView<'_>, CodeError> {
     })
 }
 
-/// Unpacks a mux image back into its owned `(instance_id, body)` slots.
-///
-/// # Errors
-///
-/// Exactly as [`unpack_slots_view`] — this is that validation followed
-/// by one copy per slot body.
-pub fn unpack_slots(image: &[u8]) -> Result<Vec<(u32, Vec<u8>)>, CodeError> {
-    let view = unpack_slots_view(image)?;
-    Ok(view.iter().map(|(id, body)| (id, body.to_vec())).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn pack_slots<B: AsRef<[u8]>>(slots: &[(u32, B)]) -> Vec<u8> {
+        let mut image = Vec::new();
+        pack_slots_into(slots, &mut image);
+        image
+    }
+
+    fn unpack_slots(image: &[u8]) -> Result<Vec<(u32, Vec<u8>)>, CodeError> {
+        let view = unpack_slots_view(image)?;
+        Ok(view.iter().map(|(id, body)| (id, body.to_vec())).collect())
+    }
 
     fn slots() -> Vec<(u32, Vec<u8>)> {
         vec![
@@ -268,6 +279,18 @@ mod tests {
         let mut padded = image.clone();
         padded.insert(image.len() - 4, 0);
         assert!(unpack_slots(&padded).is_err(), "trailing bytes rejected");
+    }
+
+    #[test]
+    fn patching_rewrites_every_body_and_reseals() {
+        let mut image = pack_slots(&slots());
+        patch_slots(&mut image, |body| body.iter_mut().for_each(|b| *b ^= 0xFF));
+        let flipped: Vec<(u32, Vec<u8>)> = slots()
+            .into_iter()
+            .map(|(id, body)| (id, body.iter().map(|b| b ^ 0xFF).collect()))
+            .collect();
+        assert_eq!(unpack_slots(&image).unwrap(), flipped);
+        assert_eq!(image, pack_slots(&flipped), "same bytes as a fresh pack");
     }
 
     #[test]

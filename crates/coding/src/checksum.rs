@@ -8,9 +8,9 @@
 //! misses about 1 in 256 random corruptions, which is exactly the kind
 //! of residual value-fault rate the `α` budget must then absorb.
 
-use crate::code::{ChannelCode, CodeError, DecodeScanView};
+use crate::code::{ChannelCode, CodeError, DecodeScan};
+use crate::SymbolBudget;
 use bytes::{BufMut, BytesMut};
-use std::borrow::Cow;
 
 /// The slice-by-8 CRC-32 tables (reflected, polynomial `0xEDB88320`).
 ///
@@ -117,29 +117,14 @@ impl ChannelCode for NoCode {
         payload_len
     }
 
-    fn encode(&self, payload: &[u8]) -> Vec<u8> {
-        payload.to_vec()
-    }
-
-    fn encode_into(&self, payload: &[u8], out: &mut BytesMut) {
+    fn encode_into(&self, payload: &[u8], _budget: Option<SymbolBudget>, out: &mut BytesMut) {
         out.put_slice(payload);
-    }
-
-    fn decode(&self, wire: &[u8]) -> Result<Vec<u8>, CodeError> {
-        Ok(wire.to_vec())
     }
 
     // The identity code is the purest zero-copy path: the decoded body
     // *is* the wire.
-    fn decode_view<'a>(&self, wire: &'a [u8]) -> Result<(Cow<'a, [u8]>, bool), CodeError> {
-        Ok((Cow::Borrowed(wire), false))
-    }
-
-    fn decode_scanned_view<'a>(&self, wire: &'a [u8]) -> DecodeScanView<'a> {
-        DecodeScanView {
-            outcome: self.decode_view(wire),
-            repairs: 0,
-        }
+    fn decode_scan<'a>(&self, wire: &'a [u8]) -> DecodeScan<'a> {
+        DecodeScan::delivered(wire, false, 0)
     }
 }
 
@@ -176,10 +161,6 @@ impl Checksum {
     pub fn width(&self) -> u8 {
         self.width
     }
-
-    fn trailer(&self, payload: &[u8]) -> Vec<u8> {
-        crc32(payload).to_le_bytes()[..self.width as usize].to_vec()
-    }
 }
 
 impl Default for Checksum {
@@ -197,41 +178,23 @@ impl ChannelCode for Checksum {
         payload_len + self.width as usize
     }
 
-    fn encode(&self, payload: &[u8]) -> Vec<u8> {
-        let mut wire = Vec::with_capacity(self.encoded_len(payload.len()));
-        wire.extend_from_slice(payload);
-        wire.extend_from_slice(&self.trailer(payload));
-        wire
-    }
-
-    fn encode_into(&self, payload: &[u8], out: &mut BytesMut) {
+    fn encode_into(&self, payload: &[u8], _budget: Option<SymbolBudget>, out: &mut BytesMut) {
         out.put_slice(payload);
         out.put_slice(&crc32(payload).to_le_bytes()[..self.width as usize]);
     }
 
-    fn decode(&self, wire: &[u8]) -> Result<Vec<u8>, CodeError> {
-        Ok(self.decode_view(wire)?.0.into_owned())
-    }
-
     // Detection needs only a scan: the decoded body is the wire minus
     // its trailer, borrowed in place.
-    fn decode_view<'a>(&self, wire: &'a [u8]) -> Result<(Cow<'a, [u8]>, bool), CodeError> {
+    fn decode_scan<'a>(&self, wire: &'a [u8]) -> DecodeScan<'a> {
         let w = self.width as usize;
         if wire.len() < w {
-            return Err(CodeError::Malformed);
+            return DecodeScan::rejected(CodeError::Malformed, 0);
         }
         let (payload, trailer) = wire.split_at(wire.len() - w);
         if crc32(payload).to_le_bytes()[..w] != *trailer {
-            return Err(CodeError::Detected);
+            return DecodeScan::rejected(CodeError::Detected, 0);
         }
-        Ok((Cow::Borrowed(payload), false))
-    }
-
-    fn decode_scanned_view<'a>(&self, wire: &'a [u8]) -> DecodeScanView<'a> {
-        DecodeScanView {
-            outcome: self.decode_view(wire),
-            repairs: 0,
-        }
+        DecodeScan::delivered(payload, false, 0)
     }
 }
 

@@ -1,7 +1,7 @@
 //! The [`ChannelCode`] trait, per-frame outcomes, and the serializable
 //! [`CodeSpec`] used to pick a code in configurations.
 
-use bytes::{BufMut, BytesMut};
+use bytes::BytesMut;
 use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
@@ -55,20 +55,21 @@ impl fmt::Display for CodeError {
 
 impl Error for CodeError {}
 
-/// The result of a *scanning* decode ([`ChannelCode::decode_scanned`]):
-/// the ordinary decode outcome plus the number of repair events the
-/// decoder observed while scanning the whole wire image — evidence that
-/// survives even when the frame is ultimately rejected.
-///
-/// The `outcome` is bit-for-bit the result of
-/// [`ChannelCode::decode_repaired`] on the same wire; the scan never
-/// changes what a frame decodes to, only what a receiver learns about
-/// the channel on the way.
+/// What a code's decoder made of one wire image
+/// ([`ChannelCode::decode_scan`]): the decoded body and whether it was
+/// repaired on the way, plus the number of repair events the decoder
+/// observed while scanning the whole image — evidence that survives
+/// even when the frame is ultimately rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DecodeScan {
-    /// The decode outcome, exactly as [`ChannelCode::decode_repaired`]
-    /// returns it.
-    pub outcome: Result<(Vec<u8>, bool), CodeError>,
+pub struct DecodeScan<'a> {
+    /// `(body, repaired)` on delivery. Codes that decode in place
+    /// (NoCode, Checksum) hand the body back as a *view into the wire
+    /// bytes*; correcting codes, whose decoders materialize a repaired
+    /// payload anyway, return it owned. `repaired` is observable
+    /// evidence of noise even though the payload arrived intact — the
+    /// signal an adaptive controller needs to keep a correcting code in
+    /// force while it is earning its keep.
+    pub outcome: Result<(Cow<'a, [u8]>, bool), CodeError>,
     /// Repair events observed across the whole wire image, in the
     /// code's own units (SECDED blocks corrected, fountain erasures
     /// patched, voted-out length-header flips) — **including** events
@@ -78,27 +79,44 @@ pub struct DecodeScan {
     pub repairs: usize,
 }
 
-/// The borrow-based counterpart of [`DecodeScan`]: the decoded body is
-/// a [`Cow`] that detect-only codes (NoCode, Checksum) return as a
-/// *borrowed view into the wire bytes* — the zero-copy decode path —
-/// while correcting codes, whose decoders must materialize a repaired
-/// payload anyway, return it owned.
-///
-/// The contract mirrors [`ChannelCode::decode_scanned`] exactly:
-/// `outcome` must equal `decode_repaired(wire)` byte-for-byte (after
-/// cloning the Cow), and `repairs` counts the same events.
-#[derive(Clone, Debug)]
-pub struct DecodeScanView<'a> {
-    /// The decode outcome; `Cow::Borrowed` when the code is zero-copy.
-    pub outcome: Result<(Cow<'a, [u8]>, bool), CodeError>,
-    /// Repair events, exactly as in [`DecodeScan::repairs`].
-    pub repairs: usize,
+impl<'a> DecodeScan<'a> {
+    /// A delivery of `body` — a slice of the wire or an owned repaired
+    /// payload — that observed `repairs` repair events on the way.
+    pub fn delivered(body: impl Into<Cow<'a, [u8]>>, repaired: bool, repairs: usize) -> Self {
+        DecodeScan {
+            outcome: Ok((body.into(), repaired)),
+            repairs,
+        }
+    }
+
+    /// A rejection that observed `repairs` repair events on the way.
+    pub fn rejected(error: CodeError, repairs: usize) -> Self {
+        DecodeScan {
+            outcome: Err(error),
+            repairs,
+        }
+    }
+
+    /// Detaches the scan from the wire it was decoded from, copying the
+    /// body only if it was still borrowed.
+    pub fn into_owned(self) -> DecodeScan<'static> {
+        DecodeScan {
+            outcome: self
+                .outcome
+                .map(|(body, repaired)| (Cow::Owned(body.into_owned()), repaired)),
+            repairs: self.repairs,
+        }
+    }
 }
 
 /// A block channel code over byte payloads.
 ///
-/// Implementations must be deterministic and total: `decode(encode(p))
-/// == Ok(p)` for every payload `p`, including the empty one.
+/// A code is two functions — [`encode_into`](ChannelCode::encode_into)
+/// and [`decode_scan`](ChannelCode::decode_scan) — and every layer
+/// above reaches it through exactly those. Implementations must be
+/// deterministic and total: decoding the encoding of `p` delivers `p`
+/// unrepaired for every payload `p`, including the empty one, and
+/// decoding arbitrary bytes never panics.
 ///
 /// # The delivered / omission / value-fault contract
 ///
@@ -106,127 +124,65 @@ pub struct DecodeScanView<'a> {
 /// *becomes* at the receiver, and callers rely on exactly this
 /// three-way split (see [`FrameOutcome`]):
 ///
-/// * **Delivered** — `decode` returns `Ok(p)` where `p` is the payload
-///   the sender encoded. The reception is safe (`q ∈ SHO(p, r)`),
-///   whether the wire arrived clean or the decoder repaired it; a
-///   repair is reported through [`ChannelCode::decode_repaired`] so
+/// * **Delivered** — the scan's outcome is `Ok((p, _))` where `p` is
+///   the payload the sender encoded. The reception is safe
+///   (`q ∈ SHO(p, r)`), whether the wire arrived clean or the decoder
+///   repaired it; a repair is reported through the outcome's flag so
 ///   adaptive controllers can observe the noise it absorbed.
-/// * **Detected omission** — `decode` returns `Err`. The caller MUST
+/// * **Detected omission** — the outcome is `Err`. The caller MUST
 ///   drop the frame, converting the corruption into a benign omission
 ///   (`q ∉ HO(p, r)`); both [`CodeError`] variants mean exactly this.
 ///   Erring on the side of rejection is always safe.
-/// * **Undetected value fault** — `decode` returns `Ok(p')` with
+/// * **Undetected value fault** — the outcome is `Ok((p', _))` with
 ///   `p' ≠ p`. The decoder cannot know this happened (that is what
 ///   *undetected* means); it is the residual event the deployment's
 ///   `α` budget must absorb, and every code's design goal is to make
 ///   it rare. A code must never turn an uncorrupted wire image into a
-///   value fault: `decode(encode(p)) == Ok(p)` exactly.
+///   value fault.
 pub trait ChannelCode: Send + Sync {
     /// Short human-readable name, e.g. `"hamming74"` (used in reports).
     fn name(&self) -> String;
 
-    /// Encoded length for a `payload_len`-byte payload.
+    /// Encoded length for a `payload_len`-byte payload (without a
+    /// budget).
     fn encoded_len(&self, payload_len: usize) -> usize;
 
-    /// Adds redundancy to `payload`, producing the wire image.
-    fn encode(&self, payload: &[u8]) -> Vec<u8>;
+    /// Adds redundancy to `payload`, appending the wire image to `out`
+    /// — a caller that reuses one `BytesMut` per link encodes every
+    /// round without touching the allocator once the buffer is warm.
+    ///
+    /// `budget` is the per-frame [`SymbolBudget`](crate::SymbolBudget)
+    /// of the incremental-symbol pathway: a rateless code
+    /// ([`LtCode`](crate::LtCode)) appends the budgeted repair symbols
+    /// (`None` spends its baseline), and decoding needs no budget
+    /// because fountain frames are self-describing. Fixed-rate codes
+    /// have no symbol notion and ignore it.
+    fn encode_into(&self, payload: &[u8], budget: Option<crate::SymbolBudget>, out: &mut BytesMut);
 
-    /// Appends the wire image of `payload` to `out` instead of
-    /// allocating a fresh buffer — the arena pathway: a caller that
-    /// reuses one `BytesMut` per link encodes every round without
-    /// touching the allocator once the buffer is warm. The bytes
-    /// appended are exactly [`ChannelCode::encode`]`(payload)`; the
-    /// default materializes that owned image and copies it, and
-    /// zero-copy-friendly codes override it to write directly.
-    fn encode_into(&self, payload: &[u8], out: &mut BytesMut) {
-        out.put_slice(&self.encode(payload));
+    /// Strips redundancy from `wire`, correcting and/or detecting
+    /// channel errors, and reports what the decoder saw on the way
+    /// (see [`DecodeScan`]). Correcting codes keep scanning past an
+    /// uncorrectable block so the repair count covers the whole image
+    /// whether or not the frame is ultimately rejected.
+    fn decode_scan<'a>(&self, wire: &'a [u8]) -> DecodeScan<'a>;
+
+    /// The wire image of `payload` as a fresh `Vec` — a convenience
+    /// over [`ChannelCode::encode_into`] that no code overrides.
+    fn encode(&self, payload: &[u8]) -> Vec<u8> {
+        let mut out = BytesMut::with_capacity(self.encoded_len(payload.len()));
+        self.encode_into(payload, None, &mut out);
+        out.into()
     }
 
-    /// Like [`ChannelCode::encode_into`], spending an explicit
-    /// [`SymbolBudget`](crate::SymbolBudget). Fixed-rate codes ignore
-    /// the budget, exactly as [`ChannelCode::encode_with_budget`].
-    fn encode_with_budget_into(
-        &self,
-        payload: &[u8],
-        budget: crate::SymbolBudget,
-        out: &mut BytesMut,
-    ) {
-        out.put_slice(&self.encode_with_budget(payload, budget));
-    }
-
-    /// Like [`ChannelCode::encode`], spending an explicit per-frame
-    /// [`SymbolBudget`](crate::SymbolBudget) — the incremental-symbol pathway of rateless
-    /// codes ([`LtCode`](crate::LtCode) appends the budgeted repair
-    /// symbols; decoding needs no budget because fountain frames are
-    /// self-describing). Fixed-rate codes have no symbol notion and
-    /// ignore the budget; the default returns `encode(payload)`.
-    fn encode_with_budget(&self, payload: &[u8], budget: crate::SymbolBudget) -> Vec<u8> {
-        let _ = budget;
-        self.encode(payload)
-    }
-
-    /// Strips redundancy, correcting and/or detecting channel errors.
+    /// The decoded payload alone — a convenience over
+    /// [`ChannelCode::decode_scan`] that no code overrides.
     ///
     /// # Errors
     ///
     /// [`CodeError`] when the frame is rejected — the caller treats this
     /// as a *detected omission* and drops the frame.
-    fn decode(&self, wire: &[u8]) -> Result<Vec<u8>, CodeError>;
-
-    /// Like [`ChannelCode::decode`], additionally reporting whether the
-    /// decoder *repaired* channel errors on the way. A repaired
-    /// delivery is observable evidence of noise even though the payload
-    /// arrives intact — the signal an adaptive controller needs to keep
-    /// a correcting code in force while it is actually earning its
-    /// keep. Detect-only codes never repair; the default returns
-    /// `false`.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`ChannelCode::decode`].
-    fn decode_repaired(&self, wire: &[u8]) -> Result<(Vec<u8>, bool), CodeError> {
-        Ok((self.decode(wire)?, false))
-    }
-
-    /// Like [`ChannelCode::decode_repaired`], additionally counting the
-    /// repair events observed across the **whole** wire image — evidence
-    /// that must be reported consistently whether or not the frame is
-    /// ultimately rejected (see [`DecodeScan`]). Correcting codes
-    /// override this to keep scanning past an uncorrectable block; the
-    /// default derives the count from `decode_repaired`, which for
-    /// detect-only codes (no repair notion) is already exact.
-    ///
-    /// Implementations must keep `decode_scanned(w).outcome ==
-    /// decode_repaired(w)` for every wire image `w`.
-    fn decode_scanned(&self, wire: &[u8]) -> DecodeScan {
-        let outcome = self.decode_repaired(wire);
-        let repairs = usize::from(matches!(outcome, Ok((_, true))));
-        DecodeScan { outcome, repairs }
-    }
-
-    /// The borrow-based decode: like [`ChannelCode::decode_repaired`]
-    /// but returning the body as a [`Cow`] so detect-only codes can
-    /// hand back a *view into the wire bytes* without copying. The
-    /// outcome must be byte-identical to `decode_repaired(wire)`; the
-    /// default wraps it in `Cow::Owned`.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`ChannelCode::decode`].
-    fn decode_view<'a>(&self, wire: &'a [u8]) -> Result<(Cow<'a, [u8]>, bool), CodeError> {
-        let (body, repaired) = self.decode_repaired(wire)?;
-        Ok((Cow::Owned(body), repaired))
-    }
-
-    /// The borrow-based scanning decode: [`ChannelCode::decode_scanned`]
-    /// with a [`Cow`] body (see [`DecodeScanView`]). The default derives
-    /// it from `decode_scanned`; zero-copy codes override it to borrow.
-    fn decode_scanned_view<'a>(&self, wire: &'a [u8]) -> DecodeScanView<'a> {
-        let DecodeScan { outcome, repairs } = self.decode_scanned(wire);
-        DecodeScanView {
-            outcome: outcome.map(|(body, repaired)| (Cow::Owned(body) as Cow<'a, [u8]>, repaired)),
-            repairs,
-        }
+    fn decode(&self, wire: &[u8]) -> Result<Vec<u8>, CodeError> {
+        Ok(self.decode_scan(wire).outcome?.0.into_owned())
     }
 
     /// Classifies what a receiver experiences when `wire_after_noise`
@@ -249,45 +205,12 @@ impl ChannelCode for Arc<dyn ChannelCode> {
         (**self).encoded_len(payload_len)
     }
 
-    fn encode(&self, payload: &[u8]) -> Vec<u8> {
-        (**self).encode(payload)
+    fn encode_into(&self, payload: &[u8], budget: Option<crate::SymbolBudget>, out: &mut BytesMut) {
+        (**self).encode_into(payload, budget, out);
     }
 
-    fn encode_into(&self, payload: &[u8], out: &mut BytesMut) {
-        (**self).encode_into(payload, out);
-    }
-
-    fn encode_with_budget(&self, payload: &[u8], budget: crate::SymbolBudget) -> Vec<u8> {
-        (**self).encode_with_budget(payload, budget)
-    }
-
-    fn encode_with_budget_into(
-        &self,
-        payload: &[u8],
-        budget: crate::SymbolBudget,
-        out: &mut BytesMut,
-    ) {
-        (**self).encode_with_budget_into(payload, budget, out);
-    }
-
-    fn decode(&self, wire: &[u8]) -> Result<Vec<u8>, CodeError> {
-        (**self).decode(wire)
-    }
-
-    fn decode_repaired(&self, wire: &[u8]) -> Result<(Vec<u8>, bool), CodeError> {
-        (**self).decode_repaired(wire)
-    }
-
-    fn decode_scanned(&self, wire: &[u8]) -> DecodeScan {
-        (**self).decode_scanned(wire)
-    }
-
-    fn decode_view<'a>(&self, wire: &'a [u8]) -> Result<(Cow<'a, [u8]>, bool), CodeError> {
-        (**self).decode_view(wire)
-    }
-
-    fn decode_scanned_view<'a>(&self, wire: &'a [u8]) -> DecodeScanView<'a> {
-        (**self).decode_scanned_view(wire)
+    fn decode_scan<'a>(&self, wire: &'a [u8]) -> DecodeScan<'a> {
+        (**self).decode_scan(wire)
     }
 }
 

@@ -17,7 +17,9 @@
 //! *value-fault* mass into *omission*. The composition dominates either
 //! layer alone on every α-relevant column.
 
-use crate::code::{ChannelCode, CodeError};
+use crate::code::{ChannelCode, DecodeScan};
+use crate::SymbolBudget;
+use bytes::BytesMut;
 
 /// `inner ∘ outer`: `outer` (detection) is applied to the payload,
 /// `inner` (correction) to the wire.
@@ -71,41 +73,30 @@ impl<I: ChannelCode, O: ChannelCode> ChannelCode for Concatenated<I, O> {
         self.inner.encoded_len(self.outer.encoded_len(payload_len))
     }
 
-    fn encode(&self, payload: &[u8]) -> Vec<u8> {
-        self.inner.encode(&self.outer.encode(payload))
+    fn encode_into(&self, payload: &[u8], _budget: Option<SymbolBudget>, out: &mut BytesMut) {
+        // A combinator is a fixed-rate code: no budget reaches its
+        // layers.
+        let mut checked = BytesMut::with_capacity(self.outer.encoded_len(payload.len()));
+        self.outer.encode_into(payload, None, &mut checked);
+        self.inner.encode_into(&checked, None, out);
     }
 
-    fn decode(&self, wire: &[u8]) -> Result<Vec<u8>, CodeError> {
-        self.outer.decode(&self.inner.decode(wire)?)
-    }
-
-    fn decode_repaired(&self, wire: &[u8]) -> Result<(Vec<u8>, bool), CodeError> {
-        let (body, inner_repaired) = self.inner.decode_repaired(wire)?;
-        let (payload, outer_repaired) = self.outer.decode_repaired(&body)?;
-        Ok((payload, inner_repaired || outer_repaired))
-    }
-
-    fn decode_scanned(&self, wire: &[u8]) -> crate::code::DecodeScan {
-        use crate::code::DecodeScan;
+    fn decode_scan<'a>(&self, wire: &'a [u8]) -> DecodeScan<'a> {
         // The inner layer's repair evidence survives an outer rejection:
         // a frame the channel code visibly fought for and the checksum
         // then killed reports the fight, consistent with every other
         // rejected-but-repairing frame.
-        let inner = self.inner.decode_scanned(wire);
-        match inner.outcome {
-            Err(e) => DecodeScan {
-                outcome: Err(e),
-                repairs: inner.repairs,
-            },
-            Ok((body, inner_repaired)) => {
-                let outer = self.outer.decode_scanned(&body);
-                DecodeScan {
-                    outcome: outer.outcome.map(|(payload, outer_repaired)| {
-                        (payload, inner_repaired || outer_repaired)
-                    }),
-                    repairs: inner.repairs + outer.repairs,
-                }
-            }
+        let inner = self.inner.decode_scan(wire);
+        let (body, inner_repaired) = match inner.outcome {
+            Ok(delivered) => delivered,
+            Err(e) => return DecodeScan::rejected(e, inner.repairs),
+        };
+        let outer = self.outer.decode_scan(&body).into_owned();
+        DecodeScan {
+            outcome: outer
+                .outcome
+                .map(|(payload, outer_repaired)| (payload, inner_repaired || outer_repaired)),
+            repairs: inner.repairs + outer.repairs,
         }
     }
 }

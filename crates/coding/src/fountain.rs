@@ -43,7 +43,8 @@
 //! duplicate frame.
 
 use crate::checksum::crc32;
-use crate::code::{ChannelCode, CodeError};
+use crate::code::{ChannelCode, CodeError, DecodeScan};
+use bytes::{BufMut, BytesMut};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -363,65 +364,45 @@ impl ChannelCode for LtCode {
             + Self::symbol_count(payload_len, SymbolBudget::baseline(self.repair)) * per_symbol
     }
 
-    fn encode(&self, payload: &[u8]) -> Vec<u8> {
-        self.encode_with_budget(payload, SymbolBudget::baseline(self.repair))
-    }
-
-    fn encode_with_budget(&self, payload: &[u8], budget: SymbolBudget) -> Vec<u8> {
+    fn encode_into(&self, payload: &[u8], budget: Option<SymbolBudget>, out: &mut BytesMut) {
+        let budget = budget.unwrap_or(SymbolBudget::baseline(self.repair));
         let blocks = Self::blocks(payload);
         let k = blocks.len();
         let block_len = Self::block_len(payload.len());
         let count = Self::symbol_count(payload.len(), budget);
 
-        let mut wire = Vec::with_capacity(HEADER_LEN + count * (1 + block_len + SYMBOL_CRC_LEN));
+        out.reserve(HEADER_LEN + count * (1 + block_len + SYMBOL_CRC_LEN));
         for _ in 0..LEN_COPIES {
-            wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            out.put_u32_le(payload.len() as u32);
         }
 
         // `count` may legitimately be the full 256-symbol index space
         // (the `symbol_count` cap), so iterate over usize and narrow
         // each index — `0..count as u8` would wrap 256 to an empty
         // range and emit a symbol-less, undecodable frame.
+        let mut data = vec![0u8; block_len];
         for idx in 0..count {
             let idx = idx as u8;
-            let mut data = vec![0u8; block_len];
+            data.fill(0);
             for &b in &Self::neighbors(k, idx) {
                 for (d, s) in data.iter_mut().zip(&blocks[b]) {
                     *d ^= s;
                 }
             }
-            wire.push(idx);
-            wire.extend_from_slice(&data);
-            wire.extend_from_slice(&symbol_crc(idx, &data));
+            out.put_u8(idx);
+            out.put_slice(&data);
+            out.put_slice(&symbol_crc(idx, &data));
         }
-        wire
     }
 
-    fn decode(&self, wire: &[u8]) -> Result<Vec<u8>, CodeError> {
-        Ok(self.decode_repaired(wire)?.0)
-    }
-
-    fn decode_repaired(&self, wire: &[u8]) -> Result<(Vec<u8>, bool), CodeError> {
-        self.scan(wire).0
-    }
-
-    fn decode_scanned(&self, wire: &[u8]) -> crate::code::DecodeScan {
-        let (outcome, repairs) = self.scan(wire);
-        crate::code::DecodeScan { outcome, repairs }
-    }
-}
-
-impl LtCode {
-    /// The scanning decode behind both `decode_repaired` and
-    /// `decode_scanned`: erasures (symbols killed by their CRC) and a
-    /// voted-out length header are counted as repair events whether or
-    /// not enough symbol diversity survives to solve the system — a
-    /// frame the decoder loses *while visibly patching erasures* is
-    /// reported exactly like one it saves, matching the SECDED scan's
-    /// evidence semantics.
-    fn scan(&self, wire: &[u8]) -> (Result<(Vec<u8>, bool), CodeError>, usize) {
+    /// Erasures (symbols killed by their CRC) and a voted-out length
+    /// header are counted as repair events whether or not enough symbol
+    /// diversity survives to solve the system — a frame the decoder
+    /// loses *while visibly patching erasures* is reported exactly like
+    /// one it saves, matching the SECDED scan's evidence semantics.
+    fn decode_scan<'a>(&self, wire: &'a [u8]) -> DecodeScan<'a> {
         if wire.len() < HEADER_LEN {
-            return (Err(CodeError::Malformed), 0);
+            return DecodeScan::rejected(CodeError::Malformed, 0);
         }
         let (len_word, len_repaired) = Self::vote_len(&wire[..HEADER_LEN]);
         let payload_len = len_word as usize;
@@ -433,7 +414,7 @@ impl LtCode {
         // caught structurally here or by the symbol CRCs / outer CRC
         // below — never silently believed.
         if !body.len().is_multiple_of(per_symbol) {
-            return (Err(CodeError::Malformed), usize::from(len_repaired));
+            return DecodeScan::rejected(CodeError::Malformed, usize::from(len_repaired));
         }
 
         // Gather the surviving symbols; CRC failures become erasures.
@@ -488,7 +469,7 @@ impl LtCode {
             // Not enough symbol diversity survived: an erasure-decoding
             // failure is a *detected* loss, i.e. an omission — but the
             // erasures it patched on the way are still channel evidence.
-            return (Err(CodeError::Detected), repairs);
+            return DecodeScan::rejected(CodeError::Detected, repairs);
         }
 
         let mut image = Vec::with_capacity(k * block_len);
@@ -498,16 +479,16 @@ impl LtCode {
             image.extend_from_slice(data);
         }
         if image.len() < payload_len + OUTER_CRC_LEN {
-            return (Err(CodeError::Detected), repairs);
+            return DecodeScan::rejected(CodeError::Detected, repairs);
         }
         image.truncate(payload_len + OUTER_CRC_LEN);
         let crc_trailer = image.split_off(payload_len);
         if crc_trailer[..] != crc32(&image).to_le_bytes() {
             // A symbol CRC collision fed a forged equation into the solver;
             // the outer checksum catches it — still an omission.
-            return (Err(CodeError::Detected), repairs);
+            return DecodeScan::rejected(CodeError::Detected, repairs);
         }
-        (Ok((image, erased > 0 || len_repaired)), repairs)
+        DecodeScan::delivered(image, erased > 0 || len_repaired, repairs)
     }
 }
 
@@ -516,6 +497,13 @@ mod tests {
     use super::*;
     use crate::code::FrameOutcome;
     use rand::RngCore;
+
+    /// The wire image of `payload` spending `budget`.
+    fn budgeted(code: &LtCode, payload: &[u8], budget: SymbolBudget) -> Vec<u8> {
+        let mut wire = BytesMut::new();
+        code.encode_into(payload, Some(budget), &mut wire);
+        wire.into()
+    }
 
     #[test]
     fn batch_budget_pools_sublinearly() {
@@ -539,8 +527,8 @@ mod tests {
             let payload: Vec<u8> = (0..len).map(|i| (i * 37) as u8).collect();
             let wire = code.encode(&payload);
             assert_eq!(wire.len(), code.encoded_len(len), "len {len}");
-            let (got, repaired) = code.decode_repaired(&wire).unwrap();
-            assert_eq!(got, payload, "len {len}");
+            let (got, repaired) = code.decode_scan(&wire).outcome.unwrap();
+            assert_eq!(*got, *payload, "len {len}");
             assert!(!repaired, "clean frames need no repair");
         }
     }
@@ -580,9 +568,10 @@ mod tests {
                 *b = !*b; // obliterate the whole symbol
             }
             let (got, repaired) = code
-                .decode_repaired(&wire)
+                .decode_scan(&wire)
+                .outcome
                 .unwrap_or_else(|e| panic!("victim {victim}: {e}"));
-            assert_eq!(got, payload, "victim {victim}");
+            assert_eq!(*got, *payload, "victim {victim}");
             assert!(repaired, "an erasure repaired is observable");
         }
     }
@@ -619,8 +608,8 @@ mod tests {
         let payload = vec![7u8; 16];
         let mut wire = code.encode(&payload);
         wire[1] ^= 0x40; // length copy 0
-        let (got, repaired) = code.decode_repaired(&wire).unwrap();
-        assert_eq!(got, payload);
+        let (got, repaired) = code.decode_scan(&wire).outcome.unwrap();
+        assert_eq!(*got, *payload);
         assert!(repaired, "a voted-out header copy is noise evidence");
     }
 
@@ -654,7 +643,7 @@ mod tests {
         let payload = vec![0xC3u8; 25];
         let k = LtCode::source_symbols(25);
         let small = code.encode(&payload);
-        let big = code.encode_with_budget(&payload, SymbolBudget::baseline(9));
+        let big = budgeted(&code, &payload, SymbolBudget::baseline(9));
         let per_symbol = 1 + BLOCK_LEN + SYMBOL_CRC_LEN;
         assert_eq!(big.len() - small.len(), 7 * per_symbol);
         // The budget-inflated frame is an extension: same header, same
@@ -664,7 +653,7 @@ mod tests {
         assert_eq!(code.decode(&big).unwrap(), payload);
 
         // The copies shim: one folded copy ≡ k extra repair symbols.
-        let folded = code.encode_with_budget(&payload, SymbolBudget::baseline(2).fold_copies(2));
+        let folded = budgeted(&code, &payload, SymbolBudget::baseline(2).fold_copies(2));
         assert_eq!(folded.len() - small.len(), k * per_symbol);
         assert_eq!(code.decode(&folded).unwrap(), payload);
     }
@@ -751,7 +740,7 @@ mod tests {
         // wrap to an empty one — and the frame must stay decodable.
         let code = LtCode::new(8);
         let payload = vec![0xEEu8; 252]; // k = 64
-        let wire = code.encode_with_budget(&payload, SymbolBudget::baseline(8).fold_copies(4));
+        let wire = budgeted(&code, &payload, SymbolBudget::baseline(8).fold_copies(4));
         let per_symbol = 1 + LtCode::block_len(payload.len()) + SYMBOL_CRC_LEN;
         assert_eq!(
             (wire.len() - HEADER_LEN) / per_symbol,

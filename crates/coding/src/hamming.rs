@@ -32,6 +32,8 @@
 
 use crate::bitslice;
 use crate::code::{ChannelCode, CodeError, DecodeScan};
+use crate::SymbolBudget;
+use bytes::{BufMut, BytesMut};
 
 /// Extended Hamming(8,4): SECDED per payload nibble, rate 1/2.
 #[derive(Clone, Copy, Debug, Default)]
@@ -96,18 +98,44 @@ pub(crate) fn decode_block(mut block: u8) -> Result<(u8, bool), CodeError> {
     Ok((extract_nibble(block), repaired))
 }
 
-impl Hamming74 {
-    /// The whole-image scanning decode both [`ChannelCode::decode_repaired`]
-    /// and [`ChannelCode::decode_scanned`] are built on: every block is
-    /// decoded (bitsliced over full 64-block chunks, scalar over the
-    /// remainder) and every repaired block is counted, even when a
-    /// later (or earlier) block carries an uncorrectable double error.
-    /// The early-return the scan replaces discarded exactly that
+impl ChannelCode for Hamming74 {
+    fn name(&self) -> String {
+        "hamming74".to_string()
+    }
+
+    fn encoded_len(&self, payload_len: usize) -> usize {
+        payload_len * 2
+    }
+
+    fn encode_into(&self, payload: &[u8], _budget: Option<SymbolBudget>, out: &mut BytesMut) {
+        out.reserve(self.encoded_len(payload.len()));
+        // Full 32-byte payload chunks (64 nibbles) go through the
+        // bitsliced kernel; the tail falls back to the scalar path.
+        // Both produce identical bytes.
+        let mut chunks = payload.chunks_exact(bitslice::LANES / 2);
+        for chunk in &mut chunks {
+            let mut nibbles = [0u8; bitslice::LANES];
+            for (i, &byte) in chunk.iter().enumerate() {
+                nibbles[2 * i] = byte & 0x0F;
+                nibbles[2 * i + 1] = byte >> 4;
+            }
+            out.put_slice(&bitslice::encode64(&nibbles));
+        }
+        for &byte in chunks.remainder() {
+            out.put_u8(encode_nibble(byte & 0x0F));
+            out.put_u8(encode_nibble(byte >> 4));
+        }
+    }
+
+    /// Every block is decoded (bitsliced over full 64-block chunks,
+    /// scalar over the remainder) and every repaired block is counted,
+    /// even when a later (or earlier) block carries an uncorrectable
+    /// double error. An early return would discard exactly that
     /// evidence, leaving a dropped SECDED frame looking quieter to the
     /// adaptive controller than a fountain frame with the same damage.
-    fn scan(&self, wire: &[u8]) -> (Result<(Vec<u8>, bool), CodeError>, usize) {
+    fn decode_scan<'a>(&self, wire: &'a [u8]) -> DecodeScan<'a> {
         if !wire.len().is_multiple_of(2) {
-            return (Err(CodeError::Malformed), 0);
+            return DecodeScan::rejected(CodeError::Malformed, 0);
         }
         let mut nibbles = Vec::with_capacity(wire.len());
         let mut repairs = 0usize;
@@ -133,57 +161,13 @@ impl Hamming74 {
             }
         }
         if detected {
-            return (Err(CodeError::Detected), repairs);
+            return DecodeScan::rejected(CodeError::Detected, repairs);
         }
-        let payload = nibbles
+        let payload: Vec<u8> = nibbles
             .chunks_exact(2)
             .map(|pair| pair[0] | (pair[1] << 4))
             .collect();
-        (Ok((payload, repairs > 0)), repairs)
-    }
-}
-
-impl ChannelCode for Hamming74 {
-    fn name(&self) -> String {
-        "hamming74".to_string()
-    }
-
-    fn encoded_len(&self, payload_len: usize) -> usize {
-        payload_len * 2
-    }
-
-    fn encode(&self, payload: &[u8]) -> Vec<u8> {
-        let mut wire = Vec::with_capacity(self.encoded_len(payload.len()));
-        // Full 32-byte payload chunks (64 nibbles) go through the
-        // bitsliced kernel; the tail falls back to the scalar path.
-        // Both produce identical bytes.
-        let mut chunks = payload.chunks_exact(bitslice::LANES / 2);
-        for chunk in &mut chunks {
-            let mut nibbles = [0u8; bitslice::LANES];
-            for (i, &byte) in chunk.iter().enumerate() {
-                nibbles[2 * i] = byte & 0x0F;
-                nibbles[2 * i + 1] = byte >> 4;
-            }
-            wire.extend_from_slice(&bitslice::encode64(&nibbles));
-        }
-        for &byte in chunks.remainder() {
-            wire.push(encode_nibble(byte & 0x0F));
-            wire.push(encode_nibble(byte >> 4));
-        }
-        wire
-    }
-
-    fn decode(&self, wire: &[u8]) -> Result<Vec<u8>, CodeError> {
-        Ok(self.decode_repaired(wire)?.0)
-    }
-
-    fn decode_repaired(&self, wire: &[u8]) -> Result<(Vec<u8>, bool), CodeError> {
-        self.scan(wire).0
-    }
-
-    fn decode_scanned(&self, wire: &[u8]) -> DecodeScan {
-        let (outcome, repairs) = self.scan(wire);
-        DecodeScan { outcome, repairs }
+        DecodeScan::delivered(payload, repairs > 0, repairs)
     }
 }
 
@@ -362,12 +346,10 @@ mod tests {
         wire[5] ^= 0x20; // single flip → repaired
         wire[63] ^= 0x08; // single flip in the same 64-block chunk
         wire[70] ^= 0x18; // double flip in the remainder → detected
-        let scan = Hamming74.decode_scanned(&wire);
+        let scan = Hamming74.decode_scan(&wire);
         assert_eq!(scan.outcome, Err(CodeError::Detected));
         assert_eq!(scan.repairs, 2, "repairs before/after the dead block count");
-        // decode_repaired agrees on the outcome (evidence travels only
-        // through the scanning API).
-        assert_eq!(Hamming74.decode_repaired(&wire), Err(CodeError::Detected));
+        assert_eq!(Hamming74.decode(&wire), Err(CodeError::Detected));
     }
 
     #[test]
@@ -376,9 +358,9 @@ mod tests {
         let mut wire = Hamming74.encode(&payload);
         wire[1] ^= 0x40;
         wire[9] ^= 0x02;
-        let scan = Hamming74.decode_scanned(&wire);
+        let scan = Hamming74.decode_scan(&wire);
         let (got, repaired) = scan.outcome.expect("both hits are single-bit");
-        assert_eq!(got, payload);
+        assert_eq!(*got, *payload);
         assert!(repaired);
         assert_eq!(scan.repairs, 2);
     }

@@ -27,7 +27,9 @@
 //! flip and the whole burst is corrected.
 
 use crate::bitslice::transpose_bits;
-use crate::code::{ChannelCode, CodeError};
+use crate::code::{ChannelCode, DecodeScan};
+use crate::SymbolBudget;
+use bytes::BytesMut;
 
 fn get_bit(data: &[u8], idx: usize) -> bool {
     data[idx / 8] & (1 << (idx % 8)) != 0
@@ -196,22 +198,20 @@ impl<C: ChannelCode> ChannelCode for Interleaved<C> {
         self.inner.encoded_len(payload_len)
     }
 
-    fn encode(&self, payload: &[u8]) -> Vec<u8> {
-        interleave_bits(&self.inner.encode(payload), self.depth)
+    fn encode_into(&self, payload: &[u8], _budget: Option<SymbolBudget>, out: &mut BytesMut) {
+        // The inner codeword is written straight into `out`, then
+        // permuted where it lies. A combinator is a fixed-rate code: no
+        // budget reaches its layers.
+        let start = out.len();
+        self.inner.encode_into(payload, None, out);
+        let wire = interleave_bits(&out[start..], self.depth);
+        out[start..].copy_from_slice(&wire);
     }
 
-    fn decode(&self, wire: &[u8]) -> Result<Vec<u8>, CodeError> {
-        self.inner.decode(&deinterleave_bits(wire, self.depth))
-    }
-
-    fn decode_repaired(&self, wire: &[u8]) -> Result<(Vec<u8>, bool), CodeError> {
+    fn decode_scan<'a>(&self, wire: &'a [u8]) -> DecodeScan<'a> {
         self.inner
-            .decode_repaired(&deinterleave_bits(wire, self.depth))
-    }
-
-    fn decode_scanned(&self, wire: &[u8]) -> crate::code::DecodeScan {
-        self.inner
-            .decode_scanned(&deinterleave_bits(wire, self.depth))
+            .decode_scan(&deinterleave_bits(wire, self.depth))
+            .into_owned()
     }
 }
 

@@ -86,16 +86,16 @@ mod script;
 pub use adaptive::{
     chernoff_alpha_for_mean, step, AdaptiveConfig, AdaptiveController, CodeBook, CodeBookError,
     CtlState, EstState, GossipConfig, PressureEstimator, RoundTally, RungAdvert, StepOutcome,
-    SwitchCause, TaggedView, TaggedWire, TallyWindow, DERIVED_GOSSIP_JOIN_ROUNDS,
-    DERIVED_GOSSIP_QUORUM, GOSSIP_FLAG, MAX_WINDOW,
+    SwitchCause, TaggedWire, TallyWindow, DERIVED_GOSSIP_JOIN_ROUNDS, DERIVED_GOSSIP_QUORUM,
+    GOSSIP_FLAG, MAX_WINDOW,
 };
 pub use batch::{
-    mux_overhead, pack_slots, pack_slots_into, unpack_slots, unpack_slots_view, SlotsIter,
-    SlotsView, MAX_SLOTS, MAX_SLOT_LEN,
+    mux_overhead, pack_slots_into, patch_slots, unpack_slots_view, SlotsIter, SlotsView, MAX_SLOTS,
+    MAX_SLOT_LEN,
 };
 pub use burst::{GilbertElliott, NoiseModel, NoisePhase, NoiseTrace};
 pub use checksum::{crc32, crc32_bytewise, Checksum, NoCode};
-pub use code::{ChannelCode, CodeError, CodeSpec, DecodeScan, DecodeScanView, FrameOutcome};
+pub use code::{ChannelCode, CodeError, CodeSpec, DecodeScan, FrameOutcome};
 pub use concat::Concatenated;
 pub use fountain::{LtCode, SymbolBudget};
 pub use hamming::Hamming74;

@@ -17,6 +17,7 @@
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveController, CodeBook, RoundTally, RungAdvert};
 use crate::burst::NoiseTrace;
+use bytes::BytesMut;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -88,6 +89,7 @@ pub fn drive_mesh(
         .collect();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut body = vec![0u8; body_len];
+    let mut clean = BytesMut::new();
     let mut rungs = Vec::with_capacity(rounds as usize);
     let mut alpha_events = 0usize;
     for r in 1..=rounds {
@@ -108,14 +110,15 @@ pub fn drive_mesh(
                 *b = rng.next_u64() as u8;
             }
             let sender = &controllers[s as usize];
-            let clean = book.encode_tagged_advert(sender.code_id(), sender.advert(), &body);
+            clean.clear();
+            book.encode_tagged(sender.code_id(), sender.advert(), None, &body, &mut clean);
             for p in 0..n as u32 {
                 if p == s {
                     continue;
                 }
-                let mut wire = clean.clone();
+                let mut wire = clean.to_vec();
                 trace.corrupt_frame(r, s, p, 0, &mut wire);
-                let Ok(t) = book.decode_tagged_full(&wire) else {
+                let Ok(t) = book.decode_tagged(&wire).0 else {
                     continue; // detected omission
                 };
                 let tally = &mut tallies[p as usize];
@@ -125,7 +128,7 @@ pub fn drive_mesh(
                     ads[p as usize].push(ad);
                 }
                 // Oracle accounting, invisible to the live tally.
-                alpha_events += usize::from(t.body != body);
+                alpha_events += usize::from(*t.body != *body);
             }
         }
         for (p, ctl) in controllers.iter_mut().enumerate() {

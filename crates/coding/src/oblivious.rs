@@ -33,7 +33,9 @@
 //! and a tag id, not so bodies round-trip through it). Decoding
 //! happens out-of-band in the round engine, by counting.
 
-use crate::code::{ChannelCode, CodeError, FrameOutcome};
+use crate::code::{ChannelCode, CodeError, DecodeScan};
+use crate::SymbolBudget;
+use bytes::{BufMut, BytesMut};
 
 /// Wire length of a value-channel pattern frame. Untagged frames of
 /// exactly this length are counted toward the sender's value signal.
@@ -119,24 +121,21 @@ impl ChannelCode for PatternCode {
         OBL_VALUE_LEN
     }
 
-    fn encode(&self, _payload: &[u8]) -> Vec<u8> {
-        oblivious_value_frame().to_vec()
+    fn encode_into(&self, _payload: &[u8], _budget: Option<SymbolBudget>, out: &mut BytesMut) {
+        out.put_slice(&oblivious_value_frame());
     }
 
-    fn decode(&self, _wire: &[u8]) -> Result<Vec<u8>, CodeError> {
+    fn decode_scan<'a>(&self, _wire: &'a [u8]) -> DecodeScan<'a> {
         // Content on this rung is untrusted by definition; the real
         // signal is the arrival count, decoded in the round engine.
-        Err(CodeError::Detected)
-    }
-
-    fn classify(&self, _payload: &[u8], _wire_after_noise: &[u8]) -> FrameOutcome {
-        FrameOutcome::DetectedOmission
+        DecodeScan::rejected(CodeError::Detected, 0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::code::FrameOutcome;
 
     #[test]
     fn content_is_never_trusted() {

@@ -9,7 +9,8 @@
 //! pairs naturally with an outer checksum when residual detection
 //! matters.
 
-use crate::code::{ChannelCode, CodeError};
+use crate::code::{ChannelCode, CodeError, DecodeScan};
+use crate::SymbolBudget;
 use bytes::{BufMut, BytesMut};
 
 /// Loads up to 8 bytes little-endian, zero-padded — padding lanes are
@@ -137,35 +138,27 @@ impl ChannelCode for Repetition {
         payload_len * self.k
     }
 
-    fn encode(&self, payload: &[u8]) -> Vec<u8> {
-        let mut wire = Vec::with_capacity(self.encoded_len(payload.len()));
-        for _ in 0..self.k {
-            wire.extend_from_slice(payload);
-        }
-        wire
-    }
-
-    fn encode_into(&self, payload: &[u8], out: &mut BytesMut) {
+    fn encode_into(&self, payload: &[u8], _budget: Option<SymbolBudget>, out: &mut BytesMut) {
         out.reserve(self.encoded_len(payload.len()));
         for _ in 0..self.k {
             out.put_slice(payload);
         }
     }
 
-    fn decode(&self, wire: &[u8]) -> Result<Vec<u8>, CodeError> {
-        Ok(self.decode_repaired(wire)?.0)
-    }
-
-    fn decode_repaired(&self, wire: &[u8]) -> Result<(Vec<u8>, bool), CodeError> {
+    fn decode_scan<'a>(&self, wire: &'a [u8]) -> DecodeScan<'a> {
         if !wire.len().is_multiple_of(self.k) {
-            return Err(CodeError::Malformed);
+            return DecodeScan::rejected(CodeError::Malformed, 0);
         }
-        match self.k {
+        let (payload, repaired) = match self.k {
             // One copy: the vote is the wire, unanimously.
-            1 => Ok((wire.to_vec(), false)),
-            3 | 5 => Ok(self.decode_words(wire)),
-            _ => self.decode_repaired_scalar(wire),
-        }
+            1 => return DecodeScan::delivered(wire, false, 0),
+            3 | 5 => self.decode_words(wire),
+            _ => self
+                .decode_repaired_scalar(wire)
+                .expect("length divides by k"),
+        };
+        // The vote has no finer repair unit than the frame.
+        DecodeScan::delivered(payload, repaired, usize::from(repaired))
     }
 }
 
@@ -235,8 +228,9 @@ mod tests {
                             wire[at] ^= next() as u8;
                         }
                     }
+                    let voted = code.decode_scan(&wire).outcome;
                     assert_eq!(
-                        code.decode_repaired(&wire),
+                        voted.map(|(payload, repaired)| (payload.into_owned(), repaired)),
                         code.decode_repaired_scalar(&wire),
                         "k {k}, len {len}"
                     );

@@ -167,11 +167,11 @@ mod tests {
         let book = book();
         let advert = RungAdvert { rung: 1, epoch: 4 };
         for id in 0..book.len() as u8 {
-            let mut wire = book.encode_tagged_advert(id, Some(advert), b"payload");
+            let mut wire = book.tagged(id, Some(advert), b"payload");
             let script = FaultScript::new().with(3, 0, 1, LinkFault::Omit);
             assert!(script.apply(3, 0, 1, &mut wire) > 0);
             assert!(
-                matches!(book.decode_tagged_full(&wire), Err(CodeError::Malformed)),
+                matches!(book.decode_tagged(&wire).0, Err(CodeError::Malformed)),
                 "rung {id} must reject the zapped tag"
             );
         }
@@ -181,12 +181,12 @@ mod tests {
     fn mute_advert_keeps_the_frame_and_drops_the_advert() {
         let book = book();
         let advert = RungAdvert { rung: 2, epoch: 7 };
-        let mut wire = book.encode_tagged_advert(1, Some(advert), b"payload");
+        let mut wire = book.tagged(1, Some(advert), b"payload");
         let script = FaultScript::new().with(1, 2, 0, LinkFault::MuteAdvert);
         assert_eq!(script.apply(1, 2, 0, &mut wire), 1);
-        let decoded = book.decode_tagged_full(&wire).expect("frame survives");
+        let decoded = book.decode_tagged(&wire).0.expect("frame survives");
         assert_eq!(decoded.advert, None, "parity must kill the advert");
-        assert_eq!(decoded.body, b"payload");
+        assert_eq!(*decoded.body, *b"payload");
     }
 
     #[test]
@@ -194,18 +194,18 @@ mod tests {
         let book = book();
         let real = RungAdvert { rung: 0, epoch: 0 };
         let forged = RungAdvert { rung: 2, epoch: 9 };
-        let mut wire = book.encode_tagged_advert(0, Some(real), b"payload");
+        let mut wire = book.tagged(0, Some(real), b"payload");
         let script = FaultScript::new().with(5, 1, 2, LinkFault::Forge(forged));
         script.apply(5, 1, 2, &mut wire);
-        let decoded = book.decode_tagged_full(&wire).expect("frame survives");
+        let decoded = book.decode_tagged(&wire).0.expect("frame survives");
         assert_eq!(decoded.advert, Some(forged));
-        assert_eq!(decoded.body, b"payload");
+        assert_eq!(*decoded.body, *b"payload");
     }
 
     #[test]
     fn advert_faults_are_noops_on_advertless_frames() {
         let book = book();
-        let mut wire = book.encode_tagged(0, b"payload");
+        let mut wire = book.tagged(0, None, b"payload");
         let pristine = wire.clone();
         let script = FaultScript::new()
             .with(1, 0, 1, LinkFault::MuteAdvert)
@@ -220,11 +220,11 @@ mod tests {
         let book = book();
         let advert = RungAdvert { rung: 1, epoch: 4 };
         for id in 0..book.len() as u8 {
-            let mut wire = book.encode_tagged_advert(id, Some(advert), b"payload");
+            let mut wire = book.tagged(id, Some(advert), b"payload");
             let script = FaultScript::new().with(2, 0, 1, LinkFault::CorruptAll);
             assert_eq!(script.apply(2, 0, 1, &mut wire), wire.len() * 8);
             assert!(
-                book.decode_tagged_full(&wire).is_err(),
+                book.decode_tagged(&wire).0.is_err(),
                 "rung {id} must reject the complemented frame"
             );
         }

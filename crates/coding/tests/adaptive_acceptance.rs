@@ -6,6 +6,7 @@
 //! the `cargo test --release -p heardof-coding -- --include-ignored`
 //! job.
 
+use bytes::BytesMut;
 use heardof_coding::{
     chernoff_alpha_for_mean, AdaptiveConfig, AdaptiveController, CodeBook, CodeSpec, NoiseTrace,
     RoundTally,
@@ -59,23 +60,27 @@ fn measure(spec: Option<CodeSpec>, trace: &NoiseTrace) -> Measured {
             for b in body.iter_mut() {
                 *b = rng.next_u64() as u8;
             }
-            let mut wire = match (&static_code, &controller) {
-                (Some(code), _) => code.encode(&body),
-                (None, Some(ctl)) => book.encode_tagged(ctl.code_id(), &body),
+            let mut wire = BytesMut::new();
+            match (&static_code, &controller) {
+                (Some(code), _) => code.encode_into(&body, None, &mut wire),
+                (None, Some(ctl)) => {
+                    book.encode_tagged(ctl.code_id(), None, None, &body, &mut wire)
+                }
                 _ => unreachable!(),
             };
             wire_bytes += wire.len();
             trace.corrupt_frame(r, s, 0, 0, &mut wire);
             let verdict = match &static_code {
-                Some(code) => code.decode_repaired(&wire).ok(),
+                Some(code) => code.decode_scan(&wire).outcome.ok(),
                 None => book
-                    .decode_tagged_repaired(&wire)
+                    .decode_tagged(&wire)
+                    .0
                     .ok()
-                    .map(|(_, p, rep)| (p, rep)),
+                    .map(|t| (t.body, t.repaired)),
             };
             match verdict {
                 None => {}
-                Some((payload, repaired)) if payload == body => {
+                Some((payload, repaired)) if *payload == *body => {
                     ok += 1;
                     corrected += usize::from(repaired);
                 }

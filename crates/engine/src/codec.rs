@@ -1,5 +1,5 @@
 //! Wire encoding: length-prefixed frame bodies passed through a
-//! pluggable [`ChannelCode`].
+//! pluggable [`ChannelCode`](heardof_coding::ChannelCode).
 //!
 //! Body layout (all integers little-endian):
 //!
@@ -9,16 +9,16 @@
 //! └───────────┴────────────┴──────────┴─────────────┴─────────────┘
 //! ```
 //!
-//! The body is then wrapped by a channel code from `heardof-coding`,
-//! which decides what in-flight corruption becomes at the receiver: a
-//! clean delivery (corrected), a dropped frame (detected → omission),
-//! or a silent value fault (missed). The historical format — body
-//! followed by a CRC-32 trailer — is exactly the [`Checksum`] code at
-//! width 4, and [`encode_frame`]/[`decode_frame`] keep producing it
-//! byte-for-byte.
+//! The body is then wrapped by a channel code from `heardof-coding`
+//! (through [`Framing`](crate::Framing)), which decides what in-flight
+//! corruption becomes at the receiver: a clean delivery (corrected), a
+//! dropped frame (detected → omission), or a silent value fault
+//! (missed). The historical format — body followed by a CRC-32 trailer
+//! — is exactly the `Checksum` code at width 4, i.e.
+//! `Framing::fixed(CodeSpec::DEFAULT)`.
 
 use bytes::{Buf, BufMut, BytesMut};
-use heardof_coding::{crc32, ChannelCode, Checksum, CodeBook, CodeError};
+use heardof_coding::crc32;
 use heardof_core::UteMsg;
 use std::error::Error;
 use std::fmt;
@@ -26,37 +26,21 @@ use std::fmt;
 /// Errors raised while decoding wire data.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum CodecError {
-    /// The buffer ended before the value was complete.
+    /// The buffer ended before the value was complete, or a length
+    /// word disagrees with the bytes that follow it.
     Truncated,
-    /// The frame's CRC-32 did not match its contents.
-    CrcMismatch {
-        /// CRC carried by the frame.
-        expected: u32,
-        /// CRC computed over the received bytes.
-        actual: u32,
-    },
     /// An enum tag byte had no corresponding variant.
     BadTag(u8),
     /// A string payload was not valid UTF-8.
     BadUtf8,
-    /// The frame's channel code rejected the wire data — a corruption
-    /// *detected* by a non-CRC code (see [`decode_frame_with`]).
-    CodeRejected(CodeError),
 }
 
 impl fmt::Display for CodecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CodecError::Truncated => write!(f, "wire data ended prematurely"),
-            CodecError::CrcMismatch { expected, actual } => {
-                write!(
-                    f,
-                    "crc mismatch: frame says {expected:#010x}, contents hash to {actual:#010x}"
-                )
-            }
             CodecError::BadTag(t) => write!(f, "unknown enum tag {t}"),
             CodecError::BadUtf8 => write!(f, "string payload is not valid UTF-8"),
-            CodecError::CodeRejected(e) => write!(f, "channel code rejected frame: {e}"),
         }
     }
 }
@@ -69,8 +53,9 @@ pub trait WireMessage: Sized {
     fn encode(&self, buf: &mut BytesMut);
 
     /// Decodes a value from the front of `buf`. Generic over [`Buf`] so
-    /// the same impl serves the owned [`Bytes`] cursor and the
-    /// zero-copy `&mut &[u8]` reader that parses borrowed wire views.
+    /// the same impl serves the owned [`Bytes`](bytes::Bytes) cursor
+    /// and the zero-copy `&mut &[u8]` reader that parses borrowed wire
+    /// views.
     ///
     /// # Errors
     ///
@@ -260,14 +245,6 @@ pub fn encode_body_into<M: WireMessage>(frame: &Frame<M>, out: &mut BytesMut) {
     out[len_at..len_at + 4].copy_from_slice(&payload_len.to_le_bytes());
 }
 
-/// Encodes a frame's *body*: header plus length-prefixed payload,
-/// without any code redundancy.
-pub fn encode_body<M: WireMessage>(frame: &Frame<M>) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(32);
-    encode_body_into(frame, &mut buf);
-    buf.to_vec()
-}
-
 /// Parses a frame from a decoded body (no code trailer expected). The
 /// parse borrows `body` throughout — only the message's own fields are
 /// materialized — so feeding it a view into a decoded wire image costs
@@ -275,7 +252,10 @@ pub fn encode_body<M: WireMessage>(frame: &Frame<M>) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// [`CodecError`] if the body is truncated or structurally invalid.
+/// [`CodecError`] if the body is truncated or structurally invalid, or
+/// if bytes remain after the message: two different bodies must never
+/// parse to the same frame, least of all under `NoCode` or after a
+/// SECDED miscorrection.
 pub fn decode_body<M: WireMessage>(body: &[u8]) -> Result<Frame<M>, CodecError> {
     if body.len() < PAYLOAD_OFFSET {
         return Err(CodecError::Truncated);
@@ -289,131 +269,15 @@ pub fn decode_body<M: WireMessage>(body: &[u8]) -> Result<Frame<M>, CodecError> 
         return Err(CodecError::Truncated);
     }
     let msg = M::decode(&mut buf)?;
+    if buf.remaining() != 0 {
+        return Err(CodecError::Truncated);
+    }
     Ok(Frame {
         round,
         sender,
         copy,
         msg,
     })
-}
-
-/// Encodes a frame through an arbitrary channel code.
-pub fn encode_frame_with<M: WireMessage>(frame: &Frame<M>, code: &dyn ChannelCode) -> Vec<u8> {
-    code.encode(&encode_body(frame))
-}
-
-/// Decodes a frame through an arbitrary channel code.
-///
-/// # Errors
-///
-/// [`CodecError::CodeRejected`] when the code detects corruption —
-/// callers treat this as a *detected* corruption and drop the frame
-/// (omission) — or a structural [`CodecError`] if the decoded body does
-/// not parse.
-pub fn decode_frame_with<M: WireMessage>(
-    encoded: &[u8],
-    code: &dyn ChannelCode,
-) -> Result<Frame<M>, CodecError> {
-    let body = code.decode(encoded).map_err(CodecError::CodeRejected)?;
-    decode_body(&body)
-}
-
-/// Encodes a frame in the *tagged* wire format used by adaptive runs:
-/// a 1-byte code id (the ladder index) followed by that code's encoding
-/// of the body. The id travels outside the code, so a receiver can pick
-/// the right decoder for frames from **any** epoch — after a code
-/// switch, in-flight frames of the previous rung still decode exactly.
-///
-/// # Panics
-///
-/// Panics if `id` is not registered in `book`.
-pub fn encode_frame_tagged<M: WireMessage>(frame: &Frame<M>, id: u8, book: &CodeBook) -> Vec<u8> {
-    book.encode_tagged(id, &encode_body(frame))
-}
-
-/// Like [`encode_frame_tagged`], spending an explicit
-/// [`SymbolBudget`](heardof_coding::SymbolBudget) — the
-/// incremental-symbol pathway for a rateless code epoch. The wire
-/// identity is unchanged (same id byte, same symbol format): the frame
-/// simply carries more repair symbols, so any receiver holding the book
-/// decodes budget-inflated frames exactly like baseline ones.
-///
-/// # Panics
-///
-/// Panics if `id` is not registered in `book`.
-pub fn encode_frame_tagged_budget<M: WireMessage>(
-    frame: &Frame<M>,
-    id: u8,
-    book: &CodeBook,
-    budget: heardof_coding::SymbolBudget,
-) -> Vec<u8> {
-    book.encode_tagged_budget(id, &encode_body(frame), budget)
-}
-
-/// Like [`encode_frame_tagged`], additionally piggybacking a rung
-/// advertisement (`Some`) in the gossip wire format — one extra byte
-/// between the flagged id and the coded body (see
-/// [`heardof_coding::GOSSIP_FLAG`]). With `None` this is exactly
-/// [`encode_frame_tagged`].
-///
-/// # Panics
-///
-/// Panics if `id` is not registered in `book`.
-pub fn encode_frame_tagged_advert<M: WireMessage>(
-    frame: &Frame<M>,
-    id: u8,
-    advert: Option<heardof_coding::RungAdvert>,
-    book: &CodeBook,
-) -> Vec<u8> {
-    book.encode_tagged_advert(id, advert, &encode_body(frame))
-}
-
-/// A decoded tagged frame: which code epoch it came from, whether the
-/// decoder repaired channel errors on the way (the receiver-observable
-/// noise evidence feeding `RoundTally::corrected`), the sender's rung
-/// advertisement when the frame gossips, and the frame.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct TaggedFrame<M> {
-    /// The ladder index the frame named.
-    pub code_id: u8,
-    /// `true` when the code corrected errors while decoding.
-    pub repaired: bool,
-    /// The sender's piggybacked rung advertisement, if any.
-    pub advert: Option<heardof_coding::RungAdvert>,
-    /// The frame itself.
-    pub frame: Frame<M>,
-}
-
-/// Decodes a tagged frame — legacy or gossip format — returning the
-/// code id it named, the repair flag, any piggybacked advertisement,
-/// and the frame.
-///
-/// # Errors
-///
-/// [`CodecError::CodeRejected`] when the frame is empty, names an
-/// unknown id (e.g. the tag byte itself was corrupted), or its code
-/// detects corruption; a structural [`CodecError`] if the decoded body
-/// does not parse. All of these are *detected omissions* to the caller.
-pub fn decode_frame_tagged<M: WireMessage>(
-    encoded: &[u8],
-    book: &CodeBook,
-) -> Result<TaggedFrame<M>, CodecError> {
-    let tagged = book
-        .decode_tagged_full(encoded)
-        .map_err(CodecError::CodeRejected)?;
-    Ok(TaggedFrame {
-        code_id: tagged.code_id,
-        repaired: tagged.repaired,
-        advert: tagged.advert,
-        frame: decode_body(&tagged.body)?,
-    })
-}
-
-/// Encodes a frame in the historical wire format: body followed by a
-/// CRC-32 trailer (identical to [`encode_frame_with`] under
-/// `Checksum::crc32()`).
-pub fn encode_frame<M: WireMessage>(frame: &Frame<M>) -> Vec<u8> {
-    encode_frame_with(frame, &Checksum::crc32())
 }
 
 /// Recomputes and overwrites the CRC trailer of an encoded frame —
@@ -427,28 +291,41 @@ pub fn refresh_crc(encoded: &mut [u8]) {
     encoded[len - 4..].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Decodes a frame in the historical wire format, verifying its CRC.
-///
-/// # Errors
-///
-/// [`CodecError::CrcMismatch`] when the trailer fails — callers treat
-/// this as a *detected* corruption and drop the frame (omission).
-pub fn decode_frame<M: WireMessage>(encoded: &[u8]) -> Result<Frame<M>, CodecError> {
-    if encoded.len() < PAYLOAD_OFFSET + 4 {
-        return Err(CodecError::Truncated);
-    }
-    let body_len = encoded.len() - 4;
-    let expected = u32::from_le_bytes(encoded[body_len..].try_into().expect("4-byte CRC trailer"));
-    let actual = crc32(&encoded[..body_len]);
-    if expected != actual {
-        return Err(CodecError::CrcMismatch { expected, actual });
-    }
-    decode_body(&encoded[..body_len])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framing::Framing;
+    use heardof_coding::{
+        AdaptiveConfig, AdaptiveController, CodeBook, CodeSpec, CtlState, SymbolBudget,
+    };
+    use std::sync::Arc;
+
+    /// The historical wire format: the CRC-32 checksum code.
+    fn crc_framing() -> Framing {
+        Framing::fixed(CodeSpec::DEFAULT)
+    }
+
+    /// The standard ladder with the controller parked on `rung`.
+    fn ladder_framing(rung: u8) -> Framing {
+        let cfg = AdaptiveConfig::standard(5, 1);
+        let book = Arc::new(CodeBook::from_specs(&cfg.ladder));
+        let state = CtlState {
+            rung,
+            ..CtlState::initial(&cfg)
+        };
+        Framing::adaptive(book, AdaptiveController::from_state(cfg, state))
+    }
+
+    fn body_of<M: WireMessage>(frame: &Frame<M>) -> Vec<u8> {
+        let mut body = BytesMut::new();
+        encode_body_into(frame, &mut body);
+        body.into()
+    }
+
+    /// The frame `framing` delivers from `wire`, if any.
+    fn decoded<M: WireMessage>(framing: &Framing, wire: &[u8]) -> Option<Frame<M>> {
+        framing.decode_scan(wire).frame.map(|(frame, _, _)| frame)
+    }
 
     #[test]
     fn roundtrip_u64() {
@@ -458,13 +335,13 @@ mod tests {
             copy: 1,
             msg: 0xDEAD_BEEFu64,
         };
-        let encoded = encode_frame(&frame);
-        let decoded: Frame<u64> = decode_frame(&encoded).unwrap();
-        assert_eq!(decoded, frame);
+        let framing = crc_framing();
+        assert_eq!(decoded(&framing, &framing.wire(&frame)), Some(frame));
     }
 
     #[test]
     fn roundtrip_ute_msgs() {
+        let framing = crc_framing();
         for msg in [
             UteMsg::Est(42u64),
             UteMsg::Vote(Some(7u64)),
@@ -476,8 +353,8 @@ mod tests {
                 copy: 0,
                 msg: msg.clone(),
             };
-            let decoded: Frame<UteMsg<u64>> = decode_frame(&encode_frame(&frame)).unwrap();
-            assert_eq!(decoded.msg, msg);
+            let got: Frame<UteMsg<u64>> = decoded(&framing, &framing.wire(&frame)).unwrap();
+            assert_eq!(got.msg, msg);
         }
     }
 
@@ -518,10 +395,10 @@ mod tests {
             copy: 0,
             msg: 1234u64,
         };
-        let mut encoded = encode_frame(&frame);
+        let framing = crc_framing();
+        let mut encoded = framing.wire(&frame);
         encoded[PAYLOAD_OFFSET] ^= 0xFF; // corrupt payload
-        let err = decode_frame::<u64>(&encoded).unwrap_err();
-        assert!(matches!(err, CodecError::CrcMismatch { .. }));
+        assert_eq!(decoded::<u64>(&framing, &encoded), None);
     }
 
     #[test]
@@ -532,12 +409,13 @@ mod tests {
             copy: 0,
             msg: 1234u64,
         };
-        let mut encoded = encode_frame(&frame);
+        let framing = crc_framing();
+        let mut encoded = framing.wire(&frame);
         encoded[PAYLOAD_OFFSET] ^= 0x01;
         refresh_crc(&mut encoded);
-        let decoded: Frame<u64> = decode_frame(&encoded).unwrap();
-        assert_ne!(decoded.msg, 1234, "undetected value fault slips through");
-        assert_eq!(decoded.round, 1, "header intact");
+        let got: Frame<u64> = decoded(&framing, &encoded).unwrap();
+        assert_ne!(got.msg, 1234, "undetected value fault slips through");
+        assert_eq!(got.round, 1, "header intact");
     }
 
     #[test]
@@ -548,10 +426,47 @@ mod tests {
             copy: 0,
             msg: 5u64,
         };
-        let encoded = encode_frame(&frame);
+        let framing = crc_framing();
+        let encoded = framing.wire(&frame);
         for cut in [0, 3, PAYLOAD_OFFSET, encoded.len() - 1] {
-            assert!(decode_frame::<u64>(&encoded[..cut]).is_err(), "cut {cut}");
+            assert_eq!(decoded::<u64>(&framing, &encoded[..cut]), None, "cut {cut}");
         }
+        let body = body_of(&frame);
+        for cut in [0, 3, PAYLOAD_OFFSET, body.len() - 1] {
+            assert_eq!(
+                decode_body::<u64>(&body[..cut]),
+                Err(CodecError::Truncated),
+                "body cut {cut}"
+            );
+        }
+    }
+
+    #[test]
+    fn trailing_bytes_after_the_message_are_rejected() {
+        // A length word that covers the message plus junk: the body is
+        // self-consistent up to the last byte the message reads, and
+        // two bytes run on past it. Under `NoCode` (or after a SECDED
+        // miscorrection) nothing else would tell this body from the
+        // junk-free one.
+        let frame = Frame {
+            round: 1,
+            sender: 0,
+            copy: 0,
+            msg: 5u64,
+        };
+        let mut padded = body_of(&frame);
+        assert_eq!(decode_body::<u64>(&padded), Ok(frame.clone()));
+        padded.extend_from_slice(&[0xAB, 0xCD]);
+        padded[PAYLOAD_OFFSET - 4..PAYLOAD_OFFSET].copy_from_slice(&10u32.to_le_bytes());
+        assert_eq!(decode_body::<u64>(&padded), Err(CodecError::Truncated));
+        let uncoded = Framing::fixed(CodeSpec::None);
+        let mut wire = BytesMut::new();
+        uncoded.encode_raw_into(&padded, &mut wire);
+        assert_eq!(
+            decoded::<u64>(&uncoded, &wire),
+            None,
+            "a detected omission, not a second spelling of the same frame"
+        );
     }
 
     #[test]
@@ -571,17 +486,9 @@ mod tests {
 
     #[test]
     fn error_display() {
-        let e = CodecError::CrcMismatch {
-            expected: 1,
-            actual: 2,
-        };
-        assert!(e.to_string().contains("crc mismatch"));
         assert!(CodecError::Truncated.to_string().contains("prematurely"));
-        assert!(
-            CodecError::CodeRejected(heardof_coding::CodeError::Detected)
-                .to_string()
-                .contains("rejected")
-        );
+        assert!(CodecError::BadTag(9).to_string().contains("tag 9"));
+        assert!(CodecError::BadUtf8.to_string().contains("UTF-8"));
     }
 
     #[test]
@@ -592,16 +499,18 @@ mod tests {
             copy: 2,
             msg: 0xFACE_FEEDu64,
         };
+        let mut historical = body_of(&frame);
+        let crc = crc32(&historical);
+        historical.extend_from_slice(&crc.to_le_bytes());
         assert_eq!(
-            encode_frame(&frame),
-            encode_frame_with(&frame, &Checksum::crc32()),
-            "the historical wire format is the crc32 checksum code"
+            crc_framing().wire(&frame),
+            historical,
+            "the historical wire format is the body plus its CRC-32, little-endian"
         );
     }
 
     #[test]
     fn frames_roundtrip_through_every_code() {
-        use heardof_coding::CodeSpec;
         let frame = Frame {
             round: 5,
             sender: 2,
@@ -615,126 +524,137 @@ mod tests {
             CodeSpec::Repetition { k: 3 },
             CodeSpec::Hamming74,
         ] {
-            let code = spec.build();
-            let wire = encode_frame_with(&frame, &code);
-            let decoded: Frame<UteMsg<u64>> = decode_frame_with(&wire, &code).unwrap();
-            assert_eq!(decoded, frame, "roundtrip through {spec}");
+            let framing = Framing::fixed(spec);
+            let got = decoded(&framing, &framing.wire(&frame));
+            assert_eq!(got, Some(frame.clone()), "roundtrip through {spec}");
         }
     }
 
     #[test]
     fn tagged_frames_roundtrip_across_mixed_epochs() {
-        use heardof_coding::{AdaptiveConfig, CodeBook};
         // A receiver holding the book decodes frames from every rung —
         // exactly the mixed-epoch situation mid-renegotiation.
-        let book = CodeBook::from_specs(&AdaptiveConfig::standard(5, 1).ladder);
+        let receiver = ladder_framing(0);
+        let rungs = AdaptiveConfig::standard(5, 1).ladder.len() as u8;
         let frame = Frame {
             round: 9,
             sender: 2,
             copy: 0,
             msg: UteMsg::Vote(Some(17u64)),
         };
-        for id in 0..book.len() as u8 {
-            let wire = encode_frame_tagged(&frame, id, &book);
+        for id in 0..rungs {
+            let wire = ladder_framing(id).wire(&frame);
             assert_eq!(wire[0], id, "the id byte leads the wire image");
-            let got = decode_frame_tagged::<UteMsg<u64>>(&wire, &book).unwrap();
-            assert_eq!(got.code_id, id);
-            assert!(!got.repaired, "clean frames need no repair");
-            assert_eq!(got.frame, frame, "epoch {id} decodes exactly");
+            let (got, repaired, advert) = receiver.decode_scan(&wire).frame.unwrap();
+            assert!(!repaired, "clean frames need no repair");
+            assert_eq!(advert, None, "the standard ladder does not gossip");
+            assert_eq!(got, frame, "epoch {id} decodes exactly");
         }
     }
 
     #[test]
     fn budgeted_tagged_frames_decode_like_baseline_ones() {
-        use heardof_coding::{CodeBook, CodeSpec, SymbolBudget};
-        let book = CodeBook::from_specs(&[CodeSpec::Fountain { repair: 2 }]);
+        let cfg = AdaptiveConfig {
+            ladder: vec![CodeSpec::Fountain { repair: 2 }],
+            ..AdaptiveConfig::standard(5, 1)
+        };
+        let book = Arc::new(CodeBook::from_specs(&cfg.ladder));
+        let framing = Framing::adaptive(book, AdaptiveController::new(cfg));
         let frame = Frame {
             round: 6,
             sender: 3,
             copy: 0,
             msg: UteMsg::Est(41u64),
         };
-        let baseline = encode_frame_tagged(&frame, 0, &book);
-        let inflated = encode_frame_tagged_budget(&frame, 0, &book, SymbolBudget::baseline(11));
+        let baseline = framing.wire(&frame);
+        let mut inflated = BytesMut::new();
+        framing.encode_raw_with_budget_into(
+            &body_of(&frame),
+            SymbolBudget::baseline(11),
+            &mut inflated,
+        );
         assert!(
             inflated.len() > baseline.len(),
             "the budget buys extra repair symbols on the wire"
         );
-        for wire in [&baseline, &inflated] {
-            let got = decode_frame_tagged::<UteMsg<u64>>(wire, &book).unwrap();
-            assert_eq!(got.frame, frame, "budgets never change the wire identity");
+        for wire in [&baseline[..], &inflated[..]] {
+            assert_eq!(
+                decoded(&framing, wire),
+                Some(frame.clone()),
+                "budgets never change the wire identity"
+            );
         }
     }
 
     #[test]
     fn tagged_decode_reports_repairs() {
-        use heardof_coding::{CodeBook, CodeSpec};
-        let book = CodeBook::from_specs(&[CodeSpec::Hamming74]);
+        let framing = ladder_framing(1);
+        assert_eq!(framing.current_spec(), CodeSpec::Hamming74);
         let frame = Frame {
             round: 2,
             sender: 1,
             copy: 0,
             msg: 99u64,
         };
-        let mut wire = encode_frame_tagged(&frame, 0, &book);
+        let mut wire = framing.wire(&frame);
         wire[10] ^= 0x04; // one flip past the tag byte
-        let got = decode_frame_tagged::<u64>(&wire, &book).unwrap();
-        assert_eq!(got.frame, frame, "SECDED repaired the flip");
-        assert!(got.repaired, "…and reported doing so");
+        let scan = framing.decode_scan::<u64>(&wire);
+        let (got, repaired, _) = scan.frame.unwrap();
+        assert_eq!(got, frame, "SECDED repaired the flip");
+        assert!(repaired, "…and reported doing so");
+        assert_eq!(scan.repairs, 1);
     }
 
     #[test]
     fn corrupted_tag_byte_is_a_detected_omission() {
-        use heardof_coding::{AdaptiveConfig, CodeBook};
-        let book = CodeBook::from_specs(&AdaptiveConfig::standard(5, 1).ladder);
+        let framing = ladder_framing(0);
         let frame = Frame {
             round: 1,
             sender: 0,
             copy: 0,
             msg: 5u64,
         };
-        let mut wire = encode_frame_tagged(&frame, 0, &book);
+        let mut wire = framing.wire(&frame);
         wire[0] = 200; // unknown id
-        let err = decode_frame_tagged::<u64>(&wire, &book).unwrap_err();
-        assert!(matches!(err, CodecError::CodeRejected(_)));
+        assert_eq!(decoded::<u64>(&framing, &wire), None);
         // An id naming a *different* code sees a wrong-shaped body and
         // rejects too (checksum32 bytes are not a valid hamming74 image
         // of the same frame).
-        let mut cross = encode_frame_tagged(&frame, 0, &book);
+        let mut cross = framing.wire(&frame);
         cross[0] = 1;
-        assert!(
-            decode_frame_tagged::<u64>(&cross, &book).is_err(),
+        assert_eq!(
+            decoded::<u64>(&framing, &cross),
+            None,
             "cross-code decode must not silently succeed"
         );
     }
 
     #[test]
     fn hamming_code_repairs_wire_corruption_in_place() {
-        let code = heardof_coding::Hamming74;
+        let framing = Framing::fixed(CodeSpec::Hamming74);
         let frame = Frame {
             round: 3,
             sender: 1,
             copy: 0,
             msg: 777u64,
         };
-        let mut wire = encode_frame_with(&frame, &code);
+        let mut wire = framing.wire(&frame);
         wire[2 * PAYLOAD_OFFSET + 5] ^= 0x08; // single-bit hit inside the payload
-        let decoded: Frame<u64> = decode_frame_with(&wire, &code).unwrap();
-        assert_eq!(decoded.msg, 777, "SECDED repaired the flip");
+        let got: Frame<u64> = decoded(&framing, &wire).unwrap();
+        assert_eq!(got.msg, 777, "SECDED repaired the flip");
     }
 
     #[test]
     fn double_flip_in_one_block_is_code_rejected() {
-        let code = heardof_coding::Hamming74;
+        let framing = Framing::fixed(CodeSpec::Hamming74);
         let frame = Frame {
             round: 3,
             sender: 1,
             copy: 0,
             msg: 777u64,
         };
-        let mut wire = encode_frame_with(&frame, &code);
+        let mut wire = framing.wire(&frame);
         wire[2 * PAYLOAD_OFFSET + 5] ^= 0x18; // two bits in the same block
-        let err = decode_frame_with::<u64>(&wire, &code).unwrap_err();
-        assert!(matches!(err, CodecError::CodeRejected(_)));
+        assert_eq!(decoded::<u64>(&framing, &wire), None);
     }
 }

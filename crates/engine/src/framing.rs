@@ -12,10 +12,7 @@
 //! every substrate (and the conformance harness's sim channel)
 //! negotiates identical budgets by construction.
 
-use crate::codec::{
-    decode_body, decode_frame_tagged, encode_body, encode_frame_tagged_advert, encode_frame_with,
-    Frame, WireMessage,
-};
+use crate::codec::{decode_body, Frame, WireMessage};
 use bytes::BytesMut;
 use heardof_coding::{
     AdaptiveController, ChannelCode, CodeBook, CodeSpec, CtlState, RoundTally, RungAdvert,
@@ -29,38 +26,25 @@ use std::sync::Arc;
 /// frame when the wire decoded, plus the block-level repair work the
 /// code reported **even when it rejected the frame**.
 ///
-/// The second half is the repair-evidence bugfix: a frame the code
-/// visibly fought for (repaired blocks) and still had to drop carries
-/// real information about channel conditions. `decode`/`decode_full`
-/// collapse that rejection to `None` and the evidence is lost;
-/// `decode_scan` keeps it so the engine can feed it into
+/// A frame the code visibly fought for (repaired blocks) and still had
+/// to drop carries real information about channel conditions; the
+/// engine feeds it into
 /// [`RoundTally::evidence`](heardof_coding::RoundTally).
 #[derive(Clone, Debug)]
 pub struct FrameScan<M> {
-    /// `(frame, repaired, advert)` exactly as [`Framing::decode_full`]
-    /// would have returned it — `None` on any rejection.
+    /// `(frame, repaired, advert)` — `None` on any rejection.
     pub frame: Option<(Frame<M>, bool, Option<RungAdvert>)>,
     /// Block-level repairs the code performed while scanning the wire,
     /// counted whether or not the frame was ultimately delivered.
     pub repairs: usize,
 }
 
-/// What [`Framing::decode_raw_scan`] saw in one wire arrival: the
-/// decoded *image* (undecoded body bytes — for the mux layer, a packed
-/// slot image) plus the same rejected-frame repair evidence as
-/// [`FrameScan`].
-#[derive(Clone, Debug)]
-pub struct RawScan {
-    /// `(image, repaired, advert)` when the code delivered the wire.
-    pub image: Option<(Vec<u8>, bool, Option<RungAdvert>)>,
-    /// Block-level repairs observed while scanning, delivered or not.
-    pub repairs: usize,
-}
-
-/// The borrowed form of [`RawScan`]: on codes that decode in place
-/// (`none`, `checksum*`) the image stays a slice of the arriving wire
-/// bytes — the receive path's zero-copy fast lane. Everything else is
-/// identical to [`Framing::decode_raw_scan`].
+/// What [`Framing::decode_raw_view`] saw in one wire arrival: the
+/// decoded *image* (undecoded body bytes — a frame body, or for the mux
+/// layer a packed slot image) plus the same rejected-frame repair
+/// evidence as [`FrameScan`]. On codes that decode in place (`none`,
+/// `checksum*`) the image stays a slice of the arriving wire bytes —
+/// the receive path's zero-copy fast lane.
 #[derive(Clone, Debug)]
 pub struct RawScanView<'a> {
     /// `(image, repaired, advert)` when the code delivered the wire,
@@ -163,170 +147,53 @@ impl Framing {
         self.process = process;
     }
 
-    /// Encodes a frame under the framing in force for this round. When
-    /// the controller gossips, the frame piggybacks its current
-    /// [`RungAdvert`] in the version-gated gossip wire format.
-    pub fn encode<M: WireMessage>(&self, frame: &Frame<M>) -> Vec<u8> {
-        match &self.mode {
-            Mode::Fixed { code, .. } => encode_frame_with(frame, code.as_ref()),
-            Mode::Adaptive { book, controller } => {
-                encode_frame_tagged_advert(frame, controller.code_id(), controller.advert(), book)
-            }
-        }
-    }
-
-    /// Encodes a frame spending an explicit [`SymbolBudget`] — the
-    /// incremental-symbol pathway. Only meaningful while
-    /// [`Framing::symbol_budget`] is `Some`; under a fixed-rate code
-    /// the budget is ignored and this is [`Framing::encode`].
-    pub fn encode_with_budget<M: WireMessage>(
-        &self,
-        frame: &Frame<M>,
-        budget: SymbolBudget,
-    ) -> Vec<u8> {
-        match &self.mode {
-            Mode::Fixed { code, .. } => code.encode_with_budget(&encode_body(frame), budget),
-            Mode::Adaptive { book, controller } => book.encode_tagged_advert_budget(
-                controller.code_id(),
-                controller.advert(),
-                &encode_body(frame),
-                budget,
-            ),
-        }
-    }
-
-    /// Decodes wire bytes into `(frame, repaired)`; `repaired` is the
-    /// receiver-observable fact that the code corrected errors on the
-    /// way in — reported by both framing modes, because a fixed
-    /// fountain code's budget renegotiation needs the repair signal
-    /// just as much as an adaptive controller does.
-    pub fn decode<M: WireMessage>(&self, bytes: &[u8]) -> Option<(Frame<M>, bool)> {
-        self.decode_full(bytes)
-            .map(|(frame, repaired, _)| (frame, repaired))
-    }
-
-    /// Like [`Framing::decode`], additionally surfacing the sender's
-    /// piggybacked [`RungAdvert`] when the frame gossips — the signal
-    /// [`RoundEngine::ingest`](crate::RoundEngine) collects per sender
-    /// and hands to the controller at end of round.
-    pub fn decode_full<M: WireMessage>(
-        &self,
-        bytes: &[u8],
-    ) -> Option<(Frame<M>, bool, Option<RungAdvert>)> {
-        match &self.mode {
-            Mode::Fixed { code, .. } => match code.decode_repaired(bytes) {
-                Ok((body, repaired)) => {
-                    decode_body(&body).ok().map(|frame| (frame, repaired, None))
-                }
-                Err(_) => None,
-            },
-            Mode::Adaptive { book, .. } => decode_frame_tagged(bytes, book)
-                .ok()
-                .map(|t| (t.frame, t.repaired, t.advert)),
-        }
-    }
-
-    /// Like [`Framing::decode_full`], additionally surfacing the
-    /// block-level repair evidence the code reported even when it
-    /// rejected the frame. The `frame` half is bit-for-bit what
-    /// `decode_full` returns (the scanning decode path is contractually
-    /// identical to [`ChannelCode::decode_repaired`]); only the
-    /// evidence is new.
-    pub fn decode_scan<M: WireMessage>(&self, bytes: &[u8]) -> FrameScan<M> {
-        // Rides the borrowed raw path: on in-place codes the frame
-        // header and message parse straight out of the arriving wire
-        // bytes, so a cheap-rung ingest allocates only what the decoded
-        // message itself owns.
-        let RawScanView { image, repairs } = self.decode_raw_view(bytes);
-        let frame = image.and_then(|(body, repaired, advert)| {
-            decode_body(&body)
-                .ok()
-                .map(|frame| (frame, repaired, advert))
-        });
-        FrameScan { frame, repairs }
-    }
-
-    /// Encodes an opaque body under the framing in force — the mux
-    /// pathway: the body is a packed slot image
-    /// ([`heardof_coding::pack_slots`]) rather than a single frame, and
-    /// the tag byte, advert and coding pass are paid once for the whole
-    /// image.
-    pub fn encode_raw(&self, body: &[u8]) -> Vec<u8> {
-        match &self.mode {
-            Mode::Fixed { code, .. } => code.encode(body),
-            Mode::Adaptive { book, controller } => {
-                book.encode_tagged_advert(controller.code_id(), controller.advert(), body)
-            }
-        }
-    }
-
-    /// The arena form of [`Framing::encode_raw`]: appends the wire
-    /// image to `out` instead of allocating a fresh `Vec`. A caller
+    /// Appends the wire image of an opaque body — a frame body
+    /// ([`encode_body_into`](crate::encode_body_into)) or a packed mux
+    /// slot image — under the framing in force for this round. When the
+    /// controller gossips, the image piggybacks its current
+    /// [`RungAdvert`] in the version-gated gossip wire format. A caller
     /// that clears and reuses `out` round-to-round stops touching the
     /// allocator once the buffer is warm — on cheap rungs the whole
     /// send path is then allocation-free.
     pub fn encode_raw_into(&self, body: &[u8], out: &mut BytesMut) {
-        match &self.mode {
-            Mode::Fixed { code, .. } => code.encode_into(body, out),
-            Mode::Adaptive { book, controller } => {
-                book.encode_tagged_advert_into(controller.code_id(), controller.advert(), body, out)
-            }
-        }
+        self.encode_raw(body, None, out);
     }
 
-    /// [`Framing::encode_raw`] spending an explicit [`SymbolBudget`] —
-    /// the incremental-symbol pathway for a mux image under a rateless
-    /// spec. Under a fixed-rate code the budget is ignored.
-    pub fn encode_raw_with_budget(&self, body: &[u8], budget: SymbolBudget) -> Vec<u8> {
-        match &self.mode {
-            Mode::Fixed { code, .. } => code.encode_with_budget(body, budget),
-            Mode::Adaptive { book, controller } => book.encode_tagged_advert_budget(
-                controller.code_id(),
-                controller.advert(),
-                body,
-                budget,
-            ),
-        }
-    }
-
-    /// The arena form of [`Framing::encode_raw_with_budget`].
+    /// [`Framing::encode_raw_into`] spending an explicit
+    /// [`SymbolBudget`] — the incremental-symbol pathway. Only
+    /// meaningful while [`Framing::symbol_budget`] is `Some`; under a
+    /// fixed-rate code the budget is ignored.
     pub fn encode_raw_with_budget_into(
         &self,
         body: &[u8],
         budget: SymbolBudget,
         out: &mut BytesMut,
     ) {
+        self.encode_raw(body, Some(budget), out);
+    }
+
+    /// The one encode path: `budget` as the engines hold it (`Some`
+    /// exactly on a rateless rung).
+    pub(crate) fn encode_raw(&self, body: &[u8], budget: Option<SymbolBudget>, out: &mut BytesMut) {
         match &self.mode {
-            Mode::Fixed { code, .. } => code.encode_with_budget_into(body, budget, out),
-            Mode::Adaptive { book, controller } => book.encode_tagged_advert_budget_into(
-                controller.code_id(),
-                controller.advert(),
-                body,
-                budget,
-                out,
-            ),
+            Mode::Fixed { code, .. } => code.encode_into(body, budget, out),
+            Mode::Adaptive { book, controller } => {
+                book.encode_tagged(controller.code_id(), controller.advert(), budget, body, out)
+            }
         }
     }
 
-    /// Decodes an opaque body (mux image) with repair-evidence
-    /// scanning — [`Framing::decode_scan`] without the frame parse.
-    pub fn decode_raw_scan(&self, bytes: &[u8]) -> RawScan {
-        let RawScanView { image, repairs } = self.decode_raw_view(bytes);
-        RawScan {
-            image: image.map(|(body, repaired, advert)| (body.into_owned(), repaired, advert)),
-            repairs,
-        }
-    }
-
-    /// The borrowed form of [`Framing::decode_raw_scan`]: identical
-    /// verdicts, but the delivered image stays a slice of `bytes` on
-    /// codes that decode in place — the receive hot path's zero-copy
-    /// lane, and the primitive [`Framing::decode_scan`] and the mux
-    /// ingest are built on.
+    /// Decodes wire bytes into an opaque body with repair-evidence
+    /// scanning: the delivered image stays a slice of `bytes` on codes
+    /// that decode in place. `repaired` is the receiver-observable fact
+    /// that the code corrected errors on the way in — reported by both
+    /// framing modes, because a fixed fountain code's budget
+    /// renegotiation needs the repair signal just as much as an
+    /// adaptive controller does.
     pub fn decode_raw_view<'a>(&self, bytes: &'a [u8]) -> RawScanView<'a> {
         match &self.mode {
             Mode::Fixed { code, .. } => {
-                let scan = code.decode_scanned_view(bytes);
+                let scan = code.decode_scan(bytes);
                 RawScanView {
                     image: scan
                         .outcome
@@ -336,13 +203,30 @@ impl Framing {
                 }
             }
             Mode::Adaptive { book, .. } => {
-                let (outcome, repairs) = book.decode_tagged_scanned_view(bytes);
+                let (outcome, repairs) = book.decode_tagged(bytes);
                 RawScanView {
                     image: outcome.ok().map(|t| (t.body, t.repaired, t.advert)),
                     repairs,
                 }
             }
         }
+    }
+
+    /// [`Framing::decode_raw_view`] followed by the frame parse: on
+    /// in-place codes the frame header and message parse straight out
+    /// of the arriving wire bytes, so a cheap-rung ingest allocates
+    /// only what the decoded message itself owns. The advert is the
+    /// sender's piggybacked [`RungAdvert`] when the frame gossips — the
+    /// signal [`RoundEngine::ingest`](crate::RoundEngine) collects per
+    /// sender and hands to the controller at end of round.
+    pub fn decode_scan<M: WireMessage>(&self, bytes: &[u8]) -> FrameScan<M> {
+        let RawScanView { image, repairs } = self.decode_raw_view(bytes);
+        let frame = image.and_then(|(body, repaired, advert)| {
+            decode_body(&body)
+                .ok()
+                .map(|frame| (frame, repaired, advert))
+        });
+        FrameScan { frame, repairs }
     }
 
     /// The spec in force for the next send.
@@ -523,6 +407,19 @@ impl Framing {
 }
 
 #[cfg(test)]
+impl Framing {
+    /// `frame` on the wire under the framing in force, as a fresh `Vec`
+    /// (no budget) — what the in-crate tests corrupt and feed back.
+    pub(crate) fn wire<M: WireMessage>(&self, frame: &Frame<M>) -> Vec<u8> {
+        let mut body = BytesMut::new();
+        crate::codec::encode_body_into(frame, &mut body);
+        let mut wire = BytesMut::new();
+        self.encode_raw_into(&body, &mut wire);
+        wire.into()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use heardof_coding::AdaptiveConfig;
@@ -552,10 +449,11 @@ mod tests {
         assert_eq!(framing.current_spec(), CodeSpec::Hamming74);
         assert!(framing.controller().is_none());
         assert!(framing.symbol_budget().is_none());
-        let wire = framing.encode(&frame());
-        let (got, repaired) = framing.decode::<u64>(&wire).unwrap();
+        let wire = framing.wire(&frame());
+        let (got, repaired, advert) = framing.decode_scan::<u64>(&wire).frame.unwrap();
         assert_eq!(got, frame());
-        assert!(!repaired, "fixed framing never reports repairs");
+        assert!(!repaired, "a clean wire needs no repair");
+        assert_eq!(advert, None, "fixed framing never gossips");
     }
 
     #[test]
@@ -570,8 +468,8 @@ mod tests {
             framing.observe(starving(4));
         }
         assert_ne!(framing.current_spec(), CodeSpec::Checksum { width: 4 });
-        let wire = framing.encode(&frame());
-        let (got, _) = framing.decode::<u64>(&wire).unwrap();
+        let wire = framing.wire(&frame());
+        let (got, _, _) = framing.decode_scan::<u64>(&wire).frame.unwrap();
         assert_eq!(got, frame(), "every epoch decodes through the book");
     }
 
@@ -609,10 +507,13 @@ mod tests {
         assert!(grown > base, "loss must grow the budget, got {grown}");
         // …and the budgeted frame is strictly longer yet decodes with
         // the same budget-free decoder.
-        let small = framing.encode(&frame());
-        let big = framing.encode_with_budget(&frame(), framing.symbol_budget().unwrap());
+        let small = framing.wire(&frame());
+        let mut body = BytesMut::new();
+        crate::codec::encode_body_into(&frame(), &mut body);
+        let mut big = BytesMut::new();
+        framing.encode_raw_with_budget_into(&body, framing.symbol_budget().unwrap(), &mut big);
         assert!(big.len() > small.len());
-        let (got, _) = framing.decode::<u64>(&big).unwrap();
+        let (got, _, _) = framing.decode_scan::<u64>(&big).frame.unwrap();
         assert_eq!(got, frame());
         // Calm rounds decay back to the baseline.
         let calm = RoundTally {

@@ -22,9 +22,9 @@
 //!   nothing but byte transport and a notion of when a round is over
 //!   (a timeout for threads, a barrier for cooperative tasks).
 //!
-//! The wire [`codec`] (frame layout, [`WireMessage`], tagged framing)
-//! lives here too, so substrates share it byte-for-byte; `heardof-net`
-//! re-exports it under its historical paths. [`OutcomeView`] and
+//! The wire [`codec`] (frame layout, [`WireMessage`]) lives here too,
+//! so substrates share it byte-for-byte; `heardof-net` re-exports it
+//! under its historical paths. [`OutcomeView`] and
 //! [`SubstrateOutcome`] give every substrate the same outcome surface,
 //! and [`SubstrateOutcome::assemble`] performs the post-hoc `HO`/`SHO`
 //! reconstruction from kept-frame logs plus the fault oracle.
@@ -47,9 +47,9 @@
 //! // One lockstep round: everyone sends, a perfect wire delivers.
 //! let mut inboxes: Vec<Vec<Vec<u8>>> = vec![Vec::new(); n];
 //! for engine in engines.iter_mut() {
-//!     for out in engine.begin_round() {
-//!         inboxes[out.dest as usize].push(out.bytes);
-//!     }
+//!     engine.begin_round_with(|dest, _copy, wire| {
+//!         inboxes[dest as usize].push(wire.to_vec());
+//!     });
 //! }
 //! for (p, engine) in engines.iter_mut().enumerate() {
 //!     for bytes in &inboxes[p] { engine.ingest(bytes); }
@@ -70,13 +70,11 @@ mod process;
 mod round;
 
 pub use codec::{
-    decode_body, decode_frame, decode_frame_tagged, decode_frame_with, encode_body,
-    encode_body_into, encode_frame, encode_frame_tagged, encode_frame_tagged_budget,
-    encode_frame_with, refresh_crc, CodecError, Frame, TaggedFrame, WireMessage, COPY_OFFSET,
+    decode_body, encode_body_into, refresh_crc, CodecError, Frame, WireMessage, COPY_OFFSET,
     PAYLOAD_OFFSET,
 };
-pub use framing::{FrameScan, Framing, RawScan, RawScanView};
+pub use framing::{FrameScan, Framing, RawScanView};
 pub use mux::{MuxReport, MuxRoundEngine};
 pub use outcome::{OutcomeView, SubstrateOutcome};
 pub use process::ProcessCore;
-pub use round::{link_index, EngineReport, Ingest, Outgoing, RoundEngine};
+pub use round::{link_index, EngineReport, Ingest, RoundEngine};

@@ -7,7 +7,7 @@
 //! coding passes and `k` per-frame fixed costs *per peer per round*.
 //! [`MuxRoundEngine`] runs the same `k` HO-machines behind **one**
 //! [`Framing`]: per peer it packs every instance's frame body into a
-//! single slot image ([`pack_slots`]), pays the tagged header and the
+//! single slot image ([`pack_slots_into`]), pays the tagged header and the
 //! advert once, and pushes the whole image through one coding pass —
 //! which is where the bitsliced SECDED hot path earns its keep, because
 //! the batch amortizes the transpose over every instance at once.
@@ -28,12 +28,14 @@
 //! [`RoundEngine`](crate::RoundEngine) is untouched, so existing runs
 //! are byte-identical.
 
-use crate::codec::{decode_body, encode_body_into, refresh_crc, Frame, WireMessage, COPY_OFFSET};
+use crate::codec::{decode_body, encode_body_into, Frame, WireMessage, COPY_OFFSET};
 use crate::framing::Framing;
 use crate::process::ProcessCore;
-use crate::round::{Ingest, Outgoing};
+use crate::round::Ingest;
 use bytes::BytesMut;
-use heardof_coding::{pack_slots_into, unpack_slots_view, CodeSpec, RoundTally, RungAdvert};
+use heardof_coding::{
+    pack_slots_into, patch_slots, unpack_slots_view, CodeSpec, RoundTally, RungAdvert,
+};
 use heardof_model::{HoAlgorithm, ProcessId, ReceptionVector, Round};
 use heardof_telemetry::{Event, EventKind, Telemetry, NO_PEER};
 use std::collections::HashMap;
@@ -65,8 +67,9 @@ pub struct MuxReport<V> {
 
 /// `k` instance HO-machines behind one shared [`Framing`]: per peer and
 /// round, one packed, coded wire image instead of `k` frames. Drive it
-/// exactly like a [`RoundEngine`](crate::RoundEngine) — `begin_round` /
-/// `ingest` / `finish_round` — over any byte substrate.
+/// exactly like a [`RoundEngine`](crate::RoundEngine) —
+/// `begin_round_with` / `ingest` / `finish_round` — over any byte
+/// substrate.
 pub struct MuxRoundEngine<A: HoAlgorithm>
 where
     A::Msg: WireMessage,
@@ -100,7 +103,7 @@ where
     slot_arena: BytesMut,
     /// `(start, end)` of each instance's body within the slab.
     slot_ranges: Vec<(usize, usize)>,
-    /// Reusable packed mux image (the `pack_slots` output).
+    /// Reusable packed mux image (the `pack_slots_into` output).
     image_arena: Vec<u8>,
     /// Reusable coded wire image.
     wire_arena: BytesMut,
@@ -211,38 +214,16 @@ where
     /// Opens the next round: one packed wire image per peer (times
     /// `copies`, unless a rateless budget folds them), self-delivery to
     /// every instance locally, early images drained into the round.
-    ///
-    /// This is the owning convenience wrapper over
-    /// [`MuxRoundEngine::begin_round_with`], which hands out borrowed
-    /// wire images from a reusable arena instead of allocating a `Vec`
-    /// per image.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called past `max_rounds` or with the previous round
-    /// still open.
-    pub fn begin_round(&mut self) -> Vec<Outgoing> {
-        let mut outgoing = Vec::new();
-        self.begin_round_with(|dest, copy, bytes| {
-            outgoing.push(Outgoing {
-                dest,
-                copy,
-                bytes: bytes.to_vec(),
-            })
-        });
-        outgoing
-    }
-
-    /// [`MuxRoundEngine::begin_round`] in zero-copy form: every coded
-    /// image is handed to `emit(dest, copy, wire)` as a borrow of an
-    /// internal arena, valid only for the duration of the call.
+    /// Every coded image is handed to `emit(dest, copy, wire)` as a
+    /// borrow of an internal arena, valid only for the duration of the
+    /// call.
     ///
     /// Per peer, all `k` instance bodies are encoded once into a slab,
     /// packed once, and coded per copy; a retransmission copy patches
-    /// each slot's copy byte in the packed image and refreshes the mux
-    /// CRC trailer rather than re-encoding anything. Under a rateless
-    /// rung the symbol budget is additionally priced **per wire
-    /// image**: one pooled repair allowance for the whole batch
+    /// each slot's copy byte in the packed image
+    /// ([`patch_slots`]) rather than re-encoding anything. Under a
+    /// rateless rung the symbol budget is additionally priced **per
+    /// wire image**: one pooled repair allowance for the whole batch
     /// ([`SymbolBudget::for_batch`](heardof_coding::SymbolBudget::for_batch)),
     /// sublinear in `k`, instead of `k` independent per-instance
     /// allowances.
@@ -334,23 +315,11 @@ where
             pack_slots_into(&slots, &mut image);
             for copy in 0..copies_out {
                 if copy > 0 {
-                    // Identical image apart from each slot's copy byte:
-                    // patch in place and refresh the CRC trailer.
-                    let mut at = 1;
-                    for &(start, end) in &ranges {
-                        at += 6;
-                        image[at + COPY_OFFSET] = copy;
-                        at += end - start;
-                    }
-                    refresh_crc(&mut image);
+                    // Identical image apart from each slot's copy byte.
+                    patch_slots(&mut image, |body| body[COPY_OFFSET] = copy);
                 }
                 wire.clear();
-                match budget {
-                    Some(b) => self
-                        .framing
-                        .encode_raw_with_budget_into(&image, b, &mut wire),
-                    None => self.framing.encode_raw_into(&image, &mut wire),
-                }
+                self.framing.encode_raw(&image, budget, &mut wire);
                 emit(q, copy, &wire);
             }
         }
@@ -586,6 +555,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::round::sent;
     use heardof_coding::{AdaptiveConfig, AdaptiveController, CodeBook, CodeError};
     use heardof_core::{Ate, AteParams};
     use std::sync::Arc;
@@ -658,18 +628,18 @@ mod tests {
     #[test]
     fn one_wire_image_per_peer_regardless_of_instances() {
         let mut e = mux_engine(4, 9, 1);
-        let out = e.begin_round();
+        let out = sent(|emit| e.begin_round_with(emit));
         assert_eq!(out.len(), 3, "one image per peer, not per instance");
         // The image amortizes framing: it is far smaller than 9
         // independent frames would be.
-        let single = mux_engine(4, 1, 1).begin_round();
+        let single = sent(|emit| mux_engine(4, 1, 1).begin_round_with(emit));
         assert!(out[0].bytes.len() < 9 * single[0].bytes.len());
     }
 
     #[test]
     fn slot_corruption_never_misroutes_an_instance() {
         let mut a = mux_engine(2, 3, 1);
-        let out = a.begin_round();
+        let out = sent(|emit| a.begin_round_with(emit));
         let algo: Ate<u64> = Ate::new(AteParams::balanced(2, 0).unwrap());
         let mut b = MuxRoundEngine::new(
             algo,
@@ -680,7 +650,7 @@ mod tests {
             1,
             10,
         );
-        let _ = b.begin_round();
+        b.begin_round_with(|_, _, _| {});
         // Every single-byte corruption of the wire image is rejected or
         // garbage — never a partial keep.
         for i in 0..out[0].bytes.len() {
@@ -700,7 +670,7 @@ mod tests {
     #[test]
     fn instance_count_mismatch_is_garbage() {
         let mut a = mux_engine(2, 2, 1);
-        let out = a.begin_round();
+        let out = sent(|emit| a.begin_round_with(emit));
         let algo: Ate<u64> = Ate::new(AteParams::balanced(2, 0).unwrap());
         let mut b = MuxRoundEngine::new(
             algo,
@@ -711,14 +681,14 @@ mod tests {
             1,
             10,
         );
-        let _ = b.begin_round();
+        b.begin_round_with(|_, _, _| {});
         assert_eq!(b.ingest(&out[0].bytes), Ingest::Garbage);
     }
 
     #[test]
     fn duplicate_images_dedupe_at_the_wire_level() {
         let mut a = mux_engine(2, 4, 3);
-        let out = a.begin_round();
+        let out = sent(|emit| a.begin_round_with(emit));
         assert_eq!(out.len(), 3, "three copies of the one image");
         let algo: Ate<u64> = Ate::new(AteParams::balanced(2, 0).unwrap());
         let mut b = MuxRoundEngine::new(
@@ -730,7 +700,7 @@ mod tests {
             3,
             10,
         );
-        let _ = b.begin_round();
+        b.begin_round_with(|_, _, _| {});
         assert_eq!(b.ingest(&out[0].bytes), Ingest::Kept);
         assert_eq!(b.ingest(&out[1].bytes), Ingest::Duplicate);
         assert_eq!(b.ingest(&out[2].bytes), Ingest::Duplicate);
@@ -739,9 +709,9 @@ mod tests {
     #[test]
     fn future_images_are_buffered_and_drained() {
         let mut a = mux_engine(2, 2, 1);
-        let _r1 = a.begin_round();
+        a.begin_round_with(|_, _, _| {});
         a.finish_round();
-        let r2 = a.begin_round();
+        let r2 = sent(|emit| a.begin_round_with(emit));
         let algo: Ate<u64> = Ate::new(AteParams::balanced(2, 0).unwrap());
         let mut b = MuxRoundEngine::new(
             algo,
@@ -752,10 +722,10 @@ mod tests {
             1,
             10,
         );
-        let _ = b.begin_round();
+        b.begin_round_with(|_, _, _| {});
         assert_eq!(b.ingest(&r2[0].bytes), Ingest::Future, "round 2 buffered");
         b.finish_round();
-        let _ = b.begin_round();
+        b.begin_round_with(|_, _, _| {});
         assert!(b.round_complete(), "buffered image drained into round 2");
     }
 
@@ -780,7 +750,7 @@ mod tests {
         );
         let mut switched = None;
         for _ in 0..10 {
-            let _ = e.begin_round();
+            e.begin_round_with(|_, _, _| {});
             if let Some(spec) = e.finish_round() {
                 switched = Some(spec);
                 break;

@@ -9,8 +9,10 @@
 //!
 //! ```text
 //! loop {
-//!     let outgoing = engine.begin_round();   // emit coded frames
-//!     /* substrate: put outgoing on the wire, gather arrivals */
+//!     engine.begin_round_with(|dest, copy, wire| {
+//!         /* substrate: copy the coded frame onto the wire to `dest` */
+//!     });
+//!     /* substrate: gather arrivals */
 //!     engine.ingest(&bytes);                 // 0..many times
 //!     /* substrate: decide the round is over (timeout / barrier) */
 //!     engine.finish_round();                 // transition + renegotiate
@@ -49,8 +51,8 @@ type Early<M> = Vec<(Frame<M>, bool, Option<RungAdvert>)>;
 
 /// The index of the link to `dest` within a per-process link vector
 /// built by filtering the process itself out of ascending process
-/// order — the layout every deployment substrate uses to route
-/// [`Outgoing::dest`] onto its `FaultyLink`s.
+/// order — the layout every deployment substrate uses to route an
+/// emitted frame's `dest` onto its `FaultyLink`s.
 pub fn link_index(dest: u32, me: u32) -> usize {
     debug_assert_ne!(dest, me, "self-delivery never goes through a link");
     if dest < me {
@@ -58,18 +60,6 @@ pub fn link_index(dest: u32, me: u32) -> usize {
     } else {
         dest as usize - 1
     }
-}
-
-/// One coded frame the substrate must put on the wire.
-#[derive(Clone, Debug)]
-pub struct Outgoing {
-    /// Destination process index (never the sender itself —
-    /// self-delivery is local and handled inside the engine).
-    pub dest: u32,
-    /// Retransmission copy index (0 = first copy).
-    pub copy: u8,
-    /// The encoded wire image, ready to send.
-    pub bytes: Vec<u8>,
 }
 
 /// What [`RoundEngine::ingest`] did with a wire frame.
@@ -251,39 +241,15 @@ where
     /// Opens the next round: records the send code, runs the sending
     /// function, delivers to self locally (never on the wire, never
     /// corrupted), drains early arrivals buffered for this round, and
-    /// returns the coded frames the substrate must transmit.
-    ///
-    /// This is the owning convenience wrapper over
-    /// [`RoundEngine::begin_round_with`]; substrates that copy frames
-    /// into their own transport buffers anyway should prefer the
-    /// closure form, which hands out borrowed wire images from a
-    /// reusable arena instead of allocating a `Vec` per frame.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called past `max_rounds` or with the previous round
-    /// still open.
-    pub fn begin_round(&mut self) -> Vec<Outgoing> {
-        let mut outgoing = Vec::new();
-        self.begin_round_with(|dest, copy, bytes| {
-            outgoing.push(Outgoing {
-                dest,
-                copy,
-                bytes: bytes.to_vec(),
-            })
-        });
-        outgoing
-    }
-
-    /// [`RoundEngine::begin_round`] in zero-copy form: every coded
-    /// frame is handed to `emit(dest, copy, wire)` as a borrow of an
-    /// internal arena that is reused across frames and rounds. The
-    /// borrow is valid only for the duration of the call — a substrate
-    /// copies it onto the wire (or into its transport buffer) and
-    /// returns. Frame bodies are encoded once per peer; retransmission
-    /// copies only patch the copy byte before re-coding, so the
-    /// per-round cost is `(n−1)` body encodes and `(n−1)·copies` code
-    /// passes with no per-frame heap allocation on the engine side.
+    /// hands every coded frame the substrate must transmit to
+    /// `emit(dest, copy, wire)` as a borrow of an internal arena that
+    /// is reused across frames and rounds. The borrow is valid only for
+    /// the duration of the call — a substrate copies it onto the wire
+    /// (or into its transport buffer) and returns. Frame bodies are
+    /// encoded once per peer; retransmission copies only patch the copy
+    /// byte before re-coding, so the per-round cost is `(n−1)` body
+    /// encodes and `(n−1)·copies` code passes with no per-frame heap
+    /// allocation on the engine side.
     ///
     /// # Panics
     ///
@@ -399,12 +365,7 @@ where
                 for copy in 0..copies_out {
                     body[COPY_OFFSET] = copy;
                     wire.clear();
-                    match budget {
-                        Some(b) => self
-                            .framing
-                            .encode_raw_with_budget_into(&body, b, &mut wire),
-                        None => self.framing.encode_raw_into(&body, &mut wire),
-                    }
+                    self.framing.encode_raw(&body, budget, &mut wire);
                     emit(q, copy, &wire);
                 }
             }
@@ -670,6 +631,29 @@ where
     }
 }
 
+/// One coded frame as `emit` saw it — what the in-crate tests collect.
+#[cfg(test)]
+pub(crate) struct Sent {
+    pub(crate) dest: u32,
+    pub(crate) copy: u8,
+    pub(crate) bytes: Vec<u8>,
+}
+
+/// Runs `begin` (an engine's `begin_round_with`, either engine) and
+/// returns every frame it emitted.
+#[cfg(test)]
+pub(crate) fn sent(begin: impl FnOnce(&mut dyn FnMut(u32, u8, &[u8]))) -> Vec<Sent> {
+    let mut frames = Vec::new();
+    begin(&mut |dest, copy, bytes| {
+        frames.push(Sent {
+            dest,
+            copy,
+            bytes: bytes.to_vec(),
+        })
+    });
+    frames
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -744,7 +728,7 @@ mod tests {
     #[test]
     fn self_delivery_is_local_and_immediate() {
         let mut e = engine(3, 1);
-        let out = e.begin_round();
+        let out = sent(|emit| e.begin_round_with(emit));
         assert_eq!(out.len(), 2, "one frame per peer, none for self");
         assert!(out.iter().all(|o| o.dest != 0));
         assert!(!e.round_complete(), "peers still missing");
@@ -754,7 +738,7 @@ mod tests {
     #[test]
     fn copies_multiply_outgoing_and_dedupe_on_ingest() {
         let mut a = engine(2, 3);
-        let out = a.begin_round();
+        let out = sent(|emit| a.begin_round_with(emit));
         assert_eq!(out.len(), 3, "three copies for the single peer");
         // Feed the copies to a fresh peer engine: first kept, rest dup.
         let algo: Ate<u64> = Ate::new(AteParams::balanced(2, 0).unwrap());
@@ -767,7 +751,7 @@ mod tests {
             3,
             10,
         );
-        let _ = b.begin_round();
+        b.begin_round_with(|_, _, _| {});
         assert_eq!(b.ingest(&out[0].bytes), Ingest::Kept);
         assert_eq!(b.ingest(&out[1].bytes), Ingest::Duplicate);
         assert_eq!(b.ingest(&out[2].bytes), Ingest::Duplicate);
@@ -777,7 +761,7 @@ mod tests {
     #[test]
     fn late_future_and_rejected_frames_are_routed() {
         let mut a = engine(2, 1);
-        let r1 = a.begin_round();
+        let r1 = sent(|emit| a.begin_round_with(emit));
         let algo: Ate<u64> = Ate::new(AteParams::balanced(2, 0).unwrap());
         let mut b = RoundEngine::new(
             algo,
@@ -788,14 +772,14 @@ mod tests {
             1,
             10,
         );
-        let _ = b.begin_round();
+        b.begin_round_with(|_, _, _| {});
         b.ingest(&r1[0].bytes);
         b.finish_round();
         a.finish_round();
-        let r2a = a.begin_round();
+        let r2a = sent(|emit| a.begin_round_with(emit));
         a.finish_round();
-        let r3a = a.begin_round();
-        let _ = b.begin_round(); // b in round 2
+        let r3a = sent(|emit| a.begin_round_with(emit));
+        b.begin_round_with(|_, _, _| {}); // b in round 2
         assert_eq!(b.ingest(&r1[0].bytes), Ingest::Late, "round 1 is closed");
         assert_eq!(b.ingest(&r3a[0].bytes), Ingest::Future, "round 3 buffered");
         let mut junk = r2a[0].bytes.clone();
@@ -804,7 +788,7 @@ mod tests {
         assert_eq!(b.ingest(&r2a[0].bytes), Ingest::Kept);
         b.finish_round();
         // Round 3 opens: the buffered frame is already kept.
-        let _ = b.begin_round();
+        b.begin_round_with(|_, _, _| {});
         assert!(b.round_complete(), "future frame drained into round 3");
     }
 
@@ -827,7 +811,7 @@ mod tests {
         // omissions, which must eventually escalate the rung.
         let mut switched = None;
         for _ in 0..10 {
-            let _ = e.begin_round();
+            e.begin_round_with(|_, _, _| {});
             if let Some(spec) = e.finish_round() {
                 switched = Some(spec);
                 break;
@@ -837,7 +821,7 @@ mod tests {
         assert_ne!(spec, CodeSpec::Checksum { width: 4 });
         assert_eq!(e.current_code(), spec);
         // The new code applies from the *next* round's sends.
-        let _ = e.begin_round();
+        e.begin_round_with(|_, _, _| {});
         e.finish_round();
         let report = e.into_report();
         assert_eq!(report.codes[0], CodeSpec::Checksum { width: 4 });
@@ -849,9 +833,9 @@ mod tests {
         // A substrate that begins a round and then bails (transport
         // death) must still hand back per-*completed*-round logs.
         let mut e = engine(3, 1);
-        let _ = e.begin_round();
+        e.begin_round_with(|_, _, _| {});
         e.finish_round();
-        let _ = e.begin_round(); // abandoned mid-round
+        e.begin_round_with(|_, _, _| {}); // abandoned mid-round
         let report = e.into_report();
         assert_eq!(report.rounds_completed, 1);
         assert_eq!(report.codes.len(), 1, "open round's code is dropped");
@@ -874,7 +858,7 @@ mod tests {
             3,
             10,
         );
-        let out = fountain.begin_round();
+        let out = sent(|emit| fountain.begin_round_with(emit));
         assert_eq!(out.len(), 2, "one budgeted frame per peer");
         assert!(out.iter().all(|o| o.copy == 0));
 
@@ -887,7 +871,7 @@ mod tests {
             1,
             10,
         );
-        let baseline = single.begin_round();
+        let baseline = sent(|emit| single.begin_round_with(emit));
         assert!(
             out[0].bytes.len() > baseline[0].bytes.len(),
             "folded copies surface as extra repair symbols ({} vs {})",
@@ -905,7 +889,7 @@ mod tests {
             3,
             10,
         );
-        let _ = peer.begin_round();
+        peer.begin_round_with(|_, _, _| {});
         assert_eq!(peer.ingest(&out[0].bytes), Ingest::Kept);
     }
 
@@ -975,7 +959,7 @@ mod tests {
         // Same 2-byte wire image, ladder without the rung: ingest_from
         // must behave exactly like ingest (a rejected decode).
         let mut e = engine(3, 1);
-        let _ = e.begin_round();
+        e.begin_round_with(|_, _, _| {});
         assert_eq!(
             e.ingest_from(1, &heardof_coding::oblivious_value_frame()),
             Ingest::Rejected,
@@ -995,7 +979,7 @@ mod tests {
     #[should_panic(expected = "previous round still open")]
     fn double_begin_panics() {
         let mut e = engine(2, 1);
-        let _ = e.begin_round();
-        let _ = e.begin_round();
+        e.begin_round_with(|_, _, _| {});
+        e.begin_round_with(|_, _, _| {});
     }
 }

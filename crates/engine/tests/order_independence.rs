@@ -95,23 +95,22 @@ fn run_system(trace_seed: u64, copies: u8, shuffle_seed: Option<u64>) -> Observe
     for r in 1..=ROUNDS {
         let mut inboxes: Vec<Vec<(u32, Vec<u8>)>> = vec![Vec::new(); N];
         for (p, engine) in engines.iter_mut().enumerate() {
-            for out in engine.begin_round() {
-                let clean = out.bytes.clone();
-                let mut wire = out.bytes;
-                trace.corrupt_frame(r, p as u32, out.dest, out.copy, &mut wire);
+            engine.begin_round_with(|dest, copy, clean| {
+                let mut wire = clean.to_vec();
+                trace.corrupt_frame(r, p as u32, dest, copy, &mut wire);
                 // Classify for the oracle, exactly as a FaultyLink
                 // would: decodes-but-differs is an undetected fault.
                 if wire != clean {
-                    if let (Ok((_, before)), Ok((_, after))) =
-                        (book.decode_tagged(&clean), book.decode_tagged(&wire))
+                    if let (Ok(before), Ok(after)) =
+                        (book.decode_tagged(clean).0, book.decode_tagged(&wire).0)
                     {
-                        if before != after {
-                            faults.insert((r, p as u32, out.dest, out.copy));
+                        if before.body != after.body {
+                            faults.insert((r, p as u32, dest, copy));
                         }
                     }
                 }
-                inboxes[out.dest as usize].push((p as u32, wire));
-            }
+                inboxes[dest as usize].push((p as u32, wire));
+            });
         }
         for (p, engine) in engines.iter_mut().enumerate() {
             let arrived = std::mem::take(&mut inboxes[p]);

@@ -65,9 +65,8 @@ pub use heardof_coding::{
 // substrate-agnostic round core; re-exported so the original API is
 // unchanged.
 pub use heardof_engine::{
-    decode_body, decode_frame, decode_frame_tagged, decode_frame_with, encode_body, encode_frame,
-    encode_frame_tagged, encode_frame_tagged_budget, encode_frame_with, refresh_crc, CodecError,
-    Frame, OutcomeView, SubstrateOutcome, TaggedFrame, WireMessage, COPY_OFFSET, PAYLOAD_OFFSET,
+    decode_body, refresh_crc, CodecError, Frame, OutcomeView, SubstrateOutcome, WireMessage,
+    COPY_OFFSET, PAYLOAD_OFFSET,
 };
 // The telemetry plane threads through every link and engine; the core
 // types are re-exported so deployments can attach a recorder without a

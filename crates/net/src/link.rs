@@ -19,13 +19,15 @@
 //! so the runtime can reconstruct exact `SHO` sets after the fact
 //! (processes themselves can never know them — §2.1).
 
+use bytes::BytesMut;
 use crossbeam::channel::Sender;
-use heardof_coding::{BitNoise, ChannelCode, Checksum, CodeBook, NoiseTrace};
+use heardof_coding::{BitNoise, ChannelCode, Checksum, CodeBook, NoiseTrace, RungAdvert};
 use heardof_engine::{COPY_OFFSET, PAYLOAD_OFFSET};
 use heardof_telemetry::{Event, EventKind, Telemetry};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -270,12 +272,25 @@ impl FaultyLink {
         self
     }
 
-    /// Decodes `wire` through whichever framing is in force.
-    fn decode_any(&self, wire: &[u8]) -> Option<Vec<u8>> {
+    /// Decodes `wire` through whichever framing is in force, keeping
+    /// the epoch id and advert a tagged frame names (0 and none under
+    /// the link's static code).
+    fn decode_parts<'a>(&self, wire: &'a [u8]) -> Option<(u8, Option<RungAdvert>, Cow<'a, [u8]>)> {
         match &self.book {
-            Some(book) => book.decode_tagged(wire).ok().map(|(_, body)| body),
-            None => self.code.decode(wire).ok(),
+            Some(book) => {
+                let tagged = book.decode_tagged(wire).0.ok()?;
+                Some((tagged.code_id, tagged.advert, tagged.body))
+            }
+            None => {
+                let (body, _) = self.code.decode_scan(wire).outcome.ok()?;
+                Some((0, None, body))
+            }
         }
+    }
+
+    /// The body `wire` decodes to through whichever framing is in force.
+    fn decode_any<'a>(&self, wire: &'a [u8]) -> Option<Cow<'a, [u8]>> {
+        self.decode_parts(wire).map(|(_, _, body)| body)
     }
 
     /// Sends an encoded frame through the fault model. Returns what
@@ -362,7 +377,7 @@ impl FaultyLink {
     fn classify_against(&self, body: &[u8], after_noise: &[u8]) -> LinkEvent {
         match self.decode_any(after_noise) {
             None => LinkEvent::CorruptedDetectable,
-            Some(after) if after == *body => LinkEvent::CorruptedCorrected,
+            Some(after) if *after == *body => LinkEvent::CorruptedCorrected,
             Some(after) if differs_only_in_copy_index(body, &after) => {
                 // The retransmission-copy byte is bookkeeping, not
                 // message content: the receiver still gets the intended
@@ -396,17 +411,11 @@ impl FaultyLink {
     fn corrupt_adversarially(&mut self, encoded: &mut Vec<u8>) -> LinkEvent {
         // Decode through the framing in force, remembering the epoch id
         // (and advert) so the forgery is re-encoded consistently.
-        let decoded = match &self.book {
-            Some(book) => book
-                .decode_tagged_full(encoded)
-                .ok()
-                .map(|t| (t.code_id, t.advert, t.body)),
-            None => self.code.decode(encoded).ok().map(|body| (0, None, body)),
-        };
-        let Some((id, advert, mut body)) = decoded else {
+        let Some((id, advert, body)) = self.decode_parts(encoded) else {
             // Pre-corrupted input (not produced by our runtime): leave it.
             return LinkEvent::CorruptedDetectable;
         };
+        let mut body = body.into_owned();
         if body.len() <= PAYLOAD_OFFSET {
             return LinkEvent::Delivered; // nothing to forge
         }
@@ -417,10 +426,12 @@ impl FaultyLink {
             let mask = self.rng.gen_range(1..=255u8);
             body[idx] ^= mask;
         }
-        *encoded = match &self.book {
-            Some(book) => book.encode_tagged_advert(id, advert, &body),
-            None => self.code.encode(&body),
-        };
+        let mut forged = BytesMut::with_capacity(encoded.len());
+        match &self.book {
+            Some(book) => book.encode_tagged(id, advert, None, &body, &mut forged),
+            None => self.code.encode_into(&body, None, &mut forged),
+        }
+        *encoded = forged.into();
         LinkEvent::CorruptedUndetected
     }
 
@@ -436,7 +447,7 @@ impl FaultyLink {
             return LinkEvent::Delivered; // no corruptible region
         }
         let flips = self.rng.gen_range(1..=3usize);
-        let Some(original_body) = self.decode_any(encoded) else {
+        let Some(original_body) = self.decode_any(encoded).map(Cow::into_owned) else {
             // Pre-corrupted input (not produced by our runtime): noise
             // it further; the receiver rejects it either way.
             BitNoise::flip_exact(&mut encoded[PAYLOAD_OFFSET..], flips, &mut self.rng);
@@ -493,15 +504,53 @@ impl LinkEvent {
 mod tests {
     use super::*;
     use crossbeam::channel::unbounded;
-    use heardof_engine::{decode_frame, encode_frame, Frame};
+    use heardof_coding::CodeSpec;
+    use heardof_engine::{encode_body_into, Frame, Framing};
+
+    /// `frame` on the wire as an endpoint under `framing` sends it.
+    fn wire(framing: &Framing, frame: &Frame<u64>) -> Vec<u8> {
+        let mut body = BytesMut::new();
+        encode_body_into(frame, &mut body);
+        let mut wire = BytesMut::new();
+        framing.encode_raw_into(&body, &mut wire);
+        wire.into()
+    }
+
+    /// The frame an endpoint under `framing` receives from `bytes`.
+    fn decoded(framing: &Framing, bytes: &[u8]) -> Option<Frame<u64>> {
+        framing.decode_scan(bytes).frame.map(|(frame, _, _)| frame)
+    }
+
+    /// The endpoints' framing on a default link: the CRC-32 code.
+    fn crc() -> Framing {
+        Framing::fixed(CodeSpec::DEFAULT)
+    }
+
+    /// A book over `specs` and the framing of an endpoint whose
+    /// controller sits on rung `id`.
+    fn ladder(specs: &[CodeSpec], id: u8) -> (Arc<CodeBook>, Framing) {
+        use heardof_coding::{AdaptiveConfig, AdaptiveController, CtlState};
+        let cfg = AdaptiveConfig {
+            ladder: specs.to_vec(),
+            ..AdaptiveConfig::standard(2, 0)
+        };
+        let book = Arc::new(CodeBook::from_specs(specs));
+        let state = CtlState {
+            rung: id,
+            ..CtlState::initial(&cfg)
+        };
+        let controller = AdaptiveController::from_state(cfg, state);
+        (Arc::clone(&book), Framing::adaptive(book, controller))
+    }
 
     fn frame_bytes(v: u64) -> Vec<u8> {
-        encode_frame(&Frame {
+        let frame = Frame {
             round: 1,
             sender: 0,
             copy: 0,
             msg: v,
-        })
+        };
+        wire(&crc(), &frame)
     }
 
     #[test]
@@ -509,7 +558,7 @@ mod tests {
         let (tx, rx) = unbounded();
         let mut link = FaultyLink::new(0, 1, tx, LinkFaults::NONE, 9, FaultLog::new());
         assert_eq!(link.send(1, 0, frame_bytes(5)), LinkEvent::Delivered);
-        let got: Frame<u64> = decode_frame(&rx.recv().unwrap().1).unwrap();
+        let got = decoded(&crc(), &rx.recv().unwrap().1).unwrap();
         assert_eq!(got.msg, 5);
     }
 
@@ -541,7 +590,7 @@ mod tests {
         );
         let (sender, bytes) = rx.recv().unwrap();
         assert_eq!(sender, 0, "attribution is the link's, not the bytes'");
-        assert!(decode_frame::<u64>(&bytes).is_err());
+        assert_eq!(decoded(&crc(), &bytes), None);
         assert!(log.is_empty(), "detected corruption is not logged");
     }
 
@@ -559,7 +608,7 @@ mod tests {
             link.send(1, 0, frame_bytes(5)),
             LinkEvent::CorruptedUndetected
         );
-        let got: Frame<u64> = decode_frame(&rx.recv().unwrap().1).unwrap();
+        let got = decoded(&crc(), &rx.recv().unwrap().1).unwrap();
         assert_ne!(got.msg, 5);
         assert!(log.was_corrupted(&(1, 0, 1, 0)));
         assert_eq!(log.len(), 1);
@@ -588,7 +637,6 @@ mod tests {
 
     #[test]
     fn hamming_link_repairs_physical_noise() {
-        use heardof_coding::{CodeSpec, Hamming74};
         let (tx, rx) = unbounded();
         let faults = LinkFaults {
             corrupt_prob: 1.0,
@@ -596,6 +644,7 @@ mod tests {
             ..LinkFaults::NONE
         };
         let code = CodeSpec::Hamming74.build();
+        let framing = Framing::fixed_with(CodeSpec::Hamming74, Arc::clone(&code));
         let mut link = FaultyLink::with_code(0, 1, tx, faults, 4, FaultLog::new(), code);
         let frame = Frame {
             round: 1,
@@ -605,8 +654,7 @@ mod tests {
         };
         let mut events = std::collections::HashMap::new();
         for round in 1..=60u64 {
-            let wire = heardof_engine::encode_frame_with(&frame, &Hamming74);
-            let e = link.send(round, 0, wire);
+            let e = link.send(round, 0, wire(&framing, &frame));
             *events.entry(e).or_insert(0usize) += 1;
         }
         drop(link);
@@ -621,7 +669,7 @@ mod tests {
         // Every corrected frame decodes back to the original message.
         let mut repaired = 0;
         while let Ok((_, bytes)) = rx.try_recv() {
-            if let Ok(got) = heardof_engine::decode_frame_with::<u64>(&bytes, &Hamming74) {
+            if let Some(got) = decoded(&framing, &bytes) {
                 assert_eq!(got.msg, 5);
                 repaired += 1;
             }
@@ -631,7 +679,6 @@ mod tests {
 
     #[test]
     fn uncoded_link_leaks_value_faults_from_plain_noise() {
-        use heardof_coding::{CodeSpec, NoCode};
         let (tx, rx) = unbounded();
         let faults = LinkFaults {
             corrupt_prob: 1.0,
@@ -640,6 +687,7 @@ mod tests {
         };
         let log = FaultLog::new();
         let code = CodeSpec::None.build();
+        let framing = Framing::fixed_with(CodeSpec::None, Arc::clone(&code));
         let mut link = FaultyLink::with_code(0, 1, tx, faults, 4, log.clone(), code);
         let frame = Frame {
             round: 1,
@@ -647,13 +695,13 @@ mod tests {
             copy: 0,
             msg: 5u64,
         };
-        let wire = heardof_engine::encode_frame_with(&frame, &NoCode);
-        assert_eq!(link.send(1, 0, wire), LinkEvent::CorruptedUndetected);
+        let sent = wire(&framing, &frame);
+        assert_eq!(link.send(1, 0, sent), LinkEvent::CorruptedUndetected);
         assert!(
             log.was_corrupted(&(1, 0, 1, 0)),
             "leak is ground-truth logged"
         );
-        let got = heardof_engine::decode_frame_with::<u64>(&rx.recv().unwrap().1, &NoCode).unwrap();
+        let got = decoded(&framing, &rx.recv().unwrap().1).unwrap();
         assert_ne!(got.msg, 5, "corruption sailed straight through");
         assert_eq!(got.round, 1, "header region is spared by the noise model");
     }
@@ -692,11 +740,10 @@ mod tests {
 
     #[test]
     fn tagged_traced_link_logs_faults_by_receiver_view() {
-        use heardof_coding::{CodeBook, CodeSpec, NoiseTrace};
-        use heardof_engine::encode_frame_tagged;
+        use heardof_coding::NoiseTrace;
         // NoCode in the book leaks every corruption; the log must key
         // by what the receiver will decode.
-        let book = Arc::new(CodeBook::from_specs(&[CodeSpec::None]));
+        let (book, framing) = ladder(&[CodeSpec::None], 0);
         let (tx, rx) = unbounded();
         let log = FaultLog::new();
         let mut link = FaultyLink::new(0, 1, tx, LinkFaults::NONE, 9, log.clone())
@@ -716,9 +763,7 @@ mod tests {
                 copy: 0,
                 msg: 5u64,
             };
-            if link.send(r, 0, encode_frame_tagged(&frame, 0, &book))
-                == LinkEvent::CorruptedUndetected
-            {
+            if link.send(r, 0, wire(&framing, &frame)) == LinkEvent::CorruptedUndetected {
                 undetected += 1;
             }
         }
@@ -734,21 +779,17 @@ mod tests {
 
     #[test]
     fn probabilistic_faults_respect_tagged_framing() {
-        use heardof_coding::{CodeBook, CodeSpec};
-        use heardof_engine::{decode_frame_tagged, encode_frame_tagged};
         // Adaptive (book) mode with the probabilistic adversarial model
         // and no trace: the forgery must decode and re-encode through
         // the frame's own epoch, not the link's static code.
-        let book = Arc::new(CodeBook::from_specs(&[
-            CodeSpec::Checksum { width: 4 },
-            CodeSpec::Hamming74,
-        ]));
+        let specs = [CodeSpec::Checksum { width: 4 }, CodeSpec::Hamming74];
         let faults = LinkFaults {
             corrupt_prob: 1.0,
             undetected_prob: 1.0,
             ..LinkFaults::NONE
         };
         for id in 0..2u8 {
+            let (book, framing) = ladder(&specs, id);
             let (tx, rx) = unbounded();
             let log = FaultLog::new();
             let mut link =
@@ -759,15 +800,15 @@ mod tests {
                 copy: 0,
                 msg: 5u64,
             };
-            let wire = encode_frame_tagged(&frame, id, &book);
             assert_eq!(
-                link.send(1, 0, wire),
+                link.send(1, 0, wire(&framing, &frame)),
                 LinkEvent::CorruptedUndetected,
                 "epoch {id}: the adversary must forge through the tag"
             );
-            let got = decode_frame_tagged::<u64>(&rx.recv().unwrap().1, &book).unwrap();
-            assert_eq!(got.code_id, id, "the forgery keeps the epoch id");
-            assert_ne!(got.frame.msg, 5, "…and carries a wrong payload");
+            let forged = rx.recv().unwrap().1;
+            assert_eq!(forged[0], id, "the forgery keeps the epoch id");
+            let got = decoded(&framing, &forged).unwrap();
+            assert_ne!(got.msg, 5, "…and carries a wrong payload");
             assert!(log.was_corrupted(&(1, 0, 1, 0)));
         }
     }

@@ -84,8 +84,8 @@ pub struct NetConfig {
     /// over the ladder, re-deciding
     /// its *send* code from the tallies it observes as a receiver.
     /// Frames carry a 1-byte code id (see
-    /// [`encode_frame_tagged`](crate::encode_frame_tagged)), so mixed
-    /// epochs decode exactly during a switch.
+    /// [`CodeBook`](heardof_coding::CodeBook)), so mixed epochs decode
+    /// exactly during a switch.
     pub adaptive: Option<AdaptiveConfig>,
     /// Replaces the probabilistic link faults with a seeded
     /// [`NoiseTrace`]: corruption becomes a pure function of each
@@ -104,31 +104,6 @@ pub struct NetConfig {
     /// branch per event; attach [`Telemetry::ring`] to capture a flight
     /// recording, or [`Telemetry::counters`] for counters-only runs.
     pub telemetry: Telemetry,
-}
-
-impl NetConfig {
-    /// The legacy whole-frame redundancy knob, exposed as an accessor
-    /// so the compat shim has one auditable seam.
-    ///
-    /// Under a rateless code this value never reaches the wire as
-    /// duplicate frames: the engine folds it into the per-frame
-    /// [`SymbolBudget`](heardof_coding::SymbolBudget) via
-    /// [`SymbolBudget::fold_copies`](heardof_coding::SymbolBudget::fold_copies)
-    /// (each copy beyond the first becomes `k` extra repair symbols on
-    /// the single frame actually sent). A test in
-    /// `crates/net/tests/copies_shim.rs` pins the fold equivalence so
-    /// the shim cannot silently drift from the budget pathway. New code
-    /// should configure symbol budgets (via the fountain rung's
-    /// baseline and per-round renegotiation) rather than copies.
-    #[doc(hidden)]
-    #[deprecated(
-        since = "0.2.0",
-        note = "under rateless codes `copies` is a compat shim folded into \
-                `SymbolBudget::fold_copies`; configure symbol budgets instead"
-    )]
-    pub fn legacy_copies(&self) -> u8 {
-        self.copies
-    }
 }
 
 impl Default for NetConfig {

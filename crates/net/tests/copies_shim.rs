@@ -8,6 +8,7 @@
 //! These tests assert the fold equivalence byte for byte, so the shim
 //! cannot silently drift from the budget pathway it delegates to.
 
+use bytes::BytesMut;
 use heardof_coding::{ChannelCode, CodeSpec, LtCode, SymbolBudget};
 use heardof_core::{Ate, AteParams};
 use heardof_engine::{Framing, RoundEngine};
@@ -26,6 +27,20 @@ fn engine(copies: u8) -> RoundEngine<Ate<u64>> {
     )
 }
 
+/// Every `(copy, wire)` the engine emits when it opens round 1.
+fn first_round(copies: u8) -> Vec<(u8, Vec<u8>)> {
+    let mut out = Vec::new();
+    engine(copies).begin_round_with(|_dest, copy, wire| out.push((copy, wire.to_vec())));
+    out
+}
+
+/// `code`'s wire image of `payload` spending `budget`.
+fn budgeted(code: &LtCode, payload: &[u8], budget: SymbolBudget) -> Vec<u8> {
+    let mut wire = BytesMut::new();
+    code.encode_into(payload, Some(budget), &mut wire);
+    wire.into()
+}
+
 #[test]
 fn folded_copies_match_the_budget_pathway_byte_for_byte() {
     // The wire image the engine emits under any `copies` value must
@@ -35,17 +50,15 @@ fn folded_copies_match_the_budget_pathway_byte_for_byte() {
     // baseline (copies = 1) frame decodes to the body the folded run
     // encodes.
     let code = LtCode::new(2);
-    let baseline = engine(1).begin_round();
-    let body = code
-        .decode(&baseline[0].bytes)
-        .expect("baseline frame decodes");
+    let baseline = first_round(1);
+    let body = code.decode(&baseline[0].1).expect("baseline frame decodes");
     for copies in [1u8, 2, 3, 5] {
-        let out = engine(copies).begin_round();
+        let out = first_round(copies);
         assert_eq!(out.len(), 2, "one budgeted frame per peer, no duplicates");
-        assert!(out.iter().all(|o| o.copy == 0));
-        let direct = code.encode_with_budget(&body, SymbolBudget::baseline(2).fold_copies(copies));
+        assert!(out.iter().all(|(copy, _)| *copy == 0));
+        let direct = budgeted(&code, &body, SymbolBudget::baseline(2).fold_copies(copies));
         assert_eq!(
-            out[0].bytes, direct,
+            out[0].1, direct,
             "copies = {copies}: the engine's shim must equal \
              SymbolBudget::fold_copies applied by hand"
         );
@@ -60,10 +73,13 @@ fn fold_copies_adds_k_symbols_per_copy() {
     let code = LtCode::new(2);
     let payload = vec![0xABu8; 25];
     let k = LtCode::source_symbols(payload.len());
-    let single = code.encode_with_budget(&payload, SymbolBudget::baseline(2));
+    let single = budgeted(&code, &payload, SymbolBudget::baseline(2));
     for copies in 2u8..=4 {
-        let folded =
-            code.encode_with_budget(&payload, SymbolBudget::baseline(2).fold_copies(copies));
+        let folded = budgeted(
+            &code,
+            &payload,
+            SymbolBudget::baseline(2).fold_copies(copies),
+        );
         let per_symbol = (folded.len() - single.len()) / (copies as usize - 1) / k;
         assert!(per_symbol > 0, "each folded copy must buy symbols");
         assert_eq!(
@@ -73,14 +89,4 @@ fn fold_copies_adds_k_symbols_per_copy() {
         );
         assert_eq!(code.decode(&folded).unwrap(), payload);
     }
-}
-
-#[test]
-#[allow(deprecated)]
-fn the_deprecated_accessor_reports_the_field() {
-    let config = heardof_net::NetConfig {
-        copies: 4,
-        ..heardof_net::NetConfig::default()
-    };
-    assert_eq!(config.legacy_copies(), 4);
 }

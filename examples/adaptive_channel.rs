@@ -21,6 +21,7 @@
 //!    wire, and `recommend_alpha_from_ledger` turning the measurement
 //!    into a provisioning recommendation.
 
+use bytes::BytesMut;
 use heardof::conformance::{
     first_matrix_divergence, run_async_substrate, run_net_substrate, run_sim_substrate,
 };
@@ -43,6 +44,7 @@ fn act_one_ladder_walk() {
     let mut ctl = AdaptiveController::new(cfg);
     let mut rng = StdRng::seed_from_u64(1);
     let mut body = vec![0u8; 25];
+    let mut wire = BytesMut::new();
     println!("round  code                       delivered/expected (repaired)");
     for r in 1..=90u64 {
         let (mut kept, mut ok, mut corrected) = (0usize, 0usize, 0usize);
@@ -50,14 +52,15 @@ fn act_one_ladder_walk() {
             for b in body.iter_mut() {
                 *b = rng.next_u64() as u8;
             }
-            let mut wire = book.encode_tagged(ctl.code_id(), &body);
+            wire.clear();
+            book.encode_tagged(ctl.code_id(), None, None, &body, &mut wire);
             trace.corrupt_frame(r, s, 0, 0, &mut wire);
-            if let Ok((_, payload, repaired)) = book.decode_tagged_repaired(&wire) {
+            if let Ok(got) = book.decode_tagged(&wire).0 {
                 // A live receiver keeps every decodable frame — it has
                 // no oracle to spot the (rare) undetected fault.
                 kept += 1;
-                corrected += usize::from(repaired);
-                ok += usize::from(payload == body);
+                corrected += usize::from(got.repaired);
+                ok += usize::from(*got.body == *body);
             }
         }
         let before = ctl.current();

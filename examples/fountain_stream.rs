@@ -21,9 +21,10 @@
 //!    loss, decaying once the channel calms — so redundancy tracks the
 //!    channel instead of being provisioned for the worst case.
 
+use bytes::BytesMut;
 use heardof::prelude::*;
 use heardof_coding::NoiseTrace;
-use heardof_engine::{Frame, Framing};
+use heardof_engine::{encode_body_into, Frame, Framing};
 
 const BODY_LEN: usize = 25;
 /// A wire allowance just under repetition5's 5× price.
@@ -127,6 +128,7 @@ fn act_three_budget_renegotiation() {
     let mut framing = Framing::fixed(CodeSpec::Fountain { repair: base });
     let trace = NoiseTrace::bursty(0xB0B5);
     let n = 8usize;
+    let (mut body, mut clean) = (BytesMut::new(), BytesMut::new());
     println!("  round  phase   delivered  budget  frame bytes");
     for r in 25..=70u64 {
         let frame = Frame {
@@ -136,15 +138,19 @@ fn act_three_budget_renegotiation() {
             msg: 0xFEED_u64,
         };
         let budget = framing.symbol_budget().expect("fountain framing");
-        let frame_len = framing.encode_with_budget(&frame, budget).len();
+        body.clear();
+        encode_body_into(&frame, &mut body);
+        clean.clear();
+        framing.encode_raw_with_budget_into(&body, budget, &mut clean);
+        let frame_len = clean.len();
         // One receiver's round: n−1 peers send fountain frames through
         // the trace; losses feed the renegotiation.
         let mut delivered = 0usize;
         let mut corrected = 0usize;
         for s in 1..n as u32 {
-            let mut wire = framing.encode_with_budget(&frame, budget);
+            let mut wire = clean.to_vec();
             trace.corrupt_frame(r, s, 0, 0, &mut wire);
-            if let Some((_, repaired)) = framing.decode::<u64>(&wire) {
+            if let Some((_, repaired, _)) = framing.decode_scan::<u64>(&wire).frame {
                 delivered += 1;
                 corrected += usize::from(repaired);
             }

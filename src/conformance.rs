@@ -42,6 +42,7 @@
 //! [`FaultyLink`]: heardof_net::FaultyLink
 //! [`Framing`]: heardof_engine::Framing
 
+use bytes::BytesMut;
 use heardof_adversary::Adversary;
 use heardof_async::{run_async, run_async_mux, AsyncConfig};
 use heardof_coding::{
@@ -49,7 +50,8 @@ use heardof_coding::{
     AdaptiveController, CodeBook, CodeSpec, NoiseTrace, OBL_MAX_EPOCH, OBL_MAX_VALUE,
 };
 use heardof_engine::{
-    Frame, Framing, MuxReport, MuxRoundEngine, SubstrateOutcome, WireMessage, COPY_OFFSET,
+    encode_body_into, Frame, Framing, MuxReport, MuxRoundEngine, SubstrateOutcome, WireMessage,
+    COPY_OFFSET,
 };
 use heardof_model::{HoAlgorithm, MessageMatrix, ProcessId, Round, RoundSets, TraceLevel};
 use heardof_net::{run_threaded, run_threaded_mux, LinkFaults, NetConfig, RoundTally};
@@ -292,13 +294,15 @@ impl<M> TraceChannel<M> {
         if flips == 0 {
             return EventKind::LinkDelivered;
         }
-        let Ok((_, body)) = self.book.decode_tagged(original) else {
+        let Ok(before) = self.book.decode_tagged(original).0 else {
             return EventKind::LinkDetected;
         };
-        match self.book.decode_tagged(corrupted) {
+        match self.book.decode_tagged(corrupted).0 {
             Err(_) => EventKind::LinkDetected,
-            Ok((_, after)) if after == body => EventKind::LinkCorrected,
-            Ok((_, after)) if differs_only_in_copy_index(&body, &after) => EventKind::LinkCorrected,
+            Ok(after) if after.body == before.body => EventKind::LinkCorrected,
+            Ok(after) if differs_only_in_copy_index(&before.body, &after.body) => {
+                EventKind::LinkCorrected
+            }
             Ok(_) => EventKind::LinkUndetected,
         }
     }
@@ -358,6 +362,8 @@ where
         // live only when the ladder carries the oblivious rung.
         let oblivious = self.framings[0].oblivious_enabled();
         let mut counts: Vec<(u32, u32)> = vec![(0, 0); if oblivious { n * n } else { 0 }];
+        // The engines' two arenas: frame body and coded wire.
+        let (mut body, mut wire) = (BytesMut::new(), BytesMut::new());
         for (sender, receiver, original) in intended.iter() {
             if sender == receiver {
                 // Self-delivery is local in the runtimes: never on the
@@ -435,11 +441,14 @@ where
             // Mirror the engine's send path byte for byte: a rateless
             // rung spends its negotiated symbol budget (conformance
             // runs use copies = 1, so there is nothing to fold).
-            let mut wire = match framing.symbol_budget() {
-                Some(budget) => framing.encode_with_budget(&frame, budget),
-                None => framing.encode(&frame),
-            };
-            let pristine = self.telemetry.enabled().then(|| wire.clone());
+            body.clear();
+            encode_body_into(&frame, &mut body);
+            wire.clear();
+            match framing.symbol_budget() {
+                Some(budget) => framing.encode_raw_with_budget_into(&body, budget, &mut wire),
+                None => framing.encode_raw_into(&body, &mut wire),
+            }
+            let pristine = self.telemetry.enabled().then(|| wire.to_vec());
             let flips =
                 self.trace
                     .corrupt_frame(r, sender.as_u32(), receiver.as_u32(), 0, &mut wire);
@@ -719,11 +728,11 @@ where
         let mut inboxes: Vec<Vec<Vec<u8>>> = vec![Vec::new(); n];
         for (p, engine) in engines.iter_mut().enumerate() {
             let r = engine.rounds_completed() + 1;
-            for out in engine.begin_round() {
-                let mut bytes = out.bytes;
-                let _ = trace.corrupt_frame(r, p as u32, out.dest, out.copy, &mut bytes);
-                inboxes[out.dest as usize].push(bytes);
-            }
+            engine.begin_round_with(|dest, copy, wire| {
+                let mut bytes = wire.to_vec();
+                let _ = trace.corrupt_frame(r, p as u32, dest, copy, &mut bytes);
+                inboxes[dest as usize].push(bytes);
+            });
         }
         for (p, engine) in engines.iter_mut().enumerate() {
             for bytes in &inboxes[p] {

@@ -14,6 +14,7 @@
 //! is deterministic, so substrates corrupting the advert byte corrupt
 //! it identically).
 
+use bytes::BytesMut;
 use heardof::conformance::{
     first_matrix_divergence, run_async_substrate, run_net_substrate, run_sim_substrate,
 };
@@ -24,6 +25,13 @@ use heardof_coding::{
 use std::time::Duration;
 
 const N: usize = 5;
+
+/// The tagged wire image of `body` under code `id`, as a fresh `Vec`.
+fn tagged(book: &CodeBook, id: u8, advert: Option<RungAdvert>, body: &[u8]) -> Vec<u8> {
+    let mut wire = BytesMut::new();
+    book.encode_tagged(id, advert, None, body, &mut wire);
+    wire.into()
+}
 
 /// Corrupts only byte `index` of `wire`, using the trace's seeded flip
 /// pattern for the frame's coordinates: the full-frame pattern is drawn
@@ -92,7 +100,7 @@ fn corrupted_advert_bytes_never_move_controllers_outside_the_ladder() {
         let mut ads: Vec<Vec<RungAdvert>> = vec![Vec::new(); N];
         for s in 0..N as u32 {
             let sender = &controllers[s as usize];
-            let clean = book.encode_tagged_advert(sender.code_id(), sender.advert(), &body);
+            let clean = tagged(&book, sender.code_id(), sender.advert(), &body);
             assert_eq!(
                 clean[0] & GOSSIP_FLAG,
                 GOSSIP_FLAG,
@@ -106,10 +114,14 @@ fn corrupted_advert_bytes_never_move_controllers_outside_the_ladder() {
                 // Byte 1 is the advertisement: corrupt it and nothing else.
                 corrupted_ads += usize::from(corrupt_only_byte(&noise, r, s, p, &mut wire, 1));
                 let t = book
-                    .decode_tagged_full(&wire)
+                    .decode_tagged(&wire)
+                    .0
                     .expect("the coded body is untouched and must decode");
                 tallies[p as usize].delivered += 1;
-                assert_eq!(t.body, body, "advert corruption never touches the payload");
+                assert_eq!(
+                    *t.body, *body,
+                    "advert corruption never touches the payload"
+                );
                 if let Some(ad) = t.advert {
                     ads[p as usize].push(ad);
                 }
@@ -199,15 +211,16 @@ fn advert_corruption_is_confined_to_the_advertisement() {
     let book = CodeBook::from_specs(&cfg.ladder);
     let body = b"advert blast radius".to_vec();
     for id in 0..cfg.ladder.len() as u8 {
-        let clean = book.encode_tagged_advert(id, Some(RungAdvert { rung: 1, epoch: 3 }), &body);
+        let clean = tagged(&book, id, Some(RungAdvert { rung: 1, epoch: 3 }), &body);
         for byte in 0..=255u8 {
             let mut wire = clean.clone();
             wire[1] = byte;
             let t = book
-                .decode_tagged_full(&wire)
+                .decode_tagged(&wire)
+                .0
                 .expect("decode survives every advert value");
             assert_eq!(t.code_id, id);
-            assert_eq!(t.body, body);
+            assert_eq!(*t.body, *body);
             // Parity-failing values surface as "no advertisement";
             // parity-passing ones parse to exactly their packed pair.
             assert_eq!(t.advert, RungAdvert::from_byte(byte));
