@@ -1,7 +1,7 @@
 //! Criterion: the hot-path kernels of the zero-copy frame pipeline vs.
 //! their scalar / copying baselines.
 //!
-//! Four gated measurements share one committed artifact
+//! Five gated measurements share one committed artifact
 //! (`BENCH_throughput.json`, `heardof-bench-report/v1` schema, read by
 //! the CI regression gate):
 //!
@@ -21,6 +21,10 @@
 //!    claim: **zero allocations per frame**. The heavy-rung
 //!    (`Interleaved{16}`) per-round count is committed alongside as an
 //!    ungated odometer.
+//! 5. **The fountain rung's allocation bill** — one 64-slot
+//!    `Fountain { repair: 8 }` image encoded into a warm arena and
+//!    decoded clean; claim: **≤ 8 allocations per round trip** (the
+//!    decoder's row table and its image are the two it makes).
 
 use bytes::BytesMut;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -28,7 +32,7 @@ use heardof_bench::report::BenchReport;
 use heardof_coding::bitslice::{self, LANES};
 use heardof_coding::{
     deinterleave_bits, deinterleave_bits_scalar, interleave_bits, interleave_bits_scalar,
-    pack_slots_into, patch_slots, unpack_slots_view, CodeSpec,
+    pack_slots_into, patch_slots, unpack_slots_view, CodeSpec, SymbolBudget,
 };
 use heardof_core::{Ate, AteParams};
 use heardof_engine::{
@@ -230,6 +234,26 @@ fn mux_msg(r: usize, i: usize) -> u64 {
         .wrapping_add(r as u64)
 }
 
+/// Every slot's frame body for copy `copy` of round `r`, each in a
+/// fresh owned buffer.
+fn mux_bodies(r: usize, copy: u8) -> Vec<Vec<u8>> {
+    (0..MUX_SLOTS)
+        .map(|i| {
+            let mut body = BytesMut::with_capacity(32);
+            encode_body_into(
+                &Frame {
+                    round: r as u64,
+                    sender: 7,
+                    copy,
+                    msg: mux_msg(r, i),
+                },
+                &mut body,
+            );
+            body.to_vec()
+        })
+        .collect()
+}
+
 /// The copying baseline: the same single codec path, but every copy of
 /// every round rebuilds every stage in a fresh owned buffer — per-slot
 /// bodies, the packed image, the coded wire, the decoded image, the
@@ -240,21 +264,7 @@ fn mux_copying_pass(framing: &Framing) -> u64 {
     let mut acc = 0u64;
     for r in 0..MUX_ROUNDS {
         for copy in 0..MUX_COPIES {
-            let bodies: Vec<Vec<u8>> = (0..MUX_SLOTS)
-                .map(|i| {
-                    let mut body = BytesMut::with_capacity(32);
-                    encode_body_into(
-                        &Frame {
-                            round: r as u64,
-                            sender: 7,
-                            copy,
-                            msg: mux_msg(r, i),
-                        },
-                        &mut body,
-                    );
-                    body.to_vec()
-                })
-                .collect();
+            let bodies = mux_bodies(r, copy);
             let slots: Vec<(u32, &[u8])> = bodies
                 .iter()
                 .enumerate()
@@ -396,6 +406,35 @@ fn run_and_count(copies: u8, spec: CodeSpec, warmup: u64, rounds: u64) -> u64 {
     measured
 }
 
+/// Allocation events of one 64-slot `Fountain { repair: 8 }` image
+/// round trip — encode at the pooled mux budget into a warm wire
+/// buffer, decode the clean wire — after one unmetered trip has warmed
+/// the buffer and the schedule table.
+fn fountain_image_allocs() -> u64 {
+    let framing = Framing::fixed(CodeSpec::Fountain { repair: 8 });
+    let budget = SymbolBudget::baseline(8).for_batch(MUX_SLOTS);
+    let bodies = mux_bodies(1, 0);
+    let slots: Vec<(u32, &[u8])> = bodies
+        .iter()
+        .enumerate()
+        .map(|(i, b)| (i as u32, b.as_slice()))
+        .collect();
+    let mut image = Vec::new();
+    pack_slots_into(&slots, &mut image);
+    let mut wire = BytesMut::new();
+    let mut measured = 0;
+    for _ in 0..2 {
+        let start = allocs();
+        wire.clear();
+        framing.encode_raw_with_budget_into(&image, budget, &mut wire);
+        let scan = framing.decode_raw_view(&wire);
+        measured = allocs() - start;
+        let (decoded, repaired, _) = scan.image.expect("clean wire decodes");
+        assert!(*decoded == *image && !repaired);
+    }
+    measured
+}
+
 fn throughput(c: &mut Criterion) {
     let inputs = inputs();
     assert_eq!(
@@ -482,6 +521,7 @@ fn throughput(c: &mut Criterion) {
     let heavy_rounds = 16u64;
     let heavy = run_and_count(1, CodeSpec::Interleaved { depth: 16 }, 4, heavy_rounds);
     let heavy_per_round = heavy / heavy_rounds;
+    let fountain_image_allocs = fountain_image_allocs();
 
     let mut report = BenchReport::new(
         "throughput",
@@ -489,7 +529,7 @@ fn throughput(c: &mut Criterion) {
             "Hamming(8,4) SECDED round trip ({BATCHES} batches x {LANES} lanes), \
              depth-{PERMUTE_DEPTH} interleave permute ({PERMUTE_BYTES}-byte codewords), \
              {MUX_SLOTS}-slot self-checking mux image x{MUX_COPIES} copy fan-out ({MUX_ROUNDS} rounds), \
-             counted allocations over full engine rounds"
+             counted allocations over full engine rounds and one 64-slot fountain image round trip"
         ),
         samples,
     );
@@ -505,6 +545,7 @@ fn throughput(c: &mut Criterion) {
         .metric_ratio("mux_assemble_speedup", mux_speedup)
         .metric_count("frame_steady_allocs", frame_steady_allocs)
         .metric_count("heavy_rung_allocs_per_round", heavy_per_round)
+        .metric_count("fountain_image_allocs", fountain_image_allocs)
         .claim(
             "bitsliced >= 4x scalar on a 64-slot batch",
             hamming_speedup >= 4.0,
@@ -520,6 +561,10 @@ fn throughput(c: &mut Criterion) {
         .claim(
             "zero steady-state allocations per frame on detection-only rungs",
             frame_steady_allocs == 0,
+        )
+        .claim(
+            "<= 8 allocations per fountain image round trip",
+            fountain_image_allocs <= 8,
         );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
     report.write(path);
@@ -533,7 +578,7 @@ fn throughput(c: &mut Criterion) {
         "mux assemble: copying {mux_copying:?}  arena {mux_arena:?}  speedup {mux_speedup:.2}x"
     );
     println!(
-        "steady allocs: frame-differential {frame_steady_allocs}  heavy rung {heavy_per_round}/round  -> {path}"
+        "steady allocs: frame-differential {frame_steady_allocs}  heavy rung {heavy_per_round}/round  fountain image {fountain_image_allocs}  -> {path}"
     );
 }
 

@@ -18,7 +18,7 @@
 //! runtime) can replay byte-identical corruption — the foundation of the
 //! adaptive-coding conformance harness.
 
-use crate::noise::BitNoise;
+use crate::noise::{BitNoise, Chance};
 use crate::script::FaultScript;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -127,35 +127,26 @@ impl GilbertElliott {
         self.in_burst
     }
 
-    fn step(&mut self, rng: &mut StdRng) -> bool {
-        if self.in_burst {
-            if self.p_exit_burst > 0.0 && rng.gen_bool(self.p_exit_burst) {
-                self.in_burst = false;
-            }
-        } else if self.p_enter_burst > 0.0 && rng.gen_bool(self.p_enter_burst) {
-            self.in_burst = true;
-        }
-        let ber = if self.in_burst {
-            self.ber_bad
-        } else {
-            self.ber_good
-        };
-        ber > 0.0 && rng.gen_bool(ber)
-    }
-
     /// Applies the channel to `data`, returning how many bits flipped.
     /// The state chain persists across calls; use [`GilbertElliott::reset`]
     /// to re-draw the starting state per frame.
     pub fn apply(&mut self, data: &mut [u8], rng: &mut StdRng) -> usize {
+        let enter = Chance::new(self.p_enter_burst);
+        let exit = Chance::new(self.p_exit_burst);
+        let good = Chance::new(self.ber_good);
+        let bad = Chance::new(self.ber_bad);
+        let mut in_burst = self.in_burst;
         let mut flipped = 0;
         for byte in data.iter_mut() {
+            let mut flips = 0u8;
             for bit in 0..8 {
-                if self.step(rng) {
-                    *byte ^= 1 << bit;
-                    flipped += 1;
-                }
+                in_burst ^= if in_burst { exit } else { enter }.draw(rng);
+                flips |= u8::from(if in_burst { bad } else { good }.draw(rng)) << bit;
             }
+            *byte ^= flips;
+            flipped += flips.count_ones() as usize;
         }
+        self.in_burst = in_burst;
         flipped
     }
 }
@@ -520,6 +511,100 @@ impl NoiseTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::RngCore;
+
+    /// `GilbertElliott::apply` and `BitNoise::apply` as they stood
+    /// before the integer thresholds — two `gen_bool` float compares
+    /// per bit — verbatim but for the receiver: the oracle for the flip
+    /// pattern, the final state and the RNG stream.
+    mod parent {
+        use super::*;
+
+        fn step(ge: &mut GilbertElliott, rng: &mut StdRng) -> bool {
+            if ge.in_burst {
+                if ge.p_exit_burst > 0.0 && rng.gen_bool(ge.p_exit_burst) {
+                    ge.in_burst = false;
+                }
+            } else if ge.p_enter_burst > 0.0 && rng.gen_bool(ge.p_enter_burst) {
+                ge.in_burst = true;
+            }
+            let ber = if ge.in_burst { ge.ber_bad } else { ge.ber_good };
+            ber > 0.0 && rng.gen_bool(ber)
+        }
+
+        pub fn apply(ge: &mut GilbertElliott, data: &mut [u8], rng: &mut StdRng) -> usize {
+            let mut flipped = 0;
+            for byte in data.iter_mut() {
+                for bit in 0..8 {
+                    if step(ge, rng) {
+                        *byte ^= 1 << bit;
+                        flipped += 1;
+                    }
+                }
+            }
+            flipped
+        }
+
+        pub fn apply_bsc(noise: &BitNoise, data: &mut [u8], rng: &mut StdRng) -> usize {
+            if noise.flip_prob == 0.0 {
+                return 0;
+            }
+            let mut flipped = 0;
+            for byte in data.iter_mut() {
+                for bit in 0..8 {
+                    if rng.gen_bool(noise.flip_prob) {
+                        *byte ^= 1 << bit;
+                        flipped += 1;
+                    }
+                }
+            }
+            flipped
+        }
+    }
+
+    /// Probabilities from the whole unit interval, its ends, and the
+    /// magnitudes where a float compare and an integer threshold could
+    /// part ways: below `2⁻⁵³`, subnormal-adjacent, one ulp under 1.
+    fn probability() -> impl Strategy<Value = f64> {
+        let edges = [0.0, 1.0, 1e-17, 1e-300, 0.5, 1.0 - f64::EPSILON / 2.0];
+        prop_oneof![
+            (0usize..edges.len()).prop_map(move |i| edges[i]),
+            any::<u64>().prop_map(|m| (m >> 11) as f64 / (1u64 << 53) as f64),
+            any::<u64>().prop_map(|m| (m >> 11) as f64 / (1u64 << 53) as f64 / 64.0),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512 })]
+
+        #[test]
+        fn noise_models_equal_the_parent_models_bit_for_bit(
+            p_enter in probability(),
+            p_exit in probability(),
+            ber_good in probability(),
+            ber_bad in probability(),
+            start_in_burst in any::<bool>(),
+            seed in any::<u64>(),
+            data in proptest::collection::vec(any::<u8>(), 0..80),
+        ) {
+            let mut ge = GilbertElliott::new(p_enter, p_exit, ber_good, ber_bad);
+            ge.reset(start_in_burst);
+            let (mut want_ge, mut want, mut want_rng) = (ge, data.clone(), StdRng::seed_from_u64(seed));
+            let (mut got, mut got_rng) = (data.clone(), StdRng::seed_from_u64(seed));
+            let want_flips = parent::apply(&mut want_ge, &mut want, &mut want_rng);
+            prop_assert_eq!(ge.apply(&mut got, &mut got_rng), want_flips);
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(ge.in_burst(), want_ge.in_burst());
+            prop_assert_eq!(got_rng.next_u64(), want_rng.next_u64());
+
+            let bsc = BitNoise::new(ber_bad);
+            let want_flips = parent::apply_bsc(&bsc, &mut want, &mut want_rng);
+            prop_assert_eq!(bsc.apply(&mut got, &mut got_rng), want_flips);
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(got_rng.next_u64(), want_rng.next_u64());
+        }
+    }
 
     #[test]
     fn clean_channel_rarely_flips() {

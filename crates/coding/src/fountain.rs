@@ -47,6 +47,7 @@ use crate::code::{ChannelCode, CodeError, DecodeScan};
 use bytes::{BufMut, BytesMut};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::OnceLock;
 
 /// Source-block size in bytes. Small blocks keep the erasure unit
 /// smaller than a typical channel burst, so one burst erases one or two
@@ -187,12 +188,14 @@ impl SymbolBudget {
 
 /// A systematic LT-style fountain code over byte payloads.
 ///
-/// The wire image is a header (payload length, outer payload CRC-32,
-/// header check) followed by symbols of `1 + BLOCK_LEN +
-/// SYMBOL_CRC_LEN` bytes each: a symbol index, the XOR of the index's
-/// scheduled source blocks, and a truncated CRC over both. Symbols
-/// `0..k` are the source blocks themselves (degree 1), symbol `k` is
-/// the XOR of *all* blocks (so any single erasure is always
+/// The wire image is a header — the payload length, three times over
+/// and bit-majority voted, nothing else — followed by symbols of
+/// `1 + block_len + SYMBOL_CRC_LEN` bytes each: a symbol index, the XOR
+/// of the index's scheduled source blocks, and a truncated CRC over
+/// both. The source blocks are the payload followed by its outer
+/// CRC-32, zero-padded, so that check rides *inside* the symbols.
+/// Symbols `0..k` are the source blocks themselves (degree 1), symbol
+/// `k` is the XOR of *all* blocks (so any single erasure is always
 /// recoverable), and symbols above `k` draw their degree from a seeded
 /// robust-soliton distribution. The decoder accepts **any** number of
 /// symbols — extra repair symbols appended under a larger
@@ -273,21 +276,23 @@ impl LtCode {
         (k + folded).min(MAX_SYMBOLS)
     }
 
-    /// The payload plus its outer CRC-32 trailer, cut into zero-padded
-    /// source blocks.
-    fn blocks(payload: &[u8]) -> Vec<Vec<u8>> {
-        let block_len = Self::block_len(payload.len());
-        let mut image = Vec::with_capacity(payload.len() + OUTER_CRC_LEN);
-        image.extend_from_slice(payload);
-        image.extend_from_slice(&crc32(payload).to_le_bytes());
-        image
-            .chunks(block_len)
-            .map(|c| {
-                let mut b = c.to_vec();
-                b.resize(block_len, 0);
-                b
-            })
-            .collect()
+    /// The schedule as a table: bit `b` of entry `idx` is set when
+    /// symbol `idx` XORs source block `b` (`k ≤ MAX_SOURCE_SYMBOLS = 64`
+    /// by construction). Built once per `k`, process-wide, from
+    /// [`LtCode::neighbors`] — which stays the definition — so a frame
+    /// never seeds an RNG or rebuilds the soliton weights.
+    fn schedule(k: usize) -> &'static [u64; MAX_SYMBOLS] {
+        static TABLES: [OnceLock<Box<[u64; MAX_SYMBOLS]>>; MAX_SOURCE_SYMBOLS + 1] =
+            [const { OnceLock::new() }; MAX_SOURCE_SYMBOLS + 1];
+        TABLES[k].get_or_init(|| {
+            let mut table = Box::new([0u64; MAX_SYMBOLS]);
+            for (idx, mask) in table.iter_mut().enumerate() {
+                *mask = Self::neighbors(k, idx as u8)
+                    .iter()
+                    .fold(0, |mask, b| mask | 1 << b);
+            }
+            table
+        })
     }
 
     /// Bit-majority vote over the header's replicated length words.
@@ -311,12 +316,37 @@ impl LtCode {
     }
 }
 
-/// One step of the truncated per-symbol checksum.
-fn symbol_crc(idx: u8, data: &[u8]) -> [u8; SYMBOL_CRC_LEN] {
-    let mut buf = Vec::with_capacity(1 + data.len());
-    buf.push(idx);
-    buf.extend_from_slice(data);
-    [(crc32(&buf) & 0xFF) as u8]
+/// The truncated per-symbol checksum over a symbol's `index ‖ data`
+/// prefix, which is contiguous on the wire.
+fn symbol_crc(indexed: &[u8]) -> u8 {
+    crc32(indexed) as u8
+}
+
+/// The set bits of `mask`, lowest first.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            bit
+        })
+    })
+}
+
+fn xor_into(dst: &mut [u8], src: &[u8]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d ^= s;
+    }
+}
+
+/// One surviving symbol as a GF(2) equation over the source blocks.
+/// Elimination runs on `mask` alone; the row's content is its own
+/// `data` XOR the *original* data of the pivot rows of the columns in
+/// `combo`, and only the `k` pivot rows are ever materialised.
+struct Row<'a> {
+    mask: u64,
+    combo: u64,
+    data: &'a [u8],
 }
 
 /// Samples Luby's robust-soliton degree distribution for `k` source
@@ -366,32 +396,44 @@ impl ChannelCode for LtCode {
 
     fn encode_into(&self, payload: &[u8], budget: Option<SymbolBudget>, out: &mut BytesMut) {
         let budget = budget.unwrap_or(SymbolBudget::baseline(self.repair));
-        let blocks = Self::blocks(payload);
-        let k = blocks.len();
+        let k = Self::source_symbols(payload.len());
         let block_len = Self::block_len(payload.len());
+        let per_symbol = 1 + block_len + SYMBOL_CRC_LEN;
+        // At least `k`, and possibly the full 256-symbol index space
+        // (the `symbol_count` cap): indices are narrowed one at a time
+        // — `0..count as u8` would wrap 256 to an empty range.
         let count = Self::symbol_count(payload.len(), budget);
+        let schedule = Self::schedule(k);
 
-        out.reserve(HEADER_LEN + count * (1 + block_len + SYMBOL_CRC_LEN));
+        out.reserve(HEADER_LEN + count * per_symbol);
         for _ in 0..LEN_COPIES {
             out.put_u32_le(payload.len() as u32);
         }
+        let start = out.len();
+        out.put_bytes(0, count * per_symbol);
+        let symbols = &mut out[start..];
 
-        // `count` may legitimately be the full 256-symbol index space
-        // (the `symbol_count` cap), so iterate over usize and narrow
-        // each index — `0..count as u8` would wrap 256 to an empty
-        // range and emit a symbol-less, undecodable frame.
-        let mut data = vec![0u8; block_len];
-        for idx in 0..count {
-            let idx = idx as u8;
-            data.fill(0);
-            for &b in &Self::neighbors(k, idx) {
-                for (d, s) in data.iter_mut().zip(&blocks[b]) {
-                    *d ^= s;
+        // The source blocks — payload ‖ outer CRC-32, zero-padded by
+        // the fill above — go straight into the systematic symbols.
+        for (b, block) in payload.chunks(block_len).enumerate() {
+            symbols[b * per_symbol + 1..][..block.len()].copy_from_slice(block);
+        }
+        for (at, byte) in (payload.len()..).zip(crc32(payload).to_le_bytes()) {
+            symbols[at / block_len * per_symbol + 1 + at % block_len] = byte;
+        }
+        for (idx, &mask) in schedule.iter().enumerate().take(count) {
+            let (sources, rest) = symbols.split_at_mut(idx * per_symbol);
+            let (indexed, check) = rest[..per_symbol].split_at_mut(1 + block_len);
+            indexed[0] = idx as u8;
+            if idx >= k {
+                for b in bits(mask) {
+                    xor_into(
+                        &mut indexed[1..],
+                        &sources[b * per_symbol + 1..][..block_len],
+                    );
                 }
             }
-            out.put_u8(idx);
-            out.put_slice(&data);
-            out.put_slice(&symbol_crc(idx, &data));
+            check[0] = symbol_crc(indexed);
         }
     }
 
@@ -417,77 +459,80 @@ impl ChannelCode for LtCode {
             return DecodeScan::rejected(CodeError::Malformed, usize::from(len_repaired));
         }
 
-        // Gather the surviving symbols; CRC failures become erasures.
-        // Each survivor is one GF(2) equation over the k blocks, its
-        // neighbor set packed into a u64 mask (`k ≤ MAX_SOURCE_SYMBOLS
-        // = 64` by construction).
+        // Gather the surviving symbols in wire order; CRC failures
+        // become erasures. Nothing here or below is sized by the
+        // unauthenticated length word, only by symbols the wire holds.
+        let schedule = Self::schedule(k);
         let mut erased = 0usize;
-        let mut rows: Vec<(u64, Vec<u8>)> = Vec::new();
-        for sym in body.chunks(per_symbol) {
-            let idx = sym[0];
-            let data = &sym[1..1 + block_len];
-            if sym[1 + block_len..] != symbol_crc(idx, data) {
+        let mut rows: Vec<Row<'a>> = Vec::with_capacity(body.len() / per_symbol);
+        for symbol in body.chunks_exact(per_symbol) {
+            let (indexed, check) = symbol.split_at(1 + block_len);
+            if check[0] != symbol_crc(indexed) {
                 erased += 1;
                 continue;
             }
-            let mut mask = 0u64;
-            for b in Self::neighbors(k, idx) {
-                mask |= 1 << b;
-            }
-            rows.push((mask, data.to_vec()));
+            rows.push(Row {
+                mask: schedule[indexed[0] as usize],
+                combo: 0,
+                data: &indexed[1..],
+            });
         }
+        let repairs = erased + usize::from(len_repaired);
 
         // Inactivation-style exact decoding: Gauss–Jordan elimination
-        // over the survivors. Peeling alone abandons solvable systems
-        // whenever no degree-1 equation remains; at this workspace's
-        // block counts full elimination is a few thousand word-XORs, so
-        // the decoder recovers from *every* erasure pattern the
-        // surviving symbols span — the information-theoretic optimum.
-        let mut pivots: Vec<Option<usize>> = vec![None; k];
-        for col in 0..k {
-            let bit = 1u64 << col;
-            // Pick a pivot row that still carries this column and is
-            // not already a pivot for an earlier column.
-            let Some(pivot) =
-                (0..rows.len()).find(|&i| rows[i].0 & bit != 0 && !pivots.contains(&Some(i)))
-            else {
-                continue;
-            };
-            let (pivot_mask, pivot_data) = rows[pivot].clone();
-            for (i, (mask, data)) in rows.iter_mut().enumerate() {
-                if i != pivot && *mask & bit != 0 {
-                    *mask ^= pivot_mask;
-                    for (d, s) in data.iter_mut().zip(&pivot_data) {
-                        *d ^= s;
+        // over the survivors, so the decoder recovers from *every*
+        // erasure pattern the surviving symbols span. The pivot for a
+        // column is the first row in wire order that carries it and is
+        // not a pivot already — a forged symbol that passed its CRC
+        // makes the system inconsistent, and which solution comes out
+        // then depends on this order. Once columns `0..col` are
+        // resolved, a pivot row keeps exactly its own column among
+        // them and every other row none, so "carries `col`, not yet a
+        // pivot" is one mask compare. Unit rows `0..k` up front (no
+        // systematic symbol erased) are by that rule their own pivots,
+        // and nothing ever reduces them.
+        let mut pivots: [usize; MAX_SOURCE_SYMBOLS] = std::array::from_fn(|col| col);
+        let systematic = rows.len() >= k && (0..k).all(|col| rows[col].mask == 1 << col);
+        if !systematic {
+            for (col, pivot) in pivots.iter_mut().enumerate().take(k) {
+                let bit = 1u64 << col;
+                let Some(p) = rows.iter().position(|r| r.mask & (bit | (bit - 1)) == bit) else {
+                    // Not enough symbol diversity survived: an erasure-
+                    // decoding failure is a *detected* loss, i.e. an
+                    // omission — but the erasures it patched on the way
+                    // are still channel evidence.
+                    return DecodeScan::rejected(CodeError::Detected, repairs);
+                };
+                *pivot = p;
+                let (pivot_mask, pivot_combo) = (rows[p].mask, rows[p].combo | bit);
+                for (i, row) in rows.iter_mut().enumerate() {
+                    if i != p && row.mask & bit != 0 {
+                        row.mask ^= pivot_mask;
+                        row.combo ^= pivot_combo;
                     }
                 }
             }
-            pivots[col] = Some(pivot);
-        }
-        let repairs = erased + usize::from(len_repaired);
-        if pivots.iter().any(Option::is_none) {
-            // Not enough symbol diversity survived: an erasure-decoding
-            // failure is a *detected* loss, i.e. an omission — but the
-            // erasures it patched on the way are still channel evidence.
-            return DecodeScan::rejected(CodeError::Detected, repairs);
         }
 
+        // `k` distinct rows resolved `k` columns, so the wire backs
+        // `k · block_len` bytes — which covers the payload and its
+        // trailer by the definition of `source_symbols`.
         let mut image = Vec::with_capacity(k * block_len);
-        for (col, pivot) in pivots.iter().enumerate() {
-            let (mask, data) = &rows[pivot.expect("all columns resolved")];
-            debug_assert_eq!(*mask, 1 << col, "Gauss–Jordan leaves unit rows");
-            image.extend_from_slice(data);
-        }
-        if image.len() < payload_len + OUTER_CRC_LEN {
-            return DecodeScan::rejected(CodeError::Detected, repairs);
+        for &pivot in &pivots[..k] {
+            let at = image.len();
+            image.extend_from_slice(rows[pivot].data);
+            for col in bits(rows[pivot].combo) {
+                xor_into(&mut image[at..], rows[pivots[col]].data);
+            }
         }
         image.truncate(payload_len + OUTER_CRC_LEN);
-        let crc_trailer = image.split_off(payload_len);
-        if crc_trailer[..] != crc32(&image).to_le_bytes() {
+        let (payload, trailer) = image.split_at(payload_len);
+        if trailer != crc32(payload).to_le_bytes() {
             // A symbol CRC collision fed a forged equation into the solver;
             // the outer checksum catches it — still an omission.
             return DecodeScan::rejected(CodeError::Detected, repairs);
         }
+        image.truncate(payload_len);
         DecodeScan::delivered(image, erased > 0 || len_repaired, repairs)
     }
 }
@@ -496,7 +541,247 @@ impl ChannelCode for LtCode {
 mod tests {
     use super::*;
     use crate::code::FrameOutcome;
+    use proptest::prelude::*;
     use rand::RngCore;
+
+    /// The codec as it stood before the schedule table, the in-place
+    /// encode and the flat-row decode, verbatim but for the receiver:
+    /// the differential oracle for every wire byte and every verdict.
+    mod parent {
+        use super::*;
+
+        fn blocks(payload: &[u8]) -> Vec<Vec<u8>> {
+            let block_len = LtCode::block_len(payload.len());
+            let mut image = Vec::with_capacity(payload.len() + OUTER_CRC_LEN);
+            image.extend_from_slice(payload);
+            image.extend_from_slice(&crc32(payload).to_le_bytes());
+            image
+                .chunks(block_len)
+                .map(|c| {
+                    let mut b = c.to_vec();
+                    b.resize(block_len, 0);
+                    b
+                })
+                .collect()
+        }
+
+        pub fn symbol_crc(idx: u8, data: &[u8]) -> [u8; SYMBOL_CRC_LEN] {
+            let mut buf = Vec::with_capacity(1 + data.len());
+            buf.push(idx);
+            buf.extend_from_slice(data);
+            [(crc32(&buf) & 0xFF) as u8]
+        }
+
+        pub fn encode_into(
+            code: &LtCode,
+            payload: &[u8],
+            budget: Option<SymbolBudget>,
+            out: &mut BytesMut,
+        ) {
+            let budget = budget.unwrap_or(SymbolBudget::baseline(code.repair));
+            let blocks = blocks(payload);
+            let k = blocks.len();
+            let block_len = LtCode::block_len(payload.len());
+            let count = LtCode::symbol_count(payload.len(), budget);
+
+            out.reserve(HEADER_LEN + count * (1 + block_len + SYMBOL_CRC_LEN));
+            for _ in 0..LEN_COPIES {
+                out.put_u32_le(payload.len() as u32);
+            }
+
+            let mut data = vec![0u8; block_len];
+            for idx in 0..count {
+                let idx = idx as u8;
+                data.fill(0);
+                for &b in &LtCode::neighbors(k, idx) {
+                    for (d, s) in data.iter_mut().zip(&blocks[b]) {
+                        *d ^= s;
+                    }
+                }
+                out.put_u8(idx);
+                out.put_slice(&data);
+                out.put_slice(&symbol_crc(idx, &data));
+            }
+        }
+
+        pub fn decode_scan(wire: &[u8]) -> DecodeScan<'_> {
+            if wire.len() < HEADER_LEN {
+                return DecodeScan::rejected(CodeError::Malformed, 0);
+            }
+            let (len_word, len_repaired) = LtCode::vote_len(&wire[..HEADER_LEN]);
+            let payload_len = len_word as usize;
+            let k = LtCode::source_symbols(payload_len);
+            let block_len = LtCode::block_len(payload_len);
+            let per_symbol = 1 + block_len + SYMBOL_CRC_LEN;
+            let body = &wire[HEADER_LEN..];
+            if !body.len().is_multiple_of(per_symbol) {
+                return DecodeScan::rejected(CodeError::Malformed, usize::from(len_repaired));
+            }
+
+            let mut erased = 0usize;
+            let mut rows: Vec<(u64, Vec<u8>)> = Vec::new();
+            for sym in body.chunks(per_symbol) {
+                let idx = sym[0];
+                let data = &sym[1..1 + block_len];
+                if sym[1 + block_len..] != symbol_crc(idx, data) {
+                    erased += 1;
+                    continue;
+                }
+                let mut mask = 0u64;
+                for b in LtCode::neighbors(k, idx) {
+                    mask |= 1 << b;
+                }
+                rows.push((mask, data.to_vec()));
+            }
+
+            let mut pivots: Vec<Option<usize>> = vec![None; k];
+            for col in 0..k {
+                let bit = 1u64 << col;
+                let Some(pivot) =
+                    (0..rows.len()).find(|&i| rows[i].0 & bit != 0 && !pivots.contains(&Some(i)))
+                else {
+                    continue;
+                };
+                let (pivot_mask, pivot_data) = rows[pivot].clone();
+                for (i, (mask, data)) in rows.iter_mut().enumerate() {
+                    if i != pivot && *mask & bit != 0 {
+                        *mask ^= pivot_mask;
+                        for (d, s) in data.iter_mut().zip(&pivot_data) {
+                            *d ^= s;
+                        }
+                    }
+                }
+                pivots[col] = Some(pivot);
+            }
+            let repairs = erased + usize::from(len_repaired);
+            if pivots.iter().any(Option::is_none) {
+                return DecodeScan::rejected(CodeError::Detected, repairs);
+            }
+
+            let mut image = Vec::with_capacity(k * block_len);
+            for (col, pivot) in pivots.iter().enumerate() {
+                let (mask, data) = &rows[pivot.expect("all columns resolved")];
+                debug_assert_eq!(*mask, 1 << col, "Gauss–Jordan leaves unit rows");
+                image.extend_from_slice(data);
+            }
+            if image.len() < payload_len + OUTER_CRC_LEN {
+                return DecodeScan::rejected(CodeError::Detected, repairs);
+            }
+            image.truncate(payload_len + OUTER_CRC_LEN);
+            let crc_trailer = image.split_off(payload_len);
+            if crc_trailer[..] != crc32(&image).to_le_bytes() {
+                return DecodeScan::rejected(CodeError::Detected, repairs);
+            }
+            DecodeScan::delivered(image, erased > 0 || len_repaired, repairs)
+        }
+    }
+
+    /// One hostile edit of a clean wire, chosen and driven by `rng`:
+    /// bit flips, whole-symbol erasures, truncation, arbitrary bytes,
+    /// a shuffled symbol order, a length copy hit, and *crafted*
+    /// symbols — rewritten index, chosen content, recomputed valid CRC
+    /// — rewritten in place or appended past the 256-symbol space.
+    fn hostile(clean: &[u8], per_symbol: usize, rng: &mut StdRng) -> Vec<u8> {
+        let mut wire = clean.to_vec();
+        let symbols = (wire.len() - HEADER_LEN) / per_symbol;
+        let craft = |symbol: &mut [u8], rng: &mut StdRng| {
+            symbol[0] = rng.next_u64() as u8;
+            if rng.gen_bool(0.5) {
+                symbol[1..per_symbol - 1].fill_with(|| rng.next_u64() as u8);
+            }
+            symbol[per_symbol - 1] = parent::symbol_crc(symbol[0], &symbol[1..per_symbol - 1])[0];
+        };
+        for _ in 0..rng.gen_range(1..=3usize) {
+            match rng.gen_range(0..8usize) {
+                0 => {
+                    for _ in 0..rng.gen_range(1..=8usize) {
+                        let at = rng.gen_range(0..=wire.len() * 8);
+                        if let Some(byte) = wire.get_mut(at / 8) {
+                            *byte ^= 1 << (at % 8);
+                        }
+                    }
+                }
+                1 => {
+                    for _ in 0..rng.gen_range(1..=12usize) {
+                        let at = HEADER_LEN + rng.gen_range(0..symbols) * per_symbol;
+                        if let Some(symbol) = wire.get_mut(at..at + per_symbol) {
+                            symbol.iter_mut().for_each(|b| *b = !*b);
+                        }
+                    }
+                }
+                2 => wire.truncate(rng.gen_range(0..=wire.len())),
+                3 => {
+                    wire = (0..rng.gen_range(0..400usize))
+                        .map(|_| rng.next_u64() as u8)
+                        .collect();
+                }
+                4 => {
+                    for _ in 0..rng.gen_range(1..=4usize) {
+                        let at = HEADER_LEN + rng.gen_range(0..symbols) * per_symbol;
+                        if let Some(symbol) = wire.get_mut(at..at + per_symbol) {
+                            craft(symbol, rng);
+                        }
+                    }
+                }
+                5 => {
+                    for _ in 0..rng.gen_range(1..=300usize) {
+                        let mut symbol = vec![0u8; per_symbol];
+                        craft(&mut symbol, rng);
+                        wire.extend_from_slice(&symbol);
+                    }
+                }
+                6 => {
+                    if let Some(body) = wire.get_mut(HEADER_LEN..) {
+                        for i in (1..body.len() / per_symbol).rev() {
+                            let j = rng.gen_range(0..=i);
+                            for b in 0..per_symbol {
+                                body.swap(i * per_symbol + b, j * per_symbol + b);
+                            }
+                        }
+                    }
+                }
+                _ => {
+                    if let Some(byte) = wire.get_mut(rng.gen_range(0..HEADER_LEN)) {
+                        *byte ^= 1 << rng.gen_range(0..8u32);
+                    }
+                }
+            }
+        }
+        wire
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256 })]
+
+        #[test]
+        fn codec_equals_the_parent_codec_on_every_wire(
+            len in prop_oneof![0usize..40, 0usize..300, 0usize..3000],
+            repair in any::<u8>(),
+            copies in 0u8..5,
+            baseline in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let payload: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let code = LtCode::new(repair);
+            let budget = (!baseline).then_some(SymbolBudget { repair, copies });
+            let (mut want, mut got) = (BytesMut::new(), BytesMut::new());
+            parent::encode_into(&code, &payload, budget, &mut want);
+            code.encode_into(&payload, budget, &mut got);
+            prop_assert_eq!(&got[..], &want[..], "wire bytes, len {}", len);
+
+            let per_symbol = 1 + LtCode::block_len(len) + SYMBOL_CRC_LEN;
+            prop_assert_eq!(code.decode_scan(&got), parent::decode_scan(&got));
+            for case in 0..12 {
+                let wire = hostile(&got, per_symbol, &mut rng);
+                prop_assert_eq!(
+                    code.decode_scan(&wire),
+                    parent::decode_scan(&wire),
+                    "len {} seed {:#x} case {}", len, seed, case
+                );
+            }
+        }
+    }
 
     /// The wire image of `payload` spending `budget`.
     fn budgeted(code: &LtCode, payload: &[u8], budget: SymbolBudget) -> Vec<u8> {

@@ -7,7 +7,31 @@
 //! the code's doing.
 
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, RngCore};
+
+/// [`Rng::gen_bool`] with the float work hoisted out of the per-bit
+/// loop. The generator draws `u = m · 2⁻⁵³` for a 53-bit integer `m`
+/// and tests `u < p`; scaling both sides by `2⁵³` is exact, so that is
+/// `m < ⌈p · 2⁵³⌉` — the same word drawn, the same answer. A zero
+/// probability draws nothing, which is the rule every noise model here
+/// keeps so that disabled transitions leave the stream alone.
+#[derive(Clone, Copy)]
+pub(crate) struct Chance(u64);
+
+impl Chance {
+    /// # Panics
+    ///
+    /// Panics if `p` is not in `[0, 1]`, as `gen_bool` does.
+    pub(crate) fn new(p: f64) -> Self {
+        assert!((0.0..=1.0).contains(&p), "p must be a probability, got {p}");
+        Chance((p * (1u64 << 53) as f64).ceil() as u64)
+    }
+
+    #[inline]
+    pub(crate) fn draw(self, rng: &mut StdRng) -> bool {
+        self.0 != 0 && (rng.next_u64() >> 11) < self.0
+    }
+}
 
 /// Independent per-bit corruption with probability `flip_prob`.
 #[derive(Clone, Copy, Debug)]
@@ -35,14 +59,15 @@ impl BitNoise {
         if self.flip_prob == 0.0 {
             return 0;
         }
+        let flip = Chance::new(self.flip_prob);
         let mut flipped = 0;
         for byte in data.iter_mut() {
+            let mut flips = 0u8;
             for bit in 0..8 {
-                if rng.gen_bool(self.flip_prob) {
-                    *byte ^= 1 << bit;
-                    flipped += 1;
-                }
+                flips |= u8::from(flip.draw(rng)) << bit;
             }
+            *byte ^= flips;
+            flipped += flips.count_ones() as usize;
         }
         flipped
     }
@@ -68,6 +93,24 @@ impl BitNoise {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    #[test]
+    fn chance_is_gen_bool_at_every_boundary_word() {
+        // Sampling cannot reach the words where a float compare and an
+        // integer threshold could disagree (each has probability 2⁻⁵³),
+        // so walk them: for each p, the 53-bit draws around p · 2⁵³.
+        let scale = (1u64 << 53) as f64;
+        for p in [0.0, 1e-300, 1e-17, 1e-16, 0.1, 0.15, 0.5, 1.0 - 1e-16, 1.0] {
+            let Chance(threshold) = Chance::new(p);
+            assert_eq!(threshold == 0, p == 0.0);
+            let around = (p * scale) as u64;
+            for m in (around.saturating_sub(2)..=around + 2).chain([0, (1 << 53) - 1]) {
+                let m = m.min((1 << 53) - 1);
+                let gen_bool = (m as f64) * (1.0 / scale) < p;
+                assert_eq!(m < threshold, gen_bool, "p {p} word {m}");
+            }
+        }
+    }
 
     #[test]
     fn zero_rate_touches_nothing() {

@@ -14,6 +14,56 @@ use heardof_coding::{
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// The system allocator plus a per-thread odometer of bytes requested,
+/// so a test can bound what one decode asks the heap for while the
+/// other tests of this binary run beside it.
+struct MeteredAlloc;
+
+thread_local! {
+    static REQUESTED: Cell<usize> = const { Cell::new(0) };
+}
+
+fn meter(bytes: usize) {
+    // A thread being torn down has no odometer left; nothing reads it.
+    let _ = REQUESTED.try_with(|r| r.set(r.get() + bytes));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the odometer is a
+// const-initialised thread-local `Cell` without a destructor, so
+// touching it neither allocates nor unwinds.
+unsafe impl GlobalAlloc for MeteredAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        meter(layout.size());
+        // SAFETY: the caller's `layout` is passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        meter(new_size);
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`,
+        // with this `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static METERED: MeteredAlloc = MeteredAlloc;
+
+/// Bytes this thread asks the heap for while `f` runs.
+fn requested_by(f: impl FnOnce()) -> usize {
+    let before = REQUESTED.with(Cell::get);
+    f();
+    REQUESTED.with(Cell::get) - before
+}
 
 fn arb_payload() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(any::<u8>(), 1..48)
@@ -640,6 +690,28 @@ fn check_scan(code: &dyn ChannelCode, wire: &[u8]) {
     assert_eq!(code.decode(wire), body);
 }
 
+/// Fountain wires aimed at the one field the symbols cannot protect:
+/// a voted length of `0xFFFF_FFFF` over nothing and over junk, a
+/// length far larger than the symbols behind it back, an honest header
+/// with an empty symbol area, and an honest frame followed by enough
+/// valid-CRC replays of its own symbols to pass 256 survivors.
+fn fountain_length_attacks(payload: &[u8], junk: &[u8]) -> Vec<Vec<u8>> {
+    let header = |len: u32| len.to_le_bytes().repeat(3);
+    let clean = LtCode::new(4).encode(payload);
+    let per_symbol = LtCode::block_len(payload.len()) + 2;
+    let replayed = clean[12..].chunks(per_symbol).cycle().take(300).flatten();
+    let inflated = 64 * (junk.len() as u32 + 1);
+    let one_symbol = junk.iter().copied().chain(std::iter::repeat(0xA5));
+    let one_symbol = one_symbol.take(LtCode::block_len(inflated as usize) + 2);
+    vec![
+        header(u32::MAX),
+        [header(u32::MAX), junk.to_vec()].concat(),
+        header(inflated).into_iter().chain(one_symbol).collect(),
+        clean[..12].to_vec(),
+        clean.iter().chain(replayed).copied().collect(),
+    ]
+}
+
 proptest! {
     #[test]
     fn every_decoder_is_total_on_hostile_wires(
@@ -674,6 +746,20 @@ proptest! {
                 check_scan(&code, &adversarial_wire(&clean, op, seed));
             }
             check_scan(&code, &junk);
+            if let CodeSpec::Fountain { .. } = spec {
+                // No allocation is sized by the unauthenticated length
+                // word: a decode asks the heap for a small multiple of
+                // the bytes the wire actually holds (its rows and its
+                // image), and a bare 12-byte header for under 1 KB.
+                for wire in fountain_length_attacks(&payload, &junk) {
+                    check_scan(&code, &wire);
+                    let requested = requested_by(|| drop(code.decode_scan(&wire)));
+                    prop_assert!(
+                        requested < 1024 + 8 * (wire.len() - 12),
+                        "{} bytes requested for a {}-byte wire", requested, wire.len()
+                    );
+                }
+            }
 
             // Book layer: the same wires behind a tag (and advert).
             let id = id as u8;

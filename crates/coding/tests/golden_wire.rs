@@ -189,3 +189,30 @@ fn every_spec_emits_its_golden_wire_bytes() {
         assert_eq!(digests, g.long, "{}: long body", g.spec);
     }
 }
+
+/// Fountain at mux scale: the table above pins it only where
+/// `block_len` is 4. A 64-slot image is ≈ 2 300 bytes (`k` = 64,
+/// 36-byte blocks), pooled at `baseline(8).for_batch(64)`; the second
+/// budget hits the 256-symbol cap. Wire length and CRC-32 of the wire,
+/// generated at the commit before the LT codec was rewritten.
+#[test]
+fn fountain_emits_its_golden_wire_bytes_at_mux_scale() {
+    let body: Vec<u8> = (0..2300u32)
+        .map(|i| (i.wrapping_mul(193) >> 3) as u8 ^ 0xC3)
+        .collect();
+    let pooled = SymbolBudget::baseline(8).for_batch(64);
+    let capped = SymbolBudget {
+        repair: 255,
+        copies: 3,
+    };
+    let code = CodeSpec::Fountain { repair: 8 }.build();
+    for (body, budget, want) in [
+        (&body[..], pooled, (4876, 0xf12f5f8f)),
+        (&body[..], capped, (9740, 0x83f152f2)),
+        (&body[..29], pooled, (450, 0x6c4848ed)),
+    ] {
+        let wire = coded(code.as_ref(), body, Some(budget));
+        assert_eq!((wire.len(), crc32(&wire)), want, "{budget:?}");
+        assert_eq!(code.decode(&wire).as_deref(), Ok(body));
+    }
+}
