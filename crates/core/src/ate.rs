@@ -15,10 +15,7 @@
 //! decides in one round, any fault-free run in two.
 
 use crate::params::AteParams;
-use heardof_model::{
-    smallest_most_frequent, value_histogram, ConsensusValue, HoAlgorithm, ProcessId,
-    ReceptionVector, Round,
-};
+use heardof_model::{tally, ConsensusValue, HoAlgorithm, ProcessId, ReceptionVector, Round};
 use std::marker::PhantomData;
 
 /// The `A_{T,E}` consensus algorithm over value domain `V`.
@@ -129,34 +126,40 @@ impl<V: ConsensusValue> HoAlgorithm for Ate<V> {
         state: &mut AteState<V>,
         received: &ReceptionVector<V>,
     ) {
-        // Line 7–8: adopt the smallest most often received value once
-        // more than T processes were heard.
-        if self.params.t().exceeded_by(received.heard_count()) {
-            if let Some(v) = smallest_most_frequent(received.messages().cloned()) {
-                state.x = v;
-            }
-        }
-        // Line 9–10: decide any value received more than E times. The
-        // listing nests this under the |HO| > T guard typographically,
-        // but the proofs treat it as independent: the Termination
-        // argument (Prop. 3) fires decisions from |SHO(p, r)| > E alone,
-        // and the safety lemmas only ever use |R_p^r(v)| > E. With the
-        // canonical T = E the two readings coincide anyway; the nested
-        // variant exists for the ablation study.
-        if self.nested_guard && !self.params.t().exceeded_by(received.heard_count()) {
+        // Line 7: the estimate moves once more than T processes were
+        // heard. Line 9: the listing nests the decision under that guard
+        // typographically, but the proofs treat it as independent: the
+        // Termination argument (Prop. 3) fires decisions from
+        // |SHO(p, r)| > E alone, and the safety lemmas only ever use
+        // |R_p^r(v)| > E. With the canonical T = E the two readings
+        // coincide anyway; the nested variant exists for the ablation
+        // study.
+        let update = self.params.t().exceeded_by(received.heard_count());
+        let may_decide = state.decided.is_none() && (update || !self.nested_guard);
+        if !update && !may_decide {
             return;
         }
-        if state.decided.is_none() {
-            // `value_histogram` sorts by value, so under broken (unchecked)
-            // parameters admitting several candidates we deterministically
-            // pick the smallest; under valid E ≥ n/2 at most one exists
-            // (Lemma 2).
-            for (v, count) in value_histogram(received.messages().cloned()) {
-                if self.params.e().exceeded_by(count) {
-                    state.decided = Some(v);
-                    break;
-                }
+        // One count serves both lines. Values arrive in ascending order,
+        // so the first to reach the highest count is the *smallest* most
+        // often received (line 8), and the first above E is the smallest
+        // candidate — deterministic under broken (unchecked) parameters
+        // admitting several; under valid E ≥ n/2 at most one exists
+        // (Lemma 2).
+        let mut most: Option<(&V, usize)> = None;
+        let mut above_e = None;
+        tally(received.messages(), |v, count| {
+            if most.is_none_or(|(_, c)| count > c) {
+                most = Some((v, count));
             }
+            if above_e.is_none() && self.params.e().exceeded_by(count) {
+                above_e = Some(v);
+            }
+        });
+        if let (true, Some((v, _))) = (update, most) {
+            state.x.clone_from(v);
+        }
+        if may_decide {
+            state.decided = above_e.cloned();
         }
     }
 

@@ -6,10 +6,7 @@
 //! coincides with OneThirdRule — can be tested differentially rather
 //! than by construction.
 
-use heardof_model::{
-    smallest_most_frequent, value_histogram, ConsensusValue, HoAlgorithm, ProcessId,
-    ReceptionVector, Round,
-};
+use heardof_model::{tally, ConsensusValue, HoAlgorithm, ProcessId, ReceptionVector, Round};
 use std::marker::PhantomData;
 
 /// The OneThirdRule consensus algorithm (benign transmission faults).
@@ -92,18 +89,28 @@ impl<V: ConsensusValue> HoAlgorithm for OneThirdRule<V> {
         received: &ReceptionVector<V>,
     ) {
         // |HO| > 2n/3, in exact integer arithmetic.
-        if 3 * received.heard_count() > 2 * self.n {
-            if let Some(v) = smallest_most_frequent(received.messages().cloned()) {
-                state.x = v;
+        let update = 3 * received.heard_count() > 2 * self.n;
+        if !update && state.decided.is_some() {
+            return;
+        }
+        // One ascending count: the first value to reach the highest count
+        // is the smallest most often received, the first above 2n/3 the
+        // smallest decidable one.
+        let mut most: Option<(&V, usize)> = None;
+        let mut above = None;
+        tally(received.messages(), |v, count| {
+            if most.is_none_or(|(_, c)| count > c) {
+                most = Some((v, count));
             }
+            if above.is_none() && 3 * count > 2 * self.n {
+                above = Some(v);
+            }
+        });
+        if let (true, Some((v, _))) = (update, most) {
+            state.x.clone_from(v);
         }
         if state.decided.is_none() {
-            for (v, count) in value_histogram(received.messages().cloned()) {
-                if 3 * count > 2 * self.n {
-                    state.decided = Some(v);
-                    break;
-                }
-            }
+            state.decided = above.cloned();
         }
     }
 

@@ -6,9 +6,7 @@
 //! `U_{n/2,n/2,0}` can be tested differentially.
 
 use crate::ute::UteMsg;
-use heardof_model::{
-    value_histogram, ConsensusValue, HoAlgorithm, ProcessId, ReceptionVector, Round,
-};
+use heardof_model::{tally, ConsensusValue, HoAlgorithm, ProcessId, ReceptionVector, Round};
 
 /// The UniformVoting consensus algorithm (benign transmission faults).
 ///
@@ -91,33 +89,32 @@ impl<V: ConsensusValue> HoAlgorithm for UniformVoting<V> {
         received: &ReceptionVector<UteMsg<V>>,
     ) {
         if round.is_first_of_phase() {
-            let ests = value_histogram(received.messages().filter_map(|m| match m {
-                UteMsg::Est(v) => Some(v.clone()),
-                UteMsg::Vote(_) => None,
-            }));
-            for (v, count) in ests {
-                if 2 * count > self.n {
-                    state.vote = Some(v);
-                    break;
+            let mut majority = None;
+            tally(received.messages().filter_map(UteMsg::est), |v, count| {
+                if majority.is_none() && 2 * count > self.n {
+                    majority = Some(v);
                 }
+            });
+            if let Some(v) = majority {
+                state.vote = Some(v.clone());
             }
         } else {
-            let votes = value_histogram(received.messages().filter_map(|m| match m {
-                UteMsg::Vote(Some(v)) => Some(v.clone()),
-                _ => None,
-            }));
-            // Benign case: a single true vote certifies adoption.
-            state.x = match votes.first() {
-                Some((v, _)) => v.clone(),
-                None => self.default_value.clone(),
-            };
-            if state.decided.is_none() {
-                for (v, count) in &votes {
-                    if 2 * count > self.n {
-                        state.decided = Some(v.clone());
-                        break;
+            // Benign case: a single true vote certifies adoption (the
+            // smallest one voted, as the count visits in ascending order).
+            let mut smallest = None;
+            let mut majority = None;
+            tally(
+                received.messages().filter_map(UteMsg::true_vote),
+                |v, count| {
+                    smallest = smallest.or(Some(v));
+                    if majority.is_none() && 2 * count > self.n {
+                        majority = Some(v);
                     }
-                }
+                },
+            );
+            state.x = smallest.unwrap_or(&self.default_value).clone();
+            if state.decided.is_none() {
+                state.decided = majority.cloned();
             }
             state.vote = None;
         }

@@ -19,7 +19,7 @@
 
 use crate::params::UteParams;
 use heardof_model::{
-    value_histogram, ConsensusValue, Corruptible, HoAlgorithm, ProcessId, ReceptionVector, Round,
+    tally, ConsensusValue, Corruptible, HoAlgorithm, ProcessId, ReceptionVector, Round,
     ValueBearing,
 };
 use rand::rngs::StdRng;
@@ -33,6 +33,27 @@ pub enum UteMsg<V> {
     Est(V),
     /// Round `2φ`: the sender's vote (`None` = `?`).
     Vote(Option<V>),
+}
+
+impl<V> UteMsg<V> {
+    /// The estimate this message carries. A `Vote` arriving in an
+    /// estimate round can only be a corruption artifact; it occupies HO
+    /// but carries no estimate.
+    pub(crate) fn est(&self) -> Option<&V> {
+        match self {
+            UteMsg::Est(v) => Some(v),
+            UteMsg::Vote(_) => None,
+        }
+    }
+
+    /// The true vote (`≠ ?`) this message carries; symmetrically, an
+    /// `Est` in a vote round is ignored.
+    pub(crate) fn true_vote(&self) -> Option<&V> {
+        match self {
+            UteMsg::Vote(v) => v.as_ref(),
+            UteMsg::Est(_) => None,
+        }
+    }
 }
 
 impl<V> ValueBearing<V> for UteMsg<V> {
@@ -107,24 +128,6 @@ impl<V: ConsensusValue> Ute<V> {
     pub fn default_value(&self) -> &V {
         &self.default_value
     }
-
-    fn est_histogram(received: &ReceptionVector<UteMsg<V>>) -> Vec<(V, usize)> {
-        value_histogram(received.messages().filter_map(|m| match m {
-            UteMsg::Est(v) => Some(v.clone()),
-            // A Vote arriving in an estimate round can only be a
-            // corruption artifact; it occupies HO but carries no estimate.
-            UteMsg::Vote(_) => None,
-        }))
-    }
-
-    fn vote_histogram(received: &ReceptionVector<UteMsg<V>>) -> Vec<(V, usize)> {
-        value_histogram(received.messages().filter_map(|m| match m {
-            UteMsg::Vote(Some(v)) => Some(v.clone()),
-            UteMsg::Vote(None) => None,
-            // Symmetrically, an Est in a vote round is ignored.
-            UteMsg::Est(_) => None,
-        }))
-    }
 }
 
 impl<V: ConsensusValue> HoAlgorithm for Ute<V> {
@@ -168,33 +171,37 @@ impl<V: ConsensusValue> HoAlgorithm for Ute<V> {
         if round.is_first_of_phase() {
             // Lines 8–9: vote for a value received more than T times.
             // Under T ≥ n/2 + α at most one such value exists (Lemma 8);
-            // the histogram's value order makes broken parameters
-            // deterministic.
-            for (v, count) in Self::est_histogram(received) {
-                if self.params.t().exceeded_by(count) {
-                    state.vote = Some(v);
-                    break;
+            // the count's ascending order makes broken parameters
+            // deterministic (the smallest wins).
+            let mut above_t = None;
+            tally(received.messages().filter_map(UteMsg::est), |v, count| {
+                if above_t.is_none() && self.params.t().exceeded_by(count) {
+                    above_t = Some(v);
                 }
+            });
+            if let Some(v) = above_t {
+                state.vote = Some(v.clone());
             }
         } else {
-            let votes = Self::vote_histogram(received);
             // Lines 14–17: α+1 identical true votes certify that someone
-            // truly voted; otherwise fall back to v₀.
-            let certified = votes
-                .iter()
-                .find(|(_, count)| *count > self.params.alpha() as usize);
-            state.x = match certified {
-                Some((v, _)) => v.clone(),
-                None => self.default_value.clone(),
-            };
-            // Lines 18–19: decide on more than E votes for v.
-            if state.decided.is_none() {
-                for (v, count) in &votes {
-                    if self.params.e().exceeded_by(*count) {
-                        state.decided = Some(v.clone());
-                        break;
+            // truly voted; otherwise fall back to v₀. Lines 18–19: decide
+            // on more than E votes for v. Smallest first, both.
+            let mut certified = None;
+            let mut above_e = None;
+            tally(
+                received.messages().filter_map(UteMsg::true_vote),
+                |v, count| {
+                    if certified.is_none() && count > self.params.alpha() as usize {
+                        certified = Some(v);
                     }
-                }
+                    if above_e.is_none() && self.params.e().exceeded_by(count) {
+                        above_e = Some(v);
+                    }
+                },
+            );
+            state.x = certified.unwrap_or(&self.default_value).clone();
+            if state.decided.is_none() {
+                state.decided = above_e.cloned();
             }
             // Line 20: reset the vote for the next phase.
             state.vote = None;

@@ -101,12 +101,17 @@ where
     /// is encoded back-to-back into this one buffer; after warm-up it
     /// never grows again.
     slot_arena: BytesMut,
+    /// The slab the wire arenas were last coded from.
+    coded_slab: BytesMut,
     /// `(start, end)` of each instance's body within the slab.
     slot_ranges: Vec<(usize, usize)>,
     /// Reusable packed mux image (the `pack_slots_into` output).
     image_arena: Vec<u8>,
-    /// Reusable coded wire image.
-    wire_arena: BytesMut,
+    /// Reusable coded wire images, one per retransmission copy.
+    wire_arenas: Vec<BytesMut>,
+    /// One decoded message per instance of the image being ingested,
+    /// parked here between slot validation and [`Self::keep_image`].
+    msgs_arena: Vec<A::Msg>,
 }
 
 impl<A: HoAlgorithm> MuxRoundEngine<A>
@@ -161,9 +166,11 @@ where
             rounds_completed: 0,
             telemetry: Telemetry::null(),
             slot_arena: BytesMut::new(),
+            coded_slab: BytesMut::new(),
             slot_ranges: Vec::new(),
             image_arena: Vec::new(),
-            wire_arena: BytesMut::new(),
+            wire_arenas: (0..copies).map(|_| BytesMut::new()).collect(),
+            msgs_arena: Vec::new(),
         }
     }
 
@@ -218,10 +225,12 @@ where
     /// borrow of an internal arena, valid only for the duration of the
     /// call.
     ///
-    /// Per peer, all `k` instance bodies are encoded once into a slab,
-    /// packed once, and coded per copy; a retransmission copy patches
-    /// each slot's copy byte in the packed image
-    /// ([`patch_slots`]) rather than re-encoding anything. Under a
+    /// Per peer, all `k` instance bodies are serialised into a slab; a
+    /// slab byte-identical to the previous peer's re-emits the images
+    /// already coded (a broadcast round packs and codes once, not once
+    /// per peer), any other is packed once and coded per copy, a
+    /// retransmission copy patching each slot's copy byte in the packed
+    /// image ([`patch_slots`]) rather than re-encoding anything. Under a
     /// rateless rung the symbol budget is additionally priced **per
     /// wire image**: one pooled repair allowance for the whole batch
     /// ([`SymbolBudget::for_batch`](heardof_coding::SymbolBudget::for_batch)),
@@ -245,7 +254,7 @@ where
         let n = self.cores[0].n();
         let k = self.cores.len();
         self.codes.push(self.framing.current_spec());
-        self.rx = (0..k).map(|_| ReceptionVector::new(n)).collect();
+        self.rx.iter_mut().for_each(ReceptionVector::clear);
         self.kept_this_round.clear();
         self.corrected_this_round = 0;
         self.evidence_this_round = 0;
@@ -285,9 +294,12 @@ where
             ));
         }
         let mut slab = std::mem::take(&mut self.slot_arena);
-        let mut ranges = std::mem::take(&mut self.slot_ranges);
-        let mut image = std::mem::take(&mut self.image_arena);
-        let mut wire = std::mem::take(&mut self.wire_arena);
+        let mut coded = std::mem::take(&mut self.coded_slab);
+        let ranges = &mut self.slot_ranges;
+        let image = &mut self.image_arena;
+        let wires = &mut self.wire_arenas[..copies_out as usize];
+        // Nothing is coded yet under this round's framing and budget.
+        coded.clear();
         for q in 0..n as u32 {
             if q == me.as_u32() {
                 continue;
@@ -307,55 +319,68 @@ where
                 );
                 ranges.push((start, slab.len()));
             }
-            let slots: Vec<(u32, &[u8])> = ranges
-                .iter()
-                .enumerate()
-                .map(|(i, &(start, end))| (i as u32, &slab[start..end]))
-                .collect();
-            pack_slots_into(&slots, &mut image);
-            for copy in 0..copies_out {
-                if copy > 0 {
-                    // Identical image apart from each slot's copy byte.
-                    patch_slots(&mut image, |body| body[COPY_OFFSET] = copy);
+            // Same rule as the single-instance engine: pack and code
+            // only a slab that differs from the one last coded. Bodies
+            // carry their own length, so equal slab bytes split into
+            // equal slots.
+            if slab != coded {
+                let slots: Vec<(u32, &[u8])> = ranges
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(start, end))| (i as u32, &slab[start..end]))
+                    .collect();
+                pack_slots_into(&slots, image);
+                for (copy, wire) in wires.iter_mut().enumerate() {
+                    if copy > 0 {
+                        // Identical image apart from each slot's copy byte.
+                        patch_slots(image, |body| body[COPY_OFFSET] = copy as u8);
+                    }
+                    wire.clear();
+                    self.framing.encode_raw(image, budget, wire);
                 }
-                wire.clear();
-                self.framing.encode_raw(&image, budget, &mut wire);
-                emit(q, copy, &wire);
+                std::mem::swap(&mut slab, &mut coded);
+            }
+            for (copy, wire) in wires.iter().enumerate() {
+                emit(q, copy as u8, wire);
             }
         }
         self.slot_arena = slab;
-        self.slot_ranges = ranges;
-        self.image_arena = image;
-        self.wire_arena = wire;
+        self.coded_slab = coded;
 
         if let Some(images) = self.future.remove(&r) {
             for (sender, copy, repaired, advert, msgs) in images {
-                self.keep_image(sender, copy, repaired, advert, msgs);
+                self.msgs_arena = msgs;
+                self.keep_image(sender, copy, repaired, advert);
             }
         }
     }
 
+    /// An image of `round` that lost to an earlier one from its sender.
+    fn duplicate(&self, round: u64, sender: u32, copy: u8) -> Ingest {
+        self.telemetry.emit(Event {
+            round,
+            process: self.cores[0].me().as_u32(),
+            kind: EventKind::FrameDuplicate,
+            peer: sender,
+            value: copy as u64,
+        });
+        Ingest::Duplicate
+    }
+
     /// First valid image per sender wins — wire-level dedupe, exactly
-    /// one tally contribution per sender per round.
+    /// one tally contribution per sender per round. The image's messages
+    /// are the contents of `msgs_arena`, one per instance.
     fn keep_image(
         &mut self,
         sender: u32,
         copy: u8,
         repaired: bool,
         advert: Option<RungAdvert>,
-        msgs: Vec<A::Msg>,
     ) -> Ingest {
         let me = self.cores[0].me().as_u32();
         let sid = ProcessId::new(sender);
         if self.rx[0].get(sid).is_some() {
-            self.telemetry.emit(Event {
-                round: self.round,
-                process: me,
-                kind: EventKind::FrameDuplicate,
-                peer: sender,
-                value: copy as u64,
-            });
-            return Ingest::Duplicate;
+            return self.duplicate(self.round, sender, copy);
         }
         self.telemetry.emit(Event {
             round: self.round,
@@ -369,8 +394,8 @@ where
         if let Some(ad) = advert {
             self.ads_this_round.push((sender, ad));
         }
-        for (i, msg) in msgs.into_iter().enumerate() {
-            self.rx[i].set(sid, msg);
+        for (rx, msg) in self.rx.iter_mut().zip(self.msgs_arena.drain(..)) {
+            rx.set(sid, msg);
         }
         Ingest::Kept
     }
@@ -430,7 +455,10 @@ where
         if slots.len() != k {
             return garbage(self, slots.len() as u64);
         }
-        let mut msgs = Vec::with_capacity(k);
+        // Every slot is checked before any instance hears anything: the
+        // messages wait in the arena, which outlives the image.
+        self.msgs_arena.clear();
+        self.msgs_arena.reserve(k);
         let mut header: Option<(u64, u32, u8)> = None;
         for (i, (id, body)) in slots.iter().enumerate() {
             if id != i as u32 {
@@ -443,7 +471,7 @@ where
             if *header.get_or_insert(h) != h {
                 return garbage(self, frame.round);
             }
-            msgs.push(frame.msg);
+            self.msgs_arena.push(frame.msg);
         }
         let (round, sender, copy) = header.expect("at least one instance");
         if sender as usize >= n || round > self.max_rounds {
@@ -460,6 +488,12 @@ where
             return Ingest::Late;
         }
         if round > self.round {
+            // One buffered image per (round, sender), same rule and same
+            // reason as `RoundEngine::ingest`.
+            let buffered = self.future.get(&round);
+            if sender == me || buffered.is_some_and(|early| early.iter().any(|e| e.0 == sender)) {
+                return self.duplicate(round, sender, copy);
+            }
             self.telemetry.emit(Event {
                 round: self.round,
                 process: me,
@@ -467,13 +501,14 @@ where
                 peer: sender,
                 value: round,
             });
+            let msgs = std::mem::take(&mut self.msgs_arena);
             self.future
                 .entry(round)
                 .or_default()
                 .push((sender, copy, repaired, advert, msgs));
             return Ingest::Future;
         }
-        self.keep_image(sender, copy, repaired, advert, msgs)
+        self.keep_image(sender, copy, repaired, advert)
     }
 
     /// `true` once an image from every sender (including self) has been
@@ -727,6 +762,52 @@ mod tests {
         b.finish_round();
         b.begin_round_with(|_, _, _| {});
         assert!(b.round_complete(), "buffered image drained into round 2");
+    }
+
+    proptest::proptest! {
+        /// Same bound as the single-instance engine: a replayed future
+        /// image (k messages each) is answered `Duplicate`, not buffered.
+        #[test]
+        fn future_buffer_holds_one_image_per_round_and_sender(
+            arrivals in proptest::collection::vec(proptest::prelude::any::<u32>(), 0..300),
+        ) {
+            // `mux_engine` is process 0 with a ten-round horizon.
+            let (n, k, max_rounds) = (5usize, 3usize, 10u64);
+            let framing = Framing::fixed(CodeSpec::DEFAULT);
+            // One image as peer `sender` would emit it in `round`.
+            let wire = |round: u64, sender: u32, copy: u8| {
+                let mut body = BytesMut::new();
+                encode_body_into(&Frame { round, sender, copy, msg: 1u64 }, &mut body);
+                let slots: Vec<(u32, &[u8])> = (0..k as u32).map(|i| (i, &body[..])).collect();
+                let mut image = Vec::new();
+                pack_slots_into(&slots, &mut image);
+                let mut wire = BytesMut::new();
+                framing.encode_raw_into(&image, &mut wire);
+                wire
+            };
+            let mut e = mux_engine(n, k, 3);
+            e.begin_round_with(|_, _, _| {});
+            let mut seen: std::collections::HashSet<(u64, u32)> = Default::default();
+            for x in arrivals {
+                if (x >> 24) % 8 == 0 && e.current_round() < max_rounds {
+                    e.finish_round();
+                    e.begin_round_with(|_, _, _| {});
+                    let drained = seen.iter().filter(|(r, _)| *r == e.round).count();
+                    assert_eq!(e.kept_this_round.len(), 1 + drained, "self plus the drained");
+                    continue;
+                }
+                let (round, sender) = ((x % 13) as u64, (x >> 8) % 6);
+                let verdict = e.ingest(&wire(round, sender, (x >> 16) as u8 % 3));
+                if (sender as usize) < n && (e.round + 1..=max_rounds).contains(&round) {
+                    let fresh = sender != 0 && seen.insert((round, sender));
+                    let expected = if fresh { Ingest::Future } else { Ingest::Duplicate };
+                    assert_eq!(verdict, expected);
+                }
+                let buffered: usize = e.future.values().map(Vec::len).sum();
+                let bound = (n - 1) * (max_rounds - e.round) as usize;
+                assert!(buffered <= bound, "{buffered} buffered in round {}", e.round);
+            }
+        }
     }
 
     #[test]

@@ -151,8 +151,11 @@ where
     /// again (bodies are the same shape every round), so the steady
     /// state allocates nothing per frame.
     body_arena: BytesMut,
-    /// Reusable wire-image arena, same steady-state story.
-    wire_arena: BytesMut,
+    /// The body the wire arenas were last coded from (copy byte 0).
+    coded_body: BytesMut,
+    /// Reusable wire-image arenas, one per retransmission copy, same
+    /// steady-state story.
+    wire_arenas: Vec<BytesMut>,
 }
 
 impl<A: HoAlgorithm> RoundEngine<A>
@@ -195,7 +198,8 @@ where
             rounds_completed: 0,
             telemetry: Telemetry::null(),
             body_arena: BytesMut::new(),
-            wire_arena: BytesMut::new(),
+            coded_body: BytesMut::new(),
+            wire_arenas: (0..copies).map(|_| BytesMut::new()).collect(),
         }
     }
 
@@ -245,11 +249,14 @@ where
     /// `emit(dest, copy, wire)` as a borrow of an internal arena that
     /// is reused across frames and rounds. The borrow is valid only for
     /// the duration of the call — a substrate copies it onto the wire
-    /// (or into its transport buffer) and returns. Frame bodies are
-    /// encoded once per peer; retransmission copies only patch the copy
-    /// byte before re-coding, so the per-round cost is `(n−1)` body
-    /// encodes and `(n−1)·copies` code passes with no per-frame heap
-    /// allocation on the engine side.
+    /// (or into its transport buffer) and returns. Every peer's body is
+    /// serialised, but a body byte-identical to the previous peer's is
+    /// not coded again: its wire images (one per retransmission copy,
+    /// differing in the patched copy byte) are emitted a second time
+    /// from their arenas. A broadcast round therefore costs `copies`
+    /// code passes, not `(n−1)·copies`, an algorithm that addresses its
+    /// peers individually costs what it always did, and neither
+    /// allocates per frame on the engine side.
     ///
     /// # Panics
     ///
@@ -267,7 +274,7 @@ where
         let me = self.core.me();
         let n = self.core.n();
         self.codes.push(self.framing.current_spec());
-        self.rx = ReceptionVector::new(n);
+        self.rx.clear();
         self.kept_this_round.clear();
         self.corrected_this_round = 0;
         self.evidence_this_round = 0;
@@ -346,7 +353,10 @@ where
                 ));
             }
             let mut body = std::mem::take(&mut self.body_arena);
-            let mut wire = std::mem::take(&mut self.wire_arena);
+            let mut coded = std::mem::take(&mut self.coded_body);
+            let wires = &mut self.wire_arenas[..copies_out as usize];
+            // Nothing is coded yet under this round's framing and budget.
+            coded.clear();
             for q in 0..n as u32 {
                 if q == me.as_u32() {
                     continue;
@@ -362,15 +372,24 @@ where
                     },
                     &mut body,
                 );
-                for copy in 0..copies_out {
-                    body[COPY_OFFSET] = copy;
-                    wire.clear();
-                    self.framing.encode_raw(&body, budget, &mut wire);
-                    emit(q, copy, &wire);
+                // Coding is a pure function of the body within a round,
+                // so equal bytes mean equal wire images: code only when
+                // this peer's body differs from the one last coded.
+                if body != coded {
+                    for (copy, wire) in wires.iter_mut().enumerate() {
+                        body[COPY_OFFSET] = copy as u8;
+                        wire.clear();
+                        self.framing.encode_raw(&body, budget, wire);
+                    }
+                    body[COPY_OFFSET] = 0;
+                    std::mem::swap(&mut body, &mut coded);
+                }
+                for (copy, wire) in wires.iter().enumerate() {
+                    emit(q, copy as u8, wire);
                 }
             }
             self.body_arena = body;
-            self.wire_arena = wire;
+            self.coded_body = coded;
         }
 
         // Early arrivals buffered for this round enter ahead of
@@ -382,6 +401,18 @@ where
         }
     }
 
+    /// A frame that lost to an earlier one from its sender.
+    fn duplicate(&self, frame: &Frame<A::Msg>) -> Ingest {
+        self.telemetry.emit(Event {
+            round: frame.round,
+            process: self.core.me().as_u32(),
+            kind: EventKind::FrameDuplicate,
+            peer: frame.sender,
+            value: frame.copy as u64,
+        });
+        Ingest::Duplicate
+    }
+
     /// First valid frame per sender wins; repairs and rung
     /// advertisements count toward the round's tally only when the
     /// frame is kept.
@@ -389,14 +420,7 @@ where
         let sender = ProcessId::new(frame.sender);
         let me = self.core.me().as_u32();
         if self.rx.get(sender).is_some() {
-            self.telemetry.emit(Event {
-                round: frame.round,
-                process: me,
-                kind: EventKind::FrameDuplicate,
-                peer: frame.sender,
-                value: frame.copy as u64,
-            });
-            return Ingest::Duplicate;
+            return self.duplicate(&frame);
         }
         self.telemetry.emit(Event {
             round: frame.round,
@@ -491,6 +515,18 @@ where
             return Ingest::Late; // the round is closed
         }
         if frame.round > self.round {
+            // One buffered frame per (round, sender) — the first, which
+            // is the one `keep` would keep when the round opens. Later
+            // ones (and anything claiming to be from this process) get
+            // the verdict the drain would have given them, now, so a
+            // replaying peer cannot grow the buffer.
+            let buffered = self.future.get(&frame.round);
+            if frame.sender == me
+                || buffered
+                    .is_some_and(|early| early.iter().any(|(f, _, _)| f.sender == frame.sender))
+            {
+                return self.duplicate(&frame);
+            }
             self.telemetry.emit(Event {
                 round: self.round,
                 process: me,
@@ -965,6 +1001,58 @@ mod tests {
             Ingest::Rejected,
             "no oblivious rung, no count channel"
         );
+    }
+
+    proptest::proptest! {
+        /// A peer replaying decodable frames cannot grow the early-arrival
+        /// buffer: one entry per (future round, sender), the first to
+        /// arrive — which is the one the round keeps when it opens.
+        #[test]
+        fn future_buffer_holds_one_frame_per_round_and_sender(
+            arrivals in proptest::collection::vec(proptest::prelude::any::<u32>(), 0..300),
+        ) {
+            // `engine` is process 0 with a ten-round horizon.
+            let (n, max_rounds) = (5usize, 10u64);
+            let framing = Framing::fixed(CodeSpec::DEFAULT);
+            let mut e = engine(n, 3);
+            e.begin_round_with(|_, _, _| {});
+            // The first copy to arrive per (round, sender) ahead of the
+            // open round.
+            let mut first: HashMap<(u64, u32), u8> = HashMap::new();
+            for x in arrivals {
+                if (x >> 24) % 8 == 0 && e.current_round() < max_rounds {
+                    e.finish_round();
+                    e.begin_round_with(|_, _, _| {});
+                    for ((_, sender), copy) in first.iter().filter(|((r, _), _)| *r == e.round) {
+                        let kept = e.kept_this_round.contains(&(*sender, *copy));
+                        assert!(kept, "round {}: {sender}/{copy} was not drained", e.round);
+                    }
+                    continue;
+                }
+                // Claimed round, sender and copy straddle the valid
+                // ranges: past the horizon and out-of-range senders are
+                // garbage, sender 0 is the engine itself.
+                let frame = Frame {
+                    round: (x % 13) as u64,
+                    sender: (x >> 8) % 6,
+                    copy: (x >> 16) as u8 % 3,
+                    msg: 1u64,
+                };
+                let verdict = e.ingest(&framing.wire(&frame));
+                let at = (frame.round, frame.sender);
+                if (frame.sender as usize) < n && (e.round + 1..=max_rounds).contains(&frame.round) {
+                    if frame.sender != 0 && !first.contains_key(&at) {
+                        assert_eq!(verdict, Ingest::Future);
+                        first.insert(at, frame.copy);
+                    } else {
+                        assert_eq!(verdict, Ingest::Duplicate, "a replay is not buffered");
+                    }
+                }
+                let buffered: usize = e.future.values().map(Vec::len).sum();
+                let bound = (n - 1) * (max_rounds - e.round) as usize;
+                assert!(buffered <= bound, "{buffered} buffered in round {}", e.round);
+            }
+        }
     }
 
     #[test]

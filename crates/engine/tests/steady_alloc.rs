@@ -8,7 +8,9 @@
 //! report, the reception vector) still allocates, so the proof is
 //! differential: a round that moves 3× the frames (`copies = 3`) must
 //! allocate exactly as much as a round that moves 1× — any per-frame
-//! allocation would show up multiplied.
+//! allocation would show up multiplied. The same differential along the
+//! instance axis: a warm mux round of 64 instances must allocate
+//! exactly as much as a round of one.
 //!
 //! The whole file is ONE `#[test]` so no concurrent test pollutes the
 //! process-global allocation counter.
@@ -16,7 +18,7 @@
 use heardof_coding::CodeSpec;
 use heardof_core::{Ate, AteParams};
 use heardof_engine::{Framing, Ingest, MuxRoundEngine, RoundEngine};
-use heardof_model::ProcessId;
+use heardof_model::{HoAlgorithm, ProcessId, ReceptionVector, Round};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -130,6 +132,68 @@ fn run_mux_send_and_count(copies: u8, warmup: u64, rounds: u64) -> u64 {
     measured
 }
 
+/// A full lockstep system of `n` mux engines with `k` instances each:
+/// every round is begin → ingest the other `n − 1` images → finish, over
+/// wire buffers that are reused once warm. Counts the measured tail.
+fn run_mux_rounds_and_count(n: usize, k: usize, warmup: u64, rounds: u64) -> u64 {
+    let algo: Ate<u64> = Ate::new(AteParams::balanced(n, 0).unwrap());
+    let mut engines: Vec<MuxRoundEngine<Ate<u64>>> = (0..n)
+        .map(|p| {
+            MuxRoundEngine::new(
+                algo.clone(),
+                ProcessId::new(p as u32),
+                n,
+                (0..k as u64).map(|i| (i + p as u64) % 3).collect(),
+                Framing::fixed(CodeSpec::Checksum { width: 4 }),
+                1,
+                warmup + rounds,
+            )
+        })
+        .collect();
+    // wires[dest][sender]
+    let mut wires: Vec<Vec<Vec<u8>>> = vec![vec![Vec::new(); n]; n];
+    let mut measured = 0u64;
+    for round in 0..warmup + rounds {
+        let start = allocs();
+        for (p, engine) in engines.iter_mut().enumerate() {
+            engine.begin_round_with(|dest, _, wire| {
+                let slot = &mut wires[dest as usize][p];
+                slot.clear();
+                slot.extend_from_slice(wire);
+            });
+        }
+        for (p, engine) in engines.iter_mut().enumerate() {
+            for (q, wire) in wires[p].iter().enumerate() {
+                if q != p {
+                    assert_eq!(engine.ingest(wire), Ingest::Kept);
+                }
+            }
+            engine.finish_round();
+        }
+        if round >= warmup {
+            measured += allocs() - start;
+        }
+    }
+    measured
+}
+
+/// Allocations of one `A_{T,E}` transition over a full reception vector
+/// of `n` values, three distinct ones among them.
+fn ate_transition_allocs(n: usize) -> u64 {
+    let algo: Ate<u64> = Ate::new(AteParams::balanced(n, 0).unwrap());
+    let me = ProcessId::new(0);
+    let mut state = algo.init(me, n, 9);
+    let mut rx = ReceptionVector::new(n);
+    for q in 0..n {
+        rx.set(ProcessId::new(q as u32), (q % 3) as u64);
+    }
+    let start = allocs();
+    algo.transition(Round::FIRST, me, &mut state, &rx);
+    let spent = allocs() - start;
+    assert_eq!(state.x, 0, "the count ran: 0 is the smallest most frequent");
+    spent
+}
+
 #[test]
 fn steady_state_allocates_nothing_per_frame_on_cheap_rungs() {
     for spec in [CodeSpec::None, CodeSpec::Checksum { width: 4 }] {
@@ -150,4 +214,17 @@ fn steady_state_allocates_nothing_per_frame_on_cheap_rungs() {
     let single = run_mux_send_and_count(1, 4, 16);
     let triple = run_mux_send_and_count(3, 4, 16);
     assert_eq!(single, triple, "mux copy fan-out allocated per copy");
+
+    // Nor does a warm round pay per *instance*: reception vectors and
+    // the decoded-message arena are reset in place, and the transition
+    // counts without the heap — 64 instances cost what one does.
+    let one = run_mux_rounds_and_count(4, 1, 4, 8);
+    let many = run_mux_rounds_and_count(4, 64, 4, 8);
+    assert_eq!(
+        one, many,
+        "a warm mux round allocated {many} times at k = 64 vs {one} at k = 1"
+    );
+    for n in [16, 64] {
+        assert_eq!(ate_transition_allocs(n), 0, "Ate::transition at n = {n}");
+    }
 }

@@ -65,6 +65,6 @@ pub use set::ProcessSet;
 pub use sets::{CommHistory, History, RoundSets};
 pub use trace::{RoundDetail, RoundRecord, RunTrace, TraceLevel};
 pub use value::{
-    smallest_most_frequent, value_histogram, ConsensusValue, Corruptible, ValueBearing,
+    smallest_most_frequent, tally, value_histogram, ConsensusValue, Corruptible, ValueBearing,
 };
 pub use vector::ReceptionVector;

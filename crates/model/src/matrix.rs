@@ -125,13 +125,24 @@ impl<M: Clone> MessageMatrix<M> {
     /// matrix.
     pub fn column(&self, receiver: ProcessId) -> ReceptionVector<M> {
         let mut rx = ReceptionVector::new(self.n);
+        self.column_into(receiver, &mut rx);
+        rx
+    }
+
+    /// [`MessageMatrix::column`] into a caller-owned vector, which is
+    /// cleared first — a loop over receivers reuses one vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rx` was sized for fewer than `n` processes.
+    pub fn column_into(&self, receiver: ProcessId, rx: &mut ReceptionVector<M>) {
+        rx.clear();
         for s in 0..self.n {
             let sender = ProcessId::new(s as u32);
             if let Some(m) = self.get(sender, receiver) {
                 rx.set(sender, m.clone());
             }
         }
-        rx
     }
 
     /// Applies `mutate` to the cell `(sender, receiver)` if populated,
@@ -235,6 +246,11 @@ mod tests {
         assert_eq!(rx.get(pid(0)), Some(&0));
         assert_eq!(rx.get(pid(1)), None);
         assert_eq!(rx.get(pid(2)), Some(&2));
+        // A reused vector carries nothing over from the previous column.
+        let mut reused = m.column(pid(2));
+        assert_eq!(reused.heard_count(), 3);
+        m.column_into(pid(0), &mut reused);
+        assert_eq!(reused, rx);
     }
 
     #[test]

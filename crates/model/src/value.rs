@@ -6,7 +6,6 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::collections::HashMap;
 use std::fmt::Debug;
 use std::hash::Hash;
 
@@ -141,6 +140,58 @@ impl ValueBearing<String> for String {
     }
 }
 
+/// How many received values [`tally`] counts without touching the heap.
+const TALLY_INLINE: usize = 64;
+
+/// The counting step of every transition function: visits each distinct
+/// value among `values` once, in ascending order, with the number of
+/// times it occurs.
+///
+/// The values are borrowed, sorted and walked in runs — no hashing, no
+/// clone per received value, and no heap allocation while at most
+/// `TALLY_INLINE` (64) values are counted. Ascending order is what makes
+/// "the smallest value above a threshold" the first one visited.
+///
+/// # Examples
+///
+/// ```
+/// use heardof_model::tally;
+///
+/// let mut runs = Vec::new();
+/// tally(&[7u64, 3, 7, 9], |v, count| runs.push((*v, count)));
+/// assert_eq!(runs, vec![(3, 1), (7, 2), (9, 1)]);
+/// ```
+pub fn tally<'a, V: Ord + 'a>(
+    values: impl IntoIterator<Item = &'a V>,
+    mut visit: impl FnMut(&'a V, usize),
+) {
+    let mut inline = [None; TALLY_INLINE];
+    let mut spill = Vec::new();
+    let mut len = 0;
+    for v in values {
+        if len < TALLY_INLINE {
+            inline[len] = Some(v);
+            len += 1;
+        } else {
+            if spill.is_empty() {
+                spill.extend_from_slice(&inline);
+            }
+            spill.push(Some(v));
+        }
+    }
+    let sorted = if spill.is_empty() {
+        &mut inline[..len]
+    } else {
+        &mut spill[..]
+    };
+    sorted.sort_unstable();
+    for run in sorted.chunk_by(|a, b| a == b) {
+        if let Some(v) = run[0] {
+            visit(v, run.len());
+        }
+    }
+}
+
 /// The *smallest most often received* value among `values`, the update rule
 /// of `A_{T,E}` (Algorithm 1, line 8).
 ///
@@ -162,14 +213,15 @@ where
     V: ConsensusValue,
     I: IntoIterator<Item = V>,
 {
-    let mut counts: HashMap<V, usize> = HashMap::new();
-    for v in values {
-        *counts.entry(v).or_insert(0) += 1;
-    }
-    counts
-        .into_iter()
-        .max_by(|(va, ca), (vb, cb)| ca.cmp(cb).then_with(|| vb.cmp(va)))
-        .map(|(v, _)| v)
+    let values: Vec<V> = values.into_iter().collect();
+    let mut best: Option<(&V, usize)> = None;
+    tally(&values, |v, count| {
+        // Ascending visits: only a strictly higher count displaces.
+        if best.is_none_or(|(_, most)| count > most) {
+            best = Some((v, count));
+        }
+    });
+    best.map(|(v, _)| v.clone())
 }
 
 /// Counts occurrences of each distinct value, returning `(value, count)`
@@ -188,19 +240,81 @@ where
     V: ConsensusValue,
     I: IntoIterator<Item = V>,
 {
-    let mut counts: HashMap<V, usize> = HashMap::new();
-    for v in values {
-        *counts.entry(v).or_insert(0) += 1;
-    }
-    let mut out: Vec<(V, usize)> = counts.into_iter().collect();
-    out.sort_by(|a, b| a.0.cmp(&b.0));
+    let values: Vec<V> = values.into_iter().collect();
+    let mut out = Vec::new();
+    tally(&values, |v, count| out.push((v.clone(), count)));
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
+    use std::collections::HashMap;
+
+    /// The hash-map tallies `tally` replaced, kept verbatim as the oracle.
+    fn oracle_smallest_most_frequent<V: ConsensusValue>(
+        values: impl IntoIterator<Item = V>,
+    ) -> Option<V> {
+        let mut counts: HashMap<V, usize> = HashMap::new();
+        for v in values {
+            *counts.entry(v).or_insert(0) += 1;
+        }
+        counts
+            .into_iter()
+            .max_by(|(va, ca), (vb, cb)| ca.cmp(cb).then_with(|| vb.cmp(va)))
+            .map(|(v, _)| v)
+    }
+
+    fn oracle_histogram<V: ConsensusValue>(values: impl IntoIterator<Item = V>) -> Vec<(V, usize)> {
+        let mut counts: HashMap<V, usize> = HashMap::new();
+        for v in values {
+            *counts.entry(v).or_insert(0) += 1;
+        }
+        let mut out: Vec<(V, usize)> = counts.into_iter().collect();
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
+    }
+
+    fn assert_matches_oracle<V: ConsensusValue>(values: Vec<V>) {
+        assert_eq!(
+            value_histogram(values.clone()),
+            oracle_histogram(values.clone()),
+            "histogram of {values:?}"
+        );
+        assert_eq!(
+            smallest_most_frequent(values.clone()),
+            oracle_smallest_most_frequent(values.clone()),
+            "smallest most frequent of {values:?}"
+        );
+    }
+
+    proptest! {
+        /// Few distinct values over up to 100 receptions: ties, long
+        /// runs, and both sides of the inline/heap boundary at 64.
+        #[test]
+        fn tallies_equal_the_hash_map_oracle(
+            values in proptest::collection::vec(0u64..6, 0..100),
+            wide in proptest::collection::vec(any::<u64>(), 0..100),
+            len in 0usize..100,
+        ) {
+            assert_matches_oracle(values.clone());
+            assert_matches_oracle(wide); // all distinct, almost surely
+            assert_matches_oracle(vec![7u64; len]); // all equal, empty at 0
+            assert_matches_oracle(values.iter().map(|v| format!("v{v}")).collect::<Vec<String>>());
+        }
+    }
+
+    #[test]
+    fn tally_visits_runs_in_ascending_order_on_both_sides_of_the_inline_limit() {
+        for len in [0, 1, TALLY_INLINE - 1, TALLY_INLINE, TALLY_INLINE + 1, 200] {
+            let values: Vec<u64> = (0..len as u64).map(|i| (i * 7) % 5).collect();
+            let mut runs = Vec::new();
+            tally(&values, |v, count| runs.push((*v, count)));
+            assert_eq!(runs, oracle_histogram(values), "{len} values");
+        }
+    }
 
     #[test]
     fn smallest_most_frequent_prefers_frequency() {

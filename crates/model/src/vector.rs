@@ -46,6 +46,13 @@ impl<M> ReceptionVector<M> {
         self.slots.len()
     }
 
+    /// Forgets every reception, keeping the slots: the vector is as
+    /// [`ReceptionVector::new`] made it, without a fresh allocation — how
+    /// a round loop reuses one vector round after round.
+    pub fn clear(&mut self) {
+        self.slots.fill_with(|| None);
+    }
+
     /// Records that `sender`'s message was received.
     ///
     /// # Panics
@@ -177,6 +184,16 @@ mod tests {
         assert_eq!(rx.get(pid(0)), None);
         assert_eq!(rx.heard_count(), 2);
         assert_eq!(rx.support(), ProcessSet::from_indices(4, [1, 3]));
+    }
+
+    #[test]
+    fn clear_resets_to_new() {
+        let mut rx = ReceptionVector::new(3);
+        rx.set(pid(0), "a".to_string());
+        rx.set(pid(2), "b".to_string());
+        rx.clear();
+        assert_eq!(rx, ReceptionVector::new(3));
+        assert_eq!(rx.universe(), 3);
     }
 
     #[test]

@@ -12,8 +12,8 @@ use crate::error::SimError;
 use heardof_adversary::{Adversary, NoFaults};
 use heardof_engine::{OutcomeView, ProcessCore};
 use heardof_model::{
-    check_consensus, ConsensusVerdict, HoAlgorithm, MessageMatrix, ProcessId, Round, RoundDetail,
-    RoundRecord, RoundSets, RunTrace, TraceLevel,
+    check_consensus, ConsensusVerdict, HoAlgorithm, MessageMatrix, ProcessId, ReceptionVector,
+    Round, RoundDetail, RoundRecord, RoundSets, RunTrace, TraceLevel,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -226,6 +226,8 @@ impl<A: HoAlgorithm> Simulator<A> {
         let mut trace: RunTrace<A> = RunTrace::new(n, initial);
         let mut rounds_executed = 0;
         let mut decided_since = None;
+        // One reception vector for the whole run, refilled per process.
+        let mut rx = ReceptionVector::new(n);
 
         for r in 1..=max_rounds as u64 {
             let round = Round::new(r);
@@ -238,7 +240,7 @@ impl<A: HoAlgorithm> Simulator<A> {
             let sets = RoundSets::from_matrices(&intended, &delivered);
             // (3) Transition functions on reception vectors.
             for (p, core) in cores.iter_mut().enumerate() {
-                let rx = delivered.column(ProcessId::new(p as u32));
+                delivered.column_into(ProcessId::new(p as u32), &mut rx);
                 core.transition(round, &rx);
             }
             let decisions: Vec<Option<A::Value>> = cores.iter().map(|c| c.decision_now()).collect();
