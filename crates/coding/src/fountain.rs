@@ -333,8 +333,15 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
+/// `dst ^= src` over their common prefix, eight bytes per step.
 fn xor_into(dst: &mut [u8], src: &[u8]) {
-    for (d, s) in dst.iter_mut().zip(src) {
+    let len = dst.len().min(src.len());
+    let (dst_words, dst_tail) = dst[..len].as_chunks_mut::<8>();
+    let (src_words, src_tail) = src[..len].as_chunks::<8>();
+    for (d, s) in dst_words.iter_mut().zip(src_words) {
+        *d = (u64::from_ne_bytes(*d) ^ u64::from_ne_bytes(*s)).to_ne_bytes();
+    }
+    for (d, s) in dst_tail.iter_mut().zip(src_tail) {
         *d ^= s;
     }
 }

@@ -94,7 +94,7 @@ pub use batch::{
     MAX_SLOT_LEN,
 };
 pub use burst::{GilbertElliott, NoiseModel, NoisePhase, NoiseTrace};
-pub use checksum::{crc32, crc32_bytewise, Checksum, NoCode};
+pub use checksum::{crc32, Checksum, NoCode};
 pub use code::{ChannelCode, CodeError, CodeSpec, DecodeScan, FrameOutcome};
 pub use concat::Concatenated;
 pub use fountain::{LtCode, SymbolBudget};
