@@ -54,21 +54,22 @@ impl Wake for TaskWaker {
 /// assert_eq!(counter.load(Ordering::SeqCst), 3);
 /// ```
 #[derive(Default)]
-pub struct MiniExecutor {
-    tasks: Vec<Option<Pin<Box<dyn Future<Output = ()>>>>>,
+pub struct MiniExecutor<'a> {
+    tasks: Vec<Option<Pin<Box<dyn Future<Output = ()> + 'a>>>>,
     ready: Arc<ReadyQueue>,
 }
 
-impl MiniExecutor {
+impl<'a> MiniExecutor<'a> {
     /// An executor with no tasks.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Queues a future as a new task, runnable from the next
-    /// [`MiniExecutor::run`]. Tasks need not be `Send`: everything runs
-    /// on the calling thread.
-    pub fn spawn(&mut self, fut: impl Future<Output = ()> + 'static) {
+    /// [`MiniExecutor::run`]. Tasks need not be `Send` — everything runs
+    /// on the calling thread — nor `'static`: a task may borrow whatever
+    /// outlives the executor, which is how a run gets its engines back.
+    pub fn spawn(&mut self, fut: impl Future<Output = ()> + 'a) {
         let id = self.tasks.len();
         self.tasks.push(Some(Box::pin(fut)));
         self.ready.ids.lock().push_back(id);

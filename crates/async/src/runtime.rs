@@ -1,6 +1,7 @@
 //! The cooperative async deployment of HO algorithms.
 //!
-//! One task per process drives a [`RoundEngine`] over non-blocking
+//! One task per process drives a round engine — [`RoundEngine`] or
+//! [`MuxRoundEngine`], the task body is the same — over non-blocking
 //! in-memory sockets, with the same coded, tagged wire format and the
 //! same byte-corrupting [`FaultyLink`]s as the threaded runtime. The
 //! task contributes what every substrate must: byte transport and a
@@ -14,7 +15,7 @@
 //!
 //! 1. emits the engine's coded frames through its faulty links,
 //! 2. awaits the barrier (all peers have sent),
-//! 3. drains its socket into [`RoundEngine::ingest`],
+//! 3. drains its socket into [`RoundMachine::ingest_from`],
 //! 4. finishes the round (transition + renegotiation), posts any
 //!    decision,
 //! 5. awaits the barrier again (all peers transitioned), then — unless
@@ -29,17 +30,13 @@ use crate::executor::{MiniExecutor, RoundBarrier};
 use crate::socket::{socket, NbReceiver, NbSender};
 use heardof_coding::{AdaptiveConfig, CodeSpec, NoiseTrace};
 use heardof_engine::{
-    link_index, EngineReport, MuxReport, MuxRoundEngine, RoundEngine, SubstrateOutcome, WireMessage,
+    link_index, MuxReport, MuxRoundEngine, RoundEngine, RoundMachine, SubstrateOutcome, WireLayout,
+    WireMessage,
 };
 use heardof_model::HoAlgorithm;
 use heardof_net::{FaultyLink, LinkFaults, RunFabric};
 use heardof_telemetry::Telemetry;
-use parking_lot::Mutex;
-use std::sync::Arc;
-
-/// Shared per-process report slots, each filled as its mux task
-/// finishes.
-type MuxReportSlots<V> = Arc<Mutex<Vec<Option<MuxReport<V>>>>>;
+use std::cell::Cell;
 
 /// Configuration of an async run. The fields mirror
 /// `heardof_net::NetConfig` minus the round timeout — the barrier
@@ -127,54 +124,15 @@ where
     assert!(n > 0, "system must have at least one process");
     assert_eq!(initial.len(), n, "one initial value per process");
 
-    let fabric = RunFabric::new(
-        config.faults,
-        config.seed,
-        config.copies,
-        config.max_rounds,
-        config.code,
-        config.adaptive.clone(),
-        config.trace.clone(),
-        config.telemetry.clone(),
-    );
-    let board: Arc<Mutex<Vec<Option<A::Value>>>> = Arc::new(Mutex::new(vec![None; n]));
-    let reports: Arc<Mutex<Vec<Option<EngineReport>>>> =
-        Arc::new(Mutex::new((0..n).map(|_| None).collect()));
-    let barrier = RoundBarrier::new(n);
-
-    let mut txs: Vec<NbSender> = Vec::with_capacity(n);
-    let mut rxs: Vec<NbReceiver> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = socket();
-        txs.push(tx);
-        rxs.push(rx);
-    }
-
-    let mut exec = MiniExecutor::new();
-    for (p, (inbox, initial_value)) in rxs.into_iter().zip(initial).enumerate() {
-        let links = fabric.links_for(p, n, |q| Box::new(txs[q].clone()));
-        let engine = fabric.engine_for(algo.clone(), p, n, initial_value);
-        exec.spawn(process_task(
-            engine,
-            inbox,
-            links,
-            barrier.clone(),
-            Arc::clone(&board),
-            Arc::clone(&reports),
-            config.max_rounds,
-            config.lockstep,
-        ));
-    }
-    drop(txs);
-    exec.run();
-
-    let reports: Vec<EngineReport> = Arc::try_unwrap(reports)
-        .unwrap_or_else(|_| panic!("report slots still shared after run"))
-        .into_inner()
+    let fabric = fabric_for(&config);
+    let engines = initial
         .into_iter()
-        .map(|r| r.expect("every task files its report"))
+        .enumerate()
+        .map(|(p, value)| fabric.engine_for(algo.clone(), p, n, value))
         .collect();
-    let decisions = board.lock().clone();
+    let engines = drive(&config, &fabric, engines);
+    let decisions = engines.iter().map(|e| e.decision().cloned()).collect();
+    let reports = engines.into_iter().map(RoundEngine::into_report).collect();
     fabric.assemble(reports, decisions)
 }
 
@@ -182,8 +140,10 @@ where
 /// as `n` cooperative tasks: each task drives one
 /// [`MuxRoundEngine`] whose per-round sends pack every instance's frame
 /// into a single coded wire image per peer. Barrier alignment, links
-/// and lockstep semantics are identical to [`run_async`]; only the
-/// frame format differs. Returns one [`MuxReport`] per process.
+/// and lockstep semantics are those of [`run_async`] — it is the same
+/// task body; only the wire layout differs, and a process posts itself
+/// decided once *every* instance it runs has. Returns one [`MuxReport`]
+/// per process.
 ///
 /// # Panics
 ///
@@ -208,7 +168,20 @@ where
         "every process runs the same instance set"
     );
 
-    let fabric = RunFabric::new(
+    let fabric = fabric_for(&config);
+    let engines = initials
+        .into_iter()
+        .enumerate()
+        .map(|(p, values)| fabric.mux_engine_for(algo.clone(), p, n, values))
+        .collect();
+    drive(&config, &fabric, engines)
+        .into_iter()
+        .map(MuxRoundEngine::into_report)
+        .collect()
+}
+
+fn fabric_for(config: &AsyncConfig) -> RunFabric {
+    RunFabric::new(
         config.faults,
         config.seed,
         config.copies,
@@ -217,106 +190,61 @@ where
         config.adaptive.clone(),
         config.trace.clone(),
         config.telemetry.clone(),
-    );
-    let board: Arc<Mutex<Vec<bool>>> = Arc::new(Mutex::new(vec![false; n]));
-    let reports: MuxReportSlots<A::Value> = Arc::new(Mutex::new((0..n).map(|_| None).collect()));
+    )
+}
+
+/// Runs one task per engine over fresh sockets until every task has
+/// left its round loop; hands the engines back in process order.
+fn drive<A, L>(
+    config: &AsyncConfig,
+    fabric: &RunFabric,
+    mut engines: Vec<RoundMachine<A, L>>,
+) -> Vec<RoundMachine<A, L>>
+where
+    A: HoAlgorithm,
+    A::Msg: WireMessage,
+    L: WireLayout,
+{
+    let n = engines.len();
+    let (txs, rxs): (Vec<NbSender>, Vec<NbReceiver>) = (0..n).map(|_| socket()).unzip();
+    // The board: which processes have posted that everything they run
+    // has decided.
+    let board = vec![Cell::new(false); n];
     let barrier = RoundBarrier::new(n);
 
-    let mut txs: Vec<NbSender> = Vec::with_capacity(n);
-    let mut rxs: Vec<NbReceiver> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = socket();
-        txs.push(tx);
-        rxs.push(rx);
-    }
-
     let mut exec = MiniExecutor::new();
-    for (p, (inbox, instance_initials)) in rxs.into_iter().zip(initials).enumerate() {
+    for (p, (engine, inbox)) in engines.iter_mut().zip(rxs).enumerate() {
         let links = fabric.links_for(p, n, |q| Box::new(txs[q].clone()));
-        let engine = fabric.mux_engine_for(algo.clone(), p, n, instance_initials);
-        exec.spawn(mux_process_task(
-            engine,
-            inbox,
-            links,
-            barrier.clone(),
-            Arc::clone(&board),
-            Arc::clone(&reports),
-            config.max_rounds,
-            config.lockstep,
+        exec.spawn(process_task(
+            engine, p, inbox, links, &barrier, &board, config,
         ));
     }
     drop(txs);
     exec.run();
-
-    Arc::try_unwrap(reports)
-        .unwrap_or_else(|_| panic!("report slots still shared after run"))
-        .into_inner()
-        .into_iter()
-        .map(|r| r.expect("every task files its report"))
-        .collect()
+    // The finished tasks' borrows of the engines end with the executor.
+    drop(exec);
+    engines
 }
 
-#[allow(clippy::too_many_arguments)]
-async fn mux_process_task<A>(
-    mut engine: MuxRoundEngine<A>,
+async fn process_task<A, L>(
+    engine: &mut RoundMachine<A, L>,
+    pid: usize,
     inbox: NbReceiver,
     mut links: Vec<FaultyLink>,
-    barrier: RoundBarrier,
-    board: Arc<Mutex<Vec<bool>>>,
-    reports: MuxReportSlots<A::Value>,
-    max_rounds: u64,
-    lockstep: bool,
+    barrier: &RoundBarrier,
+    board: &[Cell<bool>],
+    config: &AsyncConfig,
 ) where
     A: HoAlgorithm,
     A::Msg: WireMessage,
+    L: WireLayout,
 {
-    let pid = engine.core(0).me().as_u32();
-    for r in 1..=max_rounds {
-        // Borrowed wire images; the one owned copy is made at the link.
-        engine.begin_round_with(|dest, copy, bytes| {
-            links[link_index(dest, pid)].send(r, copy, bytes.to_vec());
-        });
-
-        barrier.wait().await;
-
-        while let Some((_, bytes)) = inbox.try_recv() {
-            let _ = engine.ingest(&bytes);
-        }
-
-        engine.finish_round();
-        if engine.all_decided() {
-            board.lock()[pid as usize] = true;
-        }
-
-        barrier.wait().await;
-        if !lockstep && board.lock().iter().all(|d| *d) {
-            break;
-        }
-    }
-    reports.lock()[pid as usize] = Some(engine.into_report());
-}
-
-#[allow(clippy::too_many_arguments)]
-async fn process_task<A>(
-    mut engine: RoundEngine<A>,
-    inbox: NbReceiver,
-    mut links: Vec<FaultyLink>,
-    barrier: RoundBarrier,
-    board: Arc<Mutex<Vec<Option<A::Value>>>>,
-    reports: Arc<Mutex<Vec<Option<EngineReport>>>>,
-    max_rounds: u64,
-    lockstep: bool,
-) where
-    A: HoAlgorithm,
-    A::Msg: WireMessage,
-{
-    let pid = engine.core().me().as_u32();
-    for r in 1..=max_rounds {
+    for r in 1..=config.max_rounds {
         // --- Send phase: the engine emits, the links corrupt. The
         // engine hands out borrowed wire images; the one owned copy is
         // made here, at the link boundary. ---
         engine.begin_round_with(|dest, copy, bytes| {
-            links[link_index(dest, pid)].send(r, copy, bytes.to_vec());
+            links[link_index(dest, pid as u32)].send(r, copy, bytes.to_vec());
         });
 
         // All round-r sends are in the sockets before anyone reads:
@@ -332,19 +260,17 @@ async fn process_task<A>(
 
         // --- Transition + renegotiation. ---
         engine.finish_round();
-        if engine.decision_round() == Some(r) {
-            let decided = engine.decision().cloned().expect("decision just recorded");
-            board.lock()[pid as usize] = Some(decided);
+        if engine.all_decided() {
+            board[pid].set(true);
         }
 
         // All boards are written before anyone checks: every task sees
         // the same decision state and exits (or not) at the same round.
         barrier.wait().await;
-        if !lockstep && board.lock().iter().all(|d| d.is_some()) {
+        if !config.lockstep && board.iter().all(Cell::get) {
             break;
         }
     }
-    reports.lock()[pid as usize] = Some(engine.into_report());
 }
 
 #[cfg(test)]

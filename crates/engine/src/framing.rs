@@ -243,24 +243,17 @@ impl Framing {
     /// sender). Always `false` in fixed mode, so existing
     /// configurations ingest byte-identically.
     pub fn oblivious_enabled(&self) -> bool {
-        match &self.mode {
-            Mode::Fixed { .. } => false,
-            Mode::Adaptive { controller, .. } => {
-                controller.config().ladder.contains(&CodeSpec::Oblivious)
-            }
-        }
+        self.oblivious_rung().is_some()
     }
 
     /// The ladder index of the oblivious rung when the ladder carries
     /// one (by construction its last rung), else `None`. Count-channel
     /// adverts synthesized from arrival tallies name this rung.
     pub fn oblivious_rung(&self) -> Option<u8> {
-        if self.oblivious_enabled() {
-            let controller = self.controller().expect("oblivious implies adaptive");
-            Some((controller.config().ladder.len() - 1) as u8)
-        } else {
-            None
-        }
+        let ladder = &self.controller()?.config().ladder;
+        ladder
+            .contains(&CodeSpec::Oblivious)
+            .then(|| (ladder.len() - 1) as u8)
     }
 
     /// The negotiated symbol budget — `Some` exactly while the spec in

@@ -13,14 +13,18 @@
 //!   function, transition function, first-decision tracking). The
 //!   lockstep simulator drives this directly: its "wire" is an
 //!   abstract message matrix shaped by an adversary.
-//! * [`RoundEngine`] — the byte-level machine for real substrates:
-//!   wraps a [`ProcessCore`] with [`Framing`] (fixed code or adaptive
-//!   controller with per-round renegotiation), tagged-frame
+//! * [`RoundMachine`] — the byte-level machine for real substrates:
+//!   wraps `k ≥ 1` [`ProcessCore`]s with one [`Framing`] (fixed code or
+//!   adaptive controller with per-round renegotiation), tagged-frame
 //!   encode/decode, early-frame buffering and the per-round receiver
 //!   tally. All I/O is poll-style — *emit coded frames / ingest
 //!   received frames / advance round* — so a substrate contributes
 //!   nothing but byte transport and a notion of when a round is over
-//!   (a timeout for threads, a barrier for cooperative tasks).
+//!   (a timeout for threads, a barrier for cooperative tasks). It is
+//!   generic over what a wire image carries ([`WireLayout`]):
+//!   [`RoundEngine`] is the one-instance instantiation (the image is a
+//!   frame body), [`MuxRoundEngine`] packs `k` instances into one slot
+//!   image per peer per round.
 //!
 //! The wire [`codec`] (frame layout, [`WireMessage`]) lives here too,
 //! so substrates share it byte-for-byte; `heardof-net` re-exports it
@@ -64,7 +68,7 @@
 
 pub mod codec;
 mod framing;
-mod mux;
+pub mod layout;
 mod outcome;
 mod process;
 mod round;
@@ -74,7 +78,9 @@ pub use codec::{
     PAYLOAD_OFFSET,
 };
 pub use framing::{FrameScan, Framing, RawScanView};
-pub use mux::{MuxReport, MuxRoundEngine};
+pub use layout::{BareFrame, SlotImage, WireLayout};
 pub use outcome::{OutcomeView, SubstrateOutcome};
 pub use process::ProcessCore;
-pub use round::{link_index, EngineReport, Ingest, RoundEngine};
+pub use round::{
+    link_index, EngineReport, Ingest, MuxReport, MuxRoundEngine, RoundEngine, RoundMachine,
+};

@@ -117,25 +117,30 @@ impl RunFabric {
             .collect()
     }
 
-    /// The round engine of process `p`: adaptive framing over the
-    /// shared book when configured, the shared fixed code otherwise.
+    /// One process's framing: adaptive over the shared book when
+    /// configured, the shared fixed code otherwise.
+    fn framing(&self) -> Framing {
+        match (&self.adaptive, &self.book) {
+            (Some(cfg), Some(book)) => {
+                Framing::adaptive(Arc::clone(book), AdaptiveController::new(cfg.clone()))
+            }
+            _ => Framing::fixed_with(self.code_spec, Arc::clone(&self.code)),
+        }
+    }
+
+    /// The round engine of process `p`, framed per [`RunFabric::new`]'s
+    /// configuration.
     pub fn engine_for<A>(&self, algo: A, p: usize, n: usize, initial: A::Value) -> RoundEngine<A>
     where
         A: HoAlgorithm,
         A::Msg: WireMessage,
     {
-        let framing = match (&self.adaptive, &self.book) {
-            (Some(cfg), Some(book)) => {
-                Framing::adaptive(Arc::clone(book), AdaptiveController::new(cfg.clone()))
-            }
-            _ => Framing::fixed_with(self.code_spec, Arc::clone(&self.code)),
-        };
         RoundEngine::new(
             algo,
             ProcessId::new(p as u32),
             n,
             initial,
-            framing,
+            self.framing(),
             self.copies,
             self.max_rounds,
         )
@@ -144,8 +149,8 @@ impl RunFabric {
 
     /// The instance-multiplexed round engine of process `p`, running
     /// one instance per entry of `initials` behind one shared framing —
-    /// same wiring rules as [`RunFabric::engine_for`], different frame
-    /// format (packed slot images, see `heardof_engine::MuxRoundEngine`).
+    /// same wiring as [`RunFabric::engine_for`], different wire layout
+    /// (packed slot images, see `heardof_engine::MuxRoundEngine`).
     pub fn mux_engine_for<A>(
         &self,
         algo: A,
@@ -157,18 +162,12 @@ impl RunFabric {
         A: HoAlgorithm,
         A::Msg: WireMessage,
     {
-        let framing = match (&self.adaptive, &self.book) {
-            (Some(cfg), Some(book)) => {
-                Framing::adaptive(Arc::clone(book), AdaptiveController::new(cfg.clone()))
-            }
-            _ => Framing::fixed_with(self.code_spec, Arc::clone(&self.code)),
-        };
         MuxRoundEngine::new(
             algo,
             ProcessId::new(p as u32),
             n,
             initials,
-            framing,
+            self.framing(),
             self.copies,
             self.max_rounds,
         )

@@ -33,7 +33,8 @@ use crate::link::{FaultyLink, FrameSink, LinkFaults};
 use crossbeam::channel::{Receiver, Sender};
 use heardof_coding::{AdaptiveConfig, CodeSpec, NoiseTrace};
 use heardof_engine::{
-    link_index, MuxReport, MuxRoundEngine, RoundEngine, SubstrateOutcome, WireMessage,
+    link_index, MuxReport, MuxRoundEngine, RoundEngine, RoundMachine, SubstrateOutcome, WireLayout,
+    WireMessage,
 };
 use heardof_model::HoAlgorithm;
 use heardof_telemetry::Telemetry;
@@ -261,60 +262,6 @@ fn inboxes(n: usize) -> Inboxes {
     (0..n).map(|_| crossbeam::channel::unbounded()).unzip()
 }
 
-/// The slice of [`RoundEngine`] / [`MuxRoundEngine`] the process loop
-/// drives.
-trait DriveEngine: Send {
-    fn begin_round_with(&mut self, emit: impl FnMut(u32, u8, &[u8]));
-    fn ingest_from(&mut self, sender: u32, bytes: &[u8]);
-    fn round_complete(&self) -> bool;
-    fn finish_round(&mut self);
-    /// `true` once everything this process runs has decided — what it
-    /// announces, once, to the run.
-    fn all_decided(&self) -> bool;
-}
-
-impl<A: HoAlgorithm> DriveEngine for RoundEngine<A>
-where
-    A::Msg: WireMessage,
-{
-    fn begin_round_with(&mut self, emit: impl FnMut(u32, u8, &[u8])) {
-        RoundEngine::begin_round_with(self, emit);
-    }
-    fn ingest_from(&mut self, sender: u32, bytes: &[u8]) {
-        let _ = RoundEngine::ingest_from(self, sender, bytes);
-    }
-    fn round_complete(&self) -> bool {
-        RoundEngine::round_complete(self)
-    }
-    fn finish_round(&mut self) {
-        let _ = RoundEngine::finish_round(self);
-    }
-    fn all_decided(&self) -> bool {
-        self.decision().is_some()
-    }
-}
-
-impl<A: HoAlgorithm> DriveEngine for MuxRoundEngine<A>
-where
-    A::Msg: WireMessage,
-{
-    fn begin_round_with(&mut self, emit: impl FnMut(u32, u8, &[u8])) {
-        MuxRoundEngine::begin_round_with(self, emit);
-    }
-    fn ingest_from(&mut self, _sender: u32, bytes: &[u8]) {
-        let _ = self.ingest(bytes);
-    }
-    fn round_complete(&self) -> bool {
-        MuxRoundEngine::round_complete(self)
-    }
-    fn finish_round(&mut self) {
-        let _ = MuxRoundEngine::finish_round(self);
-    }
-    fn all_decided(&self) -> bool {
-        MuxRoundEngine::all_decided(self)
-    }
-}
-
 /// What the processes of one run share.
 struct Run {
     /// The board: how many processes have yet to announce that
@@ -327,12 +274,17 @@ struct Run {
 
 /// Runs one thread per engine over `inboxes` until every process has
 /// left its round loop; hands the engines back in process order.
-fn drive<E: DriveEngine>(
+fn drive<A, L>(
     config: &NetConfig,
     fabric: &RunFabric,
-    engines: Vec<E>,
+    engines: Vec<RoundMachine<A, L>>,
     (txs, rxs): Inboxes,
-) -> Vec<E> {
+) -> Vec<RoundMachine<A, L>>
+where
+    A: HoAlgorithm,
+    A::Msg: WireMessage,
+    L: WireLayout,
+{
     let n = engines.len();
     let run = &Run {
         undecided: AtomicUsize::new(n),
@@ -358,15 +310,20 @@ fn drive<E: DriveEngine>(
     })
 }
 
-fn process_main<E: DriveEngine>(
-    mut engine: E,
+fn process_main<A, L>(
+    mut engine: RoundMachine<A, L>,
     pid: u32,
     inbox: Receiver<Inbound>,
     mut links: Vec<FaultyLink>,
     peers: Vec<Sender<Inbound>>,
     run: &Run,
     config: &NetConfig,
-) -> E {
+) -> RoundMachine<A, L>
+where
+    A: HoAlgorithm,
+    A::Msg: WireMessage,
+    L: WireLayout,
+{
     // Round 1's clock starts once every process is up: a peer that has
     // not been spawned yet has lost nothing, so nobody times out on it.
     run.barrier.wait();
@@ -396,7 +353,9 @@ fn process_main<E: DriveEngine>(
             // thread that ran late — and times out on an empty inbox.
             let remaining = deadline.saturating_duration_since(Instant::now());
             match inbox.recv_timeout(remaining) {
-                Ok(Inbound::Frame(sender, bytes)) => engine.ingest_from(sender, &bytes),
+                Ok(Inbound::Frame(sender, bytes)) => {
+                    let _ = engine.ingest_from(sender, &bytes);
+                }
                 // Everyone has decided: close the round with what
                 // arrived — a legitimate heard-of set — and leave at the
                 // top of the loop. Timeout and disconnect close it too.
