@@ -57,7 +57,7 @@ mod socket;
 
 pub use executor::{BarrierWait, MiniExecutor, RoundBarrier};
 pub use runtime::{run_async, run_async_mux, AsyncConfig, AsyncOutcome};
-pub use socket::{socket, NbReceiver, NbSender, Recv};
+pub use socket::{socket, NbReceiver, NbSender};
 // The shared outcome surface, for callers that only import this crate.
 pub use heardof_engine::{OutcomeView, SubstrateOutcome};
 // The telemetry plane, so deployments can attach a recorder directly.

@@ -3,7 +3,10 @@
 //! One task per process drives a round engine — [`RoundEngine`] or
 //! [`MuxRoundEngine`], the task body is the same — over non-blocking
 //! in-memory sockets, with the same coded, tagged wire format and the
-//! same byte-corrupting [`FaultyLink`]s as the threaded runtime. The
+//! same byte-corrupting [`FaultyLink`]s as the threaded runtime. A
+//! frame's bytes are borrowed from the sender's engine through the link
+//! into the receiver's mailbox arena, and borrowed again from there
+//! into `ingest`: nothing is allocated per frame. The
 //! task contributes what every substrate must: byte transport and a
 //! round clock. Here the clock is a [`RoundBarrier`] instead of a
 //! wall-clock timeout — all of a round's sends complete before any
@@ -240,11 +243,11 @@ async fn process_task<A, L>(
     L: WireLayout,
 {
     for r in 1..=config.max_rounds {
-        // --- Send phase: the engine emits, the links corrupt. The
-        // engine hands out borrowed wire images; the one owned copy is
-        // made here, at the link boundary. ---
+        // --- Send phase: the engine emits, the links corrupt; an
+        // untouched wire image goes from the engine's arena straight
+        // into the receiver's mailbox. ---
         engine.begin_round_with(|dest, copy, bytes| {
-            links[link_index(dest, pid as u32)].send(r, copy, bytes.to_vec());
+            links[link_index(dest, pid as u32)].send_bytes(r, copy, bytes);
         });
 
         // All round-r sends are in the sockets before anyone reads:
@@ -254,9 +257,9 @@ async fn process_task<A, L>(
         // --- Collect phase: drain whatever the links delivered. The
         // sender id rides alongside the bytes so the content-oblivious
         // rung can count arrivals per link. ---
-        while let Some((sender, bytes)) = inbox.try_recv() {
-            let _ = engine.ingest_from(sender, &bytes);
-        }
+        inbox.drain(|sender, bytes| {
+            let _ = engine.ingest_from(sender, bytes);
+        });
 
         // --- Transition + renegotiation. ---
         engine.finish_round();

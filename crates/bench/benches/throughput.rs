@@ -1,7 +1,7 @@
 //! Criterion: the hot-path kernels of the zero-copy frame pipeline vs.
 //! their scalar / copying baselines.
 //!
-//! Five gated measurements share one committed artifact
+//! Six gated measurements share one committed artifact
 //! (`BENCH_throughput.json`, `heardof-bench-report/v1` schema, read by
 //! the CI regression gate):
 //!
@@ -25,9 +25,14 @@
 //!    `Fountain { repair: 8 }` image encoded into a warm arena and
 //!    decoded clean; claim: **≤ 8 allocations per round trip** (the
 //!    decoder's row table and its image are the two it makes).
+//! 6. **A whole run's allocation bill** — one clean two-round
+//!    `run_async` at n = 16 on CRC-32 (the repository benchmark's
+//!    `clean-single` shape): wiring is per run and frames cross
+//!    borrowed; claim: **≤ 1 000 allocations per run**.
 
 use bytes::BytesMut;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use heardof_async::{run_async, AsyncConfig};
 use heardof_bench::report::BenchReport;
 use heardof_coding::bitslice::{self, LANES};
 use heardof_coding::{
@@ -435,6 +440,28 @@ fn fountain_image_allocs() -> u64 {
     measured
 }
 
+/// Allocation events of one clean lockstep two-round `run_async` at
+/// n = 16 under the default CRC-32 code, after one unmetered run has
+/// built the process-wide tables; inputs are built outside the count.
+fn async_run_allocs_n16() -> u64 {
+    let n = 16;
+    let mut measured = 0;
+    for _ in 0..2 {
+        let algo: Ate<u64> = Ate::new(AteParams::balanced(n, 0).unwrap());
+        let initial: Vec<u64> = (0..n as u64).map(|i| i % 2).collect();
+        let config = AsyncConfig {
+            max_rounds: 2,
+            lockstep: true,
+            ..AsyncConfig::default()
+        };
+        let start = allocs();
+        let outcome = run_async(algo, n, initial, config);
+        measured = allocs() - start;
+        assert_eq!(outcome.rounds_completed, vec![2; n]);
+    }
+    measured
+}
+
 fn throughput(c: &mut Criterion) {
     let inputs = inputs();
     assert_eq!(
@@ -522,6 +549,7 @@ fn throughput(c: &mut Criterion) {
     let heavy = run_and_count(1, CodeSpec::Interleaved { depth: 16 }, 4, heavy_rounds);
     let heavy_per_round = heavy / heavy_rounds;
     let fountain_image_allocs = fountain_image_allocs();
+    let async_run_allocs_n16 = async_run_allocs_n16();
 
     let mut report = BenchReport::new(
         "throughput",
@@ -529,7 +557,8 @@ fn throughput(c: &mut Criterion) {
             "Hamming(8,4) SECDED round trip ({BATCHES} batches x {LANES} lanes), \
              depth-{PERMUTE_DEPTH} interleave permute ({PERMUTE_BYTES}-byte codewords), \
              {MUX_SLOTS}-slot self-checking mux image x{MUX_COPIES} copy fan-out ({MUX_ROUNDS} rounds), \
-             counted allocations over full engine rounds and one 64-slot fountain image round trip"
+             counted allocations over full engine rounds, one 64-slot fountain image round trip \
+             and one clean two-round n = 16 async run"
         ),
         samples,
     );
@@ -546,6 +575,7 @@ fn throughput(c: &mut Criterion) {
         .metric_count("frame_steady_allocs", frame_steady_allocs)
         .metric_count("heavy_rung_allocs_per_round", heavy_per_round)
         .metric_count("fountain_image_allocs", fountain_image_allocs)
+        .metric_count("async_run_allocs_n16", async_run_allocs_n16)
         .claim(
             "bitsliced >= 4x scalar on a 64-slot batch",
             hamming_speedup >= 4.0,
@@ -565,6 +595,10 @@ fn throughput(c: &mut Criterion) {
         .claim(
             "<= 8 allocations per fountain image round trip",
             fountain_image_allocs <= 8,
+        )
+        .claim(
+            "<= 1 000 allocations per clean two-round n = 16 run",
+            async_run_allocs_n16 <= 1_000,
         );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
     report.write(path);
@@ -578,7 +612,7 @@ fn throughput(c: &mut Criterion) {
         "mux assemble: copying {mux_copying:?}  arena {mux_arena:?}  speedup {mux_speedup:.2}x"
     );
     println!(
-        "steady allocs: frame-differential {frame_steady_allocs}  heavy rung {heavy_per_round}/round  fountain image {fountain_image_allocs}  -> {path}"
+        "steady allocs: frame-differential {frame_steady_allocs}  heavy rung {heavy_per_round}/round  fountain image {fountain_image_allocs}  async run n16 {async_run_allocs_n16}  -> {path}"
     );
 }
 

@@ -10,11 +10,15 @@
 //! the async runtimes stamp their processes out of this fabric, so the
 //! conformance matrix always compares identical wiring — and the next
 //! substrate cannot accidentally wire itself differently.
+//!
+//! What is per run is built per run: the fabric validates the fault
+//! model and assembles one [`LinkWiring`] block in [`RunFabric::new`],
+//! before any thread or task exists, and each of the `n·(n−1)` links
+//! it stamps out costs one reference to that block, an RNG seed and
+//! the substrate's sink.
 
-use crate::link::{FaultLog, FaultyLink, FrameSink, LinkFaults};
-use heardof_coding::{
-    AdaptiveConfig, AdaptiveController, ChannelCode, CodeBook, CodeSpec, NoiseTrace,
-};
+use crate::link::{FaultLog, FaultyLink, FrameSink, LinkFaults, LinkWiring};
+use heardof_coding::{AdaptiveConfig, AdaptiveController, CodeBook, CodeSpec, NoiseTrace};
 use heardof_engine::{
     EngineReport, Framing, MuxRoundEngine, RoundEngine, SubstrateOutcome, WireMessage,
 };
@@ -26,17 +30,14 @@ use std::sync::Arc;
 /// code, optional adaptive book and noise trace, shared fault log —
 /// built once and stamped out per process. See the module docs.
 pub struct RunFabric {
-    faults: LinkFaults,
     seed: u64,
     copies: u8,
     max_rounds: u64,
     code_spec: CodeSpec,
-    code: Arc<dyn ChannelCode>,
     adaptive: Option<AdaptiveConfig>,
-    book: Option<Arc<CodeBook>>,
-    trace: Option<NoiseTrace>,
-    fault_log: FaultLog,
-    telemetry: Telemetry,
+    /// The channel code, book, fault log and telemetry plane live here,
+    /// shared with every link.
+    wiring: Arc<LinkWiring>,
 }
 
 impl RunFabric {
@@ -44,6 +45,11 @@ impl RunFabric {
     /// the code book once (when adaptive), the fault log shared by all
     /// links, and one telemetry plane shared by every link and engine
     /// (pass [`Telemetry::null`] to record nothing at zero cost).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `copies == 0` or any field of `faults` lies outside
+    /// `[0, 1]`.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         faults: LinkFaults,
@@ -60,29 +66,31 @@ impl RunFabric {
             .as_ref()
             .map(|cfg| Arc::new(CodeBook::from_specs(&cfg.ladder)));
         RunFabric {
-            faults,
             seed,
             copies,
             max_rounds,
             code_spec: code,
-            code: code.build(),
             adaptive,
-            book,
-            trace,
-            fault_log: FaultLog::new(),
-            telemetry,
+            wiring: Arc::new(LinkWiring::new(
+                faults,
+                code.build(),
+                book,
+                trace,
+                FaultLog::new(),
+                telemetry,
+            )),
         }
     }
 
     /// The shared undetected-corruption log (ground truth for `SHO`).
     pub fn fault_log(&self) -> &FaultLog {
-        &self.fault_log
+        &self.wiring.log
     }
 
     /// The telemetry plane every link and engine of this fabric emits
     /// into.
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        &self.wiring.telemetry
     }
 
     /// The outgoing links of process `p` in an `n`-process system, in
@@ -94,37 +102,27 @@ impl RunFabric {
         n: usize,
         mut sink_for: impl FnMut(usize) -> Box<dyn FrameSink>,
     ) -> Vec<FaultyLink> {
-        (0..n)
-            .filter(|&q| q != p)
-            .map(|q| {
-                let mut link = FaultyLink::with_sink(
-                    p as u32,
-                    q as u32,
-                    sink_for(q),
-                    self.faults,
-                    self.seed,
-                    self.fault_log.clone(),
-                    Arc::clone(&self.code),
-                );
-                if let Some(book) = &self.book {
-                    link = link.tagged(Arc::clone(book));
-                }
-                if let Some(trace) = &self.trace {
-                    link = link.with_trace(trace.clone());
-                }
-                link.with_telemetry(self.telemetry.clone())
-            })
-            .collect()
+        let mut links = Vec::with_capacity(n.saturating_sub(1));
+        links.extend((0..n).filter(|&q| q != p).map(|q| {
+            FaultyLink::new(
+                p as u32,
+                q as u32,
+                sink_for(q),
+                self.seed,
+                Arc::clone(&self.wiring),
+            )
+        }));
+        links
     }
 
     /// One process's framing: adaptive over the shared book when
     /// configured, the shared fixed code otherwise.
     fn framing(&self) -> Framing {
-        match (&self.adaptive, &self.book) {
+        match (&self.adaptive, &self.wiring.book) {
             (Some(cfg), Some(book)) => {
                 Framing::adaptive(Arc::clone(book), AdaptiveController::new(cfg.clone()))
             }
-            _ => Framing::fixed_with(self.code_spec, Arc::clone(&self.code)),
+            _ => Framing::fixed_with(self.code_spec, Arc::clone(&self.wiring.code)),
         }
     }
 
@@ -144,7 +142,7 @@ impl RunFabric {
             self.copies,
             self.max_rounds,
         )
-        .with_telemetry(self.telemetry.clone())
+        .with_telemetry(self.wiring.telemetry.clone())
     }
 
     /// The instance-multiplexed round engine of process `p`, running
@@ -171,18 +169,93 @@ impl RunFabric {
             self.copies,
             self.max_rounds,
         )
-        .with_telemetry(self.telemetry.clone())
+        .with_telemetry(self.wiring.telemetry.clone())
     }
 
     /// Joins the engines' reports with the fabric's fault log into the
-    /// substrate-standard outcome.
+    /// substrate-standard outcome. The log is locked once for the whole
+    /// join, and an empty one — every clean run — answers each kept
+    /// frame without hashing its key.
     pub fn assemble<V>(
         &self,
         reports: Vec<EngineReport>,
         decisions: Vec<Option<V>>,
     ) -> SubstrateOutcome<V> {
-        SubstrateOutcome::assemble(reports, decisions, self.fault_log.len(), |r, s, p, c| {
-            self.fault_log.was_corrupted(&(r, s, p, c))
+        let corrupted = self.wiring.log.keys();
+        SubstrateOutcome::assemble(reports, decisions, corrupted.len(), |r, s, p, c| {
+            !corrupted.is_empty() && corrupted.contains(&(r, s, p, c))
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use heardof_core::{Ate, AteParams};
+    use heardof_engine::link_index;
+    use heardof_predicates::{CommPredicate, PBenign};
+
+    fn fabric(faults: LinkFaults) -> RunFabric {
+        let telemetry = Telemetry::null();
+        RunFabric::new(faults, 11, 2, 12, CodeSpec::DEFAULT, None, None, telemetry)
+    }
+
+    #[test]
+    #[should_panic(expected = "probability")]
+    fn a_bad_probability_fails_before_any_link_exists() {
+        let _ = fabric(LinkFaults {
+            corrupt_prob: -0.1,
+            ..LinkFaults::NONE
+        });
+    }
+
+    /// Every corruption is adversarial here, so the log fills up; the
+    /// join that locks it once must reconstruct exactly what per-key
+    /// lookups do.
+    #[test]
+    fn the_one_lock_join_equals_per_key_lookups_under_a_populated_log() {
+        let n = 6;
+        let fabric = fabric(LinkFaults {
+            drop_prob: 0.1,
+            corrupt_prob: 0.4,
+            undetected_prob: 1.0,
+        });
+        let algo: Ate<u64> = Ate::new(AteParams::balanced(n, 1).unwrap());
+        let mut engines: Vec<_> = (0..n)
+            .map(|p| fabric.engine_for(algo.clone(), p, n, p as u64 % 2))
+            .collect();
+        let (txs, inboxes): (Vec<_>, Vec<_>) =
+            (0..n).map(|_| crossbeam::channel::unbounded()).unzip();
+        let mut links: Vec<_> = (0..n)
+            .map(|p| fabric.links_for(p, n, |q| Box::new(txs[q].clone())))
+            .collect();
+        for r in 1..=12 {
+            for (p, engine) in engines.iter_mut().enumerate() {
+                engine.begin_round_with(|dest, copy, bytes| {
+                    links[p][link_index(dest, p as u32)].send_bytes(r, copy, bytes);
+                });
+            }
+            for (engine, inbox) in engines.iter_mut().zip(&inboxes) {
+                while let Ok((sender, bytes)) = inbox.try_recv() {
+                    let _ = engine.ingest_from(sender, &bytes);
+                }
+                engine.finish_round();
+            }
+        }
+        let decisions: Vec<_> = engines.iter().map(|e| e.decision().copied()).collect();
+        let reports: Vec<_> = engines.into_iter().map(RoundEngine::into_report).collect();
+
+        let log = fabric.fault_log();
+        assert!(log.len() > 10, "the log must be populated: {}", log.len());
+        let joined = fabric.assemble(reports.clone(), decisions.clone());
+        let looked_up = SubstrateOutcome::assemble(reports, decisions, log.len(), |r, s, p, c| {
+            log.was_corrupted(&(r, s, p, c))
+        });
+        assert_eq!(joined.history, looked_up.history, "every HO and SHO set");
+        assert_eq!(joined.undetected_corruptions, log.len());
+        assert!(
+            !PBenign.holds(&joined.history),
+            "the logged faults show up as SHO ⊊ HO"
+        );
     }
 }

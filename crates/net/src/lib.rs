@@ -19,7 +19,7 @@
 //! usual predicate checkers apply.
 //!
 //! * [`crc32`], [`WireMessage`], [`Frame`], [`CodeSpec`] — the wire format,
-//! * [`LinkFaults`], [`FaultyLink`], [`FaultLog`] — the fault model,
+//! * [`LinkFaults`], [`FaultyLink`], [`LinkWiring`], [`FaultLog`] — the fault model,
 //! * [`run_threaded`], [`NetConfig`], [`NetOutcome`] — the runtime,
 //! * [`recommend_alpha`] — predicate-coverage engineering (§5.2 / \[10\]).
 //!
@@ -75,5 +75,5 @@ pub use heardof_telemetry::{
     AlphaLedger, Event, EventKind, NullRecorder, Recorder, RingRecorder, RoundReport, RunRecording,
     Telemetry,
 };
-pub use link::{FaultKey, FaultLog, FaultyLink, FrameSink, LinkEvent, LinkFaults};
+pub use link::{FaultKey, FaultLog, FaultyLink, FrameSink, LinkEvent, LinkFaults, LinkWiring};
 pub use runtime::{run_threaded, run_threaded_mux, NetConfig, NetOutcome};

@@ -334,11 +334,12 @@ where
             break;
         }
 
-        // --- Send phase: the engine emits, the links corrupt. The
-        // engine hands out borrowed wire images; the one owned copy is
-        // made here, at the link boundary. ---
+        // --- Send phase: the engine emits, the links corrupt. A wire
+        // image stays borrowed from the engine's arena through the
+        // link; the inbox sink makes the one owned copy a channel of
+        // `Vec`s needs (`FrameSink::deliver_bytes`' default). ---
         engine.begin_round_with(|dest, copy, bytes| {
-            links[link_index(dest, pid)].send(r, copy, bytes.to_vec());
+            links[link_index(dest, pid)].send_bytes(r, copy, bytes);
         });
 
         // --- Collect phase: ingest until the round is complete, the

@@ -17,8 +17,9 @@
 //!    within a round: counters are commutative and the flight recorder
 //!    canonicalizes event order at snapshot time.
 //! 2. **Zero cost when off.** The hot path behind [`Telemetry::emit`]
-//!    is a single branch on a cached `bool`; the [`NullRecorder`] never
-//!    allocates and never takes a lock.
+//!    is a single branch; a disabled handle holds no recorder at all, so
+//!    building, cloning and emitting through [`Telemetry::null`] never
+//!    allocate and never take a lock.
 //! 3. **Bounded when on.** The [`RingRecorder`] keeps a bounded event
 //!    ring (a flight recorder, not an unbounded log) plus fixed-size
 //!    counters and fixed-bucket histograms.

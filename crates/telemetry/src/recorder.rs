@@ -166,13 +166,16 @@ impl Recorder for RingRecorder {
 }
 
 /// The cloneable handle the rest of the workspace threads around: an
-/// `Arc` to a [`Recorder`] plus a cached enabled flag so the disabled
-/// hot path is one predictable branch.
+/// `Arc` to a live [`Recorder`], or nothing at all when telemetry is
+/// off — so the disabled hot path is one predictable branch, and
+/// building or cloning a disabled handle touches neither the heap nor
+/// a reference count.
 #[derive(Clone, Debug)]
 pub struct Telemetry {
-    recorder: Arc<dyn Recorder>,
+    /// `None` when off; a recorder that reports itself disabled is
+    /// never stored.
+    recorder: Option<Arc<dyn Recorder>>,
     ring: Option<Arc<RingRecorder>>,
-    enabled: bool,
 }
 
 impl Default for Telemetry {
@@ -185,9 +188,8 @@ impl Telemetry {
     /// Telemetry off: emits vanish at a single branch.
     pub fn null() -> Self {
         Telemetry {
-            recorder: Arc::new(NullRecorder),
+            recorder: None,
             ring: None,
-            enabled: false,
         }
     }
 
@@ -204,20 +206,18 @@ impl Telemetry {
     /// Wraps an existing [`RingRecorder`] (shared with the caller).
     pub fn from_ring(ring: Arc<RingRecorder>) -> Self {
         Telemetry {
-            recorder: ring.clone() as Arc<dyn Recorder>,
+            recorder: Some(ring.clone() as Arc<dyn Recorder>),
             ring: Some(ring),
-            enabled: true,
         }
     }
 
     /// Wraps a custom recorder. Snapshots are unavailable through the
-    /// handle (only [`RingRecorder`]s can snapshot); emits still flow.
+    /// handle (only [`RingRecorder`]s can snapshot); emits still flow
+    /// unless the recorder reports itself disabled.
     pub fn from_recorder(recorder: Arc<dyn Recorder>) -> Self {
-        let enabled = recorder.enabled();
         Telemetry {
-            recorder,
+            recorder: recorder.enabled().then_some(recorder),
             ring: None,
-            enabled,
         }
     }
 
@@ -225,14 +225,14 @@ impl Telemetry {
     /// skip event-construction work entirely.
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.enabled
+        self.recorder.is_some()
     }
 
     /// The hot path: one branch, then (when enabled) one virtual call.
     #[inline]
     pub fn emit(&self, event: Event) {
-        if self.enabled {
-            self.recorder.record(event);
+        if let Some(recorder) = &self.recorder {
+            recorder.record(event);
         }
     }
 

@@ -1,5 +1,6 @@
-//! The off switch must be genuinely free: emitting through
-//! [`Telemetry::null`] may not allocate, and may not record anything.
+//! The off switch must be genuinely free: building, cloning and
+//! emitting through [`Telemetry::null`] may not allocate, and may not
+//! record anything.
 //!
 //! The allocation check uses a counting global allocator — crude but
 //! airtight: if the null path ever grows a heap allocation (boxing an
@@ -57,6 +58,24 @@ fn null_emit_path_performs_zero_allocations() {
         after - before,
         0,
         "the disabled telemetry path must not touch the heap"
+    );
+}
+
+/// A run hands a clone of its plane to every link and engine it builds;
+/// with telemetry off that wiring must cost no heap traffic at all.
+#[test]
+fn building_and_cloning_the_null_handle_performs_zero_allocations() {
+    let before = allocations();
+    for _ in 0..1_000 {
+        let telemetry = Telemetry::null();
+        let clone = std::hint::black_box(&telemetry).clone();
+        assert!(!std::hint::black_box(clone).enabled());
+        std::hint::black_box(Telemetry::default());
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "a disabled handle holds no recorder to allocate or count"
     );
 }
 
