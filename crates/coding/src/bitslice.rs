@@ -15,16 +15,17 @@
 //!
 //! Three consumers drive this module:
 //!
-//! * [`crate::Hamming74`] runs full 64-block chunks through
-//!   [`encode64`] / [`decode64`] and the scalar path over the
-//!   remainder; the two are byte-identical (differential tests pin
-//!   this), so which one ran is never observable on the wire.
+//! * [`crate::Hamming74`] runs every block through [`encode64`] /
+//!   [`decode64`], the last batch of a payload zero-padded — a frame
+//!   shorter than one batch takes the same path as a long image.
 //!   [`encode_scalar`] and [`decode_scalar`] expose the
 //!   nibble-at-a-time path as the oracle for differential tests and
-//!   the throughput benchmark.
-//! * [`crate::Interleaved`] uses [`transpose_bits`] — a tiled 8×8
-//!   bit-matrix transpose — to apply its stripe permutation a byte at
-//!   a time instead of a bit at a time.
+//!   the throughput benchmark; nothing in production calls it.
+//! * [`crate::Interleaved`] uses [`transpose_bits`] to apply its stripe
+//!   permutation. A matrix with a byte-aligned side (every interleaved
+//!   SECDED codeword) moves words on its ragged side and goes through
+//!   [`transpose64`] / [`untranspose64`]; any other shape is tiled 8×8
+//!   a bit-row at a time.
 //! * [`crate::Repetition`] votes word-wide on its own (plain `u64`
 //!   majority logic needs no transpose), but shares the differential
 //!   discipline: scalar oracles stay public and un-inlined.
@@ -109,12 +110,106 @@ fn write_bits8(dst: &mut [u8], bitpos: usize, val: u8) {
     }
 }
 
+/// Reads the 64 bits of `src` starting at bit `bitpos` (LSB-first,
+/// bits past the end of `src` read as zero); the low 57 are valid
+/// whatever the alignment of `bitpos`.
+#[inline]
+fn load_bits64(src: &[u8], bitpos: usize) -> u64 {
+    let tail = &src[bitpos / 8..];
+    let mut bytes = [0u8; 8];
+    match tail.first_chunk() {
+        Some(whole) => bytes = *whole,
+        None => bytes[..tail.len()].copy_from_slice(tail),
+    }
+    u64::from_le_bytes(bytes) >> (bitpos % 8)
+}
+
+/// ORs `bits` into `dst` starting at bit `bitpos`; whatever falls past
+/// the end of `dst` is dropped. Every access is eight bytes on an
+/// eight-byte grid from the start of `dst`, so two of them coincide or
+/// are disjoint and a load never straddles a store still in flight.
+#[inline]
+fn or_bits64(dst: &mut [u8], bitpos: usize, bits: u64) {
+    let (at, shift) = (bitpos / 64 * 8, bitpos % 64);
+    let spill = if shift == 0 { 0 } else { bits >> (64 - shift) };
+    for (at, part) in [(at, bits << shift), (at + 8, spill)] {
+        let Some(tail) = dst.get_mut(at..) else {
+            continue;
+        };
+        match tail.first_chunk_mut() {
+            Some(word) => *word = (u64::from_le_bytes(*word) | part).to_le_bytes(),
+            None => {
+                for (byte, add) in tail.iter_mut().zip(part.to_le_bytes()) {
+                    *byte |= add;
+                }
+            }
+        }
+    }
+}
+
+/// Columns one [`load_bits64`] word carries at any alignment, rounded
+/// down to whole bytes.
+const WORD_SPAN: usize = 56;
+
+/// [`transpose_bits`] when `rows` is a multiple of 8, so every
+/// destination column is whole bytes. Eight unaligned source rows are
+/// loaded once per 56 columns, a word each — which makes them the bit
+/// planes of the bytes those columns hold for that row group — and
+/// [`untranspose64`] turns them into bytes, stored whole: nothing is
+/// read or written a bit-row at a time.
+fn transpose_onto_bytes(src: &[u8], dst: &mut [u8], rows: usize, cols: usize) {
+    let col_bytes = rows / 8;
+    for group in 0..col_bytes {
+        for c0 in (0..cols).step_by(WORD_SPAN) {
+            let mut planes = [0u64; 8];
+            for (r, plane) in planes.iter_mut().enumerate() {
+                *plane = load_bits64(src, (8 * group + r) * cols + c0);
+            }
+            // Bits a word holds past its row's end belong to the next
+            // row; they fall in columns ≥ `cols`, which `dst` has no
+            // bytes for and the zip never reaches.
+            let columns = dst[c0 * col_bytes..].chunks_exact_mut(col_bytes);
+            for (column, byte) in columns.take(WORD_SPAN).zip(untranspose64(&planes)) {
+                column[group] = byte;
+            }
+        }
+    }
+}
+
+/// [`transpose_bits`] when `cols` is a multiple of 8, so every source
+/// row is whole bytes — the mirror image of [`transpose_onto_bytes`]:
+/// one byte from each of 64 source rows goes through [`transpose64`],
+/// and each of the eight planes that come back is 64 rows of one
+/// unaligned destination column, written as one word.
+fn transpose_from_bytes(src: &[u8], dst: &mut [u8], rows: usize, cols: usize) {
+    let row_bytes = cols / 8;
+    dst.fill(0);
+    for group in 0..row_bytes {
+        for r0 in (0..rows).step_by(LANES) {
+            let mut blocks = [0u8; LANES];
+            let source_rows = src[r0 * row_bytes..].chunks_exact(row_bytes);
+            for (block, row) in blocks.iter_mut().zip(source_rows) {
+                *block = row[group];
+            }
+            for (c, plane) in transpose64(&blocks).into_iter().enumerate() {
+                or_bits64(dst, (8 * group + c) * rows + r0, plane);
+            }
+        }
+    }
+}
+
 /// Transposes an `rows × cols` bit matrix: destination bit
-/// `c*rows + r` = source bit `r*cols + c`, both LSB-first. The
-/// destination is zeroed first. Runs as 8×8 bit tiles through
-/// [`transpose8x8`] — one word op per 64 bits instead of one
-/// shift-and-mask per bit — which is the engine behind the fast
-/// interleave path ([`crate::interleave_bits`]).
+/// `c*rows + r` = source bit `r*cols + c`, both LSB-first — the engine
+/// behind the fast interleave path ([`crate::interleave_bits`]), one
+/// [`transpose8x8`] per 64 bits instead of one shift-and-mask per bit.
+///
+/// Which path a shape takes is decided by its dimensions alone. A
+/// matrix with a side that is a whole number of bytes and the other at
+/// least a tile long — every interleaved SECDED codeword at depth 8 and
+/// up: depth 16 is two bytes per wire column — moves whole words on its
+/// ragged side and whole bytes on its aligned one, through
+/// [`untranspose64`] or [`transpose64`]. Any other shape gathers and
+/// scatters each tile a bit-row at a time.
 ///
 /// # Panics
 ///
@@ -124,6 +219,17 @@ pub fn transpose_bits(src: &[u8], dst: &mut [u8], rows: usize, cols: usize) {
     let nbytes = usize::div_ceil(rows * cols, 8);
     assert_eq!(src.len(), nbytes, "source holds rows*cols bits");
     assert_eq!(dst.len(), nbytes, "destination holds rows*cols bits");
+    // A word path pays when the side it walks in words is at least a
+    // tile long; with both sides aligned, the shorter one makes the
+    // fewer groups.
+    let by_rows = rows.is_multiple_of(8) && cols >= 8;
+    let by_cols = cols.is_multiple_of(8) && rows >= 8;
+    if by_rows && (!by_cols || rows <= cols) {
+        return transpose_onto_bytes(src, dst, rows, cols);
+    }
+    if by_cols {
+        return transpose_from_bytes(src, dst, rows, cols);
+    }
     dst.fill(0);
     for r0 in (0..rows).step_by(8) {
         let rtile = (rows - r0).min(8);
@@ -660,7 +766,9 @@ mod tests {
     fn tiled_transpose_matches_per_bit_definition() {
         // transpose_bits against its own spec — dst bit c*rows+r =
         // src bit r*cols+c — over shapes that exercise full tiles,
-        // ragged columns, ragged rows, and both at once.
+        // ragged columns, ragged rows, and both at once; a byte-aligned
+        // side on either end (the word-load paths), under and over one
+        // 56-bit word span; and neither side aligned.
         let get = |data: &[u8], idx: usize| (data[idx / 8] >> (idx % 8)) & 1;
         let mut state = 0xD1CEu64;
         for (rows, cols) in [
@@ -673,6 +781,17 @@ mod tests {
             (3, 64),
             (16, 1),
             (1, 16),
+            (16, 29),
+            (29, 16),
+            (16, 130),
+            (130, 16),
+            (8, 113),
+            (113, 8),
+            (64, 57),
+            (57, 64),
+            (2, 116),
+            (116, 2),
+            (61, 59),
         ] {
             let nbytes = usize::div_ceil(rows * cols, 8);
             let mut src = vec![0u8; nbytes];

@@ -21,7 +21,7 @@
 use crate::noise::{BitNoise, Chance};
 use crate::script::FaultScript;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use std::sync::{Arc, Mutex as StdMutex};
 
 /// A noise process applied to wire bytes. Implemented by the memoryless
@@ -130,18 +130,50 @@ impl GilbertElliott {
     /// Applies the channel to `data`, returning how many bits flipped.
     /// The state chain persists across calls; use [`GilbertElliott::reset`]
     /// to re-draw the starting state per frame.
+    ///
+    /// A bit draws one word per live probability its state consults, so
+    /// when all four are live ([`GilbertElliott::bursty`]) every bit
+    /// draws exactly two whatever the state, and a byte's sixteen words
+    /// are drawn ahead of the chain: the generator runs at its own pace,
+    /// and a byte that starts good and in which no entry and no
+    /// good-state flip hits — most of them — is done after one pass of
+    /// compares. Any other byte resolves its transitions and flips from
+    /// the buffered words; any other parameterisation draws bit by bit.
+    /// Same words in the same order either way: the pattern, the final
+    /// state and the generator's position do not depend on which loop
+    /// ran.
     pub fn apply(&mut self, data: &mut [u8], rng: &mut StdRng) -> usize {
-        let enter = Chance::new(self.p_enter_burst);
-        let exit = Chance::new(self.p_exit_burst);
-        let good = Chance::new(self.ber_good);
-        let bad = Chance::new(self.ber_bad);
+        let [enter, exit, good, bad] = [
+            self.p_enter_burst,
+            self.p_exit_burst,
+            self.ber_good,
+            self.ber_bad,
+        ]
+        .map(Chance::new);
+        let draws_ahead = [enter, exit, good, bad]
+            .iter()
+            .all(|chance| chance.is_live());
         let mut in_burst = self.in_burst;
         let mut flipped = 0;
         for byte in data.iter_mut() {
             let mut flips = 0u8;
-            for bit in 0..8 {
-                in_burst ^= if in_burst { exit } else { enter }.draw(rng);
-                flips |= u8::from(if in_burst { bad } else { good }.draw(rng)) << bit;
+            if draws_ahead {
+                let words: [u64; 16] = std::array::from_fn(|_| rng.next_u64());
+                // (transition word, flip word) per bit.
+                let draws = words.chunks_exact(2);
+                let calm = |calm, draw: &[u64]| calm & !enter.hits(draw[0]) & !good.hits(draw[1]);
+                if !in_burst && draws.clone().fold(true, calm) {
+                    continue;
+                }
+                for (bit, draw) in draws.enumerate() {
+                    in_burst ^= if in_burst { exit } else { enter }.hits(draw[0]);
+                    flips |= u8::from(if in_burst { bad } else { good }.hits(draw[1])) << bit;
+                }
+            } else {
+                for bit in 0..8 {
+                    in_burst ^= if in_burst { exit } else { enter }.draw(rng);
+                    flips |= u8::from(if in_burst { bad } else { good }.draw(rng)) << bit;
+                }
             }
             *byte ^= flips;
             flipped += flips.count_ones() as usize;
@@ -575,6 +607,36 @@ mod tests {
         ]
     }
 
+    /// The chain under every zero / non-zero combination of its four
+    /// probabilities — which decides how many words a bit draws, and so
+    /// whether `apply` may draw ahead of the chain — from both starting
+    /// states, at every length up to 300 bytes: pattern, flip count,
+    /// final state and the RNG's next word equal the parent's.
+    #[test]
+    fn every_liveness_combination_equals_the_parent_chain() {
+        let live = [0.006, 0.15, 1e-5, 0.5];
+        for mask in 0..16u32 {
+            let p = |i: usize| if mask & (1 << i) != 0 { live[i] } else { 0.0 };
+            for start_in_burst in [false, true] {
+                for len in 0..=300usize {
+                    let mut ge = GilbertElliott::new(p(0), p(1), p(2), p(3));
+                    ge.reset(start_in_burst);
+                    let seed =
+                        u64::from(mask) << 32 | (len as u64) << 1 | u64::from(start_in_burst);
+                    let (mut want_ge, mut want_rng) = (ge, StdRng::seed_from_u64(seed));
+                    let mut got_rng = want_rng.clone();
+                    let (mut want, mut got) = (vec![0x5Au8; len], vec![0x5Au8; len]);
+                    let want_flips = parent::apply(&mut want_ge, &mut want, &mut want_rng);
+                    let what = format!("mask {mask:04b}, burst {start_in_burst}, len {len}");
+                    assert_eq!(ge.apply(&mut got, &mut got_rng), want_flips, "{what}");
+                    assert_eq!(got, want, "{what}");
+                    assert_eq!(ge.in_burst(), want_ge.in_burst(), "{what}");
+                    assert_eq!(got_rng.next_u64(), want_rng.next_u64(), "{what}");
+                }
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 512 })]
 
@@ -586,7 +648,7 @@ mod tests {
             ber_bad in probability(),
             start_in_burst in any::<bool>(),
             seed in any::<u64>(),
-            data in proptest::collection::vec(any::<u8>(), 0..80),
+            data in proptest::collection::vec(any::<u8>(), 0..=300),
         ) {
             let mut ge = GilbertElliott::new(p_enter, p_exit, ber_good, ber_bad);
             ge.reset(start_in_burst);
@@ -657,6 +719,47 @@ mod tests {
         assert_eq!(run(31, 0, 1), run(31, 0, 1), "same coordinates replay");
         assert_ne!(run(31, 0, 1), run(31, 0, 2), "receivers get distinct noise");
         assert_ne!(run(31, 0, 1), run(32, 0, 1), "rounds get distinct noise");
+    }
+
+    /// One number over the flip stream the repository benchmark's
+    /// `bursty-adaptive` links see — its 6-bursty / 4-clean phases, over
+    /// a grid of seeds, rounds, links, copies and the wire lengths its
+    /// rungs produce. Computed on the trace as it stood before `apply`
+    /// drew ahead of the chain; if it moves, every noisy conformance
+    /// seed and that workload's counts are about to.
+    #[test]
+    fn corrupt_frame_digest_is_pinned() {
+        let mut digest = 0xCBF2_9CE4_8422_2325u64;
+        let mut fold = |byte: u8| digest = (digest ^ u64::from(byte)).wrapping_mul(0x100_0000_01B3);
+        for seed in 1..=4u64 {
+            let trace = NoiseTrace::new(
+                seed,
+                vec![
+                    NoisePhase {
+                        rounds: 6,
+                        channel: GilbertElliott::bursty(),
+                    },
+                    NoisePhase {
+                        rounds: 4,
+                        channel: GilbertElliott::clean(),
+                    },
+                ],
+            );
+            for round in 1..=12u64 {
+                for (sender, receiver) in (0..8u32).flat_map(|s| (0..8u32).map(move |r| (s, r))) {
+                    for copy in 0..=1u8 {
+                        for len in [35usize, 60, 116, 147] {
+                            let mut frame = vec![0u8; len];
+                            let flips =
+                                trace.corrupt_frame(round, sender, receiver, copy, &mut frame);
+                            (flips as u32).to_le_bytes().into_iter().for_each(&mut fold);
+                            frame.into_iter().for_each(&mut fold);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(digest, 0x2E48_F240_0F4F_38C0, "the flip stream moved");
     }
 
     #[test]

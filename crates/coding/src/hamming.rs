@@ -25,10 +25,18 @@
 //! (plane `b`, bit `i` = bit `b` of block `i`) and the whole
 //! encode/decode — parities, syndromes, corrections — runs as a handful
 //! of word-wide XORs across all 64 blocks at once (see [`bitslice`]).
-//! [`Hamming74`] drives full 64-block chunks through the bitsliced
-//! kernels and the scalar path over the remainder; the scalar functions
-//! stay public as the differential-test oracle
-//! ([`bitslice::encode_scalar`], [`bitslice::decode_scalar`]).
+//! [`Hamming74`] drives **every** block through those kernels, 64 to a
+//! batch: the last batch of a payload is padded with zero lanes and
+//! truncated to the lanes that carry payload, so a 29-byte frame body
+//! (58 blocks — under one batch) is coded by the same word-wide pass as
+//! a kilobyte image. Zero is a safe pad on both sides: nibble 0 encodes
+//! to block `0x00`, and block `0x00` has syndrome 0 and even parity, so
+//! a padding lane can raise neither the repaired nor the detected mask
+//! and the repair count a rejected frame reports is its own. The
+//! block-at-a-time functions below have no production caller; they are
+//! what the differential tests and the throughput benchmark compare the
+//! kernels against ([`bitslice::encode_scalar`],
+//! [`bitslice::decode_scalar`]).
 
 use crate::bitslice;
 use crate::code::{ChannelCode, CodeError, DecodeScan};
@@ -109,64 +117,47 @@ impl ChannelCode for Hamming74 {
 
     fn encode_into(&self, payload: &[u8], _budget: Option<SymbolBudget>, out: &mut BytesMut) {
         out.reserve(self.encoded_len(payload.len()));
-        // Full 32-byte payload chunks (64 nibbles) go through the
-        // bitsliced kernel; the tail falls back to the scalar path.
-        // Both produce identical bytes.
-        let mut chunks = payload.chunks_exact(bitslice::LANES / 2);
-        for chunk in &mut chunks {
+        // 32 payload bytes fill one 64-lane batch; a shorter last chunk
+        // leaves its upper lanes at nibble 0 and keeps the blocks that
+        // carry payload.
+        for chunk in payload.chunks(bitslice::LANES / 2) {
             let mut nibbles = [0u8; bitslice::LANES];
-            for (i, &byte) in chunk.iter().enumerate() {
-                nibbles[2 * i] = byte & 0x0F;
-                nibbles[2 * i + 1] = byte >> 4;
+            for (pair, &byte) in nibbles.chunks_exact_mut(2).zip(chunk) {
+                pair[0] = byte & 0x0F;
+                pair[1] = byte >> 4;
             }
-            out.put_slice(&bitslice::encode64(&nibbles));
-        }
-        for &byte in chunks.remainder() {
-            out.put_u8(encode_nibble(byte & 0x0F));
-            out.put_u8(encode_nibble(byte >> 4));
+            out.put_slice(&bitslice::encode64(&nibbles)[..2 * chunk.len()]);
         }
     }
 
-    /// Every block is decoded (bitsliced over full 64-block chunks,
-    /// scalar over the remainder) and every repaired block is counted,
-    /// even when a later (or earlier) block carries an uncorrectable
-    /// double error. An early return would discard exactly that
-    /// evidence, leaving a dropped SECDED frame looking quieter to the
-    /// adaptive controller than a fountain frame with the same damage.
+    /// Every block is decoded, 64 to a batch with the last batch
+    /// zero-padded, and every repaired block is counted, even when a
+    /// later (or earlier) block carries an uncorrectable double error.
+    /// An early return would discard exactly that evidence, leaving a
+    /// dropped SECDED frame looking quieter to the adaptive controller
+    /// than a fountain frame with the same damage.
     fn decode_scan<'a>(&self, wire: &'a [u8]) -> DecodeScan<'a> {
         if !wire.len().is_multiple_of(2) {
             return DecodeScan::rejected(CodeError::Malformed, 0);
         }
-        let mut nibbles = Vec::with_capacity(wire.len());
+        let mut payload = Vec::with_capacity(wire.len() / 2);
         let mut repairs = 0usize;
         let mut detected = false;
-        let mut chunks = wire.chunks_exact(bitslice::LANES);
-        for chunk in &mut chunks {
-            let blocks: &[u8; bitslice::LANES] = chunk.try_into().expect("full chunk");
-            let (nibs, repaired_mask, detected_mask) = bitslice::decode64(blocks);
-            nibbles.extend_from_slice(&nibs);
+        for chunk in wire.chunks(bitslice::LANES) {
+            let mut blocks = [0u8; bitslice::LANES];
+            blocks[..chunk.len()].copy_from_slice(chunk);
+            let (nibbles, repaired_mask, detected_mask) = bitslice::decode64(&blocks);
             repairs += repaired_mask.count_ones() as usize;
             detected |= detected_mask != 0;
-        }
-        for &block in chunks.remainder() {
-            match decode_block(block) {
-                Ok((nib, repaired)) => {
-                    nibbles.push(nib);
-                    repairs += usize::from(repaired);
-                }
-                Err(_) => {
-                    nibbles.push(0);
-                    detected = true;
-                }
+            let mut bytes = [0u8; bitslice::LANES / 2];
+            for (byte, pair) in bytes.iter_mut().zip(nibbles.chunks_exact(2)) {
+                *byte = pair[0] | (pair[1] << 4);
             }
+            payload.extend_from_slice(&bytes[..chunk.len() / 2]);
         }
         if detected {
             return DecodeScan::rejected(CodeError::Detected, repairs);
         }
-        let payload: Vec<u8> = nibbles
-            .chunks_exact(2)
-            .map(|pair| pair[0] | (pair[1] << 4))
-            .collect();
         DecodeScan::delivered(payload, repairs > 0, repairs)
     }
 }
@@ -323,9 +314,9 @@ mod tests {
     }
 
     #[test]
-    fn long_payload_encode_uses_both_paths_identically() {
-        // 77 bytes = two full 64-block chunks + a 26-block remainder:
-        // the bitsliced and scalar paths meet inside one wire image.
+    fn long_payload_encode_matches_the_scalar_oracle() {
+        // 77 bytes = two full 64-block batches + a 26-block padded one,
+        // against the block-at-a-time oracle.
         let payload: Vec<u8> = (0..77u8).map(|i| i.wrapping_mul(53) ^ 0xA5).collect();
         let wire = Hamming74.encode(&payload);
         let scalar_wire: Vec<u8> = payload
@@ -345,7 +336,7 @@ mod tests {
         let mut wire = Hamming74.encode(&payload);
         wire[5] ^= 0x20; // single flip → repaired
         wire[63] ^= 0x08; // single flip in the same 64-block chunk
-        wire[70] ^= 0x18; // double flip in the remainder → detected
+        wire[70] ^= 0x18; // double flip in the padded batch → detected
         let scan = Hamming74.decode_scan(&wire);
         assert_eq!(scan.outcome, Err(CodeError::Detected));
         assert_eq!(scan.repairs, 2, "repairs before/after the dead block count");

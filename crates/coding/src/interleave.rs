@@ -44,39 +44,41 @@ fn set_bit(data: &mut [u8], idx: usize) {
 ///
 /// When the bit count divides evenly by `depth` — every interleaved
 /// SECDED codeword does, its length in bits being a multiple of 16 —
-/// the permutation has no skipped cells and runs as a tiled 8×8
-/// bit-matrix transpose ([`crate::bitslice::transpose_bits`]), one
-/// word op per 64 bits instead of one shift-and-mask per bit. Ragged
-/// shapes fall back to [`interleave_bits_scalar`], which differential
-/// tests pin the fast path against.
+/// the permutation has no skipped cells and is a `depth × cols`
+/// bit-matrix transpose ([`crate::bitslice::transpose_bits`], which
+/// moves whole words and bytes when `depth` or `cols` is a multiple of
+/// 8 and tiles 8×8 otherwise) instead of one shift-and-mask per bit.
+/// Ragged shapes fall back to [`interleave_bits_scalar`], which
+/// differential tests pin the fast path against.
 pub fn interleave_bits(data: &[u8], depth: usize) -> Vec<u8> {
-    let n = data.len() * 8;
-    if depth <= 1 || n == 0 {
-        return data.to_vec();
-    }
-    if n.is_multiple_of(depth) {
-        // Wire bit c·d + r = codeword bit r·cols + c: exactly the
-        // d × cols bit-matrix transpose.
-        let mut out = vec![0u8; data.len()];
-        transpose_bits(data, &mut out, depth, n / depth);
-        return out;
-    }
-    interleave_bits_scalar(data, depth)
+    let mut out = vec![0u8; data.len()];
+    permute_into(data, &mut out, depth, true);
+    out
 }
 
 /// Inverts [`interleave_bits`] (wire order → codeword order); same
 /// fast path, with the matrix dimensions swapped.
 pub fn deinterleave_bits(data: &[u8], depth: usize) -> Vec<u8> {
+    let mut out = vec![0u8; data.len()];
+    permute_into(data, &mut out, depth, false);
+    out
+}
+
+/// The permutation behind [`interleave_bits`] (`forward`) and
+/// [`deinterleave_bits`], written into a buffer the caller owns —
+/// what [`Interleaved`] calls, so a frame is permuted without a buffer
+/// of its own. The shape alone picks the path.
+fn permute_into(data: &[u8], out: &mut [u8], depth: usize, forward: bool) {
     let n = data.len() * 8;
-    if depth <= 1 || n == 0 {
-        return data.to_vec();
+    if depth <= 1 || n == 0 || !n.is_multiple_of(depth) {
+        permute_scalar_into(data, out, depth, forward);
+    } else if forward {
+        // Wire bit c·d + r = codeword bit r·cols + c: exactly the
+        // d × cols bit-matrix transpose.
+        transpose_bits(data, out, depth, n / depth);
+    } else {
+        transpose_bits(data, out, n / depth, depth);
     }
-    if n.is_multiple_of(depth) {
-        let mut out = vec![0u8; data.len()];
-        transpose_bits(data, &mut out, n / depth, depth);
-        return out;
-    }
-    deinterleave_bits_scalar(data, depth)
 }
 
 /// The bit-at-a-time interleave: reference semantics for every shape,
@@ -85,23 +87,27 @@ pub fn deinterleave_bits(data: &[u8], depth: usize) -> Vec<u8> {
 /// benchmark measures the loop it names.
 #[inline(never)]
 pub fn interleave_bits_scalar(data: &[u8], depth: usize) -> Vec<u8> {
-    permute(data, depth, true)
+    let mut out = vec![0u8; data.len()];
+    permute_scalar_into(data, &mut out, depth, true);
+    out
 }
 
 /// The bit-at-a-time inverse of [`interleave_bits_scalar`]; same role,
 /// opposite direction.
 #[inline(never)]
 pub fn deinterleave_bits_scalar(data: &[u8], depth: usize) -> Vec<u8> {
-    permute(data, depth, false)
+    let mut out = vec![0u8; data.len()];
+    permute_scalar_into(data, &mut out, depth, false);
+    out
 }
 
-fn permute(data: &[u8], depth: usize, forward: bool) -> Vec<u8> {
+fn permute_scalar_into(data: &[u8], out: &mut [u8], depth: usize, forward: bool) {
     let n = data.len() * 8;
     if depth <= 1 || n == 0 {
-        return data.to_vec();
+        return out.copy_from_slice(data);
     }
+    out.fill(0);
     let cols = n.div_ceil(depth);
-    let mut out = vec![0u8; data.len()];
     let mut k = 0; // wire-order bit index
     for col in 0..cols {
         for row in 0..depth {
@@ -111,12 +117,11 @@ fn permute(data: &[u8], depth: usize, forward: bool) -> Vec<u8> {
             }
             let (src, dst) = if forward { (w, k) } else { (k, w) };
             if get_bit(data, src) {
-                set_bit(&mut out, dst);
+                set_bit(out, dst);
             }
             k += 1;
         }
     }
-    out
 }
 
 /// The bit offsets at which each wire stripe (one column of the
@@ -199,19 +204,39 @@ impl<C: ChannelCode> ChannelCode for Interleaved<C> {
     }
 
     fn encode_into(&self, payload: &[u8], _budget: Option<SymbolBudget>, out: &mut BytesMut) {
-        // The inner codeword is written straight into `out`, then
-        // permuted where it lies. A combinator is a fixed-rate code: no
-        // budget reaches its layers.
+        // The inner codeword is written straight into `out`, copied
+        // aside, and permuted back onto the bytes it came from. A
+        // combinator is a fixed-rate code: no budget reaches its layers.
         let start = out.len();
         self.inner.encode_into(payload, None, out);
-        let wire = interleave_bits(&out[start..], self.depth);
-        out[start..].copy_from_slice(&wire);
+        with_scratch(out.len() - start, |codeword| {
+            codeword.copy_from_slice(&out[start..]);
+            permute_into(codeword, &mut out[start..], self.depth, true);
+        });
     }
 
     fn decode_scan<'a>(&self, wire: &'a [u8]) -> DecodeScan<'a> {
-        self.inner
-            .decode_scan(&deinterleave_bits(wire, self.depth))
-            .into_owned()
+        with_scratch(wire.len(), |codeword| {
+            permute_into(wire, codeword, self.depth, false);
+            // The scratch dies here; a correcting inner code already
+            // owns its repaired payload, which this only moves.
+            self.inner.decode_scan(codeword).into_owned()
+        })
+    }
+}
+
+/// The largest frame [`with_scratch`] holds on the stack.
+const STACK_FRAME: usize = 256;
+
+/// Runs `f` on `len` zeroed scratch bytes — the second buffer a
+/// permutation needs, since a transpose is not done in place: on the
+/// stack for a frame of up to [`STACK_FRAME`] bytes (every
+/// single-instance frame the ladder sends), on the heap above it.
+fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
+    if len <= STACK_FRAME {
+        f(&mut [0u8; STACK_FRAME][..len])
+    } else {
+        f(&mut vec![0u8; len])
     }
 }
 

@@ -27,9 +27,20 @@ impl Chance {
         Chance((p * (1u64 << 53) as f64).ceil() as u64)
     }
 
+    /// `false` for a zero probability, which never draws.
+    pub(crate) fn is_live(self) -> bool {
+        self.0 != 0
+    }
+
+    /// What a draw that produced `word` answers.
+    #[inline]
+    pub(crate) fn hits(self, word: u64) -> bool {
+        (word >> 11) < self.0
+    }
+
     #[inline]
     pub(crate) fn draw(self, rng: &mut StdRng) -> bool {
-        self.0 != 0 && (rng.next_u64() >> 11) < self.0
+        self.is_live() && self.hits(rng.next_u64())
     }
 }
 

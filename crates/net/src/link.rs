@@ -30,6 +30,13 @@
 //! source may touch is copied — into the link's scratch, where it is
 //! corrupted while the borrowed input stays the pristine image the
 //! verdict is judged against.
+//!
+//! A hit frame is judged on **one decode of its noisy image** — what
+//! the receiver will see. A noisy image that does not decode is a
+//! detected omission whatever the clean body was; only one that does
+//! decode pays for the clean decode it is compared with, and the header
+//! that keys an undetected fault in the [`FaultLog`] is read off that
+//! same noisy body.
 
 use bytes::{BufMut, BytesMut};
 use crossbeam::channel::Sender;
@@ -251,35 +258,46 @@ impl LinkWiring {
         self.decode_parts(wire).map(|(_, _, body)| body)
     }
 
-    /// The receiver-side verdict on `after_noise` given the clean
-    /// decoded `body`, through whichever framing is in force.
-    fn classify_against(&self, body: &[u8], after_noise: &[u8]) -> LinkEvent {
-        match self.decode_any(after_noise) {
-            None => LinkEvent::CorruptedDetectable,
-            Some(after) if *after == *body => LinkEvent::CorruptedCorrected,
-            Some(after) if differs_only_in_copy_index(body, &after) => {
-                // The retransmission-copy byte is bookkeeping, not
-                // message content: the receiver still gets the intended
-                // (round, sender, payload) intact, so this is a safe
-                // delivery, not an α-counted fault — and it is exactly
-                // what an abstract-message substrate observes for the
-                // same noise.
-                LinkEvent::CorruptedCorrected
-            }
-            Some(_) => LinkEvent::CorruptedUndetected,
+    /// The verdict on a frame noise has hit, from one decode of `noisy`
+    /// — what the receiver will see. A noisy image that does not decode
+    /// is a detected omission whatever `pristine` held; only one that
+    /// does pays for the clean decode it is compared with. A fault that
+    /// slips through is logged from that same noisy decode.
+    fn judge(&self, pristine: &[u8], noisy: &[u8], sent: FaultKey) -> LinkEvent {
+        let Some(after) = self.decode_any(noisy) else {
+            return LinkEvent::CorruptedDetectable;
+        };
+        // Pre-corrupted input (not produced by our runtime): the
+        // receiver was never going to get this frame's content.
+        let Some(body) = self.decode_any(pristine) else {
+            return LinkEvent::CorruptedDetectable;
+        };
+        // The retransmission-copy byte is bookkeeping, not message
+        // content: the receiver still gets the intended (round, sender,
+        // payload) intact, so this is a safe delivery, not an α-counted
+        // fault — and it is exactly what an abstract-message substrate
+        // observes for the same noise.
+        if *after == *body || differs_only_in_copy_index(&body, &after) {
+            return LinkEvent::CorruptedCorrected;
         }
+        self.log_undetected(&after, sent);
+        LinkEvent::CorruptedUndetected
     }
 
-    /// The `(round, sender, copy)` header a receiver will parse from
-    /// `wire`, if it decodes at all.
-    fn decoded_header(&self, wire: &[u8]) -> Option<(u64, u32, u8)> {
-        let body = self.decode_any(wire)?;
-        if body.len() < PAYLOAD_OFFSET {
-            return None;
-        }
-        let round = u64::from_le_bytes(body[0..8].try_into().ok()?);
-        let sender = u32::from_le_bytes(body[8..12].try_into().ok()?);
-        Some((round, sender, body[12]))
+    /// Records an undetected corruption under the `(round, sender,
+    /// copy)` header the receiver will parse from the `delivered` body,
+    /// not the sender's intent: under a rate<1 code, noise can (rarely)
+    /// miscorrect header bits too, and the reconstruction joins on the
+    /// receiver's view. A body too short to hold a header is logged as
+    /// `sent`.
+    fn log_undetected(&self, delivered: &[u8], sent: FaultKey) {
+        let seen = || {
+            let header = delivered.first_chunk::<PAYLOAD_OFFSET>()?;
+            let round = u64::from_le_bytes(*header.first_chunk()?);
+            let sender = u32::from_le_bytes(*header[8..].first_chunk()?);
+            Some((round, sender, sent.2, header[COPY_OFFSET]))
+        };
+        self.log.record(seen().unwrap_or(sent));
     }
 }
 
@@ -374,8 +392,9 @@ impl FaultyLink {
         let noisy = &mut self.scratch;
         noisy.clear();
         noisy.put_slice(&pristine);
+        let sent = (round, self.sender_id, self.receiver_id, copy);
         let event = if adversarial {
-            forge(wiring, &mut self.rng, &pristine, noisy)
+            forge(wiring, &mut self.rng, &pristine, noisy, sent)
         } else {
             let hit = match &wiring.trace {
                 // The link's own RNG is never consulted, so the outcome
@@ -386,24 +405,12 @@ impl FaultyLink {
                 }
                 None => flip_physically(&mut self.rng, noisy),
             };
-            match hit.then(|| wiring.decode_any(&pristine)) {
-                None => LinkEvent::Delivered,
-                // Pre-corrupted input (not produced by our runtime):
-                // the receiver rejects it either way.
-                Some(None) => LinkEvent::CorruptedDetectable,
-                Some(Some(body)) => wiring.classify_against(&body, noisy),
+            if hit {
+                wiring.judge(&pristine, noisy, sent)
+            } else {
+                LinkEvent::Delivered
             }
         };
-        if event == LinkEvent::CorruptedUndetected {
-            // Key the log by the header the *receiver* will decode:
-            // under a rate<1 code, noise can (rarely) miscorrect header
-            // bits too, and the reconstruction joins on the receiver's
-            // view, not the sender's intent.
-            let (r, s, c) = wiring
-                .decoded_header(noisy)
-                .unwrap_or((round, self.sender_id, copy));
-            wiring.log.record((r, s, self.receiver_id, c));
-        }
         self.tx.deliver_bytes(self.sender_id, noisy);
         event
     }
@@ -421,6 +428,7 @@ fn forge(
     rng: &mut StdRng,
     pristine: &[u8],
     forged: &mut BytesMut,
+    sent: FaultKey,
 ) -> LinkEvent {
     // Decode through the framing in force, remembering the epoch id
     // (and advert) so the forgery is re-encoded consistently.
@@ -444,6 +452,7 @@ fn forge(
         Some(book) => book.encode_tagged(id, advert, None, &body, forged),
         None => wiring.code.encode_into(&body, None, forged),
     }
+    wiring.log_undetected(&body, sent);
     LinkEvent::CorruptedUndetected
 }
 
@@ -468,10 +477,8 @@ fn flip_physically(rng: &mut StdRng, wire: &mut [u8]) -> bool {
 fn differs_only_in_copy_index(a: &[u8], b: &[u8]) -> bool {
     a.len() == b.len()
         && a.len() > COPY_OFFSET
-        && a.iter()
-            .zip(b.iter())
-            .enumerate()
-            .all(|(i, (x, y))| i == COPY_OFFSET || x == y)
+        && a[..COPY_OFFSET] == b[..COPY_OFFSET]
+        && a[COPY_OFFSET + 1..] == b[COPY_OFFSET + 1..]
 }
 
 /// What the fault model did to one frame.
@@ -863,6 +870,38 @@ mod tests {
         );
         drop(link);
         assert_eq!(rx.iter().count(), 50, "traced mode never drops frames");
+    }
+
+    #[test]
+    fn a_leak_is_keyed_by_the_header_the_receiver_parses_or_as_sent() {
+        // An uncoded link whose every byte is complemented: whatever is
+        // sent leaks. A body that holds a whole header — payload length
+        // included — is logged under the header the receiver will read;
+        // one that stops short of it, as sent.
+        use heardof_coding::{FaultScript, LinkFault};
+        let script = FaultScript::new().with(3, 0, 1, LinkFault::CorruptAll);
+        for (len, key) in [
+            (PAYLOAD_OFFSET, (!3u64, !0u32, 1, !2u8)),
+            (PAYLOAD_OFFSET - 1, (3, 0, 1, 2)),
+            (COPY_OFFSET + 1, (3, 0, 1, 2)),
+        ] {
+            let (tx, rx) = unbounded();
+            let log = FaultLog::new();
+            let code = CodeSpec::None.build();
+            let trace = Some(NoiseTrace::scripted(script.clone()));
+            let mut link = link_with(tx, LinkFaults::NONE, 9, log.clone(), code, None, trace);
+            let mut body = vec![0u8; len];
+            body[0] = 3;
+            body[COPY_OFFSET] = 2;
+            assert_eq!(link.send_bytes(3, 2, &body), LinkEvent::CorruptedUndetected);
+            let delivered = rx.recv().unwrap().1;
+            assert!(delivered
+                .iter()
+                .zip(&body)
+                .all(|(got, sent)| *got == !*sent));
+            assert!(log.was_corrupted(&key), "{len}-byte body: {key:?}");
+            assert_eq!(log.len(), 1);
+        }
     }
 
     #[test]
