@@ -14,6 +14,11 @@ use rand::rngs::StdRng;
 /// intended contents, keeping at most `alpha` corrupted receptions per
 /// receiver (earlier sender ids win).
 ///
+/// The matrices are walked once in their sender-major memory order with
+/// one counter per receiver; each receiver still meets its senders in id
+/// order, so the cells restored are the ones a receiver-by-receiver walk
+/// restores.
+///
 /// Returns the number of cells restored.
 pub fn clamp_to_alpha<M: Clone + Eq>(
     intended: &MessageMatrix<M>,
@@ -21,35 +26,35 @@ pub fn clamp_to_alpha<M: Clone + Eq>(
     alpha: u32,
 ) -> usize {
     let n = intended.universe();
+    let mut inline = [0u32; 64];
+    let mut spill = Vec::new();
+    let corrupted: &mut [u32] = if n <= inline.len() {
+        &mut inline[..n]
+    } else {
+        spill.resize(n, 0);
+        &mut spill
+    };
     let mut restored = 0;
-    for r in 0..n {
-        let receiver = ProcessId::new(r as u32);
-        let mut corrupted = 0u32;
-        for s in 0..n {
-            let sender = ProcessId::new(s as u32);
-            let got = delivered.get(sender, receiver);
+    for s in 0..n {
+        let sender = ProcessId::new(s as u32);
+        for (r, count) in corrupted.iter_mut().enumerate() {
+            let receiver = ProcessId::new(r as u32);
             let want = intended.get(sender, receiver);
-            let is_corrupt = match (got, want) {
-                (Some(g), Some(w)) => g != w,
-                // A message materializing out of nowhere also counts as a
-                // corrupted reception (it certainly was not sent safely).
-                (Some(_), None) => true,
-                _ => false,
-            };
-            if is_corrupt {
-                corrupted += 1;
-                if corrupted > alpha {
-                    match want {
-                        Some(w) => {
-                            let w = w.clone();
-                            delivered.set(sender, receiver, w);
-                        }
-                        None => {
-                            delivered.clear(sender, receiver);
-                        }
+            let got = delivered.get(sender, receiver);
+            // Corrupted: a value fault, or a message materializing out of
+            // nowhere (it certainly was not sent safely).
+            if got.is_none() || got == want {
+                continue;
+            }
+            *count += 1;
+            if *count > alpha {
+                match want {
+                    Some(w) => delivered.set(sender, receiver, w.clone()),
+                    None => {
+                        delivered.clear(sender, receiver);
                     }
-                    restored += 1;
                 }
+                restored += 1;
             }
         }
     }
@@ -123,7 +128,87 @@ mod tests {
     use super::*;
     use crate::traits::NoFaults;
     use heardof_model::RoundSets;
-    use rand::SeedableRng;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+
+    /// `clamp_to_alpha` as it stood before the sender-major walk — one
+    /// receiver column at a time — verbatim but for the name: the oracle
+    /// for the restored count and the resulting matrix.
+    fn oracle_clamp_to_alpha<M: Clone + Eq>(
+        intended: &MessageMatrix<M>,
+        delivered: &mut MessageMatrix<M>,
+        alpha: u32,
+    ) -> usize {
+        let n = intended.universe();
+        let mut restored = 0;
+        for r in 0..n {
+            let receiver = ProcessId::new(r as u32);
+            let mut corrupted = 0u32;
+            for s in 0..n {
+                let sender = ProcessId::new(s as u32);
+                let got = delivered.get(sender, receiver);
+                let want = intended.get(sender, receiver);
+                let is_corrupt = match (got, want) {
+                    (Some(g), Some(w)) => g != w,
+                    // A message materializing out of nowhere also counts as a
+                    // corrupted reception (it certainly was not sent safely).
+                    (Some(_), None) => true,
+                    _ => false,
+                };
+                if is_corrupt {
+                    corrupted += 1;
+                    if corrupted > alpha {
+                        match want {
+                            Some(w) => {
+                                let w = w.clone();
+                                delivered.set(sender, receiver, w);
+                            }
+                            None => {
+                                delivered.clear(sender, receiver);
+                            }
+                        }
+                        restored += 1;
+                    }
+                }
+            }
+        }
+        restored
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// Same restored count, same matrix, for system sizes on both
+        /// sides of the inline counters and budgets from none to all.
+        #[test]
+        fn sender_major_clamp_equals_the_oracle(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for n in [1usize, 2, 16, 63, 64, 65, 130] {
+                // A partial intended matrix; each delivered cell is kept,
+                // dropped, corrupted or — where nothing was sent — invented.
+                let intended = MessageMatrix::from_fn(n, |s, r| {
+                    (rng.gen_range(0..8u32) != 0).then_some((s.index() * 131 + r.index()) as u64)
+                });
+                let delivered = MessageMatrix::from_fn(n, |s, r| {
+                    match (rng.gen_range(0..4u32), intended.get(s, r)) {
+                        (0, sent) => sent.copied(),
+                        (1, _) => None,
+                        (2, Some(v)) => Some(v ^ 1),
+                        (_, sent) => Some(sent.map_or(7, |v| *v)),
+                    }
+                });
+                for alpha in [0, 1, 3, n as u32] {
+                    let (mut new, mut old) = (delivered.clone(), delivered.clone());
+                    let restored = clamp_to_alpha(&intended, &mut new, alpha);
+                    prop_assert_eq!(
+                        restored,
+                        oracle_clamp_to_alpha(&intended, &mut old, alpha),
+                        "n = {}, α = {}", n, alpha
+                    );
+                    prop_assert_eq!(&new, &old, "n = {}, α = {}", n, alpha);
+                }
+            }
+        }
+    }
 
     struct CorruptEverything;
 

@@ -46,19 +46,29 @@ impl<M> MessageMatrix<M> {
     }
 
     /// Builds a matrix cell-by-cell from a closure over `(sender, receiver)`.
-    pub fn from_fn<F>(n: usize, mut f: F) -> Self
+    pub fn from_fn<F>(n: usize, f: F) -> Self
     where
         F: FnMut(ProcessId, ProcessId) -> Option<M>,
     {
         let mut m = Self::empty(n);
-        for s in 0..n {
-            for r in 0..n {
-                let sender = ProcessId::new(s as u32);
-                let receiver = ProcessId::new(r as u32);
-                m.cells[s * n + r] = f(sender, receiver);
+        m.refill(f);
+        m
+    }
+
+    /// Overwrites every cell from a closure over `(sender, receiver)`,
+    /// called in sender-major order — [`MessageMatrix::from_fn`] on a
+    /// matrix that already exists, so a round loop reuses one buffer.
+    pub fn refill<F>(&mut self, mut f: F)
+    where
+        F: FnMut(ProcessId, ProcessId) -> Option<M>,
+    {
+        // `max(1)`: an empty system has no cells and no rows.
+        for (s, row) in self.cells.chunks_exact_mut(self.n.max(1)).enumerate() {
+            let sender = ProcessId::new(s as u32);
+            for (r, cell) in row.iter_mut().enumerate() {
+                *cell = f(sender, ProcessId::new(r as u32));
             }
         }
-        m
     }
 
     /// The system size `n`.
@@ -110,11 +120,16 @@ impl<M> MessageMatrix<M> {
 
     /// Iterates over the messages sent by one process (its matrix row).
     pub fn row(&self, sender: ProcessId) -> impl Iterator<Item = (ProcessId, Option<&M>)> {
-        let base = sender.index() * self.n;
-        self.cells[base..base + self.n]
+        self.row_cells(sender.index())
             .iter()
             .enumerate()
             .map(|(i, m)| (ProcessId::new(i as u32), m.as_ref()))
+    }
+
+    /// Row `sender` as the slice it is stored as: one cell per receiver,
+    /// in id order.
+    pub(crate) fn row_cells(&self, sender: usize) -> &[Option<M>] {
+        &self.cells[sender * self.n..(sender + 1) * self.n]
     }
 }
 
@@ -163,8 +178,12 @@ impl<M: Clone> MessageMatrix<M> {
 }
 
 impl<M: Eq> MessageMatrix<M> {
-    /// Counts cells where `self` and `intended` both hold a message but the
-    /// contents differ — the total number of value faults in the round.
+    /// Counts the corrupted receptions of the round: cells `self` holds
+    /// whose contents differ from `intended`'s — value faults, and also
+    /// *spurious* cells that hold a message where `intended` has none
+    /// (nothing was sent, so nothing arrived safely). This is
+    /// `Σ_p |AHO(p, r)|` as [`crate::RoundSets::total_corruptions`]
+    /// counts it, and what `clamp_to_alpha` budgets.
     ///
     /// # Panics
     ///
@@ -174,7 +193,7 @@ impl<M: Eq> MessageMatrix<M> {
         self.cells
             .iter()
             .zip(&intended.cells)
-            .filter(|(d, i)| matches!((d, i), (Some(d), Some(i)) if d != i))
+            .filter(|(d, i)| d.is_some() && d != i)
             .count()
     }
 }
@@ -271,6 +290,39 @@ mod tests {
         delivered.clear(pid(1), pid(1)); // a drop, not a corruption
         assert_eq!(delivered.corruption_count(&intended), 2);
         assert_eq!(intended.corruption_count(&intended), 0);
+    }
+
+    #[test]
+    fn corruption_count_includes_spurious_cells() {
+        let mut intended = MessageMatrix::from_fn(2, |_, _| Some(1u64));
+        intended.clear(pid(0), pid(1));
+        let spurious = MessageMatrix::from_fn(2, |_, _| Some(1u64));
+        assert_eq!(spurious.corruption_count(&intended), 1);
+        // A cell missing on both sides is neither sent nor received.
+        let mut both = spurious.clone();
+        both.clear(pid(0), pid(1));
+        assert_eq!(both.corruption_count(&intended), 0);
+    }
+
+    #[test]
+    fn refill_overwrites_every_cell_like_from_fn() {
+        let f =
+            |s: ProcessId, r: ProcessId| (s != r).then_some((s.index() * 10 + r.index()) as u64);
+        let mut m = MessageMatrix::from_fn(3, |_, _| Some(99u64));
+        m.refill(f);
+        assert_eq!(m, MessageMatrix::from_fn(3, f));
+        let mut order = Vec::new();
+        m.refill(|s, r| {
+            order.push((s.index(), r.index()));
+            None
+        });
+        assert_eq!(m.message_count(), 0);
+        assert_eq!(
+            order,
+            (0..3)
+                .flat_map(|s| (0..3).map(move |r| (s, r)))
+                .collect::<Vec<_>>()
+        );
     }
 
     #[test]

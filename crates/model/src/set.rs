@@ -2,10 +2,14 @@
 //!
 //! Heard-of sets, safe heard-of sets, kernels and altered spans are all
 //! subsets of `Π`. [`ProcessSet`] stores them as a bitset for cheap set
-//! algebra, which the predicate checkers rely on heavily.
+//! algebra, which the predicate checkers rely on heavily. A system of at
+//! most 64 processes fits one word, which the set holds inline: building,
+//! cloning and combining such sets never touches the heap. Larger systems
+//! keep their `n.div_ceil(64)` words in a `Vec`.
 
 use crate::ids::ProcessId;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A subset of the process set `Π`, backed by a bitset.
 ///
@@ -24,10 +28,21 @@ use std::fmt;
 /// assert!(s.contains(ProcessId::new(3)));
 /// assert!(s.is_subset(&ProcessSet::full(5)));
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct ProcessSet {
     n: usize,
-    bits: Vec<u64>,
+    words: Words,
+}
+
+/// The `n.div_ceil(64)` words of a set; which variant holds them is a
+/// function of `n` alone, so two sets of one universe compare word for
+/// word.
+#[derive(Clone, PartialEq, Eq)]
+enum Words {
+    /// `1 ≤ n ≤ 64`: the one word, inline.
+    One(u64),
+    /// `n = 0` or `n > 64`.
+    Many(Vec<u64>),
 }
 
 const BITS: usize = 64;
@@ -35,18 +50,18 @@ const BITS: usize = 64;
 impl ProcessSet {
     /// The empty subset of a system of `n` processes.
     pub fn empty(n: usize) -> Self {
-        ProcessSet {
-            n,
-            bits: vec![0; n.div_ceil(BITS)],
-        }
+        let words = if (1..=BITS).contains(&n) {
+            Words::One(0)
+        } else {
+            Words::Many(vec![0; n.div_ceil(BITS)])
+        };
+        ProcessSet { n, words }
     }
 
     /// The full set `Π` of a system of `n` processes.
     pub fn full(n: usize) -> Self {
         let mut s = Self::empty(n);
-        for w in 0..s.bits.len() {
-            s.bits[w] = !0u64;
-        }
+        s.words_mut().fill(!0u64);
         s.clear_tail();
         s
     }
@@ -73,10 +88,34 @@ impl ProcessSet {
         Self::from_ids(n, ids.into_iter().map(|i| ProcessId::new(i as u32)))
     }
 
+    #[inline]
+    fn words(&self) -> &[u64] {
+        match &self.words {
+            Words::One(w) => std::slice::from_ref(w),
+            Words::Many(v) => v,
+        }
+    }
+
+    #[inline]
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.words {
+            Words::One(w) => std::slice::from_mut(w),
+            Words::Many(v) => v,
+        }
+    }
+
+    /// ORs `mask` into word `w` (processes `64·w ..`): the word-parallel
+    /// insert [`crate::RoundSets::from_matrices`] builds its sets with.
+    /// `mask` must not reach past `n`.
+    #[inline]
+    pub(crate) fn or_word(&mut self, w: usize, mask: u64) {
+        self.words_mut()[w] |= mask;
+    }
+
     fn clear_tail(&mut self) {
         let used = self.n % BITS;
         if used != 0 {
-            if let Some(last) = self.bits.last_mut() {
+            if let Some(last) = self.words_mut().last_mut() {
                 *last &= (1u64 << used) - 1;
             }
         }
@@ -96,8 +135,9 @@ impl ProcessSet {
         let i = p.index();
         assert!(i < self.n, "process {p} out of range for n={}", self.n);
         let (w, b) = (i / BITS, i % BITS);
-        let had = self.bits[w] & (1 << b) != 0;
-        self.bits[w] |= 1 << b;
+        let word = &mut self.words_mut()[w];
+        let had = *word & (1 << b) != 0;
+        *word |= 1 << b;
         !had
     }
 
@@ -108,25 +148,26 @@ impl ProcessSet {
             return false;
         }
         let (w, b) = (i / BITS, i % BITS);
-        let had = self.bits[w] & (1 << b) != 0;
-        self.bits[w] &= !(1 << b);
+        let word = &mut self.words_mut()[w];
+        let had = *word & (1 << b) != 0;
+        *word &= !(1 << b);
         had
     }
 
     /// Membership test.
     pub fn contains(&self, p: ProcessId) -> bool {
         let i = p.index();
-        i < self.n && self.bits[i / BITS] & (1 << (i % BITS)) != 0
+        i < self.n && self.words()[i / BITS] & (1 << (i % BITS)) != 0
     }
 
     /// Cardinality of the set.
     pub fn len(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
+        self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// `true` if the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.bits.iter().all(|&w| w == 0)
+        self.words().iter().all(|&w| w == 0)
     }
 
     /// `true` if the set equals the full process set `Π`.
@@ -136,7 +177,7 @@ impl ProcessSet {
 
     /// Iterates over the members in increasing id order.
     pub fn iter(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        self.bits.iter().enumerate().flat_map(|(w, &word)| {
+        self.words().iter().enumerate().flat_map(|(w, &word)| {
             let base = w * BITS;
             BitIter { word, base }
         })
@@ -150,20 +191,28 @@ impl ProcessSet {
         );
     }
 
+    /// Replaces each word of `self` by `op(self word, other word)`.
+    fn combine_with(&mut self, other: &ProcessSet, op: impl Fn(u64, u64) -> u64) {
+        self.check_same_universe(other);
+        for (a, &b) in self.words_mut().iter_mut().zip(other.words()) {
+            *a = op(*a, b);
+        }
+    }
+
+    /// `self` combined word by word with `other` through `op`.
+    fn zip_with(&self, other: &ProcessSet, op: impl Fn(u64, u64) -> u64) -> ProcessSet {
+        let mut out = self.clone();
+        out.combine_with(other, op);
+        out
+    }
+
     /// Set union `self ∪ other`.
     ///
     /// # Panics
     ///
     /// Panics if the universes differ.
     pub fn union(&self, other: &ProcessSet) -> ProcessSet {
-        self.check_same_universe(other);
-        let bits = self
-            .bits
-            .iter()
-            .zip(&other.bits)
-            .map(|(a, b)| a | b)
-            .collect();
-        ProcessSet { n: self.n, bits }
+        self.zip_with(other, |a, b| a | b)
     }
 
     /// Set intersection `self ∩ other`.
@@ -172,14 +221,7 @@ impl ProcessSet {
     ///
     /// Panics if the universes differ.
     pub fn intersection(&self, other: &ProcessSet) -> ProcessSet {
-        self.check_same_universe(other);
-        let bits = self
-            .bits
-            .iter()
-            .zip(&other.bits)
-            .map(|(a, b)| a & b)
-            .collect();
-        ProcessSet { n: self.n, bits }
+        self.zip_with(other, |a, b| a & b)
     }
 
     /// Set difference `self \ other`.
@@ -188,14 +230,7 @@ impl ProcessSet {
     ///
     /// Panics if the universes differ.
     pub fn difference(&self, other: &ProcessSet) -> ProcessSet {
-        self.check_same_universe(other);
-        let bits = self
-            .bits
-            .iter()
-            .zip(&other.bits)
-            .map(|(a, b)| a & !b)
-            .collect();
-        ProcessSet { n: self.n, bits }
+        self.zip_with(other, |a, b| a & !b)
     }
 
     /// `true` if every member of `self` is in `other`.
@@ -205,23 +240,29 @@ impl ProcessSet {
     /// Panics if the universes differ.
     pub fn is_subset(&self, other: &ProcessSet) -> bool {
         self.check_same_universe(other);
-        self.bits.iter().zip(&other.bits).all(|(a, b)| a & !b == 0)
+        self.words()
+            .iter()
+            .zip(other.words())
+            .all(|(a, b)| a & !b == 0)
     }
 
     /// In-place union.
     pub fn union_with(&mut self, other: &ProcessSet) {
-        self.check_same_universe(other);
-        for (a, b) in self.bits.iter_mut().zip(&other.bits) {
-            *a |= b;
-        }
+        self.combine_with(other, |a, b| a | b);
     }
 
     /// In-place intersection.
     pub fn intersect_with(&mut self, other: &ProcessSet) {
-        self.check_same_universe(other);
-        for (a, b) in self.bits.iter_mut().zip(&other.bits) {
-            *a &= b;
-        }
+        self.combine_with(other, |a, b| a & b);
+    }
+}
+
+/// Hashes exactly what the `Vec<u64>`-backed set derived: `n`, then the
+/// word slice (length prefix and words).
+impl Hash for ProcessSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.n.hash(state);
+        self.words().hash(state);
     }
 }
 
@@ -421,6 +462,88 @@ mod tests {
             for p in &collected {
                 prop_assert!(s.contains(*p));
             }
+        }
+
+        /// Inline (n ≤ 64) and heap (n = 0, n > 64) sets answer the
+        /// algebra, `Eq`, `Hash` and `iter` exactly as the sorted id
+        /// list they were built from says — on both sides of the
+        /// boundary.
+        #[test]
+        fn prop_algebra_across_the_inline_boundary(
+            n_pick in 0usize..BOUNDARY.len(),
+            ids_a in proptest::collection::vec(0usize..130, 0..80),
+            ids_b in proptest::collection::vec(0usize..130, 0..80),
+        ) {
+            let n = BOUNDARY[n_pick];
+            let a_ids = sorted_ids(n, &ids_a);
+            let b_ids = sorted_ids(n, &ids_b);
+            let a = ProcessSet::from_indices(n, a_ids.iter().copied());
+            let b = ProcessSet::from_indices(n, b_ids.iter().copied());
+            let members = |s: &ProcessSet| s.iter().map(|p| p.index()).collect::<Vec<_>>();
+            let keep = |f: &dyn Fn(usize) -> bool| (0..n).filter(|&i| f(i)).collect::<Vec<_>>();
+
+            prop_assert_eq!(members(&a), a_ids.clone());
+            prop_assert_eq!(a.len(), a_ids.len());
+            prop_assert_eq!(members(&a.union(&b)), keep(&|i| a_ids.contains(&i) || b_ids.contains(&i)));
+            prop_assert_eq!(members(&a.intersection(&b)), keep(&|i| a_ids.contains(&i) && b_ids.contains(&i)));
+            prop_assert_eq!(members(&a.difference(&b)), keep(&|i| a_ids.contains(&i) && !b_ids.contains(&i)));
+            prop_assert_eq!(a.is_subset(&b), a_ids.iter().all(|i| b_ids.contains(i)));
+            let mut in_place = a.clone();
+            in_place.union_with(&b);
+            prop_assert_eq!(&in_place, &a.union(&b));
+            in_place.intersect_with(&a);
+            prop_assert_eq!(&in_place, &a);
+
+            prop_assert_eq!(a == b, a_ids == b_ids);
+            prop_assert_eq!(hash_of(&a), hash_of(&parent_repr(n, &a_ids)));
+            let rebuilt = ProcessSet::from_indices(n, a_ids.iter().rev().copied());
+            prop_assert_eq!(&rebuilt, &a);
+            prop_assert_eq!(hash_of(&rebuilt), hash_of(&a));
+            prop_assert_eq!(ProcessSet::full(n).len(), n);
+            prop_assert!(ProcessSet::empty(n).is_empty());
+        }
+    }
+
+    /// System sizes on both sides of the one-word boundary.
+    const BOUNDARY: [usize; 8] = [0, 1, 2, 63, 64, 65, 128, 130];
+
+    fn sorted_ids(n: usize, raw: &[usize]) -> Vec<usize> {
+        let mut ids: Vec<usize> = raw.iter().filter(|&&i| i < n).copied().collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
+    /// The set as it was stored before it kept one word inline; its
+    /// derived `Hash` is what [`ProcessSet`]'s must still produce.
+    #[derive(Hash)]
+    struct ParentRepr {
+        n: usize,
+        bits: Vec<u64>,
+    }
+
+    fn parent_repr(n: usize, ids: &[usize]) -> ParentRepr {
+        let mut bits = vec![0u64; n.div_ceil(BITS)];
+        for &i in ids {
+            bits[i / BITS] |= 1 << (i % BITS);
+        }
+        ParentRepr { n, bits }
+    }
+
+    fn hash_of<T: Hash>(value: &T) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        value.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn or_word_sets_bits_in_either_representation() {
+        for n in [1, 64, 65, 130] {
+            let mut s = ProcessSet::empty(n);
+            let last = n - 1;
+            s.or_word(last / BITS, 1 << (last % BITS));
+            s.or_word(0, 1);
+            assert_eq!(s, ProcessSet::from_indices(n, [0, last]));
         }
     }
 }

@@ -52,6 +52,10 @@ impl RoundSets {
     /// `SHO(p, r)` keeps only senders whose delivered message equals the
     /// intended one.
     ///
+    /// Both matrices are walked once in their sender-major memory order:
+    /// each cell ORs its sender's bit into the receiver's `HO` and `SHO`
+    /// words, without a branch on the cell.
+    ///
     /// # Panics
     ///
     /// Panics if the two matrices have different universes.
@@ -62,23 +66,16 @@ impl RoundSets {
             "intended and delivered matrices must share a universe"
         );
         let n = intended.universe();
-        let mut ho = Vec::with_capacity(n);
-        let mut sho = Vec::with_capacity(n);
-        for r in 0..n {
-            let receiver = ProcessId::new(r as u32);
-            let mut ho_p = ProcessSet::empty(n);
-            let mut sho_p = ProcessSet::empty(n);
-            for s in 0..n {
-                let sender = ProcessId::new(s as u32);
-                if let Some(got) = delivered.get(sender, receiver) {
-                    ho_p.insert(sender);
-                    if intended.get(sender, receiver) == Some(got) {
-                        sho_p.insert(sender);
-                    }
-                }
+        let mut ho = vec![ProcessSet::empty(n); n];
+        let mut sho = ho.clone();
+        for s in 0..n {
+            let (w, b) = (s / 64, s % 64);
+            let cells = delivered.row_cells(s).iter().zip(intended.row_cells(s));
+            for ((got, want), (ho_p, sho_p)) in cells.zip(ho.iter_mut().zip(&mut sho)) {
+                let heard = got.is_some();
+                ho_p.or_word(w, u64::from(heard) << b);
+                sho_p.or_word(w, u64::from(heard & (got == want)) << b);
             }
-            ho.push(ho_p);
-            sho.push(sho_p);
         }
         RoundSets { n, ho, sho }
     }
@@ -292,9 +289,89 @@ impl History for CommHistory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn pid(i: u32) -> ProcessId {
         ProcessId::new(i)
+    }
+
+    /// `RoundSets::from_matrices` as it stood before the sender-major
+    /// walk — two `insert`s per cell, column by column — verbatim but
+    /// for the name: the oracle for every set.
+    fn oracle_from_matrices<M: Eq>(
+        intended: &MessageMatrix<M>,
+        delivered: &MessageMatrix<M>,
+    ) -> RoundSets {
+        assert_eq!(
+            intended.universe(),
+            delivered.universe(),
+            "intended and delivered matrices must share a universe"
+        );
+        let n = intended.universe();
+        let mut ho = Vec::with_capacity(n);
+        let mut sho = Vec::with_capacity(n);
+        for r in 0..n {
+            let receiver = ProcessId::new(r as u32);
+            let mut ho_p = ProcessSet::empty(n);
+            let mut sho_p = ProcessSet::empty(n);
+            for s in 0..n {
+                let sender = ProcessId::new(s as u32);
+                if let Some(got) = delivered.get(sender, receiver) {
+                    ho_p.insert(sender);
+                    if intended.get(sender, receiver) == Some(got) {
+                        sho_p.insert(sender);
+                    }
+                }
+            }
+            ho.push(ho_p);
+            sho.push(sho_p);
+        }
+        RoundSets { n, ho, sho }
+    }
+
+    /// A partial intended matrix and a delivered one that keeps, drops,
+    /// corrupts or — where nothing was sent — invents each cell.
+    fn random_round(n: usize, rng: &mut StdRng) -> (MessageMatrix<u64>, MessageMatrix<u64>) {
+        let intended = MessageMatrix::from_fn(n, |s, r| {
+            (rng.gen_range(0..8u32) != 0).then_some((s.index() * 131 + r.index()) as u64)
+        });
+        let delivered = MessageMatrix::from_fn(n, |s, r| {
+            match (rng.gen_range(0..4u32), intended.get(s, r)) {
+                (0, sent) => sent.copied(),
+                (1, _) => None,
+                (2, Some(v)) => Some(v ^ 1),
+                (_, sent) => Some(sent.map_or(7, |v| *v)),
+            }
+        });
+        (intended, delivered)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// Every set, for system sizes on both sides of the inline word.
+        #[test]
+        fn word_parallel_sets_equal_the_oracle(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for n in [1usize, 2, 16, 63, 64, 65, 130] {
+                let (intended, delivered) = random_round(n, &mut rng);
+                prop_assert_eq!(
+                    RoundSets::from_matrices(&intended, &delivered),
+                    oracle_from_matrices(&intended, &delivered),
+                    "n = {}", n
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn empty_system_has_no_sets() {
+        let m: MessageMatrix<u64> = MessageMatrix::empty(0);
+        assert_eq!(
+            RoundSets::from_matrices(&m, &m),
+            oracle_from_matrices(&m, &m)
+        );
     }
 
     fn uniform_matrix(n: usize, v: u64) -> MessageMatrix<u64> {

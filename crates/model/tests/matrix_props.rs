@@ -63,11 +63,25 @@ proptest! {
         }
     }
 
+    /// The matrix's count and the sets' `Σ_p |AHO(p, r)|` are one
+    /// definition: over a partial intended matrix, where the delivered
+    /// one keeps, drops, corrupts or invents ("spurious") each cell.
     #[test]
-    fn corruption_count_equals_total_aho(n in 2usize..10, actions_seed in arb_deliveries(10)) {
-        let intended = MessageMatrix::from_fn(n, |s, _| Some(s.index() as u64));
+    fn corruption_count_equals_total_aho(
+        n in 2usize..10,
+        unsent in proptest::collection::vec(0u8..4, 100),
+        actions_seed in proptest::collection::vec(0u8..4, 100),
+    ) {
+        let intended = MessageMatrix::from_fn(n, |s, r| {
+            (unsent[s.index() * n + r.index()] != 0).then_some(s.index() as u64)
+        });
         let actions = &actions_seed[..n * n];
-        let delivered = apply(n, &intended, actions);
+        let mut delivered = apply(n, &intended, actions);
+        for (i, _) in actions.iter().enumerate().filter(|(_, &a)| a == 3) {
+            // Spurious: a message where none was sent (or a fourth kind
+            // of corruption where one was).
+            delivered.set(ProcessId::new((i / n) as u32), ProcessId::new((i % n) as u32), 500);
+        }
         let sets = RoundSets::from_matrices(&intended, &delivered);
         prop_assert_eq!(
             delivered.corruption_count(&intended),

@@ -226,15 +226,15 @@ impl<A: HoAlgorithm> Simulator<A> {
         let mut trace: RunTrace<A> = RunTrace::new(n, initial);
         let mut rounds_executed = 0;
         let mut decided_since = None;
-        // One reception vector for the whole run, refilled per process.
+        // One reception vector and one intended matrix for the whole
+        // run, refilled per process and per round.
         let mut rx = ReceptionVector::new(n);
+        let mut intended = MessageMatrix::empty(n);
 
         for r in 1..=max_rounds as u64 {
             let round = Round::new(r);
             // (1) Sending functions, applied to start-of-round states.
-            let intended = MessageMatrix::from_fn(n, |sender, dest| {
-                Some(cores[sender.index()].send_to(round, dest))
-            });
+            intended.refill(|sender, dest| Some(cores[sender.index()].send_to(round, dest)));
             // (2) The environment decides what arrives.
             let delivered = self.adversary.deliver(round, &intended, &mut rng);
             let sets = RoundSets::from_matrices(&intended, &delivered);
@@ -251,7 +251,7 @@ impl<A: HoAlgorithm> Simulator<A> {
                 decisions,
                 detail: match self.trace_level {
                     TraceLevel::Full => Some(RoundDetail {
-                        intended,
+                        intended: intended.clone(),
                         delivered,
                         states_after: cores.iter().map(|c| c.state().clone()).collect(),
                     }),
