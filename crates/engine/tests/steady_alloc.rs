@@ -12,30 +12,39 @@
 //! instance axis: a warm mux round of 64 instances must allocate
 //! exactly as much as a round of one.
 //!
-//! The whole file is ONE `#[test]` so no concurrent test pollutes the
-//! process-global allocation counter.
+//! The counter is per thread: the harness's main thread (and anything
+//! else the process runs) allocates on threads of its own, and those
+//! allocations are not the hot path's.
 
 use heardof_coding::CodeSpec;
 use heardof_core::{Ate, AteParams};
 use heardof_engine::{Framing, Ingest, MuxRoundEngine, RoundEngine};
 use heardof_model::{HoAlgorithm, ProcessId, ReceptionVector, Round};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// The system allocator with an allocation-event odometer. Frees are
 /// not counted: the claim is about acquiring memory on the hot path.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from
+    // inside the allocator neither allocates nor outlives its thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCS.with(|count| count.set(count.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -48,7 +57,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static COUNTER: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 fn engine(me: u32, copies: u8, spec: CodeSpec, rounds: u64) -> RoundEngine<Ate<u64>> {

@@ -2,9 +2,12 @@
 # Prints the size of the production crates' surface, so a PR's API and
 # line delta shows up as a diff of docs/api-budget.txt:
 #
-#   per crate (coding engine net async)
-#     - code lines: src/*.rs up to the first #[cfg(test)], blank lines
-#       and //-only lines (comments, docs) excluded;
+#   per crate (coding engine net async), over every src/**/*.rs file in
+#   sorted path order (a module split into a subdirectory still counts)
+#     - code lines: each file up to its first #[cfg(test)], blank lines
+#       and //-only lines (comments, docs) excluded. The first
+#       #[cfg(test)] item of a file ends its counted region, whatever
+#       follows it, so a test-only helper belongs at the end of a file;
 #     - lines in that same region that can panic on purpose
 #       (`.unwrap()`, `.expect(`, `panic!(`; `assert!` is a stated
 #       precondition and is not counted);
@@ -28,7 +31,8 @@ for crate in coding engine net async; do
   lines=0
   panics=0
   names=''
-  for file in "$root/crates/$crate"/src/*.rs; do
+  src="$root/crates/$crate/src"
+  while IFS= read -r file; do
     code=$(production "$file" | grep -cvE '^[[:space:]]*(//.*)?$' || true)
     lines=$((lines + code))
     hits=$(production "$file" | grep -vE '^[[:space:]]*//' |
@@ -36,9 +40,9 @@ for crate in coding engine net async; do
     panics=$((panics + hits))
     names+=$(production "$file" |
       sed -nE 's/^[[:space:]]*pub (fn|struct|enum|trait) ([A-Za-z_][A-Za-z0-9_]*).*/\1 \2/p' |
-      sed "s|$| ($(basename "$file"))|")
+      sed "s|$| (${file#"$src/"})|")
     names+=$'\n'
-  done
+  done < <(find "$src" -name '*.rs' -type f | sort)
   total=$((total + lines))
   items=$(printf '%s' "$names" | grep -c . || true)
   echo "== $crate: $lines code lines, $items public items"
