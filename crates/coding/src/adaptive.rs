@@ -260,61 +260,16 @@ impl RoundTally {
     }
 }
 
-/// How the controller smooths its per-round observations into the
-/// pressure/activity estimates the thresholds compare against.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum PressureEstimator {
-    /// The original estimator: totals over the sliding window of the
-    /// last [`AdaptiveConfig::window`] rounds. Reacts in exactly
-    /// `window` rounds, then forgets completely.
-    Windowed,
-    /// Exponentially weighted moving average of the per-round rates:
-    /// `est ← est + λ·(x − est)`, seeded by the first observation after
-    /// each switch. Smoother under jittery channels, with a memory that
-    /// decays instead of cliffing; `λ = 0.5` has the same effective
-    /// horizon (≈ 2 rounds) as the default window, which is why the two
-    /// modes agree on clean and hard-burst channels (a unit test pins
-    /// this) and differ only on marginal, threshold-straddling noise.
-    Ewma {
-        /// Smoothing factor in `(0, 1]`; larger reacts faster.
-        lambda: f64,
-    },
-    /// One-sided CUSUM change-point statistics (ROADMAP estimator
-    /// upgrade): per rate, `s ← min(cap, max(0, s + x − drift))`. The
-    /// statistic accumulates only the *excess* of each round's rate
-    /// over the `drift` allowance, so sub-drift background noise reads
-    /// as exactly zero while a genuine regime change crosses the
-    /// escalation threshold within a round; the `cap` bounds how much
-    /// burst evidence can pile up, so the calm-side decay (one `drift`
-    /// per quiet round) releases within the cooldown horizon instead of
-    /// remembering the whole burst. With `drift = 0.25, cap = 1.0` the
-    /// rung schedule is pinned to the windowed estimator's on the clean
-    /// and hard-burst presets (unit tests assert this); the modes
-    /// differ only on marginal, threshold-straddling noise, where CUSUM
-    /// ignores what the window averages in.
-    Cusum {
-        /// Per-round rate allowance subtracted before accumulating;
-        /// must lie in `(0, 1)`.
-        drift: f64,
-        /// Saturation bound on each statistic; must be positive.
-        cap: f64,
-    },
-}
-
 /// Configuration of an [`AdaptiveController`].
 #[derive(Clone, Debug)]
 pub struct AdaptiveConfig {
     /// The escalation ladder, weakest (cheapest) first. Rung 0 is the
     /// starting code.
     pub ladder: Vec<CodeSpec>,
-    /// Sliding-window length (rounds) for the pressure estimate. The
-    /// window is kept even in EWMA mode: the severe-burst check and the
-    /// `P_α` projection always read raw recent rounds.
+    /// Sliding-window length (rounds) over which pressure, activity,
+    /// the corrected rate, the severe-burst check and the `P_α`
+    /// projection are read.
     pub window: usize,
-    /// The smoothing applied to pressure/activity/corrected-rate
-    /// estimates (ROADMAP estimator upgrade; default
-    /// [`PressureEstimator::Windowed`], the historical behaviour).
-    pub estimator: PressureEstimator,
     /// Windowed pressure above which the controller steps up a rung.
     pub escalate_at: f64,
     /// Single-round pressure above which an escalation jumps **two**
@@ -379,7 +334,6 @@ impl AdaptiveConfig {
                 CodeSpec::Repetition { k: 5 },
             ],
             window: 2,
-            estimator: PressureEstimator::Windowed,
             escalate_at: 0.35,
             severe_at: 0.6,
             deescalate_at: 0.05,
@@ -389,31 +343,6 @@ impl AdaptiveConfig {
             alpha_budget,
             target_tail: 1e-6,
             gossip: None,
-        }
-    }
-
-    /// [`AdaptiveConfig::standard`] with the EWMA estimator at
-    /// `λ = 0.5` — the same effective horizon as the default 2-round
-    /// window, so the two modes make identical decisions on clean and
-    /// hard-burst channels.
-    pub fn standard_ewma(n: usize, alpha_budget: u32) -> Self {
-        AdaptiveConfig {
-            estimator: PressureEstimator::Ewma { lambda: 0.5 },
-            ..Self::standard(n, alpha_budget)
-        }
-    }
-
-    /// [`AdaptiveConfig::standard`] with the CUSUM change-point
-    /// estimator at `drift = 0.25, cap = 1.0` — pinned by unit tests to
-    /// the windowed estimator's rung schedule on the clean and
-    /// hard-burst presets.
-    pub fn standard_cusum(n: usize, alpha_budget: u32) -> Self {
-        AdaptiveConfig {
-            estimator: PressureEstimator::Cusum {
-                drift: 0.25,
-                cap: 1.0,
-            },
-            ..Self::standard(n, alpha_budget)
         }
     }
 
@@ -496,22 +425,6 @@ impl AdaptiveConfig {
             self.escalate_at
         );
         assert!(self.n >= 1, "system must have at least one process");
-        match self.estimator {
-            PressureEstimator::Windowed => {}
-            PressureEstimator::Ewma { lambda } => {
-                assert!(
-                    lambda > 0.0 && lambda <= 1.0,
-                    "the EWMA smoothing factor must lie in (0, 1], got {lambda}"
-                );
-            }
-            PressureEstimator::Cusum { drift, cap } => {
-                assert!(
-                    drift > 0.0 && drift < 1.0,
-                    "the CUSUM drift must lie in (0, 1), got {drift}"
-                );
-                assert!(cap > 0.0, "the CUSUM cap must be positive, got {cap}");
-            }
-        }
         let oblivious = self
             .ladder
             .iter()
@@ -693,40 +606,6 @@ impl TallyWindow {
     }
 }
 
-/// Smoothed-estimator state: the EWMA averages or CUSUM statistics for
-/// (pressure, activity, corrected rate), depending on the configured
-/// [`PressureEstimator`]. Equality and hashing are bitwise over the
-/// IEEE representations — the estimator is a deterministic function of
-/// the observation sequence, so bit-equality is exactly the "same
-/// state" relation conformance and model checking need.
-#[derive(Clone, Copy, Debug)]
-pub struct EstState {
-    /// Smoothed fault-pressure estimate.
-    pub pressure: f64,
-    /// Smoothed channel-activity estimate.
-    pub activity: f64,
-    /// Smoothed corrected-rate estimate.
-    pub corrected: f64,
-}
-
-impl PartialEq for EstState {
-    fn eq(&self, other: &Self) -> bool {
-        self.pressure.to_bits() == other.pressure.to_bits()
-            && self.activity.to_bits() == other.activity.to_bits()
-            && self.corrected.to_bits() == other.corrected.to_bits()
-    }
-}
-
-impl Eq for EstState {}
-
-impl std::hash::Hash for EstState {
-    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
-        self.pressure.to_bits().hash(h);
-        self.activity.to_bits().hash(h);
-        self.corrected.to_bits().hash(h);
-    }
-}
-
 /// The complete decision state of one controller: a plain `Copy` value
 /// with no heap behind it, evolved exclusively by the pure [`step`]
 /// function. The simulator, the threaded runtime, the async runtime
@@ -771,14 +650,8 @@ pub struct CtlState {
     /// Consecutive calm rounds, saturating at `cooldown` (the release
     /// guard reads `>= cooldown`; nothing reads past it).
     pub calm_streak: u64,
-    /// The recent-round tally window the estimators read.
+    /// The recent-round tally window every estimate reads.
     pub window: TallyWindow,
-    /// Smoothed-estimator state; `None` until the first observation
-    /// after construction or a switch, so each rung's estimate is
-    /// seeded from its own first round — the smoothed analogue of
-    /// clearing the window. Stays `None` in
-    /// [`PressureEstimator::Windowed`] mode.
-    pub est: Option<EstState>,
 }
 
 impl CtlState {
@@ -794,39 +667,25 @@ impl CtlState {
             rounds_since_switch: cfg.min_dwell,
             calm_streak: 0,
             window: TallyWindow::empty(),
-            est: None,
         }
     }
 
-    /// Smoothed fault pressure under `cfg`'s estimator: the estimated
-    /// fraction of expected frames that fail to arrive intact — window
-    /// totals by default, the EWMA average or CUSUM statistic
-    /// otherwise.
-    pub fn pressure(&self, cfg: &AdaptiveConfig) -> f64 {
-        match cfg.estimator {
-            PressureEstimator::Windowed => self.windowed(|t| t.omissions() + t.value_faults),
-            _ => self.est.map_or(0.0, |e| e.pressure),
-        }
+    /// Windowed fault pressure: the fraction of the window's expected
+    /// frames that failed to arrive intact.
+    pub fn pressure(&self) -> f64 {
+        self.windowed(|t| t.omissions() + t.value_faults)
     }
 
-    /// Smoothed channel activity (pressure plus repaired deliveries) —
-    /// what de-escalation waits on.
-    pub fn activity(&self, cfg: &AdaptiveConfig) -> f64 {
-        match cfg.estimator {
-            PressureEstimator::Windowed => {
-                self.windowed(|t| t.omissions() + t.corrected + t.value_faults + t.evidence)
-            }
-            _ => self.est.map_or(0.0, |e| e.activity),
-        }
+    /// Windowed channel activity (pressure plus repaired deliveries and
+    /// repair evidence) — what de-escalation waits on.
+    pub fn activity(&self) -> f64 {
+        self.windowed(|t| t.omissions() + t.corrected + t.value_faults + t.evidence)
     }
 
-    /// Smoothed fraction of expected frames delivered *after repair* —
+    /// Windowed fraction of expected frames delivered *after repair* —
     /// evidence the current rung is actively winning against the noise.
-    pub fn corrected_rate(&self, cfg: &AdaptiveConfig) -> f64 {
-        match cfg.estimator {
-            PressureEstimator::Windowed => self.windowed(|t| t.corrected),
-            _ => self.est.map_or(0.0, |e| e.corrected),
-        }
+    pub fn corrected_rate(&self) -> f64 {
+        self.windowed(|t| t.corrected)
     }
 
     /// Window totals of `count` over expected frames.
@@ -892,7 +751,6 @@ pub fn step(
         .saturating_add(1)
         .min(cfg.min_dwell.saturating_add(1));
     st.window.push(tally, cfg.window);
-    update_estimate(cfg, st, tally);
     // Advance the logical-clock frontier over every in-ladder
     // advertisement (adopted or not), so a self-decided switch below
     // stamps itself past everything the group has decided.
@@ -926,7 +784,7 @@ pub fn step(
         return gossip_step(cfg, st, ads);
     }
 
-    let windowed = st.pressure(cfg);
+    let windowed = st.pressure();
     // High pressure alone is not enough to climb: a rung that repairs
     // at least half as many frames as it loses is still *coping* with
     // the noise — escalating off it during a dip is the spurious
@@ -934,7 +792,7 @@ pub fn step(
     // up costs rate). Only when losses clearly outrun repairs is the
     // rung beaten. The `P_α` projection overrides: leaked value
     // faults always escalate.
-    let losing = windowed > cfg.escalate_at && windowed > 2.0 * st.corrected_rate(cfg);
+    let losing = windowed > cfg.escalate_at && windowed > 2.0 * st.corrected_rate();
     if (losing || !st.palpha_feasible(cfg)) && (st.rung as usize) + 1 < cfg.ladder.len() {
         // A hard burst — any window round with pressure past severe_at
         // — jumps two rungs: the middle rung's per-block correction is
@@ -962,7 +820,7 @@ pub fn step(
             pinned: false,
         };
     }
-    if st.rung > 0 && st.calm_streak >= cfg.cooldown && st.activity(cfg) <= cfg.deescalate_at {
+    if st.rung > 0 && st.calm_streak >= cfg.cooldown && st.activity() <= cfg.deescalate_at {
         // A window with essentially zero activity releases two rungs
         // at once (mirroring the severe jump up); residual activity
         // steps down one rung at a time. Off the content-oblivious
@@ -971,7 +829,7 @@ pub fn step(
         // — re-probe content viability on the strongest content rung
         // before descending further.
         let oblivious = cfg.ladder[st.rung as usize] == CodeSpec::Oblivious;
-        let jump = if !oblivious && st.activity(cfg) <= cfg.deescalate_at / 2.0 {
+        let jump = if !oblivious && st.activity() <= cfg.deescalate_at / 2.0 {
             2
         } else {
             1
@@ -984,47 +842,6 @@ pub fn step(
         };
     }
     gossip_step(cfg, st, ads)
-}
-
-/// Folds one round's rates into the smoothed-estimator state (no-op in
-/// windowed mode).
-fn update_estimate(cfg: &AdaptiveConfig, st: &mut CtlState, tally: RoundTally) {
-    let (p, a) = (tally.pressure(), tally.activity());
-    let c = if tally.expected == 0 {
-        0.0
-    } else {
-        tally.corrected as f64 / tally.expected as f64
-    };
-    match cfg.estimator {
-        PressureEstimator::Windowed => {}
-        PressureEstimator::Ewma { lambda } => {
-            st.est = Some(match st.est {
-                None => EstState {
-                    pressure: p,
-                    activity: a,
-                    corrected: c,
-                },
-                Some(e) => EstState {
-                    pressure: e.pressure + lambda * (p - e.pressure),
-                    activity: e.activity + lambda * (a - e.activity),
-                    corrected: e.corrected + lambda * (c - e.corrected),
-                },
-            });
-        }
-        PressureEstimator::Cusum { drift, cap } => {
-            let fold = |s: f64, x: f64| (s + x - drift).clamp(0.0, cap);
-            let e = st.est.unwrap_or(EstState {
-                pressure: 0.0,
-                activity: 0.0,
-                corrected: 0.0,
-            });
-            st.est = Some(EstState {
-                pressure: fold(e.pressure, p),
-                activity: fold(e.activity, a),
-                corrected: fold(e.corrected, c),
-            });
-        }
-    }
 }
 
 /// The gossip adoption rule: among the round's advertisements, keep
@@ -1204,10 +1021,8 @@ fn switch_common(st: &mut CtlState) {
     // Judge every rung on its own observations: tallies gathered under
     // the previous code would otherwise read as this rung's losses
     // (stale checksum-era omissions escalating a correcting rung that
-    // is actually coping). The smoothed estimator resets too — it
-    // re-seeds from the new rung's first round.
+    // is actually coping).
     st.window.clear();
-    st.est = None;
     // A switch changes which camp is "different": the majority-join
     // streak starts over from the new rung's perspective.
     st.majority_seen = None;
@@ -1315,24 +1130,22 @@ impl AdaptiveController {
         })
     }
 
-    /// Smoothed fault pressure: the estimated fraction of expected
-    /// frames that fail to arrive intact — window totals by default,
-    /// EWMA of per-round rates under [`PressureEstimator::Ewma`], the
-    /// change-point statistic under [`PressureEstimator::Cusum`].
+    /// Windowed fault pressure: the fraction of the window's expected
+    /// frames that failed to arrive intact.
     pub fn pressure(&self) -> f64 {
-        self.state.pressure(&self.cfg)
+        self.state.pressure()
     }
 
-    /// Smoothed channel activity (pressure plus repaired deliveries) —
-    /// what de-escalation waits on.
+    /// Windowed channel activity (pressure plus repaired deliveries and
+    /// repair evidence) — what de-escalation waits on.
     pub fn activity(&self) -> f64 {
-        self.state.activity(&self.cfg)
+        self.state.activity()
     }
 
-    /// Smoothed fraction of expected frames delivered *after repair* —
+    /// Windowed fraction of expected frames delivered *after repair* —
     /// evidence the current rung is actively winning against the noise.
     pub fn corrected_rate(&self) -> f64 {
-        self.state.corrected_rate(&self.cfg)
+        self.state.corrected_rate()
     }
 
     /// The `α` budget the windowed value-fault estimate demands at the
@@ -1909,110 +1722,6 @@ mod tests {
         );
     }
 
-    /// Drives one controller closed-loop against a [`NoiseTrace`]: each
-    /// round, every peer's frame is encoded under the controller's
-    /// current rung, corrupted by the trace, and classified the way a
-    /// live receiver would — decode failures are omissions, repairs are
-    /// counted, value faults are invisible. Returns the rung schedule.
-    fn rungs_under_trace(
-        cfg: AdaptiveConfig,
-        trace: &crate::NoiseTrace,
-        rounds: u64,
-    ) -> Vec<usize> {
-        let n = cfg.n;
-        let book = CodeBook::from_specs(&cfg.ladder);
-        let mut ctl = AdaptiveController::new(cfg);
-        let body = vec![0xA5u8; 24];
-        let mut schedule = Vec::with_capacity(rounds as usize);
-        for r in 1..=rounds {
-            schedule.push(ctl.rung());
-            let mut tally = RoundTally {
-                expected: n - 1,
-                delivered: 0,
-                corrected: 0,
-                value_faults: 0,
-                evidence: 0,
-            };
-            for sender in 1..n as u32 {
-                let mut wire = book.tagged(ctl.code_id(), None, &body);
-                trace.corrupt_frame(r, sender, 0, 0, &mut wire);
-                if let Ok(t) = book.decode_tagged(&wire).0 {
-                    tally.delivered += 1;
-                    tally.corrected += usize::from(t.repaired);
-                }
-            }
-            ctl.observe(tally);
-        }
-        schedule
-    }
-
-    #[test]
-    fn ewma_and_windowed_modes_agree_on_the_clean_preset() {
-        // On a clean channel both estimators read ~0 pressure forever:
-        // identical (constant) rung schedules.
-        let trace = crate::NoiseTrace::clean(11);
-        let windowed = rungs_under_trace(AdaptiveConfig::standard(8, 1), &trace, 60);
-        let ewma = rungs_under_trace(AdaptiveConfig::standard_ewma(8, 1), &trace, 60);
-        assert_eq!(windowed, ewma);
-        assert!(
-            windowed.iter().all(|&r| r == 0),
-            "clean channel never escalates"
-        );
-    }
-
-    #[test]
-    fn ewma_and_windowed_modes_agree_on_the_hard_burst_preset() {
-        // The bursty preset (30 calm rounds, then a sustained hard
-        // burst) drives pressure far past every threshold: λ = 0.5 has
-        // the same effective horizon as the 2-round window, so the two
-        // modes escalate at the same rounds to the same rungs.
-        let trace = crate::NoiseTrace::bursty(7);
-        let windowed = rungs_under_trace(AdaptiveConfig::standard(8, 1), &trace, 60);
-        let ewma = rungs_under_trace(AdaptiveConfig::standard_ewma(8, 1), &trace, 60);
-        assert_eq!(windowed, ewma, "identical decisions round for round");
-        assert!(
-            *windowed.last().unwrap() > 0,
-            "the burst phase must actually move the ladder: {windowed:?}"
-        );
-    }
-
-    #[test]
-    fn ewma_seeds_from_the_first_round_after_a_switch() {
-        let mut ctl = AdaptiveController::new(AdaptiveConfig::standard_ewma(8, 1));
-        assert_eq!(ctl.pressure(), 0.0, "no observations yet");
-        // Mild pressure (1/7 ≈ 14%, below every threshold): the
-        // controller holds, and the estimate must equal the sample.
-        let mild = RoundTally {
-            expected: 7,
-            delivered: 6,
-            corrected: 0,
-            value_faults: 0,
-            evidence: 0,
-        };
-        assert_eq!(ctl.observe(mild), None);
-        let first = ctl.pressure();
-        assert!(
-            (first - mild.pressure()).abs() < 1e-12,
-            "first sample seeds the estimate exactly, got {first}"
-        );
-        // Keep feeding until a switch: the estimate must reset.
-        for _ in 0..10 {
-            if ctl.observe(noisy(7)).is_some() {
-                break;
-            }
-        }
-        assert!(ctl.switches() >= 1, "noise must escalate");
-        assert_eq!(ctl.pressure(), 0.0, "each rung re-earns its estimate");
-    }
-
-    #[test]
-    #[should_panic(expected = "EWMA smoothing factor")]
-    fn zero_lambda_panics() {
-        let mut cfg = AdaptiveConfig::standard_ewma(4, 0);
-        cfg.estimator = PressureEstimator::Ewma { lambda: 0.0 };
-        let _ = AdaptiveController::new(cfg);
-    }
-
     #[test]
     fn determinism_identical_tallies_identical_decisions() {
         let feed: Vec<RoundTally> = (0..60)
@@ -2083,68 +1792,6 @@ mod tests {
         assert!((t.activity() - 0.6).abs() < 1e-12);
         assert_eq!(RoundTally::default().pressure(), 0.0);
         assert_eq!(RoundTally::default().activity(), 0.0);
-    }
-
-    #[test]
-    fn cusum_and_windowed_modes_agree_on_the_clean_preset() {
-        let trace = crate::NoiseTrace::clean(11);
-        let windowed = rungs_under_trace(AdaptiveConfig::standard(8, 1), &trace, 60);
-        let cusum = rungs_under_trace(AdaptiveConfig::standard_cusum(8, 1), &trace, 60);
-        assert_eq!(windowed, cusum);
-        assert!(
-            windowed.iter().all(|&r| r == 0),
-            "clean channel never escalates"
-        );
-    }
-
-    #[test]
-    fn cusum_and_windowed_modes_agree_on_the_hard_burst_preset() {
-        // A hard burst drives every round's pressure far past the
-        // drift, so the CUSUM statistic crosses the escalation
-        // threshold in the same rounds the 2-round window does; on the
-        // calm side the capped statistic decays one drift per quiet
-        // round and reaches the de-escalation band within the cooldown,
-        // again matching the window. The modes differ only on marginal,
-        // threshold-straddling noise.
-        let trace = crate::NoiseTrace::bursty(7);
-        let windowed = rungs_under_trace(AdaptiveConfig::standard(8, 1), &trace, 60);
-        let cusum = rungs_under_trace(AdaptiveConfig::standard_cusum(8, 1), &trace, 60);
-        assert_eq!(windowed, cusum, "identical decisions round for round");
-        assert!(
-            *windowed.last().unwrap() > 0,
-            "the burst phase must actually move the ladder: {windowed:?}"
-        );
-    }
-
-    #[test]
-    fn cusum_ignores_subdrift_background_noise() {
-        // Sustained mild pressure below the drift never accumulates:
-        // the statistic reads exactly zero where the window would read
-        // the (harmless) background rate.
-        let mut ctl = AdaptiveController::new(AdaptiveConfig::standard_cusum(8, 1));
-        let mild = RoundTally {
-            expected: 10,
-            delivered: 9, // 10% pressure, below the 25% drift
-            corrected: 0,
-            value_faults: 0,
-            evidence: 0,
-        };
-        for _ in 0..50 {
-            assert_eq!(ctl.observe(mild), None);
-            assert_eq!(ctl.pressure(), 0.0, "sub-drift noise never accumulates");
-        }
-        assert_eq!(ctl.switches(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "CUSUM drift")]
-    fn invalid_cusum_drift_panics() {
-        let mut cfg = AdaptiveConfig::standard_cusum(4, 0);
-        cfg.estimator = PressureEstimator::Cusum {
-            drift: 0.0,
-            cap: 1.0,
-        };
-        let _ = AdaptiveController::new(cfg);
     }
 
     #[test]

@@ -85,9 +85,8 @@ mod script;
 
 pub use adaptive::{
     chernoff_alpha_for_mean, step, AdaptiveConfig, AdaptiveController, CodeBook, CodeBookError,
-    CtlState, EstState, GossipConfig, PressureEstimator, RoundTally, RungAdvert, StepOutcome,
-    SwitchCause, TaggedWire, TallyWindow, DERIVED_GOSSIP_JOIN_ROUNDS, DERIVED_GOSSIP_QUORUM,
-    GOSSIP_FLAG, MAX_WINDOW,
+    CtlState, GossipConfig, RoundTally, RungAdvert, StepOutcome, SwitchCause, TaggedWire,
+    TallyWindow, DERIVED_GOSSIP_JOIN_ROUNDS, DERIVED_GOSSIP_QUORUM, GOSSIP_FLAG, MAX_WINDOW,
 };
 pub use batch::{
     mux_overhead, pack_slots_into, patch_slots, unpack_slots_view, SlotsIter, SlotsView, MAX_SLOTS,

@@ -38,8 +38,8 @@
 //! advertisement byte is one peer's voice.
 
 use heardof_coding::{
-    step, AdaptiveConfig, CodeSpec, CtlState, FaultScript, LinkFault, PressureEstimator,
-    RoundTally, RungAdvert, StepOutcome, SwitchCause, TallyWindow, MAX_WINDOW,
+    step, AdaptiveConfig, CodeSpec, CtlState, FaultScript, LinkFault, RoundTally, RungAdvert,
+    StepOutcome, SwitchCause, TallyWindow, MAX_WINDOW,
 };
 
 /// Largest system size the fixed-width node encoding supports. The
@@ -118,9 +118,8 @@ pub enum Predicate {
 /// test plus the exploration bounds.
 #[derive(Clone, Debug)]
 pub struct McConfig {
-    /// The configuration every controller runs. Must enable gossip,
-    /// use the windowed estimator (the packed node encoding stores no
-    /// smoothed-estimator state), and fit the packed clocks.
+    /// The configuration every controller runs. Must enable gossip and
+    /// fit the packed clocks.
     pub cfg: AdaptiveConfig,
     /// System size (`2..=MAX_N`).
     pub n: usize,
@@ -161,10 +160,6 @@ impl McConfig {
         assert!(
             self.cfg.gossip.is_some(),
             "the checker targets the gossip machine"
-        );
-        assert!(
-            matches!(self.cfg.estimator, PressureEstimator::Windowed),
-            "packed nodes hold no smoothed-estimator state"
         );
         assert!(
             self.cfg.ladder.len() <= 8,
@@ -214,16 +209,11 @@ impl CtlNode {
     }
 
     /// Packs this controller into `out` (16 bytes of decision state,
-    /// 16 bytes of seen-pair bitset). The windowed estimator keeps
-    /// `est` at `None` and the model fixes `expected = n - 1` with
-    /// zero corrected/value-fault/evidence counts, so per window slot
-    /// only the delivered count is stored.
+    /// 16 bytes of seen-pair bitset). The model fixes `expected = n - 1`
+    /// with zero corrected/value-fault/evidence counts, so per window
+    /// slot only the delivered count is stored.
     pub fn pack(&self, out: &mut [u8; CTL_BYTES]) {
         let st = &self.st;
-        debug_assert!(
-            st.est.is_none(),
-            "packed nodes require the windowed estimator"
-        );
         out[0] = st.rung;
         out[1] = st.epoch;
         out[2] = st.latest_epoch;
@@ -273,7 +263,6 @@ impl CtlNode {
                 rounds_since_switch: bytes[3] as u64,
                 calm_streak: bytes[4] as u64,
                 window,
-                est: None,
             },
             seen: u128::from_le_bytes(seen_bytes),
         }
