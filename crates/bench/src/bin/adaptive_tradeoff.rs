@@ -201,7 +201,6 @@ fn policies() -> Vec<Policy> {
         CodeSpec::Checksum { width: 4 },
         CodeSpec::Hamming74,
         CodeSpec::Interleaved { depth: 16 },
-        CodeSpec::Concatenated { width: 4 },
         FOUNTAIN,
         CodeSpec::Repetition { k: 5 },
     ]

@@ -243,15 +243,6 @@ pub enum CodeSpec {
         /// burst length in bits for sufficiently long frames.
         depth: u8,
     },
-    /// Concatenated inner-correction/outer-detection:
-    /// [`Hamming74`](crate::Hamming74) on the wire around a CRC-32
-    /// trailer of `width` bytes on the payload. Miscorrections must
-    /// also forge the checksum, shrinking the residual value-fault
-    /// rate by `~2^-8·width`.
-    Concatenated {
-        /// Outer checksum width in bytes (1, 2 or 4).
-        width: u8,
-    },
     /// Rateless fountain coding ([`LtCode`](crate::LtCode)): the
     /// payload is cut into small source blocks and sent as
     /// CRC-guarded symbols — the blocks themselves plus `repair`
@@ -293,10 +284,6 @@ impl CodeSpec {
             CodeSpec::Interleaved { depth } => {
                 Arc::new(crate::Interleaved::new(crate::Hamming74, depth as usize))
             }
-            CodeSpec::Concatenated { width } => Arc::new(crate::Concatenated::new(
-                crate::Hamming74,
-                crate::Checksum::with_width(width),
-            )),
             CodeSpec::Fountain { repair } => Arc::new(crate::LtCode::new(repair)),
             CodeSpec::Oblivious => Arc::new(crate::PatternCode),
         }
@@ -327,9 +314,6 @@ impl fmt::Display for CodeSpec {
             CodeSpec::Repetition { k } => write!(f, "repetition{k}"),
             CodeSpec::Hamming74 => write!(f, "hamming74"),
             CodeSpec::Interleaved { depth } => write!(f, "interleaved{depth}[hamming74]"),
-            CodeSpec::Concatenated { width } => {
-                write!(f, "hamming74+checksum{}", u32::from(*width) * 8)
-            }
             CodeSpec::Fountain { repair } => write!(f, "fountain{repair}"),
             CodeSpec::Oblivious => write!(f, "oblivious"),
         }
@@ -360,7 +344,6 @@ mod tests {
                 CodeSpec::Interleaved { depth: 8 },
                 "interleaved8[hamming74]",
             ),
-            (CodeSpec::Concatenated { width: 4 }, "hamming74+checksum32"),
             (CodeSpec::Fountain { repair: 8 }, "fountain8"),
         ] {
             assert_eq!(spec.to_string(), name);

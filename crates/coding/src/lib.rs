@@ -27,11 +27,9 @@
 //! | [`Hamming74`] | 1/2 | deliveries (1-bit) and omissions (2-bit) per block |
 //! | [`LtCode`] | rateless | deliveries via erasure repair; redundancy per *symbol*, not per frame |
 //!
-//! Two combinators extend the base codes to the realistic failure
-//! modes: [`Interleaved`] spreads correlated bursts across Hamming
-//! blocks, and [`Concatenated`] wraps inner correction around outer
-//! detection (Hamming inside CRC) so miscorrections must also forge a
-//! checksum. [`LtCode`] goes rateless: per-symbol CRCs turn corrupted
+//! The [`Interleaved`] combinator extends SECDED to the realistic
+//! failure mode of correlated bursts by spreading each burst across
+//! Hamming blocks. [`LtCode`] goes rateless: per-symbol CRCs turn corrupted
 //! symbols into erasures and a seeded robust-soliton schedule repairs
 //! them, with the [`SymbolBudget`] pathway metering redundancy in
 //! incremental symbols negotiated per round. Because the right code
@@ -72,7 +70,6 @@ pub mod bitslice;
 mod burst;
 mod checksum;
 mod code;
-mod concat;
 mod fountain;
 mod hamming;
 mod interleave;
@@ -95,7 +92,6 @@ pub use batch::{
 pub use burst::{GilbertElliott, NoiseModel, NoisePhase, NoiseTrace};
 pub use checksum::{crc32, Checksum, NoCode};
 pub use code::{ChannelCode, CodeError, CodeSpec, DecodeScan, FrameOutcome};
-pub use concat::Concatenated;
 pub use fountain::{LtCode, SymbolBudget};
 pub use hamming::Hamming74;
 pub use interleave::{

@@ -311,32 +311,6 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "Monte-Carlo at release scale; CI runs with --include-ignored"]
-    fn concatenation_suppresses_miscorrection_misses_at_scale() {
-        use crate::Concatenated;
-        // 200k frames at weight 3: plain SECDED's three-in-a-block
-        // miscorrections surface reliably (μ ≈ 26 at this geometry);
-        // the concatenated code's residual must also forge CRC-32 and
-        // stays invisible.
-        let plain = measure_code_exact_flips(&Hamming74, 32, 3, 200_000, 33);
-        let fixed = measure_code_exact_flips(
-            &Concatenated::new(Hamming74, Checksum::crc32()),
-            32,
-            3,
-            200_000,
-            33,
-        );
-        assert!(
-            plain.undetected > 0,
-            "control: plain SECDED must miscorrect at this scale: {plain:?}"
-        );
-        assert_eq!(
-            fixed.undetected, 0,
-            "hamming74+crc32 residual invisible at 200k trials: {fixed:?}"
-        );
-    }
-
-    #[test]
     fn induced_alpha_scales_with_senders() {
         let rates = MissRates {
             trials: 1_000,

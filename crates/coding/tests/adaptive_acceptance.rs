@@ -136,7 +136,6 @@ fn adaptive_stays_feasible_where_every_static_pays() {
         CodeSpec::Checksum { width: 4 },
         CodeSpec::Hamming74,
         CodeSpec::Interleaved { depth: 16 },
-        CodeSpec::Concatenated { width: 4 },
         CodeSpec::Fountain { repair: 8 },
         CodeSpec::Repetition { k: 5 },
     ];
@@ -175,12 +174,6 @@ fn hamming_miscorrections_blow_the_budget_under_bursts() {
         hamming.alpha_star() > BUDGET,
         "bare SECDED must be infeasible under bursts, got α* = {}",
         hamming.alpha_star()
-    );
-    // …and the concatenated rung exists precisely to close that leak.
-    let concat = measure(Some(CodeSpec::Concatenated { width: 4 }), &trace);
-    assert_eq!(
-        concat.value_faults, 0,
-        "hamming inside CRC-32 leaks nothing at this scale"
     );
 }
 

@@ -635,7 +635,7 @@ fn truncated_checksum_miss_rate_regression() {
 
 /// Every constructible spec family, including the rungs the adaptive
 /// ladder skips.
-fn all_specs() -> [CodeSpec; 10] {
+fn all_specs() -> [CodeSpec; 9] {
     [
         CodeSpec::None,
         CodeSpec::Checksum { width: 1 },
@@ -645,7 +645,6 @@ fn all_specs() -> [CodeSpec; 10] {
         CodeSpec::Repetition { k: 5 },
         CodeSpec::Hamming74,
         CodeSpec::Interleaved { depth: 16 },
-        CodeSpec::Concatenated { width: 4 },
         CodeSpec::Fountain { repair: 4 },
     ]
 }

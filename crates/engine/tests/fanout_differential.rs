@@ -12,7 +12,7 @@
 //! that is fed the same end-of-round tallies as the engine's own, so
 //! rung switches and budget renegotiation happen in lockstep.
 //!
-//! Axes, all exhaustive per generated case: the ten code specs of the
+//! Axes, all exhaustive per generated case: the nine code specs of the
 //! golden-wire suite × {fixed, adaptive tagged + advert on a ladder
 //! starting at that spec} × `copies ∈ {1, 3}` (on a fountain rung the three fold
 //! into the symbol budget) × {`RoundEngine`, `MuxRoundEngine` with
@@ -36,7 +36,7 @@ const N: usize = 7;
 const ROUNDS: u64 = 6;
 
 /// The spec families `crates/coding/tests/golden_wire.rs` pins.
-fn all_specs() -> [CodeSpec; 10] {
+fn all_specs() -> [CodeSpec; 9] {
     [
         CodeSpec::None,
         CodeSpec::Checksum { width: 1 },
@@ -46,7 +46,6 @@ fn all_specs() -> [CodeSpec; 10] {
         CodeSpec::Repetition { k: 5 },
         CodeSpec::Hamming74,
         CodeSpec::Interleaved { depth: 16 },
-        CodeSpec::Concatenated { width: 4 },
         CodeSpec::Fountain { repair: 4 },
     ]
 }

@@ -90,7 +90,6 @@ fn framings() -> Vec<Framed> {
         Framed::Fixed(CodeSpec::Repetition { k: 3 }),
         Framed::Fixed(CodeSpec::Hamming74),
         Framed::Fixed(CodeSpec::Interleaved { depth: 16 }),
-        Framed::Fixed(CodeSpec::Concatenated { width: 4 }),
         Framed::Fixed(CodeSpec::Fountain { repair: 8 }),
         Framed::Fixed(CodeSpec::Oblivious),
         Framed::Tagged { advert: false },

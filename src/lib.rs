@@ -92,8 +92,8 @@ pub mod prelude {
     pub use heardof_async::{run_async, AsyncConfig, AsyncOutcome};
     pub use heardof_coding::{
         measure_code, AdaptiveConfig, AdaptiveController, BitNoise, ChannelCode, Checksum,
-        CodeBook, CodeSpec, Concatenated, FrameOutcome, GilbertElliott, Hamming74, Interleaved,
-        LtCode, NoCode, NoiseTrace, Repetition, RoundTally, SymbolBudget,
+        CodeBook, CodeSpec, FrameOutcome, GilbertElliott, Hamming74, Interleaved, LtCode, NoCode,
+        NoiseTrace, Repetition, RoundTally, SymbolBudget,
     };
     pub use heardof_core::{
         Ate, AteParams, OneThirdRule, ParamError, Threshold, UniformVoting, Ute, UteMsg, UteParams,
