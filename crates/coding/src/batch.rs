@@ -127,7 +127,8 @@ impl<'a> SlotsView<'a> {
     }
 
     /// Iterates the `(instance_id, body)` slots, bodies borrowed from
-    /// the image. Infallible: the view only exists post-validation.
+    /// the image. The view only exists post-validation, so the walk
+    /// yields exactly [`SlotsView::len`] slots.
     pub fn iter(&self) -> SlotsIter<'a> {
         SlotsIter {
             rest: self.slots,
@@ -160,11 +161,11 @@ impl<'a> Iterator for SlotsIter<'a> {
             return None;
         }
         self.remaining -= 1;
-        let id = u32::from_le_bytes(self.rest[..4].try_into().expect("4-byte id"));
-        let len = u16::from_le_bytes(self.rest[4..6].try_into().expect("2-byte len")) as usize;
-        let body = &self.rest[6..6 + len];
-        self.rest = &self.rest[6 + len..];
-        Some((id, body))
+        let ([i0, i1, i2, i3, l0, l1], rest) = self.rest.split_first_chunk::<6>()?;
+        let len = u16::from_le_bytes([*l0, *l1]) as usize;
+        let (body, rest) = rest.split_at_checked(len)?;
+        self.rest = rest;
+        Some((u32::from_le_bytes([*i0, *i1, *i2, *i3]), body))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -187,28 +188,18 @@ impl ExactSizeIterator for SlotsIter<'_> {}
 /// Both are *detected omissions* to the caller: the whole image is
 /// dropped, never a subset of its slots.
 pub fn unpack_slots_view(image: &[u8]) -> Result<SlotsView<'_>, CodeError> {
-    let Some(body_len) = image.len().checked_sub(4) else {
-        return Err(CodeError::Malformed);
-    };
-    let (body, trailer) = image.split_at(body_len);
+    let (body, trailer) = image.split_last_chunk::<4>().ok_or(CodeError::Malformed)?;
     let (&count, slots) = body.split_first().ok_or(CodeError::Malformed)?;
     let mut rest = slots;
     for _ in 0..count {
-        if rest.len() < 6 {
-            return Err(CodeError::Malformed);
-        }
-        let len = u16::from_le_bytes(rest[4..6].try_into().expect("2-byte len")) as usize;
-        rest = &rest[6..];
-        if rest.len() < len {
-            return Err(CodeError::Malformed);
-        }
-        rest = &rest[len..];
+        let ([.., l0, l1], tail) = rest.split_first_chunk::<6>().ok_or(CodeError::Malformed)?;
+        let len = u16::from_le_bytes([*l0, *l1]) as usize;
+        rest = tail.get(len..).ok_or(CodeError::Malformed)?;
     }
     if !rest.is_empty() {
         return Err(CodeError::Malformed);
     }
-    let expected = u32::from_le_bytes(trailer.try_into().expect("4-byte CRC trailer"));
-    if expected != crc32(body) {
+    if u32::from_le_bytes(*trailer) != crc32(body) {
         return Err(CodeError::Detected);
     }
     Ok(SlotsView {

@@ -43,7 +43,7 @@ pub const LANES: usize = 64;
 /// Transposes one 8×8 bit matrix held in a `u64` (row `i` = byte
 /// `i`, column `j` = bit `j`), the classic three-exchange network.
 #[inline]
-pub fn transpose8x8(mut x: u64) -> u64 {
+fn transpose8x8(mut x: u64) -> u64 {
     let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
     x ^= t ^ (t << 7);
     let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
@@ -201,7 +201,7 @@ fn transpose_from_bytes(src: &[u8], dst: &mut [u8], rows: usize, cols: usize) {
 /// Transposes an `rows × cols` bit matrix: destination bit
 /// `c*rows + r` = source bit `r*cols + c`, both LSB-first — the engine
 /// behind the fast interleave path ([`crate::interleave_bits`]), one
-/// [`transpose8x8`] per 64 bits instead of one shift-and-mask per bit.
+/// 8×8 bit transpose per 64 bits instead of one shift-and-mask per bit.
 ///
 /// Which path a shape takes is decided by its dimensions alone. A
 /// matrix with a side that is a whole number of bytes and the other at
@@ -562,8 +562,8 @@ pub fn transpose64(blocks: &[u8; LANES]) -> [u64; 8] {
 #[inline]
 fn transpose64_swar(blocks: &[u8; LANES]) -> [u64; 8] {
     let mut m = [0u64; 8];
-    for (word, chunk) in m.iter_mut().zip(blocks.chunks_exact(8)) {
-        *word = u64::from_le_bytes(chunk.try_into().expect("8-byte group"));
+    for (word, group) in m.iter_mut().zip(blocks.as_chunks::<8>().0) {
+        *word = u64::from_le_bytes(*group);
     }
     for word in m.iter_mut() {
         *word = transpose8x8(*word);

@@ -107,7 +107,7 @@ impl GilbertElliott {
     }
 
     /// Stationary probability of being in the bad state.
-    pub fn stationary_burst_fraction(&self) -> f64 {
+    fn stationary_burst_fraction(&self) -> f64 {
         let denom = self.p_enter_burst + self.p_exit_burst;
         if denom == 0.0 {
             0.0
@@ -422,21 +422,16 @@ impl NoiseTrace {
     /// per-round (not per-bit) and stepped by one seed-global chain, so
     /// all links burst and calm together. See
     /// [`NoiseTrace::correlated_bursts`] for the canonical preset.
-    pub fn with_shared_regime(mut self) -> Self {
+    fn with_shared_regime(mut self) -> Self {
         self.shared_regime = true;
         self
-    }
-
-    /// `true` when one shared chain modulates all links.
-    pub fn shared_regime(&self) -> bool {
-        self.shared_regime
     }
 
     /// Whether the shared regime chain is in its burst state at
     /// `round` (1-based; always `false` for per-link traces). A pure
     /// function of `(seed, round)` — identical for every link and
     /// every substrate.
-    pub fn regime_at(&self, round: u64) -> bool {
+    fn regime_at(&self, round: u64) -> bool {
         if !self.shared_regime {
             return false;
         }
@@ -471,7 +466,7 @@ impl NoiseTrace {
     }
 
     /// The channel in force at `round` (1-based).
-    pub fn channel_at(&self, round: u64) -> GilbertElliott {
+    fn channel_at(&self, round: u64) -> GilbertElliott {
         let cycle: u64 = self.phases.iter().map(|p| p.rounds).sum();
         let mut pos = (round - 1) % cycle;
         for phase in &self.phases {
@@ -813,7 +808,7 @@ mod tests {
     #[test]
     fn shared_regime_is_a_pure_function_of_seed_and_round() {
         let trace = NoiseTrace::correlated_bursts(3);
-        assert!(trace.shared_regime());
+        assert!(trace.shared_regime);
         let regimes: Vec<bool> = (1..=200).map(|r| trace.regime_at(r)).collect();
         let again: Vec<bool> = (1..=200).map(|r| trace.regime_at(r)).collect();
         assert_eq!(regimes, again, "regime replay is exact");

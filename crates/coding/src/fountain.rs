@@ -241,7 +241,7 @@ impl LtCode {
     /// sample the seeded robust-soliton distribution. A pure function
     /// of `(k, idx)`, identical for every sender, receiver and
     /// substrate.
-    pub fn neighbors(k: usize, idx: u8) -> Vec<usize> {
+    fn neighbors(k: usize, idx: u8) -> Vec<usize> {
         let i = idx as usize;
         if i < k {
             return vec![i];
