@@ -68,7 +68,7 @@ use std::sync::Arc;
 pub const GOSSIP_FLAG: u8 = 0x80;
 
 /// Epochs are advertised modulo this window (4 bits on the wire).
-const EPOCH_MODULUS: u8 = 16;
+pub(crate) const EPOCH_MODULUS: u8 = 16;
 
 /// A rung advertisement piggybacked on a tagged frame: the sender's
 /// current ladder rung plus its switch epoch, packed into one byte —
@@ -123,7 +123,7 @@ impl RungAdvert {
 
     /// Serial-number distance from `base` forward to `epoch` within the
     /// 4-bit window.
-    fn epoch_distance(epoch: u8, base: u8) -> u8 {
+    pub(crate) fn epoch_distance(epoch: u8, base: u8) -> u8 {
         epoch.wrapping_sub(base) % EPOCH_MODULUS
     }
 
@@ -610,10 +610,10 @@ impl TallyWindow {
 /// The complete decision state of one controller: a plain `Copy` value
 /// with no heap behind it, evolved exclusively by the pure [`step`]
 /// function. The simulator, the threaded runtime, the async runtime
-/// (all via [`AdaptiveController`]) and the exhaustive model checker
-/// (`heardof-mc`, which hashes these by value to dedup its search)
-/// drive the *same* transition — there is no second implementation to
-/// drift.
+/// (all via [`AdaptiveController`](crate::AdaptiveController)) and the
+/// exhaustive model checker (`heardof-mc`, which hashes these by value
+/// to dedup its search) drive the *same* transition — there is no
+/// second implementation to drift.
 ///
 /// Two clocks are deliberately saturating at exactly the bound their
 /// guard reads, which keeps the reachable state space finite without
@@ -1143,7 +1143,8 @@ impl AdaptiveController {
     }
 
     /// The `α` budget the windowed value-fault estimate demands at the
-    /// configured tail, via [`chernoff_alpha_for_mean`].
+    /// configured tail, via
+    /// [`chernoff_alpha_for_mean`](crate::chernoff_alpha_for_mean).
     pub fn projected_alpha(&self) -> u32 {
         self.state.projected_alpha(&self.cfg)
     }
@@ -1345,8 +1346,9 @@ impl CodeBook {
     /// repair events the named code observed while scanning the whole
     /// coded body ([`ChannelCode::decode_scan`]) — nonzero even when the
     /// frame is rejected, which is the evidence behind
-    /// [`RoundTally::evidence`]. The body stays borrowed from `wire`
-    /// whenever the named code decodes in place.
+    /// [`RoundTally::evidence`](crate::RoundTally::evidence). The body
+    /// stays borrowed from `wire` whenever the named code decodes in
+    /// place.
     ///
     /// # Errors
     ///
