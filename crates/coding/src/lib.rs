@@ -70,6 +70,7 @@ pub mod bitslice;
 mod burst;
 mod checksum;
 mod code;
+mod codebook;
 mod fountain;
 mod hamming;
 mod interleave;
@@ -79,11 +80,11 @@ mod noise;
 mod oblivious;
 mod repetition;
 mod script;
+mod step;
 
 pub use adaptive::{
-    chernoff_alpha_for_mean, step, AdaptiveConfig, AdaptiveController, CodeBook, CodeBookError,
-    CtlState, GossipConfig, RoundTally, RungAdvert, StepOutcome, SwitchCause, TaggedWire,
-    TallyWindow, DERIVED_GOSSIP_JOIN_ROUNDS, DERIVED_GOSSIP_QUORUM, GOSSIP_FLAG, MAX_WINDOW,
+    AdaptiveConfig, AdaptiveController, GossipConfig, DERIVED_GOSSIP_JOIN_ROUNDS,
+    DERIVED_GOSSIP_QUORUM,
 };
 pub use batch::{
     mux_overhead, pack_slots_into, patch_slots, unpack_slots_view, SlotsIter, SlotsView, MAX_SLOTS,
@@ -92,6 +93,7 @@ pub use batch::{
 pub use burst::{GilbertElliott, NoiseModel, NoisePhase, NoiseTrace};
 pub use checksum::{crc32, Checksum, NoCode};
 pub use code::{ChannelCode, CodeError, CodeSpec, DecodeScan, FrameOutcome};
+pub use codebook::{CodeBook, CodeBookError, RungAdvert, TaggedWire, GOSSIP_FLAG};
 pub use fountain::{LtCode, SymbolBudget};
 pub use hamming::Hamming74;
 pub use interleave::{
@@ -109,3 +111,7 @@ pub use oblivious::{
 };
 pub use repetition::Repetition;
 pub use script::{FaultScript, LinkFault};
+pub use step::{
+    chernoff_alpha_for_mean, step, CtlState, RoundTally, StepOutcome, SwitchCause, TallyWindow,
+    MAX_WINDOW,
+};

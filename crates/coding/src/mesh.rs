@@ -15,8 +15,10 @@
 //! experiment prints its lag table from it — one implementation, so
 //! the printed claim and the asserted claim can never drift apart.
 
-use crate::adaptive::{AdaptiveConfig, AdaptiveController, CodeBook, RoundTally, RungAdvert};
+use crate::adaptive::{AdaptiveConfig, AdaptiveController};
 use crate::burst::NoiseTrace;
+use crate::codebook::{CodeBook, RungAdvert};
+use crate::step::RoundTally;
 use bytes::BytesMut;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};

@@ -25,7 +25,7 @@
 //! every existing substrate and conformance harness replays it without
 //! modification; unscripted links deliver untouched.
 
-use crate::adaptive::{RungAdvert, GOSSIP_FLAG};
+use crate::codebook::{RungAdvert, GOSSIP_FLAG};
 use std::collections::BTreeMap;
 
 /// One scripted action on one link in one round. Anything *not*
