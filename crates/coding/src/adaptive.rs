@@ -4,10 +4,11 @@
 //! checksum wastes the `P_α` margin the moment noise arrives, while a
 //! repetition code wastes bandwidth the whole time the channel is
 //! clean. The [`AdaptiveController`] closes the loop the paper leaves
-//! open in §5.2 — it watches the per-round [`FrameOutcome`](crate::FrameOutcome) tallies a
-//! receiver can actually observe (deliveries and effective omissions;
-//! undetected value faults are, by definition, invisible and enter only
-//! as estimates) and walks a **ladder** of codes:
+//! open in §5.2 — it watches the per-round
+//! [`FrameOutcome`](crate::FrameOutcome) tallies a receiver can
+//! actually observe (deliveries and effective omissions; undetected
+//! value faults are, by definition, invisible and enter only as
+//! estimates) and walks a **ladder** of codes:
 //!
 //! ```text
 //! checksum32 → hamming74 → interleaved{d}[hamming74] → fountain{r} → repetition5

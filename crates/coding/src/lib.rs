@@ -17,7 +17,7 @@
 //! turns almost every corruption into a detected drop (omission), and a
 //! *correcting code* repairs corruptions outright, shrinking both fault
 //! classes at the price of redundant bits. This crate provides the
-//! [`ChannelCode`] abstraction and four reference codes:
+//! [`ChannelCode`] abstraction and five reference codes:
 //!
 //! | code | rate | converts corruption into |
 //! |---|---|---|
@@ -29,15 +29,25 @@
 //!
 //! The [`Interleaved`] combinator extends SECDED to the realistic
 //! failure mode of correlated bursts by spreading each burst across
-//! Hamming blocks. [`LtCode`] goes rateless: per-symbol CRCs turn corrupted
-//! symbols into erasures and a seeded robust-soliton schedule repairs
-//! them, with the [`SymbolBudget`] pathway metering redundancy in
-//! incremental symbols negotiated per round. Because the right code
-//! depends on the *current* channel, [`AdaptiveController`] walks a
-//! ladder of [`CodeSpec`]s with hysteresis, driven by per-round
-//! [`RoundTally`] observations and a `P_α` feasibility projection;
-//! [`CodeBook`] gives the ladder a tagged wire format so mixed-epoch
-//! frames decode exactly.
+//! Hamming blocks. [`LtCode`] goes rateless: per-symbol CRCs turn
+//! corrupted symbols into erasures and a seeded robust-soliton schedule
+//! repairs them, with the [`SymbolBudget`] pathway metering redundancy
+//! in incremental symbols negotiated per round.
+//!
+//! Because the right code depends on the *current* channel,
+//! [`AdaptiveController`] walks a ladder of [`CodeSpec`]s with
+//! hysteresis. The ladder lives in three modules, one decision each:
+//!
+//! * `codebook` — the rung wire format: [`CodeBook`] prefixes every
+//!   frame with its code id so mixed-epoch frames decode exactly, and a
+//!   gossiping sender adds a parity-checked [`RungAdvert`];
+//! * `step` — the pure decision machine: [`step`] folds one round's
+//!   [`RoundTally`] and the peers' adverts into a heap-free [`CtlState`],
+//!   reading the last few rounds' window and a `P_α` feasibility
+//!   projection — the transition `heardof-mc` model-checks;
+//! * `adaptive` — [`AdaptiveConfig`] (ladder, thresholds, `α` budget,
+//!   gossip policy) and [`AdaptiveController`], which owns one config
+//!   and one state and counts what [`step`] decided.
 //!
 //! Every decode is classified as one of three [`FrameOutcome`]s —
 //! `Delivered`, `DetectedOmission`, or `UndetectedValueFault` — and
