@@ -120,6 +120,7 @@ impl<A: HoAlgorithm> Scenario<A> {
         let mut runs = 0usize;
         let mut decided = 0usize;
         let mut violated = 0usize;
+        let mut consensus = 0usize;
         let mut decision_rounds = Vec::new();
         let mut predicate_holds = vec![0usize; self.predicates.len()];
         for seed in seeds {
@@ -127,6 +128,9 @@ impl<A: HoAlgorithm> Scenario<A> {
             runs += 1;
             if !outcome.is_safe() {
                 violated += 1;
+            }
+            if outcome.consensus_ok() {
+                consensus += 1;
             }
             if outcome.all_decided() {
                 decided += 1;
@@ -145,6 +149,7 @@ impl<A: HoAlgorithm> Scenario<A> {
             runs,
             decided,
             violated,
+            consensus,
             rounds: Summary::from_counts(decision_rounds.iter().copied()),
             decision_rounds,
             predicate_satisfaction: self
@@ -173,6 +178,8 @@ pub struct ScenarioResult {
     pub decided: usize,
     /// Runs with safety violations.
     pub violated: usize,
+    /// Runs that were safe and where everyone decided.
+    pub consensus: usize,
     /// Last-decider rounds of fully decided runs.
     pub decision_rounds: Vec<u64>,
     /// Summary of those rounds.
@@ -184,7 +191,7 @@ pub struct ScenarioResult {
 impl ScenarioResult {
     /// `true` iff every run was safe and fully decided.
     pub fn all_consensus_ok(&self) -> bool {
-        self.violated == 0 && self.decided == self.runs
+        self.consensus == self.runs
     }
 
     /// Fraction of runs where everyone decided.
@@ -236,6 +243,7 @@ mod tests {
             .max_rounds(100)
             .run(0..10);
         assert_eq!(result.runs, 10);
+        assert_eq!(result.consensus, 10);
         assert!(result.all_consensus_ok(), "{result}");
         assert_eq!(result.predicate_satisfaction[0].1, 10);
         assert!(result.to_string().contains("split-brain"));

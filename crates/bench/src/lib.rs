@@ -1,121 +1,15 @@
 //! # heardof-bench
 //!
-//! The experiment harness reproducing every table and figure of
-//! *Tolerating Corrupted Communication* (PODC 2007). Each binary in
-//! `src/bin/` regenerates one artifact; `EXPERIMENTS.md` records the
-//! paper claim vs. the measured result. Criterion micro-benchmarks live
-//! in `benches/`.
-//!
-//! | binary | artifact |
-//! |---|---|
-//! | `table1` | Table 1 — predicates/conditions of both algorithms, validated empirically |
-//! | `fig1_liveness_a` | Figure 1 — `P^{A,live}` drives termination |
-//! | `fig2_liveness_u` | Figure 2 — `P^{U,live}` drives termination |
-//! | `fig3_taxonomy` | Figure 3 — the four corruption regimes |
-//! | `resilience` | §3.3/§4.3 — feasible `α` frontiers (`n/4`, `n/2`) |
-//! | `santoro_widmayer` | §5.1 — circumventing the ⌊n/2⌋ bound |
-//! | `fast_path` | §5.1 — fast decisions vs. Martin/Alvisi |
-//! | `lamport_bound` | §5.1 — attaining `N > 2Q + F + 2M` |
-//! | `otr_equivalence` | §3.3 — `A_{2n/3,2n/3}` ≡ OneThirdRule |
-//! | `tightness` | Props 1–2 — witness search at weakened conditions |
-//! | `coverage` | §5.2 — checksum coverage vs. required `α` |
-//! | `byzantine_emulation` | §5.2 — classic settings as predicates |
+//! The experiment harness of the workspace. [`repro::ARTIFACTS`] holds
+//! every table, figure and claim of *Tolerating Corrupted
+//! Communication* (PODC 2007) that this repository reproduces, plus the
+//! coding layer's operating points; the `repro` bin prints them and
+//! `tests/repro_golden.rs` pins each one byte for byte. Criterion
+//! micro-benchmarks live in `benches/` and commit their results through
+//! [`report::BenchReport`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod report;
-
-use heardof_adversary::{
-    Adversary, BorrowedCorruption, Budgeted, GoodRounds, RandomCorruption, SplitBrain, WithSchedule,
-};
-use heardof_core::UteMsg;
-
-/// Standard `P_α`-respecting adversary families used across experiments,
-/// selected by index (kept stable so tables are comparable).
-pub fn ate_adversary_family(kind: usize, alpha: u32, good_every: u64) -> Box<dyn Adversary<u64>> {
-    let schedule = GoodRounds::every(good_every);
-    match kind % 3 {
-        0 => Box::new(WithSchedule::new(
-            Budgeted::new(RandomCorruption::new(alpha, 1.0), alpha),
-            schedule,
-        )),
-        1 => Box::new(WithSchedule::new(
-            Budgeted::new(BorrowedCorruption::new(alpha, 1.0), alpha),
-            schedule,
-        )),
-        _ => Box::new(WithSchedule::new(
-            Budgeted::new(SplitBrain::new(alpha), alpha),
-            schedule,
-        )),
-    }
-}
-
-/// Adversary family for `U_{T,E,α}` runs (votes message alphabet), with
-/// `P^{U,live}`-shaped good windows.
-pub fn ute_adversary_family(
-    kind: usize,
-    alpha: u32,
-    window_every: u64,
-) -> Box<dyn Adversary<UteMsg<u64>>> {
-    let schedule = GoodRounds::phase_window_every(window_every);
-    match kind % 3 {
-        0 => Box::new(WithSchedule::new(
-            Budgeted::new(RandomCorruption::new(alpha, 1.0), alpha),
-            schedule,
-        )),
-        1 => Box::new(WithSchedule::new(
-            Budgeted::new(BorrowedCorruption::new(alpha, 1.0), alpha),
-            schedule,
-        )),
-        _ => Box::new(WithSchedule::new(
-            Budgeted::new(SplitBrain::new(alpha), alpha),
-            schedule,
-        )),
-    }
-}
-
-/// The adversary-family names matching [`ate_adversary_family`].
-pub const FAMILY_NAMES: [&str; 3] = ["random", "borrowed", "split-brain"];
-
-/// Prints a standard experiment header.
-pub fn header(artifact: &str, claim: &str) {
-    println!("================================================================");
-    println!("{artifact}");
-    println!("paper claim: {claim}");
-    println!("================================================================");
-}
-
-/// The smallest budget `α ≤ n` whose Chernoff upper tail for mean
-/// demand `mu` is below `tail_bound` — delegates to the canonical rule
-/// in `heardof_net` so the padding logic lives in one place.
-pub fn chernoff_alpha(mu: f64, n: usize, tail_bound: f64) -> u32 {
-    heardof_net::recommend_alpha_for_mean(mu, n, tail_bound)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn families_construct() {
-        for k in 0..3 {
-            let a = ate_adversary_family(k, 1, 5);
-            assert!(!a.name().is_empty());
-            let u = ute_adversary_family(k, 1, 6);
-            assert!(!u.name().is_empty());
-        }
-    }
-
-    #[test]
-    fn chernoff_alpha_behaves() {
-        assert_eq!(chernoff_alpha(0.0, 20, 1e-9), 0);
-        let low = chernoff_alpha(0.05, 20, 1e-6);
-        let high = chernoff_alpha(2.0, 20, 1e-6);
-        assert!(
-            low < high,
-            "more demand needs more budget ({low} vs {high})"
-        );
-        assert!(chernoff_alpha(50.0, 10, 1e-6) <= 10, "capped at n");
-    }
-}
+pub mod repro;

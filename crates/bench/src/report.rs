@@ -3,7 +3,7 @@
 //! [`BenchReport`], so CI gates and humans parse one schema
 //! (`heardof-bench-report/v1`) instead of one ad-hoc layout per bench.
 //!
-//! The in-tree serde shim has no serializer, so the writer renders the
+//! The workspace has no JSON serializer, so the writer renders the
 //! JSON by hand — metrics are pushed pre-formatted as JSON numbers, one
 //! per line, which keeps the committed artifacts both `grep`-able (the
 //! CI regression gate is line-oriented) and diff-friendly.

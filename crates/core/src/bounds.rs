@@ -16,7 +16,6 @@
 //!   `U`: `M = (n−1)/2`, each with `F = 0`).
 
 use crate::params::{AteParams, UteParams};
-use serde::{Deserialize, Serialize};
 
 /// Santoro/Widmayer's impossibility threshold: with this many dynamic
 /// value transmission faults per round (in sender "blocks"), no agreement
@@ -71,7 +70,7 @@ pub fn martin_alvisi_max_byzantine(n: usize) -> usize {
 /// A point in Lamport's resilience space for asynchronous consensus:
 /// `N` acceptors, fast despite `Q` Byzantine acceptors, live despite
 /// `F`, safe despite `M`. \[11\]
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct LamportPoint {
     /// Number of acceptors `N`.
     pub n: usize,

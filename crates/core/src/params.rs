@@ -9,7 +9,6 @@
 //! Feasible iff `α < n/2` (§4.3).
 
 use crate::thresholds::Threshold;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -129,7 +128,7 @@ impl Error for ParamError {}
 /// assert!(AteParams::balanced(10, 3).is_err());
 /// # Ok::<(), heardof_core::ParamError>(())
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct AteParams {
     n: usize,
     alpha: u32,
@@ -298,7 +297,7 @@ impl fmt::Display for AteParams {
 /// assert!(UteParams::tightest(11, 6).is_err());
 /// # Ok::<(), heardof_core::ParamError>(())
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct UteParams {
     n: usize,
     alpha: u32,

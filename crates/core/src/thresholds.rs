@@ -12,7 +12,6 @@
 //! floats would invite rounding doubt exactly where the proofs are
 //! tightest.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A threshold value in quarter units (`raw = 4 × value`).
@@ -28,7 +27,7 @@ use std::fmt;
 /// assert_eq!(t.to_string(), "4.75");
 /// assert_eq!(Threshold::integer(6).to_string(), "6");
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Threshold(u32);
 
 impl Threshold {

@@ -5,7 +5,6 @@
 //! Rounds are grouped into *phases* of two rounds each by the
 //! `U_{T,E,α}` algorithm: phase `φ` consists of rounds `2φ−1` and `2φ`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identity of a process in `Π`.
@@ -22,7 +21,7 @@ use std::fmt;
 /// assert_eq!(p.index(), 3);
 /// assert_eq!(p.to_string(), "p3");
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ProcessId(u32);
 
 impl ProcessId {
@@ -89,7 +88,7 @@ pub fn all_processes(n: usize) -> impl DoubleEndedIterator<Item = ProcessId> + E
 /// assert!(r.is_first_of_phase());
 /// assert_eq!(r.next(), Round::new(6));
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Round(u64);
 
 impl Round {
@@ -163,7 +162,7 @@ impl fmt::Display for Round {
 /// assert_eq!(phi.first_round(), Round::new(5));
 /// assert_eq!(phi.second_round(), Round::new(6));
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Phase(u64);
 
 impl Phase {

@@ -164,6 +164,21 @@ mod tests {
     }
 
     #[test]
+    fn alpha_for_mean_behaves() {
+        assert_eq!(recommend_alpha_for_mean(0.0, 20, 1e-9), 0);
+        let low = recommend_alpha_for_mean(0.05, 20, 1e-6);
+        let high = recommend_alpha_for_mean(2.0, 20, 1e-6);
+        assert!(
+            low < high,
+            "more demand needs more budget ({low} vs {high})"
+        );
+        assert!(
+            recommend_alpha_for_mean(50.0, 10, 1e-6) <= 10,
+            "capped at n"
+        );
+    }
+
+    #[test]
     fn alpha_capped_at_n() {
         let est = recommend_alpha(
             &LinkFaults {

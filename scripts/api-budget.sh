@@ -12,7 +12,9 @@
 #       (`.unwrap()`, `.expect(`, `panic!(`; `assert!` is a stated
 #       precondition and is not counted);
 #     - the sorted `pub fn` / `pub struct` / `pub enum` / `pub trait`
-#       names declared in that same region.
+#       names declared in that same region;
+#   then, outside that total, the code lines of the experiments
+#   (crates/bench/src and examples), counted the same way.
 #
 # Usage: scripts/api-budget.sh [repo-root] > docs/api-budget.txt
 # CI regenerates the file and fails on `diff`.
@@ -26,6 +28,11 @@ production() {
   awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { print }' "$1"
 }
 
+# Code lines of that region: blank and //-only lines excluded.
+code_lines() {
+  production "$1" | grep -cvE '^[[:space:]]*(//.*)?$' || true
+}
+
 total=0
 for crate in coding engine net async; do
   lines=0
@@ -33,8 +40,7 @@ for crate in coding engine net async; do
   names=''
   src="$root/crates/$crate/src"
   while IFS= read -r file; do
-    code=$(production "$file" | grep -cvE '^[[:space:]]*(//.*)?$' || true)
-    lines=$((lines + code))
+    lines=$((lines + $(code_lines "$file")))
     hits=$(production "$file" | grep -vE '^[[:space:]]*//' |
       grep -cE '\.unwrap\(\)|\.expect\(|panic!\(' || true)
     panics=$((panics + hits))
@@ -51,3 +57,11 @@ for crate in coding engine net async; do
   echo
 done
 echo "== total: $total code lines"
+
+# The experiments (the repro artifacts, the bench harness, the
+# examples), counted the same way but kept out of the production total.
+experiments=0
+while IFS= read -r file; do
+  experiments=$((experiments + $(code_lines "$file")))
+done < <(find "$root/crates/bench/src" "$root/examples" -name '*.rs' -type f | sort)
+echo "== experiments (crates/bench/src, examples): $experiments code lines"

@@ -138,6 +138,40 @@ fn no_good_rounds_means_no_decision_but_no_violation() {
 }
 
 #[test]
+fn ute_recovers_right_after_a_transient_storm() {
+    // Faults are dynamic and *transient*: every receiver's full α = 5
+    // budget is spent every round for 40 rounds at n = 11, far beyond
+    // what a static-fault model tolerates. No round can muster the > E
+    // identical votes a decision needs, so nobody decides during the
+    // storm, and one clean phase after it everybody does — safely.
+    let n = 11;
+    let alpha = heardof::core::bounds::ute_max_alpha(n);
+    assert_eq!(alpha, 5);
+    let params = UteParams::tightest(n, alpha).unwrap();
+    let storm = TransientBurst::new(
+        Budgeted::new(RandomCorruption::new(alpha, 1.0), alpha),
+        1,
+        40,
+    );
+    let outcome = Simulator::new(Ute::new(params, 0u64), n)
+        .adversary(storm)
+        .seed(13)
+        .initial_values((0..n).map(|i| i as u64 % 2))
+        .extra_rounds_after_decision(3)
+        .run_until_decided(200)
+        .unwrap();
+    assert!(outcome.consensus_ok());
+    assert!(
+        outcome.trace.rounds()[..40]
+            .iter()
+            .all(|rec| rec.decisions.iter().all(Option::is_none)),
+        "no decision during the storm"
+    );
+    let decided = outcome.last_decision_round().unwrap().get();
+    assert!((41..=44).contains(&decided), "decided at round {decided}");
+}
+
+#[test]
 fn one_third_rule_benign_termination() {
     // The benign baseline under pure omissions with periodic full rounds.
     let n = 9;
