@@ -51,9 +51,9 @@
 //!
 //! Every decode is classified as one of three [`FrameOutcome`]s —
 //! `Delivered`, `DetectedOmission`, or `UndetectedValueFault` — and
-//! [`measure_code`] estimates the rates of each under a binary symmetric
-//! channel ([`measure_code_under`] under any [`NoiseModel`], including
-//! the bursty [`GilbertElliott`] chain), which is what the
+//! [`measure_code`] estimates the rates of each under any
+//! [`NoiseModel`] — the binary symmetric [`BitNoise`] or the bursty
+//! [`GilbertElliott`] chain — which is what the
 //! `coding_tradeoff` and `adaptive_tradeoff` experiments sweep against
 //! the paper's `P_α` feasibility thresholds.
 //!
@@ -110,10 +110,7 @@ pub use interleave::{
     deinterleave_bits, deinterleave_bits_scalar, interleave_bits, interleave_bits_scalar,
     stripe_offsets, Interleaved,
 };
-pub use measure::{
-    induced_alpha_demand, measure_code, measure_code_exact_flips, measure_code_observed,
-    measure_code_under, MissRates,
-};
+pub use measure::{measure_code, measure_code_exact_flips, MissRates};
 pub use noise::BitNoise;
 pub use oblivious::{
     decode_count, encode_count, oblivious_advert_frame, oblivious_channel, oblivious_value_frame,

@@ -10,7 +10,6 @@
 use crate::burst::NoiseModel;
 use crate::code::{ChannelCode, FrameOutcome};
 use crate::noise::BitNoise;
-use heardof_telemetry::{Event, EventKind, Telemetry, NO_PEER};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -57,116 +56,26 @@ impl MissRates {
             self.undetected as f64 / corrupted as f64
         }
     }
-
-    /// Rebuilds rates from telemetry link-plane counters — the inverse
-    /// of [`measure_code_observed`]'s event stream. `trials` is taken
-    /// by the caller because a shared recorder may have seen more than
-    /// one measurement run.
-    pub fn from_telemetry(trials: usize, telemetry: &Telemetry) -> MissRates {
-        MissRates {
-            trials,
-            clean: telemetry.total(EventKind::LinkDelivered) as usize,
-            corrected: telemetry.total(EventKind::LinkCorrected) as usize,
-            detected: telemetry.total(EventKind::LinkDetected) as usize,
-            undetected: telemetry.total(EventKind::LinkUndetected) as usize,
-        }
-    }
 }
 
-/// Estimates a code's outcome split under a binary symmetric channel:
-/// `trials` random `payload_len`-byte payloads are encoded, passed
-/// through [`BitNoise`], decoded and classified.
+/// Estimates a code's outcome split under any [`NoiseModel`]: `trials`
+/// random `payload_len`-byte payloads are encoded, passed through
+/// `noise`, decoded and classified. Under the memoryless [`BitNoise`]
+/// this is a binary symmetric channel; under the bursty
+/// [`crate::GilbertElliott`] chain, whose correlated errors are what
+/// separates [`crate::Interleaved`] from its inner code, the model's
+/// state persists across frames, so burst sojourns span frame
+/// boundaries the way they do on a real link.
 ///
 /// Deterministic per `seed`.
 pub fn measure_code(
     code: &dyn ChannelCode,
     payload_len: usize,
-    mut noise: BitNoise,
-    trials: usize,
-    seed: u64,
-) -> MissRates {
-    measure_code_under(code, payload_len, &mut noise, trials, seed)
-}
-
-/// Like [`measure_code`], but under any [`NoiseModel`] — in particular
-/// the bursty [`crate::GilbertElliott`] chain, whose correlated errors
-/// are what separates [`crate::Interleaved`] from its inner code. The
-/// model's state persists across frames, so burst sojourns span frame
-/// boundaries the way they do on a real link.
-///
-/// Deterministic per `seed`.
-pub fn measure_code_under(
-    code: &dyn ChannelCode,
-    payload_len: usize,
-    noise: &mut dyn NoiseModel,
-    trials: usize,
-    seed: u64,
-) -> MissRates {
-    // One accounting path: the loop emits link-plane telemetry and the
-    // rates are folded back out of the counters.
-    let telemetry = Telemetry::counters();
-    measure_code_observed(code, payload_len, noise, trials, seed, &telemetry);
-    MissRates::from_telemetry(trials, &telemetry)
-}
-
-/// The event-emitting core of [`measure_code_under`]: runs the same
-/// Monte-Carlo loop but reports each trial's outcome as a link-plane
-/// telemetry event (round = trial number, starting at 1; peer =
-/// [`NO_PEER`]; value = wire length) instead of keeping private
-/// tallies. Use [`Telemetry::counters`] for large trial counts —
-/// counters-only mode stores no per-event or per-round state.
-///
-/// Deterministic per `seed`, and byte-identical in its classifications
-/// to the pre-telemetry hand-rolled loop.
-pub fn measure_code_observed(
-    code: &dyn ChannelCode,
-    payload_len: usize,
-    noise: &mut dyn NoiseModel,
-    trials: usize,
-    seed: u64,
-    telemetry: &Telemetry,
-) {
-    assert!(trials > 0, "need at least one trial");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut payload = vec![0u8; payload_len];
-    for trial in 0..trials {
-        for b in payload.iter_mut() {
-            *b = rng.next_u64() as u8;
-        }
-        let mut wire = code.encode(&payload);
-        let flipped = noise.corrupt(&mut wire, &mut rng);
-        let kind = if flipped == 0 {
-            EventKind::LinkDelivered
-        } else {
-            match code.classify(&payload, &wire) {
-                FrameOutcome::Delivered => EventKind::LinkCorrected,
-                FrameOutcome::DetectedOmission => EventKind::LinkDetected,
-                FrameOutcome::UndetectedValueFault => EventKind::LinkUndetected,
-            }
-        };
-        telemetry.emit(Event::link(
-            kind,
-            trial as u64 + 1,
-            0,
-            NO_PEER,
-            wire.len() as u64,
-        ));
-    }
-}
-
-/// Like [`measure_code`], but with a fixed number of flipped bits per
-/// frame instead of a rate — useful for regression-testing exact miss
-/// probabilities (e.g. a 1-byte checksum misses random corruption at
-/// ~`2^-8`).
-pub fn measure_code_exact_flips(
-    code: &dyn ChannelCode,
-    payload_len: usize,
-    flips: usize,
+    mut noise: impl NoiseModel,
     trials: usize,
     seed: u64,
 ) -> MissRates {
     assert!(trials > 0, "need at least one trial");
-    assert!(flips > 0, "exact-flip measurement needs at least one flip");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut rates = MissRates {
         trials,
@@ -181,7 +90,10 @@ pub fn measure_code_exact_flips(
             *b = rng.next_u64() as u8;
         }
         let mut wire = code.encode(&payload);
-        BitNoise::flip_exact(&mut wire, flips, &mut rng);
+        if noise.corrupt(&mut wire, &mut rng) == 0 {
+            rates.clean += 1;
+            continue;
+        }
         match code.classify(&payload, &wire) {
             FrameOutcome::Delivered => rates.corrected += 1,
             FrameOutcome::DetectedOmission => rates.detected += 1,
@@ -191,12 +103,33 @@ pub fn measure_code_exact_flips(
     rates
 }
 
-/// Convenience used by sweeps: the expected number of *undetected*
-/// corruptions a receiver accumulates per round when `senders` frames
-/// arrive, each independently experiencing this operating point — the
-/// empirical `α` demand this (code, noise) pair induces.
-pub fn induced_alpha_demand(rates: &MissRates, senders: usize) -> f64 {
-    senders as f64 * rates.value_fault_rate()
+/// Like [`measure_code`], but with a fixed number of flipped bits per
+/// frame instead of a rate — useful for regression-testing exact miss
+/// probabilities (e.g. a 1-byte checksum misses random corruption at
+/// ~`2^-8`).
+pub fn measure_code_exact_flips(
+    code: &dyn ChannelCode,
+    payload_len: usize,
+    flips: usize,
+    trials: usize,
+    seed: u64,
+) -> MissRates {
+    assert!(flips > 0, "exact-flip measurement needs at least one flip");
+    measure_code(code, payload_len, ExactFlips(flips), trials, seed)
+}
+
+/// Flips exactly `.0` bits of every frame.
+struct ExactFlips(usize);
+
+impl NoiseModel for ExactFlips {
+    fn corrupt(&mut self, data: &mut [u8], rng: &mut StdRng) -> usize {
+        BitNoise::flip_exact(data, self.0, rng);
+        self.0
+    }
+
+    fn describe(&self) -> String {
+        format!("exact({} flips)", self.0)
+    }
 }
 
 #[cfg(test)]
@@ -264,16 +197,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn generic_noise_measurement_matches_bsc_shape() {
-        // measure_code_under with a BitNoise model reproduces the
-        // dedicated BSC harness exactly (same seed, same stream).
-        let mut noise = BitNoise::new(0.005);
-        let generic = measure_code_under(&Checksum::crc32(), 8, &mut noise, 1_000, 9);
-        let direct = measure_code(&Checksum::crc32(), 8, BitNoise::new(0.005), 1_000, 9);
-        assert_eq!(generic, direct);
-    }
-
     // ---- Monte-Carlo regressions: too slow for debug builds, run in
     // release via `cargo test --release -- --include-ignored` (CI does).
 
@@ -285,13 +208,11 @@ mod tests {
         // burst-hit frames (several flips land in one block), while the
         // depth-16 interleaver spreads bursts of ≤ 16 bits into
         // single-bit errors and repairs them.
-        let mut plain_noise = GilbertElliott::bursty();
-        let plain = measure_code_under(&Hamming74, 64, &mut plain_noise, 20_000, 31);
-        let mut inter_noise = GilbertElliott::bursty();
-        let inter = measure_code_under(
+        let plain = measure_code(&Hamming74, 64, GilbertElliott::bursty(), 20_000, 31);
+        let inter = measure_code(
             &Interleaved::new(Hamming74, 16),
             64,
-            &mut inter_noise,
+            GilbertElliott::bursty(),
             20_000,
             31,
         );
@@ -308,18 +229,5 @@ mod tests {
             plain,
             inter
         );
-    }
-
-    #[test]
-    fn induced_alpha_scales_with_senders() {
-        let rates = MissRates {
-            trials: 1_000,
-            clean: 900,
-            corrected: 0,
-            detected: 80,
-            undetected: 20,
-        };
-        let demand = induced_alpha_demand(&rates, 10);
-        assert!((demand - 0.2).abs() < 1e-12);
     }
 }

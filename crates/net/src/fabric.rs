@@ -224,8 +224,7 @@ mod tests {
         let mut engines: Vec<_> = (0..n)
             .map(|p| fabric.engine_for(algo.clone(), p, n, p as u64 % 2))
             .collect();
-        let (txs, inboxes): (Vec<_>, Vec<_>) =
-            (0..n).map(|_| crossbeam::channel::unbounded()).unzip();
+        let (txs, inboxes): (Vec<_>, Vec<_>) = (0..n).map(|_| std::sync::mpsc::channel()).unzip();
         let mut links: Vec<_> = (0..n)
             .map(|p| fabric.links_for(p, n, |q| Box::new(txs[q].clone())))
             .collect();

@@ -1,10 +1,10 @@
 //! # heardof-net
 //!
 //! A message-passing deployment substrate for HO algorithms: OS threads,
-//! crossbeam channels, bit-level fault injection, a wire codec framed by
-//! a pluggable channel code (`heardof-coding`), and a round synchronizer
-//! implementing communication-closed rounds over an asynchronous
-//! transport.
+//! `std::sync::mpsc` channels, bit-level fault injection, a wire codec
+//! framed by a pluggable channel code (`heardof-coding`), and a round
+//! synchronizer implementing communication-closed rounds over an
+//! asynchronous transport.
 //!
 //! Where the lockstep simulator (`heardof-sim`) gives adversarial
 //! control, this crate shows the *same algorithms, unchanged*, running

@@ -39,7 +39,6 @@
 //! same noisy body.
 
 use bytes::{BufMut, BytesMut};
-use crossbeam::channel::Sender;
 use heardof_coding::{BitNoise, ChannelCode, CodeBook, NoiseTrace, RungAdvert};
 use heardof_engine::{COPY_OFFSET, PAYLOAD_OFFSET};
 use heardof_telemetry::{Event, EventKind, Telemetry};
@@ -48,12 +47,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
 use std::collections::HashSet;
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 /// The receiving end a [`FaultyLink`] delivers into. The threaded
-/// runtime uses crossbeam channels; the async substrate plugs in its
-/// arena mailboxes. Delivery must never block — a link models a wire,
-/// not flow control.
+/// runtime uses `std::sync::mpsc` channels; the async substrate plugs
+/// in its arena mailboxes. Delivery must never block — a link models a
+/// wire, not flow control.
 ///
 /// Frames are attributed to the link's sending process. The attribution
 /// is a property of the *link*, not the bytes — the one fact a
@@ -515,9 +515,9 @@ impl LinkEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
     use heardof_coding::CodeSpec;
     use heardof_engine::{encode_body_into, Frame, Framing};
+    use std::sync::mpsc::channel;
 
     /// `frame` on the wire as an endpoint under `framing` sends it.
     fn wire(framing: &Framing, frame: &Frame<u64>) -> Vec<u8> {
@@ -602,7 +602,7 @@ mod tests {
 
     #[test]
     fn perfect_link_delivers() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let mut link = link(tx, LinkFaults::NONE, 9, FaultLog::new());
         assert_eq!(link.send(1, 0, frame_bytes(5)), LinkEvent::Delivered);
         let got = decoded(&crc(), &rx.recv().unwrap().1).unwrap();
@@ -665,7 +665,7 @@ mod tests {
 
     #[test]
     fn dropping_link_drops() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let faults = LinkFaults {
             drop_prob: 1.0,
             ..LinkFaults::NONE
@@ -677,7 +677,7 @@ mod tests {
 
     #[test]
     fn detectable_corruption_fails_crc() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let faults = LinkFaults {
             corrupt_prob: 1.0,
             undetected_prob: 0.0,
@@ -697,7 +697,7 @@ mod tests {
 
     #[test]
     fn undetected_corruption_decodes_to_wrong_value() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let faults = LinkFaults {
             corrupt_prob: 1.0,
             undetected_prob: 1.0,
@@ -728,7 +728,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "probability")]
     fn invalid_probability_panics() {
-        let (tx, _rx) = unbounded::<(u32, Vec<u8>)>();
+        let (tx, _rx) = channel::<(u32, Vec<u8>)>();
         let faults = LinkFaults {
             drop_prob: 1.5,
             ..LinkFaults::NONE
@@ -738,7 +738,7 @@ mod tests {
 
     #[test]
     fn hamming_link_repairs_physical_noise() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let faults = LinkFaults {
             corrupt_prob: 1.0,
             undetected_prob: 0.0,
@@ -780,7 +780,7 @@ mod tests {
 
     #[test]
     fn uncoded_link_leaks_value_faults_from_plain_noise() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let faults = LinkFaults {
             corrupt_prob: 1.0,
             undetected_prob: 0.0, // no adversary needed: no detection at all
@@ -810,7 +810,7 @@ mod tests {
     #[test]
     fn traced_link_is_a_pure_function_of_coordinates() {
         let run = |seed: u64| {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             let mut link = traced(tx, FaultLog::new(), None, NoiseTrace::bursty(seed));
             let events: Vec<LinkEvent> =
                 (1..=40).map(|r| link.send(r, 0, frame_bytes(r))).collect();
@@ -825,7 +825,7 @@ mod tests {
     #[test]
     fn traced_link_corrupts_only_in_noisy_phases() {
         // bursty(): rounds 1–30 clean, 31–60 noisy.
-        let (tx, _rx) = unbounded();
+        let (tx, _rx) = channel();
         let mut link = traced(tx, FaultLog::new(), None, NoiseTrace::bursty(7));
         let clean: Vec<LinkEvent> = (1..=30).map(|r| link.send(r, 0, frame_bytes(r))).collect();
         let noisy: Vec<LinkEvent> = (31..=60).map(|r| link.send(r, 0, frame_bytes(r))).collect();
@@ -840,7 +840,7 @@ mod tests {
         // NoCode in the book leaks every corruption; the log must key
         // by what the receiver will decode.
         let (book, framing) = ladder(&[CodeSpec::None], 0);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let log = FaultLog::new();
         let trace = NoiseTrace::new(
             5,
@@ -885,7 +885,7 @@ mod tests {
             (PAYLOAD_OFFSET - 1, (3, 0, 1, 2)),
             (COPY_OFFSET + 1, (3, 0, 1, 2)),
         ] {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             let log = FaultLog::new();
             let code = CodeSpec::None.build();
             let trace = Some(NoiseTrace::scripted(script.clone()));
@@ -917,7 +917,7 @@ mod tests {
         };
         for id in 0..2u8 {
             let (book, framing) = ladder(&specs, id);
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             let log = FaultLog::new();
             let code = CodeSpec::DEFAULT.build();
             let mut link = link_with(tx, faults, 9, log.clone(), code, Some(book), None);
@@ -943,7 +943,7 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let run = |seed| {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             let faults = LinkFaults {
                 drop_prob: 0.5,
                 ..LinkFaults::NONE

@@ -1,7 +1,7 @@
 //! A threaded deployment of HO algorithms over faulty links.
 //!
 //! Each process runs a [`RoundEngine`] on its own OS thread, exchanging
-//! the engine's coded frames over crossbeam channels through
+//! the engine's coded frames over `std::sync::mpsc` channels through
 //! byte-corrupting [`FaultyLink`]s. The thread contributes exactly what
 //! the engine cannot know: byte transport and *clocks* — a round
 //! synchronizer implementing communication-closed rounds on top of the
@@ -30,7 +30,6 @@
 
 use crate::fabric::RunFabric;
 use crate::link::{FaultyLink, FrameSink, LinkFaults};
-use crossbeam::channel::{Receiver, Sender};
 use heardof_coding::{AdaptiveConfig, CodeSpec, NoiseTrace};
 use heardof_engine::{
     link_index, MuxReport, MuxRoundEngine, RoundEngine, RoundMachine, SubstrateOutcome, WireLayout,
@@ -39,6 +38,7 @@ use heardof_engine::{
 use heardof_model::HoAlgorithm;
 use heardof_telemetry::Telemetry;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
@@ -259,7 +259,7 @@ impl FrameSink for InboxSink {
 type Inboxes = (Vec<Sender<Inbound>>, Vec<Receiver<Inbound>>);
 
 fn inboxes(n: usize) -> Inboxes {
-    (0..n).map(|_| crossbeam::channel::unbounded()).unzip()
+    (0..n).map(|_| mpsc::channel()).unzip()
 }
 
 /// What the processes of one run share.

@@ -3,15 +3,17 @@
 //! runtime, and the cooperative async runtime — asserting they agree
 //! **round for round**.
 //!
-//! The adaptive coding stack now has one implementation of the
-//! per-process machine (`heardof_engine::RoundEngine` over
-//! [`Framing`]), but three independent deliveries of bytes and clocks:
+//! The adaptive coding stack has one implementation of the per-process
+//! machine (`heardof_engine::RoundEngine` over its `Framing`) and one
+//! fault model ([`FaultyLink`]), but three independent round semantics
+//! and deliveries of bytes and clocks:
 //!
-//! * the **sim** substrate — [`TraceChannel`], an adversary that
-//!   re-enacts every abstract message as a real tagged wire frame
-//!   through per-process [`Framing`]s, corrupts it with the
-//!   [`NoiseTrace`], decodes it back, and feeds the per-receiver
-//!   tallies to the controllers;
+//! * the **sim** substrate — the lockstep [`Simulator`] runs the
+//!   algorithm and rebuilds `HO`/`SHO` from its intended and delivered
+//!   matrices; a private adversary computes the delivered matrix by
+//!   relaying every intended message through `n` round engines and the
+//!   [`FaultyLink`]s of one [`RunFabric`], in process order, with no
+//!   threads and no clock;
 //! * the **net** substrate — OS threads exchanging those same frames
 //!   over [`FaultyLink`]s in trace + lockstep mode, rounds closed by
 //!   timeouts;
@@ -29,37 +31,28 @@
 //! acceptance bar for **any new substrate**: drive the engine however
 //! you like, but you must replay the matrix.
 //!
-//! One asymmetry is out of the harness's reach by construction: a
-//! miscorrection that forges a *valid-looking future round header*
-//! (e.g. a three-flip SECDED pattern landing in the round field) is
-//! buffered by the byte-level runtimes and delivered in that later
-//! round, while the lockstep simulator — whose matrix has no
-//! cross-round channel — drops it. Hitting it requires an undetected
-//! fault that also decodes to an in-range future round, so it is
-//! vanishingly rare and the pinned seed matrix is verified free of it;
-//! a seed that ever trips it should be swapped, not papered over.
-//!
-//! [`FaultyLink`]: heardof_net::FaultyLink
-//! [`Framing`]: heardof_engine::Framing
+//! A frame whose header a miscorrection forges into a valid-looking
+//! *future* round (e.g. a three-flip SECDED pattern landing in the
+//! round field) takes the same path on every substrate: the receiving
+//! engine buffers it and delivers it when that round opens. The sim
+//! routes it through the same engines, so its delivered matrix carries
+//! the frame in that later round exactly as the byte-level runtimes'
+//! kept logs do.
 
-use bytes::BytesMut;
 use heardof_adversary::Adversary;
 use heardof_async::{run_async, run_async_mux, AsyncConfig};
-use heardof_coding::{
-    decode_count, encode_count, oblivious_advert_frame, oblivious_value_frame, AdaptiveConfig,
-    AdaptiveController, CodeBook, CodeSpec, NoiseTrace, OBL_MAX_EPOCH, OBL_MAX_VALUE,
+use heardof_coding::{AdaptiveConfig, CodeSpec, NoiseTrace};
+use heardof_engine::{link_index, MuxReport, RoundEngine, SubstrateOutcome, WireMessage};
+use heardof_model::{
+    HoAlgorithm, MessageMatrix, ProcessId, ReceptionVector, Round, RoundSets, TraceLevel,
 };
-use heardof_engine::{
-    encode_body_into, Frame, Framing, MuxReport, MuxRoundEngine, SubstrateOutcome, WireMessage,
-    COPY_OFFSET,
-};
-use heardof_model::{HoAlgorithm, MessageMatrix, ProcessId, Round, RoundSets, TraceLevel};
-use heardof_net::{run_threaded, run_threaded_mux, LinkFaults, NetConfig, RoundTally};
+use heardof_net::{run_threaded, run_threaded_mux, FaultyLink, LinkFaults, NetConfig, RunFabric};
 use heardof_sim::Simulator;
-use heardof_telemetry::{Event, EventKind, RoundReport, RunRecording, Telemetry};
-use parking_lot::Mutex;
+use heardof_telemetry::{RoundReport, RunRecording, Telemetry};
 use rand::rngs::StdRng;
-use std::sync::Arc;
+use std::fmt::Debug;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Environment variable naming a directory where
@@ -211,122 +204,113 @@ fn dump_recordings(reports: &[(&str, &SubstrateReport)]) {
     }
 }
 
-/// Shared log the [`TraceChannel`] fills while the simulator runs.
-#[derive(Clone, Default)]
-pub struct TraceChannelLog {
-    inner: Arc<Mutex<Vec<Vec<CodeSpec>>>>,
+/// The sim-side relay: the algorithm every engine of a [`TraceChannel`]
+/// runs. Its sending function reads the simulator's intended matrix,
+/// and its state is the reception vector the engine hands to
+/// `transition` — the receiver's column of the delivered matrix.
+#[derive(Clone)]
+struct Relay<M> {
+    intended: Arc<Mutex<MessageMatrix<M>>>,
 }
 
-impl TraceChannelLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        Self::default()
+impl<M: Clone + Eq + Debug + Send + 'static> HoAlgorithm for Relay<M> {
+    type Value = ();
+    type Msg = M;
+    type State = ReceptionVector<M>;
+
+    fn name(&self) -> &'static str {
+        "relay"
     }
 
-    /// The per-round send codes recorded so far (`[round][process]`).
-    pub fn codes(&self) -> Vec<Vec<CodeSpec>> {
-        self.inner.lock().clone()
+    fn init(&self, _p: ProcessId, n: usize, _initial: ()) -> ReceptionVector<M> {
+        ReceptionVector::new(n)
+    }
+
+    fn send(&self, _round: Round, p: ProcessId, _state: &Self::State, dest: ProcessId) -> M {
+        let intended = self.intended.lock().expect("relay matrix lock");
+        intended
+            .get(p, dest)
+            .cloned()
+            .expect("the simulator's sending functions are total")
+    }
+
+    fn transition(
+        &self,
+        _round: Round,
+        _p: ProcessId,
+        state: &mut ReceptionVector<M>,
+        received: &ReceptionVector<M>,
+    ) {
+        state.clone_from(received);
+    }
+
+    fn decision(&self, _state: &Self::State) -> Option<()> {
+        None
     }
 }
 
 /// The sim-side half of the conformance harness: an [`Adversary`] that
-/// pushes every intended message through the *real* wire pipeline —
-/// tagged encode under the sender's current rung, trace corruption,
-/// tagged decode — and lets the decoders' verdicts shape the delivered
-/// matrix. The pipeline is the engine's own [`Framing`], one per
-/// process, so the simulator exercises byte-for-byte the code path the
-/// deployment substrates run. Self-deliveries are local (never
-/// corrupted), mirroring the runtimes.
-pub struct TraceChannel<M> {
-    trace: NoiseTrace,
-    framings: Vec<Framing>,
-    book: Arc<CodeBook>,
-    log: TraceChannelLog,
-    telemetry: Telemetry,
-    max_round: u64,
-    _marker: std::marker::PhantomData<fn() -> M>,
+/// relays every intended message through the deployment substrates' own
+/// parts — one [`RoundEngine`] per process from one [`RunFabric`] (trace
+/// mode, perfect links otherwise, one copy), wired through
+/// [`RunFabric::links_for`] into `mpsc` inboxes. The engines encode,
+/// the links corrupt and judge, the engines decode, tally and
+/// renegotiate; the delivered matrix is what their reception vectors
+/// hold when the round closes.
+struct TraceChannel<M: WireMessage + Clone + Eq + Debug + Send + 'static> {
+    seed: u64,
+    intended: Arc<Mutex<MessageMatrix<M>>>,
+    engines: Vec<RoundEngine<Relay<M>>>,
+    links: Vec<Vec<FaultyLink>>,
+    inboxes: Vec<Receiver<(u32, Vec<u8>)>>,
+    /// Each round's send codes (`[process]`), reported before it opens.
+    codes: Sender<Vec<CodeSpec>>,
 }
 
-impl<M> TraceChannel<M> {
-    /// A channel over `n` processes, each running its own controller
-    /// from `cfg`, corrupted by `trace`. `max_round` mirrors the
-    /// runtimes' `max_rounds` header sanity check.
-    pub fn new(n: usize, cfg: AdaptiveConfig, trace: NoiseTrace, max_round: u64) -> Self {
-        let book = Arc::new(CodeBook::from_specs(&cfg.ladder));
-        TraceChannel {
-            trace,
-            framings: (0..n)
-                .map(|_| Framing::adaptive(Arc::clone(&book), AdaptiveController::new(cfg.clone())))
-                .collect(),
-            book,
-            log: TraceChannelLog::new(),
-            telemetry: Telemetry::null(),
-            max_round,
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Attaches a telemetry plane: the channel mirrors what the
-    /// byte-level substrates record — link-plane verdicts per wire
-    /// frame, `FrameKept` per delivery, and (through the per-process
-    /// [`Framing`]s) the controller- and budget-plane events — so a sim
-    /// flight recording is comparable to a net or async one.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        for (p, framing) in self.framings.iter_mut().enumerate() {
-            framing.set_telemetry(telemetry.clone(), p as u32);
-        }
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// A handle to the decision log (clone it before handing the
-    /// channel to the simulator).
-    pub fn log(&self) -> TraceChannelLog {
-        self.log.clone()
-    }
-
-    /// The link verdict the byte-level fault injector would record for
-    /// this frame: same classification pipeline as
-    /// `heardof_net::FaultyLink` (decode the pristine bytes, decode the
-    /// corrupted bytes, compare bodies modulo the retransmission-copy
-    /// byte).
-    fn link_kind(&self, flips: usize, original: &[u8], corrupted: &[u8]) -> EventKind {
-        if flips == 0 {
-            return EventKind::LinkDelivered;
-        }
-        let Ok(before) = self.book.decode_tagged(original).0 else {
-            return EventKind::LinkDetected;
+impl<M: WireMessage + Clone + Eq + Debug + Send + 'static> TraceChannel<M> {
+    /// A channel over `n` processes running controllers from `cfg` for
+    /// `rounds` rounds, corrupted by `trace`, recording into `telemetry`.
+    fn new(
+        n: usize,
+        cfg: &AdaptiveConfig,
+        trace: &NoiseTrace,
+        rounds: u64,
+        telemetry: Telemetry,
+        codes: Sender<Vec<CodeSpec>>,
+    ) -> Self {
+        let fabric = RunFabric::new(
+            LinkFaults::NONE,
+            0,
+            1,
+            rounds,
+            CodeSpec::DEFAULT,
+            Some(cfg.clone()),
+            Some(trace.clone()),
+            telemetry,
+        );
+        let intended = Arc::new(Mutex::new(MessageMatrix::empty(n)));
+        let relay = Relay {
+            intended: Arc::clone(&intended),
         };
-        match self.book.decode_tagged(corrupted).0 {
-            Err(_) => EventKind::LinkDetected,
-            Ok(after) if after.body == before.body => EventKind::LinkCorrected,
-            Ok(after) if differs_only_in_copy_index(&before.body, &after.body) => {
-                EventKind::LinkCorrected
-            }
-            Ok(_) => EventKind::LinkUndetected,
+        let (txs, inboxes): (Vec<_>, Vec<_>) = (0..n).map(|_| mpsc::channel()).unzip();
+        TraceChannel {
+            seed: trace.seed(),
+            intended,
+            engines: (0..n)
+                .map(|p| fabric.engine_for(relay.clone(), p, n, ()))
+                .collect(),
+            links: (0..n)
+                .map(|p| fabric.links_for(p, n, |q| Box::new(txs[q].clone())))
+                .collect(),
+            inboxes,
+            codes,
         }
     }
 }
 
-/// `true` when two frame bodies agree everywhere except the
-/// retransmission-copy byte — the same equivalence
-/// `heardof_net::FaultyLink` applies before calling a corruption
-/// corrected.
-fn differs_only_in_copy_index(a: &[u8], b: &[u8]) -> bool {
-    a.len() == b.len()
-        && a.len() > COPY_OFFSET
-        && a.iter()
-            .zip(b.iter())
-            .enumerate()
-            .all(|(i, (x, y))| i == COPY_OFFSET || x == y)
-}
-
-impl<M> Adversary<M> for TraceChannel<M>
-where
-    M: WireMessage + Clone + Eq + Send + 'static,
-{
+impl<M: WireMessage + Clone + Eq + Debug + Send + 'static> Adversary<M> for TraceChannel<M> {
     fn name(&self) -> String {
-        format!("trace-channel(seed={})", self.trace.seed())
+        format!("trace-channel(seed={})", self.seed)
     }
 
     fn deliver(
@@ -335,222 +319,29 @@ where
         intended: &MessageMatrix<M>,
         _rng: &mut StdRng,
     ) -> MessageMatrix<M> {
-        let n = intended.universe();
         let r = round.get();
-        self.log
-            .inner
+        self.intended
             .lock()
-            .push(self.framings.iter().map(|f| f.current_spec()).collect());
-
-        let mut delivered: MessageMatrix<M> = MessageMatrix::empty(n);
-        let mut tallies = vec![
-            RoundTally {
-                expected: n - 1,
-                delivered: 0,
-                corrected: 0,
-                value_faults: 0,
-                evidence: 0,
-            };
-            n
-        ];
-        // Peer rung advertisements per receiver, exactly as the engine
-        // collects them: one per kept frame, sorted by sender before
-        // reaching the controller.
-        let mut ads: Vec<Vec<(u32, heardof_coding::RungAdvert)>> = vec![Vec::new(); n];
-        // Per-(receiver, sender) pattern-frame arrival tallies — the
-        // sim's twin of the engine's `value_counts`/`advert_counts`,
-        // live only when the ladder carries the oblivious rung.
-        let oblivious = self.framings[0].oblivious_enabled();
-        let mut counts: Vec<(u32, u32)> = vec![(0, 0); if oblivious { n * n } else { 0 }];
-        // The engines' two arenas: frame body and coded wire.
-        let (mut body, mut wire) = (BytesMut::new(), BytesMut::new());
-        for (sender, receiver, original) in intended.iter() {
-            if sender == receiver {
-                // Self-delivery is local in the runtimes: never on the
-                // wire, never corrupted, never tallied. The engine
-                // records it as a kept frame; mirror that.
-                self.telemetry.emit(Event {
-                    round: r,
-                    process: receiver.as_u32(),
-                    kind: EventKind::FrameKept,
-                    peer: receiver.as_u32(),
-                    value: 0,
-                });
-                delivered.set(sender, receiver, original.clone());
-                continue;
-            }
-            let framing = &self.framings[sender.index()];
-            if framing.current_spec() == CodeSpec::Oblivious {
-                // Content-oblivious sends, mirrored from the engine:
-                // the message never crosses as bytes — `value + 1`
-                // fixed-length pattern frames do, and only their
-                // *arrival count* is read. Each frame still goes
-                // through the trace at the same coordinates the
-                // byte-level links use; flips cannot change a pattern
-                // frame's length or arrival, so the link verdict is
-                // `Detected` (contents unprotected by construction)
-                // and the tally is untouched.
-                let value_copies = original
-                    .pattern_value()
-                    .map_or(0, |v| encode_count(v, OBL_MAX_VALUE));
-                let advert_copies = framing
-                    .controller()
-                    .and_then(|c| c.advert())
-                    .map_or(0, |ad| encode_count(ad.epoch, OBL_MAX_EPOCH));
-                let cell = &mut counts[receiver.index() * n + sender.index()];
-                for (template, copies, is_value) in [
-                    (oblivious_value_frame().to_vec(), value_copies, true),
-                    (oblivious_advert_frame().to_vec(), advert_copies, false),
-                ] {
-                    for copy in 0..copies {
-                        let mut wire = template.clone();
-                        let flips = self.trace.corrupt_frame(
-                            r,
-                            sender.as_u32(),
-                            receiver.as_u32(),
-                            copy as u8,
-                            &mut wire,
-                        );
-                        let kind = if flips == 0 {
-                            EventKind::LinkDelivered
-                        } else {
-                            EventKind::LinkDetected
-                        };
-                        self.telemetry.emit(Event::link(
-                            kind,
-                            r,
-                            receiver.as_u32(),
-                            sender.as_u32(),
-                            wire.len() as u64,
-                        ));
-                        if is_value {
-                            cell.0 = cell.0.saturating_add(1);
-                        } else {
-                            cell.1 = cell.1.saturating_add(1);
-                        }
-                    }
-                }
-                continue;
-            }
-            let frame = Frame {
-                round: r,
-                sender: sender.as_u32(),
-                copy: 0,
-                msg: original.clone(),
-            };
-            // Mirror the engine's send path byte for byte: a rateless
-            // rung spends its negotiated symbol budget (conformance
-            // runs use copies = 1, so there is nothing to fold).
-            body.clear();
-            encode_body_into(&frame, &mut body);
-            wire.clear();
-            match framing.symbol_budget() {
-                Some(budget) => framing.encode_raw_with_budget_into(&body, budget, &mut wire),
-                None => framing.encode_raw_into(&body, &mut wire),
-            }
-            let pristine = self.telemetry.enabled().then(|| wire.to_vec());
-            let flips =
-                self.trace
-                    .corrupt_frame(r, sender.as_u32(), receiver.as_u32(), 0, &mut wire);
-            if let Some(pristine) = pristine {
-                // Mirror the fault injector's link-plane verdict.
-                self.telemetry.emit(Event::link(
-                    self.link_kind(flips, &pristine, &wire),
-                    r,
-                    receiver.as_u32(),
-                    sender.as_u32(),
-                    wire.len() as u64,
-                ));
-            }
-            // The receiver's side of the pipeline, byte for byte: tagged
-            // decode plus the runtimes' header sanity check. A rejected
-            // frame that the code visibly repaired on the way down still
-            // counts as evidence — exactly the engine's ingest rule.
-            let scan = self.framings[receiver.index()].decode_scan::<M>(&wire);
-            let Some((got, repaired, advert)) = scan.frame else {
-                tallies[receiver.index()].evidence += usize::from(scan.repairs > 0);
-                continue; // detected omission
-            };
-            if got.sender as usize >= n || got.round > self.max_round || got.round != r {
-                continue; // garbage or wrong-round header: dropped
-            }
-            let tally = &mut tallies[receiver.index()];
-            tally.delivered += 1;
-            tally.corrected += usize::from(repaired);
-            if let Some(ad) = advert {
-                ads[receiver.index()].push((got.sender, ad));
-            }
-            // Mirror the engine's kept-frame record (copy is always 0
-            // here: conformance runs send a single copy).
-            self.telemetry.emit(Event {
-                round: r,
-                process: receiver.as_u32(),
-                kind: EventKind::FrameKept,
-                peer: got.sender,
-                value: 0,
+            .expect("relay matrix lock")
+            .clone_from(intended);
+        self.codes
+            .send(self.engines.iter().map(RoundEngine::current_code).collect())
+            .expect("the code log outlives the run");
+        for (p, (engine, links)) in self.engines.iter_mut().zip(&mut self.links).enumerate() {
+            engine.begin_round_with(|dest, copy, bytes| {
+                links[link_index(dest, p as u32)].send_bytes(r, copy, bytes);
             });
-            // Conformance constraint: a live receiver cannot see that a
-            // fault is undetected, so the tally must not use the oracle
-            // either — value_faults stays 0, exactly as in the runtimes.
-            delivered.set(ProcessId::new(got.sender), receiver, got.msg);
         }
-        // Count-channel synthesis, mirrored from the engine's
-        // `finish_round`: fold each receiver's per-sender pattern
-        // tallies into the delivered matrix and the gossip set before
-        // the controllers observe. A tagged delivery from the same
-        // sender wins; one value per sender either way.
-        if oblivious {
-            for p in 0..n {
-                let receiver = ProcessId::new(p as u32);
-                for s in 0..n {
-                    if s == p {
-                        continue;
-                    }
-                    let (vc, ac) = counts[p * n + s];
-                    if vc == 0 && ac == 0 {
-                        continue;
-                    }
-                    self.telemetry.emit(Event {
-                        round: r,
-                        process: p as u32,
-                        kind: EventKind::ObliviousCount,
-                        peer: s as u32,
-                        value: vc.min(0xFF) as u64 | ((ac.min(0xFF) as u64) << 8),
-                    });
-                    let sender = ProcessId::new(s as u32);
-                    if delivered.get(sender, receiver).is_none() {
-                        if let Some(msg) =
-                            decode_count(vc as usize, OBL_MAX_VALUE).and_then(M::from_pattern_value)
-                        {
-                            self.telemetry.emit(Event {
-                                round: r,
-                                process: p as u32,
-                                kind: EventKind::FrameKept,
-                                peer: s as u32,
-                                value: 0,
-                            });
-                            tallies[p].delivered += 1;
-                            delivered.set(sender, receiver, msg);
-                        }
-                    }
-                    if ac > 0 && !ads[p].iter().any(|(q, _)| *q == s as u32) {
-                        if let (Some(rung), Some(epoch)) = (
-                            self.framings[p].oblivious_rung(),
-                            decode_count(ac as usize, OBL_MAX_EPOCH),
-                        ) {
-                            ads[p].push((s as u32, heardof_coding::RungAdvert { rung, epoch }));
-                        }
-                    }
-                }
+        for (engine, inbox) in self.engines.iter_mut().zip(&self.inboxes) {
+            for (sender, bytes) in inbox.try_iter() {
+                let _ = engine.ingest_from(sender, &bytes);
             }
+            engine.finish_round();
         }
-        for ((p, tally), mut peer_ads) in tallies.into_iter().enumerate().zip(ads) {
-            peer_ads.sort_by_key(|(sender, _)| *sender);
-            let peer_ads: Vec<heardof_coding::RungAdvert> =
-                peer_ads.into_iter().map(|(_, ad)| ad).collect();
-            self.framings[p].observe_with_gossip(tally, &peer_ads);
-        }
-        delivered
+        MessageMatrix::from_fn(intended.universe(), |sender, receiver| {
+            let rx = self.engines[receiver.index()].core().state();
+            rx.get(sender).cloned()
+        })
     }
 }
 
@@ -573,9 +364,8 @@ where
     A::Msg: WireMessage,
 {
     let telemetry = Telemetry::ring();
-    let channel: TraceChannel<A::Msg> =
-        TraceChannel::new(n, cfg.clone(), trace.clone(), rounds).with_telemetry(telemetry.clone());
-    let log = channel.log();
+    let (codes, sent_codes) = mpsc::channel();
+    let channel = TraceChannel::new(n, cfg, trace, rounds, telemetry.clone(), codes);
     let outcome = Simulator::new(algo, n)
         .adversary(channel)
         .initial_values(initial)
@@ -584,7 +374,7 @@ where
         .expect("sim substrate run");
     let recording = telemetry.snapshot().expect("ring-backed telemetry");
     SubstrateReport {
-        codes: log.codes(),
+        codes: sent_codes.try_iter().collect(),
         sets: outcome
             .trace
             .rounds()
@@ -688,60 +478,6 @@ impl<V> MuxSubstrateReport<V> {
             kept,
         }
     }
-}
-
-/// Runs the **simulator-side** multiplexed substrate: a lockstep loop
-/// of [`MuxRoundEngine`]s over an in-memory wire, corrupting every
-/// outgoing image with the same pure
-/// [`corrupt_frame`](NoiseTrace::corrupt_frame) call the byte-level
-/// fault injector makes in trace mode — so the three substrates see
-/// identical bytes per `(round, sender, receiver, copy)` coordinate.
-pub fn run_mux_sim_substrate<A>(
-    algo: A,
-    n: usize,
-    initials: Vec<Vec<A::Value>>,
-    cfg: &AdaptiveConfig,
-    trace: &NoiseTrace,
-    rounds: u64,
-) -> MuxSubstrateReport<A::Value>
-where
-    A: HoAlgorithm,
-    A::Msg: WireMessage,
-{
-    let book = Arc::new(CodeBook::from_specs(&cfg.ladder));
-    let mut engines: Vec<MuxRoundEngine<A>> = initials
-        .into_iter()
-        .enumerate()
-        .map(|(p, init)| {
-            MuxRoundEngine::new(
-                algo.clone(),
-                ProcessId::new(p as u32),
-                n,
-                init,
-                Framing::adaptive(Arc::clone(&book), AdaptiveController::new(cfg.clone())),
-                1,
-                rounds,
-            )
-        })
-        .collect();
-    for _ in 0..rounds {
-        let mut inboxes: Vec<Vec<Vec<u8>>> = vec![Vec::new(); n];
-        for (p, engine) in engines.iter_mut().enumerate() {
-            let r = engine.rounds_completed() + 1;
-            engine.begin_round_with(|dest, copy, wire| {
-                let mut bytes = wire.to_vec();
-                let _ = trace.corrupt_frame(r, p as u32, dest, copy, &mut bytes);
-                inboxes[dest as usize].push(bytes);
-            });
-        }
-        for (p, engine) in engines.iter_mut().enumerate() {
-            for bytes in &inboxes[p] {
-                let _ = engine.ingest(bytes);
-            }
-            engine.finish_round();
-        }
-    }
-    MuxSubstrateReport::from_reports(engines.into_iter().map(|e| e.into_report()).collect())
 }
 
 /// Runs the **threaded** multiplexed substrate in lockstep + trace mode

@@ -10,8 +10,8 @@
 //! algorithms are substrate-independent", and the acceptance bar every
 //! new substrate must clear.
 //!
-//! The seed matrix covers five fixed seeds (CI fans them out via the
-//! `CONFORMANCE_SEED` environment variable; unset runs all five). The
+//! The seed matrix covers seven fixed seeds (CI fans them out via the
+//! `CONFORMANCE_SEED` environment variable; unset runs all seven). The
 //! fourth seed drives a *severe* trace — bursts long enough to defeat
 //! the interleaver rung — so the ladder climbs onto the rateless
 //! fountain rung and its per-round `SymbolBudget` renegotiation is
@@ -19,7 +19,9 @@
 //! *gossip* configuration on the moderate correlated-burst preset:
 //! frames carry the extra rung-advertisement byte, controllers adopt
 //! peer rungs, and the adoption decisions must replay identically on
-//! every substrate.
+//! every substrate. The sixth runs the content-oblivious rung, and the
+//! seventh runs `U_{T,E,α}` instead of `A_{T,E}`, at an α that `A`
+//! cannot tolerate.
 
 use heardof::conformance::{
     first_matrix_divergence, run_async_substrate, run_net_substrate, run_sim_substrate,
@@ -27,10 +29,11 @@ use heardof::conformance::{
 };
 use heardof::prelude::*;
 use heardof_coding::{AdaptiveConfig, CodeSpec, GilbertElliott, NoisePhase, NoiseTrace};
+use heardof_engine::WireMessage;
 use heardof_telemetry::EventKind;
 use std::time::Duration;
 
-const SEEDS: [u64; 6] = [0xA11CE, 0xB0B5, 0xC0DE5, 0xF0047, 0x60551, 0xDEFEC7];
+const SEEDS: [u64; 7] = [0xA11CE, 0xB0B5, 0xC0DE5, 0xF0047, 0x60551, 0xDEFEC7, 0x7E5];
 /// The seed whose run must exercise the fountain rung.
 const FOUNTAIN_SEED: u64 = 0xF0047;
 /// The seed whose run must exercise rung gossip (piggybacked
@@ -42,6 +45,12 @@ const GOSSIP_SEED: u64 = 0x60551;
 /// [`CodeSpec::Oblivious`], and values + gossip epochs travel as frame
 /// arrival counts — which must replay identically on every substrate.
 const OBLIVIOUS_SEED: u64 = 0xDEFEC7;
+/// The seed that runs `Ute` on the wire: `U_{T,E,α}` at α = 2 on the
+/// bursty/clean trace of the first seeds. At n = 5, α = 2 is infeasible
+/// for `A_{T,E}` (α < n/4), so only `U` can be asked to decide here.
+const UTE_SEED: u64 = 0x7E5;
+/// `U`'s corruption budget on [`UTE_SEED`].
+const UTE_ALPHA: u32 = 2;
 const N: usize = 5;
 const ROUNDS: u64 = 14;
 /// The fully-defective run needs extra horizon: the ladder must starve
@@ -113,7 +122,9 @@ fn conformance_trace(seed: u64) -> NoiseTrace {
 }
 
 fn conformance_config(seed: u64) -> AdaptiveConfig {
-    if seed == OBLIVIOUS_SEED {
+    if seed == UTE_SEED {
+        AdaptiveConfig::standard(N, UTE_ALPHA)
+    } else if seed == OBLIVIOUS_SEED {
         // Gossip on too: the advert channel (epoch-as-count) must
         // conform alongside the value channel.
         AdaptiveConfig::standard(N, 1)
@@ -132,18 +143,38 @@ fn run_all(seed: u64) -> [SubstrateReport; 3] {
     let trace = conformance_trace(seed);
     let rounds = rounds_for(seed);
     let initial: Vec<u64> = (0..N as u64).map(|i| i % 2).collect();
+    if seed == UTE_SEED {
+        let algo = Ute::new(UteParams::tightest(N, UTE_ALPHA).unwrap(), 0u64);
+        return run_substrates(algo, N, initial, &cfg, &trace, rounds);
+    }
     let algo: Ate<u64> = Ate::new(AteParams::balanced(N, 1).unwrap());
-    let sim = run_sim_substrate(algo.clone(), N, initial.clone(), &cfg, &trace, rounds);
+    run_substrates(algo, N, initial, &cfg, &trace, rounds)
+}
+
+/// (sim, net, async) reports for `algo` on `n` processes.
+fn run_substrates<A>(
+    algo: A,
+    n: usize,
+    initial: Vec<A::Value>,
+    cfg: &AdaptiveConfig,
+    trace: &NoiseTrace,
+    rounds: u64,
+) -> [SubstrateReport; 3]
+where
+    A: HoAlgorithm,
+    A::Msg: WireMessage,
+{
+    let sim = run_sim_substrate(algo.clone(), n, initial.clone(), cfg, trace, rounds);
     let net = run_net_substrate(
         algo.clone(),
-        N,
+        n,
         initial.clone(),
-        &cfg,
-        &trace,
+        cfg,
+        trace,
         rounds,
         Duration::from_millis(150),
     );
-    let asy = run_async_substrate(algo, N, initial, &cfg, &trace, rounds);
+    let asy = run_async_substrate(algo, n, initial, cfg, trace, rounds);
     [sim, net, asy]
 }
 
@@ -293,6 +324,33 @@ fn the_oblivious_seed_exercises_the_count_channel() {
 }
 
 #[test]
+fn the_ute_seed_exercises_u_where_a_is_infeasible() {
+    // The seventh pinned seed exists to put `U_{T,E,α}` — two-round
+    // phases, `?` votes, the `P^{U,safe}` regime — under the
+    // cross-substrate bar at a budget `A_{T,E}` cannot take (the 3-way
+    // equality itself is asserted by the matrix test above, and the
+    // escalation of every ladder by the non-vacuity test). Guard
+    // against the trace going stale: some reception must actually be
+    // lost on the wire, so the compared HO sets are not all complete.
+    if !selected_seeds().contains(&UTE_SEED) {
+        return; // another CI shard owns this seed
+    }
+    assert!(
+        AteParams::balanced(N, UTE_ALPHA).is_err(),
+        "α = {UTE_ALPHA} must be out of A's reach at n = {N}"
+    );
+    let [sim, _, _] = run_all(UTE_SEED);
+    let lost = sim
+        .sets
+        .iter()
+        .any(|sets| (0..N as u32).any(|p| sets.ho(ProcessId::new(p)).len() < N));
+    assert!(
+        lost,
+        "seed {UTE_SEED:#x}: every reception arrived — trace too tame"
+    );
+}
+
+#[test]
 fn the_telemetry_dimension_is_not_vacuous_and_views_match_legacy() {
     // Counter-equivalence would be trivially true if the recorders
     // captured nothing; and the recorder-side code-schedule view would
@@ -427,24 +485,7 @@ fn model_checker_counterexample_replays_identically_on_every_substrate() {
     let trace = NoiseTrace::scripted(script);
     let initial: Vec<u64> = (0..CX_N as u64).map(|i| i % 2).collect();
     let algo: Ate<u64> = Ate::new(AteParams::balanced(CX_N, 0).unwrap());
-    let sim = run_sim_substrate(
-        algo.clone(),
-        CX_N,
-        initial.clone(),
-        &weak,
-        &trace,
-        CX_ROUNDS,
-    );
-    let net = run_net_substrate(
-        algo.clone(),
-        CX_N,
-        initial.clone(),
-        &weak,
-        &trace,
-        CX_ROUNDS,
-        Duration::from_millis(150),
-    );
-    let asy = run_async_substrate(algo, CX_N, initial, &weak, &trace, CX_ROUNDS);
+    let [sim, net, asy] = run_substrates(algo, CX_N, initial, &weak, &trace, CX_ROUNDS);
     if let Some(diff) = first_matrix_divergence(&[("sim", &sim), ("net", &net), ("async", &asy)]) {
         panic!("counterexample replay diverges across substrates — {diff}");
     }

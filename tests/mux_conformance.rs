@@ -1,8 +1,9 @@
 //! Cross-substrate conformance for **instance-multiplexed** runs
-//! (batch > 1): the same seeded [`NoiseTrace`] drives the lockstep mux
-//! loop, the threaded mux runtime and the async mux runtime, and all
-//! three must agree on controller decisions, per-instance decisions and
-//! wire-level kept logs, round for round.
+//! (batch > 1): the same seeded [`NoiseTrace`] drives the threaded mux
+//! runtime and the async mux runtime, and both must agree on controller
+//! decisions, per-instance decisions and wire-level kept logs, round
+//! for round. The async runtime is the reference: its barrier closes
+//! rounds exactly, so it is the deterministic side of the pair.
 //!
 //! This is the batch-axis extension of `tests/adaptive_conformance.rs`:
 //! that matrix pins the single-instance frame format byte-for-byte
@@ -11,9 +12,7 @@
 //! its own seed. One pinned seed, three instances per process, the
 //! standard ladder under a front-loaded burst trace.
 
-use heardof::conformance::{
-    run_mux_async_substrate, run_mux_net_substrate, run_mux_sim_substrate, MuxSubstrateReport,
-};
+use heardof::conformance::{run_mux_async_substrate, run_mux_net_substrate, MuxSubstrateReport};
 use heardof::prelude::*;
 use heardof_coding::{AdaptiveConfig, CodeSpec, GilbertElliott, NoisePhase, NoiseTrace};
 use std::time::Duration;
@@ -56,23 +55,24 @@ fn mux_initials() -> Vec<Vec<u64>> {
         .collect()
 }
 
-fn run_all() -> [MuxSubstrateReport<u64>; 3] {
+fn run_all() -> [MuxSubstrateReport<u64>; 2] {
     run_matrix(AdaptiveConfig::standard(N, 1), mux_trace())
 }
 
 /// The gossip matrix: divergence-prone correlated bursts (tallies
 /// straddle thresholds, controllers split, adoption does real work)
 /// on the gossip-enabled standard ladder.
-fn run_all_gossip() -> [MuxSubstrateReport<u64>; 3] {
+fn run_all_gossip() -> [MuxSubstrateReport<u64>; 2] {
     run_matrix(
         AdaptiveConfig::standard(N, 1).with_gossip(),
         NoiseTrace::correlated_bursts_moderate(GOSSIP_MUX_SEED),
     )
 }
 
-fn run_matrix(cfg: AdaptiveConfig, trace: NoiseTrace) -> [MuxSubstrateReport<u64>; 3] {
+/// (async, net) reports — the reference first.
+fn run_matrix(cfg: AdaptiveConfig, trace: NoiseTrace) -> [MuxSubstrateReport<u64>; 2] {
     let algo: Ate<u64> = Ate::new(AteParams::balanced(N, 1).unwrap());
-    let sim = run_mux_sim_substrate(algo.clone(), N, mux_initials(), &cfg, &trace, ROUNDS);
+    let asy = run_mux_async_substrate(algo.clone(), N, mux_initials(), &cfg, &trace, ROUNDS);
     let net = run_mux_net_substrate(
         algo.clone(),
         N,
@@ -82,32 +82,30 @@ fn run_matrix(cfg: AdaptiveConfig, trace: NoiseTrace) -> [MuxSubstrateReport<u64
         ROUNDS,
         Duration::from_millis(150),
     );
-    let asy = run_mux_async_substrate(algo, N, mux_initials(), &cfg, &trace, ROUNDS);
-    [sim, net, asy]
+    [asy, net]
 }
 
 #[test]
-fn all_three_substrates_agree_on_the_multiplexed_seed() {
-    let [sim, net, asy] = run_all();
-    for (name, report) in [("sim", &sim), ("net", &net), ("async", &asy)] {
+fn net_and_async_agree_on_the_multiplexed_seed() {
+    let [asy, net] = run_all();
+    for (name, report) in [("async", &asy), ("net", &net)] {
         assert_eq!(
             report.codes.len(),
             ROUNDS as usize,
             "{name} must cover every round"
         );
     }
-    assert_eq!(sim, net, "sim vs net diverge on the mux seed");
-    assert_eq!(sim, asy, "sim vs async diverge on the mux seed");
+    assert_eq!(asy, net, "async vs net diverge on the mux seed");
 }
 
 #[test]
 fn every_instance_decides_and_agrees_across_processes() {
-    let [sim, _, _] = run_all();
+    let [asy, _] = run_all();
     for i in 0..K {
-        let first = sim.decisions[0][i].expect("instance decided at process 0");
+        let first = asy.decisions[0][i].expect("instance decided at process 0");
         for p in 0..N {
             assert_eq!(
-                sim.decisions[p][i],
+                asy.decisions[p][i],
                 Some(first),
                 "instance {i} disagreement at process {p}"
             );
@@ -121,22 +119,22 @@ fn the_mux_seed_is_not_vacuous() {
     // moved or no image was ever dropped. Under the front-loaded burst
     // phase, ladders must leave the checksum rung, and the kept logs
     // must show at least one incomplete round (a dropped image).
-    let [sim, _, _] = run_all();
+    let [asy, _] = run_all();
     for p in 0..N {
         assert_eq!(
-            sim.codes[0][p],
+            asy.codes[0][p],
             CodeSpec::Checksum { width: 4 },
             "ladders start at the cheap rung"
         );
         assert!(
-            sim.codes
+            asy.codes
                 .iter()
                 .any(|round| round[p] != CodeSpec::Checksum { width: 4 }),
             "process {p} never escalated — mux trace too tame"
         );
     }
     assert!(
-        sim.kept
+        asy.kept
             .iter()
             .flat_map(|per_round| per_round.iter())
             .any(|kept| kept.len() < N),
@@ -145,21 +143,20 @@ fn the_mux_seed_is_not_vacuous() {
 }
 
 #[test]
-fn all_three_substrates_agree_on_the_gossip_mux_seed() {
+fn net_and_async_agree_on_the_gossip_mux_seed() {
     // The gossip pathway — advertisement byte on every mux frame,
     // per-round ad collection, quorum adoption — must replay
-    // identically across the three mux substrates, exactly like the
+    // identically across the mux substrates, exactly like the
     // single-instance gossip seed in `tests/adaptive_conformance.rs`.
-    let [sim, net, asy] = run_all_gossip();
-    for (name, report) in [("sim", &sim), ("net", &net), ("async", &asy)] {
+    let [asy, net] = run_all_gossip();
+    for (name, report) in [("async", &asy), ("net", &net)] {
         assert_eq!(
             report.codes.len(),
             ROUNDS as usize,
             "{name} must cover every round"
         );
     }
-    assert_eq!(sim, net, "sim vs net diverge on the gossip mux seed");
-    assert_eq!(sim, asy, "sim vs async diverge on the gossip mux seed");
+    assert_eq!(asy, net, "async vs net diverge on the gossip mux seed");
 }
 
 #[test]
@@ -168,8 +165,8 @@ fn the_gossip_mux_seed_exercises_adoption() {
     // rails: on the same trace, the gossip run must make *different*
     // controller decisions than independent controllers would, and
     // every instance must still decide and agree across processes.
-    let [gossip, _, _] = run_all_gossip();
-    let [independent, _, _] = run_matrix(
+    let [gossip, _] = run_all_gossip();
+    let [independent, _] = run_matrix(
         AdaptiveConfig::standard(N, 1),
         NoiseTrace::correlated_bursts_moderate(GOSSIP_MUX_SEED),
     );
