@@ -11,7 +11,11 @@
 //! * [`WitnessSearch`] — an exhaustive bounded adversary search over
 //!   `A_{T,E}` that *finds concrete violations* when the paper's
 //!   conditions are weakened, and verifies their absence (within the
-//!   family and horizon) when they hold.
+//!   family and horizon) when they hold; [`UteWitnessSearch`] does the
+//!   same for `U_{T,E,α}` and its `P^{U,safe}` floor. Both return a
+//!   [`SearchOutcome`] and run on `heardof-mc`'s explicit-state
+//!   [`Explorer`](heardof_mc::Explorer), the one search the model
+//!   checker uses too.
 //!
 //! # Examples
 //!
@@ -52,4 +56,4 @@ pub use scenario::{Scenario, ScenarioResult};
 pub use stats::Summary;
 pub use table::Table;
 pub use witness::{ReceiverChoice, SearchOutcome, Witness, WitnessSearch};
-pub use witness_u::{UChoice, USearchOutcome, UWitness, UteWitnessSearch};
+pub use witness_u::{UChoice, UteWitnessSearch};

@@ -26,7 +26,7 @@ pub struct WitnessAdversary {
 
 impl WitnessAdversary {
     /// Builds the scripted adversary from a witness.
-    pub fn new(witness: &Witness) -> Self {
+    pub fn new(witness: &Witness<ReceiverChoice>) -> Self {
         WitnessAdversary {
             rounds: witness.rounds.clone(),
         }
@@ -153,7 +153,10 @@ impl Adversary<u64> for WitnessAdversary {
 /// assert!(!outcome.is_safe());
 /// assert!(PAlpha::new(1).holds(&outcome.trace));
 /// ```
-pub fn replay_witness(params: &AteParams, witness: &Witness) -> RunOutcome<Ate<u64>> {
+pub fn replay_witness(
+    params: &AteParams,
+    witness: &Witness<ReceiverChoice>,
+) -> RunOutcome<Ate<u64>> {
     let n = params.n();
     assert_eq!(witness.initial.len(), n, "witness is for a different n");
     let rounds = witness.rounds.len().max(1);

@@ -23,11 +23,194 @@
 //! `P_α`-bounded safety) and covers the extremal behaviours the proofs
 //! fight: threshold stuffing in both directions plus total omission.
 //! Witnesses can be replayed against the real simulator.
+//!
+//! ## One search
+//!
+//! This search and [`crate::UteWitnessSearch`] share one driver,
+//! [`search`], on the model checker's [`Explorer`]. Each says what a
+//! process state is, which choices a receiver has and what a choice
+//! does; the driver owns the Agreement/Integrity check and the
+//! [`Witness`].
 
 use heardof_core::AteParams;
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use heardof_mc::{odometer, Explorer};
 use std::fmt;
+use std::hash::Hash;
+use std::ops::ControlFlow;
+
+/// A concrete safety violation found by a witness search; `C` is what
+/// one receiver experiences in one round of that search's family.
+#[derive(Clone, Debug)]
+pub struct Witness<C> {
+    /// The initial binary configuration.
+    pub initial: Vec<bool>,
+    /// Per round, the choice applied at each receiver.
+    pub rounds: Vec<Vec<C>>,
+    /// Description of the violated clause.
+    pub violation: String,
+}
+
+impl<C: fmt::Display> fmt::Display for Witness<C> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "violation: {}", self.violation)?;
+        let initial: Vec<String> = self
+            .initial
+            .iter()
+            .map(|&b| u8::from(b).to_string())
+            .collect();
+        writeln!(f, "initial x: [{}]", initial.join(", "))?;
+        for (i, round) in self.rounds.iter().enumerate() {
+            let choices: Vec<String> = round
+                .iter()
+                .enumerate()
+                .map(|(p, c)| format!("p{p}: {c}"))
+                .collect();
+            writeln!(f, "round {}: {}", i + 1, choices.join(" | "))?;
+        }
+        Ok(())
+    }
+}
+
+/// The outcome of an exhaustive witness search.
+#[derive(Clone, Debug)]
+pub enum SearchOutcome<C> {
+    /// A safety violation exists; here is one.
+    Violation(Box<Witness<C>>),
+    /// No violation within the family and horizon.
+    Exhausted {
+        /// Distinct configurations explored.
+        states_explored: usize,
+        /// `false` if the exploration cap was hit before exhaustion.
+        complete: bool,
+    },
+}
+
+impl<C> SearchOutcome<C> {
+    /// `true` if a violation was found.
+    pub fn found_violation(&self) -> bool {
+        matches!(self, SearchOutcome::Violation(_))
+    }
+}
+
+/// One binary-valued abstraction of a consensus algorithm: what
+/// [`search`] needs to know about it.
+pub(crate) trait Abstraction {
+    /// One process's abstract state.
+    type Proc: Copy + Eq + Hash;
+    /// What one receiver experiences in one round.
+    type Choice: Copy;
+    /// Rounds per phase: the choices of round `r` (from 0) depend on
+    /// `r % PHASES`, and so does a configuration's future.
+    const PHASES: usize;
+
+    /// A process starting with estimate `x`.
+    fn start(x: bool) -> Self::Proc;
+
+    /// The process's decision, if any.
+    fn decided(proc: &Self::Proc) -> Option<bool>;
+
+    /// Every receiver's choices in a round of phase `phase` from
+    /// `config`.
+    fn choices(&self, config: &[Self::Proc], phase: usize) -> Vec<Self::Choice>;
+
+    /// What `choice` does to `proc`.
+    fn apply(&self, proc: Self::Proc, choice: Self::Choice) -> Self::Proc;
+}
+
+/// Breadth-first search from `initial` over every vector of
+/// per-receiver choices, for `max_rounds` rounds and at most
+/// `max_states` configurations, checking Agreement and Integrity at
+/// every new configuration. The first violation found is a shortest
+/// one. A search that stops at the horizon is exhausted; only the state
+/// cap leaves it incomplete.
+pub(crate) fn search<M: Abstraction>(
+    model: &M,
+    initial: &[bool],
+    max_rounds: usize,
+    max_states: usize,
+) -> SearchOutcome<M::Choice> {
+    let unanimous = if initial.iter().all(|&b| b == initial[0]) {
+        initial.first().copied()
+    } else {
+        None
+    };
+    let witness = |rounds, violation| {
+        SearchOutcome::Violation(Box::new(Witness {
+            initial: initial.to_vec(),
+            rounds,
+            violation,
+        }))
+    };
+    let start: Vec<M::Proc> = initial.iter().map(|&x| M::start(x)).collect();
+    if let Some(violation) = violation_of::<M>(&start, unanimous) {
+        // Degenerate, but handle it: an initial violation is empty.
+        return witness(Vec::new(), violation);
+    }
+
+    // The key carries the phase: identical-looking configurations in
+    // different phases have different futures.
+    let mut explorer = Explorer::new((start, 0), max_states);
+    while let Some(id) = explorer.pop() {
+        let depth = explorer.depth(id) as usize;
+        if depth >= max_rounds {
+            continue;
+        }
+        let (config, phase) = explorer.state(id).clone();
+        let choices = model.choices(&config, phase);
+        let next_phase = (depth + 1) % M::PHASES;
+        let found = odometer(&vec![choices.len(); config.len()], |pick| {
+            let picked: Vec<M::Choice> = pick.iter().map(|&i| choices[i]).collect();
+            let next = config
+                .iter()
+                .zip(&picked)
+                .map(|(p, c)| model.apply(*p, *c))
+                .collect();
+            if let Some(new) = explorer.insert(id, picked, (next, next_phase)) {
+                if let Some(violation) = violation_of::<M>(&explorer.state(new).0, unanimous) {
+                    return ControlFlow::Break((new, violation));
+                }
+            }
+            ControlFlow::Continue(())
+        });
+        if let ControlFlow::Break((new, violation)) = found {
+            return witness(explorer.path(new), violation);
+        }
+    }
+
+    SearchOutcome::Exhausted {
+        states_explored: explorer.states(),
+        complete: !explorer.capped(),
+    }
+}
+
+/// The first Integrity or Agreement clause `config` breaks.
+fn violation_of<M: Abstraction>(config: &[M::Proc], unanimous: Option<bool>) -> Option<String> {
+    let mut seen: Option<bool> = None;
+    for (i, d) in config.iter().enumerate() {
+        let Some(d) = M::decided(d) else {
+            continue;
+        };
+        if let Some(v0) = unanimous.filter(|&v0| v0 != d) {
+            return Some(format!(
+                "integrity: all initial values were {} but p{i} decided {}",
+                u8::from(v0),
+                u8::from(d)
+            ));
+        }
+        match seen {
+            None => seen = Some(d),
+            Some(prev) if prev != d => {
+                return Some(format!(
+                    "agreement: decisions {} and {} coexist",
+                    u8::from(prev),
+                    u8::from(d)
+                ));
+            }
+            _ => {}
+        }
+    }
+    None
+}
 
 /// What one receiver experiences in one round of the search family.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -63,68 +246,9 @@ impl fmt::Display for ReceiverChoice {
 
 /// One process's abstract state in the search.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct Proc {
+pub(crate) struct Proc {
     x: bool,
     decided: Option<bool>,
-}
-
-type Config = Vec<Proc>;
-
-/// A concrete safety violation found by the search.
-#[derive(Clone, Debug)]
-pub struct Witness {
-    /// The initial binary configuration.
-    pub initial: Vec<bool>,
-    /// Per round, the choice applied at each receiver.
-    pub rounds: Vec<Vec<ReceiverChoice>>,
-    /// Description of the violated clause.
-    pub violation: String,
-}
-
-impl fmt::Display for Witness {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "violation: {}", self.violation)?;
-        write!(f, "initial x: [")?;
-        for (i, b) in self.initial.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{}", u8::from(*b))?;
-        }
-        writeln!(f, "]")?;
-        for (i, round) in self.rounds.iter().enumerate() {
-            write!(f, "round {}: ", i + 1)?;
-            for (p, c) in round.iter().enumerate() {
-                if p > 0 {
-                    write!(f, " ")?;
-                }
-                write!(f, "p{p}←{c}")?;
-            }
-            writeln!(f)?;
-        }
-        Ok(())
-    }
-}
-
-/// The outcome of an exhaustive search.
-#[derive(Clone, Debug)]
-pub enum SearchOutcome {
-    /// A safety violation exists; here is one.
-    Violation(Box<Witness>),
-    /// No violation within the family and horizon.
-    Exhausted {
-        /// Distinct configurations explored.
-        states_explored: usize,
-        /// `false` if the exploration cap was hit before exhaustion.
-        complete: bool,
-    },
-}
-
-impl SearchOutcome {
-    /// `true` if a violation was found.
-    pub fn found_violation(&self) -> bool {
-        matches!(self, SearchOutcome::Violation(_))
-    }
 }
 
 /// Exhaustive bounded search for Agreement/Integrity violations of
@@ -188,10 +312,71 @@ impl WitnessSearch {
         self
     }
 
-    fn transition(&self, proc: Proc, choice: ReceiverChoice, n: usize) -> Proc {
+    /// Runs the search from the given initial configuration.
+    pub fn run(&self, initial: &[bool]) -> SearchOutcome<ReceiverChoice> {
+        assert_eq!(
+            initial.len(),
+            self.params.n(),
+            "one initial value per process"
+        );
+        search(self, initial, self.max_rounds, self.max_states)
+    }
+}
+
+impl Abstraction for WitnessSearch {
+    type Proc = Proc;
+    type Choice = ReceiverChoice;
+    const PHASES: usize = 1;
+
+    fn start(x: bool) -> Proc {
+        Proc { x, decided: None }
+    }
+
+    fn decided(proc: &Proc) -> Option<bool> {
+        proc.decided
+    }
+
+    fn choices(&self, config: &[Proc], _phase: usize) -> Vec<ReceiverChoice> {
+        let n = self.params.n();
+        let budget = self.params.alpha() as usize;
+        // True send counts this round.
+        let true_ones = config.iter().filter(|p| p.x).count();
+        let lo = true_ones.saturating_sub(budget);
+        let hi = (true_ones + budget).min(n);
+        let mut options: Vec<ReceiverChoice> = Vec::with_capacity(hi - lo + 2);
+        if self.allow_silence {
+            options.push(ReceiverChoice::Silence);
+        }
+        for ones in lo..=hi {
+            options.push(ReceiverChoice::HearAll { ones });
+        }
+        if self.partial_hearing {
+            // Receptions of exactly m messages for m straddling the
+            // update threshold. A kept sub-multiset has o true ones
+            // with o ∈ [max(0, m−(n−true_ones)), min(m, true_ones)];
+            // corruption shifts it by ≤ budget.
+            let t_edge = self.params.t().min_exceeding_count();
+            for m in [t_edge.saturating_sub(1), t_edge] {
+                if m == 0 || m >= n {
+                    continue;
+                }
+                let o_lo = m.saturating_sub(n - true_ones);
+                let o_hi = m.min(true_ones);
+                if o_lo > o_hi {
+                    continue;
+                }
+                for ones in o_lo.saturating_sub(budget)..=(o_hi + budget).min(m) {
+                    options.push(ReceiverChoice::HearSome { m, ones });
+                }
+            }
+        }
+        options
+    }
+
+    fn apply(&self, proc: Proc, choice: ReceiverChoice) -> Proc {
         let (m, ones) = match choice {
             ReceiverChoice::Silence => return proc,
-            ReceiverChoice::HearAll { ones } => (n, ones),
+            ReceiverChoice::HearAll { ones } => (self.params.n(), ones),
             ReceiverChoice::HearSome { m, ones } => (m, ones),
         };
         let zeros = m - ones;
@@ -210,169 +395,6 @@ impl WitnessSearch {
             }
         }
         next
-    }
-
-    fn violation_of(&self, config: &Config, unanimous: Option<bool>) -> Option<String> {
-        let mut seen: Option<bool> = None;
-        for (i, p) in config.iter().enumerate() {
-            if let Some(d) = p.decided {
-                if let Some(v0) = unanimous {
-                    if d != v0 {
-                        return Some(format!(
-                            "integrity: all initial values were {} but p{i} decided {}",
-                            u8::from(v0),
-                            u8::from(d)
-                        ));
-                    }
-                }
-                match seen {
-                    None => seen = Some(d),
-                    Some(prev) if prev != d => {
-                        return Some(format!(
-                            "agreement: decisions {} and {} coexist",
-                            u8::from(prev),
-                            u8::from(d)
-                        ));
-                    }
-                    _ => {}
-                }
-            }
-        }
-        None
-    }
-
-    /// Runs the search from the given initial configuration.
-    pub fn run(&self, initial: &[bool]) -> SearchOutcome {
-        let n = self.params.n();
-        assert_eq!(initial.len(), n, "one initial value per process");
-        let budget = self.params.alpha() as usize;
-        let unanimous = if initial.iter().all(|&b| b == initial[0]) {
-            initial.first().copied()
-        } else {
-            None
-        };
-
-        let start: Config = initial
-            .iter()
-            .map(|&b| Proc {
-                x: b,
-                decided: None,
-            })
-            .collect();
-
-        // parents[config] = (parent, choices leading here); start maps to None.
-        let mut parents: HashMap<Config, Option<(Config, Vec<ReceiverChoice>)>> = HashMap::new();
-        parents.insert(start.clone(), None);
-        let mut frontier: VecDeque<(Config, usize)> = VecDeque::new();
-        frontier.push_back((start.clone(), 0));
-        let mut complete = true;
-
-        if let Some(v) = self.violation_of(&start, unanimous) {
-            // Degenerate, but handle it: an initial violation is empty.
-            return SearchOutcome::Violation(Box::new(Witness {
-                initial: initial.to_vec(),
-                rounds: Vec::new(),
-                violation: v,
-            }));
-        }
-
-        while let Some((config, depth)) = frontier.pop_front() {
-            if depth >= self.max_rounds {
-                continue;
-            }
-            // True send counts this round.
-            let true_ones = config.iter().filter(|p| p.x).count();
-            let lo = true_ones.saturating_sub(budget);
-            let hi = (true_ones + budget).min(n);
-            let mut options: Vec<ReceiverChoice> = Vec::with_capacity(hi - lo + 2);
-            if self.allow_silence {
-                options.push(ReceiverChoice::Silence);
-            }
-            for ones in lo..=hi {
-                options.push(ReceiverChoice::HearAll { ones });
-            }
-            if self.partial_hearing {
-                // Receptions of exactly m messages for m straddling the
-                // update threshold. A kept sub-multiset has o true ones
-                // with o ∈ [max(0, m−(n−true_ones)), min(m, true_ones)];
-                // corruption shifts it by ≤ budget.
-                let t_edge = self.params.t().min_exceeding_count();
-                for m in [t_edge.saturating_sub(1), t_edge] {
-                    if m == 0 || m >= n {
-                        continue;
-                    }
-                    let o_lo = m.saturating_sub(n - true_ones);
-                    let o_hi = m.min(true_ones);
-                    if o_lo > o_hi {
-                        continue;
-                    }
-                    for ones in o_lo.saturating_sub(budget)..=(o_hi + budget).min(m) {
-                        options.push(ReceiverChoice::HearSome { m, ones });
-                    }
-                }
-            }
-
-            // Odometer over per-receiver options.
-            let mut idx = vec![0usize; n];
-            'outer: loop {
-                let choices: Vec<ReceiverChoice> = idx.iter().map(|&i| options[i]).collect();
-                let next: Config = config
-                    .iter()
-                    .zip(&choices)
-                    .map(|(p, c)| self.transition(*p, *c, n))
-                    .collect();
-
-                if let Entry::Vacant(slot) = parents.entry(next.clone()) {
-                    slot.insert(Some((config.clone(), choices.clone())));
-                    if let Some(violation) = self.violation_of(&next, unanimous) {
-                        return SearchOutcome::Violation(Box::new(
-                            self.reconstruct(initial, &parents, next, violation),
-                        ));
-                    }
-                    if parents.len() >= self.max_states {
-                        complete = false;
-                    } else {
-                        frontier.push_back((next, depth + 1));
-                    }
-                }
-
-                // Advance the odometer.
-                for slot in idx.iter_mut() {
-                    *slot += 1;
-                    if *slot < options.len() {
-                        continue 'outer;
-                    }
-                    *slot = 0;
-                }
-                break;
-            }
-        }
-
-        SearchOutcome::Exhausted {
-            states_explored: parents.len(),
-            complete,
-        }
-    }
-
-    fn reconstruct(
-        &self,
-        initial: &[bool],
-        parents: &HashMap<Config, Option<(Config, Vec<ReceiverChoice>)>>,
-        last: Config,
-        violation: String,
-    ) -> Witness {
-        let mut rounds = Vec::new();
-        let mut cursor = last;
-        while let Some(Some((parent, choices))) = parents.get(&cursor) {
-            rounds.push(choices.clone());
-            cursor = parent.clone();
-        }
-        rounds.reverse();
-        Witness {
-            initial: initial.to_vec(),
-            rounds,
-            violation,
-        }
     }
 }
 

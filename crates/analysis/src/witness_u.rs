@@ -26,10 +26,11 @@
 //! corruption budget (and the optional `min_sho` floor) induces it.
 //! This is sound and complete over binary values: two receptions
 //! inducing the same outcome are indistinguishable to the algorithm.
+//! The search itself is the shared driver of [`crate::WitnessSearch`],
+//! with the estimate/vote alternation as its two phases.
 
+use crate::witness::{search, Abstraction, SearchOutcome};
 use heardof_core::UteParams;
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 /// A receiver's abstract experience in one round of the search.
@@ -70,69 +71,10 @@ impl fmt::Display for UChoice {
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct UProc {
+pub(crate) struct UProc {
     x: bool,
     vote: Option<bool>,
     decided: Option<bool>,
-}
-
-type UConfig = Vec<UProc>;
-
-/// A concrete safety violation of `U_{T,E,α}` found by the search.
-#[derive(Clone, Debug)]
-pub struct UWitness {
-    /// The initial binary configuration.
-    pub initial: Vec<bool>,
-    /// Per round, the abstract choice at each receiver.
-    pub rounds: Vec<Vec<UChoice>>,
-    /// Which clause broke.
-    pub violation: String,
-}
-
-impl fmt::Display for UWitness {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "violation: {}", self.violation)?;
-        write!(f, "initial x: [")?;
-        for (i, b) in self.initial.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{}", u8::from(*b))?;
-        }
-        writeln!(f, "]")?;
-        for (i, round) in self.rounds.iter().enumerate() {
-            write!(f, "round {}: ", i + 1)?;
-            for (p, c) in round.iter().enumerate() {
-                if p > 0 {
-                    write!(f, " | ")?;
-                }
-                write!(f, "p{p}: {c}")?;
-            }
-            writeln!(f)?;
-        }
-        Ok(())
-    }
-}
-
-/// The outcome of an exhaustive `U` search.
-#[derive(Clone, Debug)]
-pub enum USearchOutcome {
-    /// A violation exists; here is one.
-    Violation(Box<UWitness>),
-    /// No violation within the horizon.
-    Exhausted {
-        /// Distinct configurations explored.
-        states_explored: usize,
-        /// `false` if the state cap was hit first.
-        complete: bool,
-    },
-}
-
-impl USearchOutcome {
-    /// `true` if a violation was found.
-    pub fn found_violation(&self) -> bool {
-        matches!(self, USearchOutcome::Violation(_))
-    }
 }
 
 /// Exhaustive bounded search for `U_{T,E,α}` safety violations.
@@ -288,6 +230,47 @@ impl UteWitnessSearch {
         seen
     }
 
+    /// Runs the search from the given initial configuration.
+    pub fn run(&self, initial: &[bool]) -> SearchOutcome<UChoice> {
+        assert_eq!(
+            initial.len(),
+            self.params.n(),
+            "one initial value per process"
+        );
+        search(self, initial, self.max_phases * 2, self.max_states)
+    }
+}
+
+impl Abstraction for UteWitnessSearch {
+    type Proc = UProc;
+    type Choice = UChoice;
+    /// An estimate round, then a vote round.
+    const PHASES: usize = 2;
+
+    fn start(x: bool) -> UProc {
+        UProc {
+            x,
+            vote: None,
+            decided: None,
+        }
+    }
+
+    fn decided(proc: &UProc) -> Option<bool> {
+        proc.decided
+    }
+
+    fn choices(&self, config: &[UProc], phase: usize) -> Vec<UChoice> {
+        let n = self.params.n();
+        if phase == 0 {
+            let t1 = config.iter().filter(|p| p.x).count();
+            self.est_options(n - t1, t1)
+        } else {
+            let tq = config.iter().filter(|p| p.vote.is_none()).count();
+            let t1 = config.iter().filter(|p| p.vote == Some(true)).count();
+            self.vote_options(tq, n - tq - t1, t1)
+        }
+    }
+
     fn apply(&self, proc: UProc, choice: UChoice) -> UProc {
         let mut next = proc;
         match choice {
@@ -308,150 +291,6 @@ impl UteWitnessSearch {
         }
         next
     }
-
-    fn violation_of(&self, config: &UConfig, unanimous: Option<bool>) -> Option<String> {
-        let mut seen: Option<bool> = None;
-        for (i, p) in config.iter().enumerate() {
-            if let Some(d) = p.decided {
-                if let Some(v0) = unanimous {
-                    if d != v0 {
-                        return Some(format!(
-                            "integrity: all initial values were {} but p{i} decided {}",
-                            u8::from(v0),
-                            u8::from(d)
-                        ));
-                    }
-                }
-                match seen {
-                    None => seen = Some(d),
-                    Some(prev) if prev != d => {
-                        return Some(format!(
-                            "agreement: decisions {} and {} coexist",
-                            u8::from(prev),
-                            u8::from(d)
-                        ));
-                    }
-                    _ => {}
-                }
-            }
-        }
-        None
-    }
-
-    /// Runs the search from the given initial configuration.
-    pub fn run(&self, initial: &[bool]) -> USearchOutcome {
-        let n = self.params.n();
-        assert_eq!(initial.len(), n, "one initial value per process");
-        let unanimous = if initial.iter().all(|&b| b == initial[0]) {
-            initial.first().copied()
-        } else {
-            None
-        };
-
-        let start: UConfig = initial
-            .iter()
-            .map(|&b| UProc {
-                x: b,
-                vote: None,
-                decided: None,
-            })
-            .collect();
-
-        // The search key includes the round parity: an estimate-round
-        // configuration and an identical-looking vote-round one have
-        // different futures (est rounds only touch votes, vote rounds
-        // only touch estimates/decisions).
-        type UKey = (UConfig, u8);
-        let mut parents: HashMap<UKey, Option<(UKey, Vec<UChoice>)>> = HashMap::new();
-        parents.insert((start.clone(), 0), None);
-        let mut frontier: VecDeque<(UConfig, usize)> = VecDeque::new();
-        frontier.push_back((start, 0));
-        let mut complete = true;
-        let max_rounds = self.max_phases * 2;
-
-        while let Some((config, depth)) = frontier.pop_front() {
-            if depth >= max_rounds {
-                continue;
-            }
-            let is_est_round = depth % 2 == 0;
-            let parity = (depth % 2) as u8;
-            let next_parity = ((depth + 1) % 2) as u8;
-            let options: Vec<UChoice> = if is_est_round {
-                let t1 = config.iter().filter(|p| p.x).count();
-                self.est_options(n - t1, t1)
-            } else {
-                let tq = config.iter().filter(|p| p.vote.is_none()).count();
-                let t1 = config.iter().filter(|p| p.vote == Some(true)).count();
-                self.vote_options(tq, n - tq - t1, t1)
-            };
-            if options.is_empty() {
-                continue;
-            }
-
-            let mut idx = vec![0usize; n];
-            'outer: loop {
-                let choices: Vec<UChoice> = idx.iter().map(|&i| options[i]).collect();
-                let next: UConfig = config
-                    .iter()
-                    .zip(&choices)
-                    .map(|(p, c)| self.apply(*p, *c))
-                    .collect();
-
-                if let Entry::Vacant(slot) = parents.entry((next.clone(), next_parity)) {
-                    slot.insert(Some(((config.clone(), parity), choices.clone())));
-                    if let Some(violation) = self.violation_of(&next, unanimous) {
-                        return USearchOutcome::Violation(Box::new(self.reconstruct(
-                            initial,
-                            &parents,
-                            (next, next_parity),
-                            violation,
-                        )));
-                    }
-                    if parents.len() >= self.max_states {
-                        complete = false;
-                    } else {
-                        frontier.push_back((next, depth + 1));
-                    }
-                }
-
-                for slot in idx.iter_mut() {
-                    *slot += 1;
-                    if *slot < options.len() {
-                        continue 'outer;
-                    }
-                    *slot = 0;
-                }
-                break;
-            }
-        }
-
-        USearchOutcome::Exhausted {
-            states_explored: parents.len(),
-            complete,
-        }
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn reconstruct(
-        &self,
-        initial: &[bool],
-        parents: &HashMap<(UConfig, u8), Option<((UConfig, u8), Vec<UChoice>)>>,
-        last: (UConfig, u8),
-        violation: String,
-    ) -> UWitness {
-        let mut rounds = Vec::new();
-        let mut cursor = last;
-        while let Some(Some((parent, choices))) = parents.get(&cursor) {
-            rounds.push(choices.clone());
-            cursor = parent.clone();
-        }
-        rounds.reverse();
-        UWitness {
-            initial: initial.to_vec(),
-            rounds,
-            violation,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -468,7 +307,7 @@ mod tests {
         // (A 1-majority start: with v₀ = 0, deciding 1 first and then
         // defaulting the others away toward 0 is the breakable shape.)
         let outcome = UteWitnessSearch::new(valid_params(), 3).run(&[true, true, true, false]);
-        let USearchOutcome::Violation(w) = outcome else {
+        let SearchOutcome::Violation(w) = outcome else {
             panic!("expected a violation (P_α alone is insufficient for U)");
         };
         assert!(w.violation.contains("agreement"), "{w}");
@@ -496,8 +335,8 @@ mod tests {
             .with_min_sho(floor)
             .run(&[true, true, true, false]);
         match outcome {
-            USearchOutcome::Exhausted { complete, .. } => assert!(complete),
-            USearchOutcome::Violation(w) => panic!("unexpected violation:\n{w}"),
+            SearchOutcome::Exhausted { complete, .. } => assert!(complete),
+            SearchOutcome::Violation(w) => panic!("unexpected violation:\n{w}"),
         }
     }
 
@@ -506,7 +345,7 @@ mod tests {
         // Unanimous 1s with default v₀ = 0: starve the votes, adopt the
         // default, then decide it.
         let outcome = UteWitnessSearch::new(valid_params(), 3).run(&[true, true, true, true]);
-        let USearchOutcome::Violation(w) = outcome else {
+        let SearchOutcome::Violation(w) = outcome else {
             panic!("expected an integrity violation");
         };
         assert!(w.violation.contains("integrity"), "{w}");
@@ -539,7 +378,7 @@ mod tests {
     #[test]
     fn witness_is_replayable_prose() {
         let outcome = UteWitnessSearch::new(valid_params(), 3).run(&[true, true, true, false]);
-        if let USearchOutcome::Violation(w) = outcome {
+        if let SearchOutcome::Violation(w) = outcome {
             let text = w.to_string();
             assert!(text.contains("round 1:"));
             assert!(text.contains("initial x: [1, 1, 1, 0]"));
@@ -585,7 +424,7 @@ mod tests {
         let outcome = UteWitnessSearch::new(valid_params(), 3)
             .max_states(2)
             .run(&[false, false, false, false]);
-        if let USearchOutcome::Exhausted { complete, .. } = outcome {
+        if let SearchOutcome::Exhausted { complete, .. } = outcome {
             assert!(!complete);
         } else {
             panic!("all-zero inputs admit no violation");

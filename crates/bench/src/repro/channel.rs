@@ -427,9 +427,9 @@ pub(super) fn adaptive_tradeoff(out: &mut String) {
     // Rung gossip vs. independent controllers under correlated bursts:
     // the convergence-lag column. A mesh of per-process controllers —
     // not the single-receiver loop above — because divergence is a
-    // *relation between* controllers. `drive_mesh` is the one mesh loop
-    // the rung-gossip acceptance test also asserts against, so this
-    // table and that test cannot drift apart.
+    // *relation between* controllers. `drive_mesh` is the one mesh
+    // loop; `repro_golden.rs` pins every number below and fails on a
+    // `VIOLATED` claim, so the printed claims are the asserted ones.
     let mesh_n = 5;
     let mesh_rounds = 120u64;
     outln!(

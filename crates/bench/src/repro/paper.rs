@@ -10,7 +10,7 @@ use heardof_adversary::{
 };
 use heardof_analysis::{
     ate_live, ate_p_alpha, ute_live, ute_p_alpha, Scenario, ScenarioResult, SearchOutcome, Summary,
-    Table, USearchOutcome, UteWitnessSearch, WitnessSearch,
+    Table, UChoice, UteWitnessSearch, WitnessSearch,
 };
 use heardof_core::{
     bounds, Ate, AteParams, OneThirdRule, Threshold, UniformVoting, Ute, UteParams,
@@ -560,13 +560,13 @@ pub(super) fn tightness_u(out: &mut String) {
         "with valid thresholds E = T = n/2 + α, P_α alone admits Agreement/Integrity \
          violations via vote starvation; adding the P^{U,safe} floor removes them all",
     );
-    let cell = |outcome: USearchOutcome| match outcome {
-        USearchOutcome::Violation(w) => format!(
+    let cell = |outcome: SearchOutcome<UChoice>| match outcome {
+        SearchOutcome::Violation(w) => format!(
             "violation: {} ({} rounds)",
             w.violation.split(':').next().unwrap_or("?"),
             w.rounds.len()
         ),
-        USearchOutcome::Exhausted {
+        SearchOutcome::Exhausted {
             states_explored,
             complete,
         } => exhausted(states_explored, complete),

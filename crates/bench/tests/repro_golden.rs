@@ -43,6 +43,21 @@ macro_rules! golden {
             let listed: Vec<&str> = ARTIFACTS.iter().map(|(name, _)| *name).collect();
             assert_eq!(listed, [$(stringify!($name)),*]);
         }
+
+        /// The artifacts judge their own claims (`HOLDS` / `VIOLATED`),
+        /// so a re-pin must not carry a broken claim into a golden
+        /// file unnoticed.
+        #[test]
+        fn no_pinned_claim_is_violated() {
+            for name in [$(stringify!($name)),*] {
+                let path = format!("{}/tests/repro/{name}.txt", env!("CARGO_MANIFEST_DIR"));
+                let pinned =
+                    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+                if let Some(line) = pinned.lines().find(|line| line.contains("VIOLATED")) {
+                    panic!("{name} pins a violated claim: {line}");
+                }
+            }
+        }
     };
 }
 

@@ -403,9 +403,9 @@ impl NoiseTrace {
     /// pressure depends on its *senders'* rungs (cheap frames die where
     /// coded ones survive), a split sustains itself once formed.
     /// Independent controllers can stay split for tens of rounds here;
-    /// this is the preset the rung-gossip acceptance test
-    /// (`crates/coding/tests/adaptive_acceptance.rs`) uses to show
-    /// gossip collapsing that divergence to ≤ 1 round.
+    /// this is the preset the `adaptive_tradeoff` artifact (pinned by
+    /// `crates/bench/tests/repro_golden.rs`) uses to show gossip
+    /// collapsing that divergence to ≤ 1 round.
     pub fn correlated_bursts_moderate(seed: u64) -> Self {
         NoiseTrace::new(
             seed,

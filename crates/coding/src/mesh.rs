@@ -10,10 +10,11 @@
 //! receiver's controller at end of round, and an oracle counting the
 //! undetected value faults no receiver can see.
 //!
-//! The acceptance regression (`tests/adaptive_acceptance.rs`) asserts
-//! the gossip claims against this loop and the `adaptive_tradeoff`
-//! experiment prints its lag table from it — one implementation, so
-//! the printed claim and the asserted claim can never drift apart.
+//! The `adaptive_tradeoff` artifact of `heardof-bench` prints its lag
+//! table and gossip claims from this loop, and
+//! `crates/bench/tests/repro_golden.rs` pins that output byte for byte
+//! and fails on any `VIOLATED` claim — the printed claim is the
+//! asserted one.
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveController};
 use crate::burst::NoiseTrace;

@@ -52,10 +52,8 @@ pub trait WireMessage: Sized {
     /// Appends the encoding of `self` to `buf`.
     fn encode(&self, buf: &mut BytesMut);
 
-    /// Decodes a value from the front of `buf`. Generic over [`Buf`] so
-    /// the same impl serves the owned [`Bytes`](bytes::Bytes) cursor
-    /// and the zero-copy `&mut &[u8]` reader that parses borrowed wire
-    /// views.
+    /// Decodes a value from the front of `buf` — in this workspace the
+    /// zero-copy `&mut &[u8]` reader that parses borrowed wire views.
     ///
     /// # Errors
     ///
@@ -363,7 +361,7 @@ mod tests {
         let mut buf = BytesMut::new();
         "héllo".to_string().encode(&mut buf);
         true.encode(&mut buf);
-        let mut bytes = buf.freeze();
+        let mut bytes: &[u8] = &buf;
         assert_eq!(String::decode(&mut bytes).unwrap(), "héllo");
         assert!(bool::decode(&mut bytes).unwrap());
     }
@@ -473,13 +471,12 @@ mod tests {
     fn bad_tags_rejected() {
         let mut buf = BytesMut::new();
         buf.put_u8(9);
-        let mut bytes = buf.freeze();
         assert_eq!(
-            Option::<u64>::decode(&mut bytes.clone()).unwrap_err(),
+            Option::<u64>::decode(&mut &buf[..]).unwrap_err(),
             CodecError::BadTag(9)
         );
         assert_eq!(
-            UteMsg::<u64>::decode(&mut bytes).unwrap_err(),
+            UteMsg::<u64>::decode(&mut &buf[..]).unwrap_err(),
             CodecError::BadTag(9)
         );
     }

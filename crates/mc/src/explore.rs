@@ -1,38 +1,28 @@
-//! Breadth-first exhaustive exploration of the joint state space.
+//! The two searches over the controller machine, both on the shared
+//! [`Explorer`]: the joint product of all `n` controllers and the
+//! single-victim search.
 //!
-//! Classic explicit-state checking: a packed-key arena with parent
-//! pointers (so every node knows the exact adversary schedule that
-//! reaches it), a `HashMap` visited set for value-level dedup, and a
-//! FIFO frontier so the first violation found is a shortest one.
-//!
-//! Per expanded node the per-receiver successor sets are computed once
-//! ([`receiver_successors`]) and their cartesian product enumerated
-//! with an odometer — the per-receiver dedup is what keeps the product
-//! tractable: hundreds of raw observations per receiver collapse to a
-//! handful of distinct post-states.
+//! Per expanded joint node the per-receiver successor sets are
+//! computed once ([`receiver_successors`]) and their cartesian product
+//! enumerated with the [`odometer`] — the per-receiver dedup is what
+//! keeps the product tractable: hundreds of raw observations per
+//! receiver collapse to a handful of distinct post-states.
 //!
 //! The two per-step predicates (last-resort pin, epoch order) are
 //! checked inside successor enumeration; the global reconvergence
 //! predicate runs a memoized deterministic all-calm suffix from every
-//! divergent node as it is dequeued.
+//! divergent node as it is dequeued. Reaching the horizon leaves a
+//! search incomplete, as does the state cap.
 
+use crate::explorer::{odometer, Explorer};
 use crate::model::{
-    pack_node, receiver_successors, step_node, true_advert, Counterexample, CtlNode, JointAction,
-    Key, LocalSucc, McConfig, Predicate, ACT_DELIVER, ACT_OMIT, CTL_BYTES, MAX_N,
+    pack_node, receiver_successors, step_node, true_advert, unpack_node, Counterexample, CtlNode,
+    JointAction, Key, LocalSucc, McConfig, Predicate, ACT_DELIVER, ACT_FORGE_BASE, ACT_MUTE,
+    ACT_OMIT, CTL_BYTES, EPOCHS, MAX_N,
 };
 use heardof_coding::{RoundTally, RungAdvert};
-use std::collections::{HashMap, VecDeque};
-
-/// One arena entry: a reached joint state and the edge that first
-/// reached it.
-struct Rec {
-    key: Key,
-    parent: u32,
-    action: JointAction,
-    depth: u32,
-}
-
-const NO_PARENT: u32 = u32::MAX;
+use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 /// What an exploration covered and whether it found a violation.
 #[derive(Clone, Debug)]
@@ -67,134 +57,94 @@ impl ExploreReport {
 /// Panics on a configuration [`McConfig::validate`] rejects.
 pub fn explore(mc: &McConfig) -> ExploreReport {
     mc.validate();
-    let root_ctls: Vec<CtlNode> = (0..mc.n).map(|_| CtlNode::initial(&mc.cfg)).collect();
-    let root = pack_node(&root_ctls);
-
-    let mut arena: Vec<Rec> = vec![Rec {
-        key: root,
-        parent: NO_PARENT,
-        action: [[ACT_DELIVER; MAX_N]; MAX_N],
-        depth: 0,
-    }];
-    let mut visited: HashMap<Key, u32> = HashMap::new();
-    visited.insert(root, 0);
-    let mut queue: VecDeque<u32> = VecDeque::from([0]);
+    let root: Vec<CtlNode> = (0..mc.n).map(|_| CtlNode::initial(&mc.cfg)).collect();
+    let mut search: Explorer<Key, JointAction> = Explorer::new(pack_node(&root), mc.max_states);
     let mut calm_memo: HashMap<Key, bool> = HashMap::new();
-
-    let mut transitions = 0u64;
-    let mut max_depth = 0u32;
-    let mut truncated = false;
+    let (mut transitions, mut max_depth, mut horizon_hit) = (0u64, 0u32, false);
     let mut succs: Vec<Vec<LocalSucc>> = vec![Vec::new(); mc.n];
 
-    while let Some(idx) = queue.pop_front() {
-        let depth = arena[idx as usize].depth;
+    while let Some(id) = search.pop() {
+        let depth = search.depth(id);
         max_depth = max_depth.max(depth);
-        let ctls = crate::model::unpack_node(&arena[idx as usize].key, mc);
+        let ctls = unpack_node(search.state(id), mc);
 
         // Reconvergence: every divergent reachable state must heal
         // under an all-calm suffix.
         if !converged(&ctls) && !calm_reconverges(mc, &ctls, &mut calm_memo) {
             let rungs: Vec<u8> = ctls.iter().map(|c| c.st.rung).collect();
-            let cx = trace(
-                &arena,
-                idx,
-                None,
-                Predicate::Reconverge,
-                0,
-                format!(
+            let cx = Counterexample {
+                predicate: Predicate::Reconverge,
+                victim: 0,
+                rounds: search.path(id),
+                description: format!(
                     "divergent rungs {rungs:?} fail to reconverge within {} calm rounds",
                     mc.calm_bound
                 ),
-            );
-            return report(arena, transitions, max_depth, false, Some(cx));
+            };
+            return report(&search, transitions, max_depth, false, Some(cx));
         }
 
         if depth >= mc.horizon {
-            truncated = true;
+            horizon_hit = true;
             continue;
         }
 
         // Per-receiver successor sets (dedup by packed post-state);
         // per-step predicate violations surface here with the exact
         // provoking action vector.
-        let mut violation: Option<(LocalSucc, Predicate, usize)> = None;
         for (recv, out) in succs.iter_mut().enumerate() {
-            match receiver_successors(mc, &ctls, recv, out) {
-                Ok(()) => {}
-                Err((succ, pred)) => {
-                    violation = Some((succ, pred, recv));
-                    break;
-                }
+            if let Err((succ, predicate)) = receiver_successors(mc, &ctls, recv, out) {
+                let mut last: JointAction = [[ACT_DELIVER; MAX_N]; MAX_N];
+                last[recv] = succ.action;
+                let mut rounds = search.path(id);
+                rounds.push(last);
+                let cx = Counterexample {
+                    predicate,
+                    victim: recv,
+                    rounds,
+                    description: format!(
+                        "controller {recv} violates {predicate:?} at depth {} (outcome {:?})",
+                        depth + 1,
+                        succ.outcome
+                    ),
+                };
+                return report(
+                    &search,
+                    transitions,
+                    max_depth.max(depth + 1),
+                    false,
+                    Some(cx),
+                );
             }
         }
-        if let Some((succ, pred, recv)) = violation {
-            let mut joint: JointAction = [[ACT_DELIVER; MAX_N]; MAX_N];
-            joint[recv] = succ.action;
-            let description = format!(
-                "controller {recv} violates {pred:?} at depth {} (outcome {:?})",
-                depth + 1,
-                succ.outcome
-            );
-            let cx = trace(&arena, idx, Some(joint), pred, recv, description);
-            return report(
-                arena,
-                transitions,
-                max_depth.max(depth + 1),
-                false,
-                Some(cx),
-            );
-        }
 
-        // Cartesian product across receivers via an odometer.
-        let mut pick = vec![0usize; mc.n];
-        'product: loop {
+        let radix: Vec<usize> = succs.iter().map(Vec::len).collect();
+        let _ = odometer::<()>(&radix, |pick| {
             transitions += 1;
             let mut key = [0u8; CTL_BYTES * MAX_N];
             let mut joint: JointAction = [[ACT_DELIVER; MAX_N]; MAX_N];
-            for recv in 0..mc.n {
-                let s = &succs[recv][pick[recv]];
-                key[recv * CTL_BYTES..(recv + 1) * CTL_BYTES].copy_from_slice(&s.packed);
-                joint[recv] = s.action;
+            for (recv, (&p, local)) in pick.iter().zip(&succs).enumerate() {
+                key[recv * CTL_BYTES..(recv + 1) * CTL_BYTES].copy_from_slice(&local[p].packed);
+                joint[recv] = local[p].action;
             }
-            let key = Key(key);
-            if let std::collections::hash_map::Entry::Vacant(slot) = visited.entry(key) {
-                if arena.len() >= mc.max_states {
-                    truncated = true;
-                } else {
-                    let id = arena.len() as u32;
-                    slot.insert(id);
-                    arena.push(Rec {
-                        key,
-                        parent: idx,
-                        action: joint,
-                        depth: depth + 1,
-                    });
-                    queue.push_back(id);
-                }
-            }
-            for recv in 0..mc.n {
-                pick[recv] += 1;
-                if pick[recv] < succs[recv].len() {
-                    continue 'product;
-                }
-                pick[recv] = 0;
-            }
-            break;
-        }
+            search.insert(id, joint, Key(key));
+            ControlFlow::Continue(())
+        });
     }
 
-    report(arena, transitions, max_depth, !truncated, None)
+    let complete = !horizon_hit && !search.capped();
+    report(&search, transitions, max_depth, complete, None)
 }
 
-fn report(
-    arena: Vec<Rec>,
+fn report<S, A>(
+    search: &Explorer<S, A>,
     transitions: u64,
     max_depth: u32,
     complete: bool,
     violation: Option<Counterexample>,
 ) -> ExploreReport {
     ExploreReport {
-        states: arena.len(),
+        states: search.states(),
         transitions,
         max_depth,
         complete,
@@ -276,65 +226,44 @@ fn calm_reconverges(mc: &McConfig, ctls: &[CtlNode], memo: &mut HashMap<Key, boo
 pub fn explore_single(mc: &McConfig, victim: usize) -> ExploreReport {
     mc.validate();
     let k = mc.peers();
-    let rungs = mc.cfg.ladder.len() as u8;
-    let root_node = CtlNode::initial(&mc.cfg);
-    let mut buf = [0u8; CTL_BYTES];
-    root_node.pack(&mut buf);
+    let mut root = [0u8; CTL_BYTES];
+    CtlNode::initial(&mc.cfg).pack(&mut root);
+    let mut search: Explorer<[u8; CTL_BYTES], [u8; MAX_N]> = Explorer::new(root, mc.max_states);
+    let (mut transitions, mut max_depth, mut horizon_hit) = (0u64, 0u32, false);
+    // Observations: forge slot 0 (or no forge), the next `kept` peer
+    // frames muted, the rest omitted.
+    let pairs = mc.cfg.ladder.len() as u8 * EPOCHS;
+    let forges: Vec<Option<u8>> = std::iter::once(None)
+        .chain((0..pairs).map(Some))
+        .filter(|f| mc.forge || f.is_none())
+        .collect();
 
-    struct SRec {
-        packed: [u8; CTL_BYTES],
-        parent: u32,
-        action: [u8; MAX_N],
-        depth: u32,
-    }
-    let mut arena = vec![SRec {
-        packed: buf,
-        parent: NO_PARENT,
-        action: [ACT_DELIVER; MAX_N],
-        depth: 0,
-    }];
-    let mut visited: HashMap<[u8; CTL_BYTES], u32> = HashMap::new();
-    visited.insert(buf, 0);
-    let mut queue: VecDeque<u32> = VecDeque::from([0]);
-    let mut transitions = 0u64;
-    let mut max_depth = 0u32;
-    let mut truncated = false;
-
-    while let Some(idx) = queue.pop_front() {
-        let depth = arena[idx as usize].depth;
+    while let Some(id) = search.pop() {
+        let depth = search.depth(id);
         max_depth = max_depth.max(depth);
         if depth >= mc.horizon {
-            truncated = true;
+            horizon_hit = true;
             continue;
         }
-        let node = CtlNode::unpack(&arena[idx as usize].packed, mc.n, mc.cfg.window);
-        // Observations: forge slot 0 (or no forge), the next
-        // `kept` peer frames muted, the rest omitted.
-        let forges: Vec<Option<u8>> = std::iter::once(None)
-            .chain((0..rungs as u32 * crate::model::EPOCHS as u32).map(|p| Some(p as u8)))
-            .filter(|f| mc.forge || f.is_none())
-            .collect();
-        for forge in forges {
+        let node = CtlNode::unpack(search.state(id), mc.n, mc.cfg.window);
+        for &forge in &forges {
             let spare = if forge.is_some() { k - 1 } else { k };
             for kept in 0..=spare {
                 transitions += 1;
                 let mut action = [ACT_OMIT; MAX_N];
                 let mut ads: Vec<RungAdvert> = Vec::new();
                 let mut delivered = 0usize;
-                let mut slot = 0usize;
                 if let Some(pair) = forge {
-                    action[slot] = crate::model::ACT_FORGE_BASE + pair;
+                    action[delivered] = ACT_FORGE_BASE + pair;
                     ads.push(RungAdvert {
-                        rung: pair / crate::model::EPOCHS,
-                        epoch: pair % crate::model::EPOCHS,
+                        rung: pair / EPOCHS,
+                        epoch: pair % EPOCHS,
                     });
                     delivered += 1;
-                    slot += 1;
                 }
                 for _ in 0..kept {
-                    action[slot] = crate::model::ACT_MUTE;
+                    action[delivered] = ACT_MUTE;
                     delivered += 1;
-                    slot += 1;
                 }
                 let tally = RoundTally {
                     expected: k,
@@ -345,87 +274,42 @@ pub fn explore_single(mc: &McConfig, victim: usize) -> ExploreReport {
                 };
                 let mut next = node;
                 let (outcome, violated) = step_node(&mc.cfg, &mut next, tally, &ads);
-                if let Some(pred) = violated {
-                    let mut rounds = Vec::new();
-                    let mut cur = idx;
-                    while arena[cur as usize].parent != NO_PARENT {
-                        let mut joint: JointAction = [[ACT_DELIVER; MAX_N]; MAX_N];
-                        joint[victim] = arena[cur as usize].action;
-                        rounds.push(joint);
-                        cur = arena[cur as usize].parent;
-                    }
-                    rounds.reverse();
-                    let mut joint: JointAction = [[ACT_DELIVER; MAX_N]; MAX_N];
-                    joint[victim] = action;
-                    rounds.push(joint);
-                    let description = format!(
-                        "controller {victim} violates {pred:?} at depth {} (outcome {outcome:?})",
-                        depth + 1
-                    );
-                    return ExploreReport {
-                        states: arena.len(),
-                        transitions,
-                        max_depth: max_depth.max(depth + 1),
-                        complete: false,
-                        violation: Some(Counterexample {
-                            predicate: pred,
-                            victim,
-                            rounds,
-                            description,
-                        }),
+                if let Some(predicate) = violated {
+                    let mut rows = search.path(id);
+                    rows.push(action);
+                    let rounds = rows
+                        .into_iter()
+                        .map(|row| {
+                            let mut joint: JointAction = [[ACT_DELIVER; MAX_N]; MAX_N];
+                            joint[victim] = row;
+                            joint
+                        })
+                        .collect();
+                    let cx = Counterexample {
+                        predicate,
+                        victim,
+                        rounds,
+                        description: format!(
+                            "controller {victim} violates {predicate:?} at depth {} \
+                             (outcome {outcome:?})",
+                            depth + 1
+                        ),
                     };
+                    return report(
+                        &search,
+                        transitions,
+                        max_depth.max(depth + 1),
+                        false,
+                        Some(cx),
+                    );
                 }
                 let mut packed = [0u8; CTL_BYTES];
                 next.pack(&mut packed);
-                if let std::collections::hash_map::Entry::Vacant(slot) = visited.entry(packed) {
-                    if arena.len() >= mc.max_states {
-                        truncated = true;
-                    } else {
-                        let id = arena.len() as u32;
-                        slot.insert(id);
-                        arena.push(SRec {
-                            packed,
-                            parent: idx,
-                            action,
-                            depth: depth + 1,
-                        });
-                        queue.push_back(id);
-                    }
-                }
+                search.insert(id, action, packed);
             }
         }
     }
-    ExploreReport {
-        states: arena.len(),
-        transitions,
-        max_depth,
-        complete: !truncated,
-        violation: None,
-    }
-}
 
-/// Reconstructs the adversary schedule reaching `idx` (root excluded),
-/// optionally extended by one final violating round.
-fn trace(
-    arena: &[Rec],
-    idx: u32,
-    tail: Option<JointAction>,
-    predicate: Predicate,
-    victim: usize,
-    description: String,
-) -> Counterexample {
-    let mut rounds = Vec::new();
-    let mut cur = idx;
-    while arena[cur as usize].parent != NO_PARENT {
-        rounds.push(arena[cur as usize].action);
-        cur = arena[cur as usize].parent;
-    }
-    rounds.reverse();
-    rounds.extend(tail);
-    Counterexample {
-        predicate,
-        victim,
-        rounds,
-        description,
-    }
+    let complete = !horizon_hit && !search.capped();
+    report(&search, transitions, max_depth, complete, None)
 }

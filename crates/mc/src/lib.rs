@@ -32,6 +32,14 @@
 //!    controller to a `(rung, epoch)` pair held since its last fresh
 //!    rung decision.
 //!
+//! The search itself is the workspace's one explicit-state explorer:
+//! [`Explorer`] (node arena with parent pointers, value dedup, FIFO
+//! frontier, exact state cap, [`Explorer::path`]) plus [`odometer`]
+//! over per-receiver choice lists. [`explore`] and [`explore_single`]
+//! are thin callers of it, and so are `heardof-analysis`'s witness
+//! searches over `A_{T,E}` and `U_{T,E,α}` — it stays std-only, so
+//! the crate remains dependency-free beyond the crate under test.
+//!
 //! The [`sweep`] module maps the safe `(quorum, join_rounds, dwell)`
 //! region and derives the defaults that
 //! [`heardof_coding::DERIVED_GOSSIP_QUORUM`] and
@@ -55,10 +63,12 @@
 #![warn(rust_2018_idioms)]
 
 mod explore;
+mod explorer;
 mod model;
 pub mod sweep;
 
 pub use explore::{explore, explore_single, ExploreReport};
+pub use explorer::{odometer, Explorer, NodeId};
 pub use model::{
     action_fault, pack_node, pair_bit, receiver_successors, replay_check, replay_script, step_node,
     true_advert, unpack_node, Counterexample, CtlNode, JointAction, Key, LocalSucc, McConfig,

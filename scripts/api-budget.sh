@@ -14,7 +14,8 @@
 #     - the sorted `pub fn` / `pub struct` / `pub enum` / `pub trait`
 #       names declared in that same region;
 #   then, outside that total, the code lines of the experiments
-#   (crates/bench/src and examples), counted the same way.
+#   (crates/bench/src and examples) and of the models (crates/analysis/src
+#   and crates/mc/src), counted the same way.
 #
 # Usage: scripts/api-budget.sh [repo-root] > docs/api-budget.txt
 # CI regenerates the file and fails on `diff`.
@@ -59,9 +60,15 @@ done
 echo "== total: $total code lines"
 
 # The experiments (the repro artifacts, the bench harness, the
-# examples), counted the same way but kept out of the production total.
-experiments=0
-while IFS= read -r file; do
-  experiments=$((experiments + $(code_lines "$file")))
-done < <(find "$root/crates/bench/src" "$root/examples" -name '*.rs' -type f | sort)
-echo "== experiments (crates/bench/src, examples): $experiments code lines"
+# examples) and the models (the analysis toolkit and the model
+# checker), counted the same way but kept out of the production total.
+outside() {
+  local label=$1 sum=0 file
+  shift
+  while IFS= read -r file; do
+    sum=$((sum + $(code_lines "$file")))
+  done < <(find "$@" -name '*.rs' -type f | sort)
+  echo "== $label: $sum code lines"
+}
+outside 'experiments (crates/bench/src, examples)' "$root/crates/bench/src" "$root/examples"
+outside 'models (crates/analysis/src, crates/mc/src)' "$root/crates/analysis/src" "$root/crates/mc/src"

@@ -13,9 +13,9 @@
 //! with probability ≈ ½ and tallies are private binomial draws,
 //! independent controllers split for tens of rounds, and the
 //! piggybacked rung gossip of `AdaptiveConfig::with_gossip` is what
-//! closes the lag (the end-to-end numbers live in
-//! `crates/coding/tests/adaptive_acceptance.rs`; the facade-level form
-//! is asserted below).
+//! closes the lag (the mesh-level numbers are the `adaptive_tradeoff`
+//! artifact, pinned by `crates/bench/tests/repro_golden.rs`; the
+//! facade-level form is asserted below).
 
 use heardof::conformance::{run_async_substrate, run_sim_substrate};
 use heardof::prelude::*;
@@ -79,7 +79,7 @@ fn gossip_cuts_divergence_on_the_moderate_preset_at_the_facade_level() {
     // tallies straddle thresholds and splits self-sustain); the same
     // consensus run with gossip enabled must stay strictly less
     // divergent. This is the facade-level (engine + consensus) form of
-    // the mesh claim pinned in adaptive_acceptance.rs.
+    // the mesh claim the `adaptive_tradeoff` golden pins.
     let rounds = 40u64;
     let trace = NoiseTrace::correlated_bursts_moderate(0xD00D);
     let initial: Vec<u64> = (0..N as u64).map(|i| i % 2).collect();
