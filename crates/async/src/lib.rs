@@ -1,24 +1,23 @@
 //! # heardof-async
 //!
-//! The third deployment substrate: HO algorithms as **cooperative async
-//! tasks** over non-blocking in-memory sockets, driven by an in-tree
-//! mini executor (no tokio — the offline build vendors its
-//! dependencies, and the executor implements exactly the slice this
-//! workspace needs; swapping in a real runtime later replaces one
-//! file).
+//! The third deployment substrate: HO algorithms as **lockstep
+//! processes** on one thread, exchanging coded wire frames through
+//! in-memory mailboxes.
 //!
 //! Where the threaded runtime (`heardof-net`) aligns rounds with
-//! wall-clock timeouts, this substrate aligns them with a
-//! [`RoundBarrier`]: every round's sends complete before any receiver
-//! drains its socket, so rounds are communication-closed by
-//! construction and runs are **fully deterministic** — no scheduling
-//! jitter, no timeout tuning, bit-identical replays. Everything else is
-//! shared with the other substrates, by construction:
+//! wall-clock timeouts, this substrate runs the round as a plain loop
+//! (`heardof_net::Lockstep`): every engine sends, then every engine
+//! drains its mailbox, then every engine transitions. Every round's
+//! sends land before any receiver reads, so rounds are
+//! communication-closed by construction and runs are **fully
+//! deterministic** — no scheduling jitter, no timeout tuning,
+//! bit-identical replays. Everything else is shared with the other
+//! substrates, by construction:
 //!
 //! * the per-process state machine is `heardof_engine::RoundEngine`
 //!   (algorithm step, adaptive framing, tagged encode/decode),
 //! * the fault model is `heardof_net::FaultyLink` delivering into the
-//!   sockets through the `FrameSink` trait — same RNG streams, same
+//!   mailboxes through the `FrameSink` trait — same RNG streams, same
 //!   seeded [`NoiseTrace`](heardof_coding::NoiseTrace) corruption,
 //! * the outcome is the engine-standard `SubstrateOutcome`.
 //!
@@ -51,13 +50,9 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod executor;
 mod runtime;
-mod socket;
 
-pub use executor::{BarrierWait, MiniExecutor, RoundBarrier};
 pub use runtime::{run_async, run_async_mux, AsyncConfig, AsyncOutcome};
-pub use socket::{socket, NbReceiver, NbSender};
 // The shared outcome surface, for callers that only import this crate.
 pub use heardof_engine::{OutcomeView, SubstrateOutcome};
 // The telemetry plane, so deployments can attach a recorder directly.

@@ -1,49 +1,41 @@
-//! The cooperative async deployment of HO algorithms.
+//! The deterministic deployment of HO algorithms.
 //!
-//! One task per process drives a round engine — [`RoundEngine`] or
-//! [`MuxRoundEngine`], the task body is the same — over non-blocking
-//! in-memory sockets, with the same coded, tagged wire format and the
-//! same byte-corrupting [`FaultyLink`]s as the threaded runtime. A
-//! frame's bytes are borrowed from the sender's engine through the link
-//! into the receiver's mailbox arena, and borrowed again from there
-//! into `ingest`: nothing is allocated per frame. The
-//! task contributes what every substrate must: byte transport and a
-//! round clock. Here the clock is a [`RoundBarrier`] instead of a
-//! wall-clock timeout — all of a round's sends complete before any
-//! receiver drains its socket, so rounds are communication-closed *by
-//! construction* and runs are fully deterministic (no scheduling
-//! jitter, no timeout tuning).
+//! `n` round engines — [`RoundEngine`]s or [`MuxRoundEngine`]s, the
+//! loop is the same — run in lockstep on the calling thread, with the
+//! same coded, tagged wire format and the same byte-corrupting
+//! [`FaultyLink`]s as the threaded runtime. A frame's bytes are
+//! borrowed from the sender's engine through the link into the
+//! receiver's mailbox arena, and borrowed again from there into
+//! `ingest`: nothing is allocated per frame. Where the threaded runtime
+//! closes a round on a wall-clock timeout, here the round is the plain
+//! loop of [`Lockstep::round`]:
 //!
-//! Per round, each task:
+//! 1. every engine, in process order, emits its coded frames through
+//!    its faulty links,
+//! 2. every engine drains its mailbox into
+//!    [`RoundMachine::ingest_from`](heardof_engine::RoundMachine::ingest_from),
+//! 3. every engine finishes the round (transition + renegotiation).
 //!
-//! 1. emits the engine's coded frames through its faulty links,
-//! 2. awaits the barrier (all peers have sent),
-//! 3. drains its socket into [`RoundMachine::ingest_from`],
-//! 4. finishes the round (transition + renegotiation), posts any
-//!    decision,
-//! 5. awaits the barrier again (all peers transitioned), then — unless
-//!    in lockstep mode — exits if everyone has decided.
-//!
-//! The second barrier makes the everyone-decided check consistent: all
-//! tasks observe the same board, so all exit at the same round.
+//! Every round-`r` send lands before any round-`r` reception is read,
+//! so rounds are communication-closed *by construction* and runs are
+//! fully deterministic (no scheduling jitter, no timeout tuning).
+//! Unless in lockstep mode, the run stops after the first round at
+//! whose end every engine has decided everything it runs.
 //!
 //! [`FaultyLink`]: heardof_net::FaultyLink
+//! [`Lockstep::round`]: heardof_net::Lockstep::round
 
-use crate::executor::{MiniExecutor, RoundBarrier};
-use crate::socket::{socket, NbReceiver, NbSender};
 use heardof_coding::{AdaptiveConfig, CodeSpec, NoiseTrace};
 use heardof_engine::{
-    link_index, MuxReport, MuxRoundEngine, RoundEngine, RoundMachine, SubstrateOutcome, WireLayout,
-    WireMessage,
+    MuxReport, MuxRoundEngine, RoundEngine, RoundMachine, SubstrateOutcome, WireLayout, WireMessage,
 };
 use heardof_model::HoAlgorithm;
-use heardof_net::{FaultyLink, LinkFaults, RunFabric};
+use heardof_net::{LinkFaults, RunFabric};
 use heardof_telemetry::Telemetry;
-use std::cell::Cell;
 
 /// Configuration of an async run. The fields mirror
-/// `heardof_net::NetConfig` minus the round timeout — the barrier
-/// replaces the clock.
+/// `heardof_net::NetConfig` minus the round timeout — the lockstep
+/// loop replaces the clock.
 #[derive(Clone, Debug)]
 pub struct AsyncConfig {
     /// Fault probabilities applied to every inter-process link
@@ -65,8 +57,8 @@ pub struct AsyncConfig {
     /// [`NoiseTrace`] — the conformance-harness mode.
     pub trace: Option<NoiseTrace>,
     /// Run exactly `max_rounds` rounds with no early exit once everyone
-    /// decided (rounds are always barrier-aligned here, so unlike the
-    /// threaded runtime this changes nothing else).
+    /// decided (rounds are always lockstep here, so unlike the threaded
+    /// runtime this changes nothing else).
     pub lockstep: bool,
     /// The telemetry plane every link and engine emits into; defaults
     /// to [`Telemetry::null`] (record nothing, one branch per event).
@@ -93,7 +85,7 @@ impl Default for AsyncConfig {
 /// [`SubstrateOutcome`] shared with the threaded runtime.
 pub type AsyncOutcome<V> = SubstrateOutcome<V>;
 
-/// Runs `algo` as `n` cooperative tasks over faulty in-memory sockets.
+/// Runs `algo` as `n` lockstep processes over faulty in-memory links.
 ///
 /// # Panics
 ///
@@ -140,13 +132,12 @@ where
 }
 
 /// Runs `initials[p].len()` multiplexed consensus instances per process
-/// as `n` cooperative tasks: each task drives one
-/// [`MuxRoundEngine`] whose per-round sends pack every instance's frame
-/// into a single coded wire image per peer. Barrier alignment, links
-/// and lockstep semantics are those of [`run_async`] — it is the same
-/// task body; only the wire layout differs, and a process posts itself
-/// decided once *every* instance it runs has. Returns one [`MuxReport`]
-/// per process.
+/// as `n` lockstep processes: each drives one [`MuxRoundEngine`] whose
+/// per-round sends pack every instance's frame into a single coded wire
+/// image per peer. Rounds, links and lockstep semantics are those of
+/// [`run_async`] — it is the same loop; only the wire layout differs,
+/// and a process counts as decided once *every* instance it runs has.
+/// Returns one [`MuxReport`] per process.
 ///
 /// # Panics
 ///
@@ -196,84 +187,26 @@ fn fabric_for(config: &AsyncConfig) -> RunFabric {
     )
 }
 
-/// Runs one task per engine over fresh sockets until every task has
-/// left its round loop; hands the engines back in process order.
+/// Steps `engines` in lockstep until every one has decided (or, in
+/// lockstep mode, for exactly `max_rounds` rounds); hands them back in
+/// process order.
 fn drive<A, L>(
     config: &AsyncConfig,
     fabric: &RunFabric,
-    mut engines: Vec<RoundMachine<A, L>>,
+    engines: Vec<RoundMachine<A, L>>,
 ) -> Vec<RoundMachine<A, L>>
 where
     A: HoAlgorithm,
     A::Msg: WireMessage,
     L: WireLayout,
 {
-    let n = engines.len();
-    let (txs, rxs): (Vec<NbSender>, Vec<NbReceiver>) = (0..n).map(|_| socket()).unzip();
-    // The board: which processes have posted that everything they run
-    // has decided.
-    let board = vec![Cell::new(false); n];
-    let barrier = RoundBarrier::new(n);
-
-    let mut exec = MiniExecutor::new();
-    for (p, (engine, inbox)) in engines.iter_mut().zip(rxs).enumerate() {
-        let links = fabric.links_for(p, n, |q| Box::new(txs[q].clone()));
-        exec.spawn(process_task(
-            engine, p, inbox, links, &barrier, &board, config,
-        ));
-    }
-    drop(txs);
-    exec.run();
-    // The finished tasks' borrows of the engines end with the executor.
-    drop(exec);
-    engines
-}
-
-async fn process_task<A, L>(
-    engine: &mut RoundMachine<A, L>,
-    pid: usize,
-    inbox: NbReceiver,
-    mut links: Vec<FaultyLink>,
-    barrier: &RoundBarrier,
-    board: &[Cell<bool>],
-    config: &AsyncConfig,
-) where
-    A: HoAlgorithm,
-    A::Msg: WireMessage,
-    L: WireLayout,
-{
+    let mut stepper = fabric.lockstep(engines);
     for r in 1..=config.max_rounds {
-        // --- Send phase: the engine emits, the links corrupt; an
-        // untouched wire image goes from the engine's arena straight
-        // into the receiver's mailbox. ---
-        engine.begin_round_with(|dest, copy, bytes| {
-            links[link_index(dest, pid as u32)].send_bytes(r, copy, bytes);
-        });
-
-        // All round-r sends are in the sockets before anyone reads:
-        // communication closure by construction.
-        barrier.wait().await;
-
-        // --- Collect phase: drain whatever the links delivered. The
-        // sender id rides alongside the bytes so the content-oblivious
-        // rung can count arrivals per link. ---
-        inbox.drain(|sender, bytes| {
-            let _ = engine.ingest_from(sender, bytes);
-        });
-
-        // --- Transition + renegotiation. ---
-        engine.finish_round();
-        if engine.all_decided() {
-            board[pid].set(true);
-        }
-
-        // All boards are written before anyone checks: every task sees
-        // the same decision state and exits (or not) at the same round.
-        barrier.wait().await;
-        if !config.lockstep && board.iter().all(Cell::get) {
+        if stepper.round(r) && !config.lockstep {
             break;
         }
     }
+    stepper.into_engines()
 }
 
 #[cfg(test)]
@@ -290,7 +223,7 @@ mod tests {
     }
 
     #[test]
-    fn perfect_sockets_reach_consensus_fast() {
+    fn perfect_links_reach_consensus_fast() {
         let n = 5;
         let outcome = run_async(ate(n, 0), n, vec![3, 1, 3, 1, 3], AsyncConfig::default());
         assert!(outcome.all_decided());
@@ -301,13 +234,13 @@ mod tests {
     }
 
     #[test]
-    fn early_exit_is_uniform_across_tasks() {
+    fn early_exit_is_uniform_across_processes() {
         let n = 4;
         let outcome = run_async(ate(n, 0), n, vec![9; 4], AsyncConfig::default());
         let first = outcome.rounds_completed[0];
         assert!(
             outcome.rounds_completed.iter().all(|&r| r == first),
-            "barrier-synchronized exit: {:?}",
+            "lockstep exit: {:?}",
             outcome.rounds_completed
         );
         assert!(first < 100, "unanimous input exits well before the cap");

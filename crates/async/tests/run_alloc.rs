@@ -79,9 +79,10 @@ fn a_run_allocates_per_run_and_per_round_never_per_frame() {
 
     let clean_single = run_allocs(16, 2, 1);
     assert!(
-        clean_single <= 920,
-        "a clean two-round n = 16 run allocated {clean_single} times (cap 920; 1 670 before \
+        clean_single <= 814,
+        "a clean two-round n = 16 run allocated {clean_single} times (cap 814; 1 670 before \
          the links shared one wiring block and frames crossed borrowed, 967 before the \
-         outcome's heard-of sets held their word inline)"
+         outcome's heard-of sets held their word inline, 903 before the round became a \
+         lockstep loop without task futures and wakers)"
     );
 }

@@ -28,8 +28,9 @@
 //! 6. **A whole run's allocation bill** — one clean two-round
 //!    `run_async` at n = 16 on CRC-32 (the repository benchmark's
 //!    `clean-single` shape): wiring is per run and frames cross
-//!    borrowed, and the outcome's heard-of sets hold their word inline;
-//!    claim: **≤ 920 allocations per run**.
+//!    borrowed, the outcome's heard-of sets hold their word inline,
+//!    and the round is a plain lockstep loop (no task futures, no
+//!    wakers); claim: **≤ 814 allocations per run**.
 //! 7. **The frame sizes the system sends** — a single-instance frame
 //!    body is 29 bytes = 58 SECDED blocks, *under* one 64-lane batch,
 //!    and its depth-16 codeword is a 16 × 29 bit matrix no tile
@@ -731,8 +732,8 @@ fn throughput(c: &mut Criterion) {
             fountain_image_allocs <= 8,
         )
         .claim(
-            "<= 920 allocations per clean two-round n = 16 run",
-            async_run_allocs_n16 <= 920,
+            "<= 814 allocations per clean two-round n = 16 run",
+            async_run_allocs_n16 <= 814,
         )
         .claim(
             "Hamming74 >= 2x scalar on a 29-byte body",

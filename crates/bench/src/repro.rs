@@ -10,7 +10,7 @@
 //! ```
 //!
 //! Every artifact is a pure function of its embedded seeds — simulator
-//! runs, barrier-closed async runs and coding sweeps, never a wall
+//! runs, lockstep async runs and coding sweeps, never a wall
 //! clock — so `tests/repro_golden.rs` pins each one byte for byte
 //! against `tests/repro/<name>.txt`. After a deliberate change, re-pin
 //! one artifact with

@@ -20,7 +20,7 @@
 //!   tally. All I/O is poll-style — *emit coded frames / ingest
 //!   received frames / advance round* — so a substrate contributes
 //!   nothing but byte transport and a notion of when a round is over
-//!   (a timeout for threads, a barrier for cooperative tasks). It is
+//!   (a timeout for threads, the end of a lockstep loop pass). It is
 //!   generic over what a wire image carries ([`WireLayout`]):
 //!   [`RoundEngine`] is the one-instance instantiation (the image is a
 //!   frame body), [`MuxRoundEngine`] packs `k` instances into one slot

@@ -14,7 +14,7 @@
 //!     });
 //!     /* substrate: gather arrivals */
 //!     engine.ingest(&bytes);                 // 0..many times
-//!     /* substrate: decide the round is over (timeout / barrier) */
+//!     /* substrate: decide the round is over (timeout / all ingested) */
 //!     engine.finish_round();                 // transition + renegotiate
 //! }
 //! ```
@@ -38,7 +38,7 @@
 //! each other can change *which* copy is kept (and hence the `SHO`
 //! oracle key and repair tally when the copies fared differently in
 //! flight). Every in-tree transport is per-link FIFO, so this holds;
-//! that is what makes a threaded substrate, a cooperative async
+//! that is what makes a threaded substrate, a lockstep async
 //! substrate, and the lockstep simulator bit-for-bit comparable.
 
 use crate::codec::{encode_body_into, Frame, WireMessage};

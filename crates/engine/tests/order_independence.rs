@@ -1,8 +1,8 @@
 //! Property: the round core is **delivery-order independent**.
 //!
 //! Within a round, a substrate may hand frames to
-//! [`RoundEngine::ingest`] in any order — threads race, sockets
-//! interleave, the simulator iterates a matrix. The engine's observable
+//! [`RoundEngine::ingest`] in any order — threads race, a lockstep
+//! loop drains in sender order, the simulator iterates a matrix. The engine's observable
 //! end-of-round state (algorithm state, controller decisions, kept
 //! sets, reconstructed `HO`/`SHO`) must not depend on how frames from
 //! *different senders* interleave; with retransmission copies the

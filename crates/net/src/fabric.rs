@@ -192,7 +192,6 @@ impl RunFabric {
 mod tests {
     use super::*;
     use heardof_core::{Ate, AteParams};
-    use heardof_engine::link_index;
     use heardof_predicates::{CommPredicate, PBenign};
 
     fn fabric(faults: LinkFaults) -> RunFabric {
@@ -221,26 +220,14 @@ mod tests {
             undetected_prob: 1.0,
         });
         let algo: Ate<u64> = Ate::new(AteParams::balanced(n, 1).unwrap());
-        let mut engines: Vec<_> = (0..n)
+        let engines = (0..n)
             .map(|p| fabric.engine_for(algo.clone(), p, n, p as u64 % 2))
             .collect();
-        let (txs, inboxes): (Vec<_>, Vec<_>) = (0..n).map(|_| std::sync::mpsc::channel()).unzip();
-        let mut links: Vec<_> = (0..n)
-            .map(|p| fabric.links_for(p, n, |q| Box::new(txs[q].clone())))
-            .collect();
+        let mut stepper = fabric.lockstep(engines);
         for r in 1..=12 {
-            for (p, engine) in engines.iter_mut().enumerate() {
-                engine.begin_round_with(|dest, copy, bytes| {
-                    links[p][link_index(dest, p as u32)].send_bytes(r, copy, bytes);
-                });
-            }
-            for (engine, inbox) in engines.iter_mut().zip(&inboxes) {
-                while let Ok((sender, bytes)) = inbox.try_recv() {
-                    let _ = engine.ingest_from(sender, &bytes);
-                }
-                engine.finish_round();
-            }
+            stepper.round(r);
         }
+        let engines = stepper.into_engines();
         let decisions: Vec<_> = engines.iter().map(|e| e.decision().copied()).collect();
         let reports: Vec<_> = engines.into_iter().map(RoundEngine::into_report).collect();
 

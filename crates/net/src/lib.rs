@@ -20,6 +20,8 @@
 //!
 //! * [`crc32`], [`WireMessage`], [`Frame`], [`CodeSpec`] — the wire format,
 //! * [`LinkFaults`], [`FaultyLink`], [`LinkWiring`], [`FaultLog`] — the fault model,
+//! * [`RunFabric`], [`Lockstep`] — one run's wiring, and the
+//!   single-threaded lockstep round over it,
 //! * [`run_threaded`], [`NetConfig`], [`NetOutcome`] — the runtime,
 //! * [`recommend_alpha`] — predicate-coverage engineering (§5.2 / \[10\]).
 //!
@@ -49,6 +51,7 @@
 mod coverage;
 mod fabric;
 mod link;
+mod lockstep;
 mod runtime;
 
 pub use coverage::{
@@ -76,4 +79,5 @@ pub use heardof_telemetry::{
     Telemetry,
 };
 pub use link::{FaultKey, FaultLog, FaultyLink, FrameSink, LinkEvent, LinkFaults, LinkWiring};
+pub use lockstep::Lockstep;
 pub use runtime::{run_threaded, run_threaded_mux, NetConfig, NetOutcome};

@@ -13,7 +13,7 @@
 //!    to, never wall-clock time, so a recording is a pure function of
 //!    `(algorithm, seed, trace)` and can be compared byte-for-byte
 //!    across the lockstep simulator, the threaded runtime and the
-//!    cooperative async runtime. Threads may ingest events in any order
+//!    async runtime. Threads may ingest events in any order
 //!    within a round: counters are commutative and the flight recorder
 //!    canonicalizes event order at snapshot time.
 //! 2. **Zero cost when off.** The hot path behind [`Telemetry::emit`]

@@ -1,25 +1,25 @@
 //! Cross-substrate conformance: the same seeded noise trace driven
 //! through every substrate — the lockstep simulator, the threaded
-//! runtime, and the cooperative async runtime — asserting they agree
-//! **round for round**.
+//! runtime, and the async runtime — asserting they agree **round for
+//! round**.
 //!
 //! The adaptive coding stack has one implementation of the per-process
 //! machine (`heardof_engine::RoundEngine` over its `Framing`) and one
-//! fault model ([`FaultyLink`]), but three independent round semantics
-//! and deliveries of bytes and clocks:
+//! fault model ([`FaultyLink`]), but three round semantics — who runs
+//! the algorithm, and what closes a round:
 //!
 //! * the **sim** substrate — the lockstep [`Simulator`] runs the
 //!   algorithm and rebuilds `HO`/`SHO` from its intended and delivered
 //!   matrices; a private adversary computes the delivered matrix by
 //!   relaying every intended message through `n` round engines and the
-//!   [`FaultyLink`]s of one [`RunFabric`], in process order, with no
-//!   threads and no clock;
+//!   [`FaultyLink`]s of one [`RunFabric`], stepped by its
+//!   [`Lockstep`], with no threads and no clock;
 //! * the **net** substrate — OS threads exchanging those same frames
 //!   over [`FaultyLink`]s in trace + lockstep mode, rounds closed by
 //!   timeouts;
-//! * the **async** substrate — cooperative tasks over non-blocking
-//!   in-memory sockets behind the *same* [`FaultyLink`]s, rounds
-//!   closed by a barrier.
+//! * the **async** substrate — the algorithm's own engines stepped by
+//!   that same lockstep loop behind the *same* [`FaultyLink`]s, rounds
+//!   closed when every engine has sent, received and transitioned.
 //!
 //! Because the trace is a pure function of
 //! `(seed, round, sender, receiver, copy, frame length)` and the
@@ -38,20 +38,22 @@
 //! routes it through the same engines, so its delivered matrix carries
 //! the frame in that later round exactly as the byte-level runtimes'
 //! kept logs do.
+//!
+//! [`FaultyLink`]: heardof_net::FaultyLink
 
 use heardof_adversary::Adversary;
 use heardof_async::{run_async, run_async_mux, AsyncConfig};
 use heardof_coding::{AdaptiveConfig, CodeSpec, NoiseTrace};
-use heardof_engine::{link_index, MuxReport, RoundEngine, SubstrateOutcome, WireMessage};
+use heardof_engine::{BareFrame, MuxReport, RoundEngine, SubstrateOutcome, WireMessage};
 use heardof_model::{
     HoAlgorithm, MessageMatrix, ProcessId, ReceptionVector, Round, RoundSets, TraceLevel,
 };
-use heardof_net::{run_threaded, run_threaded_mux, FaultyLink, LinkFaults, NetConfig, RunFabric};
+use heardof_net::{run_threaded, run_threaded_mux, LinkFaults, Lockstep, NetConfig, RunFabric};
 use heardof_sim::Simulator;
 use heardof_telemetry::{RoundReport, RunRecording, Telemetry};
 use rand::rngs::StdRng;
 use std::fmt::Debug;
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -253,16 +255,14 @@ impl<M: Clone + Eq + Debug + Send + 'static> HoAlgorithm for Relay<M> {
 /// relays every intended message through the deployment substrates' own
 /// parts — one [`RoundEngine`] per process from one [`RunFabric`] (trace
 /// mode, perfect links otherwise, one copy), wired through
-/// [`RunFabric::links_for`] into `mpsc` inboxes. The engines encode,
+/// [`RunFabric::lockstep`]'s links and mailboxes. The engines encode,
 /// the links corrupt and judge, the engines decode, tally and
 /// renegotiate; the delivered matrix is what their reception vectors
 /// hold when the round closes.
 struct TraceChannel<M: WireMessage + Clone + Eq + Debug + Send + 'static> {
     seed: u64,
     intended: Arc<Mutex<MessageMatrix<M>>>,
-    engines: Vec<RoundEngine<Relay<M>>>,
-    links: Vec<Vec<FaultyLink>>,
-    inboxes: Vec<Receiver<(u32, Vec<u8>)>>,
+    stepper: Lockstep<Relay<M>, BareFrame>,
     /// Each round's send codes (`[process]`), reported before it opens.
     codes: Sender<Vec<CodeSpec>>,
 }
@@ -292,17 +292,13 @@ impl<M: WireMessage + Clone + Eq + Debug + Send + 'static> TraceChannel<M> {
         let relay = Relay {
             intended: Arc::clone(&intended),
         };
-        let (txs, inboxes): (Vec<_>, Vec<_>) = (0..n).map(|_| mpsc::channel()).unzip();
+        let engines = (0..n)
+            .map(|p| fabric.engine_for(relay.clone(), p, n, ()))
+            .collect();
         TraceChannel {
             seed: trace.seed(),
             intended,
-            engines: (0..n)
-                .map(|p| fabric.engine_for(relay.clone(), p, n, ()))
-                .collect(),
-            links: (0..n)
-                .map(|p| fabric.links_for(p, n, |q| Box::new(txs[q].clone())))
-                .collect(),
-            inboxes,
+            stepper: fabric.lockstep(engines),
             codes,
         }
     }
@@ -324,22 +320,14 @@ impl<M: WireMessage + Clone + Eq + Debug + Send + 'static> Adversary<M> for Trac
             .lock()
             .expect("relay matrix lock")
             .clone_from(intended);
+        let engines = self.stepper.engines();
         self.codes
-            .send(self.engines.iter().map(RoundEngine::current_code).collect())
+            .send(engines.iter().map(RoundEngine::current_code).collect())
             .expect("the code log outlives the run");
-        for (p, (engine, links)) in self.engines.iter_mut().zip(&mut self.links).enumerate() {
-            engine.begin_round_with(|dest, copy, bytes| {
-                links[link_index(dest, p as u32)].send_bytes(r, copy, bytes);
-            });
-        }
-        for (engine, inbox) in self.engines.iter_mut().zip(&self.inboxes) {
-            for (sender, bytes) in inbox.try_iter() {
-                let _ = engine.ingest_from(sender, &bytes);
-            }
-            engine.finish_round();
-        }
+        self.stepper.round(r);
+        let engines = self.stepper.engines();
         MessageMatrix::from_fn(intended.universe(), |sender, receiver| {
-            let rx = self.engines[receiver.index()].core().state();
+            let rx = engines[receiver.index()].core().state();
             rx.get(sender).cloned()
         })
     }
@@ -550,7 +538,7 @@ where
 
 /// Runs the **async** substrate in lockstep + trace mode for `rounds`
 /// rounds and reports its decisions and reconstructions. No timeout to
-/// pick: the barrier closes rounds exactly.
+/// pick: the lockstep loop closes rounds exactly.
 pub fn run_async_substrate<A>(
     algo: A,
     n: usize,

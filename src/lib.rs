@@ -34,8 +34,8 @@
 //! * [`telemetry`] — the deterministic observability plane (flight
 //!   recorder, α-budget ledger, cross-substrate metrics),
 //! * [`net`] — a threaded message-passing deployment substrate,
-//! * [`async_rt`] — a cooperative async deployment substrate (in-tree
-//!   mini executor over non-blocking in-memory sockets),
+//! * [`async_rt`] — a deterministic deployment substrate (the engines
+//!   stepped in lockstep on one thread over faulty in-memory links),
 //! * [`core`] — the paper's algorithms and bounds,
 //! * [`analysis`] — experiments, statistics and witness search.
 //!

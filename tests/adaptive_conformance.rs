@@ -2,8 +2,8 @@
 //!
 //! The same seeded [`NoiseTrace`] drives the lockstep simulator (via
 //! `heardof::conformance::TraceChannel`), the threaded runtime (in
-//! lockstep + trace mode) and the cooperative async runtime
-//! (barrier-synchronized). All run per-process `AdaptiveController`s
+//! lockstep + trace mode) and the async runtime (one-thread lockstep
+//! loop). All run per-process `AdaptiveController`s
 //! over the same ladder; the harness asserts they make **identical
 //! controller decisions** and reconstruct **identical `HO`/`SHO`
 //! collections, round for round** — the adaptive analogue of "the

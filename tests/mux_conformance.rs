@@ -2,8 +2,8 @@
 //! (batch > 1): the same seeded [`NoiseTrace`] drives the threaded mux
 //! runtime and the async mux runtime, and both must agree on controller
 //! decisions, per-instance decisions and wire-level kept logs, round
-//! for round. The async runtime is the reference: its barrier closes
-//! rounds exactly, so it is the deterministic side of the pair.
+//! for round. The async runtime is the reference: its lockstep loop
+//! closes rounds exactly, so it is the deterministic side of the pair.
 //!
 //! This is the batch-axis extension of `tests/adaptive_conformance.rs`:
 //! that matrix pins the single-instance frame format byte-for-byte
