@@ -47,11 +47,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
 use std::collections::HashSet;
-use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 /// The receiving end a [`FaultyLink`] delivers into. The threaded
-/// runtime uses `std::sync::mpsc` channels; the async substrate plugs
+/// runtime uses `std::sync::mpsc` channels; the lockstep stepper plugs
 /// in its arena mailboxes. Delivery must never block — a link models a
 /// wire, not flow control.
 ///
@@ -70,19 +69,11 @@ pub trait FrameSink: Send {
 
     /// Hands over one (possibly corrupted) wire frame by reference —
     /// what [`FaultyLink::send_bytes`] calls. A sink that stores bytes
-    /// in place (the async mailbox) overrides it and never sees an
+    /// in place (the lockstep mailbox) overrides it and never sees an
     /// owned frame; the default makes the one owned copy a queue of
     /// `Vec`s needs.
     fn deliver_bytes(&self, sender: u32, frame: &[u8]) {
         self.deliver(sender, frame.to_vec());
-    }
-}
-
-impl FrameSink for Sender<(u32, Vec<u8>)> {
-    fn deliver(&self, sender: u32, frame: Vec<u8>) {
-        // A disconnected receiver models a crashed process: the wire
-        // happily drops the bytes.
-        let _ = self.send((sender, frame));
     }
 }
 
@@ -517,7 +508,13 @@ mod tests {
     use super::*;
     use heardof_coding::CodeSpec;
     use heardof_engine::{encode_body_into, Frame, Framing};
-    use std::sync::mpsc::channel;
+    use std::sync::mpsc::{channel, Sender};
+
+    impl FrameSink for Sender<(u32, Vec<u8>)> {
+        fn deliver(&self, sender: u32, frame: Vec<u8>) {
+            let _ = self.send((sender, frame));
+        }
+    }
 
     /// `frame` on the wire as an endpoint under `framing` sends it.
     fn wire(framing: &Framing, frame: &Frame<u64>) -> Vec<u8> {

@@ -315,16 +315,15 @@ impl<M: WireMessage + Clone + Eq + Debug + Send + 'static> Adversary<M> for Trac
         intended: &MessageMatrix<M>,
         _rng: &mut StdRng,
     ) -> MessageMatrix<M> {
-        let r = round.get();
         self.intended
             .lock()
             .expect("relay matrix lock")
             .clone_from(intended);
-        let engines = self.stepper.engines();
+        let codes = self.stepper.engines().iter().map(RoundEngine::current_code);
         self.codes
-            .send(engines.iter().map(RoundEngine::current_code).collect())
+            .send(codes.collect())
             .expect("the code log outlives the run");
-        self.stepper.round(r);
+        self.stepper.round(round.get());
         let engines = self.stepper.engines();
         MessageMatrix::from_fn(intended.universe(), |sender, receiver| {
             let rx = engines[receiver.index()].core().state();
