@@ -14,10 +14,12 @@ use rand::rngs::StdRng;
 /// intended contents, keeping at most `alpha` corrupted receptions per
 /// receiver (earlier sender ids win).
 ///
-/// The matrices are walked once in their sender-major memory order with
-/// one counter per receiver; each receiver still meets its senders in id
-/// order, so the cells restored are the ones a receiver-by-receiver walk
-/// restores.
+/// A first walk reads the matrices' rows in their sender-major memory
+/// order and counts each receiver's corruptions, without a branch on
+/// the cells; a round within budget ends there. Otherwise a second walk
+/// restores: sender-major again with one counter per receiver, so each
+/// receiver still meets its senders in id order and the cells restored
+/// are the ones a receiver-by-receiver walk restores.
 ///
 /// Returns the number of cells restored.
 pub fn clamp_to_alpha<M: Clone + Eq>(
@@ -34,6 +36,19 @@ pub fn clamp_to_alpha<M: Clone + Eq>(
         spill.resize(n, 0);
         &mut spill
     };
+    for s in 0..n {
+        let sender = ProcessId::new(s as u32);
+        let (got_row, want_row) = (delivered.row_cells(sender), intended.row_cells(sender));
+        for ((got, want), count) in got_row.iter().zip(want_row).zip(corrupted.iter_mut()) {
+            // Corrupted: a value fault, or a message materializing out of
+            // nowhere (it certainly was not sent safely).
+            *count += u32::from(got.is_some() & (got != want));
+        }
+    }
+    if corrupted.iter().all(|&count| count <= alpha) {
+        return 0;
+    }
+    corrupted.fill(0);
     let mut restored = 0;
     for s in 0..n {
         let sender = ProcessId::new(s as u32);
@@ -41,8 +56,6 @@ pub fn clamp_to_alpha<M: Clone + Eq>(
             let receiver = ProcessId::new(r as u32);
             let want = intended.get(sender, receiver);
             let got = delivered.get(sender, receiver);
-            // Corrupted: a value fault, or a message materializing out of
-            // nowhere (it certainly was not sent safely).
             if got.is_none() || got == want {
                 continue;
             }

@@ -83,7 +83,19 @@ impl<M: Clone + Corruptible + Send> Adversary<M> for RandomCorruption {
     ) -> MessageMatrix<M> {
         let n = intended.universe();
         let mut delivered = intended.clone();
-        let mut senders: Vec<u32> = (0..n as u32).collect();
+        // The shuffled sender order, inline while n ≤ 64; each receiver
+        // shuffles the previous receiver's order.
+        let mut inline = [0u32; 64];
+        let mut spill = Vec::new();
+        let senders: &mut [u32] = if n <= inline.len() {
+            &mut inline[..n]
+        } else {
+            spill.resize(n, 0);
+            &mut spill
+        };
+        for (s, id) in senders.iter_mut().enumerate() {
+            *id = s as u32;
+        }
         for r in 0..n {
             let receiver = ProcessId::new(r as u32);
             senders.shuffle(rng);

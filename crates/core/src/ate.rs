@@ -126,6 +126,13 @@ impl<V: ConsensusValue> HoAlgorithm for Ate<V> {
         state: &mut AteState<V>,
         received: &ReceptionVector<V>,
     ) {
+        // One pass without a branch on the slots: |HO(p, r)| and how many
+        // receptions equal the process's own estimate x_p.
+        let (mut heard, mut own) = (0, 0);
+        for slot in received.slots() {
+            heard += usize::from(slot.is_some());
+            own += usize::from(slot.as_ref() == Some(&state.x));
+        }
         // Line 7: the estimate moves once more than T processes were
         // heard. Line 9: the listing nests the decision under that guard
         // typographically, but the proofs treat it as independent: the
@@ -134,9 +141,21 @@ impl<V: ConsensusValue> HoAlgorithm for Ate<V> {
         // |R_p^r(v)| > E. With the canonical T = E the two readings
         // coincide anyway; the nested variant exists for the ablation
         // study.
-        let update = self.params.t().exceeded_by(received.heard_count());
+        let update = self.params.t().exceeded_by(heard);
         let may_decide = state.decided.is_none() && (update || !self.nested_guard);
         if !update && !may_decide {
+            return;
+        }
+        // x_p holds a strict majority of the receptions: it is the one
+        // most often received value, so line 8 keeps it. If the other
+        // receptions together cannot exceed E, no other value can, and
+        // line 9 decides x_p exactly when it exceeds E itself. Both hold
+        // for any (T, E), valid or not, so no count is needed.
+        let e = self.params.e();
+        if 2 * own > heard && !e.exceeded_by(heard - own) {
+            if may_decide && e.exceeded_by(own) {
+                state.decided = Some(state.x.clone());
+            }
             return;
         }
         // One count serves both lines. Values arrive in ascending order,
@@ -151,7 +170,7 @@ impl<V: ConsensusValue> HoAlgorithm for Ate<V> {
             if most.is_none_or(|(_, c)| count > c) {
                 most = Some((v, count));
             }
-            if above_e.is_none() && self.params.e().exceeded_by(count) {
+            if above_e.is_none() && e.exceeded_by(count) {
                 above_e = Some(v);
             }
         });
@@ -172,6 +191,78 @@ impl<V: ConsensusValue> HoAlgorithm for Ate<V> {
 mod tests {
     use super::*;
     use crate::thresholds::Threshold;
+    use heardof_model::ConsensusValue;
+    use proptest::prelude::*;
+
+    /// `Ate::transition` as it stood before the own-majority shortcut —
+    /// every call counted through `tally` — verbatim but for `self`:
+    /// the oracle for every state the shortcut leaves.
+    fn tally_only_transition<V: ConsensusValue>(
+        algo: &Ate<V>,
+        state: &mut AteState<V>,
+        received: &ReceptionVector<V>,
+    ) {
+        let update = algo.params.t().exceeded_by(received.heard_count());
+        let may_decide = state.decided.is_none() && (update || !algo.nested_guard);
+        if !update && !may_decide {
+            return;
+        }
+        let mut most: Option<(&V, usize)> = None;
+        let mut above_e = None;
+        tally(received.messages(), |v, count| {
+            if most.is_none_or(|(_, c)| count > c) {
+                most = Some((v, count));
+            }
+            if above_e.is_none() && algo.params.e().exceeded_by(count) {
+                above_e = Some(v);
+            }
+        });
+        if let (true, Some((v, _))) = (update, most) {
+            state.x.clone_from(v);
+        }
+        if may_decide {
+            state.decided = above_e.cloned();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// Random reception vectors over a small value domain — n from
+        /// 1 to 70, a quarter of the slots omissions — from a random own
+        /// estimate (in the domain or not), decided or not, under
+        /// arbitrary unchecked T and E in `0 ..= n` (E < n/2 included,
+        /// where several values clear E), nested and unnested: the
+        /// shortcut leaves the state the tally-only body leaves.
+        #[test]
+        fn the_own_majority_shortcut_leaves_the_tally_only_state(
+            slots in proptest::collection::vec(0u8..=255, 1..=70),
+            values in 1u8..5,
+            own in 0u8..6,
+            decided in 0u8..4,
+            t in any::<u32>(),
+            e in any::<u32>(),
+        ) {
+            let n = slots.len();
+            let mut rx = ReceptionVector::new(n);
+            for (q, &slot) in slots.iter().enumerate() {
+                if slot >= 64 {
+                    rx.set(ProcessId::new(q as u32), u64::from(slot % values));
+                }
+            }
+            let quarters = |pick: u32| Threshold::quarters(pick % (4 * n as u32 + 1));
+            let params = AteParams::unchecked(n, 0, quarters(t), quarters(e));
+            let start = AteState {
+                x: u64::from(own % (values + 1)),
+                decided: (decided > 0).then_some(u64::from(decided)),
+            };
+            for algo in [Ate::new(params), Ate::new_nested(params)] {
+                let (mut new, mut old) = (start.clone(), start.clone());
+                algo.transition(Round::FIRST, ProcessId::new(0), &mut new, &rx);
+                tally_only_transition(&algo, &mut old, &rx);
+                prop_assert_eq!(new, old, "{} over {:?}", algo.params(), rx);
+            }
+        }
+    }
 
     fn rx_of(n: usize, values: &[(u32, u64)]) -> ReceptionVector<u64> {
         let mut rx = ReceptionVector::new(n);

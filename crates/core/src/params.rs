@@ -291,10 +291,13 @@ impl fmt::Display for AteParams {
 /// ```
 /// use heardof_core::UteParams;
 ///
-/// // U tolerates α < n/2 — double A's budget.
+/// // U accepts any α < n/2 as a parameter, twice A's α < n/4 ...
 /// let p = UteParams::tightest(11, 5)?;
 /// assert_eq!(p.alpha(), 5);
 /// assert!(UteParams::tightest(11, 6).is_err());
+/// // ... but not as a budget: P^{U,safe} needs |SHO(p, r)| > 10 here,
+/// // all 11 senders, so no reception may be lost or corrupted at all.
+/// assert_eq!(p.u_safe_bound().min_exceeding_count(), 11);
 /// # Ok::<(), heardof_core::ParamError>(())
 /// ```
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]

@@ -14,8 +14,13 @@
 //!
 //! Safety needs `P_α ∧ P^{U,safe}` with `E, T ≥ n/2 + α` (Props 5–6);
 //! termination additionally needs `P^{U,live}` (Theorem 2). In exchange
-//! for the *permanent* `P^{U,safe}`, the tolerance doubles: `α < n/2`
-//! instead of `α < n/4`.
+//! for the *permanent* `P^{U,safe}`, the parameter range doubles:
+//! `α < n/2` instead of `α < n/4`. The budget an adversary can spend
+//! does not: under a floor `f` on every `|SHO(p, r)|`, a receiver has
+//! at most `n − f` receptions that are lost or corrupted, and the
+//! largest `min(α, n − f)` over every valid `α` is `A_{T,E}`'s largest
+//! `α` (`crates/core/tests/u_budget.rs` pins this up to n = 1024). What
+//! `U` buys is liveness from fewer clean receptions.
 
 use crate::params::UteParams;
 use heardof_model::{

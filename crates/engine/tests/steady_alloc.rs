@@ -187,14 +187,15 @@ fn run_mux_rounds_and_count(n: usize, k: usize, warmup: u64, rounds: u64) -> u64
 }
 
 /// Allocations of one `A_{T,E}` transition over a full reception vector
-/// of `n` values, three distinct ones among them.
-fn ate_transition_allocs(n: usize) -> u64 {
+/// of `n` values, sender `q` sending `value(q)`; 0 must be the smallest
+/// most frequent among them.
+fn ate_transition_allocs(n: usize, value: impl Fn(usize) -> u64) -> u64 {
     let algo: Ate<u64> = Ate::new(AteParams::balanced(n, 0).unwrap());
     let me = ProcessId::new(0);
     let mut state = algo.init(me, n, 9);
     let mut rx = ReceptionVector::new(n);
     for q in 0..n {
-        rx.set(ProcessId::new(q as u32), (q % 3) as u64);
+        rx.set(ProcessId::new(q as u32), value(q));
     }
     let start = allocs();
     algo.transition(Round::FIRST, me, &mut state, &rx);
@@ -234,6 +235,10 @@ fn steady_state_allocates_nothing_per_frame_on_cheap_rungs() {
         "a warm mux round allocated {many} times at k = 64 vs {one} at k = 1"
     );
     for n in [16, 64] {
-        assert_eq!(ate_transition_allocs(n), 0, "Ate::transition at n = {n}");
+        let three = ate_transition_allocs(n, |q| (q % 3) as u64);
+        assert_eq!(three, 0, "Ate::transition at n = {n}, three values");
     }
+    // Every value distinct: the count's runs fill its 64 inline entries.
+    let distinct = ate_transition_allocs(64, |q| q as u64);
+    assert_eq!(distinct, 0, "Ate::transition at n = 64, all distinct");
 }

@@ -120,16 +120,22 @@ impl<M> MessageMatrix<M> {
 
     /// Iterates over the messages sent by one process (its matrix row).
     pub fn row(&self, sender: ProcessId) -> impl Iterator<Item = (ProcessId, Option<&M>)> {
-        self.row_cells(sender.index())
+        self.row_cells(sender)
             .iter()
             .enumerate()
             .map(|(i, m)| (ProcessId::new(i as u32), m.as_ref()))
     }
 
     /// Row `sender` as the slice it is stored as: one cell per receiver,
-    /// in id order.
-    pub(crate) fn row_cells(&self, sender: usize) -> &[Option<M>] {
-        &self.cells[sender * self.n..(sender + 1) * self.n]
+    /// in id order — for a walk that reads a row without indexing each
+    /// cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sender` is out of range.
+    pub fn row_cells(&self, sender: ProcessId) -> &[Option<M>] {
+        let s = sender.index();
+        &self.cells[s * self.n..(s + 1) * self.n]
     }
 }
 
@@ -144,20 +150,32 @@ impl<M: Clone> MessageMatrix<M> {
         rx
     }
 
-    /// [`MessageMatrix::column`] into a caller-owned vector, which is
-    /// cleared first — a loop over receivers reuses one vector.
+    /// [`MessageMatrix::column`] into a caller-owned vector — a loop
+    /// over receivers reuses one vector. Every slot is overwritten in
+    /// one pass, `Some` or `None`, so nothing of an earlier column
+    /// survives; slots past `n` are cleared.
     ///
     /// # Panics
     ///
     /// Panics if `rx` was sized for fewer than `n` processes.
     pub fn column_into(&self, receiver: ProcessId, rx: &mut ReceptionVector<M>) {
-        rx.clear();
-        for s in 0..self.n {
-            let sender = ProcessId::new(s as u32);
-            if let Some(m) = self.get(sender, receiver) {
-                rx.set(sender, m.clone());
-            }
+        assert!(
+            rx.universe() >= self.n,
+            "a reception vector of {} slots cannot hold a column of n = {}",
+            rx.universe(),
+            self.n
+        );
+        debug_assert!(receiver.index() < self.n);
+        let (slots, past) = rx.slots_mut().split_at_mut(self.n);
+        let column = self
+            .cells
+            .iter()
+            .skip(receiver.index())
+            .step_by(self.n.max(1));
+        for (slot, cell) in slots.iter_mut().zip(column) {
+            slot.clone_from(cell);
         }
+        past.fill_with(|| None);
     }
 
     /// Applies `mutate` to the cell `(sender, receiver)` if populated,

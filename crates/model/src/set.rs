@@ -104,12 +104,19 @@ impl ProcessSet {
         }
     }
 
-    /// ORs `mask` into word `w` (processes `64·w ..`): the word-parallel
-    /// insert [`crate::RoundSets::from_matrices`] builds its sets with.
-    /// `mask` must not reach past `n`.
-    #[inline]
-    pub(crate) fn or_word(&mut self, w: usize, mask: u64) {
-        self.words_mut()[w] |= mask;
+    /// The set whose `n.div_ceil(64)` words `words` yields, processes
+    /// `64·w ..` in word `w`: how [`crate::RoundSets::from_matrices`]
+    /// builds its sets from the plain words it ORs into. No bit may
+    /// reach past `n`.
+    pub(crate) fn from_words(n: usize, mut words: impl Iterator<Item = u64>) -> Self {
+        let words = if (1..=BITS).contains(&n) {
+            Words::One(words.next().unwrap_or(0))
+        } else {
+            Words::Many(words.collect())
+        };
+        let set = ProcessSet { n, words };
+        debug_assert_eq!(set.words().len(), n.div_ceil(BITS));
+        set
     }
 
     fn clear_tail(&mut self) {
@@ -537,13 +544,18 @@ mod tests {
     }
 
     #[test]
-    fn or_word_sets_bits_in_either_representation() {
-        for n in [1, 64, 65, 130] {
-            let mut s = ProcessSet::empty(n);
-            let last = n - 1;
-            s.or_word(last / BITS, 1 << (last % BITS));
-            s.or_word(0, 1);
-            assert_eq!(s, ProcessSet::from_indices(n, [0, last]));
+    fn from_words_sets_bits_in_either_representation() {
+        for n in [0usize, 1, 64, 65, 130] {
+            let mut words = vec![0u64; n.div_ceil(BITS)];
+            let members: Vec<usize> = [0, n.saturating_sub(1)]
+                .into_iter()
+                .filter(|&i| i < n)
+                .collect();
+            for &i in &members {
+                words[i / BITS] |= 1 << (i % BITS);
+            }
+            let s = ProcessSet::from_words(n, words.into_iter());
+            assert_eq!(s, ProcessSet::from_indices(n, members));
         }
     }
 }

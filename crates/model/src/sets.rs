@@ -53,8 +53,10 @@ impl RoundSets {
     /// intended one.
     ///
     /// Both matrices are walked once in their sender-major memory order:
-    /// each cell ORs its sender's bit into the receiver's `HO` and `SHO`
-    /// words, without a branch on the cell.
+    /// each cell ORs its sender's bit into a plain `HO` and `SHO` word of
+    /// its receiver, without a branch on the cell — on the stack while
+    /// `n ≤ 64` — and the `2n` sets are built from those words at the
+    /// end.
     ///
     /// # Panics
     ///
@@ -66,18 +68,40 @@ impl RoundSets {
             "intended and delivered matrices must share a universe"
         );
         let n = intended.universe();
-        let mut ho = vec![ProcessSet::empty(n); n];
-        let mut sho = ho.clone();
+        // Word w of receiver r's `HO` at `w·n + r`, so the cells of one
+        // sender meet one contiguous run of words; `SHO`'s words follow.
+        let per = n.div_ceil(64);
+        let mut inline = [0u64; 2 * 64];
+        let mut spill = Vec::new();
+        let words: &mut [u64] = if n <= 64 {
+            &mut inline[..2 * n]
+        } else {
+            spill.resize(2 * per * n, 0);
+            &mut spill
+        };
+        let (ho_words, sho_words) = words.split_at_mut(per * n);
         for s in 0..n {
             let (w, b) = (s / 64, s % 64);
-            let cells = delivered.row_cells(s).iter().zip(intended.row_cells(s));
-            for ((got, want), (ho_p, sho_p)) in cells.zip(ho.iter_mut().zip(&mut sho)) {
+            let sender = ProcessId::new(s as u32);
+            let (got_row, want_row) = (delivered.row_cells(sender), intended.row_cells(sender));
+            let cells = got_row.iter().zip(want_row);
+            let ho = &mut ho_words[w * n..(w + 1) * n];
+            let sho = &mut sho_words[w * n..(w + 1) * n];
+            for ((got, want), (ho_p, sho_p)) in cells.zip(ho.iter_mut().zip(sho)) {
                 let heard = got.is_some();
-                ho_p.or_word(w, u64::from(heard) << b);
-                sho_p.or_word(w, u64::from(heard & (got == want)) << b);
+                *ho_p |= u64::from(heard) << b;
+                *sho_p |= u64::from(heard & (got == want)) << b;
             }
         }
-        RoundSets { n, ho, sho }
+        let sets = |words: &[u64]| -> Vec<ProcessSet> {
+            let word = |r: usize| words.iter().skip(r).step_by(n).copied();
+            (0..n).map(|r| ProcessSet::from_words(n, word(r))).collect()
+        };
+        RoundSets {
+            n,
+            ho: sets(ho_words),
+            sho: sets(sho_words),
+        }
     }
 
     /// Builds sets directly (mainly for tests and synthetic histories).

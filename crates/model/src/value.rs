@@ -6,6 +6,7 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::hash::Hash;
 
@@ -140,17 +141,84 @@ impl ValueBearing<String> for String {
     }
 }
 
-/// How many received values [`tally`] counts without touching the heap.
+/// How many distinct values [`tally`] keeps in its first run list —
+/// enough for the handful a round usually carries.
+const TALLY_SMALL: usize = 8;
+
+/// How many distinct values [`tally`] counts without touching the heap.
 const TALLY_INLINE: usize = 64;
+
+/// Up to `N` distinct values with their counts, inline, in ascending
+/// order of value. Only the first `len` entries mean anything; the rest
+/// repeat a value already counted, so that no entry needs an `Option`.
+struct Runs<'a, V, const N: usize> {
+    values: [&'a V; N],
+    counts: [usize; N],
+    len: usize,
+}
+
+impl<'a, V: Ord, const N: usize> Runs<'a, V, N> {
+    /// The list holding `first`, once.
+    fn new(first: &'a V) -> Self {
+        let mut counts = [0; N];
+        counts[0] = 1;
+        Runs {
+            values: [first; N],
+            counts,
+            len: 1,
+        }
+    }
+
+    /// Counts one more `v`, inserting its run in place when `v` is new.
+    /// Returns `false`, having counted nothing, when `v` is new and all
+    /// `N` runs are taken.
+    #[inline]
+    fn count(&mut self, v: &'a V) -> bool {
+        let taken = &self.values[..self.len];
+        let i = taken.iter().position(|&u| u >= v).unwrap_or(self.len);
+        if i < self.len && self.values[i] == v {
+            self.counts[i] += 1;
+        } else if self.len == N {
+            return false;
+        } else {
+            self.values.copy_within(i..self.len, i + 1);
+            self.counts.copy_within(i..self.len, i + 1);
+            self.values[i] = v;
+            self.counts[i] = 1;
+            self.len += 1;
+        }
+        true
+    }
+
+    /// The same runs in a list of `M ≥ N` entries.
+    fn widen<const M: usize>(&self) -> Runs<'a, V, M> {
+        let mut wide = Runs {
+            values: [self.values[0]; M],
+            counts: [0; M],
+            len: self.len,
+        };
+        wide.values[..N].copy_from_slice(&self.values);
+        wide.counts[..N].copy_from_slice(&self.counts);
+        wide
+    }
+
+    /// The runs, in ascending order of value.
+    fn runs(&self) -> impl Iterator<Item = (&'a V, usize)> + '_ {
+        let values = self.values[..self.len].iter().copied();
+        values.zip(self.counts.iter().copied())
+    }
+}
 
 /// The counting step of every transition function: visits each distinct
 /// value among `values` once, in ascending order, with the number of
 /// times it occurs.
 ///
-/// The values are borrowed, sorted and walked in runs — no hashing, no
-/// clone per received value, and no heap allocation while at most
-/// `TALLY_INLINE` (64) values are counted. Ascending order is what makes
-/// "the smallest value above a threshold" the first one visited.
+/// The values are borrowed and counted into an ascending list of runs,
+/// each new value inserted in place — no hashing, no sort, no clone per
+/// received value, and no heap allocation while at most `TALLY_INLINE`
+/// (64) *distinct* values are counted, however many values there are.
+/// Ascending order is what makes "the smallest value above a threshold"
+/// the first one visited.
 ///
 /// # Examples
 ///
@@ -165,30 +233,45 @@ pub fn tally<'a, V: Ord + 'a>(
     values: impl IntoIterator<Item = &'a V>,
     mut visit: impl FnMut(&'a V, usize),
 ) {
-    let mut inline = [None; TALLY_INLINE];
-    let mut spill = Vec::new();
-    let mut len = 0;
-    for v in values {
-        if len < TALLY_INLINE {
-            inline[len] = Some(v);
-            len += 1;
-        } else {
-            if spill.is_empty() {
-                spill.extend_from_slice(&inline);
-            }
-            spill.push(Some(v));
+    let mut values = values.into_iter();
+    let Some(first) = values.next() else {
+        return;
+    };
+    let mut runs = Runs::<V, TALLY_SMALL>::new(first);
+    while let Some(v) = values.next() {
+        if !runs.count(v) {
+            return tally_wide(&runs, v, values, visit);
         }
     }
-    let sorted = if spill.is_empty() {
-        &mut inline[..len]
-    } else {
-        &mut spill[..]
-    };
-    sorted.sort_unstable();
-    for run in sorted.chunk_by(|a, b| a == b) {
-        if let Some(v) = run[0] {
-            visit(v, run.len());
+    for (v, count) in runs.runs() {
+        visit(v, count);
+    }
+}
+
+/// [`tally`] past `TALLY_SMALL` distinct values: the runs so far move to
+/// a `TALLY_INLINE`-entry list and counting resumes at `next`; past that
+/// too, the runs move to the heap.
+#[cold]
+#[inline(never)]
+fn tally_wide<'a, V: Ord + 'a>(
+    small: &Runs<'a, V, TALLY_SMALL>,
+    next: &'a V,
+    rest: impl Iterator<Item = &'a V>,
+    mut visit: impl FnMut(&'a V, usize),
+) {
+    let mut runs = small.widen::<TALLY_INLINE>();
+    let mut values = std::iter::once(next).chain(rest);
+    while let Some(v) = values.next() {
+        if !runs.count(v) {
+            let mut heap: BTreeMap<&'a V, usize> = runs.runs().collect();
+            for v in std::iter::once(v).chain(values) {
+                *heap.entry(v).or_insert(0) += 1;
+            }
+            return heap.into_iter().for_each(|(v, count)| visit(v, count));
         }
+    }
+    for (v, count) in runs.runs() {
+        visit(v, count);
     }
 }
 
@@ -292,7 +375,7 @@ mod tests {
 
     proptest! {
         /// Few distinct values over up to 100 receptions: ties, long
-        /// runs, and both sides of the inline/heap boundary at 64.
+        /// runs; and up to 100 distinct values, past the inline runs.
         #[test]
         fn tallies_equal_the_hash_map_oracle(
             values in proptest::collection::vec(0u64..6, 0..100),
@@ -306,13 +389,46 @@ mod tests {
         }
     }
 
+    proptest! {
+        /// Across both run lists' capacities: 0 ..= 20 distinct values
+        /// (the first list holds 8) and 60 ..= 80 distinct values (the
+        /// inline one holds 64), each met first in descending order —
+        /// every new run inserted at the front — then again at random.
+        #[test]
+        fn tallies_equal_the_hash_map_oracle_across_the_run_capacities(
+            picks in proptest::collection::vec(any::<u32>(), 0..200),
+            few in 0u32..=20,
+            many in 60u32..=80,
+        ) {
+            for distinct in [few, many] {
+                let again = picks.iter().filter(|_| distinct > 0).map(|p| p % distinct);
+                let values: Vec<u64> = (0..distinct).rev().chain(again).map(u64::from).collect();
+                assert_matches_oracle(values.clone());
+                assert_matches_oracle(values.iter().map(|v| format!("v{v}")).collect::<Vec<String>>());
+            }
+        }
+    }
+
     #[test]
-    fn tally_visits_runs_in_ascending_order_on_both_sides_of_the_inline_limit() {
-        for len in [0, 1, TALLY_INLINE - 1, TALLY_INLINE, TALLY_INLINE + 1, 200] {
-            let values: Vec<u64> = (0..len as u64).map(|i| (i * 7) % 5).collect();
+    fn tally_visits_runs_in_ascending_order_on_both_sides_of_each_capacity() {
+        for distinct in [
+            1,
+            TALLY_SMALL - 1,
+            TALLY_SMALL,
+            TALLY_SMALL + 1,
+            TALLY_INLINE - 1,
+            TALLY_INLINE,
+            TALLY_INLINE + 1,
+            200,
+        ] {
+            let values: Vec<u64> = (0..3 * distinct as u64)
+                .rev()
+                .map(|i| i % distinct as u64)
+                .collect();
             let mut runs = Vec::new();
             tally(&values, |v, count| runs.push((*v, count)));
-            assert_eq!(runs, oracle_histogram(values), "{len} values");
+            assert_eq!(runs.len(), distinct);
+            assert_eq!(runs, oracle_histogram(values), "{distinct} distinct values");
         }
     }
 

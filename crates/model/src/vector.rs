@@ -83,6 +83,19 @@ impl<M> ReceptionVector<M> {
         s
     }
 
+    /// Every slot, in sender id order: `None` where nothing was
+    /// received — the vector as it is stored, for a pass that reads
+    /// each slot without a branch on it.
+    pub fn slots(&self) -> &[Option<M>] {
+        &self.slots
+    }
+
+    /// The slots, writable: how [`crate::MessageMatrix::column_into`]
+    /// overwrites them in one pass.
+    pub(crate) fn slots_mut(&mut self) -> &mut [Option<M>] {
+        &mut self.slots
+    }
+
     /// Iterates over `(sender, message)` pairs actually received.
     pub fn iter(&self) -> impl Iterator<Item = (ProcessId, &M)> {
         self.slots

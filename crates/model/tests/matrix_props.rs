@@ -1,6 +1,6 @@
 //! Property tests for message matrices and heard-of set derivation.
 
-use heardof_model::{all_processes, MessageMatrix, ProcessId, RoundSets};
+use heardof_model::{all_processes, MessageMatrix, ProcessId, ReceptionVector, RoundSets};
 use proptest::prelude::*;
 
 /// An arbitrary "delivered" matrix derived from a full intended matrix:
@@ -105,6 +105,37 @@ proptest! {
                 prop_assert_eq!(col.get(q), m.get(q, p));
             }
             prop_assert_eq!(col.heard_count(), col.support().len());
+        }
+    }
+
+    /// One vector reused across every column of several random partial
+    /// matrices ends each column equal to a fresh `column(p)` and to the
+    /// cells themselves: a `Some` slot of an earlier column that is
+    /// `None` in this one must clear, and a `String` slot overwritten in
+    /// place must not keep any of its old text.
+    #[test]
+    fn a_reused_column_vector_equals_a_fresh_column(
+        n in 1usize..12,
+        cells in proptest::collection::vec(0u8..4, 3 * 11 * 11),
+    ) {
+        let mut cells = cells.into_iter();
+        let matrices: Vec<MessageMatrix<String>> = (0..3)
+            .map(|_| {
+                MessageMatrix::from_fn(n, |s, r| {
+                    let cell = cells.next().unwrap();
+                    (cell != 0).then(|| "x".repeat(usize::from(cell)) + &(s.index() * n + r.index()).to_string())
+                })
+            })
+            .collect();
+        let mut rx = ReceptionVector::new(n);
+        for m in &matrices {
+            for p in all_processes(n) {
+                m.column_into(p, &mut rx);
+                prop_assert_eq!(&rx, &m.column(p));
+                for q in all_processes(n) {
+                    prop_assert_eq!(rx.get(q), m.get(q, p));
+                }
+            }
         }
     }
 

@@ -48,6 +48,11 @@ const OBLIVIOUS_SEED: u64 = 0xDEFEC7;
 /// The seed that runs `Ute` on the wire: `U_{T,E,α}` at α = 2 on the
 /// bursty/clean trace of the first seeds. At n = 5, α = 2 is infeasible
 /// for `A_{T,E}` (α < n/4), so only `U` can be asked to decide here.
+///
+/// The run is outside `P^{U,safe}`: at n = 5, α = 2 its floor is all 5
+/// senders (`|SHO(p, r)| > 4`), and the trace loses receptions (the
+/// test below insists on it). So the seed checks that the substrates
+/// agree on `U`'s rounds, not that `U` is safe.
 const UTE_SEED: u64 = 0x7E5;
 /// `U`'s corruption budget on [`UTE_SEED`].
 const UTE_ALPHA: u32 = 2;
