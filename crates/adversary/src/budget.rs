@@ -14,12 +14,13 @@ use rand::rngs::StdRng;
 /// intended contents, keeping at most `alpha` corrupted receptions per
 /// receiver (earlier sender ids win).
 ///
-/// A first walk reads the matrices' rows in their sender-major memory
-/// order and counts each receiver's corruptions, without a branch on
-/// the cells; a round within budget ends there. Otherwise a second walk
-/// restores: sender-major again with one counter per receiver, so each
-/// receiver still meets its senders in id order and the cells restored
-/// are the ones a receiver-by-receiver walk restores.
+/// A first walk reads the matrices' row slices in their sender-major
+/// memory order and counts each receiver's corruptions without a branch
+/// on the cells; a round within budget ends there. Otherwise a second
+/// walk over the same slices restores in place, sender-major again with
+/// one counter per receiver, so each receiver still meets its senders in
+/// id order and the cells restored are the ones a receiver-by-receiver
+/// walk restores.
 ///
 /// Returns the number of cells restored.
 pub fn clamp_to_alpha<M: Clone + Eq>(
@@ -36,13 +37,14 @@ pub fn clamp_to_alpha<M: Clone + Eq>(
         spill.resize(n, 0);
         &mut spill
     };
+    // Corrupted: a value fault, or a message materializing out of
+    // nowhere (it certainly was not sent safely).
+    let corrupt = |got: &Option<M>, want: &Option<M>| got.is_some() & (got != want);
     for s in 0..n {
         let sender = ProcessId::new(s as u32);
         let (got_row, want_row) = (delivered.row_cells(sender), intended.row_cells(sender));
         for ((got, want), count) in got_row.iter().zip(want_row).zip(corrupted.iter_mut()) {
-            // Corrupted: a value fault, or a message materializing out of
-            // nowhere (it certainly was not sent safely).
-            *count += u32::from(got.is_some() & (got != want));
+            *count += u32::from(corrupt(got, want));
         }
     }
     if corrupted.iter().all(|&count| count <= alpha) {
@@ -52,22 +54,14 @@ pub fn clamp_to_alpha<M: Clone + Eq>(
     let mut restored = 0;
     for s in 0..n {
         let sender = ProcessId::new(s as u32);
-        for (r, count) in corrupted.iter_mut().enumerate() {
-            let receiver = ProcessId::new(r as u32);
-            let want = intended.get(sender, receiver);
-            let got = delivered.get(sender, receiver);
-            if got.is_none() || got == want {
-                continue;
-            }
-            *count += 1;
-            if *count > alpha {
-                match want {
-                    Some(w) => delivered.set(sender, receiver, w.clone()),
-                    None => {
-                        delivered.clear(sender, receiver);
-                    }
+        let (got_row, want_row) = (delivered.row_cells_mut(sender), intended.row_cells(sender));
+        for ((got, want), count) in got_row.iter_mut().zip(want_row).zip(corrupted.iter_mut()) {
+            if corrupt(got, want) {
+                *count += 1;
+                if *count > alpha {
+                    got.clone_from(want);
+                    restored += 1;
                 }
-                restored += 1;
             }
         }
     }

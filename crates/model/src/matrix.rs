@@ -137,6 +137,17 @@ impl<M> MessageMatrix<M> {
         let s = sender.index();
         &self.cells[s * self.n..(s + 1) * self.n]
     }
+
+    /// [`MessageMatrix::row_cells`], mutable — for a walk that rewrites
+    /// cells of a row in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sender` is out of range.
+    pub fn row_cells_mut(&mut self, sender: ProcessId) -> &mut [Option<M>] {
+        let s = sender.index();
+        &mut self.cells[s * self.n..(s + 1) * self.n]
+    }
 }
 
 impl<M: Clone> MessageMatrix<M> {

@@ -141,44 +141,41 @@ impl ValueBearing<String> for String {
     }
 }
 
-/// How many distinct values [`tally`] keeps in its first run list —
-/// enough for the handful a round usually carries.
-const TALLY_SMALL: usize = 8;
-
 /// How many distinct values [`tally`] counts without touching the heap.
 const TALLY_INLINE: usize = 64;
 
-/// Up to `N` distinct values with their counts, inline, in ascending
-/// order of value. Only the first `len` entries mean anything; the rest
-/// repeat a value already counted, so that no entry needs an `Option`.
-struct Runs<'a, V, const N: usize> {
-    values: [&'a V; N],
-    counts: [usize; N],
+/// Up to `TALLY_INLINE` distinct values with their counts, inline, in
+/// ascending order of value. Only the first `len` entries mean anything;
+/// the rest repeat a value already counted, so that no entry needs an
+/// `Option`.
+struct Runs<'a, V> {
+    values: [&'a V; TALLY_INLINE],
+    counts: [usize; TALLY_INLINE],
     len: usize,
 }
 
-impl<'a, V: Ord, const N: usize> Runs<'a, V, N> {
+impl<'a, V: Ord> Runs<'a, V> {
     /// The list holding `first`, once.
     fn new(first: &'a V) -> Self {
-        let mut counts = [0; N];
+        let mut counts = [0; TALLY_INLINE];
         counts[0] = 1;
         Runs {
-            values: [first; N],
+            values: [first; TALLY_INLINE],
             counts,
             len: 1,
         }
     }
 
     /// Counts one more `v`, inserting its run in place when `v` is new.
-    /// Returns `false`, having counted nothing, when `v` is new and all
-    /// `N` runs are taken.
+    /// Returns `false`, having counted nothing, when `v` is new and every
+    /// run is taken.
     #[inline]
     fn count(&mut self, v: &'a V) -> bool {
         let taken = &self.values[..self.len];
         let i = taken.iter().position(|&u| u >= v).unwrap_or(self.len);
         if i < self.len && self.values[i] == v {
             self.counts[i] += 1;
-        } else if self.len == N {
+        } else if self.len == TALLY_INLINE {
             return false;
         } else {
             self.values.copy_within(i..self.len, i + 1);
@@ -188,18 +185,6 @@ impl<'a, V: Ord, const N: usize> Runs<'a, V, N> {
             self.len += 1;
         }
         true
-    }
-
-    /// The same runs in a list of `M ≥ N` entries.
-    fn widen<const M: usize>(&self) -> Runs<'a, V, M> {
-        let mut wide = Runs {
-            values: [self.values[0]; M],
-            counts: [0; M],
-            len: self.len,
-        };
-        wide.values[..N].copy_from_slice(&self.values);
-        wide.counts[..N].copy_from_slice(&self.counts);
-        wide
     }
 
     /// The runs, in ascending order of value.
@@ -217,8 +202,8 @@ impl<'a, V: Ord, const N: usize> Runs<'a, V, N> {
 /// each new value inserted in place — no hashing, no sort, no clone per
 /// received value, and no heap allocation while at most `TALLY_INLINE`
 /// (64) *distinct* values are counted, however many values there are.
-/// Ascending order is what makes "the smallest value above a threshold"
-/// the first one visited.
+/// Past that the runs move to a `BTreeMap`. Ascending order is what
+/// makes "the smallest value above a threshold" the first one visited.
 ///
 /// # Examples
 ///
@@ -237,30 +222,7 @@ pub fn tally<'a, V: Ord + 'a>(
     let Some(first) = values.next() else {
         return;
     };
-    let mut runs = Runs::<V, TALLY_SMALL>::new(first);
-    while let Some(v) = values.next() {
-        if !runs.count(v) {
-            return tally_wide(&runs, v, values, visit);
-        }
-    }
-    for (v, count) in runs.runs() {
-        visit(v, count);
-    }
-}
-
-/// [`tally`] past `TALLY_SMALL` distinct values: the runs so far move to
-/// a `TALLY_INLINE`-entry list and counting resumes at `next`; past that
-/// too, the runs move to the heap.
-#[cold]
-#[inline(never)]
-fn tally_wide<'a, V: Ord + 'a>(
-    small: &Runs<'a, V, TALLY_SMALL>,
-    next: &'a V,
-    rest: impl Iterator<Item = &'a V>,
-    mut visit: impl FnMut(&'a V, usize),
-) {
-    let mut runs = small.widen::<TALLY_INLINE>();
-    let mut values = std::iter::once(next).chain(rest);
+    let mut runs = Runs::new(first);
     while let Some(v) = values.next() {
         if !runs.count(v) {
             let mut heap: BTreeMap<&'a V, usize> = runs.runs().collect();
@@ -390,12 +352,12 @@ mod tests {
     }
 
     proptest! {
-        /// Across both run lists' capacities: 0 ..= 20 distinct values
-        /// (the first list holds 8) and 60 ..= 80 distinct values (the
-        /// inline one holds 64), each met first in descending order —
-        /// every new run inserted at the front — then again at random.
+        /// Few and many distinct values: 0 ..= 20, and 60 ..= 80 on
+        /// both sides of the 64 inline runs, each met first in descending
+        /// order — every new run inserted at the front — then again at
+        /// random.
         #[test]
-        fn tallies_equal_the_hash_map_oracle_across_the_run_capacities(
+        fn tallies_equal_the_hash_map_oracle_across_the_run_capacity(
             picks in proptest::collection::vec(any::<u32>(), 0..200),
             few in 0u32..=20,
             many in 60u32..=80,
@@ -410,17 +372,8 @@ mod tests {
     }
 
     #[test]
-    fn tally_visits_runs_in_ascending_order_on_both_sides_of_each_capacity() {
-        for distinct in [
-            1,
-            TALLY_SMALL - 1,
-            TALLY_SMALL,
-            TALLY_SMALL + 1,
-            TALLY_INLINE - 1,
-            TALLY_INLINE,
-            TALLY_INLINE + 1,
-            200,
-        ] {
+    fn tally_visits_runs_in_ascending_order_on_both_sides_of_the_capacity() {
+        for distinct in [1, 8, TALLY_INLINE - 1, TALLY_INLINE, TALLY_INLINE + 1, 200] {
             let values: Vec<u64> = (0..3 * distinct as u64)
                 .rev()
                 .map(|i| i % distinct as u64)
