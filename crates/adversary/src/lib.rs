@@ -8,15 +8,18 @@
 //! * [`Adversary`] — the environment interface; [`NoFaults`], [`Seq`].
 //! * [`Budgeted`] — clamps any strategy to the safety predicate `P_α`
 //!   *by construction*.
-//! * [`CodedChannel`] — passes any strategy's corruption through a
-//!   channel code (`heardof-coding`), trading value faults for
-//!   omissions and corrections.
 //! * Strategies: [`RandomCorruption`], [`BorrowedCorruption`],
 //!   [`RandomOmission`], [`SantoroWidmayerBlock`], [`StaticByzantine`],
-//!   [`SymmetricByzantine`], [`FullContentCorruption`],
-//!   [`TransientBurst`], [`SplitBrain`].
+//!   [`SymmetricByzantine`], [`TransientBurst`], [`SplitBrain`].
 //! * [`GoodRounds`] / [`WithSchedule`] — liveness schedules realizing
 //!   the existential predicates `P^{A,live}` and `P^{U,live}`.
+//!
+//! The strategies here rewrite abstract messages; none of them models a
+//! channel code. The coded wire is the facade's `heardof::WireChannel`,
+//! an [`Adversary`] that relays the intended matrix through the
+//! deployment's own round engines and faulty links under a seeded noise
+//! trace, so each corrupted frame becomes whatever its decoder makes of
+//! it: a correct delivery, an omission or a value fault.
 //!
 //! # Examples
 //!
@@ -37,18 +40,16 @@
 #![warn(rust_2018_idioms)]
 
 mod budget;
-mod coded;
 mod liveness;
 mod strategies;
 mod targeted;
 mod traits;
 
 pub use budget::{clamp_to_alpha, Budgeted};
-pub use coded::{AdaptiveCodedChannel, CodedChannel, CodedStats, Whipsaw};
 pub use liveness::{GoodRounds, WithSchedule};
 pub use strategies::{
-    BorrowedCorruption, FullContentCorruption, RandomCorruption, RandomOmission,
-    SantoroWidmayerBlock, SenderOmission, StaticByzantine, SymmetricByzantine, TransientBurst,
+    BorrowedCorruption, RandomCorruption, RandomOmission, SantoroWidmayerBlock, SenderOmission,
+    StaticByzantine, SymmetricByzantine, TransientBurst,
 };
 pub use targeted::SplitBrain;
 pub use traits::{Adversary, NoFaults, Seq};

@@ -449,46 +449,6 @@ impl<M: Clone + Corruptible + Send> Adversary<M> for SymmetricByzantine {
     }
 }
 
-/// The fully-defective network: **every** inter-process message is
-/// delivered, and **every** one of them has its contents rewritten.
-///
-/// This is the matrix-level twin of `NoiseTrace::fully_defective` on
-/// the byte substrates: delivery structure is sacrosanct (no cell is
-/// dropped, none is added, self-delivery is local and untouched) but
-/// no payload survives. `P_α` is violated maximally — per-receiver
-/// corruption is `n − 1` every round — so no content-decoding rung can
-/// help; arrival itself is the only fact the adversary cannot forge,
-/// which is precisely the channel the content-oblivious rung uses.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FullContentCorruption;
-
-impl<M: Clone + Corruptible + Send> Adversary<M> for FullContentCorruption {
-    fn name(&self) -> String {
-        "full-content-corruption".to_string()
-    }
-
-    fn deliver(
-        &mut self,
-        _round: Round,
-        intended: &MessageMatrix<M>,
-        rng: &mut StdRng,
-    ) -> MessageMatrix<M> {
-        let n = intended.universe();
-        let mut delivered = intended.clone();
-        for s in 0..n {
-            for r in 0..n {
-                if s == r {
-                    continue;
-                }
-                delivered.mutate_cell(ProcessId::new(s as u32), ProcessId::new(r as u32), |m| {
-                    m.corrupted(rng)
-                });
-            }
-        }
-        delivered
-    }
-}
-
 /// Transient faults: delegates to `inner` only for rounds in
 /// `[start, start + len)`; perfect communication elsewhere.
 #[derive(Clone, Debug)]
@@ -654,22 +614,6 @@ mod tests {
             assert_eq!(d.get(ProcessId::new(0), ProcessId::new(r)), Some(v0));
         }
         assert_ne!(*v0, 0, "value must actually be corrupted");
-    }
-
-    #[test]
-    fn full_content_corruption_preserves_delivery_structure() {
-        let mut adv = FullContentCorruption;
-        let m = intended(5);
-        let mut rng = rng();
-        for round in 1..=4u64 {
-            let d = adv.deliver(Round::new(round), &m, &mut rng);
-            // Nothing dropped, nothing added: arrival is incorruptible.
-            assert_eq!(d.message_count(), m.message_count());
-            let sets = RoundSets::from_matrices(&m, &d);
-            // Every inter-process payload rewritten; self-delivery local.
-            assert_eq!(sets.total_corruptions(), 20, "round {round}");
-            assert_eq!(sets.max_aho(), 4, "P_α maximally violated");
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A binary symmetric channel: independent per-bit flips.
 //!
-//! This is the physical-layer noise model the tradeoff experiments and
-//! the simulator's `CodedChannel` wrapper share. A transmission fault in
+//! This is the physical-layer noise model of the tradeoff experiments
+//! and of the threaded runtime's untraced links. A transmission fault in
 //! the paper's sense is *any* nonzero flip pattern; what the receiver
 //! experiences — delivery, omission, or value fault — is then entirely
 //! the code's doing.

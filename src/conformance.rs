@@ -10,10 +10,10 @@
 //!
 //! * the **sim** substrate — the lockstep [`Simulator`] runs the
 //!   algorithm and rebuilds `HO`/`SHO` from its intended and delivered
-//!   matrices; a private adversary computes the delivered matrix by
+//!   matrices; a [`WireChannel`] computes the delivered matrix by
 //!   relaying every intended message through `n` round engines and the
-//!   [`FaultyLink`]s of one [`RunFabric`], stepped by its
-//!   [`Lockstep`], with no threads and no clock;
+//!   [`FaultyLink`]s of one `RunFabric`, stepped by its `Lockstep`,
+//!   with no threads and no clock;
 //! * the **net** substrate — OS threads exchanging those same frames
 //!   over [`FaultyLink`]s in trace + lockstep mode, rounds closed by
 //!   timeouts;
@@ -41,20 +41,14 @@
 //!
 //! [`FaultyLink`]: heardof_net::FaultyLink
 
-use heardof_adversary::Adversary;
+use crate::WireChannel;
 use heardof_async::{run_async, run_async_mux, AsyncConfig};
 use heardof_coding::{AdaptiveConfig, CodeSpec, NoiseTrace};
-use heardof_engine::{BareFrame, MuxReport, RoundEngine, SubstrateOutcome, WireMessage};
-use heardof_model::{
-    HoAlgorithm, MessageMatrix, ProcessId, ReceptionVector, Round, RoundSets, TraceLevel,
-};
-use heardof_net::{run_threaded, run_threaded_mux, LinkFaults, Lockstep, NetConfig, RunFabric};
+use heardof_engine::{MuxReport, SubstrateOutcome, WireMessage};
+use heardof_model::{HoAlgorithm, RoundSets, TraceLevel};
+use heardof_net::{run_threaded, run_threaded_mux, LinkFaults, NetConfig};
 use heardof_sim::Simulator;
 use heardof_telemetry::{RoundReport, RunRecording, Telemetry};
-use rand::rngs::StdRng;
-use std::fmt::Debug;
-use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Environment variable naming a directory where
@@ -206,132 +200,6 @@ fn dump_recordings(reports: &[(&str, &SubstrateReport)]) {
     }
 }
 
-/// The sim-side relay: the algorithm every engine of a [`TraceChannel`]
-/// runs. Its sending function reads the simulator's intended matrix,
-/// and its state is the reception vector the engine hands to
-/// `transition` — the receiver's column of the delivered matrix.
-#[derive(Clone)]
-struct Relay<M> {
-    intended: Arc<Mutex<MessageMatrix<M>>>,
-}
-
-impl<M: Clone + Eq + Debug + Send + 'static> HoAlgorithm for Relay<M> {
-    type Value = ();
-    type Msg = M;
-    type State = ReceptionVector<M>;
-
-    fn name(&self) -> &'static str {
-        "relay"
-    }
-
-    fn init(&self, _p: ProcessId, n: usize, _initial: ()) -> ReceptionVector<M> {
-        ReceptionVector::new(n)
-    }
-
-    fn send(&self, _round: Round, p: ProcessId, _state: &Self::State, dest: ProcessId) -> M {
-        let intended = self.intended.lock().expect("relay matrix lock");
-        intended
-            .get(p, dest)
-            .cloned()
-            .expect("the simulator's sending functions are total")
-    }
-
-    fn transition(
-        &self,
-        _round: Round,
-        _p: ProcessId,
-        state: &mut ReceptionVector<M>,
-        received: &ReceptionVector<M>,
-    ) {
-        state.clone_from(received);
-    }
-
-    fn decision(&self, _state: &Self::State) -> Option<()> {
-        None
-    }
-}
-
-/// The sim-side half of the conformance harness: an [`Adversary`] that
-/// relays every intended message through the deployment substrates' own
-/// parts — one [`RoundEngine`] per process from one [`RunFabric`] (trace
-/// mode, perfect links otherwise, one copy), wired through
-/// [`RunFabric::lockstep`]'s links and mailboxes. The engines encode,
-/// the links corrupt and judge, the engines decode, tally and
-/// renegotiate; the delivered matrix is what their reception vectors
-/// hold when the round closes.
-struct TraceChannel<M: WireMessage + Clone + Eq + Debug + Send + 'static> {
-    seed: u64,
-    intended: Arc<Mutex<MessageMatrix<M>>>,
-    stepper: Lockstep<Relay<M>, BareFrame>,
-    /// Each round's send codes (`[process]`), reported before it opens.
-    codes: Sender<Vec<CodeSpec>>,
-}
-
-impl<M: WireMessage + Clone + Eq + Debug + Send + 'static> TraceChannel<M> {
-    /// A channel over `n` processes running controllers from `cfg` for
-    /// `rounds` rounds, corrupted by `trace`, recording into `telemetry`.
-    fn new(
-        n: usize,
-        cfg: &AdaptiveConfig,
-        trace: &NoiseTrace,
-        rounds: u64,
-        telemetry: Telemetry,
-        codes: Sender<Vec<CodeSpec>>,
-    ) -> Self {
-        let fabric = RunFabric::new(
-            LinkFaults::NONE,
-            0,
-            1,
-            rounds,
-            CodeSpec::DEFAULT,
-            Some(cfg.clone()),
-            Some(trace.clone()),
-            telemetry,
-        );
-        let intended = Arc::new(Mutex::new(MessageMatrix::empty(n)));
-        let relay = Relay {
-            intended: Arc::clone(&intended),
-        };
-        let engines = (0..n)
-            .map(|p| fabric.engine_for(relay.clone(), p, n, ()))
-            .collect();
-        TraceChannel {
-            seed: trace.seed(),
-            intended,
-            stepper: fabric.lockstep(engines),
-            codes,
-        }
-    }
-}
-
-impl<M: WireMessage + Clone + Eq + Debug + Send + 'static> Adversary<M> for TraceChannel<M> {
-    fn name(&self) -> String {
-        format!("trace-channel(seed={})", self.seed)
-    }
-
-    fn deliver(
-        &mut self,
-        round: Round,
-        intended: &MessageMatrix<M>,
-        _rng: &mut StdRng,
-    ) -> MessageMatrix<M> {
-        self.intended
-            .lock()
-            .expect("relay matrix lock")
-            .clone_from(intended);
-        let codes = self.stepper.engines().iter().map(RoundEngine::current_code);
-        self.codes
-            .send(codes.collect())
-            .expect("the code log outlives the run");
-        self.stepper.round(round.get());
-        let engines = self.stepper.engines();
-        MessageMatrix::from_fn(intended.universe(), |sender, receiver| {
-            let rx = engines[receiver.index()].core().state();
-            rx.get(sender).cloned()
-        })
-    }
-}
-
 /// Runs the **simulator** substrate for `rounds` rounds and reports its
 /// decisions and reconstructions.
 ///
@@ -351,8 +219,15 @@ where
     A::Msg: WireMessage,
 {
     let telemetry = Telemetry::ring();
-    let (codes, sent_codes) = mpsc::channel();
-    let channel = TraceChannel::new(n, cfg, trace, rounds, telemetry.clone(), codes);
+    let channel = WireChannel::new(
+        n,
+        CodeSpec::DEFAULT,
+        Some(cfg.clone()),
+        trace.clone(),
+        rounds,
+        telemetry.clone(),
+    );
+    let codes = channel.code_log();
     let outcome = Simulator::new(algo, n)
         .adversary(channel)
         .initial_values(initial)
@@ -361,7 +236,7 @@ where
         .expect("sim substrate run");
     let recording = telemetry.snapshot().expect("ring-backed telemetry");
     SubstrateReport {
-        codes: sent_codes.try_iter().collect(),
+        codes: codes.rounds(),
         sets: outcome
             .trace
             .rounds()

@@ -39,6 +39,11 @@
 //! * [`core`] — the paper's algorithms and bounds,
 //! * [`analysis`] — experiments, statistics and witness search.
 //!
+//! It adds [`WireChannel`], the simulator's coded wire (the simulator's
+//! messages relayed through the deployment's own engines and faulty
+//! links), and [`conformance`], the harness that replays one noise
+//! trace through every substrate.
+//!
 //! # Quickstart
 //!
 //! ```
@@ -68,6 +73,9 @@
 #![warn(rust_2018_idioms)]
 
 pub mod conformance;
+mod wire;
+
+pub use wire::{CodeLog, WireChannel};
 
 pub use heardof_adversary as adversary;
 pub use heardof_analysis as analysis;
@@ -84,9 +92,9 @@ pub use heardof_telemetry as telemetry;
 /// The most commonly used items, for glob import.
 pub mod prelude {
     pub use heardof_adversary::{
-        AdaptiveCodedChannel, Adversary, BorrowedCorruption, Budgeted, CodedChannel, GoodRounds,
-        NoFaults, RandomCorruption, RandomOmission, SantoroWidmayerBlock, Seq, SplitBrain,
-        StaticByzantine, SymmetricByzantine, TransientBurst, Whipsaw, WithSchedule,
+        Adversary, BorrowedCorruption, Budgeted, GoodRounds, NoFaults, RandomCorruption,
+        RandomOmission, SantoroWidmayerBlock, Seq, SplitBrain, StaticByzantine, SymmetricByzantine,
+        TransientBurst, WithSchedule,
     };
     pub use heardof_analysis::{Scenario, Summary, Table, UteWitnessSearch, WitnessSearch};
     pub use heardof_async::{run_async, AsyncConfig, AsyncOutcome};
@@ -112,4 +120,6 @@ pub mod prelude {
     pub use heardof_telemetry::{
         AlphaLedger, Event, EventKind, Recorder, RingRecorder, RunRecording, Telemetry,
     };
+
+    pub use crate::WireChannel;
 }

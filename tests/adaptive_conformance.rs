@@ -1,7 +1,7 @@
 //! Cross-substrate conformance for adaptive code switching.
 //!
 //! The same seeded [`NoiseTrace`] drives the lockstep simulator (via
-//! `heardof::conformance::TraceChannel`), the threaded runtime (in
+//! [`WireChannel`]), the threaded runtime (in
 //! lockstep + trace mode) and the async runtime (one-thread lockstep
 //! loop). All run per-process `AdaptiveController`s
 //! over the same ladder; the harness asserts they make **identical
