@@ -41,6 +41,15 @@
 //!    vs. the bit-at-a-time oracle; claim: **≥ 3×**. One
 //!    `Interleaved{16}` decode of the 60-byte tagged wire makes
 //!    **≤ 1 allocation** (the payload).
+//!
+//! One measurement rides along ungated: **trace noise**, ns per 49-byte
+//! frame from one sender to its 7 receivers (n = 8) under a bursty and
+//! a calm Gilbert–Elliott channel, frame by frame through
+//! `NoiseTrace::corrupt_frame` vs. a round at a time through
+//! `NoiseTrace::flip_masks`. The ratios are named without `_speedup`:
+//! they depend on the kernel the CPU selects (`trace_noise_lanes` is 8
+//! under AVX-512F, 1 on the scalar path, where batching gains nothing),
+//! so a runner without AVX-512 must not fail the gate on them.
 
 use bytes::BytesMut;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -50,7 +59,7 @@ use heardof_coding::bitslice::{self, LANES};
 use heardof_coding::{
     deinterleave_bits, deinterleave_bits_scalar, interleave_bits, interleave_bits_scalar,
     pack_slots_into, patch_slots, unpack_slots_view, AdaptiveConfig, ChannelCode, CodeBook,
-    CodeSpec, Hamming74, RungAdvert, SymbolBudget,
+    CodeSpec, GilbertElliott, Hamming74, NoisePhase, NoiseTrace, RungAdvert, SymbolBudget,
 };
 use heardof_core::{Ate, AteParams};
 use heardof_engine::{
@@ -562,6 +571,64 @@ fn async_run_allocs_n16() -> u64 {
     measured
 }
 
+// ---------------------------------------------------------------------
+// Trace noise: one sender's frames of a round in lockstep lanes vs.
+// frame by frame.
+// ---------------------------------------------------------------------
+
+/// Wire bytes of a traced frame: a tagged `Ate<u64>` frame on the
+/// CRC-32 rung, as the repository benchmark's `bursty-adaptive` sends.
+const NOISE_FRAME_BYTES: usize = 49;
+
+/// System size: sender 0 has `NOISE_N − 1` receivers, one frame each
+/// per round.
+const NOISE_N: u32 = 8;
+
+/// Rounds per pass.
+const NOISE_ROUNDS: u64 = 64;
+
+/// A one-phase trace of `channel`.
+fn noise_trace(channel: GilbertElliott) -> NoiseTrace {
+    NoiseTrace::new(1, vec![NoisePhase { rounds: 1, channel }])
+}
+
+/// Folds one frame's flip pattern and count.
+fn fold_pattern(acc: u64, flips: usize, pattern: &[u8]) -> u64 {
+    pattern.iter().fold(acc ^ flips as u64, |acc, &b| {
+        acc.rotate_left(5) ^ u64::from(b)
+    })
+}
+
+/// Sender 0's frames, round by round, through `corrupt_frame` one
+/// receiver at a time.
+fn noise_per_frame_pass(trace: &NoiseTrace) -> u64 {
+    let mut acc = 0u64;
+    let mut frame = [0u8; NOISE_FRAME_BYTES];
+    for round in 1..=NOISE_ROUNDS {
+        for receiver in 1..NOISE_N {
+            frame.fill(0);
+            let flips = trace.corrupt_frame(round, 0, receiver, 0, &mut frame);
+            acc = fold_pattern(acc, flips, &frame);
+        }
+    }
+    acc
+}
+
+/// The same frames, each round's drawn at once by `flip_masks`.
+fn noise_batched_pass(trace: &NoiseTrace) -> u64 {
+    let receivers: Vec<u32> = (1..NOISE_N).collect();
+    let mut masks = vec![0u8; receivers.len() * NOISE_FRAME_BYTES];
+    let mut flips = vec![0usize; receivers.len()];
+    let mut acc = 0u64;
+    for round in 1..=NOISE_ROUNDS {
+        trace.flip_masks(round, 0, 0, &receivers, &mut masks, &mut flips);
+        for (mask, &flips) in masks.chunks(NOISE_FRAME_BYTES).zip(&flips) {
+            acc = fold_pattern(acc, flips, mask);
+        }
+    }
+    acc
+}
+
 fn throughput(c: &mut Criterion) {
     let inputs = inputs();
     assert_eq!(
@@ -593,6 +660,15 @@ fn throughput(c: &mut Criterion) {
         mux_arena_pass(&framing),
         "the two mux paths must agree before their speeds mean anything"
     );
+    let bursty = noise_trace(GilbertElliott::bursty());
+    let calm = noise_trace(GilbertElliott::clean());
+    for trace in [&bursty, &calm] {
+        assert_eq!(
+            noise_per_frame_pass(trace),
+            noise_batched_pass(trace),
+            "the two trace-noise paths must agree before their speeds mean anything"
+        );
+    }
 
     let mut group = c.benchmark_group("hamming_batch64");
     group.throughput(Throughput::Elements((BATCHES * LANES) as u64));
@@ -660,6 +736,22 @@ fn throughput(c: &mut Criterion) {
         || permute_tiled_pass(&codewords),
     );
     let small_permute_speedup = small_permute_scalar.as_secs_f64() / small_permute.as_secs_f64();
+    // Per frame; the ratio is named without `_speedup` because it
+    // depends on the kernel the CPU selects (1.0 on the scalar path).
+    let noise_frames = (NOISE_ROUNDS * u64::from(NOISE_N - 1)) as u32;
+    let [(bursty_per_frame, bursty_batched), (calm_per_frame, calm_batched)] = [&bursty, &calm]
+        .map(|trace| {
+            let (per_frame, batched) = measure_interleaved(
+                samples,
+                || noise_per_frame_pass(trace),
+                || noise_batched_pass(trace),
+            );
+            (per_frame / noise_frames, batched / noise_frames)
+        });
+    let noise_lanes = NoiseTrace::lanes();
+    let noise_kernel = if noise_lanes > 1 { "avx512" } else { "scalar" };
+    let bursty_ratio = bursty_per_frame.as_secs_f64() / bursty_batched.as_secs_f64();
+    let calm_ratio = calm_per_frame.as_secs_f64() / calm_batched.as_secs_f64();
 
     // Differential allocation proof: 3× the frame traffic on a
     // detection-only rung must cost exactly the same allocation bill
@@ -686,7 +778,11 @@ fn throughput(c: &mut Criterion) {
              counted allocations over full engine rounds, one 64-slot fountain image round trip \
              and one clean two-round n = 16 async run; a {BODY_BYTES}-byte frame body through \
              Hamming74 and its {CODEWORD_BYTES}-byte codeword through the depth-{PERMUTE_DEPTH} \
-             permute ({BATCHES} frames each), one Interleaved{{16}} decode of the tagged frame"
+             permute ({BATCHES} frames each), one Interleaved{{16}} decode of the tagged frame; \
+             trace noise on {NOISE_FRAME_BYTES}-byte bursty and calm frames from one sender to its \
+             {} receivers, frame by frame vs. batched on the {noise_kernel} kernel \
+             ({noise_lanes} lanes)",
+            NOISE_N - 1
         ),
         samples,
     );
@@ -711,6 +807,13 @@ fn throughput(c: &mut Criterion) {
         .metric_ns("interleave_small_frame", small_permute)
         .metric_ratio("interleave_small_frame_speedup", small_permute_speedup)
         .metric_count("interleaved_decode_allocs", interleaved_decode_allocs)
+        .metric_ns("trace_noise_bursty_per_frame", bursty_per_frame)
+        .metric_ns("trace_noise_bursty_batched", bursty_batched)
+        .metric_ratio("trace_noise_bursty_batched_ratio", bursty_ratio)
+        .metric_ns("trace_noise_calm_per_frame", calm_per_frame)
+        .metric_ns("trace_noise_calm_batched", calm_batched)
+        .metric_ratio("trace_noise_calm_batched_ratio", calm_ratio)
+        .metric_count("trace_noise_lanes", noise_lanes as u64)
         .claim(
             "bitsliced >= 4x scalar on a 64-slot batch",
             hamming_speedup >= 4.0,
@@ -764,8 +867,30 @@ fn throughput(c: &mut Criterion) {
          interleaved decode allocs {interleaved_decode_allocs}"
     );
     println!(
+        "trace noise ({noise_kernel}, {noise_lanes} lanes): bursty per-frame {bursty_per_frame:?}  \
+         batched {bursty_batched:?}  ratio {bursty_ratio:.2}x  calm per-frame {calm_per_frame:?}  \
+         batched {calm_batched:?}  ratio {calm_ratio:.2}x"
+    );
+    println!(
         "steady allocs: frame-differential {frame_steady_allocs}  heavy rung {heavy_per_round}/round  fountain image {fountain_image_allocs}  async run n16 {async_run_allocs_n16}  -> {path}"
     );
+
+    // Last: on a host that runs the AVX-512 lanes, the kernels measured
+    // after them read up to 20 % slower (mux assemble, 1.04 → 1.25 ms),
+    // so nothing gated is measured after this group.
+    let mut group = c.benchmark_group("trace_noise");
+    group.throughput(Throughput::Elements(NOISE_ROUNDS * u64::from(NOISE_N - 1)));
+    for (name, trace) in [("bursty", &bursty), ("calm", &calm)] {
+        group.bench_function(
+            BenchmarkId::from_parameter(format!("{name}/per_frame")),
+            |b| b.iter(|| noise_per_frame_pass(trace)),
+        );
+        group.bench_function(
+            BenchmarkId::from_parameter(format!("{name}/batched")),
+            |b| b.iter(|| noise_batched_pass(trace)),
+        );
+    }
+    group.finish();
 }
 
 criterion_group! {

@@ -406,6 +406,8 @@ mod avx2 {
     /// The caller must have verified AVX2 support.
     #[target_feature(enable = "avx2")]
     unsafe fn table(t: &[u8; 16]) -> __m256i {
+        // SAFETY: the caller guarantees AVX2, and the load reads the
+        // 16 bytes `t` refers to, unaligned.
         unsafe {
             let half = _mm_loadu_si128(t.as_ptr().cast());
             _mm256_broadcastsi128_si256(half)
@@ -416,6 +418,9 @@ mod avx2 {
     /// The caller must have verified AVX2 support.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn encode64(nibbles: &[u8; super::LANES]) -> [u8; super::LANES] {
+        // SAFETY: the caller guarantees AVX2; every load and store
+        // moves one whole 32-byte chunk of the two 64-byte arrays,
+        // unaligned.
         unsafe {
             let enc = table(&ENC);
             let low = _mm256_set1_epi8(0x0F);
@@ -433,6 +438,9 @@ mod avx2 {
     /// The caller must have verified AVX2 support.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn decode64(blocks: &[u8; super::LANES]) -> ([u8; super::LANES], u64, u64) {
+        // SAFETY: the caller guarantees AVX2; every load and store
+        // moves one whole 32-byte chunk of the two 64-byte arrays,
+        // unaligned.
         unsafe {
             let syn_lo = table(&SYN_LO);
             let syn_hi = table(&SYN_HI);
@@ -487,6 +495,8 @@ mod avx2 {
     /// The caller must have verified AVX2 support.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn transpose64(blocks: &[u8; super::LANES]) -> [u64; 8] {
+        // SAFETY: the caller guarantees AVX2, and the two unaligned
+        // loads read bytes 0..32 and 32..64 of the 64-byte `blocks`.
         unsafe {
             let mut lo = _mm256_loadu_si256(blocks.as_ptr().cast());
             let mut hi = _mm256_loadu_si256(blocks.as_ptr().add(32).cast());
@@ -506,6 +516,9 @@ mod avx2 {
     /// The caller must have verified AVX2 support.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn untranspose64(planes: &[u64; 8]) -> [u8; super::LANES] {
+        // SAFETY: the caller guarantees AVX2, and the two unaligned
+        // stores write bytes 0..32 and 32..64 of the local 64-byte
+        // `blocks`.
         unsafe {
             // Byte j of each 128-bit half selects byte j/8 of the
             // broadcast 32-lane plane slice; the bit mask then asks

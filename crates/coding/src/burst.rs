@@ -17,8 +17,18 @@
 //! so two different substrates (the lockstep simulator and the threaded
 //! runtime) can replay byte-identical corruption — the foundation of the
 //! adaptive-coding conformance harness.
+//!
+//! Every frame draws from its own xoshiro256++ stream, seeded from its
+//! coordinates, and a pattern never depends on the frame's bytes. So a
+//! sender's frames of one round can be drawn together:
+//! [`NoiseTrace::flip_masks`] fills the patterns of a list of receivers
+//! at once, eight streams per AVX-512 register where the channel's draw
+//! schedule allows (the kernel is `noise_lanes.rs`), and frame by frame
+//! through [`NoiseTrace::corrupt_frame`] everywhere else. Both give the
+//! same bits.
 
 use crate::noise::{BitNoise, Chance};
+use crate::noise_lanes::{self, Shape};
 use crate::script::FaultScript;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -141,7 +151,10 @@ impl GilbertElliott {
     /// the buffered words; any other parameterisation draws bit by bit.
     /// Same words in the same order either way: the pattern, the final
     /// state and the generator's position do not depend on which loop
-    /// ran.
+    /// ran. That fixed schedule — sixteen words a byte whatever the
+    /// state — is also what lets [`NoiseTrace::flip_masks`] run eight
+    /// frames' chains in the lanes of one register, where this byte
+    /// test becomes one compare of all the lanes' words at once.
     pub fn apply(&mut self, data: &mut [u8], rng: &mut StdRng) -> usize {
         let [enter, exit, good, bad] = [
             self.p_enter_burst,
@@ -214,6 +227,15 @@ pub struct NoisePhase {
 /// Two substrates that frame identical bytes therefore experience
 /// *identical* corruption — the property the adaptive conformance
 /// harness asserts on.
+///
+/// Patterns come one frame at a time ([`NoiseTrace::corrupt_frame`]) or
+/// one sender's round at a time ([`NoiseTrace::flip_masks`]), which
+/// runs eight receivers' streams per AVX-512 register when the round's
+/// channel draws the same words per bit in every state — a chain with
+/// all four chances live, one that cannot leave its start state, or
+/// the shared regime's per-round BSC ([`NoiseTrace::lockstep_at`]). A
+/// scripted trace, any other chain, and a CPU without AVX-512F fall
+/// back to `corrupt_frame` per receiver.
 #[derive(Clone, Debug)]
 pub struct NoiseTrace {
     seed: u64,
@@ -465,6 +487,16 @@ impl NoiseTrace {
         memo.states[round as usize - 1]
     }
 
+    /// The bit-error rate every link flips at in `round` under the
+    /// shared regime.
+    fn regime_ber(&self, round: u64, channel: &GilbertElliott) -> f64 {
+        if self.regime_at(round) {
+            channel.ber_bad
+        } else {
+            channel.ber_good
+        }
+    }
+
     /// The channel in force at `round` (1-based).
     fn channel_at(&self, round: u64) -> GilbertElliott {
         let cycle: u64 = self.phases.iter().map(|p| p.rounds).sum();
@@ -483,7 +515,8 @@ impl NoiseTrace {
         self.seed
     }
 
-    fn frame_rng(&self, round: u64, sender: u32, receiver: u32, copy: u8) -> StdRng {
+    /// The seed of one frame's stream.
+    fn frame_seed(&self, round: u64, sender: u32, receiver: u32, copy: u8) -> u64 {
         // SplitMix-style mixing of the frame coordinates into one
         // stream id; any fixed bijective-ish mix works, it only has to
         // be identical across substrates.
@@ -494,7 +527,7 @@ impl NoiseTrace {
         h ^= (sender as u64) << 40 | (receiver as u64) << 8 | copy as u64;
         h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        StdRng::seed_from_u64(h ^ (h >> 31))
+        h ^ (h >> 31)
     }
 
     /// Corrupts one frame's wire bytes in place, returning the number of
@@ -514,17 +547,12 @@ impl NoiseTrace {
             // deterministic on all substrates by construction.
             return script.apply(round, sender, receiver, data);
         }
-        let mut rng = self.frame_rng(round, sender, receiver, copy);
+        let mut rng = StdRng::seed_from_u64(self.frame_seed(round, sender, receiver, copy));
         let channel = self.channel_at(round);
         if self.shared_regime {
             // The round's regime is global; within the round each link
             // flips bits independently at the regime's BER.
-            let ber = if self.regime_at(round) {
-                channel.ber_bad
-            } else {
-                channel.ber_good
-            };
-            return BitNoise::new(ber).apply(data, &mut rng);
+            return BitNoise::new(self.regime_ber(round, &channel)).apply(data, &mut rng);
         }
         let mut channel = channel;
         // Start each frame from the phase's stationary distribution so
@@ -533,12 +561,184 @@ impl NoiseTrace {
         channel.reset(stationary > 0.0 && rng.gen_bool(stationary));
         channel.apply(data, &mut rng)
     }
+
+    /// The form `round`'s channel takes when its frames can run in
+    /// lockstep lanes: every lane draws the same words per bit whatever
+    /// its state. `None` for a scripted trace and for any chain whose
+    /// draw count per bit depends on its state.
+    fn shape_at(&self, round: u64) -> Option<Shape> {
+        if self.script.is_some() {
+            return None;
+        }
+        let channel = self.channel_at(round);
+        if self.shared_regime {
+            let flip = Chance::new(self.regime_ber(round, &channel));
+            return Some(Shape::Flat { skip: false, flip });
+        }
+        let [enter, exit, good, bad] = [
+            channel.p_enter_burst,
+            channel.p_exit_burst,
+            channel.ber_good,
+            channel.ber_bad,
+        ]
+        .map(Chance::new);
+        if !enter.is_live() {
+            // Starts good without a draw and never leaves.
+            Some(Shape::Flat {
+                skip: false,
+                flip: good,
+            })
+        } else if !exit.is_live() {
+            // The stationary fraction is exactly 1: one word draws a
+            // start in the bad state, which it never leaves.
+            Some(Shape::Flat {
+                skip: true,
+                flip: bad,
+            })
+        } else if good.is_live() && bad.is_live() {
+            let start = Chance::new(channel.stationary_burst_fraction());
+            Some(Shape::Chain {
+                start,
+                enter,
+                exit,
+                good,
+                bad,
+            })
+        } else {
+            None
+        }
+    }
+
+    /// Whether [`NoiseTrace::flip_masks`] runs `round`'s frames in
+    /// lockstep lanes on this CPU — when it does not, it is only
+    /// [`NoiseTrace::corrupt_frame`] per receiver.
+    pub fn lockstep_at(&self, round: u64) -> bool {
+        NoiseTrace::lanes() > 1 && self.shape_at(round).is_some()
+    }
+
+    /// How many frames the kernel [`NoiseTrace::flip_masks`] selects on
+    /// this CPU draws per step: 8 under AVX-512F, 1 on the scalar path.
+    pub fn lanes() -> usize {
+        if noise_lanes::avx512() {
+            noise_lanes::LANES
+        } else {
+            1
+        }
+    }
+
+    /// The flip patterns of one sender's frames in one round and copy,
+    /// one per receiver in `receivers`: `masks` holds a `len`-byte mask
+    /// per receiver, back to back (so `masks.len()` is
+    /// `receivers.len() × len`), and `flips` one flip count per
+    /// receiver. Each mask is exactly what
+    /// [`NoiseTrace::corrupt_frame`] XORs into a `len`-byte frame with
+    /// those coordinates — a pattern depends on the coordinates and the
+    /// length, never on the bytes — and each count is what it returns.
+    ///
+    /// Where [`NoiseTrace::lockstep_at`] holds, eight receivers' streams
+    /// advance together in the lanes of one AVX-512 register. Every
+    /// other round — a chain whose draws per bit depend on its state, a
+    /// scripted trace, a CPU without AVX-512F — is `corrupt_frame` on a
+    /// zeroed mask per receiver.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flips.len() != receivers.len()` or `masks.len()` is
+    /// not a multiple of it.
+    pub fn flip_masks(
+        &self,
+        round: u64,
+        sender: u32,
+        copy: u8,
+        receivers: &[u32],
+        masks: &mut [u8],
+        flips: &mut [usize],
+    ) {
+        assert_eq!(flips.len(), receivers.len(), "one flip count per receiver");
+        #[cfg(target_arch = "x86_64")]
+        if let Some(shape) = self.shape_at(round).filter(|_| noise_lanes::avx512()) {
+            return self.flip_masks_avx512(shape, round, sender, copy, receivers, masks, flips);
+        }
+        self.flip_masks_scalar(round, sender, copy, receivers, masks, flips);
+    }
+
+    /// The per-frame batch: `corrupt_frame` on a zeroed mask per
+    /// receiver. What runs where lanes cannot, and the lanes' oracle.
+    fn flip_masks_scalar(
+        &self,
+        round: u64,
+        sender: u32,
+        copy: u8,
+        receivers: &[u32],
+        masks: &mut [u8],
+        flips: &mut [usize],
+    ) {
+        let len = mask_len(receivers, masks);
+        masks.fill(0);
+        for (i, (&receiver, flips)) in receivers.iter().zip(flips).enumerate() {
+            let mask = &mut masks[i * len..][..len];
+            *flips = self.corrupt_frame(round, sender, receiver, copy, mask);
+        }
+    }
+
+    /// The lockstep batch: eight receivers per AVX-512 register.
+    #[cfg(target_arch = "x86_64")]
+    #[allow(clippy::too_many_arguments)]
+    fn flip_masks_avx512(
+        &self,
+        shape: Shape,
+        round: u64,
+        sender: u32,
+        copy: u8,
+        receivers: &[u32],
+        masks: &mut [u8],
+        flips: &mut [usize],
+    ) {
+        assert!(noise_lanes::avx512(), "the lanes need AVX-512F");
+        let len = mask_len(receivers, masks);
+        masks.fill(0);
+        flips.fill(0);
+        if len == 0 {
+            return;
+        }
+        let lanes = noise_lanes::LANES;
+        let blocks = receivers
+            .chunks(lanes)
+            .zip(masks.chunks_mut(lanes * len))
+            .zip(flips.chunks_mut(lanes));
+        for ((receivers, masks), flips) in blocks {
+            let mut states = [[0; 4]; noise_lanes::LANES];
+            for (state, &receiver) in states.iter_mut().zip(receivers) {
+                let seed = self.frame_seed(round, sender, receiver, copy);
+                *state = noise_lanes::seeded_state(seed);
+            }
+            let states = &states[..receivers.len()];
+            // SAFETY: AVX-512F support was verified above, through
+            // `is_x86_feature_detected!`; it is the one feature
+            // `avx512::fill` is compiled with.
+            unsafe { noise_lanes::avx512::fill(shape, states, len, masks, flips) };
+        }
+    }
+}
+
+/// The mask length `flip_masks` was handed: `masks` split evenly over
+/// `receivers` (0 when there are none).
+fn mask_len(receivers: &[u32], masks: &[u8]) -> usize {
+    let len = masks.len().checked_div(receivers.len()).unwrap_or(0);
+    assert_eq!(
+        masks.len(),
+        len * receivers.len(),
+        "one equal-length mask per receiver"
+    );
+    len
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::script::LinkFault;
     use proptest::prelude::*;
+    use rand::seq::SliceRandom;
     use rand::RngCore;
 
     /// `GilbertElliott::apply` and `BitNoise::apply` as they stood
@@ -721,40 +921,208 @@ mod tests {
     /// a grid of seeds, rounds, links, copies and the wire lengths its
     /// rungs produce. Computed on the trace as it stood before `apply`
     /// drew ahead of the chain; if it moves, every noisy conformance
-    /// seed and that workload's counts are about to.
+    /// seed and that workload's counts are about to. Folded twice — per
+    /// frame through `corrupt_frame`, then per sender and round through
+    /// `flip_masks` — and both must read the pin.
     #[test]
     fn corrupt_frame_digest_is_pinned() {
-        let mut digest = 0xCBF2_9CE4_8422_2325u64;
-        let mut fold = |byte: u8| digest = (digest ^ u64::from(byte)).wrapping_mul(0x100_0000_01B3);
-        for seed in 1..=4u64 {
-            let trace = NoiseTrace::new(
-                seed,
-                vec![
-                    NoisePhase {
-                        rounds: 6,
-                        channel: GilbertElliott::bursty(),
-                    },
-                    NoisePhase {
-                        rounds: 4,
-                        channel: GilbertElliott::clean(),
-                    },
-                ],
-            );
-            for round in 1..=12u64 {
-                for (sender, receiver) in (0..8u32).flat_map(|s| (0..8u32).map(move |r| (s, r))) {
-                    for copy in 0..=1u8 {
-                        for len in [35usize, 60, 116, 147] {
+        /// `(flips, pattern)` of every link `0..8 → 0..8`, per copy and
+        /// length, for one seed and round.
+        type Patterns = Vec<Vec<Vec<Vec<(usize, Vec<u8>)>>>>;
+        const LENS: [usize; 4] = [35, 60, 116, 147];
+        const PROCESSES: [u32; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
+        let per_frame = |trace: &NoiseTrace, round| -> Patterns {
+            let senders = PROCESSES.map(|sender| {
+                let links = PROCESSES.map(|receiver| {
+                    let copies = (0..=1u8).map(|copy| {
+                        let lens = LENS.map(|len| {
                             let mut frame = vec![0u8; len];
                             let flips =
                                 trace.corrupt_frame(round, sender, receiver, copy, &mut frame);
-                            (flips as u32).to_le_bytes().into_iter().for_each(&mut fold);
-                            frame.into_iter().for_each(&mut fold);
+                            (flips, frame)
+                        });
+                        lens.to_vec()
+                    });
+                    copies.collect()
+                });
+                links.to_vec()
+            });
+            senders.to_vec()
+        };
+        let batched = |trace: &NoiseTrace, round| -> Patterns {
+            let mut patterns = vec![vec![vec![Vec::new(); 2]; 8]; 8];
+            for sender in 0..8u32 {
+                for copy in 0..=1u8 {
+                    for len in LENS {
+                        let (mut masks, mut flips) = (vec![0xA5; 8 * len], vec![9; 8]);
+                        trace.flip_masks(round, sender, copy, &PROCESSES, &mut masks, &mut flips);
+                        for (receiver, mask) in masks.chunks(len).enumerate() {
+                            let at = &mut patterns[sender as usize][receiver][copy as usize];
+                            at.push((flips[receiver], mask.to_vec()));
                         }
                     }
                 }
             }
+            patterns
+        };
+        let paths: [fn(&NoiseTrace, u64) -> Patterns; 2] = [per_frame, batched];
+        for patterns in paths {
+            let mut digest = 0xCBF2_9CE4_8422_2325u64;
+            let mut fold =
+                |byte: u8| digest = (digest ^ u64::from(byte)).wrapping_mul(0x100_0000_01B3);
+            for seed in 1..=4u64 {
+                let trace = NoiseTrace::new(
+                    seed,
+                    vec![
+                        NoisePhase {
+                            rounds: 6,
+                            channel: GilbertElliott::bursty(),
+                        },
+                        NoisePhase {
+                            rounds: 4,
+                            channel: GilbertElliott::clean(),
+                        },
+                    ],
+                );
+                for round in 1..=12u64 {
+                    for (flips, frame) in patterns(&trace, round)
+                        .into_iter()
+                        .flatten()
+                        .flatten()
+                        .flatten()
+                    {
+                        (flips as u32).to_le_bytes().into_iter().for_each(&mut fold);
+                        frame.into_iter().for_each(&mut fold);
+                    }
+                }
+            }
+            assert_eq!(digest, 0x2E48_F240_0F4F_38C0, "the flip stream moved");
         }
-        assert_eq!(digest, 0x2E48_F240_0F4F_38C0, "the flip stream moved");
+    }
+
+    /// Chances where a lane's compare and the scalar chain could part
+    /// ways, and where the chain's draw schedule changes shape.
+    const CHANCES: [f64; 5] = [0.0, 1e-17, 0.006, 0.5, 1.0];
+
+    /// A trace `pick` describes: a preset, a scripted trace, or one to
+    /// three phases of a chain with every chance drawn from
+    /// [`CHANCES`], per link or under a shared regime.
+    fn trace_for(pick: &mut StdRng) -> NoiseTrace {
+        let seed = pick.next_u64();
+        let presets = [
+            NoiseTrace::clean,
+            NoiseTrace::bursty,
+            NoiseTrace::fully_defective,
+            NoiseTrace::oscillating,
+            NoiseTrace::correlated_bursts,
+            NoiseTrace::correlated_bursts_moderate,
+        ];
+        match pick.gen_range(0..10usize) {
+            i @ 0..=5 => presets[i](seed),
+            6 => {
+                let script = (1..=6u64).fold(FaultScript::new(), |script, round| {
+                    let fault = [
+                        LinkFault::Omit,
+                        LinkFault::MuteAdvert,
+                        LinkFault::CorruptAll,
+                    ];
+                    let (sender, receiver) = (pick.gen_range(0..4u32), pick.gen_range(0..70u32));
+                    script.with(round, sender, receiver, fault[round as usize % 3])
+                });
+                NoiseTrace::scripted(script)
+            }
+            shared => {
+                let mut chance = || CHANCES[pick.gen_range(0..CHANCES.len())];
+                let phases = (0..1 + seed % 3)
+                    .map(|_| NoisePhase {
+                        rounds: 1 + seed % 4,
+                        channel: GilbertElliott::new(chance(), chance(), chance(), chance()),
+                    })
+                    .collect();
+                let trace = NoiseTrace::new(seed, phases);
+                if shared == 9 {
+                    trace.with_shared_regime()
+                } else {
+                    trace
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 384 })]
+
+        /// Both batch kernels, called directly, and the dispatching
+        /// entry equal per-frame `corrupt_frame` on a zeroed frame: the
+        /// mask and the flip count of every receiver.
+        #[test]
+        fn flip_masks_equal_per_frame_corruption(pick in any::<u64>()) {
+            let mut pick = StdRng::seed_from_u64(pick);
+            let trace = trace_for(&mut pick);
+            let sender = pick.gen_range(0..4u32);
+            let mut receivers: Vec<u32> = (0..70).filter(|&r| r != sender).collect();
+            receivers.shuffle(&mut pick);
+            receivers.truncate(pick.gen_range(1..=20usize));
+            let len = [1, 63, 64, 65, pick.gen_range(0..=300usize)][pick.gen_range(0..5usize)];
+            let copy = pick.gen_range(0..=3u8);
+            let round = pick.gen_range(1..=64u64);
+
+            let mut want = vec![0u8; receivers.len() * len];
+            let want_flips: Vec<usize> = receivers
+                .iter()
+                .zip(want.chunks_mut(len.max(1)))
+                .map(|(&receiver, frame)| trace.corrupt_frame(round, sender, receiver, copy, frame))
+                .collect();
+            let shape = trace.shape_at(round);
+            let fresh = || (vec![0x5A; want.len()], vec![7; receivers.len()]);
+            let mut got = Vec::new();
+            let (mut masks, mut flips) = fresh();
+            trace.flip_masks(round, sender, copy, &receivers, &mut masks, &mut flips);
+            got.push(("flip_masks", masks, flips));
+            let (mut masks, mut flips) = fresh();
+            trace.flip_masks_scalar(round, sender, copy, &receivers, &mut masks, &mut flips);
+            got.push(("scalar", masks, flips));
+            #[cfg(target_arch = "x86_64")]
+            if let Some(shape) = shape.filter(|_| noise_lanes::avx512()) {
+                let (mut masks, mut flips) = fresh();
+                trace.flip_masks_avx512(shape, round, sender, copy, &receivers, &mut masks, &mut flips);
+                got.push(("avx512", masks, flips));
+            }
+            for (kernel, masks, flips) in got {
+                prop_assert_eq!(&masks, &want, "{} masks, shape {:?}", kernel, shape);
+                prop_assert_eq!(&flips, &want_flips, "{} flips, shape {:?}", kernel, shape);
+            }
+        }
+    }
+
+    /// Every preset's rounds run in lanes; a scripted trace and a chain
+    /// whose draws per bit depend on its state do not.
+    #[test]
+    fn lockstep_shapes_cover_the_presets() {
+        let presets = [
+            NoiseTrace::clean(1),
+            NoiseTrace::bursty(1),
+            NoiseTrace::fully_defective(1),
+            NoiseTrace::oscillating(1),
+            NoiseTrace::correlated_bursts(1),
+            NoiseTrace::correlated_bursts_moderate(1),
+        ];
+        for trace in &presets {
+            assert!(
+                (1..=60).all(|round| trace.shape_at(round).is_some()),
+                "{trace:?}"
+            );
+        }
+        assert!(NoiseTrace::scripted(FaultScript::new())
+            .shape_at(1)
+            .is_none());
+        let uneven = |channel| NoiseTrace::new(1, vec![NoisePhase { rounds: 1, channel }]);
+        assert!(uneven(GilbertElliott::new(0.1, 0.2, 0.0, 0.5))
+            .shape_at(1)
+            .is_none());
+        assert!(uneven(GilbertElliott::new(0.1, 0.2, 0.3, 0.0))
+            .shape_at(1)
+            .is_none());
     }
 
     #[test]

@@ -72,6 +72,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(rust_2018_idioms)]
 
 mod adaptive;
@@ -87,6 +88,7 @@ mod interleave;
 mod measure;
 pub mod mesh;
 mod noise;
+mod noise_lanes;
 mod oblivious;
 mod repetition;
 mod script;

@@ -15,7 +15,7 @@ use rand::{Rng, RngCore};
 /// `m < ⌈p · 2⁵³⌉` — the same word drawn, the same answer. A zero
 /// probability draws nothing, which is the rule every noise model here
 /// keeps so that disabled transitions leave the stream alone.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct Chance(u64);
 
 impl Chance {
@@ -30,6 +30,11 @@ impl Chance {
     /// `false` for a zero probability, which never draws.
     pub(crate) fn is_live(self) -> bool {
         self.0 != 0
+    }
+
+    /// The 53-bit draws below which the chance hits.
+    pub(crate) fn threshold(self) -> u64 {
+        self.0
     }
 
     /// What a draw that produced `word` answers.

