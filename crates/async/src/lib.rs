@@ -2,12 +2,12 @@
 //!
 //! The third deployment substrate: HO algorithms as **lockstep
 //! processes** on one thread, exchanging coded wire frames through
-//! in-memory mailboxes.
+//! in-memory arenas.
 //!
 //! Where the threaded runtime (`heardof-net`) aligns rounds with
 //! wall-clock timeouts, this substrate runs the round as a plain loop
 //! (`heardof_net::Lockstep`): every engine sends, then every engine
-//! drains its mailbox, then every engine transitions. Every round's
+//! drains its arena, then every engine transitions. Every round's
 //! sends land before any receiver reads, so rounds are
 //! communication-closed by construction and runs are **fully
 //! deterministic** — no scheduling jitter, no timeout tuning,
@@ -16,9 +16,9 @@
 //!
 //! * the per-process state machine is `heardof_engine::RoundEngine`
 //!   (algorithm step, adaptive framing, tagged encode/decode),
-//! * the fault model is `heardof_net::FaultyLink` delivering into the
-//!   mailboxes through the `FrameSink` trait — same RNG streams, same
-//!   seeded [`NoiseTrace`](heardof_coding::NoiseTrace) corruption,
+//! * the fault model is the one behind `heardof_net::FaultyLink`,
+//!   appending into the stepper's arenas in place — same RNG streams,
+//!   same seeded [`NoiseTrace`](heardof_coding::NoiseTrace) corruption,
 //! * the outcome is the engine-standard `SubstrateOutcome`.
 //!
 //! The cross-substrate conformance harness (`heardof::conformance`) is

@@ -2,17 +2,20 @@
 //!
 //! `n` round engines — [`RoundEngine`]s or [`MuxRoundEngine`]s, the
 //! loop is the same — run in lockstep on the calling thread, with the
-//! same coded, tagged wire format and the same byte-corrupting
-//! [`FaultyLink`]s as the threaded runtime. A frame's bytes are
-//! borrowed from the sender's engine through the link into the
-//! receiver's mailbox arena, and borrowed again from there into
-//! `ingest`: nothing is allocated per frame. Where the threaded runtime
-//! closes a round on a wall-clock timeout, here the round is the plain
-//! loop of [`Lockstep::round`]:
+//! same coded, tagged wire format and the same byte-corrupting fault
+//! model as the threaded runtime's [`FaultyLink`]s, minus their sinks.
+//! A frame's bytes are borrowed from the sender's engine through the
+//! link's fault model into the receiver's arena — which the stepper
+//! owns, so no boxed sink, shared pointer or lock sits in between —
+//! and borrowed again from there into `ingest`: nothing is allocated
+//! per frame, and the per-run wiring is one arena per receiver and one
+//! fault model per link. Where the threaded runtime closes a round on
+//! a wall-clock timeout, here the round is the plain loop of
+//! [`Lockstep::round`]:
 //!
 //! 1. every engine, in process order, emits its coded frames through
-//!    its faulty links,
-//! 2. every engine drains its mailbox into
+//!    its links' fault models,
+//! 2. every engine drains its arena into
 //!    [`RoundMachine::ingest_from`](heardof_engine::RoundMachine::ingest_from),
 //! 3. every engine finishes the round (transition + renegotiation).
 //!

@@ -1,9 +1,8 @@
 //! What a whole `run_async` costs the heap — counted, not timed.
 //!
 //! A frame crosses this substrate borrowed: from the engine's wire
-//! arena through [`FaultyLink::send_bytes`](heardof_net::FaultyLink)
-//! into the receiver's mailbox arena, and from there as a slice into
-//! `ingest`. So a run's allocation bill is per *run* (wiring) and per
+//! arena through its link's fault model into the receiver's arena,
+//! which the stepper owns, and from there as a slice into `ingest`. So a run's allocation bill is per *run* (wiring) and per
 //! *round* (bookkeeping), never per *frame* — proved differentially,
 //! like `heardof-engine`'s `steady_alloc`: ten more lockstep rounds
 //! cost the same number of allocations whether each round moves one
@@ -79,10 +78,11 @@ fn a_run_allocates_per_run_and_per_round_never_per_frame() {
 
     let clean_single = run_allocs(16, 2, 1);
     assert!(
-        clean_single <= 814,
-        "a clean two-round n = 16 run allocated {clean_single} times (cap 814; 1 670 before \
+        clean_single <= 420,
+        "a clean two-round n = 16 run allocated {clean_single} times (cap 420; 1 670 before \
          the links shared one wiring block and frames crossed borrowed, 967 before the \
          outcome's heard-of sets held their word inline, 903 before the round became a \
-         lockstep loop without task futures and wakers)"
+         lockstep loop without task futures and wakers, 798 before the stepper owned its \
+         receivers' arenas and each engine's kept log became one allocation a round)"
     );
 }

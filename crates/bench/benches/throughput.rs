@@ -1,7 +1,7 @@
 //! Criterion: the hot-path kernels of the zero-copy frame pipeline vs.
 //! their scalar / copying baselines.
 //!
-//! Nine gated measurements share one committed artifact
+//! Ten gated measurements share one committed artifact
 //! (`BENCH_throughput.json`, `heardof-bench-report/v1` schema, read by
 //! the CI regression gate):
 //!
@@ -29,8 +29,12 @@
 //!    `run_async` at n = 16 on CRC-32 (the repository benchmark's
 //!    `clean-single` shape): wiring is per run and frames cross
 //!    borrowed, the outcome's heard-of sets hold their word inline,
-//!    and the round is a plain lockstep loop (no task futures, no
-//!    wakers); claim: **≤ 814 allocations per run**.
+//!    the round is a plain lockstep loop (no task futures, no wakers)
+//!    and the stepper owns its receivers' arenas (no boxed sink, no
+//!    lock); claim: **≤ 420 allocations per run**. Ten more lockstep
+//!    rounds at n = 8 cost what they cost at three copies per frame;
+//!    claim: **≤ 120 allocations** (one kept log per engine per round,
+//!    and the run's per-round history).
 //! 7. **The frame sizes the system sends** — a single-instance frame
 //!    body is 29 bytes = 58 SECDED blocks, *under* one 64-lane batch,
 //!    and its depth-16 codeword is a 16 × 29 bit matrix no tile
@@ -57,9 +61,9 @@ use heardof_async::{run_async, AsyncConfig};
 use heardof_bench::report::BenchReport;
 use heardof_coding::bitslice::{self, LANES};
 use heardof_coding::{
-    deinterleave_bits, deinterleave_bits_scalar, interleave_bits, interleave_bits_scalar,
-    pack_slots_into, patch_slots, unpack_slots_view, AdaptiveConfig, ChannelCode, CodeBook,
-    CodeSpec, GilbertElliott, Hamming74, NoisePhase, NoiseTrace, RungAdvert, SymbolBudget,
+    deinterleave_bits, interleave_bits, pack_slots_into, patch_slots, unpack_slots_view,
+    AdaptiveConfig, ChannelCode, CodeBook, CodeError, CodeSpec, GilbertElliott, Hamming74,
+    NoisePhase, NoiseTrace, RungAdvert, SymbolBudget,
 };
 use heardof_core::{Ate, AteParams};
 use heardof_engine::{
@@ -130,16 +134,147 @@ fn fold(nibbles: &[u8; LANES], repaired: u64, detected: u64) -> u64 {
         .fold(repaired.wrapping_add(detected), u64::wrapping_add)
 }
 
+// ---------------------------------------------------------------------
+// The scalar baselines: SECDED a block at a time and the interleave a
+// bit at a time, as the coding crate's test-only oracles compute them.
+// ---------------------------------------------------------------------
+
+/// Data bit positions within a SECDED block, in nibble-bit order
+/// (nibble bit 0 → position 3, 1 → 5, 2 → 6, 3 → 7).
+const DATA_POSITIONS: [u8; 4] = [3, 5, 6, 7];
+
+/// One nibble's extended Hamming(8,4) block: data bits at
+/// [`DATA_POSITIONS`], parities `p_k` at positions 1, 2 and 4, and an
+/// overall even-parity bit at position 0.
+fn encode_nibble(nibble: u8) -> u8 {
+    debug_assert!(nibble < 16);
+    let mut block = 0u8;
+    for (i, &pos) in DATA_POSITIONS.iter().enumerate() {
+        if nibble & (1 << i) != 0 {
+            block |= 1 << pos;
+        }
+    }
+    for p in [1u8, 2, 4] {
+        let parity = (3..8u8)
+            .filter(|&pos| pos & p != 0 && block & (1 << pos) != 0)
+            .count();
+        if parity % 2 == 1 {
+            block |= 1 << p;
+        }
+    }
+    if block.count_ones() % 2 == 1 {
+        block |= 1;
+    }
+    block
+}
+
+fn extract_nibble(block: u8) -> u8 {
+    DATA_POSITIONS
+        .iter()
+        .enumerate()
+        .filter(|&(_, &pos)| block & (1 << pos) != 0)
+        .map(|(i, _)| 1u8 << i)
+        .sum()
+}
+
+/// One SECDED block decoded: `Ok((nibble, repaired))` after correcting
+/// at most one flipped bit, `Err` on a detected double error.
+fn decode_block(mut block: u8) -> Result<(u8, bool), CodeError> {
+    let syndrome = (1..8u8)
+        .filter(|&pos| block & (1 << pos) != 0)
+        .fold(0u8, |s, pos| s ^ pos);
+    let parity_ok = block.count_ones().is_multiple_of(2);
+    let repaired = match (syndrome, parity_ok) {
+        (0, true) => false,
+        (0, false) => true,
+        (s, false) => {
+            block ^= 1 << s;
+            true
+        }
+        (_, true) => return Err(CodeError::Detected),
+    };
+    Ok((extract_nibble(block), repaired))
+}
+
+/// 64 nibbles through [`encode_nibble`]. Never inlined, so the pass
+/// measures the loop it names.
+#[inline(never)]
+fn encode_scalar(nibbles: &[u8; LANES]) -> [u8; LANES] {
+    let mut blocks = [0u8; LANES];
+    for (block, &nib) in blocks.iter_mut().zip(nibbles) {
+        *block = encode_nibble(nib & 0x0F);
+    }
+    blocks
+}
+
+/// 64 blocks through [`decode_block`], with the `(nibbles, repaired,
+/// detected)` masks of [`bitslice::decode64`].
+#[inline(never)]
+fn decode_scalar(blocks: &[u8; LANES]) -> ([u8; LANES], u64, u64) {
+    let (mut nibbles, mut repaired, mut detected) = ([0u8; LANES], 0u64, 0u64);
+    for (i, &block) in blocks.iter().enumerate() {
+        match decode_block(block) {
+            Ok((nib, rep)) => {
+                nibbles[i] = nib;
+                repaired |= u64::from(rep) << i;
+            }
+            Err(CodeError::Malformed) => unreachable!("block decode never reports Malformed"),
+            Err(CodeError::Detected) => detected |= 1 << i,
+        }
+    }
+    (nibbles, repaired, detected)
+}
+
+/// The depth-`depth` stripe permutation a bit at a time: bits written
+/// row-major into a `depth × ⌈bits/depth⌉` matrix and read
+/// column-major, skipping the missing cells of the last row
+/// (`forward`), or the inverse.
+fn permute_scalar(data: &[u8], depth: usize, forward: bool) -> Vec<u8> {
+    let n = data.len() * 8;
+    if depth <= 1 || n == 0 {
+        return data.to_vec();
+    }
+    let mut out = vec![0u8; data.len()];
+    let cols = n.div_ceil(depth);
+    let mut k = 0;
+    for col in 0..cols {
+        for row in 0..depth {
+            let w = row * cols + col;
+            if w >= n {
+                continue;
+            }
+            let (src, dst) = if forward { (w, k) } else { (k, w) };
+            if data[src / 8] & (1 << (src % 8)) != 0 {
+                out[dst / 8] |= 1 << (dst % 8);
+            }
+            k += 1;
+        }
+    }
+    out
+}
+
+/// The bit-at-a-time interleave (codeword order → wire order).
+#[inline(never)]
+fn interleave_bits_scalar(data: &[u8], depth: usize) -> Vec<u8> {
+    permute_scalar(data, depth, true)
+}
+
+/// The bit-at-a-time deinterleave (wire order → codeword order).
+#[inline(never)]
+fn deinterleave_bits_scalar(data: &[u8], depth: usize) -> Vec<u8> {
+    permute_scalar(data, depth, false)
+}
+
 /// One full scalar pass: encode, deterministic single-bit noise on
 /// every eighth lane, decode, fold.
 fn scalar_pass(inputs: &[[u8; LANES]]) -> u64 {
     let mut acc = 0u64;
     for (b, nibbles) in inputs.iter().enumerate() {
-        let mut blocks = bitslice::encode_scalar(nibbles);
+        let mut blocks = encode_scalar(nibbles);
         for lane in (0..LANES).step_by(8) {
             blocks[lane] ^= 1 << ((b + lane) % 8);
         }
-        let (nibbles, repaired, detected) = bitslice::decode_scalar(&blocks);
+        let (nibbles, repaired, detected) = decode_scalar(&blocks);
         acc = acc.wrapping_add(fold(&nibbles, repaired, detected));
     }
     acc
@@ -292,9 +427,9 @@ fn small_frame_scalar_pass(bodies: &[[u8; BODY_BYTES]]) -> u64 {
             pair[0] = byte & 0x0F;
             pair[1] = byte >> 4;
         }
-        let mut blocks = bitslice::encode_scalar(&nibbles);
+        let mut blocks = encode_scalar(&nibbles);
         small_frame_noise(&mut blocks[..CODEWORD_BYTES], b);
-        let (nibbles, repaired, detected) = bitslice::decode_scalar(&blocks);
+        let (nibbles, repaired, detected) = decode_scalar(&blocks);
         assert_eq!(detected, 0, "single-bit noise is repaired");
         let decoded: Vec<u8> = nibbles[..CODEWORD_BYTES]
             .chunks_exact(2)
@@ -549,26 +684,33 @@ fn fountain_image_allocs() -> u64 {
     measured
 }
 
-/// Allocation events of one clean lockstep two-round `run_async` at
-/// n = 16 under the default CRC-32 code, after one unmetered run has
-/// built the process-wide tables; inputs are built outside the count.
-fn async_run_allocs_n16() -> u64 {
-    let n = 16;
+/// Allocation events of one clean lockstep `run_async` of exactly
+/// `rounds` rounds at `n` processes under the default CRC-32 code,
+/// after one unmetered run has built the process-wide tables; inputs
+/// are built outside the count.
+fn run_async_allocs(n: usize, rounds: u64, copies: u8) -> u64 {
     let mut measured = 0;
     for _ in 0..2 {
         let algo: Ate<u64> = Ate::new(AteParams::balanced(n, 0).unwrap());
         let initial: Vec<u64> = (0..n as u64).map(|i| i % 2).collect();
         let config = AsyncConfig {
-            max_rounds: 2,
+            copies,
+            max_rounds: rounds,
             lockstep: true,
             ..AsyncConfig::default()
         };
         let start = allocs();
         let outcome = run_async(algo, n, initial, config);
         measured = allocs() - start;
-        assert_eq!(outcome.rounds_completed, vec![2; n]);
+        assert_eq!(outcome.rounds_completed, vec![rounds; n]);
     }
     measured
+}
+
+/// What ten more lockstep rounds cost at n = 8 — a 20-round run's bill
+/// minus a 10-round run's — at `copies` copies per frame.
+fn ten_more_rounds_allocs_n8(copies: u8) -> u64 {
+    run_async_allocs(8, 20, copies) - run_async_allocs(8, 10, copies)
 }
 
 // ---------------------------------------------------------------------
@@ -766,7 +908,9 @@ fn throughput(c: &mut Criterion) {
     let heavy = run_and_count(1, CodeSpec::Interleaved { depth: 16 }, 4, heavy_rounds);
     let heavy_per_round = heavy / heavy_rounds;
     let fountain_image_allocs = fountain_image_allocs();
-    let async_run_allocs_n16 = async_run_allocs_n16();
+    let async_run_allocs_n16 = run_async_allocs(16, 2, 1);
+    let lockstep_ten_rounds_allocs_n8 = ten_more_rounds_allocs_n8(1);
+    let ten_rounds_per_frame = lockstep_ten_rounds_allocs_n8.abs_diff(ten_more_rounds_allocs_n8(3));
     let interleaved_decode_allocs = interleaved_decode_allocs();
 
     let mut report = BenchReport::new(
@@ -775,8 +919,9 @@ fn throughput(c: &mut Criterion) {
             "Hamming(8,4) SECDED round trip ({BATCHES} batches x {LANES} lanes), \
              depth-{PERMUTE_DEPTH} interleave permute ({PERMUTE_BYTES}-byte codewords), \
              {MUX_SLOTS}-slot self-checking mux image x{MUX_COPIES} copy fan-out ({MUX_ROUNDS} rounds), \
-             counted allocations over full engine rounds, one 64-slot fountain image round trip \
-             and one clean two-round n = 16 async run; a {BODY_BYTES}-byte frame body through \
+             counted allocations over full engine rounds, one 64-slot fountain image round trip, \
+             one clean two-round n = 16 async run and ten more lockstep rounds at n = 8; \
+             a {BODY_BYTES}-byte frame body through \
              Hamming74 and its {CODEWORD_BYTES}-byte codeword through the depth-{PERMUTE_DEPTH} \
              permute ({BATCHES} frames each), one Interleaved{{16}} decode of the tagged frame; \
              trace noise on {NOISE_FRAME_BYTES}-byte bursty and calm frames from one sender to its \
@@ -800,6 +945,10 @@ fn throughput(c: &mut Criterion) {
         .metric_count("heavy_rung_allocs_per_round", heavy_per_round)
         .metric_count("fountain_image_allocs", fountain_image_allocs)
         .metric_count("async_run_allocs_n16", async_run_allocs_n16)
+        .metric_count(
+            "lockstep_ten_rounds_allocs_n8",
+            lockstep_ten_rounds_allocs_n8,
+        )
         .metric_ns("secded_small_frame_scalar", small_scalar)
         .metric_ns("secded_small_frame", small_production)
         .metric_ratio("secded_small_frame_speedup", small_frame_speedup)
@@ -835,8 +984,12 @@ fn throughput(c: &mut Criterion) {
             fountain_image_allocs <= 8,
         )
         .claim(
-            "<= 814 allocations per clean two-round n = 16 run",
-            async_run_allocs_n16 <= 814,
+            "<= 420 allocations per clean two-round n = 16 run",
+            async_run_allocs_n16 <= 420,
+        )
+        .claim(
+            "<= 120 allocations per ten more lockstep rounds at n = 8, none per frame",
+            lockstep_ten_rounds_allocs_n8 <= 120 && ten_rounds_per_frame == 0,
         )
         .claim(
             "Hamming74 >= 2x scalar on a 29-byte body",
@@ -872,7 +1025,7 @@ fn throughput(c: &mut Criterion) {
          batched {calm_batched:?}  ratio {calm_ratio:.2}x"
     );
     println!(
-        "steady allocs: frame-differential {frame_steady_allocs}  heavy rung {heavy_per_round}/round  fountain image {fountain_image_allocs}  async run n16 {async_run_allocs_n16}  -> {path}"
+        "steady allocs: frame-differential {frame_steady_allocs}  heavy rung {heavy_per_round}/round  fountain image {fountain_image_allocs}  async run n16 {async_run_allocs_n16}  ten lockstep rounds n8 {lockstep_ten_rounds_allocs_n8}  -> {path}"
     );
 
     // Last: on a host that runs the AVX-512 lanes, the kernels measured

@@ -18,9 +18,9 @@
 //! * [`crate::Hamming74`] runs every block through [`encode64`] /
 //!   [`decode64`], the last batch of a payload zero-padded — a frame
 //!   shorter than one batch takes the same path as a long image.
-//!   [`encode_scalar`] and [`decode_scalar`] expose the
-//!   nibble-at-a-time path as the oracle for differential tests and
-//!   the throughput benchmark; nothing in production calls it.
+//!   The nibble-at-a-time path is a test-only oracle here
+//!   (`encode_scalar`, `decode_scalar`); the throughput benchmark and
+//!   the small-frame tests keep their own copies.
 //! * [`crate::Interleaved`] uses [`transpose_bits`] to apply its stripe
 //!   permutation. A matrix with a byte-aligned side (every interleaved
 //!   SECDED codeword) moves words on its ragged side and goes through
@@ -28,14 +28,14 @@
 //!   a bit-row at a time.
 //! * [`crate::Repetition`] votes word-wide on its own (plain `u64`
 //!   majority logic needs no transpose), but shares the differential
-//!   discipline: scalar oracles stay public and un-inlined.
+//!   discipline: its bit-at-a-time vote is the oracle for the word-wide
+//!   one.
 //!
 //! Where AVX2 is available the transposes and the SECDED kernels
 //! dispatch to vector implementations; the portable SWAR forms double
 //! as their differential oracles.
 
-use crate::code::CodeError;
-use crate::hamming::{decode_block, encode_nibble, DATA_POSITIONS};
+use crate::hamming::DATA_POSITIONS;
 
 /// Blocks per bitsliced batch: one bit lane per `u64` bit.
 pub const LANES: usize = 64;
@@ -698,9 +698,10 @@ fn decode64_swar(blocks: &[u8; LANES]) -> ([u8; LANES], u64, u64) {
 }
 
 /// The scalar encode oracle: 64 nibbles through the
-/// nibble-at-a-time encoder (differential reference and benchmark
-/// baseline for [`encode64`]).
-pub fn encode_scalar(nibbles: &[u8; LANES]) -> [u8; LANES] {
+/// nibble-at-a-time encoder (differential reference for [`encode64`]).
+#[cfg(test)]
+pub(crate) fn encode_scalar(nibbles: &[u8; LANES]) -> [u8; LANES] {
+    use crate::hamming::encode_nibble;
     let mut blocks = [0u8; LANES];
     for (block, &nib) in blocks.iter_mut().zip(nibbles) {
         *block = encode_nibble(nib & 0x0F);
@@ -711,7 +712,10 @@ pub fn encode_scalar(nibbles: &[u8; LANES]) -> [u8; LANES] {
 /// The scalar decode oracle: 64 blocks through the block-at-a-time
 /// decoder, reporting the same `(nibbles, repaired, detected)`
 /// masks as [`decode64`].
-pub fn decode_scalar(blocks: &[u8; LANES]) -> ([u8; LANES], u64, u64) {
+#[cfg(test)]
+pub(crate) fn decode_scalar(blocks: &[u8; LANES]) -> ([u8; LANES], u64, u64) {
+    use crate::code::CodeError;
+    use crate::hamming::decode_block;
     let (mut nibbles, mut repaired, mut detected) = ([0u8; LANES], 0u64, 0u64);
     for (i, &block) in blocks.iter().enumerate() {
         match decode_block(block) {

@@ -33,10 +33,10 @@
 //! to block `0x00`, and block `0x00` has syndrome 0 and even parity, so
 //! a padding lane can raise neither the repaired nor the detected mask
 //! and the repair count a rejected frame reports is its own. The
-//! block-at-a-time functions below have no production caller; they are
-//! what the differential tests and the throughput benchmark compare the
-//! kernels against ([`bitslice::encode_scalar`],
-//! [`bitslice::decode_scalar`]).
+//! block-at-a-time functions at the end of this file have no production
+//! caller: they exist only for the differential tests that pin the
+//! kernels (the throughput benchmark and the small-frame tests carry
+//! their own copies).
 
 use crate::bitslice;
 use crate::code::{ChannelCode, CodeError, DecodeScan};
@@ -50,61 +50,6 @@ pub struct Hamming74;
 /// Data bit positions within a code byte, in nibble-bit order
 /// (nibble bit 0 → position 3, 1 → 5, 2 → 6, 3 → 7).
 pub(crate) const DATA_POSITIONS: [u8; 4] = [3, 5, 6, 7];
-
-pub(crate) fn encode_nibble(nibble: u8) -> u8 {
-    debug_assert!(nibble < 16);
-    let mut block = 0u8;
-    for (i, &pos) in DATA_POSITIONS.iter().enumerate() {
-        if nibble & (1 << i) != 0 {
-            block |= 1 << pos;
-        }
-    }
-    // Hamming parities: p_k (at position k ∈ {1,2,4}) covers every
-    // position whose index has bit k set.
-    for p in [1u8, 2, 4] {
-        let parity = (3..8u8)
-            .filter(|&pos| pos & p != 0 && block & (1 << pos) != 0)
-            .count();
-        if parity % 2 == 1 {
-            block |= 1 << p;
-        }
-    }
-    // Overall parity (position 0): make the byte even-parity.
-    if block.count_ones() % 2 == 1 {
-        block |= 1;
-    }
-    block
-}
-
-pub(crate) fn extract_nibble(block: u8) -> u8 {
-    DATA_POSITIONS
-        .iter()
-        .enumerate()
-        .filter(|&(_, &pos)| block & (1 << pos) != 0)
-        .map(|(i, _)| 1u8 << i)
-        .sum()
-}
-
-/// Decodes one SECDED block: `Ok((nibble, repaired))` possibly after
-/// correcting a single flipped bit, `Err` on a detected double error.
-/// `repaired` is `true` whenever the block arrived off-codeword — the
-/// noise evidence an adaptive controller feeds on.
-pub(crate) fn decode_block(mut block: u8) -> Result<(u8, bool), CodeError> {
-    let syndrome = (1..8u8)
-        .filter(|&pos| block & (1 << pos) != 0)
-        .fold(0u8, |s, pos| s ^ pos);
-    let parity_ok = block.count_ones().is_multiple_of(2);
-    let repaired = match (syndrome, parity_ok) {
-        (0, true) => false, // clean
-        (0, false) => true, // only the overall parity bit flipped
-        (s, false) => {
-            block ^= 1 << s; // single-bit error: correct it
-            true
-        }
-        (_, true) => return Err(CodeError::Detected), // double error
-    };
-    Ok((extract_nibble(block), repaired))
-}
 
 impl ChannelCode for Hamming74 {
     fn name(&self) -> String {
@@ -160,6 +105,64 @@ impl ChannelCode for Hamming74 {
         }
         DecodeScan::delivered(payload, repairs > 0, repairs)
     }
+}
+
+#[cfg(test)]
+pub(crate) fn encode_nibble(nibble: u8) -> u8 {
+    debug_assert!(nibble < 16);
+    let mut block = 0u8;
+    for (i, &pos) in DATA_POSITIONS.iter().enumerate() {
+        if nibble & (1 << i) != 0 {
+            block |= 1 << pos;
+        }
+    }
+    // Hamming parities: p_k (at position k ∈ {1,2,4}) covers every
+    // position whose index has bit k set.
+    for p in [1u8, 2, 4] {
+        let parity = (3..8u8)
+            .filter(|&pos| pos & p != 0 && block & (1 << pos) != 0)
+            .count();
+        if parity % 2 == 1 {
+            block |= 1 << p;
+        }
+    }
+    // Overall parity (position 0): make the byte even-parity.
+    if block.count_ones() % 2 == 1 {
+        block |= 1;
+    }
+    block
+}
+
+#[cfg(test)]
+pub(crate) fn extract_nibble(block: u8) -> u8 {
+    DATA_POSITIONS
+        .iter()
+        .enumerate()
+        .filter(|&(_, &pos)| block & (1 << pos) != 0)
+        .map(|(i, _)| 1u8 << i)
+        .sum()
+}
+
+/// Decodes one SECDED block: `Ok((nibble, repaired))` possibly after
+/// correcting a single flipped bit, `Err` on a detected double error.
+/// `repaired` is `true` whenever the block arrived off-codeword — the
+/// noise evidence an adaptive controller feeds on.
+#[cfg(test)]
+pub(crate) fn decode_block(mut block: u8) -> Result<(u8, bool), CodeError> {
+    let syndrome = (1..8u8)
+        .filter(|&pos| block & (1 << pos) != 0)
+        .fold(0u8, |s, pos| s ^ pos);
+    let parity_ok = block.count_ones().is_multiple_of(2);
+    let repaired = match (syndrome, parity_ok) {
+        (0, true) => false, // clean
+        (0, false) => true, // only the overall parity bit flipped
+        (s, false) => {
+            block ^= 1 << s; // single-bit error: correct it
+            true
+        }
+        (_, true) => return Err(CodeError::Detected), // double error
+    };
+    Ok((extract_nibble(block), repaired))
 }
 
 #[cfg(test)]

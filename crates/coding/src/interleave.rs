@@ -48,7 +48,7 @@ fn set_bit(data: &mut [u8], idx: usize) {
 /// bit-matrix transpose ([`crate::bitslice::transpose_bits`], which
 /// moves whole words and bytes when `depth` or `cols` is a multiple of
 /// 8 and tiles 8×8 otherwise) instead of one shift-and-mask per bit.
-/// Ragged shapes fall back to [`interleave_bits_scalar`], which
+/// Ragged shapes fall back to the bit-at-a-time permutation, which
 /// differential tests pin the fast path against.
 pub fn interleave_bits(data: &[u8], depth: usize) -> Vec<u8> {
     let mut out = vec![0u8; data.len()];
@@ -81,26 +81,10 @@ fn permute_into(data: &[u8], out: &mut [u8], depth: usize, forward: bool) {
     }
 }
 
-/// The bit-at-a-time interleave: reference semantics for every shape,
-/// fallback for ragged ones, and the differential oracle (and
-/// benchmark baseline) for the tiled fast path. Never inlined so the
-/// benchmark measures the loop it names.
-#[inline(never)]
-pub fn interleave_bits_scalar(data: &[u8], depth: usize) -> Vec<u8> {
-    let mut out = vec![0u8; data.len()];
-    permute_scalar_into(data, &mut out, depth, true);
-    out
-}
-
-/// The bit-at-a-time inverse of [`interleave_bits_scalar`]; same role,
-/// opposite direction.
-#[inline(never)]
-pub fn deinterleave_bits_scalar(data: &[u8], depth: usize) -> Vec<u8> {
-    let mut out = vec![0u8; data.len()];
-    permute_scalar_into(data, &mut out, depth, false);
-    out
-}
-
+/// The bit-at-a-time permutation: reference semantics for every
+/// shape, the fallback for ragged ones, and — through the test module's
+/// `interleave_bits_scalar` / `deinterleave_bits_scalar` — the
+/// differential oracle for the tiled fast path.
 fn permute_scalar_into(data: &[u8], out: &mut [u8], depth: usize, forward: bool) {
     let n = data.len() * 8;
     if depth <= 1 || n == 0 {
@@ -245,6 +229,20 @@ mod tests {
     use super::*;
     use crate::code::FrameOutcome;
     use crate::Hamming74;
+
+    /// The bit-at-a-time interleave.
+    fn interleave_bits_scalar(data: &[u8], depth: usize) -> Vec<u8> {
+        let mut out = vec![0u8; data.len()];
+        permute_scalar_into(data, &mut out, depth, true);
+        out
+    }
+
+    /// The bit-at-a-time inverse of [`interleave_bits_scalar`].
+    fn deinterleave_bits_scalar(data: &[u8], depth: usize) -> Vec<u8> {
+        let mut out = vec![0u8; data.len()];
+        permute_scalar_into(data, &mut out, depth, false);
+        out
+    }
 
     #[test]
     fn permutation_is_a_bijection() {

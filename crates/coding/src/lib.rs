@@ -108,10 +108,7 @@ pub use code::{ChannelCode, CodeError, CodeSpec, DecodeScan, FrameOutcome};
 pub use codebook::{CodeBook, CodeBookError, RungAdvert, TaggedWire, GOSSIP_FLAG};
 pub use fountain::{LtCode, SymbolBudget};
 pub use hamming::Hamming74;
-pub use interleave::{
-    deinterleave_bits, deinterleave_bits_scalar, interleave_bits, interleave_bits_scalar,
-    stripe_offsets, Interleaved,
-};
+pub use interleave::{deinterleave_bits, interleave_bits, stripe_offsets, Interleaved};
 pub use measure::{measure_code, measure_code_exact_flips, MissRates};
 pub use noise::BitNoise;
 pub use oblivious::{

@@ -55,14 +55,14 @@ impl Repetition {
 
     /// The bit-at-a-time majority vote: reference semantics for every
     /// odd `k`, the fallback for `k > 5`, and the differential oracle
-    /// (and benchmark baseline) for the word-wide fast path. Never
-    /// inlined so the benchmark measures the loop it names.
+    /// for the word-wide fast path. Kept out of line, off the fast
+    /// path.
     ///
     /// # Errors
     ///
     /// [`CodeError::Malformed`] unless the wire length divides by `k`.
     #[inline(never)]
-    pub fn decode_repaired_scalar(&self, wire: &[u8]) -> Result<(Vec<u8>, bool), CodeError> {
+    fn decode_repaired_scalar(&self, wire: &[u8]) -> Result<(Vec<u8>, bool), CodeError> {
         if !wire.len().is_multiple_of(self.k) {
             return Err(CodeError::Malformed);
         }

@@ -1,7 +1,9 @@
 //! Small frames by differential property: at every body length a frame
 //! of this system can have — under one 64-lane batch, exactly one, one
 //! and a tail — the production SECDED and interleave paths equal the
-//! block-at-a-time, bit-at-a-time oracle: the same wire bytes out, and
+//! block-at-a-time, bit-at-a-time oracle this file carries (written
+//! from the code's definition, independently of the crate's kernels):
+//! the same wire bytes out, and
 //! from clean, flipped, burst-hit and arbitrary hostile wires the same
 //! body, `repaired` flag, `repairs` count **and** error kind.
 //!
@@ -12,10 +14,8 @@
 //! looks only at the lanes a wire has.
 
 use bytes::{BufMut, BytesMut};
-use heardof_coding::bitslice::{decode_scalar, encode_scalar, LANES};
 use heardof_coding::{
-    deinterleave_bits_scalar, interleave_bits_scalar, stripe_offsets, ChannelCode, CodeBook,
-    CodeError, CodeSpec, Hamming74, Interleaved, RungAdvert,
+    stripe_offsets, ChannelCode, CodeBook, CodeError, CodeSpec, Hamming74, Interleaved, RungAdvert,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -24,42 +24,118 @@ use rand::{Rng, RngCore, SeedableRng};
 /// and the repair count either way.
 type Verdict = (Result<(Vec<u8>, bool), CodeError>, usize);
 
-/// `encode_nibble` per nibble (through [`encode_scalar`], whose lanes
-/// are independent), then the bit-at-a-time interleave.
-fn oracle_encode(body: &[u8], depth: Option<usize>) -> Vec<u8> {
-    let nibbles: Vec<u8> = body.iter().flat_map(|b| [b & 0x0F, b >> 4]).collect();
-    let mut codeword = Vec::with_capacity(nibbles.len());
-    for lanes in nibbles.chunks(LANES) {
-        let mut batch = [0x0Fu8; LANES];
-        batch[..lanes.len()].copy_from_slice(lanes);
-        codeword.extend_from_slice(&encode_scalar(&batch)[..lanes.len()]);
+/// Data bit positions within a SECDED block, in nibble-bit order
+/// (nibble bit 0 → position 3, 1 → 5, 2 → 6, 3 → 7).
+const DATA_POSITIONS: [u8; 4] = [3, 5, 6, 7];
+
+/// One nibble's extended Hamming(8,4) block: data bits at
+/// [`DATA_POSITIONS`], parities `p_k` at positions 1, 2 and 4 over the
+/// positions whose index has bit `k` set, and an overall even-parity
+/// bit at position 0.
+fn encode_nibble(nibble: u8) -> u8 {
+    let mut block = 0u8;
+    for (i, &pos) in DATA_POSITIONS.iter().enumerate() {
+        if nibble & (1 << i) != 0 {
+            block |= 1 << pos;
+        }
     }
+    for p in [1u8, 2, 4] {
+        let parity = (3..8u8)
+            .filter(|&pos| pos & p != 0 && block & (1 << pos) != 0)
+            .count();
+        if parity % 2 == 1 {
+            block |= 1 << p;
+        }
+    }
+    if block.count_ones() % 2 == 1 {
+        block |= 1;
+    }
+    block
+}
+
+/// One SECDED block decoded: `Some((nibble, repaired))` after
+/// correcting at most one flipped bit (`repaired` whenever the block
+/// arrived off-codeword), `None` on a detected double error.
+fn decode_block(mut block: u8) -> Option<(u8, bool)> {
+    let syndrome = (1..8u8)
+        .filter(|&pos| block & (1 << pos) != 0)
+        .fold(0u8, |s, pos| s ^ pos);
+    let repaired = match (syndrome, block.count_ones().is_multiple_of(2)) {
+        (0, true) => false,
+        (0, false) => true,
+        (s, false) => {
+            block ^= 1 << s;
+            true
+        }
+        (_, true) => return None,
+    };
+    let nibble = DATA_POSITIONS
+        .iter()
+        .enumerate()
+        .filter(|&(_, &pos)| block & (1 << pos) != 0)
+        .map(|(i, _)| 1u8 << i)
+        .sum();
+    Some((nibble, repaired))
+}
+
+/// The depth-`depth` stripe permutation a bit at a time: bits written
+/// row-major into a `depth × ⌈bits/depth⌉` matrix and read
+/// column-major, skipping the missing cells of the last row
+/// (`forward`), or the inverse.
+fn permute_scalar(data: &[u8], depth: usize, forward: bool) -> Vec<u8> {
+    let n = data.len() * 8;
+    if depth <= 1 || n == 0 {
+        return data.to_vec();
+    }
+    let mut out = vec![0u8; data.len()];
+    let cols = n.div_ceil(depth);
+    let mut k = 0;
+    for col in 0..cols {
+        for row in 0..depth {
+            let w = row * cols + col;
+            if w >= n {
+                continue;
+            }
+            let (src, dst) = if forward { (w, k) } else { (k, w) };
+            if data[src / 8] & (1 << (src % 8)) != 0 {
+                out[dst / 8] |= 1 << (dst % 8);
+            }
+            k += 1;
+        }
+    }
+    out
+}
+
+/// [`encode_nibble`] per nibble, then the bit-at-a-time interleave.
+fn oracle_encode(body: &[u8], depth: Option<usize>) -> Vec<u8> {
+    let codeword: Vec<u8> = body
+        .iter()
+        .flat_map(|b| [encode_nibble(b & 0x0F), encode_nibble(b >> 4)])
+        .collect();
     match depth {
-        Some(depth) => interleave_bits_scalar(&codeword, depth),
+        Some(depth) => permute_scalar(&codeword, depth, true),
         None => codeword,
     }
 }
 
-/// The bit-at-a-time deinterleave, then `decode_block` per block
-/// (through [`decode_scalar`]); lanes past the wire's end hold a block
-/// that *would* be repaired and are masked out of every verdict.
+/// The bit-at-a-time deinterleave, then [`decode_block`] per block of
+/// the wire — never a padding block.
 fn oracle_decode(wire: &[u8], depth: Option<usize>) -> Verdict {
     let codeword = match depth {
-        Some(depth) => deinterleave_bits_scalar(wire, depth),
+        Some(depth) => permute_scalar(wire, depth, false),
         None => wire.to_vec(),
     };
     if codeword.len() % 2 != 0 {
         return (Err(CodeError::Malformed), 0);
     }
     let (mut nibbles, mut repairs, mut detected) = (Vec::new(), 0usize, false);
-    for blocks in codeword.chunks(LANES) {
-        let mut batch = [0x01u8; LANES];
-        batch[..blocks.len()].copy_from_slice(blocks);
-        let (nibs, repaired_mask, detected_mask) = decode_scalar(&batch);
-        let live = u64::MAX >> (LANES - blocks.len());
-        nibbles.extend_from_slice(&nibs[..blocks.len()]);
-        repairs += (repaired_mask & live).count_ones() as usize;
-        detected |= detected_mask & live != 0;
+    for &block in &codeword {
+        let (nibble, repaired) = decode_block(block).unwrap_or_else(|| {
+            detected = true;
+            (0, false)
+        });
+        nibbles.push(nibble);
+        repairs += usize::from(repaired);
     }
     if detected {
         return (Err(CodeError::Detected), repairs);
@@ -166,7 +242,7 @@ fn decode_equals_the_oracle_under_flips_and_stripe_bursts() {
 #[test]
 fn decode_equals_the_oracle_on_hostile_bytes_of_every_length() {
     let mut rng = StdRng::seed_from_u64(0xBAD5);
-    let codewords = encode_scalar(&std::array::from_fn(|lane| lane as u8 % 16));
+    let codewords: [u8; 16] = std::array::from_fn(|nibble| encode_nibble(nibble as u8));
     for len in 0..=140usize {
         for round in 0..6 {
             // Arbitrary bytes, and bytes that are mostly codewords with

@@ -158,7 +158,8 @@ where
     /// senders (one image carries them all), only the messages differ.
     rx: Vec<ReceptionVector<A::Msg>>,
     /// Wire-level kept images this round (self first, then one entry
-    /// per distinct sender).
+    /// per distinct sender): room for all `n` is reserved when the
+    /// round opens, and `finish_round` moves the log into `kept`.
     kept_this_round: Vec<(u32, u8)>,
     corrected_this_round: usize,
     /// Images the code *rejected* this round while visibly repairing
@@ -468,6 +469,7 @@ where
         self.codes.push(self.framing.current_spec());
         self.rx.iter_mut().for_each(ReceptionVector::clear);
         self.kept_this_round.clear();
+        self.kept_this_round.reserve(self.n);
         self.corrected_this_round = 0;
         self.evidence_this_round = 0;
         self.ads_this_round.clear();

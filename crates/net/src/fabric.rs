@@ -1,12 +1,13 @@
 //! The substrate-independent wiring of a byte-level run.
 //!
 //! Every deployment substrate builds the same things per process: the
-//! `n − 1` byte-corrupting [`FaultyLink`]s (tagged and trace-driven as
+//! `n − 1` byte-corrupting links (tagged and trace-driven as
 //! configured), a [`Framing`] (fixed code or adaptive controller over
 //! the shared book), and a [`RoundEngine`] — then joins the engines'
 //! reports with the fault log into a [`SubstrateOutcome`]. A
 //! [`RunFabric`] does all of that once, parameterized only by how the
-//! substrate delivers bytes (its [`FrameSink`]s). Both the threaded and
+//! substrate delivers bytes: [`FaultyLink`]s into its [`FrameSink`]s,
+//! or the lockstep stepper's sinkless links into its arenas. Both the threaded and
 //! the async runtimes stamp their processes out of this fabric, so the
 //! conformance matrix always compares identical wiring — and the next
 //! substrate cannot accidentally wire itself differently.
@@ -14,10 +15,12 @@
 //! What is per run is built per run: the fabric validates the fault
 //! model and assembles one [`LinkWiring`] block in [`RunFabric::new`],
 //! before any thread or task exists, and each of the `n·(n−1)` links
-//! it stamps out costs one reference to that block, an RNG seed and
-//! the substrate's sink.
+//! it stamps out costs one reference to that block and an RNG seed —
+//! plus, through [`RunFabric::links_for`], the substrate's sink.
 
-use crate::link::{FaultLog, FaultyLink, FrameSink, LinkFaults, LinkWiring, PatternBlock};
+use crate::link::{
+    FaultLog, FaultyLink, FrameSink, LinkFaults, LinkModel, LinkWiring, PatternBlock,
+};
 use heardof_coding::{AdaptiveConfig, AdaptiveController, CodeBook, CodeSpec, NoiseTrace};
 use heardof_engine::{
     EngineReport, Framing, MuxRoundEngine, RoundEngine, SubstrateOutcome, WireMessage,
@@ -38,7 +41,7 @@ const MIN_BLOCK_RECEIVERS: usize = 2;
 /// built once and stamped out per process. See the module docs.
 pub struct RunFabric {
     seed: u64,
-    copies: u8,
+    pub(crate) copies: u8,
     max_rounds: u64,
     code_spec: CodeSpec,
     adaptive: Option<AdaptiveConfig>,
@@ -114,16 +117,21 @@ impl RunFabric {
         n: usize,
         mut sink_for: impl FnMut(usize) -> Box<dyn FrameSink>,
     ) -> Vec<FaultyLink> {
+        self.link_models(p, n)
+            .into_iter()
+            .map(|model| FaultyLink {
+                tx: sink_for(model.receiver_id as usize),
+                model,
+            })
+            .collect()
+    }
+
+    /// The fault models of [`RunFabric::links_for`]'s links, without
+    /// their sinks — what the lockstep stepper delivers through.
+    pub(crate) fn link_models(&self, p: usize, n: usize) -> Vec<LinkModel> {
         let mut links = Vec::with_capacity(n.saturating_sub(1));
-        links.extend((0..n).filter(|&q| q != p).map(|q| {
-            FaultyLink::new(
-                p as u32,
-                q as u32,
-                sink_for(q),
-                self.seed,
-                Arc::clone(&self.wiring),
-            )
-        }));
+        let model = |q| LinkModel::new(p as u32, q as u32, self.seed, Arc::clone(&self.wiring));
+        links.extend((0..n).filter(|&q| q != p).map(model));
         let batched = self.wiring.trace.as_ref().is_some_and(|trace| {
             trace.script().is_none()
                 && NoiseTrace::lanes() > 1
@@ -132,9 +140,9 @@ impl RunFabric {
         if batched {
             let receivers = (0..n as u32).filter(|&q| q != p as u32).collect();
             let block = Arc::new(Mutex::new(PatternBlock::new(receivers)));
-            links
-                .iter_mut()
-                .for_each(|link| link.share_patterns(&block));
+            for link in &mut links {
+                link.patterns = Some(Arc::clone(&block));
+            }
         }
         links
     }

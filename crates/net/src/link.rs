@@ -22,18 +22,23 @@
 //!
 //! What the `n·(n−1)` links of a run have in common — fault model,
 //! code, book, trace, log, telemetry plane — is one [`LinkWiring`]
-//! block, built once per run; a [`FaultyLink`] owns only its two ids,
-//! its RNG stream, its sink and a scratch buffer. A frame crosses a
-//! link **borrowed** ([`FaultyLink::send_bytes`] →
-//! [`FrameSink::deliver_bytes`]): one that nothing hits reaches the
-//! sink as the very slice the engine emitted, and only a frame a fault
-//! source may touch is copied — into the link's scratch, where it is
-//! corrupted while the borrowed input stays the pristine image the
-//! verdict is judged against.
+//! block, built once per run. A link's own part is its fault model: two
+//! ids, an RNG stream and a scratch buffer, with **one** fault-decision
+//! body that hands what reaches the receiver to a generic delivery
+//! closure. The lockstep stepper drives bare fault models, appending
+//! into the arenas it owns; a [`FaultyLink`] is a fault model plus a
+//! [`FrameSink`], for the threaded runtime and for drivers outside this
+//! crate. A frame crosses a link **borrowed** ([`FaultyLink::send_bytes`]
+//! → [`FrameSink::deliver_bytes`], or the stepper's closure): one that
+//! nothing hits is delivered as the very slice the engine emitted, and
+//! only a frame a fault source may touch is copied — into the link's
+//! scratch, where it is corrupted while the borrowed input stays the
+//! pristine image the verdict is judged against.
 //!
-//! Under a seeded trace, the links of one sender built together by
-//! [`RunFabric::links_for`](crate::RunFabric::links_for) share one
-//! pattern block, locked only by the thread that sends on them. The
+//! Under a seeded trace, the links of one sender built together — by
+//! [`RunFabric::links_for`](crate::RunFabric::links_for), or for the
+//! lockstep stepper — share one pattern block, locked only by the
+//! thread that sends on them. The
 //! first to send a `(round, copy, len)` draws every receiver's flip
 //! pattern at once ([`NoiseTrace::flip_masks`]); each link then reads
 //! its own lane, delivers a frame its lane leaves clean without a copy,
@@ -61,10 +66,11 @@ use std::borrow::Cow;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// The receiving end a [`FaultyLink`] delivers into. The threaded
-/// runtime uses `std::sync::mpsc` channels; the lockstep stepper plugs
-/// in its arena mailboxes. Delivery must never block — a link models a
-/// wire, not flow control.
+/// The receiving end a [`FaultyLink`] delivers into: what the threaded
+/// runtime (`std::sync::mpsc` channels) and drivers outside this crate
+/// plug in. The lockstep stepper has none — its links deliver straight
+/// into the arenas it owns. Delivery must never block — a link models
+/// a wire, not flow control.
 ///
 /// Frames are attributed to the link's sending process. The attribution
 /// is a property of the *link*, not the bytes — the one fact a
@@ -81,9 +87,8 @@ pub trait FrameSink: Send {
 
     /// Hands over one (possibly corrupted) wire frame by reference —
     /// what [`FaultyLink::send_bytes`] calls. A sink that stores bytes
-    /// in place (the lockstep mailbox) overrides it and never sees an
-    /// owned frame; the default makes the one owned copy a queue of
-    /// `Vec`s needs.
+    /// in place overrides it and never sees an owned frame; the default
+    /// makes the one owned copy a queue of `Vec`s needs.
     fn deliver_bytes(&self, sender: u32, frame: &[u8]) {
         self.deliver(sender, frame.to_vec());
     }
@@ -373,11 +378,16 @@ impl PatternBlock {
     }
 }
 
-/// The sending half of a faulty link from one process to another.
-pub struct FaultyLink {
+/// The fault model of one link `sender → receiver`, without a
+/// receiving end: its two ids, its RNG stream, a scratch buffer, its
+/// lane in the sender's shared trace patterns and the run's
+/// [`LinkWiring`]. [`LinkModel::send`] hands whatever reaches the
+/// receiver to a delivery closure; a [`FaultyLink`] is one of these
+/// plus a [`FrameSink`], and the lockstep stepper drives them bare,
+/// appending into its receivers' arenas.
+pub(crate) struct LinkModel {
     sender_id: u32,
-    receiver_id: u32,
-    tx: Box<dyn FrameSink>,
+    pub(crate) receiver_id: u32,
     rng: StdRng,
     /// Where a frame a fault source may touch is corrupted; reused from
     /// frame to frame.
@@ -385,30 +395,22 @@ pub struct FaultyLink {
     /// The sender's shared trace patterns, when the fabric built the
     /// link with its siblings; the link's lane in them is its
     /// receiver's [`link_index`].
-    patterns: Option<Arc<Mutex<PatternBlock>>>,
+    pub(crate) patterns: Option<Arc<Mutex<PatternBlock>>>,
     wiring: Arc<LinkWiring>,
 }
 
-impl FaultyLink {
-    /// Builds the link `sender_id → receiver_id` of the run `wiring`
-    /// describes, delivering into `tx`, with deterministic per-link
-    /// randomness derived from `seed` — the same stream on every
-    /// substrate.
-    pub fn new(
-        sender_id: u32,
-        receiver_id: u32,
-        tx: Box<dyn FrameSink>,
-        seed: u64,
-        wiring: Arc<LinkWiring>,
-    ) -> Self {
+impl LinkModel {
+    /// The fault model of link `sender → receiver` of the run `wiring`
+    /// describes, with deterministic per-link randomness derived from
+    /// `seed` — the same stream on every substrate.
+    pub(crate) fn new(sender: u32, receiver: u32, seed: u64, wiring: Arc<LinkWiring>) -> Self {
         // Distinct, deterministic stream per ordered pair.
         let link_seed = seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add((sender_id as u64) << 32 | receiver_id as u64);
-        FaultyLink {
-            sender_id,
-            receiver_id,
-            tx,
+            .wrapping_add((sender as u64) << 32 | receiver as u64);
+        LinkModel {
+            sender_id: sender,
+            receiver_id: receiver,
             rng: StdRng::seed_from_u64(link_seed),
             scratch: BytesMut::new(),
             patterns: None,
@@ -416,32 +418,20 @@ impl FaultyLink {
         }
     }
 
-    /// The link reads its trace patterns from its sender's shared
-    /// `block`, whose receivers are in [`link_index`] order.
-    pub(crate) fn share_patterns(&mut self, block: &Arc<Mutex<PatternBlock>>) {
-        self.patterns = Some(Arc::clone(block));
-    }
-
-    /// Sends an encoded frame through the fault model, borrowed: a
-    /// frame nothing hits reaches the sink as `encoded` itself. Returns
-    /// what happened (mostly for tests and statistics).
-    pub fn send_bytes(&mut self, round: u64, copy: u8, encoded: &[u8]) -> LinkEvent {
-        self.transmit(round, copy, Cow::Borrowed(encoded))
-    }
-
-    /// The owned-buffer compatibility entry of
-    /// [`send_bytes`](FaultyLink::send_bytes), for callers that already
-    /// hold the frame as a `Vec` (the repository benchmark's driver,
-    /// which this workspace may not edit): the same fault decisions,
-    /// draws and events, and an untouched frame reaches
-    /// [`FrameSink::deliver`] as the very `Vec` passed in.
-    pub fn send(&mut self, round: u64, copy: u8, encoded: Vec<u8>) -> LinkEvent {
-        self.transmit(round, copy, Cow::Owned(encoded))
-    }
-
-    fn transmit(&mut self, round: u64, copy: u8, encoded: Cow<'_, [u8]>) -> LinkEvent {
+    /// Sends an encoded frame through the fault model and hands what
+    /// reaches the receiver, if anything, to `deliver`: `encoded`
+    /// itself when nothing touched it, a borrow of the link's scratch
+    /// or pattern lane when something did. Emits the verdict as a
+    /// link-plane event and returns it.
+    pub(crate) fn send(
+        &mut self,
+        round: u64,
+        copy: u8,
+        encoded: Cow<'_, [u8]>,
+        deliver: impl FnOnce(Cow<'_, [u8]>),
+    ) -> LinkEvent {
         let wire_len = encoded.len() as u64;
-        let event = self.inject(round, copy, encoded);
+        let event = self.inject(round, copy, encoded, deliver);
         self.wiring.telemetry.emit(Event::link(
             event.telemetry_kind(),
             round,
@@ -452,9 +442,16 @@ impl FaultyLink {
         event
     }
 
-    /// The one fault-decision body behind both entry points.
-    fn inject(&mut self, round: u64, copy: u8, pristine: Cow<'_, [u8]>) -> LinkEvent {
+    /// The one fault-decision body.
+    fn inject(
+        &mut self,
+        round: u64,
+        copy: u8,
+        pristine: Cow<'_, [u8]>,
+        deliver: impl FnOnce(Cow<'_, [u8]>),
+    ) -> LinkEvent {
         let wiring = &*self.wiring;
+        let sent = (round, self.sender_id, self.receiver_id, copy);
         let mut adversarial = false;
         if let Some(trace) = &wiring.trace {
             if let Some(block) = &self.patterns {
@@ -462,8 +459,7 @@ impl FaultyLink {
                 let lane = link_index(self.receiver_id, self.sender_id);
                 let at = (round, self.sender_id, copy);
                 if let Some((mask, flips)) = block.pattern(trace, at, pristine.len(), lane) {
-                    let sent = (round, self.sender_id, self.receiver_id, copy);
-                    return self.send_patterned(mask, flips, pristine, sent);
+                    return send_patterned(wiring, mask, flips, pristine, sent, deliver);
                 }
             }
         } else {
@@ -471,7 +467,7 @@ impl FaultyLink {
                 return LinkEvent::Dropped;
             }
             if !self.rng.gen_bool(wiring.faults.corrupt_prob) {
-                self.deliver_untouched(pristine);
+                deliver(pristine);
                 return LinkEvent::Delivered;
             }
             adversarial = self.rng.gen_bool(wiring.faults.undetected_prob);
@@ -482,7 +478,6 @@ impl FaultyLink {
         let noisy = &mut self.scratch;
         noisy.clear();
         noisy.put_slice(&pristine);
-        let sent = (round, self.sender_id, self.receiver_id, copy);
         let event = if adversarial {
             forge(wiring, &mut self.rng, &pristine, noisy, sent)
         } else {
@@ -501,41 +496,83 @@ impl FaultyLink {
                 LinkEvent::Delivered
             }
         };
-        self.tx.deliver_bytes(self.sender_id, noisy);
+        deliver(Cow::Borrowed(noisy));
         event
     }
+}
 
-    /// Delivers and judges a traced frame whose flip pattern is `mask`,
-    /// with `flips` bits set. A frame the pattern leaves clean reaches
-    /// the sink uncopied. A hit frame's noisy image is built in the mask
-    /// itself, and the mask restored once the frame is judged and
-    /// delivered: no copy, and a frame sent twice meets the same pattern
-    /// twice. Kept out of line, off the untraced path.
-    #[inline(never)]
-    fn send_patterned(
-        &self,
-        mask: &mut [u8],
-        flips: usize,
-        pristine: Cow<'_, [u8]>,
-        sent: FaultKey,
-    ) -> LinkEvent {
-        if flips == 0 {
-            self.deliver_untouched(pristine);
-            return LinkEvent::Delivered;
-        }
-        xor_in(mask, &pristine);
-        let event = self.wiring.judge(&pristine, mask, sent);
-        self.tx.deliver_bytes(self.sender_id, mask);
-        xor_in(mask, &pristine);
-        event
+/// Delivers and judges a traced frame whose flip pattern is `mask`,
+/// with `flips` bits set. A frame the pattern leaves clean is delivered
+/// uncopied. A hit frame's noisy image is built in the mask itself, and
+/// the mask restored once the frame is judged and delivered: no copy,
+/// and a frame sent twice meets the same pattern twice. Kept out of
+/// line, off the untraced path.
+#[inline(never)]
+fn send_patterned(
+    wiring: &LinkWiring,
+    mask: &mut [u8],
+    flips: usize,
+    pristine: Cow<'_, [u8]>,
+    sent: FaultKey,
+    deliver: impl FnOnce(Cow<'_, [u8]>),
+) -> LinkEvent {
+    if flips == 0 {
+        deliver(pristine);
+        return LinkEvent::Delivered;
+    }
+    xor_in(mask, &pristine);
+    let event = wiring.judge(&pristine, mask, sent);
+    deliver(Cow::Borrowed(mask));
+    xor_in(mask, &pristine);
+    event
+}
+
+/// The sending half of a faulty link from one process to another: its
+/// fault model and the [`FrameSink`] it delivers into.
+pub struct FaultyLink {
+    pub(crate) model: LinkModel,
+    pub(crate) tx: Box<dyn FrameSink>,
+}
+
+impl FaultyLink {
+    /// Builds the link `sender_id → receiver_id` of the run `wiring`
+    /// describes, delivering into `tx`, with deterministic per-link
+    /// randomness derived from `seed` — the same stream on every
+    /// substrate.
+    pub fn new(
+        sender_id: u32,
+        receiver_id: u32,
+        tx: Box<dyn FrameSink>,
+        seed: u64,
+        wiring: Arc<LinkWiring>,
+    ) -> Self {
+        let model = LinkModel::new(sender_id, receiver_id, seed, wiring);
+        FaultyLink { model, tx }
     }
 
-    /// Hands a frame nothing touched to the sink as it came in.
-    fn deliver_untouched(&self, pristine: Cow<'_, [u8]>) {
-        match pristine {
-            Cow::Borrowed(bytes) => self.tx.deliver_bytes(self.sender_id, bytes),
-            Cow::Owned(bytes) => self.tx.deliver(self.sender_id, bytes),
-        }
+    /// Sends an encoded frame through the fault model, borrowed: a
+    /// frame nothing hits reaches the sink as `encoded` itself. Returns
+    /// what happened (mostly for tests and statistics).
+    pub fn send_bytes(&mut self, round: u64, copy: u8, encoded: &[u8]) -> LinkEvent {
+        let (sender, tx) = (self.model.sender_id, &self.tx);
+        let deliver = |frame: Cow<'_, [u8]>| tx.deliver_bytes(sender, &frame);
+        self.model
+            .send(round, copy, Cow::Borrowed(encoded), deliver)
+    }
+
+    /// The owned-buffer compatibility entry of
+    /// [`send_bytes`](FaultyLink::send_bytes), for callers that already
+    /// hold the frame as a `Vec` (the repository benchmark's driver,
+    /// which this workspace may not edit): the same fault decisions,
+    /// draws and events, and an untouched frame reaches
+    /// [`FrameSink::deliver`] as the very `Vec` passed in.
+    pub fn send(&mut self, round: u64, copy: u8, encoded: Vec<u8>) -> LinkEvent {
+        let (sender, tx) = (self.model.sender_id, &self.tx);
+        self.model
+            .send(round, copy, Cow::Owned(encoded), |frame| match frame {
+                Cow::Borrowed(bytes) => tx.deliver_bytes(sender, bytes),
+                Cow::Owned(bytes) => tx.deliver(sender, bytes),
+            })
     }
 }
 

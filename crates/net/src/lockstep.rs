@@ -7,105 +7,103 @@
 //! three steps:
 //!
 //! 1. every engine, in process order, emits its coded frames through
-//!    its [`FaultyLink`]s into the receivers' mailboxes,
-//! 2. every engine drains its mailbox into
+//!    its links' fault models into the receivers' arenas,
+//! 2. every engine drains its arena into
 //!    [`RoundMachine::ingest_from`],
 //! 3. every engine finishes the round (transition + renegotiation).
 //!
-//! No clock and no scheduler: runs are fully deterministic. Each
-//! process's mailbox is an **arena** — one byte buffer holding the
+//! No clock and no scheduler: runs are fully deterministic. The stepper
+//! owns one **arena** per receiver — one byte buffer holding the
 //! round's frames back to back, plus one `(sender, end offset)` record
-//! per frame. A link appends the borrowed bytes it is handed (the
-//! [`FrameSink`] side), and the drain hands each frame out as a slice of
-//! the arena, in arrival order, keeping the arena's capacity for the
-//! next round: nothing is allocated per frame. The mailbox is a FIFO of
-//! *frames*: boundaries are kept exactly, however short the frames (the
-//! content-oblivious count channel counts its 2- and 3-byte frames — a
-//! merged or split one would be a wrong value, not a rejected frame).
+//! per frame — and nothing else sits between a link and an arena: a
+//! link's fault model hands what reaches the receiver to a closure that
+//! appends it in place, with no [`FrameSink`](crate::FrameSink), no
+//! shared pointer and no lock. The drain hands each frame out as a
+//! slice of the arena, in arrival order, keeping the arena's capacity
+//! for the next round: nothing is allocated per frame. An arena is a
+//! FIFO of *frames*: boundaries are kept exactly, however short the
+//! frames (the content-oblivious count channel counts its 2- and 3-byte
+//! frames — a merged or split one would be a wrong value, not a
+//! rejected frame).
 
 use crate::fabric::RunFabric;
-use crate::link::{FaultyLink, FrameSink};
+use crate::link::LinkModel;
 use heardof_engine::{link_index, RoundMachine, WireLayout, WireMessage};
 use heardof_model::HoAlgorithm;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::borrow::Cow;
 
-/// Frames back to back in `bytes`; `frames[i]` is the `i`-th frame's
-/// sender attribution and the offset one past its last byte.
-#[derive(Default)]
+/// One receiver's frames of the round, back to back in `bytes`;
+/// `frames[i]` is the `i`-th frame's sender attribution and the offset
+/// one past its last byte.
 struct Arena {
     bytes: Vec<u8>,
     frames: Vec<(u32, usize)>,
 }
 
-/// One process's receiving end: the links into it share the arena.
-#[derive(Clone, Default)]
-struct Mailbox(Arc<Mutex<Arena>>);
-
-impl FrameSink for Mailbox {
-    fn deliver(&self, sender: u32, frame: Vec<u8>) {
-        self.deliver_bytes(sender, &frame);
+impl Arena {
+    /// An empty arena with room for `frames` frame records; its bytes
+    /// are sized by the first frame it receives.
+    fn with_capacity(frames: usize) -> Self {
+        Arena {
+            bytes: Vec::new(),
+            frames: Vec::with_capacity(frames),
+        }
     }
 
     /// Appends one sender-attributed wire frame. The attribution models
     /// which link the frame arrived on — known to the receiver
-    /// regardless of content.
-    fn deliver_bytes(&self, sender: u32, frame: &[u8]) {
-        let mut arena = self.0.lock();
-        arena.bytes.extend_from_slice(frame);
-        let end = arena.bytes.len();
-        arena.frames.push((sender, end));
+    /// regardless of content. A round's frames are mostly of one
+    /// length, so the first sizes the byte buffer for all the records.
+    fn push(&mut self, sender: u32, frame: &[u8]) {
+        if self.bytes.capacity() == 0 {
+            self.bytes.reserve(frame.len() * self.frames.capacity());
+        }
+        self.bytes.extend_from_slice(frame);
+        self.frames.push((sender, self.bytes.len()));
     }
-}
 
-impl Mailbox {
     /// Hands every queued frame to `each` as `(sender, bytes)`, oldest
-    /// first, then empties the arena, keeping its capacity. The stepper
-    /// drains only after every send of the round, so nothing delivers
-    /// while the drain holds the arena.
-    fn drain(&self, mut each: impl FnMut(u32, &[u8])) {
-        let mut arena = self.0.lock();
+    /// first, then empties the arena, keeping its capacity.
+    fn drain(&mut self, mut each: impl FnMut(u32, &[u8])) {
         let mut start = 0;
-        for &(sender, end) in &arena.frames {
-            each(sender, &arena.bytes[start..end]);
+        for &(sender, end) in &self.frames {
+            each(sender, &self.bytes[start..end]);
             start = end;
         }
-        arena.bytes.clear();
-        arena.frames.clear();
+        self.bytes.clear();
+        self.frames.clear();
     }
 }
 
-/// The `n` engines of one run, their links and their mailboxes, stepped
-/// one lockstep round at a time. Built by [`RunFabric::lockstep`]; see
-/// the module docs for what a round does.
+/// The `n` engines of one run, their links and their receivers'
+/// arenas, stepped one lockstep round at a time. Built by
+/// [`RunFabric::lockstep`]; see the module docs for what a round does.
 pub struct Lockstep<A: HoAlgorithm, L>
 where
     A::Msg: WireMessage,
 {
     engines: Vec<RoundMachine<A, L>>,
     /// `links[p]`: process `p`'s outgoing links, in `link_index` layout.
-    links: Vec<Vec<FaultyLink>>,
-    mailboxes: Vec<Mailbox>,
+    links: Vec<Vec<LinkModel>>,
+    /// `arenas[q]`: what process `q` received this round.
+    arenas: Vec<Arena>,
 }
 
 impl RunFabric {
     /// Wires `engines` (process `p` at index `p`, all of one run of
     /// this fabric) to one another through this fabric's links and one
-    /// arena mailbox per process.
+    /// arena per process, reserved for a round's frames.
     pub fn lockstep<A, L>(&self, engines: Vec<RoundMachine<A, L>>) -> Lockstep<A, L>
     where
         A: HoAlgorithm,
         A::Msg: WireMessage,
     {
         let n = engines.len();
-        let mailboxes: Vec<Mailbox> = (0..n).map(|_| Mailbox::default()).collect();
-        let links = (0..n)
-            .map(|p| self.links_for(p, n, |q| Box::new(mailboxes[q].clone())))
-            .collect();
+        let frames = n.saturating_sub(1) * usize::from(self.copies);
         Lockstep {
+            links: (0..n).map(|p| self.link_models(p, n)).collect(),
+            arenas: (0..n).map(|_| Arena::with_capacity(frames)).collect(),
             engines,
-            links,
-            mailboxes,
         }
     }
 }
@@ -123,20 +121,25 @@ where
     ///
     /// Panics past the engines' `max_rounds`.
     pub fn round(&mut self, r: u64) -> bool {
-        for (p, (engine, links)) in self.engines.iter_mut().zip(&mut self.links).enumerate() {
+        let (engines, arenas) = (&mut self.engines, &mut self.arenas);
+        for (p, (engine, links)) in engines.iter_mut().zip(&mut self.links).enumerate() {
+            let sender = p as u32;
             engine.begin_round_with(|dest, copy, bytes| {
-                links[link_index(dest, p as u32)].send_bytes(r, copy, bytes);
+                let arena = &mut arenas[dest as usize];
+                links[link_index(dest, sender)].send(r, copy, Cow::Borrowed(bytes), |frame| {
+                    arena.push(sender, &frame)
+                });
             });
         }
-        for (engine, mailbox) in self.engines.iter_mut().zip(&self.mailboxes) {
-            mailbox.drain(|sender, bytes| {
+        for (engine, arena) in engines.iter_mut().zip(arenas.iter_mut()) {
+            arena.drain(|sender, bytes| {
                 let _ = engine.ingest_from(sender, bytes);
             });
         }
-        for engine in &mut self.engines {
+        for engine in engines.iter_mut() {
             engine.finish_round();
         }
-        self.engines.iter().all(RoundMachine::all_decided)
+        engines.iter().all(RoundMachine::all_decided)
     }
 
     /// The engines, in process order.
@@ -161,10 +164,11 @@ mod tests {
     use heardof_telemetry::{EventKind, Telemetry};
     use proptest::prelude::*;
     use std::collections::VecDeque;
+    use std::sync::Arc;
 
-    fn drained(mailbox: &Mailbox) -> Vec<(u32, Vec<u8>)> {
+    fn drained(arena: &mut Arena) -> Vec<(u32, Vec<u8>)> {
         let mut got = Vec::new();
-        mailbox.drain(|sender, bytes| got.push((sender, bytes.to_vec())));
+        arena.drain(|sender, bytes| got.push((sender, bytes.to_vec())));
         got
     }
 
@@ -172,11 +176,11 @@ mod tests {
     /// all alike: only their number and attribution carry the value.
     #[test]
     fn frame_boundaries_and_arrival_order_survive_exactly() {
-        let mailbox = Mailbox::default();
+        let mut arena = Arena::with_capacity(3);
         assert_eq!(
-            drained(&mailbox),
+            drained(&mut arena),
             vec![],
-            "an empty mailbox drains to nothing"
+            "an empty arena drains to nothing"
         );
         let sent: Vec<(u32, Vec<u8>)> = vec![
             (0, vec![]),
@@ -189,39 +193,28 @@ mod tests {
             (2, vec![0, 0, 0]),
         ];
         for (sender, frame) in &sent {
-            mailbox.deliver_bytes(*sender, frame);
+            arena.push(*sender, frame);
         }
-        assert_eq!(drained(&mailbox), sent);
-        assert_eq!(drained(&mailbox), vec![]);
+        assert_eq!(drained(&mut arena), sent);
+        assert_eq!(drained(&mut arena), vec![]);
     }
 
     #[test]
-    fn both_sink_entries_enqueue_the_same_frame() {
-        let mailbox = Mailbox::default();
-        mailbox.deliver(7, vec![1, 2, 3]);
-        mailbox.deliver_bytes(7, &[1, 2, 3]);
-        assert_eq!(drained(&mailbox), vec![(7, vec![1, 2, 3]); 2]);
-    }
-
-    #[test]
-    fn a_drained_mailbox_keeps_its_capacity() {
-        let mailbox = Mailbox::default();
-        let capacity = || {
-            let arena = mailbox.0.lock();
-            (arena.bytes.capacity(), arena.frames.capacity())
-        };
-        let round = || {
+    fn a_drained_arena_keeps_its_capacity() {
+        let mut arena = Arena::with_capacity(15);
+        let capacity = |arena: &Arena| (arena.bytes.capacity(), arena.frames.capacity());
+        let round = |arena: &mut Arena| {
             for sender in 0..15 {
-                mailbox.deliver_bytes(sender, &[0xAB; 21]);
+                arena.push(sender, &[0xAB; 21]);
             }
-            assert_eq!(drained(&mailbox).len(), 15);
+            assert_eq!(drained(arena).len(), 15);
         };
-        round();
-        let warm = capacity();
+        round(&mut arena);
+        let warm = capacity(&arena);
         assert!(warm.0 >= 15 * 21 && warm.1 >= 15, "{warm:?}");
         for _ in 0..4 {
-            round();
-            assert_eq!(capacity(), warm, "a warm mailbox never regrows");
+            round(&mut arena);
+            assert_eq!(capacity(&arena), warm, "a warm arena never regrows");
         }
     }
 
@@ -308,8 +301,8 @@ mod tests {
     type Decided = Vec<(Option<u64>, Option<u64>)>;
 
     /// Runs the stepper until everyone decided, pouring the hostile
-    /// arrivals of `injected[i]` into the mailboxes before round `i + 1`
-    /// (the word picks the mailbox too); returns what every engine
+    /// arrivals of `injected[i]` into the arenas before round `i + 1`
+    /// (the word picks the arena too); returns what every engine
     /// decided, and the telemetry it recorded.
     fn run(injected: &[Vec<u64>]) -> (Decided, Telemetry) {
         let telemetry = Telemetry::counters();
@@ -318,7 +311,7 @@ mod tests {
         for r in 1..=MAX_ROUNDS {
             for &x in injected.get(r as usize - 1).into_iter().flatten() {
                 let (claimed, bytes) = hostile(x, r);
-                stepper.mailboxes[(x >> 32) as usize % N].deliver_bytes(claimed, &bytes);
+                stepper.arenas[(x >> 32) as usize % N].push(claimed, &bytes);
             }
             decided = stepper.round(r);
             if decided {
@@ -339,27 +332,27 @@ mod tests {
         /// a queue of whole frames would: same frames, same boundaries,
         /// same order (so per-sender order is arrival order too).
         #[test]
-        fn the_mailbox_is_a_fifo_of_frames(ops in proptest::collection::vec(any::<u64>(), 0..200)) {
-            let mailbox = Mailbox::default();
+        fn the_arena_is_a_fifo_of_frames(ops in proptest::collection::vec(any::<u64>(), 0..200)) {
+            let mut arena = Arena::with_capacity(4);
             let mut model: VecDeque<(u32, Vec<u8>)> = VecDeque::new();
             for op in ops {
                 if op % 5 == 0 {
                     let expected: Vec<_> = model.drain(..).collect();
-                    prop_assert_eq!(drained(&mailbox), expected);
+                    prop_assert_eq!(drained(&mut arena), expected);
                 } else {
                     // Lengths 0–5, biased to the pattern frames' 2 and 3.
                     let len = [0, 2, 3, 2, 3, 1, 4, 5][(op >> 8) as usize % 8];
                     let frame = op.to_le_bytes()[2..2 + len].to_vec();
                     let sender = (op >> 4) as u32 % 4;
-                    mailbox.deliver_bytes(sender, &frame);
+                    arena.push(sender, &frame);
                     model.push_back((sender, frame));
                 }
             }
             let expected: Vec<_> = model.drain(..).collect();
-            prop_assert_eq!(drained(&mailbox), expected);
+            prop_assert_eq!(drained(&mut arena), expected);
         }
 
-        /// Hostile bytes in the mailboxes between rounds — whatever
+        /// Hostile bytes in the arenas between rounds — whatever
         /// their length, claimed sender or header — never panic the
         /// stepper, never keep it from ending, and never become a
         /// reception: every engine decides what, and when, it decides
@@ -392,6 +385,251 @@ mod tests {
             .map(|kind| telemetry.total(kind))
             .sum();
             prop_assert!(refused >= poured, "{} of {} hostile frames refused", refused, poured);
+        }
+    }
+}
+
+/// The stepper's sinkless links against the boxed links of
+/// [`RunFabric::links_for`](crate::RunFabric::links_for): for every
+/// link of a run, the same frames sent through both deliver the same
+/// bytes with the same boundaries to the same receivers in the same
+/// order, return the same verdicts, emit the same telemetry and log the
+/// same undetected faults. The sinkless links live inside the crate, so
+/// this is a unit test rather than one under `tests/`.
+#[cfg(test)]
+mod delivery_equivalence {
+    use super::*;
+    use crate::link::{FaultKey, FrameSink, LinkEvent, LinkFaults};
+    use bytes::BytesMut;
+    use heardof_coding::{
+        oblivious_advert_frame, oblivious_value_frame, AdaptiveConfig, CodeBook, CodeSpec,
+        FaultScript, LinkFault, NoiseTrace, RungAdvert,
+    };
+    use heardof_engine::{encode_body_into, Frame};
+    use heardof_telemetry::{RunRecording, Telemetry};
+    use parking_lot::Mutex;
+    use std::collections::HashSet;
+    use std::sync::Arc;
+
+    /// Rounds sent: across `NoiseTrace::bursty`'s switch from its clean
+    /// phase (rounds 1–30) to its noisy one.
+    const ROUNDS: std::ops::RangeInclusive<u64> = 28..=36;
+
+    /// What a receiver was handed in one round, in arrival order.
+    type Arrivals = Vec<(u32, Vec<u8>)>;
+
+    #[derive(Clone, Default)]
+    struct Tape(Arc<Mutex<Arrivals>>);
+
+    impl FrameSink for Tape {
+        fn deliver(&self, sender: u32, frame: Vec<u8>) {
+            self.0.lock().push((sender, frame));
+        }
+    }
+
+    fn ladder() -> Vec<CodeSpec> {
+        AdaptiveConfig::standard(4, 1).ladder
+    }
+
+    /// What drives corruption: the probabilistic model (drops,
+    /// detectable corruption and adversarial forgeries), a seeded
+    /// bursty trace, or a script of every scripted fault.
+    fn sources(n: usize, seed: u64) -> Vec<(LinkFaults, Option<NoiseTrace>)> {
+        let faults = LinkFaults {
+            drop_prob: 0.2,
+            corrupt_prob: 0.5,
+            undetected_prob: 0.5,
+        };
+        let mut script = FaultScript::new();
+        for (i, round) in ROUNDS.enumerate() {
+            let fault = match i % 4 {
+                0 => LinkFault::Omit,
+                1 => LinkFault::MuteAdvert,
+                2 => LinkFault::Forge(RungAdvert { rung: 1, epoch: 2 }),
+                _ => LinkFault::CorruptAll,
+            };
+            for sender in 0..n as u32 {
+                script.insert(round, sender, (sender + 1) % n as u32, fault);
+            }
+        }
+        vec![
+            (faults, None),
+            (LinkFaults::NONE, Some(NoiseTrace::bursty(seed))),
+            (LinkFaults::NONE, Some(NoiseTrace::scripted(script))),
+        ]
+    }
+
+    /// The wire `sender` hands `receiver` as `copy` in `round`: every
+    /// third round a count-channel frame (2 bytes to even receivers, 3
+    /// to odd ones), otherwise a frame under the run's framing — tagged
+    /// on a rung of the round's choosing, with or without an advert,
+    /// when `tagged`, CRC-32 otherwise.
+    fn wire(tagged: bool, round: u64, sender: u32, receiver: u32, copy: u8) -> Vec<u8> {
+        if round.is_multiple_of(3) {
+            return match receiver % 2 {
+                0 => oblivious_value_frame().to_vec(),
+                _ => oblivious_advert_frame().to_vec(),
+            };
+        }
+        let frame = Frame {
+            round,
+            sender,
+            copy,
+            msg: round * 31 + u64::from(sender),
+        };
+        let mut body = BytesMut::new();
+        encode_body_into(&frame, &mut body);
+        let mut wire = BytesMut::new();
+        if tagged {
+            let specs = ladder();
+            let id = ((round + u64::from(sender)) % specs.len() as u64) as u8;
+            let advert = round.is_multiple_of(2).then_some(RungAdvert {
+                rung: id,
+                epoch: (round % 16) as u8,
+            });
+            CodeBook::from_specs(&specs).encode_tagged(id, advert, None, &body, &mut wire);
+        } else {
+            CodeSpec::DEFAULT
+                .build()
+                .encode_into(&body, None, &mut wire);
+        }
+        wire.into()
+    }
+
+    /// Everything observable about one run of all `n · (n − 1)` links.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        events: Vec<LinkEvent>,
+        /// Per round, per receiver.
+        delivered: Vec<Vec<Arrivals>>,
+        logged: HashSet<FaultKey>,
+        recording: RunRecording,
+    }
+
+    /// Sends every link's frames in engine order — each sender, each
+    /// receiver, each copy — round by round through `send(p, lane, q,
+    /// round, copy, wire)`, collecting each round's arrivals with
+    /// `collect()`.
+    fn drive(
+        n: usize,
+        copies: u8,
+        tagged: bool,
+        mut send: impl FnMut(usize, usize, u64, u8, &[u8]) -> LinkEvent,
+        mut collect: impl FnMut() -> Vec<Arrivals>,
+    ) -> (Vec<LinkEvent>, Vec<Vec<Arrivals>>) {
+        let (mut events, mut delivered) = (Vec::new(), Vec::new());
+        for round in ROUNDS {
+            for p in 0..n {
+                for q in (0..n).filter(|&q| q != p) {
+                    for copy in 0..copies {
+                        let wire = wire(tagged, round, p as u32, q as u32, copy);
+                        events.push(send(p, q, round, copy, &wire));
+                    }
+                }
+            }
+            delivered.push(collect());
+        }
+        (events, delivered)
+    }
+
+    fn fabric(
+        (faults, trace): &(LinkFaults, Option<NoiseTrace>),
+        tagged: bool,
+        seed: u64,
+        copies: u8,
+    ) -> RunFabric {
+        let adaptive = tagged.then(|| AdaptiveConfig::standard(4, 1));
+        let rounds = ROUNDS.end() + 1;
+        let telemetry = Telemetry::ring();
+        let code = CodeSpec::DEFAULT;
+        RunFabric::new(
+            *faults,
+            seed,
+            copies,
+            rounds,
+            code,
+            adaptive,
+            trace.clone(),
+            telemetry,
+        )
+    }
+
+    fn observed(fabric: &RunFabric, run: (Vec<LinkEvent>, Vec<Vec<Arrivals>>)) -> Observed {
+        Observed {
+            events: run.0,
+            delivered: run.1,
+            logged: fabric.fault_log().keys().clone(),
+            recording: fabric
+                .telemetry()
+                .snapshot()
+                .expect("a ring recorder snapshots"),
+        }
+    }
+
+    /// The stepper's links: fault models appending into arenas.
+    fn sinkless(fabric: &RunFabric, n: usize, tagged: bool) -> Observed {
+        let copies = fabric.copies;
+        let mut links: Vec<_> = (0..n).map(|p| fabric.link_models(p, n)).collect();
+        let frames = (n - 1) * usize::from(copies);
+        let arenas: Vec<_> = (0..n).map(|_| Arena::with_capacity(frames)).collect();
+        let arenas = std::cell::RefCell::new(arenas);
+        let send = |p: usize, q: usize, round, copy, wire: &[u8]| {
+            let link = &mut links[p][link_index(q as u32, p as u32)];
+            link.send(round, copy, Cow::Borrowed(wire), |frame| {
+                arenas.borrow_mut()[q].push(p as u32, &frame)
+            })
+        };
+        let collect = || {
+            let mut arenas = arenas.borrow_mut();
+            arenas
+                .iter_mut()
+                .map(|arena| {
+                    let mut got = Vec::new();
+                    arena.drain(|sender, bytes| got.push((sender, bytes.to_vec())));
+                    got
+                })
+                .collect()
+        };
+        let run = drive(n, copies, tagged, send, collect);
+        observed(fabric, run)
+    }
+
+    /// The same links as `links_for` builds them, each with a boxed
+    /// sink.
+    fn boxed(fabric: &RunFabric, n: usize, tagged: bool) -> Observed {
+        let tapes: Vec<Tape> = (0..n).map(|_| Tape::default()).collect();
+        let mut links: Vec<_> = (0..n)
+            .map(|p| fabric.links_for(p, n, |q| Box::new(tapes[q].clone())))
+            .collect();
+        let send = |p: usize, q: usize, round, copy, wire: &[u8]| {
+            links[p][link_index(q as u32, p as u32)].send_bytes(round, copy, wire)
+        };
+        let collect = || {
+            tapes
+                .iter()
+                .map(|tape| std::mem::take(&mut *tape.0.lock()))
+                .collect()
+        };
+        let run = drive(n, fabric.copies, tagged, send, collect);
+        observed(fabric, run)
+    }
+
+    #[test]
+    fn sinkless_links_deliver_what_boxed_links_do() {
+        for n in [2usize, 3, 8, 17] {
+            for copies in 1..=3u8 {
+                let seed = 0xD1CE ^ (n as u64) << 8 ^ u64::from(copies);
+                for (i, source) in sources(n, seed).iter().enumerate() {
+                    for tagged in [false, true] {
+                        let what = format!("n {n}, copies {copies}, source {i}, tagged {tagged}");
+                        let stepper = sinkless(&fabric(source, tagged, seed, copies), n, tagged);
+                        let links = boxed(&fabric(source, tagged, seed, copies), n, tagged);
+                        assert_eq!(stepper, links, "{what}");
+                        let hit = stepper.events.iter().any(|e| *e != LinkEvent::Delivered);
+                        assert!(hit, "{what}: no frame was hit");
+                    }
+                }
+            }
         }
     }
 }

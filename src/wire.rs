@@ -73,7 +73,7 @@ impl CodeLog {
 /// intended message through the deployment substrates' own parts. One
 /// [`RoundEngine`] per process from one [`RunFabric`] (trace-driven
 /// noise, no other link faults, one copy per frame) is wired through
-/// [`RunFabric::lockstep`]'s links and mailboxes. The engines encode,
+/// [`RunFabric::lockstep`]'s links and arenas. The engines encode,
 /// the links corrupt and judge, the engines decode, tally and, on an
 /// adaptive ladder, renegotiate; the delivered matrix is what their
 /// reception vectors hold when the round closes. A corrupted frame thus
