@@ -348,6 +348,7 @@ impl PatternBlock {
     /// `sender` sends as `copy` in `round`, drawing the whole block
     /// first when the slot holds another frame's; `None` when `round`
     /// does not run in lanes.
+    #[inline]
     fn pattern(
         &mut self,
         trace: &NoiseTrace,
@@ -576,7 +577,11 @@ impl FaultyLink {
     }
 }
 
-/// `dst ^= src`, byte for byte.
+/// `dst ^= src`, byte for byte. `#[inline]`, like
+/// [`PatternBlock::pattern`]: the fault body is generic in its delivery
+/// closure, so it is compiled in the crate that drives the links, where
+/// these per-frame helpers would otherwise be calls.
+#[inline]
 fn xor_in(dst: &mut [u8], src: &[u8]) {
     dst.iter_mut().zip(src).for_each(|(d, s)| *d ^= s);
 }
