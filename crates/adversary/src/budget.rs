@@ -102,11 +102,6 @@ impl<A> Budgeted<A> {
     pub fn alpha(&self) -> u32 {
         self.alpha
     }
-
-    /// Unwraps the inner adversary.
-    pub fn into_inner(self) -> A {
-        self.inner
-    }
 }
 
 impl<M, A> Adversary<M> for Budgeted<A>

@@ -93,24 +93,6 @@ impl GoodRounds {
             GoodRounds::At(set) => set.contains(&r),
         }
     }
-
-    /// The first good round at or after `from`, if the schedule has one.
-    pub fn next_good(&self, from: Round) -> Option<Round> {
-        let r = from.get();
-        match self {
-            GoodRounds::Never => None,
-            GoodRounds::Every { period } => Some(Round::new(r.div_ceil(*period) * period)),
-            GoodRounds::PhaseWindowEvery { period } => {
-                let base = r - (r % period);
-                if base > 0 && r < base + 3 {
-                    Some(Round::new(r))
-                } else {
-                    Some(Round::new(r.div_ceil(*period) * period))
-                }
-            }
-            GoodRounds::At(set) => set.range(r..).next().map(|&g| Round::new(g)),
-        }
-    }
 }
 
 /// Suspends an adversary during scheduled good rounds, delivering the
@@ -184,8 +166,6 @@ mod tests {
         assert!(!s.is_good(Round::new(4)));
         assert!(s.is_good(Round::new(5)));
         assert!(s.is_good(Round::new(10)));
-        assert_eq!(s.next_good(Round::new(6)), Some(Round::new(10)));
-        assert_eq!(s.next_good(Round::new(5)), Some(Round::new(5)));
     }
 
     #[test]
@@ -194,7 +174,6 @@ mod tests {
         for r in 1..100 {
             assert!(!s.is_good(Round::new(r)));
         }
-        assert_eq!(s.next_good(Round::FIRST), None);
     }
 
     #[test]
@@ -207,9 +186,6 @@ mod tests {
         for r in [1, 2, 5, 9, 10, 11, 15] {
             assert!(!s.is_good(Round::new(r)), "round {r}");
         }
-        // Window starts are even: 6 = 2φ₀ with φ₀ = 3.
-        assert_eq!(s.next_good(Round::new(9)), Some(Round::new(12)));
-        assert_eq!(s.next_good(Round::new(7)), Some(Round::new(7)));
     }
 
     #[test]
@@ -217,8 +193,6 @@ mod tests {
         let s = GoodRounds::at([3, 9]);
         assert!(s.is_good(Round::new(3)));
         assert!(!s.is_good(Round::new(4)));
-        assert_eq!(s.next_good(Round::new(4)), Some(Round::new(9)));
-        assert_eq!(s.next_good(Round::new(10)), None);
     }
 
     #[test]

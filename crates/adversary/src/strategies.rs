@@ -293,25 +293,12 @@ impl<M: Clone + Send> Adversary<M> for SenderOmission {
 /// impossibility — and precisely what the paper's per-receiver
 /// accounting defuses.
 #[derive(Clone, Debug)]
-pub struct SantoroWidmayerBlock {
-    receivers_hit: Option<usize>,
-}
+pub struct SantoroWidmayerBlock;
 
 impl SantoroWidmayerBlock {
     /// Corrupts the victim's messages to *all* receivers (n faults/round).
     pub fn all_receivers() -> Self {
-        SantoroWidmayerBlock {
-            receivers_hit: None,
-        }
-    }
-
-    /// Corrupts the victim's messages to the first `k` receivers only
-    /// (`k` faults per round — use `k = ⌊n/2⌋` for the bound's exact
-    /// configuration).
-    pub fn first_receivers(k: usize) -> Self {
-        SantoroWidmayerBlock {
-            receivers_hit: Some(k),
-        }
+        SantoroWidmayerBlock
     }
 
     /// The victim of `round`: rotates through `Π`.
@@ -322,10 +309,7 @@ impl SantoroWidmayerBlock {
 
 impl<M: Clone + Corruptible + Send> Adversary<M> for SantoroWidmayerBlock {
     fn name(&self) -> String {
-        match self.receivers_hit {
-            None => "santoro-widmayer-block".to_string(),
-            Some(k) => format!("santoro-widmayer-block(k={k})"),
-        }
+        "santoro-widmayer-block".to_string()
     }
 
     fn deliver(
@@ -336,9 +320,8 @@ impl<M: Clone + Corruptible + Send> Adversary<M> for SantoroWidmayerBlock {
     ) -> MessageMatrix<M> {
         let n = intended.universe();
         let victim = Self::victim(round, n);
-        let hit = self.receivers_hit.unwrap_or(n).min(n);
         let mut delivered = intended.clone();
-        for r in 0..hit {
+        for r in 0..n {
             delivered.mutate_cell(victim, ProcessId::new(r as u32), |m| m.corrupted(rng));
         }
         delivered
@@ -368,11 +351,6 @@ impl StaticByzantine {
         StaticByzantine {
             corrupt_set: ProcessSet::from_indices(n, 0..f.min(n)),
         }
-    }
-
-    /// The corrupted-sender set `B`.
-    pub fn corrupt_set(&self) -> &ProcessSet {
-        &self.corrupt_set
     }
 }
 
@@ -580,15 +558,6 @@ mod tests {
     }
 
     #[test]
-    fn block_adversary_partial_receivers() {
-        let mut adv = SantoroWidmayerBlock::first_receivers(2);
-        let m = intended(5);
-        let d = adv.deliver(Round::FIRST, &m, &mut rng());
-        let sets = RoundSets::from_matrices(&m, &d);
-        assert_eq!(sets.total_corruptions(), 2); // = ⌊n/2⌋ for n = 5
-    }
-
-    #[test]
     fn static_byzantine_bounds_altered_span() {
         let mut adv = StaticByzantine::first(6, 2);
         let m = intended(6);
@@ -638,9 +607,5 @@ mod tests {
             <RandomCorruption as Adversary<u64>>::name(&RandomCorruption::new(1, 0.5))
                 .contains("α=1")
         );
-        assert!(<SantoroWidmayerBlock as Adversary<u64>>::name(
-            &SantoroWidmayerBlock::first_receivers(3)
-        )
-        .contains("k=3"));
     }
 }

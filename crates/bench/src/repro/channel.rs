@@ -15,8 +15,8 @@ use heardof_coding::{
 use heardof_core::{Ate, AteParams};
 use heardof_engine::{encode_body_into, Frame, Framing, OutcomeView};
 use heardof_model::RoundSets;
-use heardof_net::{recommend_alpha, recommend_alpha_for_mean, LinkFaults};
-use heardof_telemetry::{Event, EventKind, RingRecorder, Telemetry};
+use heardof_net::{recommend_alpha, LinkFaults};
+use heardof_telemetry::{chernoff_alpha_for_mean, Event, EventKind, RingRecorder, Telemetry};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::sync::Arc;
@@ -151,7 +151,7 @@ pub(super) fn coding_tradeoff(out: &mut String) {
             // Expected undetected corruptions per receiver per round:
             // one frame from each of the n−1 peers.
             let mu = (N - 1) as f64 * rates.value_fault_rate();
-            let alpha = recommend_alpha_for_mean(mu, N, TAIL);
+            let alpha = chernoff_alpha_for_mean(mu, N, TAIL);
             let verdict = match AteParams::balanced(N, alpha) {
                 Ok(p) => format!("OK: {p}"),
                 Err(e) => format!("INFEASIBLE: {e}"),
@@ -206,7 +206,7 @@ struct Outcome {
 
 impl Outcome {
     fn alpha_star(&self) -> u32 {
-        recommend_alpha_for_mean(self.value_faults as f64 / ROUNDS as f64, N, TAIL)
+        chernoff_alpha_for_mean(self.value_faults as f64 / ROUNDS as f64, N, TAIL)
     }
 
     fn feasible(&self) -> bool {

@@ -364,12 +364,6 @@ impl AdaptiveController {
         }
     }
 
-    /// The pure decision state this controller currently holds — what
-    /// [`step`] evolves, and what the exhaustive model checker hashes.
-    pub fn state(&self) -> &CtlState {
-        &self.state
-    }
-
     /// The code in force for the next send.
     pub fn current(&self) -> CodeSpec {
         self.cfg.ladder[self.state.rung as usize]
@@ -440,7 +434,7 @@ impl AdaptiveController {
 
     /// The `α` budget the windowed value-fault estimate demands at the
     /// configured tail, via
-    /// [`chernoff_alpha_for_mean`](crate::chernoff_alpha_for_mean).
+    /// [`heardof_telemetry::chernoff_alpha_for_mean`].
     pub fn projected_alpha(&self) -> u32 {
         self.state.projected_alpha(&self.cfg)
     }

@@ -117,7 +117,4 @@ pub use oblivious::{
 };
 pub use repetition::Repetition;
 pub use script::{FaultScript, LinkFault};
-pub use step::{
-    chernoff_alpha_for_mean, step, CtlState, RoundTally, StepOutcome, SwitchCause, TallyWindow,
-    MAX_WINDOW,
-};
+pub use step::{step, CtlState, RoundTally, StepOutcome, SwitchCause, TallyWindow, MAX_WINDOW};

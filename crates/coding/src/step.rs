@@ -82,19 +82,6 @@ impl RoundTally {
     }
 }
 
-/// The smallest budget `α ≤ n` whose Chernoff upper tail for a
-/// Binomial/Poisson-like per-round undetected-corruption count with
-/// mean `mu` is below `tail_bound`.
-///
-/// This is the canonical padding rule of the workspace; the
-/// implementation lives in `heardof_telemetry` (next to the
-/// [`heardof_telemetry::AlphaLedger`] that feeds it observed rates),
-/// and `heardof_net::recommend_alpha_for_mean`, the bench harness and
-/// this re-export all delegate there so the logic lives in one place.
-pub fn chernoff_alpha_for_mean(mu: f64, n: usize, tail_bound: f64) -> u32 {
-    heardof_telemetry::chernoff_alpha_for_mean(mu, n, tail_bound)
-}
-
 /// Why a controller moved rungs — recorded on every switch so the
 /// telemetry plane can attribute ladder motion.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -300,15 +287,15 @@ impl CtlState {
     }
 
     /// The `α` budget the windowed value-fault estimate demands at the
-    /// configured tail, via [`chernoff_alpha_for_mean`].
+    /// configured tail, via [`heardof_telemetry::chernoff_alpha_for_mean`].
     pub fn projected_alpha(&self, cfg: &AdaptiveConfig) -> u32 {
         let rounds = self.window.len().max(1) as f64;
         let mu = self.window.iter().map(|t| t.value_faults).sum::<usize>() as f64 / rounds;
-        chernoff_alpha_for_mean(mu, cfg.n, cfg.target_tail)
+        heardof_telemetry::chernoff_alpha_for_mean(mu, cfg.n, cfg.target_tail)
     }
 
     /// `true` when the projected demand fits the configured budget.
-    pub fn palpha_feasible(&self, cfg: &AdaptiveConfig) -> bool {
+    fn palpha_feasible(&self, cfg: &AdaptiveConfig) -> bool {
         self.projected_alpha(cfg) <= cfg.alpha_budget
     }
 }
@@ -628,15 +615,6 @@ fn switch_common(st: &mut CtlState) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chernoff_alpha_matches_expectations() {
-        assert_eq!(chernoff_alpha_for_mean(0.0, 20, 1e-9), 0);
-        let low = chernoff_alpha_for_mean(0.05, 20, 1e-6);
-        let high = chernoff_alpha_for_mean(2.0, 20, 1e-6);
-        assert!(low < high);
-        assert!(chernoff_alpha_for_mean(50.0, 10, 1e-6) <= 10, "capped at n");
-    }
 
     #[test]
     fn tally_arithmetic() {

@@ -24,13 +24,6 @@ pub fn santoro_widmayer_faults_per_round(n: usize) -> usize {
     n / 2
 }
 
-/// Schmid/Weiss/Rushby's per-process bound for synchronous systems with
-/// link faults: at most `n/4` value faults per round per sender and
-/// receiver. \[20\]
-pub fn schmid_value_faults_bound(n: usize) -> usize {
-    n / 4
-}
-
 /// The largest per-receiver, per-round corruption budget under which
 /// `A_{T,E}` stays safe and live — the integer form of `α < n/4` (§3.3).
 pub fn ate_max_alpha(n: usize) -> u32 {
@@ -57,7 +50,7 @@ pub fn ute_corruptions_per_round(n: usize) -> usize {
 
 /// Martin/Alvisi's lower bound: fast Byzantine consensus requires at
 /// least `⌈(4n+1)/5⌉` correct processes. \[16\]
-pub fn martin_alvisi_min_correct(n: usize) -> usize {
+fn martin_alvisi_min_correct(n: usize) -> usize {
     (4 * n + 1).div_ceil(5)
 }
 
@@ -201,15 +194,5 @@ mod tests {
         };
         assert!(!p.satisfies_bound());
         assert_eq!(p.slack(), -1);
-    }
-
-    #[test]
-    fn schmid_bound_quarter() {
-        assert_eq!(schmid_value_faults_bound(16), 4);
-        // U_{T,E,α} budgets up to (n−1)/2 per receiver in ordinary
-        // rounds — strictly more than [20]'s n/4 — for n ≥ 3.
-        for n in 3..100 {
-            assert!(ute_max_alpha(n) as usize >= schmid_value_faults_bound(n));
-        }
     }
 }

@@ -15,8 +15,8 @@
 use crate::codec::{decode_body, Frame, WireMessage};
 use bytes::BytesMut;
 use heardof_coding::{
-    AdaptiveController, ChannelCode, CodeBook, CodeSpec, CtlState, RoundTally, RungAdvert,
-    SwitchCause, SymbolBudget,
+    AdaptiveController, ChannelCode, CodeBook, CodeSpec, RoundTally, RungAdvert, SwitchCause,
+    SymbolBudget,
 };
 use heardof_telemetry::{pack_rung_switch, Event, EventKind, Telemetry};
 use std::borrow::Cow;
@@ -261,20 +261,6 @@ impl Framing {
     /// *copies of frames* to *one frame with budgeted repair symbols*.
     pub fn symbol_budget(&self) -> Option<SymbolBudget> {
         self.budget
-    }
-
-    /// The adaptive controller's pure decision state ([`CtlState`]),
-    /// or `None` in fixed mode. This is the same value the exhaustive
-    /// model checker (`heardof-mc`) evolves with the pure
-    /// [`heardof_coding::step`] function; the conformance harness reads
-    /// it here to assert that a counterexample trace replayed through a
-    /// real substrate lands the production controller exactly where the
-    /// checker predicted.
-    pub fn controller_state(&self) -> Option<&CtlState> {
-        match &self.mode {
-            Mode::Fixed { .. } => None,
-            Mode::Adaptive { controller, .. } => Some(controller.state()),
-        }
     }
 
     /// End-of-round hook: feed the receiver's tally to the controller

@@ -7,12 +7,16 @@
 //! machine unable to close its round. There is one ingest, so it is
 //! fuzzed once: the same arrivals go through both wire layouts, on a
 //! ladder with and without the content-oblivious rung, in every phase
-//! (before the first round opens, round open, round closed).
+//! (before the first round opens, round open, round closed), for both
+//! message shapes — `Ate<u64>`'s plain values and `Ute<u64>`'s
+//! `UteMsg` bodies (an estimate or a vote that may be `?`).
 
 use heardof_coding::{oblivious_channel, AdaptiveConfig, AdaptiveController, CodeBook};
-use heardof_core::{Ate, AteParams};
-use heardof_engine::{Framing, Ingest, MuxRoundEngine, RoundEngine, RoundMachine, WireLayout};
-use heardof_model::ProcessId;
+use heardof_core::{Ate, AteParams, Ute, UteParams};
+use heardof_engine::{
+    Framing, Ingest, MuxRoundEngine, RoundEngine, RoundMachine, WireLayout, WireMessage,
+};
+use heardof_model::{HoAlgorithm, ProcessId};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -34,15 +38,14 @@ fn framing(oblivious: bool) -> Framing {
     Framing::adaptive(book, AdaptiveController::new(cfg))
 }
 
-fn algo() -> Ate<u64> {
-    Ate::new(AteParams::balanced(N, 1).unwrap())
-}
-
 /// What every peer sends process [`ME`] in rounds 1..=3 of a clean
 /// lockstep run: `wires[r - 1]` holds round `r`'s images.
-fn clean_wires<L: WireLayout>(
-    make: &impl Fn(u32) -> RoundMachine<Ate<u64>, L>,
-) -> Vec<Vec<Vec<u8>>> {
+fn clean_wires<A, L>(make: &impl Fn(u32) -> RoundMachine<A, L>) -> Vec<Vec<Vec<u8>>>
+where
+    A: HoAlgorithm,
+    A::Msg: WireMessage,
+    L: WireLayout,
+{
     let mut engines: Vec<_> = (0..N as u32).map(make).collect();
     let mut to_me = Vec::new();
     for _ in 0..3 {
@@ -104,13 +107,17 @@ fn arrival(x: u64, wires: &[Vec<Vec<u8>>]) -> (Vec<u8>, u32, Option<u64>) {
 /// for `Open` and `Closed`, so that the clean wires of rounds 1, 2 and 3
 /// are one round late, on time and early — then closes a round on top
 /// of whatever that left behind.
-fn pour<L: WireLayout>(
-    make: &impl Fn(u32) -> RoundMachine<Ate<u64>, L>,
+fn pour<A, L>(
+    make: &impl Fn(u32) -> RoundMachine<A, L>,
     wires: &[Vec<Vec<u8>>],
     count_channel: bool,
     phase: Phase,
     arrivals: &[u64],
-) {
+) where
+    A: HoAlgorithm,
+    A::Msg: WireMessage,
+    L: WireLayout,
+{
     let mut e = make(ME);
     if phase != Phase::Unopened {
         e.begin_round_with(|_, _, _| {});
@@ -156,26 +163,53 @@ fn pour<L: WireLayout>(
     assert_eq!(e.current_round(), completed + 1);
 }
 
+/// Pours `arrivals` into both layouts of `algo`, on both ladders and
+/// in every phase.
+fn pour_everywhere<A>(algo: impl Fn() -> A, arrivals: &[u64])
+where
+    A: HoAlgorithm<Value = u64>,
+    A::Msg: WireMessage,
+{
+    for oblivious in [false, true] {
+        let bare = |me: u32| {
+            let value = me as u64 % 2;
+            RoundEngine::new(
+                algo(),
+                ProcessId::new(me),
+                N,
+                value,
+                framing(oblivious),
+                1,
+                HORIZON,
+            )
+        };
+        let slots = |me: u32| {
+            let values = vec![me as u64 % 2, 1, 0];
+            MuxRoundEngine::new(
+                algo(),
+                ProcessId::new(me),
+                N,
+                values,
+                framing(oblivious),
+                1,
+                HORIZON,
+            )
+        };
+        let (bare_wires, slot_wires) = (clean_wires(&bare), clean_wires(&slots));
+        for phase in [Phase::Unopened, Phase::Open, Phase::Closed] {
+            pour(&bare, &bare_wires, oblivious, phase, arrivals);
+            // The slot layout has no count channel on any ladder.
+            pour(&slots, &slot_wires, false, phase, arrivals);
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn ingest_is_total_in_every_layout_ladder_and_phase(
         arrivals in proptest::collection::vec(any::<u64>(), 0..80),
     ) {
-        for oblivious in [false, true] {
-            let bare = |me: u32| {
-                let value = me as u64 % 2;
-                RoundEngine::new(algo(), ProcessId::new(me), N, value, framing(oblivious), 1, HORIZON)
-            };
-            let slots = |me: u32| {
-                let values = vec![me as u64 % 2, 1, 0];
-                MuxRoundEngine::new(algo(), ProcessId::new(me), N, values, framing(oblivious), 1, HORIZON)
-            };
-            let (bare_wires, slot_wires) = (clean_wires(&bare), clean_wires(&slots));
-            for phase in [Phase::Unopened, Phase::Open, Phase::Closed] {
-                pour(&bare, &bare_wires, oblivious, phase, &arrivals);
-                // The slot layout has no count channel on any ladder.
-                pour(&slots, &slot_wires, false, phase, &arrivals);
-            }
-        }
+        pour_everywhere(|| Ate::new(AteParams::balanced(N, 1).unwrap()), &arrivals);
+        pour_everywhere(|| Ute::new(UteParams::tightest(N, 1).unwrap(), 0u64), &arrivals);
     }
 }

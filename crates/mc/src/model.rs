@@ -359,6 +359,44 @@ pub fn true_advert(st: &CtlState) -> RungAdvert {
     }
 }
 
+/// What a receiver observes through its incoming links this round: the
+/// round's tally and the advertisements it heard. Each link is its
+/// sender's pre-round state and the wire fault on it (`None` for clean
+/// delivery). Under [`LinkFault::CorruptAll`] a content rung's frame is
+/// malformed — an omission — while a sender on the content-oblivious
+/// last rung gets through untouched: arrival is its signal.
+fn observe<'a>(
+    cfg: &AdaptiveConfig,
+    links: impl Iterator<Item = (&'a CtlState, Option<LinkFault>)>,
+) -> (RoundTally, Vec<RungAdvert>) {
+    let last = (cfg.ladder.len() - 1) as u8;
+    let oblivious_last = cfg.ladder.last() == Some(&CodeSpec::Oblivious);
+    let mut tally = RoundTally {
+        expected: 0,
+        delivered: 0,
+        corrected: 0,
+        value_faults: 0,
+        evidence: 0,
+    };
+    let mut ads = Vec::with_capacity(MAX_N - 1);
+    for (sender, fault) in links {
+        let (kept, ad) = match fault {
+            None => (true, Some(true_advert(sender))),
+            Some(LinkFault::Omit) => (false, None),
+            Some(LinkFault::MuteAdvert) => (true, None),
+            Some(LinkFault::Forge(ad)) => (true, Some(ad)),
+            Some(LinkFault::CorruptAll) => {
+                let survives = oblivious_last && sender.rung == last;
+                (survives, survives.then(|| true_advert(sender)))
+            }
+        };
+        tally.expected += 1;
+        tally.delivered += kept as usize;
+        ads.extend(ad);
+    }
+    (tally, ads)
+}
+
 /// Enumerates every observation the adversary can hand `recv` this
 /// round — all omission subsets, at most one advert fault (mute or, if
 /// enabled, each in-ladder forgery) — steps the receiver through each,
@@ -375,51 +413,17 @@ pub fn receiver_successors(
     out.clear();
     let senders: Vec<usize> = (0..mc.n).filter(|j| *j != recv).collect();
     let k = senders.len();
-    let truth: Vec<RungAdvert> = senders.iter().map(|&j| true_advert(&ctls[j].st)).collect();
-    let last = (mc.cfg.ladder.len() - 1) as u8;
-    let oblivious_last = mc.cfg.ladder.last() == Some(&CodeSpec::Oblivious);
-    // Which sender slots read as delivered under corrupt-all: exactly
-    // the senders on the content-oblivious rung (arrival is their
-    // signal; complemented bytes change nothing).
-    let survives_corrupt: Vec<bool> = senders
-        .iter()
-        .map(|&j| oblivious_last && ctls[j].st.rung == last)
-        .collect();
     let mut dedup = std::collections::HashSet::new();
 
     let try_actions = |acts: &[u8],
                        out: &mut Vec<LocalSucc>,
                        dedup: &mut std::collections::HashSet<[u8; CTL_BYTES]>|
      -> Option<(LocalSucc, Predicate)> {
-        let mut ads: Vec<RungAdvert> = Vec::with_capacity(k);
-        let mut delivered = 0usize;
-        for (slot, &code) in acts.iter().enumerate() {
-            match action_fault(code) {
-                None => {
-                    delivered += 1;
-                    ads.push(truth[slot]);
-                }
-                Some(LinkFault::Omit) => {}
-                Some(LinkFault::MuteAdvert) => delivered += 1,
-                Some(LinkFault::Forge(ad)) => {
-                    delivered += 1;
-                    ads.push(ad);
-                }
-                Some(LinkFault::CorruptAll) => {
-                    if survives_corrupt[slot] {
-                        delivered += 1;
-                        ads.push(truth[slot]);
-                    }
-                }
-            }
-        }
-        let tally = RoundTally {
-            expected: k,
-            delivered,
-            corrected: 0,
-            value_faults: 0,
-            evidence: 0,
-        };
+        let links = senders
+            .iter()
+            .zip(acts)
+            .map(|(&j, &code)| (&ctls[j].st, action_fault(code)));
+        let (tally, ads) = observe(&mc.cfg, links);
         let mut node = ctls[recv];
         let (outcome, violated) = step_node(&mc.cfg, &mut node, tally, &ads);
         let mut packed = [0u8; CTL_BYTES];
@@ -544,58 +548,7 @@ pub fn replay_script(
     script: &FaultScript,
     rounds: u64,
 ) -> Vec<Vec<(u8, u8)>> {
-    let mut states: Vec<CtlState> = (0..n).map(|_| CtlState::initial(cfg)).collect();
-    let mut schedule: Vec<Vec<(u8, u8)>> = vec![Vec::new(); n];
-    let last = (cfg.ladder.len() - 1) as u8;
-    let oblivious_last = cfg.ladder.last() == Some(&CodeSpec::Oblivious);
-    for round in 1..=rounds {
-        let truth: Vec<RungAdvert> = states.iter().map(true_advert).collect();
-        let survives: Vec<bool> = states
-            .iter()
-            .map(|st| oblivious_last && st.rung == last)
-            .collect();
-        let mut next = states.clone();
-        for (recv, nx) in next.iter_mut().enumerate() {
-            let mut ads = Vec::with_capacity(n - 1);
-            let mut delivered = 0usize;
-            for (sender, ad) in truth.iter().enumerate() {
-                if sender == recv {
-                    continue;
-                }
-                match script.get(round, sender as u32, recv as u32) {
-                    None => {
-                        delivered += 1;
-                        ads.push(*ad);
-                    }
-                    Some(LinkFault::Omit) => {}
-                    Some(LinkFault::MuteAdvert) => delivered += 1,
-                    Some(LinkFault::Forge(f)) => {
-                        delivered += 1;
-                        ads.push(f);
-                    }
-                    Some(LinkFault::CorruptAll) => {
-                        if survives[sender] {
-                            delivered += 1;
-                            ads.push(*ad);
-                        }
-                    }
-                }
-            }
-            let tally = RoundTally {
-                expected: n - 1,
-                delivered,
-                corrected: 0,
-                value_faults: 0,
-                evidence: 0,
-            };
-            step(cfg, nx, tally, &ads);
-        }
-        states = next;
-        for (i, st) in states.iter().enumerate() {
-            schedule[i].push((st.rung, st.epoch));
-        }
-    }
-    schedule
+    replay(cfg, n, script, rounds).0
 }
 
 /// Replays a [`FaultScript`] through the pure machine like
@@ -609,57 +562,40 @@ pub fn replay_check(
     script: &FaultScript,
     rounds: u64,
 ) -> Option<(u64, usize, Predicate)> {
-    let mut nodes: Vec<CtlNode> = (0..n).map(|_| CtlNode::initial(cfg)).collect();
-    let last = (cfg.ladder.len() - 1) as u8;
-    let oblivious_last = cfg.ladder.last() == Some(&CodeSpec::Oblivious);
+    replay(cfg, n, script, rounds).1
+}
+
+/// Every controller's per-round `(rung, epoch)`: `schedule[p][r - 1]`.
+type Schedule = Vec<Vec<(u8, u8)>>;
+
+/// The one replay walk behind [`replay_script`] and [`replay_check`]:
+/// [`step_node`] evolves each controller exactly as [`step`] does, so
+/// one pass yields both the schedule and the first violation.
+fn replay(
+    cfg: &AdaptiveConfig,
+    n: usize,
+    script: &FaultScript,
+    rounds: u64,
+) -> (Schedule, Option<(u64, usize, Predicate)>) {
+    let mut nodes = vec![CtlNode::initial(cfg); n];
+    let mut schedule = vec![Vec::new(); n];
+    let mut first_violation = None;
     for round in 1..=rounds {
-        let truth: Vec<RungAdvert> = nodes.iter().map(|c| true_advert(&c.st)).collect();
-        let survives: Vec<bool> = nodes
-            .iter()
-            .map(|c| oblivious_last && c.st.rung == last)
-            .collect();
-        let mut next = nodes.clone();
-        for (recv, node) in next.iter_mut().enumerate() {
-            let mut ads = Vec::with_capacity(n - 1);
-            let mut delivered = 0usize;
-            for (sender, ad) in truth.iter().enumerate() {
-                if sender == recv {
-                    continue;
-                }
-                match script.get(round, sender as u32, recv as u32) {
-                    None => {
-                        delivered += 1;
-                        ads.push(*ad);
-                    }
-                    Some(LinkFault::Omit) => {}
-                    Some(LinkFault::MuteAdvert) => delivered += 1,
-                    Some(LinkFault::Forge(f)) => {
-                        delivered += 1;
-                        ads.push(f);
-                    }
-                    Some(LinkFault::CorruptAll) => {
-                        if survives[sender] {
-                            delivered += 1;
-                            ads.push(*ad);
-                        }
-                    }
-                }
+        let pre = nodes.clone();
+        for (recv, node) in nodes.iter_mut().enumerate() {
+            let links = pre
+                .iter()
+                .enumerate()
+                .filter(|&(j, _)| j != recv)
+                .map(|(j, c)| (&c.st, script.get(round, j as u32, recv as u32)));
+            let (tally, ads) = observe(cfg, links);
+            if let (_, Some(p)) = step_node(cfg, node, tally, &ads) {
+                first_violation.get_or_insert((round, recv, p));
             }
-            let tally = RoundTally {
-                expected: n - 1,
-                delivered,
-                corrected: 0,
-                value_faults: 0,
-                evidence: 0,
-            };
-            let (_, violated) = step_node(cfg, node, tally, &ads);
-            if let Some(p) = violated {
-                return Some((round, recv, p));
-            }
+            schedule[recv].push((node.st.rung, node.st.epoch));
         }
-        nodes = next;
     }
-    None
+    (schedule, first_violation)
 }
 
 #[cfg(test)]

@@ -111,14 +111,6 @@ impl<V> ConsensusVerdict<V> {
             .filter_map(|d| d.as_ref().map(|(r, _)| *r))
             .max()
     }
-
-    /// The earliest decision round, if anyone decided.
-    pub fn first_decision_round(&self) -> Option<Round> {
-        self.decisions
-            .iter()
-            .filter_map(|d| d.as_ref().map(|(r, _)| *r))
-            .min()
-    }
 }
 
 /// Checks Agreement, Integrity and decision irrevocability over a trace.
@@ -276,7 +268,6 @@ mod tests {
         assert!(v.is_safe());
         assert!(v.all_decided);
         assert!(v.consensus_reached());
-        assert_eq!(v.first_decision_round(), Some(Round::new(1)));
         assert_eq!(v.last_decision_round(), Some(Round::new(2)));
     }
 

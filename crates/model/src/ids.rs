@@ -138,11 +138,6 @@ impl Round {
     pub fn is_first_of_phase(self) -> bool {
         self.0 % 2 == 1
     }
-
-    /// `true` if this is the second round (`2φ`) of its phase.
-    pub fn is_second_of_phase(self) -> bool {
-        self.0.is_multiple_of(2)
-    }
 }
 
 impl fmt::Display for Round {
@@ -255,8 +250,7 @@ mod tests {
         assert_eq!(Round::new(3).phase(), Phase::new(2));
         assert_eq!(Round::new(4).phase(), Phase::new(2));
         assert!(Round::new(3).is_first_of_phase());
-        assert!(!Round::new(3).is_second_of_phase());
-        assert!(Round::new(4).is_second_of_phase());
+        assert!(!Round::new(4).is_first_of_phase());
     }
 
     #[test]

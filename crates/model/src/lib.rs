@@ -64,7 +64,5 @@ pub use matrix::MessageMatrix;
 pub use set::ProcessSet;
 pub use sets::{CommHistory, History, RoundSets};
 pub use trace::{RoundDetail, RoundRecord, RunTrace, TraceLevel};
-pub use value::{
-    smallest_most_frequent, tally, value_histogram, ConsensusValue, Corruptible, ValueBearing,
-};
+pub use value::{tally, ConsensusValue, Corruptible, ValueBearing};
 pub use vector::ReceptionVector;

@@ -237,60 +237,6 @@ pub fn tally<'a, V: Ord + 'a>(
     }
 }
 
-/// The *smallest most often received* value among `values`, the update rule
-/// of `A_{T,E}` (Algorithm 1, line 8).
-///
-/// Returns `None` iff the iterator is empty. Frequencies are compared
-/// first; among equally frequent values, the smallest (per `Ord`) wins.
-///
-/// # Examples
-///
-/// ```
-/// use heardof_model::smallest_most_frequent;
-///
-/// // 7 appears twice, 3 appears twice → tie broken toward 3.
-/// let v = smallest_most_frequent([7u64, 3, 7, 3, 9]);
-/// assert_eq!(v, Some(3));
-/// assert_eq!(smallest_most_frequent(Vec::<u64>::new()), None);
-/// ```
-pub fn smallest_most_frequent<V, I>(values: I) -> Option<V>
-where
-    V: ConsensusValue,
-    I: IntoIterator<Item = V>,
-{
-    let values: Vec<V> = values.into_iter().collect();
-    let mut best: Option<(&V, usize)> = None;
-    tally(&values, |v, count| {
-        // Ascending visits: only a strictly higher count displaces.
-        if best.is_none_or(|(_, most)| count > most) {
-            best = Some((v, count));
-        }
-    });
-    best.map(|(v, _)| v.clone())
-}
-
-/// Counts occurrences of each distinct value, returning `(value, count)`
-/// pairs sorted by value.
-///
-/// # Examples
-///
-/// ```
-/// use heardof_model::value_histogram;
-///
-/// let h = value_histogram([2u64, 1, 2]);
-/// assert_eq!(h, vec![(1, 1), (2, 2)]);
-/// ```
-pub fn value_histogram<V, I>(values: I) -> Vec<(V, usize)>
-where
-    V: ConsensusValue,
-    I: IntoIterator<Item = V>,
-{
-    let values: Vec<V> = values.into_iter().collect();
-    let mut out = Vec::new();
-    tally(&values, |v, count| out.push((v.clone(), count)));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,20 +244,7 @@ mod tests {
     use rand::SeedableRng;
     use std::collections::HashMap;
 
-    /// The hash-map tallies `tally` replaced, kept verbatim as the oracle.
-    fn oracle_smallest_most_frequent<V: ConsensusValue>(
-        values: impl IntoIterator<Item = V>,
-    ) -> Option<V> {
-        let mut counts: HashMap<V, usize> = HashMap::new();
-        for v in values {
-            *counts.entry(v).or_insert(0) += 1;
-        }
-        counts
-            .into_iter()
-            .max_by(|(va, ca), (vb, cb)| ca.cmp(cb).then_with(|| vb.cmp(va)))
-            .map(|(v, _)| v)
-    }
-
+    /// The hash-map tally `tally` replaced, kept verbatim as the oracle.
     fn oracle_histogram<V: ConsensusValue>(values: impl IntoIterator<Item = V>) -> Vec<(V, usize)> {
         let mut counts: HashMap<V, usize> = HashMap::new();
         for v in values {
@@ -323,15 +256,12 @@ mod tests {
     }
 
     fn assert_matches_oracle<V: ConsensusValue>(values: Vec<V>) {
+        let mut runs = Vec::new();
+        tally(&values, |v, count| runs.push((v.clone(), count)));
         assert_eq!(
-            value_histogram(values.clone()),
+            runs,
             oracle_histogram(values.clone()),
-            "histogram of {values:?}"
-        );
-        assert_eq!(
-            smallest_most_frequent(values.clone()),
-            oracle_smallest_most_frequent(values.clone()),
-            "smallest most frequent of {values:?}"
+            "tally of {values:?}"
         );
     }
 
@@ -383,28 +313,6 @@ mod tests {
             assert_eq!(runs.len(), distinct);
             assert_eq!(runs, oracle_histogram(values), "{distinct} distinct values");
         }
-    }
-
-    #[test]
-    fn smallest_most_frequent_prefers_frequency() {
-        assert_eq!(smallest_most_frequent([1u64, 2, 2, 3]), Some(2));
-    }
-
-    #[test]
-    fn smallest_most_frequent_breaks_ties_low() {
-        assert_eq!(smallest_most_frequent([5u64, 1, 5, 1]), Some(1));
-        assert_eq!(smallest_most_frequent([9u64]), Some(9));
-    }
-
-    #[test]
-    fn smallest_most_frequent_empty() {
-        assert_eq!(smallest_most_frequent(Vec::<u64>::new()), None);
-    }
-
-    #[test]
-    fn histogram_sorted_by_value() {
-        let h = value_histogram([3u64, 1, 3, 3, 1]);
-        assert_eq!(h, vec![(1, 2), (3, 3)]);
     }
 
     #[test]

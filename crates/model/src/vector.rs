@@ -108,31 +108,12 @@ impl<M> ReceptionVector<M> {
     pub fn messages(&self) -> impl Iterator<Item = &M> {
         self.slots.iter().filter_map(|m| m.as_ref())
     }
-
-    /// Consumes the vector, yielding owned `(sender, message)` pairs.
-    pub fn into_iter_received(self) -> impl Iterator<Item = (ProcessId, M)> {
-        self.slots
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, m)| m.map(|m| (ProcessId::new(i as u32), m)))
-    }
 }
 
 impl<M: Eq> ReceptionVector<M> {
     /// Number of received messages equal to `msg`.
     pub fn count_eq(&self, msg: &M) -> usize {
         self.messages().filter(|m| *m == msg).count()
-    }
-
-    /// The set `R_p^r(m)` of senders from which `msg` was received.
-    pub fn senders_of(&self, msg: &M) -> ProcessSet {
-        let mut s = ProcessSet::empty(self.slots.len());
-        for (p, m) in self.iter() {
-            if m == msg {
-                s.insert(p);
-            }
-        }
-        s
     }
 }
 
@@ -219,7 +200,7 @@ mod tests {
     }
 
     #[test]
-    fn count_and_senders() {
+    fn count_eq_counts_equal_messages() {
         let mut rx = ReceptionVector::new(5);
         rx.set(pid(0), 7u64);
         rx.set(pid(2), 7u64);
@@ -227,7 +208,6 @@ mod tests {
         assert_eq!(rx.count_eq(&7), 2);
         assert_eq!(rx.count_eq(&9), 1);
         assert_eq!(rx.count_eq(&0), 0);
-        assert_eq!(rx.senders_of(&7), ProcessSet::from_indices(5, [0, 2]));
     }
 
     #[test]
@@ -256,13 +236,5 @@ mod tests {
         let rx: ReceptionVector<u64> = [(pid(0), 1u64), (pid(4), 2u64)].into_iter().collect();
         assert_eq!(rx.universe(), 5);
         assert_eq!(rx.heard_count(), 2);
-    }
-
-    #[test]
-    fn into_iter_received_owns() {
-        let mut rx = ReceptionVector::new(2);
-        rx.set(pid(1), "hi".to_string());
-        let got: Vec<_> = rx.into_iter_received().collect();
-        assert_eq!(got, vec![(pid(1), "hi".to_string())]);
     }
 }

@@ -9,7 +9,7 @@
 //! desired confidence.
 
 use crate::link::LinkFaults;
-use heardof_telemetry::AlphaLedger;
+use heardof_telemetry::{chernoff_alpha_for_mean, AlphaLedger};
 
 /// Estimated demand a link fault model puts on the `P_α` budget.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -28,7 +28,9 @@ pub struct AlphaEstimate {
 ///
 /// Undetected corruptions at one receiver in one round follow a
 /// Binomial(`n`, `corrupt_prob · undetected_prob`). We recommend the
-/// smallest `α` whose Chernoff upper tail is below `tail_bound`.
+/// smallest `α` whose Chernoff upper tail is below `tail_bound`: the
+/// workspace's one padding rule,
+/// [`heardof_telemetry::chernoff_alpha_for_mean`].
 ///
 /// # Examples
 ///
@@ -45,23 +47,9 @@ pub fn recommend_alpha(faults: &LinkFaults, n: usize, tail_bound: f64) -> AlphaE
     let mu = n as f64 * p;
     AlphaEstimate {
         expected: mu,
-        recommended_alpha: recommend_alpha_for_mean(mu, n, tail_bound),
+        recommended_alpha: chernoff_alpha_for_mean(mu, n, tail_bound),
         tail_bound,
     }
-}
-
-/// The smallest budget `α ≤ n` whose Chernoff upper tail for a
-/// Binomial/Poisson-like per-round undetected-corruption count with
-/// mean `mu` is below `tail_bound` — the padding rule behind
-/// [`recommend_alpha`], exposed for sweeps that obtain `mu` from
-/// measured code miss rates (e.g. the `coding_tradeoff` experiment).
-///
-/// The canonical implementation lives in `heardof-coding`
-/// ([`heardof_coding::chernoff_alpha_for_mean`]) since the adaptive
-/// controller's `P_α` projection needs it below this crate; this
-/// re-statement keeps the original API.
-pub fn recommend_alpha_for_mean(mu: f64, n: usize, tail_bound: f64) -> u32 {
-    heardof_coding::chernoff_alpha_for_mean(mu, n, tail_bound)
 }
 
 /// Recommends `α` from a flight recording's [`AlphaLedger`] instead of
@@ -161,21 +149,6 @@ mod tests {
             1e-6,
         );
         assert!(strong.recommended_alpha < weak.recommended_alpha);
-    }
-
-    #[test]
-    fn alpha_for_mean_behaves() {
-        assert_eq!(recommend_alpha_for_mean(0.0, 20, 1e-9), 0);
-        let low = recommend_alpha_for_mean(0.05, 20, 1e-6);
-        let high = recommend_alpha_for_mean(2.0, 20, 1e-6);
-        assert!(
-            low < high,
-            "more demand needs more budget ({low} vs {high})"
-        );
-        assert!(
-            recommend_alpha_for_mean(50.0, 10, 1e-6) <= 10,
-            "capped at n"
-        );
     }
 
     #[test]

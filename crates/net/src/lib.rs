@@ -54,9 +54,7 @@ mod link;
 mod lockstep;
 mod runtime;
 
-pub use coverage::{
-    recommend_alpha, recommend_alpha_for_mean, recommend_alpha_from_ledger, AlphaEstimate,
-};
+pub use coverage::{recommend_alpha, recommend_alpha_from_ledger, AlphaEstimate};
 pub use fabric::RunFabric;
 // The CRC implementation lives in `heardof-coding` now that coding is a
 // first-class subsystem; re-exported so the original API is unchanged.

@@ -121,7 +121,7 @@ impl LinkFaults {
     /// # Panics
     ///
     /// Panics if any field lies outside `[0, 1]`.
-    pub fn validated(self) -> Self {
+    fn validated(self) -> Self {
         for (name, p) in [
             ("drop_prob", self.drop_prob),
             ("corrupt_prob", self.corrupt_prob),
@@ -133,14 +133,6 @@ impl LinkFaults {
             );
         }
         self
-    }
-
-    /// Expected *adversarial* undetected corruptions per receiver per
-    /// round, given `n` senders — a lower bound on the demand the
-    /// budget `α` must dominate (codes with imperfect detection add
-    /// their own misses on top; see `heardof_coding::measure_code`).
-    pub fn expected_alpha(&self, n: usize) -> f64 {
-        n as f64 * self.corrupt_prob * self.undetected_prob
     }
 }
 
@@ -671,7 +663,7 @@ impl LinkEvent {
     /// The link-plane [`EventKind`] mirroring this verdict — the single
     /// mapping every substrate uses, so flight recordings agree on what
     /// each wire outcome is called.
-    pub fn telemetry_kind(self) -> EventKind {
+    fn telemetry_kind(self) -> EventKind {
         match self {
             LinkEvent::Delivered => EventKind::LinkDelivered,
             LinkEvent::Dropped => EventKind::LinkDropped,
@@ -889,16 +881,6 @@ mod tests {
         assert_ne!(got.msg, 5);
         assert!(log.was_corrupted(&(1, 0, 1, 0)));
         assert_eq!(log.len(), 1);
-    }
-
-    #[test]
-    fn expected_alpha_formula() {
-        let faults = LinkFaults {
-            drop_prob: 0.0,
-            corrupt_prob: 0.1,
-            undetected_prob: 0.01,
-        };
-        assert!((faults.expected_alpha(100) - 0.1).abs() < 1e-12);
     }
 
     #[test]

@@ -36,11 +36,6 @@ impl All {
     pub fn parts(&self) -> &[Box<dyn CommPredicate>] {
         &self.parts
     }
-
-    /// Evaluates each conjunct separately (for per-conjunct diagnostics).
-    pub fn check_each(&self, history: &dyn History) -> Vec<PredicateReport> {
-        self.parts.iter().map(|p| p.check(history)).collect()
-    }
 }
 
 impl CommPredicate for All {
@@ -143,16 +138,6 @@ mod tests {
 
         let weaker = All::new(vec![Box::new(PAlpha::new(1))]);
         assert!(weaker.holds(&h));
-    }
-
-    #[test]
-    fn check_each_gives_per_conjunct_reports() {
-        let h = corrupted_history();
-        let both = All::new(vec![Box::new(PAlpha::new(1)), Box::new(PBenign)]);
-        let reports = both.check_each(&h);
-        assert_eq!(reports.len(), 2);
-        assert!(reports[0].holds);
-        assert!(!reports[1].holds);
     }
 
     #[test]

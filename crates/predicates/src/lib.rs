@@ -11,7 +11,6 @@
 //!
 //! * safety: [`PAlpha`] (`P_α`), [`PPermAlpha`] (`P_α^perm`),
 //!   [`PBenign`], [`MinSho`] (the `P^{U,safe}` cardinality bound),
-//!   [`MinKernel`],
 //! * liveness: [`ALive`] (`P^{A,live}`, Figure 1), [`ULive`]
 //!   (`P^{U,live}`, Figure 2),
 //! * Byzantine emulation (§5.2): [`SyncByzantine`], [`AsyncByzantine`],
@@ -52,4 +51,4 @@ pub use byzantine::{AsyncByzantine, SyncByzantine};
 pub use combinators::{All, Not};
 pub use liveness::{ALive, ULive};
 pub use report::{CommPredicate, PredicateReport, PredicateViolation};
-pub use safety::{MinKernel, MinSho, PAlpha, PBenign, PPermAlpha};
+pub use safety::{MinSho, PAlpha, PBenign, PPermAlpha};

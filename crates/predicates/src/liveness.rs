@@ -67,7 +67,7 @@ impl ALive {
     }
 
     /// The first round satisfying conjunct 1 within the prefix, if any.
-    pub fn first_uniform_round(&self, history: &dyn History) -> Option<Round> {
+    fn first_uniform_round(&self, history: &dyn History) -> Option<Round> {
         for i in 0..history.num_rounds() {
             let round = Round::new(i as u64 + 1);
             if self.uniform_round_holds(history, round) {
@@ -183,7 +183,7 @@ impl ULive {
 
     /// The first phase `φ₀` whose window satisfies all three conjuncts
     /// within the prefix, if any.
-    pub fn witness_phase(&self, history: &dyn History) -> Option<Phase> {
+    fn witness_phase(&self, history: &dyn History) -> Option<Phase> {
         let rounds = history.num_rounds() as u64;
         let mut phi = 1u64;
         loop {

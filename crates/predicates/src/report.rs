@@ -54,11 +54,6 @@ impl PredicateReport {
             violations,
         }
     }
-
-    /// The first violation, if any.
-    pub fn first_violation(&self) -> Option<&PredicateViolation> {
-        self.violations.first()
-    }
 }
 
 impl fmt::Display for PredicateReport {
@@ -73,7 +68,7 @@ impl fmt::Display for PredicateReport {
                 self.violations.len(),
                 if self.violations.len() == 1 { "" } else { "s" }
             )?;
-            if let Some(first) = self.first_violation() {
+            if let Some(first) = self.violations.first() {
                 write!(f, ", first: {first}")?;
             }
             Ok(())
@@ -111,7 +106,7 @@ mod tests {
     fn display_pass_and_fail() {
         let pass = PredicateReport::pass("P_test");
         assert_eq!(pass.to_string(), "P_test: holds");
-        assert_eq!(pass.first_violation(), None);
+        assert!(pass.violations.is_empty());
 
         let fail = PredicateReport::fail(
             "P_test",

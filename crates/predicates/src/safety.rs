@@ -201,45 +201,6 @@ impl CommPredicate for MinSho {
     }
 }
 
-/// Per-round kernel size: `|K(r)| ≥ min` for every round.
-#[derive(Clone, Copy, Debug)]
-pub struct MinKernel {
-    min: usize,
-}
-
-impl MinKernel {
-    /// Requires `|K(r)| ≥ min` at every round.
-    pub fn new(min: usize) -> Self {
-        MinKernel { min }
-    }
-}
-
-impl CommPredicate for MinKernel {
-    fn name(&self) -> String {
-        format!("∀r: |K(r)| ≥ {}", self.min)
-    }
-
-    fn check(&self, history: &dyn History) -> PredicateReport {
-        let mut violations = Vec::new();
-        for i in 0..history.num_rounds() {
-            let round = Round::new(i as u64 + 1);
-            let k = history.round_sets(round).kernel().len();
-            if k < self.min {
-                violations.push(PredicateViolation {
-                    round: Some(round),
-                    process: None,
-                    detail: format!("|K(r)| = {k} below required {}", self.min),
-                });
-            }
-        }
-        if violations.is_empty() {
-            PredicateReport::pass(self.name())
-        } else {
-            PredicateReport::fail(self.name(), violations)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,16 +272,6 @@ mod tests {
         assert!(!report.holds);
         assert_eq!(report.violations[0].process, Some(ProcessId::new(1)));
         assert!(MinSho::new(3).holds(&clean_history(3, 2)));
-    }
-
-    #[test]
-    fn min_kernel_bound() {
-        let h = mixed_history();
-        // K(r) excludes p0 and p2 (p1 missed/corrupted them): K = {p1}… p1
-        // heard p0 (corrupted counts for HO) and itself; missed p2.
-        // HO(p1) = {p0, p1}; others full → K = {p0, p1}.
-        assert!(MinKernel::new(2).holds(&h));
-        assert!(!MinKernel::new(3).holds(&h));
     }
 
     #[test]

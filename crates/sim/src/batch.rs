@@ -25,19 +25,6 @@ impl BatchSummary {
         self.decided as f64 / self.runs as f64
     }
 
-    /// Mean decision round among fully decided runs.
-    pub fn mean_decision_round(&self) -> Option<f64> {
-        if self.decision_rounds.is_empty() {
-            return None;
-        }
-        Some(self.decision_rounds.iter().sum::<u64>() as f64 / self.decision_rounds.len() as f64)
-    }
-
-    /// Largest observed decision round.
-    pub fn max_decision_round(&self) -> Option<u64> {
-        self.decision_rounds.iter().copied().max()
-    }
-
     /// `true` iff every run was safe and decided.
     pub fn all_consensus_ok(&self) -> bool {
         self.violated == 0 && self.decided == self.runs
@@ -106,8 +93,8 @@ mod tests {
         assert_eq!(summary.runs, 5);
         assert!(summary.all_consensus_ok());
         assert_eq!(summary.decided_fraction(), 1.0);
-        assert!(summary.mean_decision_round().unwrap() >= 1.0);
-        assert!(summary.max_decision_round().unwrap() <= 2);
+        assert_eq!(summary.decision_rounds.len(), 5);
+        assert!(summary.decision_rounds.iter().all(|r| (1..=2).contains(r)));
     }
 
     #[test]
@@ -117,6 +104,6 @@ mod tests {
         });
         assert_eq!(summary.runs, 0);
         assert_eq!(summary.decided_fraction(), 0.0);
-        assert_eq!(summary.mean_decision_round(), None);
+        assert!(summary.decision_rounds.is_empty());
     }
 }

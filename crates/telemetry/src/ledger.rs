@@ -7,10 +7,9 @@ use crate::recording::KindCounts;
 /// Binomial/Poisson-like per-round undetected-corruption count with
 /// mean `mu` is below `tail_bound`.
 ///
-/// This is the canonical padding rule of the workspace;
-/// `heardof_coding::chernoff_alpha_for_mean`,
-/// `heardof_net::recommend_alpha_for_mean` and the bench harness all
-/// delegate here so the logic lives in one place.
+/// This is the one padding rule of the workspace: the adaptive
+/// controller's `P_α` projection (`heardof_coding::CtlState`),
+/// `heardof_net::recommend_alpha` and the bench harness all call it.
 pub fn chernoff_alpha_for_mean(mu: f64, n: usize, tail_bound: f64) -> u32 {
     assert!(mu >= 0.0, "mean demand must be nonnegative");
     // Chernoff: P(X ≥ a) ≤ exp(−mu) (e·mu / a)^a for a > mu.

@@ -26,8 +26,8 @@
 //!
 //! The α-side of the plane lives in [`AlphaLedger`], which folds link
 //! counters into consumed-vs-projected undetected-fault accounting, and
-//! in [`chernoff_alpha_for_mean`] — the canonical Chernoff projection
-//! the rest of the workspace delegates to.
+//! in [`chernoff_alpha_for_mean`] — the one Chernoff projection the
+//! rest of the workspace calls.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -309,7 +309,7 @@ pub struct MuxSubstrateReport<V> {
 impl<V> MuxSubstrateReport<V> {
     /// Projects the per-process engine reports onto the conformance
     /// dimensions.
-    pub fn from_reports(reports: Vec<MuxReport<V>>) -> Self {
+    fn from_reports(reports: Vec<MuxReport<V>>) -> Self {
         let completed = reports
             .iter()
             .map(|r| r.rounds_completed as usize)

@@ -108,12 +108,12 @@ pub mod prelude {
     };
     pub use heardof_engine::{Framing, OutcomeView, ProcessCore, RoundEngine, SubstrateOutcome};
     pub use heardof_model::{
-        all_processes, check_consensus, smallest_most_frequent, CommHistory, ConsensusValue,
-        Corruptible, History, HoAlgorithm, MessageMatrix, Phase, ProcessId, ProcessSet,
-        ReceptionVector, Round, RoundSets, RunTrace, TraceLevel,
+        all_processes, check_consensus, CommHistory, ConsensusValue, Corruptible, History,
+        HoAlgorithm, MessageMatrix, Phase, ProcessId, ProcessSet, ReceptionVector, Round,
+        RoundSets, RunTrace, TraceLevel,
     };
     pub use heardof_predicates::{
-        ALive, All, AsyncByzantine, CommPredicate, MinKernel, MinSho, PAlpha, PBenign, PPermAlpha,
+        ALive, All, AsyncByzantine, CommPredicate, MinSho, PAlpha, PBenign, PPermAlpha,
         SyncByzantine, ULive,
     };
     pub use heardof_sim::{run_batch, BatchSummary, RunOutcome, SimError, Simulator};
