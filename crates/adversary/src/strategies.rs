@@ -19,12 +19,17 @@
 use crate::traits::Adversary;
 use heardof_model::{Corruptible, MessageMatrix, ProcessId, ProcessSet, Round};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// Corrupts up to `alpha` randomly chosen receptions per receiver per
 /// round, each with probability `link_prob`, using [`Corruptible`] to
 /// mutate contents.
+///
+/// Each receiver walks its senders in a fresh uniform order and accepts
+/// each with probability `link_prob` until `alpha` are corrupted. The
+/// order is drawn lazily (a partial Fisher–Yates), one position per
+/// candidate, so a full-probability round at n = 16, α = 3 draws 48
+/// positions rather than the 240 of a full shuffle per receiver.
 ///
 /// Satisfies `P_α` by construction.
 ///
@@ -83,8 +88,8 @@ impl<M: Clone + Corruptible + Send> Adversary<M> for RandomCorruption {
     ) -> MessageMatrix<M> {
         let n = intended.universe();
         let mut delivered = intended.clone();
-        // The shuffled sender order, inline while n ≤ 64; each receiver
-        // shuffles the previous receiver's order.
+        // The sender order, inline while n ≤ 64; each receiver permutes
+        // the previous receiver's order.
         let mut inline = [0u32; 64];
         let mut spill = Vec::new();
         let senders: &mut [u32] = if n <= inline.len() {
@@ -98,14 +103,18 @@ impl<M: Clone + Corruptible + Send> Adversary<M> for RandomCorruption {
         }
         for r in 0..n {
             let receiver = ProcessId::new(r as u32);
-            senders.shuffle(rng);
+            // A lazy Fisher–Yates: position `i` is drawn only when the
+            // budget still has room, so a receiver meets a uniform
+            // ordered prefix of its senders and stops after `α` victims.
             let mut used = 0;
-            for &s in senders.iter() {
+            for i in 0..n {
                 if used >= self.alpha {
                     break;
                 }
+                let j = rng.gen_range(i..n);
+                senders.swap(i, j);
                 if rng.gen_bool(self.link_prob) {
-                    let sender = ProcessId::new(s);
+                    let sender = ProcessId::new(senders[i]);
                     let mut mutated = false;
                     delivered.mutate_cell(sender, receiver, |m| {
                         mutated = true;
@@ -481,6 +490,7 @@ where
 mod tests {
     use super::*;
     use heardof_model::RoundSets;
+    use rand::seq::SliceRandom;
     use rand::SeedableRng;
 
     fn intended(n: usize) -> MessageMatrix<u64> {
@@ -607,5 +617,169 @@ mod tests {
             <RandomCorruption as Adversary<u64>>::name(&RandomCorruption::new(1, 0.5))
                 .contains("α=1")
         );
+    }
+
+    /// `RandomCorruption::deliver` as it stood before the lazy draw —
+    /// a full shuffle of the senders per receiver, then a scan —
+    /// verbatim but for `self`: the distributional oracle.
+    fn shuffle_deliver<M: Clone + Corruptible>(
+        adv: &RandomCorruption,
+        intended: &MessageMatrix<M>,
+        rng: &mut StdRng,
+    ) -> MessageMatrix<M> {
+        let n = intended.universe();
+        let mut delivered = intended.clone();
+        // The shuffled sender order, inline while n ≤ 64; each receiver
+        // shuffles the previous receiver's order.
+        let mut inline = [0u32; 64];
+        let mut spill = Vec::new();
+        let senders: &mut [u32] = if n <= inline.len() {
+            &mut inline[..n]
+        } else {
+            spill.resize(n, 0);
+            &mut spill
+        };
+        for (s, id) in senders.iter_mut().enumerate() {
+            *id = s as u32;
+        }
+        for r in 0..n {
+            let receiver = ProcessId::new(r as u32);
+            senders.shuffle(rng);
+            let mut used = 0;
+            for &s in senders.iter() {
+                if used >= adv.alpha {
+                    break;
+                }
+                if rng.gen_bool(adv.link_prob) {
+                    let sender = ProcessId::new(s);
+                    let mut mutated = false;
+                    delivered.mutate_cell(sender, receiver, |m| {
+                        mutated = true;
+                        m.corrupted(rng)
+                    });
+                    if mutated {
+                        used += 1;
+                    }
+                }
+            }
+        }
+        delivered
+    }
+
+    /// Per-cell corruption counts (sender-major) and the histogram of
+    /// per-receiver corruption counts over `rounds` rounds of `deliver`
+    /// on a full `n × n` matrix.
+    fn corruption_tally(
+        n: usize,
+        alpha: u32,
+        rounds: u32,
+        rng: &mut StdRng,
+        mut deliver: impl FnMut(&MessageMatrix<u64>, &mut StdRng) -> MessageMatrix<u64>,
+    ) -> (Vec<u64>, Vec<u64>) {
+        let intended = intended(n);
+        let (mut cells, mut histogram) = (vec![0u64; n * n], vec![0u64; alpha as usize + 1]);
+        let mut per_receiver = vec![0usize; n];
+        for _ in 0..rounds {
+            let delivered = deliver(&intended, rng);
+            per_receiver.fill(0);
+            for s in 0..n {
+                let sender = ProcessId::new(s as u32);
+                let rows = delivered
+                    .row_cells(sender)
+                    .iter()
+                    .zip(intended.row_cells(sender));
+                for (r, (got, want)) in rows.enumerate() {
+                    if got != want {
+                        cells[s * n + r] += 1;
+                        per_receiver[r] += 1;
+                    }
+                }
+            }
+            for &count in &per_receiver {
+                histogram[count] += 1;
+            }
+        }
+        (cells, histogram)
+    }
+
+    /// Two counts of `trials` Bernoulli trials with one success rate
+    /// differ by at most six standard deviations of their difference
+    /// (plus one for the discreteness of small counts).
+    fn within_binomial_bracket(a: u64, b: u64, trials: u64) -> bool {
+        let p = (a + b) as f64 / (2 * trials) as f64;
+        let sd = (2.0 * trials as f64 * p * (1.0 - p)).sqrt();
+        (a as f64 - b as f64).abs() <= 6.0 * sd + 1.0
+    }
+
+    /// Asserts that the lazy draw and the full shuffle give the same
+    /// per-cell corruption rate and the same per-receiver count
+    /// distribution over 20 000 rounds at α = 3, on both sides of the
+    /// inline sender buffer (n = 4, 16, 65).
+    fn assert_lazy_draw_matches_the_full_shuffle(link_prob: f64) {
+        const ROUNDS: u32 = 20_000;
+        const ALPHA: u32 = 3;
+        for n in [4usize, 16, 65] {
+            let mut adv = RandomCorruption::new(ALPHA, link_prob);
+            let (new_cells, new_histogram) = corruption_tally(
+                n,
+                ALPHA,
+                ROUNDS,
+                &mut StdRng::seed_from_u64(n as u64),
+                |m, rng| adv.deliver(Round::FIRST, m, rng),
+            );
+            let oracle = adv.clone();
+            let (old_cells, old_histogram) = corruption_tally(
+                n,
+                ALPHA,
+                ROUNDS,
+                &mut StdRng::seed_from_u64(1000 + n as u64),
+                |m, rng| shuffle_deliver(&oracle, m, rng),
+            );
+            for (cell, (&a, &b)) in new_cells.iter().zip(&old_cells).enumerate() {
+                assert!(
+                    within_binomial_bracket(a, b, u64::from(ROUNDS)),
+                    "n = {n}, p = {link_prob}: cell {cell} corrupted {a} vs {b} times"
+                );
+            }
+            let receptions = u64::from(ROUNDS) * n as u64;
+            for (k, (&a, &b)) in new_histogram.iter().zip(&old_histogram).enumerate() {
+                assert!(
+                    within_binomial_bracket(a, b, receptions),
+                    "n = {n}, p = {link_prob}: {k} corruptions at {a} vs {b} receivers"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_draw_matches_the_full_shuffle_when_every_candidate_is_taken() {
+        assert_lazy_draw_matches_the_full_shuffle(1.0);
+    }
+
+    #[test]
+    fn lazy_draw_matches_the_full_shuffle_when_candidates_are_rejected() {
+        assert_lazy_draw_matches_the_full_shuffle(0.3);
+    }
+
+    #[test]
+    fn full_probability_spends_the_whole_budget_at_every_receiver() {
+        let mut rng = rng();
+        for n in [4usize, 16, 65] {
+            let m = intended(n);
+            for alpha in [0u32, 3, 5, 70] {
+                let mut adv = RandomCorruption::new(alpha, 1.0);
+                for round in 1..=5u64 {
+                    let d = adv.deliver(Round::new(round), &m, &mut rng);
+                    let sets = RoundSets::from_matrices(&m, &d);
+                    for p in 0..n {
+                        assert_eq!(
+                            sets.aho_len(ProcessId::new(p as u32)),
+                            (alpha as usize).min(n),
+                            "n = {n}, α = {alpha}, receiver {p}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
