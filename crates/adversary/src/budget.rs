@@ -113,15 +113,15 @@ where
         format!("{}⊓α={}", self.inner.name(), self.alpha)
     }
 
-    fn deliver(
+    fn deliver_into(
         &mut self,
         round: Round,
         intended: &MessageMatrix<M>,
+        out: &mut MessageMatrix<M>,
         rng: &mut StdRng,
-    ) -> MessageMatrix<M> {
-        let mut delivered = self.inner.deliver(round, intended, rng);
-        clamp_to_alpha(intended, &mut delivered, self.alpha);
-        delivered
+    ) {
+        self.inner.deliver_into(round, intended, out, rng);
+        clamp_to_alpha(intended, out, self.alpha);
     }
 }
 
@@ -219,14 +219,14 @@ mod tests {
             "corrupt-everything".into()
         }
 
-        fn deliver(
+        fn deliver_into(
             &mut self,
             _round: Round,
             intended: &MessageMatrix<u64>,
+            out: &mut MessageMatrix<u64>,
             _rng: &mut StdRng,
-        ) -> MessageMatrix<u64> {
-            let n = intended.universe();
-            MessageMatrix::from_fn(n, |s, r| intended.get(s, r).map(|v| v + 1000))
+        ) {
+            out.refill(|s, r| intended.get(s, r).map(|v| v + 1000));
         }
     }
 

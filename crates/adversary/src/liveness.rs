@@ -140,16 +140,15 @@ where
         format!("{}∣good-rounds", self.inner.name())
     }
 
-    fn deliver(
+    fn deliver_into(
         &mut self,
         round: Round,
         intended: &MessageMatrix<M>,
+        out: &mut MessageMatrix<M>,
         rng: &mut StdRng,
-    ) -> MessageMatrix<M> {
-        if self.schedule.is_good(round) {
-            intended.clone()
-        } else {
-            self.inner.deliver(round, intended, rng)
+    ) {
+        if !self.schedule.is_good(round) {
+            self.inner.deliver_into(round, intended, out, rng);
         }
     }
 }

@@ -80,14 +80,14 @@ impl<M: Clone + Corruptible + Send> Adversary<M> for RandomCorruption {
         format!("random-corruption(α={}, p={})", self.alpha, self.link_prob)
     }
 
-    fn deliver(
+    fn deliver_into(
         &mut self,
         _round: Round,
         intended: &MessageMatrix<M>,
+        out: &mut MessageMatrix<M>,
         rng: &mut StdRng,
-    ) -> MessageMatrix<M> {
+    ) {
         let n = intended.universe();
-        let mut delivered = intended.clone();
         // The sender order, inline while n ≤ 64; each receiver permutes
         // the previous receiver's order.
         let mut inline = [0u32; 64];
@@ -116,7 +116,7 @@ impl<M: Clone + Corruptible + Send> Adversary<M> for RandomCorruption {
                 if rng.gen_bool(self.link_prob) {
                     let sender = ProcessId::new(senders[i]);
                     let mut mutated = false;
-                    delivered.mutate_cell(sender, receiver, |m| {
+                    out.mutate_cell(sender, receiver, |m| {
                         mutated = true;
                         m.corrupted(rng)
                     });
@@ -126,7 +126,6 @@ impl<M: Clone + Corruptible + Send> Adversary<M> for RandomCorruption {
                 }
             }
         }
-        delivered
     }
 }
 
@@ -164,14 +163,14 @@ impl<M: Clone + Eq + Send> Adversary<M> for BorrowedCorruption {
         )
     }
 
-    fn deliver(
+    fn deliver_into(
         &mut self,
         _round: Round,
         intended: &MessageMatrix<M>,
+        out: &mut MessageMatrix<M>,
         rng: &mut StdRng,
-    ) -> MessageMatrix<M> {
+    ) {
         let n = intended.universe();
-        let mut delivered = intended.clone();
         for r in 0..n {
             let receiver = ProcessId::new(r as u32);
             let mut used = 0;
@@ -193,13 +192,12 @@ impl<M: Clone + Eq + Send> Adversary<M> for BorrowedCorruption {
                     intended.get(sender, receiver),
                 ) {
                     if &theirs != mine {
-                        delivered.set(sender, receiver, theirs);
+                        out.set(sender, receiver, theirs);
                         used += 1;
                     }
                 }
             }
         }
-        delivered
     }
 }
 
@@ -230,22 +228,21 @@ impl<M: Clone + Send> Adversary<M> for RandomOmission {
         format!("random-omission(p={})", self.drop_prob)
     }
 
-    fn deliver(
+    fn deliver_into(
         &mut self,
         _round: Round,
         intended: &MessageMatrix<M>,
+        out: &mut MessageMatrix<M>,
         rng: &mut StdRng,
-    ) -> MessageMatrix<M> {
+    ) {
         let n = intended.universe();
-        let mut delivered = intended.clone();
         for s in 0..n {
             for r in 0..n {
                 if rng.gen_bool(self.drop_prob) {
-                    delivered.clear(ProcessId::new(s as u32), ProcessId::new(r as u32));
+                    out.clear(ProcessId::new(s as u32), ProcessId::new(r as u32));
                 }
             }
         }
-        delivered
     }
 }
 
@@ -276,20 +273,19 @@ impl<M: Clone + Send> Adversary<M> for SenderOmission {
         format!("sender-omission(k={})", self.silenced.len())
     }
 
-    fn deliver(
+    fn deliver_into(
         &mut self,
         _round: Round,
         intended: &MessageMatrix<M>,
+        out: &mut MessageMatrix<M>,
         _rng: &mut StdRng,
-    ) -> MessageMatrix<M> {
+    ) {
         let n = intended.universe();
-        let mut delivered = intended.clone();
         for sender in self.silenced.iter() {
             for r in 0..n {
-                delivered.clear(sender, ProcessId::new(r as u32));
+                out.clear(sender, ProcessId::new(r as u32));
             }
         }
-        delivered
     }
 }
 
@@ -321,19 +317,18 @@ impl<M: Clone + Corruptible + Send> Adversary<M> for SantoroWidmayerBlock {
         "santoro-widmayer-block".to_string()
     }
 
-    fn deliver(
+    fn deliver_into(
         &mut self,
         round: Round,
         intended: &MessageMatrix<M>,
+        out: &mut MessageMatrix<M>,
         rng: &mut StdRng,
-    ) -> MessageMatrix<M> {
+    ) {
         let n = intended.universe();
         let victim = Self::victim(round, n);
-        let mut delivered = intended.clone();
         for r in 0..n {
-            delivered.mutate_cell(victim, ProcessId::new(r as u32), |m| m.corrupted(rng));
+            out.mutate_cell(victim, ProcessId::new(r as u32), |m| m.corrupted(rng));
         }
-        delivered
     }
 }
 
@@ -368,20 +363,19 @@ impl<M: Clone + Corruptible + Send> Adversary<M> for StaticByzantine {
         format!("static-byzantine(f={})", self.corrupt_set.len())
     }
 
-    fn deliver(
+    fn deliver_into(
         &mut self,
         _round: Round,
         intended: &MessageMatrix<M>,
+        out: &mut MessageMatrix<M>,
         rng: &mut StdRng,
-    ) -> MessageMatrix<M> {
+    ) {
         let n = intended.universe();
-        let mut delivered = intended.clone();
         for sender in self.corrupt_set.iter() {
             for r in 0..n {
-                delivered.mutate_cell(sender, ProcessId::new(r as u32), |m| m.corrupted(rng));
+                out.mutate_cell(sender, ProcessId::new(r as u32), |m| m.corrupted(rng));
             }
         }
-        delivered
     }
 }
 
@@ -413,14 +407,14 @@ impl<M: Clone + Corruptible + Send> Adversary<M> for SymmetricByzantine {
         format!("symmetric-byzantine(f={})", self.corrupt_set.len())
     }
 
-    fn deliver(
+    fn deliver_into(
         &mut self,
         _round: Round,
         intended: &MessageMatrix<M>,
+        out: &mut MessageMatrix<M>,
         rng: &mut StdRng,
-    ) -> MessageMatrix<M> {
+    ) {
         let n = intended.universe();
-        let mut delivered = intended.clone();
         for sender in self.corrupt_set.iter() {
             // One corrupted value per sender per round, broadcast as-is.
             let template = intended
@@ -428,11 +422,10 @@ impl<M: Clone + Corruptible + Send> Adversary<M> for SymmetricByzantine {
                 .map(|m| m.corrupted(rng));
             if let Some(bad) = template {
                 for r in 0..n {
-                    delivered.set(sender, ProcessId::new(r as u32), bad.clone());
+                    out.set(sender, ProcessId::new(r as u32), bad.clone());
                 }
             }
         }
-        delivered
     }
 }
 
@@ -472,16 +465,15 @@ where
         )
     }
 
-    fn deliver(
+    fn deliver_into(
         &mut self,
         round: Round,
         intended: &MessageMatrix<M>,
+        out: &mut MessageMatrix<M>,
         rng: &mut StdRng,
-    ) -> MessageMatrix<M> {
+    ) {
         if self.in_burst(round) {
-            self.inner.deliver(round, intended, rng)
-        } else {
-            intended.clone()
+            self.inner.deliver_into(round, intended, out, rng);
         }
     }
 }

@@ -81,16 +81,16 @@ impl<M: Clone + Eq + Hash + Send> Adversary<M> for SplitBrain {
         format!("split-brain(α={})", self.alpha)
     }
 
-    fn deliver(
+    fn deliver_into(
         &mut self,
         _round: Round,
         intended: &MessageMatrix<M>,
+        out: &mut MessageMatrix<M>,
         _rng: &mut StdRng,
-    ) -> MessageMatrix<M> {
+    ) {
         let n = intended.universe();
-        let mut delivered = intended.clone();
         let Some((va, vb)) = Self::top_two(intended) else {
-            return delivered; // unanimity (or silence): nothing to split
+            return; // unanimity (or silence): nothing to split
         };
         for r in 0..n {
             let receiver = ProcessId::new(r as u32);
@@ -103,13 +103,12 @@ impl<M: Clone + Eq + Hash + Send> Adversary<M> for SplitBrain {
                 let sender = ProcessId::new(s as u32);
                 if let Some(m) = intended.get(sender, receiver) {
                     if m != target {
-                        delivered.set(sender, receiver, target.clone());
+                        out.set(sender, receiver, target.clone());
                         used += 1;
                     }
                 }
             }
         }
-        delivered
     }
 }
 

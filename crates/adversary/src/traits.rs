@@ -21,17 +21,37 @@ pub trait Adversary<M>: Send {
     /// A short human-readable strategy name (used in reports).
     fn name(&self) -> String;
 
-    /// Produces the delivered matrix for `round` from the `intended` one.
+    /// Rewrites `out` into the delivered matrix for `round`. On entry
+    /// `out` holds a copy of `intended`, so an adversary edits only the
+    /// cells it faults; one that builds its output from scratch must
+    /// overwrite every cell.
     ///
     /// Cells may be dropped (omission) or replaced (value fault); cells
     /// must not be *added* where the intended matrix has none — the
     /// sending functions are total, so that situation cannot arise.
+    fn deliver_into(
+        &mut self,
+        round: Round,
+        intended: &MessageMatrix<M>,
+        out: &mut MessageMatrix<M>,
+        rng: &mut StdRng,
+    );
+
+    /// The delivered matrix for `round` as a fresh matrix: a copy of
+    /// `intended` rewritten by [`Adversary::deliver_into`].
     fn deliver(
         &mut self,
         round: Round,
         intended: &MessageMatrix<M>,
         rng: &mut StdRng,
-    ) -> MessageMatrix<M>;
+    ) -> MessageMatrix<M>
+    where
+        M: Clone,
+    {
+        let mut out = intended.clone();
+        self.deliver_into(round, intended, &mut out, rng);
+        out
+    }
 }
 
 /// The identity adversary: perfect communication every round.
@@ -57,13 +77,13 @@ impl<M: Clone + Send> Adversary<M> for NoFaults {
         "no-faults".to_string()
     }
 
-    fn deliver(
+    fn deliver_into(
         &mut self,
         _round: Round,
-        intended: &MessageMatrix<M>,
+        _intended: &MessageMatrix<M>,
+        _out: &mut MessageMatrix<M>,
         _rng: &mut StdRng,
-    ) -> MessageMatrix<M> {
-        intended.clone()
+    ) {
     }
 }
 
@@ -73,13 +93,14 @@ impl<M> Adversary<M> for Box<dyn Adversary<M>> {
         (**self).name()
     }
 
-    fn deliver(
+    fn deliver_into(
         &mut self,
         round: Round,
         intended: &MessageMatrix<M>,
+        out: &mut MessageMatrix<M>,
         rng: &mut StdRng,
-    ) -> MessageMatrix<M> {
-        (**self).deliver(round, intended, rng)
+    ) {
+        (**self).deliver_into(round, intended, out, rng)
     }
 }
 
@@ -90,19 +111,26 @@ impl<M> Adversary<M> for Box<dyn Adversary<M>> {
 /// corruption against the *original* intended matrix, so wrap the whole
 /// sequence, not the parts.
 #[derive(Clone, Debug)]
-pub struct Seq<A, B> {
+pub struct Seq<A, B, M> {
     first: A,
     second: B,
+    /// `first`'s output, which `second` reads as its intended matrix;
+    /// one buffer for the chain's lifetime.
+    mid: MessageMatrix<M>,
 }
 
-impl<A, B> Seq<A, B> {
+impl<A, B, M> Seq<A, B, M> {
     /// Chains two adversaries.
     pub fn new(first: A, second: B) -> Self {
-        Seq { first, second }
+        Seq {
+            first,
+            second,
+            mid: MessageMatrix::empty(0),
+        }
     }
 }
 
-impl<M, A, B> Adversary<M> for Seq<A, B>
+impl<M, A, B> Adversary<M> for Seq<A, B, M>
 where
     M: Clone + Send,
     A: Adversary<M>,
@@ -112,14 +140,16 @@ where
         format!("{}+{}", self.first.name(), self.second.name())
     }
 
-    fn deliver(
+    fn deliver_into(
         &mut self,
         round: Round,
         intended: &MessageMatrix<M>,
+        out: &mut MessageMatrix<M>,
         rng: &mut StdRng,
-    ) -> MessageMatrix<M> {
-        let mid = self.first.deliver(round, intended, rng);
-        self.second.deliver(round, &mid, rng)
+    ) {
+        self.first.deliver_into(round, intended, out, rng);
+        self.mid.clone_from(out);
+        self.second.deliver_into(round, &self.mid, out, rng);
     }
 }
 
@@ -137,13 +167,14 @@ mod tests {
             "drop-all".into()
         }
 
-        fn deliver(
+        fn deliver_into(
             &mut self,
             _round: Round,
-            intended: &MessageMatrix<u64>,
+            _intended: &MessageMatrix<u64>,
+            out: &mut MessageMatrix<u64>,
             _rng: &mut StdRng,
-        ) -> MessageMatrix<u64> {
-            MessageMatrix::empty(intended.universe())
+        ) {
+            out.refill(|_, _| None);
         }
     }
 

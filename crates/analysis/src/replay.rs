@@ -38,23 +38,23 @@ impl Adversary<u64> for WitnessAdversary {
         format!("witness-replay({} rounds)", self.rounds.len())
     }
 
-    fn deliver(
+    fn deliver_into(
         &mut self,
         round: Round,
         intended: &MessageMatrix<u64>,
+        out: &mut MessageMatrix<u64>,
         _rng: &mut StdRng,
-    ) -> MessageMatrix<u64> {
+    ) {
         let n = intended.universe();
-        let mut delivered = intended.clone();
         let Some(choices) = self.rounds.get(round.index()) else {
-            return delivered; // past the script: perfect communication
+            return; // past the script: perfect communication
         };
         for (r, choice) in choices.iter().enumerate() {
             let receiver = ProcessId::new(r as u32);
             match choice {
                 ReceiverChoice::Silence => {
                     for s in 0..n {
-                        delivered.clear(ProcessId::new(s as u32), receiver);
+                        out.clear(ProcessId::new(s as u32), receiver);
                     }
                 }
                 ReceiverChoice::HearAll { ones } => {
@@ -69,10 +69,10 @@ impl Adversary<u64> for WitnessAdversary {
                         let sender = ProcessId::new(s as u32);
                         let v = *intended.get(sender, receiver).expect("broadcast is total");
                         if current_ones < *ones && v == 0 {
-                            delivered.set(sender, receiver, 1);
+                            out.set(sender, receiver, 1);
                             current_ones += 1;
                         } else if current_ones > *ones && v == 1 {
-                            delivered.set(sender, receiver, 0);
+                            out.set(sender, receiver, 0);
                             current_ones -= 1;
                         }
                     }
@@ -106,7 +106,7 @@ impl Adversary<u64> for WitnessAdversary {
                         if keep {
                             kept.push((sender, v));
                         } else {
-                            delivered.clear(sender, receiver);
+                            out.clear(sender, receiver);
                         }
                     }
                     // Corrupt kept messages toward the scripted count.
@@ -116,17 +116,16 @@ impl Adversary<u64> for WitnessAdversary {
                             break;
                         }
                         if current_ones < *ones && v == 0 {
-                            delivered.set(sender, receiver, 1);
+                            out.set(sender, receiver, 1);
                             current_ones += 1;
                         } else if current_ones > *ones && v == 1 {
-                            delivered.set(sender, receiver, 0);
+                            out.set(sender, receiver, 0);
                             current_ones -= 1;
                         }
                     }
                 }
             }
         }
-        delivered
     }
 }
 

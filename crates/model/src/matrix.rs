@@ -29,10 +29,26 @@ use std::fmt::Debug;
 /// let rx = m.column(ProcessId::new(0));
 /// assert_eq!(rx.heard_count(), 3);
 /// ```
-#[derive(Clone, PartialEq, Eq)]
+#[derive(PartialEq, Eq)]
 pub struct MessageMatrix<M> {
     n: usize,
     cells: Vec<Option<M>>,
+}
+
+impl<M: Clone> Clone for MessageMatrix<M> {
+    fn clone(&self) -> Self {
+        MessageMatrix {
+            n: self.n,
+            cells: self.cells.clone(),
+        }
+    }
+
+    /// Copies `source` cell by cell into the existing buffer, so a round
+    /// loop that resets one matrix from another does not allocate.
+    fn clone_from(&mut self, source: &Self) {
+        self.n = source.n;
+        self.cells.clone_from(&source.cells);
+    }
 }
 
 impl<M> MessageMatrix<M> {

@@ -139,6 +139,27 @@ proptest! {
         }
     }
 
+    /// One matrix reset from random partial matrices of varying sizes
+    /// by `clone_from` ends each reset equal to its source, with no
+    /// cell or size of the matrix before it surviving.
+    #[test]
+    fn a_matrix_reset_by_clone_from_equals_its_source(
+        sizes in proptest::collection::vec(0usize..12, 4),
+        cells in proptest::collection::vec(0u8..4, 4 * 11 * 11),
+    ) {
+        let mut cells = cells.into_iter();
+        let mut out: MessageMatrix<String> = MessageMatrix::empty(5);
+        for n in sizes {
+            let source = MessageMatrix::from_fn(n, |s, r| {
+                let cell = cells.next().unwrap_or(0);
+                (cell != 0).then(|| "y".repeat(usize::from(cell)) + &(s.index() * n + r.index()).to_string())
+            });
+            out.clone_from(&source);
+            prop_assert_eq!(&out, &source);
+            prop_assert_eq!(out.universe(), n);
+        }
+    }
+
     #[test]
     fn kernel_is_intersection_of_ho(n in 2usize..9, actions_seed in arb_deliveries(9)) {
         let intended = MessageMatrix::from_fn(n, |_, _| Some(7u64));

@@ -226,17 +226,21 @@ impl<A: HoAlgorithm> Simulator<A> {
         let mut trace: RunTrace<A> = RunTrace::new(n, initial);
         let mut rounds_executed = 0;
         let mut decided_since = None;
-        // One reception vector and one intended matrix for the whole
-        // run, refilled per process and per round.
+        // One reception vector and one intended and one delivered
+        // matrix for the whole run, refilled per process and per round.
         let mut rx = ReceptionVector::new(n);
         let mut intended = MessageMatrix::empty(n);
+        let mut delivered = MessageMatrix::empty(n);
 
         for r in 1..=max_rounds as u64 {
             let round = Round::new(r);
             // (1) Sending functions, applied to start-of-round states.
             intended.refill(|sender, dest| Some(cores[sender.index()].send_to(round, dest)));
-            // (2) The environment decides what arrives.
-            let delivered = self.adversary.deliver(round, &intended, &mut rng);
+            // (2) The environment decides what arrives, editing a copy
+            // of the intended matrix in place.
+            delivered.clone_from(&intended);
+            self.adversary
+                .deliver_into(round, &intended, &mut delivered, &mut rng);
             let sets = RoundSets::from_matrices(&intended, &delivered);
             // (3) Transition functions on reception vectors.
             for (p, core) in cores.iter_mut().enumerate() {
@@ -252,7 +256,7 @@ impl<A: HoAlgorithm> Simulator<A> {
                 detail: match self.trace_level {
                     TraceLevel::Full => Some(RoundDetail {
                         intended: intended.clone(),
-                        delivered,
+                        delivered: delivered.clone(),
                         states_after: cores.iter().map(|c| c.state().clone()).collect(),
                     }),
                     TraceLevel::SetsOnly => None,

@@ -173,12 +173,13 @@ impl<M: WireMessage + Clone + Eq + Debug + Send + 'static> Adversary<M> for Wire
         format!("wire-channel(seed={})", self.seed)
     }
 
-    fn deliver(
+    fn deliver_into(
         &mut self,
         round: Round,
         intended: &MessageMatrix<M>,
+        out: &mut MessageMatrix<M>,
         _rng: &mut StdRng,
-    ) -> MessageMatrix<M> {
+    ) {
         self.intended
             .lock()
             .expect("relay matrix lock")
@@ -191,9 +192,9 @@ impl<M: WireMessage + Clone + Eq + Debug + Send + 'static> Adversary<M> for Wire
             .push(codes.collect());
         self.stepper.round(round.get());
         let engines = self.stepper.engines();
-        MessageMatrix::from_fn(intended.universe(), |sender, receiver| {
+        out.refill(|sender, receiver| {
             let rx = engines[receiver.index()].core().state();
             rx.get(sender).cloned()
-        })
+        });
     }
 }

@@ -112,19 +112,19 @@ impl Adversary<UteMsg<u64>> for USafeBreaker {
         "u-safe-breaker".to_string()
     }
 
-    fn deliver(
+    fn deliver_into(
         &mut self,
         round: Round,
         intended: &MessageMatrix<UteMsg<u64>>,
+        out: &mut MessageMatrix<UteMsg<u64>>,
         _rng: &mut StdRng,
-    ) -> MessageMatrix<UteMsg<u64>> {
+    ) {
         let n = intended.universe();
-        let mut delivered = intended.clone();
         match round.get() {
             1 => {
                 // p3 broadcast Est(1); flip it to Est(0) at every receiver.
                 for r in 0..n {
-                    delivered.mutate_cell(ProcessId::new(3), ProcessId::new(r as u32), |_| {
+                    out.mutate_cell(ProcessId::new(3), ProcessId::new(r as u32), |_| {
                         UteMsg::Est(0)
                     });
                 }
@@ -133,20 +133,19 @@ impl Adversary<UteMsg<u64>> for USafeBreaker {
                 // p1, p2, p3 hear only p3's vote (3 drops each — benign).
                 for receiver in 1..4u32 {
                     for sender in 0..3u32 {
-                        delivered.clear(ProcessId::new(sender), ProcessId::new(receiver));
+                        out.clear(ProcessId::new(sender), ProcessId::new(receiver));
                     }
                 }
             }
             3 => {
                 for r in 0..n {
-                    delivered.mutate_cell(ProcessId::new(0), ProcessId::new(r as u32), |_| {
+                    out.mutate_cell(ProcessId::new(0), ProcessId::new(r as u32), |_| {
                         UteMsg::Est(7)
                     });
                 }
             }
             _ => {}
         }
-        delivered
     }
 }
 
@@ -188,32 +187,31 @@ impl Adversary<UteMsg<u64>> for USafeBreakerWithoutDrops {
         "u-safe-breaker-sans-drops".to_string()
     }
 
-    fn deliver(
+    fn deliver_into(
         &mut self,
         round: Round,
         intended: &MessageMatrix<UteMsg<u64>>,
+        out: &mut MessageMatrix<UteMsg<u64>>,
         _rng: &mut StdRng,
-    ) -> MessageMatrix<UteMsg<u64>> {
+    ) {
         let n = intended.universe();
-        let mut delivered = intended.clone();
         match round.get() {
             1 => {
                 for r in 0..n {
-                    delivered.mutate_cell(ProcessId::new(3), ProcessId::new(r as u32), |_| {
+                    out.mutate_cell(ProcessId::new(3), ProcessId::new(r as u32), |_| {
                         UteMsg::Est(0)
                     });
                 }
             }
             3 => {
                 for r in 0..n {
-                    delivered.mutate_cell(ProcessId::new(0), ProcessId::new(r as u32), |_| {
+                    out.mutate_cell(ProcessId::new(0), ProcessId::new(r as u32), |_| {
                         UteMsg::Est(7)
                     });
                 }
             }
             _ => {}
         }
-        delivered
     }
 }
 
