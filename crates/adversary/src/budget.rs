@@ -10,17 +10,53 @@ use crate::traits::Adversary;
 use heardof_model::{MessageMatrix, ProcessId, Round};
 use rand::rngs::StdRng;
 
+/// Receivers counted per walk of the clamp: one stack array of
+/// counters, so neither walk allocates at any `n`.
+const BLOCK: usize = 64;
+
+/// Corrupted: a value fault, or a message materializing out of nowhere
+/// (it certainly was not sent safely).
+fn is_corrupt<M: Eq>(got: &Option<M>, want: &Option<M>) -> bool {
+    got.is_some() & (got != want)
+}
+
+/// `true` if some receiver of `delivered` has more than `alpha`
+/// corrupted receptions against `intended` — the clamp's read-only
+/// first walk. It reads the matrices' row slices in their sender-major
+/// memory order, `BLOCK` receivers at a time, and counts without a
+/// branch on the cells.
+fn over_budget<M: Eq>(
+    intended: &MessageMatrix<M>,
+    delivered: &MessageMatrix<M>,
+    alpha: u32,
+) -> bool {
+    let n = intended.universe();
+    (0..n).step_by(BLOCK).any(|lo| {
+        let receivers = lo..(lo + BLOCK).min(n);
+        let mut corrupted = [0u32; BLOCK];
+        for s in 0..n {
+            let sender = ProcessId::new(s as u32);
+            let got_row = &delivered.row_cells(sender)[receivers.clone()];
+            let want_row = &intended.row_cells(sender)[receivers.clone()];
+            for ((got, want), count) in got_row.iter().zip(want_row).zip(&mut corrupted) {
+                *count += u32::from(is_corrupt(got, want));
+            }
+        }
+        corrupted.iter().any(|&count| count > alpha)
+    })
+}
+
 /// Restores over-budget corruptions in `delivered` back to their
 /// intended contents, keeping at most `alpha` corrupted receptions per
 /// receiver (earlier sender ids win).
 ///
-/// A first walk reads the matrices' row slices in their sender-major
-/// memory order and counts each receiver's corruptions without a branch
-/// on the cells; a round within budget ends there. Otherwise a second
-/// walk over the same slices restores in place, sender-major again with
-/// one counter per receiver, so each receiver still meets its senders in
-/// id order and the cells restored are the ones a receiver-by-receiver
-/// walk restores.
+/// A first, read-only walk counts each receiver's corruptions; a round
+/// within budget ends there. Otherwise a second walk over the same
+/// row slices restores in place, sender-major again with one counter
+/// per receiver, so each receiver still meets its senders in id order
+/// and the cells restored are the ones a receiver-by-receiver walk
+/// restores. Both walks take `BLOCK` receivers at a time and allocate
+/// nothing.
 ///
 /// Returns the number of cells restored.
 pub fn clamp_to_alpha<M: Clone + Eq>(
@@ -28,39 +64,25 @@ pub fn clamp_to_alpha<M: Clone + Eq>(
     delivered: &mut MessageMatrix<M>,
     alpha: u32,
 ) -> usize {
-    let n = intended.universe();
-    let mut inline = [0u32; 64];
-    let mut spill = Vec::new();
-    let corrupted: &mut [u32] = if n <= inline.len() {
-        &mut inline[..n]
-    } else {
-        spill.resize(n, 0);
-        &mut spill
-    };
-    // Corrupted: a value fault, or a message materializing out of
-    // nowhere (it certainly was not sent safely).
-    let corrupt = |got: &Option<M>, want: &Option<M>| got.is_some() & (got != want);
-    for s in 0..n {
-        let sender = ProcessId::new(s as u32);
-        let (got_row, want_row) = (delivered.row_cells(sender), intended.row_cells(sender));
-        for ((got, want), count) in got_row.iter().zip(want_row).zip(corrupted.iter_mut()) {
-            *count += u32::from(corrupt(got, want));
-        }
-    }
-    if corrupted.iter().all(|&count| count <= alpha) {
+    if !over_budget(intended, delivered, alpha) {
         return 0;
     }
-    corrupted.fill(0);
+    let n = intended.universe();
     let mut restored = 0;
-    for s in 0..n {
-        let sender = ProcessId::new(s as u32);
-        let (got_row, want_row) = (delivered.row_cells_mut(sender), intended.row_cells(sender));
-        for ((got, want), count) in got_row.iter_mut().zip(want_row).zip(corrupted.iter_mut()) {
-            if corrupt(got, want) {
-                *count += 1;
-                if *count > alpha {
-                    got.clone_from(want);
-                    restored += 1;
+    for lo in (0..n).step_by(BLOCK) {
+        let receivers = lo..(lo + BLOCK).min(n);
+        let mut corrupted = [0u32; BLOCK];
+        for s in 0..n {
+            let sender = ProcessId::new(s as u32);
+            let got_row = &mut delivered.row_cells_mut(sender)[receivers.clone()];
+            let want_row = &intended.row_cells(sender)[receivers.clone()];
+            for ((got, want), count) in got_row.iter_mut().zip(want_row).zip(&mut corrupted) {
+                if is_corrupt(got, want) {
+                    *count += 1;
+                    if *count > alpha {
+                        got.clone_from(want);
+                        restored += 1;
+                    }
                 }
             }
         }
@@ -69,6 +91,10 @@ pub fn clamp_to_alpha<M: Clone + Eq>(
 }
 
 /// Wraps an adversary so its output always satisfies `P_α`.
+///
+/// When the inner adversary's [`Adversary::corruption_bound`] is
+/// within `α`, its output needs no clamp and gets none; a debug build
+/// checks instead, without allocating, that no receiver is over budget.
 ///
 /// # Examples
 ///
@@ -121,7 +147,28 @@ where
         rng: &mut StdRng,
     ) {
         self.inner.deliver_into(round, intended, out, rng);
-        clamp_to_alpha(intended, out, self.alpha);
+        if self
+            .inner
+            .corruption_bound()
+            .is_some_and(|b| b <= self.alpha)
+        {
+            debug_assert!(
+                !over_budget(intended, out, self.alpha),
+                "{} corrupted past its declared bound",
+                self.inner.name()
+            );
+        } else {
+            clamp_to_alpha(intended, out, self.alpha);
+        }
+    }
+
+    fn corruption_bound(&self) -> Option<u32> {
+        let alpha = self.alpha;
+        Some(
+            self.inner
+                .corruption_bound()
+                .map_or(alpha, |b| b.min(alpha)),
+        )
     }
 }
 
@@ -228,6 +275,47 @@ mod tests {
         ) {
             out.refill(|s, r| intended.get(s, r).map(|v| v + 1000));
         }
+    }
+
+    /// Corrupts everything, yet declares that it corrupts nothing.
+    struct Overspender;
+
+    impl Adversary<u64> for Overspender {
+        fn name(&self) -> String {
+            "overspender".into()
+        }
+
+        fn deliver_into(
+            &mut self,
+            round: Round,
+            intended: &MessageMatrix<u64>,
+            out: &mut MessageMatrix<u64>,
+            rng: &mut StdRng,
+        ) {
+            CorruptEverything.deliver_into(round, intended, out, rng);
+        }
+
+        fn corruption_bound(&self) -> Option<u32> {
+            Some(0)
+        }
+    }
+
+    /// A debug build checks a declared bound where the clamp is skipped.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "overspender corrupted past its declared bound")]
+    fn a_broken_bound_is_caught_in_debug_builds() {
+        let intended = MessageMatrix::from_fn(3, |_, _| Some(1u64));
+        let mut adv = Budgeted::new(Overspender, 1);
+        let _ = adv.deliver(Round::FIRST, &intended, &mut StdRng::seed_from_u64(0));
+    }
+
+    #[test]
+    fn budgeted_declares_the_tighter_bound() {
+        let bound = |adv: &dyn Adversary<u64>| adv.corruption_bound();
+        assert_eq!(bound(&Budgeted::new(CorruptEverything, 2)), Some(2));
+        assert_eq!(bound(&Budgeted::new(NoFaults, 2)), Some(0));
+        assert_eq!(bound(&Budgeted::new(Overspender, 2)), Some(0));
     }
 
     #[test]

@@ -151,6 +151,10 @@ where
             self.inner.deliver_into(round, intended, out, rng);
         }
     }
+
+    fn corruption_bound(&self) -> Option<u32> {
+        self.inner.corruption_bound()
+    }
 }
 
 #[cfg(test)]

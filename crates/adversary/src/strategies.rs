@@ -127,6 +127,10 @@ impl<M: Clone + Corruptible + Send> Adversary<M> for RandomCorruption {
             }
         }
     }
+
+    fn corruption_bound(&self) -> Option<u32> {
+        Some(self.alpha)
+    }
 }
 
 /// Like [`RandomCorruption`] but replaces a message with *another
@@ -199,6 +203,10 @@ impl<M: Clone + Eq + Send> Adversary<M> for BorrowedCorruption {
             }
         }
     }
+
+    fn corruption_bound(&self) -> Option<u32> {
+        Some(self.alpha)
+    }
 }
 
 /// Drops each message independently with probability `drop_prob` —
@@ -243,6 +251,10 @@ impl<M: Clone + Send> Adversary<M> for RandomOmission {
                 }
             }
         }
+    }
+
+    fn corruption_bound(&self) -> Option<u32> {
+        Some(0)
     }
 }
 

@@ -37,6 +37,17 @@ pub trait Adversary<M>: Send {
         rng: &mut StdRng,
     );
 
+    /// The most receptions per receiver per round this adversary ever
+    /// corrupts, when that holds by construction; `None` when it makes
+    /// no such promise.
+    ///
+    /// This is a declared invariant of the implementation, not a
+    /// setting: [`crate::Budgeted`] skips its clamp when the bound is
+    /// within its budget, so a bound that does not hold breaks `P_α`.
+    fn corruption_bound(&self) -> Option<u32> {
+        None
+    }
+
     /// The delivered matrix for `round` as a fresh matrix: a copy of
     /// `intended` rewritten by [`Adversary::deliver_into`].
     fn deliver(
@@ -85,6 +96,10 @@ impl<M: Clone + Send> Adversary<M> for NoFaults {
         _rng: &mut StdRng,
     ) {
     }
+
+    fn corruption_bound(&self) -> Option<u32> {
+        Some(0)
+    }
 }
 
 /// Boxed adversaries compose like any other.
@@ -101,6 +116,10 @@ impl<M> Adversary<M> for Box<dyn Adversary<M>> {
         rng: &mut StdRng,
     ) {
         (**self).deliver_into(round, intended, out, rng)
+    }
+
+    fn corruption_bound(&self) -> Option<u32> {
+        (**self).corruption_bound()
     }
 }
 
