@@ -81,7 +81,7 @@ impl GoodRounds {
     }
 
     /// `true` if `round` is scheduled to be good.
-    pub fn is_good(&self, round: Round) -> bool {
+    fn is_good(&self, round: Round) -> bool {
         let r = round.get();
         match self {
             GoodRounds::Never => false,

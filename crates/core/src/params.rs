@@ -164,12 +164,7 @@ impl AteParams {
     /// # Errors
     ///
     /// Returns the first violated inequality as a [`ParamError`].
-    pub fn safety_only(
-        n: usize,
-        alpha: u32,
-        t: Threshold,
-        e: Threshold,
-    ) -> Result<Self, ParamError> {
+    fn safety_only(n: usize, alpha: u32, t: Threshold, e: Threshold) -> Result<Self, ParamError> {
         if n == 0 {
             return Err(ParamError::EmptySystem);
         }

@@ -71,7 +71,7 @@ impl ProcessSet {
     /// # Panics
     ///
     /// Panics if any id is out of range for `n`.
-    pub fn from_ids<I: IntoIterator<Item = ProcessId>>(n: usize, ids: I) -> Self {
+    fn from_ids<I: IntoIterator<Item = ProcessId>>(n: usize, ids: I) -> Self {
         let mut s = Self::empty(n);
         for id in ids {
             s.insert(id);

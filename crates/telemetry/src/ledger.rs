@@ -78,7 +78,7 @@ impl AlphaLedger {
     }
 
     /// Every transmission attempt the ledger saw.
-    pub fn attempts(&self) -> u64 {
+    fn attempts(&self) -> u64 {
         self.arrivals() + self.detected + self.dropped
     }
 

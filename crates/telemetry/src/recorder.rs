@@ -95,7 +95,7 @@ impl RingRecorder {
     /// Counters and histograms only: no event ring, no per-round map.
     /// The right mode for Monte-Carlo loops (tens of thousands of
     /// trials) where per-event and per-round storage would dominate.
-    pub fn counters_only() -> Self {
+    fn counters_only() -> Self {
         let mut recorder = RingRecorder::with_capacity(0);
         recorder.track_rounds = false;
         recorder
