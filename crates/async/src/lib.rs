@@ -4,13 +4,13 @@
 //! processes** on one thread, exchanging coded wire frames through
 //! in-memory arenas.
 //!
-//! Where the threaded runtime (`heardof-net`) aligns rounds with
-//! wall-clock timeouts, this substrate runs the round as a plain loop
-//! (`heardof_net::Lockstep`): every engine sends, then every engine
-//! drains its arena, then every engine transitions. Every round's
-//! sends land before any receiver reads, so rounds are
-//! communication-closed by construction and runs are **fully
-//! deterministic** — no scheduling jitter, no timeout tuning,
+//! Where the threaded runtime (`heardof-net`) closes a round on its
+//! peers' end-of-round markers, on one OS thread per process, this
+//! substrate runs the round as a plain loop (`heardof_net::Lockstep`):
+//! every engine sends, then every engine drains its arena, then every
+//! engine transitions. Every round's sends land before any receiver
+//! reads, so rounds are communication-closed by construction and runs
+//! are **fully deterministic** — no threads, no scheduling,
 //! bit-identical replays. Everything else is shared with the other
 //! substrates, by construction:
 //!

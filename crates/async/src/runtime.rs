@@ -10,8 +10,8 @@
 //! and borrowed again from there into `ingest`: nothing is allocated
 //! per frame, and the per-run wiring is one arena per receiver and one
 //! fault model per link. Where the threaded runtime closes a round on
-//! a wall-clock timeout, here the round is the plain loop of
-//! [`Lockstep::round`]:
+//! its peers' end-of-round markers, here the round is the plain loop
+//! of [`Lockstep::round`]:
 //!
 //! 1. every engine, in process order, emits its coded frames through
 //!    its links' fault models,
@@ -37,8 +37,8 @@ use heardof_net::{LinkFaults, RunFabric};
 use heardof_telemetry::Telemetry;
 
 /// Configuration of an async run. The fields mirror
-/// `heardof_net::NetConfig` minus the round timeout — the lockstep
-/// loop replaces the clock.
+/// `heardof_net::NetConfig` minus the round timeout — no peer of the
+/// lockstep loop can crash.
 #[derive(Clone, Debug)]
 pub struct AsyncConfig {
     /// Fault probabilities applied to every inter-process link
@@ -60,8 +60,7 @@ pub struct AsyncConfig {
     /// [`NoiseTrace`] — the conformance-harness mode.
     pub trace: Option<NoiseTrace>,
     /// Run exactly `max_rounds` rounds with no early exit once everyone
-    /// decided (rounds are always lockstep here, so unlike the threaded
-    /// runtime this changes nothing else).
+    /// decided; as on the threaded runtime, this changes nothing else.
     pub lockstep: bool,
     /// The telemetry plane every link and engine emits into; defaults
     /// to [`Telemetry::null`] (record nothing, one branch per event).

@@ -331,10 +331,9 @@ impl Framing {
                     controller.code_id() as u64,
                 ));
             }
-            if after != before {
-                let cause = controller
-                    .last_switch_cause()
-                    .expect("a spec change records its cause");
+            // A spec change always records its cause; the filter keeps
+            // an earlier round's cause from being reported again.
+            if let Some(cause) = controller.last_switch_cause().filter(|_| after != before) {
                 self.telemetry.emit(Event::local(
                     EventKind::RungSwitch,
                     round,

@@ -20,7 +20,8 @@
 //!   tally. All I/O is poll-style — *emit coded frames / ingest
 //!   received frames / advance round* — so a substrate contributes
 //!   nothing but byte transport and a notion of when a round is over
-//!   (a timeout for threads, the end of a lockstep loop pass). It is
+//!   (every peer's end-of-round marker for threads, the end of a
+//!   lockstep loop pass). It is
 //!   generic over what a wire image carries ([`WireLayout`]):
 //!   [`RoundEngine`] is the one-instance instantiation (the image is a
 //!   frame body), [`MuxRoundEngine`] packs `k` instances into one slot
@@ -64,6 +65,10 @@
 //! ```
 
 #![deny(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 #![warn(rust_2018_idioms)]
 
 pub mod codec;

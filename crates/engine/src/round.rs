@@ -738,13 +738,6 @@ where
         self.keep(sender, copy, repaired, advert)
     }
 
-    /// `true` once an image from every sender (including self) has been
-    /// kept — substrates without a lockstep requirement may close the
-    /// round early.
-    pub fn round_complete(&self) -> bool {
-        self.rx[0].heard_count() == self.n
-    }
-
     /// Count-channel synthesis: folds the round's per-sender pattern
     /// tallies into the reception vector and the gossip set *before*
     /// the transition, so a count-decoded value is exactly as good as a
@@ -841,6 +834,18 @@ where
         self.kept.push(std::mem::take(&mut self.kept_this_round));
         self.rounds_completed = r;
         (after != before).then_some(after)
+    }
+}
+
+/// `true` once an image from every sender (including self) has been
+/// kept.
+#[cfg(test)]
+impl<A: HoAlgorithm, L: WireLayout> RoundMachine<A, L>
+where
+    A::Msg: WireMessage,
+{
+    fn round_complete(&self) -> bool {
+        self.rx[0].heard_count() == self.n
     }
 }
 

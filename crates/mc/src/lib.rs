@@ -54,9 +54,13 @@
 //!
 //! let cfg = AdaptiveConfig::standard(3, 1).with_gossip();
 //! let mut mc = McConfig::new(cfg, 3);
-//! mc.horizon = 2; // doc-sized bound; tests push much deeper
+//! mc.horizon = 1; // doc-sized; tests push much deeper
 //! let report = explore(&mc);
 //! assert!(report.green());
+//! // The state cap did not cut the search: every state within the
+//! // horizon was visited. (`complete` also needs the frontier to drain
+//! // before the horizon, which a one-round bound never sees.)
+//! assert!(report.states < mc.max_states);
 //! ```
 
 #![deny(missing_docs)]

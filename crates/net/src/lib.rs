@@ -8,8 +8,10 @@
 //!
 //! Where the lockstep simulator (`heardof-sim`) gives adversarial
 //! control, this crate shows the *same algorithms, unchanged*, running
-//! the way a real system would: heard-of sets arise from timeouts and
-//! lossy links; safe heard-of sets shrink exactly when a corruption
+//! the way a real system would: heard-of sets arise from lossy links,
+//! with rounds closed by end-of-round markers (a control plane outside
+//! the fault model, see [`run_threaded`]); safe heard-of sets shrink
+//! exactly when a corruption
 //! slips past the channel code. Pick the code per deployment via
 //! [`NetConfig::code`] — the CRC-32 checksum default keeps the
 //! historical wire format, while a correcting code such as
@@ -46,6 +48,10 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 #![warn(rust_2018_idioms)]
 
 mod coverage;

@@ -3,24 +3,31 @@
 //! Each process runs a [`RoundEngine`] on its own OS thread, exchanging
 //! the engine's coded frames over `std::sync::mpsc` channels through
 //! byte-corrupting [`FaultyLink`]s. The thread contributes exactly what
-//! the engine cannot know: byte transport and *clocks* — a round
-//! synchronizer implementing communication-closed rounds on top of the
-//! asynchronous transport. Frames are tagged with their round; early
-//! frames are buffered (by the engine), late frames discarded, and a
-//! receive timeout bounds how long a process waits before moving on
-//! (whatever arrived in time *is* its heard-of set — this is where
-//! `HO(p, r)` comes from in a real system).
+//! the engine cannot know: byte transport and a round synchronizer
+//! implementing communication-closed rounds on top of the asynchronous
+//! transport.
 //!
-//! That timeout bounds the wait for a *lost* frame and nothing else.
-//! Round 1 opens once every process is up, so a peer still being
-//! spawned is never mistaken for a silent one; a frame already queued
-//! when a late-running thread finds its deadline passed still counts; a
-//! round with a full heard-of set closes on the last arrival; and the
-//! end of a run is an event too: the last process to announce that it
-//! has decided posts a halt — a message type private to this module,
-//! which no link can produce — into every peer's inbox. A peer already
-//! blocked in the next round wakes, closes that round with what it has,
-//! and leaves. Lockstep runs never halt.
+//! A round closes on evidence, not on a clock. After its round-`r`
+//! sends, a process posts an end-of-round marker into every peer's
+//! inbox. A thread's sends are enqueued in program order and a channel
+//! is FIFO per producer, so a receiver holding a peer's round-`r`
+//! marker has already seen every frame that peer's link delivered for
+//! `r`; the round closes once it holds a marker from every peer. What a
+//! peer sends after its marker belongs to the next round and is
+//! replayed, untouched, when that round opens. `HO(p, r)` is therefore
+//! a function of the link faults alone, as on the lockstep stepper.
+//!
+//! The marker, like the halt below, is a variant of a type private to
+//! this module: it is the emulation's control plane, outside the fault
+//! model, and no link can produce, drop or corrupt it. A real network
+//! has no marker for a lost frame and would close a round on a timeout
+//! alone. Here `round_timeout` is paid only for a crashed or unspawned
+//! peer. Round 1 opens once every process is up, so a peer still being
+//! spawned is never mistaken for a dead one. The end of a run is an
+//! event too: the last process to announce that it has decided posts a
+//! halt into every peer's inbox, and a peer already blocked in the next
+//! round closes it with what it has and leaves. Lockstep runs never
+//! halt.
 //!
 //! The runtime reconstructs the exact `HO`/`SHO` collections afterwards
 //! by joining every engine's kept-frame log with the fault injector's
@@ -37,6 +44,7 @@ use heardof_engine::{
 };
 use heardof_model::HoAlgorithm;
 use heardof_telemetry::Telemetry;
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Barrier;
@@ -48,14 +56,13 @@ pub struct NetConfig {
     /// Fault probabilities applied to every inter-process link
     /// (self-delivery is local and never faulty).
     pub faults: LinkFaults,
-    /// Seed for all link randomness (runs are reproducible up to thread
-    /// scheduling of timeouts).
+    /// Seed for all link randomness (runs are reproducible unless a
+    /// peer crashes and a round closes on `round_timeout`).
     pub seed: u64,
-    /// How long a process waits for a round's messages before moving
-    /// on. It is paid only for frames that were lost (dropped, rejected,
-    /// or from a crashed peer): a complete round closes on its last
-    /// arrival, and the end of the run wakes every waiting process (see
-    /// the module docs). [`NetConfig::lockstep`] runs pay it every round.
+    /// How long a process waits for a peer's end-of-round marker before
+    /// closing the round without it. Rounds close on markers (see the
+    /// module docs), so only a crashed or unspawned peer ever costs it;
+    /// a lost frame does not.
     pub round_timeout: Duration,
     /// Copies of each frame to send (retransmission raises delivery
     /// probability under drops — the predicate-implementation knob of
@@ -92,13 +99,9 @@ pub struct NetConfig {
     /// [`NoiseTrace`]: corruption becomes a pure function of each
     /// frame's coordinates, reproducible by the lockstep simulator.
     pub trace: Option<NoiseTrace>,
-    /// Fixed-length rounds: every process waits out the full
-    /// `round_timeout` each round (no early close on a full heard-of
-    /// set, no early exit once everyone decided) and runs exactly
-    /// `max_rounds` rounds. This keeps the processes' round windows
-    /// aligned to within scheduling jitter, which is what makes
-    /// round-for-round comparison against the simulator meaningful —
-    /// the conformance-harness mode.
+    /// No early exit: every process runs exactly `max_rounds` rounds
+    /// even once everyone has decided, as on the async substrate's
+    /// config. Rounds close on markers either way.
     pub lockstep: bool,
     /// The telemetry plane every link and engine emits into. The
     /// default ([`Telemetry::null`]) records nothing at the cost of one
@@ -179,7 +182,7 @@ where
 /// process on `n` OS threads: each process drives one
 /// [`MuxRoundEngine`] whose per-round sends pack every instance's frame
 /// into a single coded wire image per peer (see
-/// `heardof_engine::MuxRoundEngine`). Links, clocks, lockstep semantics
+/// `heardof_engine::MuxRoundEngine`). Links, round closing, lockstep semantics
 /// and end-of-run wake-up are those of [`run_threaded`] — it is the
 /// same process loop; only the frame format differs, and a process
 /// announces itself once *every* instance it runs has decided. Returns
@@ -234,12 +237,16 @@ fn fabric_for(config: &NetConfig) -> RunFabric {
 }
 
 /// What a process finds in its inbox: a wire frame with the link's
-/// sender attribution, or the runtime's own end-of-run wake-up. `Halt`
-/// is a variant of a type private to this module, not a reserved sender
-/// id or byte pattern on the `(u32, Vec<u8>)` wire tuple, so nothing a
-/// link can deliver — however hostile the bytes — can end a run.
+/// sender attribution, a peer's end-of-round marker, or the runtime's
+/// own end-of-run wake-up. Markers and `Halt` are variants of a type
+/// private to this module, not reserved sender ids or byte patterns on
+/// the `(u32, Vec<u8>)` wire tuple, so nothing a link can deliver —
+/// however hostile the bytes — can close a round or end a run.
 enum Inbound {
     Frame(u32, Vec<u8>),
+    /// `EndOfRound(peer, r)`: `peer` has sent everything it sends in
+    /// round `r`.
+    EndOfRound(u32, u64),
     Halt,
 }
 
@@ -267,8 +274,7 @@ struct Run {
     /// The board: how many processes have yet to announce that
     /// everything they run has decided. Zero means the run is over.
     undecided: AtomicUsize,
-    /// Opens round 1 on every process at once and aligns lockstep
-    /// receive windows, see [`process_main`].
+    /// Opens round 1 on every process at once, see [`process_main`].
     barrier: Barrier,
 }
 
@@ -294,9 +300,10 @@ where
         let handles: Vec<_> = (engines.into_iter().zip(rxs).enumerate())
             .map(|(p, (engine, inbox))| {
                 let links = fabric.links_for(p, n, |q| Box::new(InboxSink(txs[q].clone())));
-                // Each process owns its halt senders, and never one to
-                // itself, so an inbox still disconnects — closing its
-                // owner's open round at once — when every peer has left.
+                // Each process owns its marker and halt senders, and
+                // never one to itself, so an inbox still disconnects —
+                // closing its owner's open round at once — when every
+                // peer has left.
                 let peers: Vec<_> = (0..n).filter(|&q| q != p).map(|q| txs[q].clone()).collect();
                 scope
                     .spawn(move || process_main(engine, p as u32, inbox, links, peers, run, config))
@@ -305,7 +312,9 @@ where
         drop(txs);
         handles
             .into_iter()
-            .map(|h| h.join().expect("process thread panicked"))
+            // A process thread panics only on a bug, never on wire
+            // bytes: hand its panic to the caller unchanged.
+            .map(|h| h.join().unwrap_or_else(|panic| resume_unwind(panic)))
             .collect()
     })
 }
@@ -328,52 +337,64 @@ where
     // not been spawned yet has lost nothing, so nobody times out on it.
     run.barrier.wait();
     let mut announced = false;
+    // `closed[q]`: peer `q`'s marker for the open round has arrived.
+    let mut closed = vec![false; peers.len() + 1];
+    // What closed peers sent after their marker, in arrival order: it
+    // belongs to a later round and is replayed raw when the next one
+    // opens, so even an undecodable early frame is tallied in its own
+    // round.
+    let mut early = Vec::new();
     for r in 1..=config.max_rounds {
         // Never reached in lockstep: those runs take exactly `max_rounds`.
         if run.undecided.load(Ordering::SeqCst) == 0 {
             break;
         }
 
-        // --- Send phase: the engine emits, the links corrupt. A wire
+        // --- Send phase: the engine emits, the links corrupt, then the
+        // marker follows every frame into each peer's inbox. A wire
         // image stays borrowed from the engine's arena through the
         // link; the inbox sink makes the one owned copy a channel of
         // `Vec`s needs (`FrameSink::deliver_bytes`' default). ---
         engine.begin_round_with(|dest, copy, bytes| {
             links[link_index(dest, pid)].send_bytes(r, copy, bytes);
         });
-
-        // --- Collect phase: ingest until the round is complete, the
-        // timeout fires or the run is over. Lockstep runs wait out the
-        // full window even with a complete heard-of set, keeping every
-        // process's round boundaries aligned for round-for-round
-        // substrate comparison.
-        let deadline = Instant::now() + config.round_timeout;
-        while config.lockstep || !engine.round_complete() {
-            // Past the deadline this still hands over what is already
-            // queued — those frames did arrive in time, it is this
-            // thread that ran late — and times out on an empty inbox.
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            match inbox.recv_timeout(remaining) {
-                Ok(Inbound::Frame(sender, bytes)) => {
-                    let _ = engine.ingest_from(sender, &bytes);
-                }
-                // Everyone has decided: close the round with what
-                // arrived — a legitimate heard-of set — and leave at the
-                // top of the loop. Timeout and disconnect close it too.
-                Ok(Inbound::Halt) | Err(_) => break,
-            }
+        for peer in &peers {
+            // A peer that already left needs no marker.
+            let _ = peer.send(Inbound::EndOfRound(pid, r));
         }
 
-        // Lockstep conformance runs also align round *windows*: no
-        // process may send round r+1 until every process has closed its
-        // round-r receive window. Without this, a corrupted next-round
-        // frame from a fast peer can land inside a slow peer's
-        // still-open window — and a rejected frame carries no decodable
-        // round, so its repair evidence would be tallied one round off
-        // from the other substrates. (Valid early frames are immune:
-        // they carry their round and get buffered.)
-        if config.lockstep {
-            run.barrier.wait();
+        // --- Collect phase: replay what arrived early, then read the
+        // inbox until every peer's marker is in, a peer has been silent
+        // for `round_timeout` (or every peer has left), or the run is
+        // over. Past the deadline `recv_timeout` still hands over what
+        // is already queued — it did arrive in time, it is this thread
+        // that ran late. ---
+        closed.fill(false);
+        let mut open = peers.len();
+        let mut replay = std::mem::take(&mut early).into_iter();
+        let deadline = Instant::now() + config.round_timeout;
+        while let Some(message) = replay.next().or_else(|| {
+            let wait = deadline.saturating_duration_since(Instant::now());
+            (open > 0).then(|| inbox.recv_timeout(wait).ok()).flatten()
+        }) {
+            match message {
+                // A link's attribution is not trusted to be a peer id.
+                m @ Inbound::Frame(s, _) if closed.get(s as usize) == Some(&true) => early.push(m),
+                Inbound::Frame(sender, bytes) => {
+                    let _ = engine.ingest_from(sender, &bytes);
+                }
+                Inbound::EndOfRound(peer, round) if round == r => {
+                    closed[peer as usize] = true;
+                    open -= 1;
+                }
+                marker @ Inbound::EndOfRound(_, round) if round > r => early.push(marker),
+                // Stale: this round already closed on the timeout.
+                Inbound::EndOfRound(..) => {}
+                // Everyone has decided: close the round with what
+                // arrived — a legitimate heard-of set — and leave at the
+                // top of the loop.
+                Inbound::Halt => break,
+            }
         }
 
         // --- Transition + renegotiation. ---
@@ -381,7 +402,7 @@ where
 
         // --- Termination: announce once; whoever announces last ends
         // the run. Its peers may already have opened the next round
-        // and be blocked on frames that will never be sent, so the
+        // and be waiting for markers that will never be sent, so the
         // board alone is not enough: a halt in every inbox wakes them
         // now instead of one `round_timeout` later.
         if !config.lockstep && !announced && engine.all_decided() {
@@ -589,6 +610,59 @@ mod tests {
         assert!(outcome.all_decided());
         assert!(outcome.agreement_ok());
         assert_eq!(outcome.decisions.iter().flatten().next(), Some(&8));
+    }
+
+    /// A peer that never starts sends no marker: each survivor closes
+    /// every round on `round_timeout`, without the missing peer in its
+    /// heard-of set, and the run still ends.
+    #[test]
+    fn a_missing_peer_costs_each_round_one_timeout() {
+        let (n, missing) = (4, 3);
+        let config = NetConfig {
+            round_timeout: Duration::from_millis(20),
+            max_rounds: 3,
+            lockstep: true,
+            ..NetConfig::default()
+        };
+        let fabric = fabric_for(&config);
+        let algo: Ate<u64> = Ate::new(AteParams::balanced(n, 0).unwrap());
+        let (txs, mut rxs) = inboxes(n);
+        rxs.truncate(missing);
+        let run = &Run {
+            undecided: AtomicUsize::new(n - 1),
+            barrier: Barrier::new(n - 1),
+        };
+        let started = Instant::now();
+        let engines: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (rxs.into_iter().enumerate())
+                .map(|(p, inbox)| {
+                    let engine = fabric.engine_for(algo.clone(), p, n, 1);
+                    let links = fabric.links_for(p, n, |q| Box::new(InboxSink(txs[q].clone())));
+                    let peers = (0..n).filter(|&q| q != p).map(|q| txs[q].clone()).collect();
+                    let config = &config;
+                    scope.spawn(move || {
+                        process_main(engine, p as u32, inbox, links, peers, run, config)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let took = started.elapsed();
+
+        assert!(
+            took >= config.round_timeout * config.max_rounds as u32,
+            "a round closed without the missing peer's marker: {took:?}"
+        );
+        for (p, engine) in engines.into_iter().enumerate() {
+            assert_eq!(engine.decision(), Some(&1), "process {p}");
+            let report = engine.into_report();
+            assert_eq!(report.rounds_completed, config.max_rounds, "process {p}");
+            for (r, kept) in report.kept.iter().enumerate() {
+                let mut heard: Vec<u32> = kept.iter().map(|&(sender, _)| sender).collect();
+                heard.sort_unstable();
+                assert_eq!(heard, [0, 1, 2], "process {p}, round {}", r + 1);
+            }
+        }
     }
 
     /// Hostile bytes in a live inbox: an intruder holding a link's view

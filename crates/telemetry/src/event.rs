@@ -150,27 +150,6 @@ impl EventKind {
                 | EventKind::LinkUndetected
         )
     }
-
-    /// True for kinds whose per-round counts must replay identically
-    /// across substrates — the fourth conformance dimension.
-    ///
-    /// Excluded kinds are real but *timing-shaped*: on the threaded
-    /// runtime, whether a straggler frame counts as late, future or
-    /// duplicate depends on scheduling, and copy folding only happens
-    /// on substrates that send redundant copies. Everything else is a
-    /// pure function of `(algorithm, seed, trace)`.
-    #[inline]
-    pub const fn is_conformance(self) -> bool {
-        !matches!(
-            self,
-            EventKind::FrameDuplicate
-                | EventKind::FrameLate
-                | EventKind::FrameFuture
-                | EventKind::FrameRejected
-                | EventKind::FrameGarbage
-                | EventKind::CopiesFolded
-        )
-    }
 }
 
 /// One round-stamped observation.
@@ -278,14 +257,5 @@ mod tests {
         let early = Event::local(EventKind::RungHeld, 1, 4, 0);
         let late = Event::link(EventKind::LinkDelivered, 2, 0, 1, 9);
         assert!(early < late, "round dominates the canonical order");
-    }
-
-    #[test]
-    fn conformance_subset_excludes_timing_shaped_kinds() {
-        assert!(EventKind::LinkUndetected.is_conformance());
-        assert!(EventKind::RungSwitch.is_conformance());
-        assert!(EventKind::ObliviousCount.is_conformance());
-        assert!(!EventKind::FrameLate.is_conformance());
-        assert!(!EventKind::CopiesFolded.is_conformance());
     }
 }

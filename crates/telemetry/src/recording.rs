@@ -51,19 +51,6 @@ impl KindCounts {
             .filter(|&(_, c)| c != 0)
     }
 
-    /// Projection onto the conformance subset: timing-shaped kinds
-    /// (see [`EventKind::is_conformance`]) are zeroed so reports from
-    /// different substrates become comparable.
-    pub fn conformance(&self) -> KindCounts {
-        let mut out = KindCounts::new();
-        for (kind, count) in self.nonzero() {
-            if kind.is_conformance() {
-                out.add(kind, count);
-            }
-        }
-        out
-    }
-
     /// JSON object literal over the non-zero slots, e.g.
     /// `{"link_delivered":20,"frame_kept":25}`.
     pub fn to_json(&self) -> String {
@@ -201,18 +188,6 @@ pub struct RunRecording {
 }
 
 impl RunRecording {
-    /// The fourth conformance dimension: per-round counts projected
-    /// onto the substrate-deterministic subset.
-    pub fn conformance_counters(&self) -> Vec<RoundReport> {
-        self.rounds
-            .iter()
-            .map(|r| RoundReport {
-                round: r.round,
-                counts: r.counts.conformance(),
-            })
-            .collect()
-    }
-
     /// Folds the link-plane totals into the α-budget ledger.
     pub fn alpha_ledger(&self) -> AlphaLedger {
         AlphaLedger::from_counts(self.rounds.len() as u64, &self.totals)
@@ -289,16 +264,6 @@ mod tests {
         h.observe(21);
         assert_eq!(h.counts(), &[1, 1, 1]);
         assert_eq!(h.total(), 3);
-    }
-
-    #[test]
-    fn conformance_projection_zeroes_timing_kinds() {
-        let mut counts = KindCounts::new();
-        counts.add(EventKind::LinkDelivered, 3);
-        counts.add(EventKind::FrameLate, 7);
-        let projected = counts.conformance();
-        assert_eq!(projected[EventKind::LinkDelivered], 3);
-        assert_eq!(projected[EventKind::FrameLate], 0);
     }
 
     #[test]

@@ -1,9 +1,11 @@
-//! The same algorithm, deployed: threads, channels, checksums, timeouts.
+//! The same algorithm, deployed: threads, channels, checksums, lossy links.
 //!
 //! The lockstep simulator gives adversarial control; this example shows
 //! `A_{T,E}` unchanged on a *threaded* substrate where
 //!
-//! * heard-of sets arise from round timeouts over lossy links,
+//! * heard-of sets arise from lossy links (each round closes on every
+//!   peer's end-of-round marker, the emulation's control plane; the
+//!   round timeout only covers a crashed peer),
 //! * corrupted frames are detected by CRC-32 and dropped (→ omissions),
 //! * a tunable fraction of corruptions defeats the checksum
 //!   (→ genuine value faults, the coverage gap of §5.2),
@@ -44,9 +46,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = NetConfig {
         faults,
         seed: 3,
-        // Paid only by a round that lost a frame from some peer; a full
-        // round closes on its last arrival, and the run's end is
-        // signalled rather than timed out.
+        // Paid only for a crashed peer: rounds close on end-of-round
+        // markers, lost frames or not, and the run's end is signalled
+        // rather than timed out.
         round_timeout: Duration::from_millis(30),
         copies: 3, // retransmit against the 10% drops
         max_rounds: 120,

@@ -16,7 +16,7 @@
 //!   with no threads and no clock;
 //! * the **net** substrate — OS threads exchanging those same frames
 //!   over [`FaultyLink`]s in trace + lockstep mode, rounds closed by
-//!   timeouts;
+//!   every peer's end-of-round marker;
 //! * the **async** substrate — the algorithm's own engines stepped by
 //!   that same lockstep loop behind the *same* [`FaultyLink`]s, rounds
 //!   closed when every engine has sent, received and transitioned.
@@ -58,21 +58,20 @@ pub const TELEMETRY_DUMP_DIR_ENV: &str = "HEARDOF_TELEMETRY_DUMP_DIR";
 
 /// What one substrate reports for comparison: per-round code decisions,
 /// heard-of reconstructions, and the telemetry plane's per-round
-/// conformance counters (the fourth equivalence dimension).
+/// counters (the fourth equivalence dimension).
 #[derive(Clone, Debug)]
 pub struct SubstrateReport {
     /// `codes[r-1][p]`: the code process `p` sent with in round `r`.
     pub codes: Vec<Vec<CodeSpec>>,
     /// `sets[r-1]`: the round's `HO`/`SHO` collections.
     pub sets: Vec<RoundSets>,
-    /// Per-round telemetry counters projected onto the conformance
-    /// subset (timing-shaped kinds zeroed) — substrates must agree on
-    /// these exactly.
+    /// Per-round telemetry counters, every kind — substrates must agree
+    /// on these exactly.
     pub telemetry: Vec<RoundReport>,
     /// The substrate's full flight recording, kept for post-mortems:
     /// [`first_matrix_divergence`] dumps it as JSONL on a mismatch. Not
-    /// part of the equality comparison — it legitimately contains
-    /// timing-shaped events that differ across substrates.
+    /// part of the equality comparison; `telemetry` is its per-round
+    /// summary.
     pub recording: RunRecording,
 }
 
@@ -149,7 +148,7 @@ impl SubstrateReport {
         SubstrateReport {
             codes,
             sets: outcome.history.iter().map(|(_, s)| s.clone()).collect(),
-            telemetry: recording.conformance_counters(),
+            telemetry: recording.rounds.clone(),
             recording,
         }
     }
@@ -243,15 +242,18 @@ where
             .iter()
             .map(|rec| rec.sets.clone())
             .collect(),
-        telemetry: recording.conformance_counters(),
+        telemetry: recording.rounds.clone(),
         recording,
     }
 }
 
+/// How long a threaded run waits for a peer's end-of-round marker. Only
+/// a crashed peer ever costs it: live peers close every round on their
+/// markers.
+const CRASH_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Runs the **threaded** substrate in lockstep + trace mode for
 /// `rounds` rounds and reports its decisions and reconstructions.
-/// `round_timeout` bounds each round; it only needs to beat scheduling
-/// jitter, not the trace.
 pub fn run_net_substrate<A>(
     algo: A,
     n: usize,
@@ -259,7 +261,6 @@ pub fn run_net_substrate<A>(
     cfg: &AdaptiveConfig,
     trace: &NoiseTrace,
     rounds: u64,
-    round_timeout: Duration,
 ) -> SubstrateReport
 where
     A: HoAlgorithm,
@@ -276,7 +277,7 @@ where
             trace: Some(trace.clone()),
             lockstep: true,
             max_rounds: rounds,
-            round_timeout,
+            round_timeout: CRASH_TIMEOUT,
             copies: 1,
             seed: 0,
             code: CodeSpec::DEFAULT,
@@ -351,7 +352,6 @@ pub fn run_mux_net_substrate<A>(
     cfg: &AdaptiveConfig,
     trace: &NoiseTrace,
     rounds: u64,
-    round_timeout: Duration,
 ) -> MuxSubstrateReport<A::Value>
 where
     A: HoAlgorithm,
@@ -367,7 +367,7 @@ where
             trace: Some(trace.clone()),
             lockstep: true,
             max_rounds: rounds,
-            round_timeout,
+            round_timeout: CRASH_TIMEOUT,
             copies: 1,
             seed: 0,
             code: CodeSpec::DEFAULT,

@@ -31,7 +31,6 @@ use heardof::prelude::*;
 use heardof_coding::{AdaptiveConfig, CodeSpec, GilbertElliott, NoisePhase, NoiseTrace};
 use heardof_engine::WireMessage;
 use heardof_telemetry::EventKind;
-use std::time::Duration;
 
 const SEEDS: [u64; 7] = [0xA11CE, 0xB0B5, 0xC0DE5, 0xF0047, 0x60551, 0xDEFEC7, 0x7E5];
 /// The seed whose run must exercise the fountain rung.
@@ -170,15 +169,7 @@ where
     A::Msg: WireMessage,
 {
     let sim = run_sim_substrate(algo.clone(), n, initial.clone(), cfg, trace, rounds);
-    let net = run_net_substrate(
-        algo.clone(),
-        n,
-        initial.clone(),
-        cfg,
-        trace,
-        rounds,
-        Duration::from_millis(150),
-    );
+    let net = run_net_substrate(algo.clone(), n, initial.clone(), cfg, trace, rounds);
     let asy = run_async_substrate(algo, n, initial, cfg, trace, rounds);
     [sim, net, asy]
 }

@@ -22,7 +22,6 @@ use heardof::prelude::*;
 use heardof_coding::{
     AdaptiveConfig, AdaptiveController, CodeBook, NoiseTrace, RoundTally, RungAdvert, GOSSIP_FLAG,
 };
-use std::time::Duration;
 
 const N: usize = 5;
 
@@ -241,15 +240,7 @@ fn gossip_decisions_stay_conformant_across_all_three_substrates() {
     let initial: Vec<u64> = (0..N as u64).map(|i| i % 2).collect();
     let algo: Ate<u64> = Ate::new(AteParams::balanced(N, 1).unwrap());
     let sim = run_sim_substrate(algo.clone(), N, initial.clone(), &cfg, &trace, rounds);
-    let net = run_net_substrate(
-        algo.clone(),
-        N,
-        initial.clone(),
-        &cfg,
-        &trace,
-        rounds,
-        Duration::from_millis(150),
-    );
+    let net = run_net_substrate(algo.clone(), N, initial.clone(), &cfg, &trace, rounds);
     let asy = run_async_substrate(algo, N, initial, &cfg, &trace, rounds);
     if let Some(diff) = first_matrix_divergence(&[("sim", &sim), ("net", &net), ("async", &asy)]) {
         panic!("gossip under fault injection diverges across substrates — {diff}");

@@ -15,7 +15,6 @@
 use heardof::conformance::{run_mux_async_substrate, run_mux_net_substrate, MuxSubstrateReport};
 use heardof::prelude::*;
 use heardof_coding::{AdaptiveConfig, CodeSpec, GilbertElliott, NoisePhase, NoiseTrace};
-use std::time::Duration;
 
 /// The pinned multi-instance seed (CI runs it alongside the
 /// single-instance matrix).
@@ -73,15 +72,7 @@ fn run_all_gossip() -> [MuxSubstrateReport<u64>; 2] {
 fn run_matrix(cfg: AdaptiveConfig, trace: NoiseTrace) -> [MuxSubstrateReport<u64>; 2] {
     let algo: Ate<u64> = Ate::new(AteParams::balanced(N, 1).unwrap());
     let asy = run_mux_async_substrate(algo.clone(), N, mux_initials(), &cfg, &trace, ROUNDS);
-    let net = run_mux_net_substrate(
-        algo.clone(),
-        N,
-        mux_initials(),
-        &cfg,
-        &trace,
-        ROUNDS,
-        Duration::from_millis(150),
-    );
+    let net = run_mux_net_substrate(algo.clone(), N, mux_initials(), &cfg, &trace, ROUNDS);
     [asy, net]
 }
 

@@ -4,7 +4,7 @@
 
 use heardof::net::{run_threaded, LinkFaults, NetConfig};
 use heardof::prelude::*;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn config(faults: LinkFaults, copies: u8, seed: u64) -> NetConfig {
     NetConfig {
@@ -190,4 +190,66 @@ fn sim_and_net_agree_on_fault_free_outcome() {
     let net_value = net.decisions[0].unwrap();
     assert_eq!(sim.decided_value(), Some(&net_value));
     assert_eq!(net_value, 4, "majority value wins in both worlds");
+}
+
+/// Rounds close on end-of-round markers, not on a clock, so the
+/// threaded runtime is exact without the lockstep flag: on links that
+/// drop and corrupt frames it replays the lockstep stepper's run round
+/// for round, and no lost frame costs it the (long) round timeout.
+#[test]
+fn threaded_runs_replay_the_lockstep_stepper_on_lossy_links() {
+    let n = 5;
+    let faults = LinkFaults {
+        drop_prob: 0.15,
+        corrupt_prob: 0.1,
+        undetected_prob: 0.2,
+    };
+    let algo = Ate::<u64>::new(AteParams::balanced(n, 1).unwrap());
+    for seed in [1, 2, 3] {
+        let initial: Vec<u64> = (0..n as u64).map(|i| (i + seed) % 2).collect();
+        let started = Instant::now();
+        let threaded = run_threaded(
+            algo.clone(),
+            n,
+            initial.clone(),
+            NetConfig {
+                round_timeout: Duration::from_secs(2),
+                ..config(faults, 1, seed)
+            },
+        );
+        let took = started.elapsed();
+        let stepped = run_async(
+            algo.clone(),
+            n,
+            initial,
+            AsyncConfig {
+                faults,
+                seed,
+                ..AsyncConfig::default()
+            },
+        );
+
+        assert!(
+            took < Duration::from_millis(500),
+            "seed {seed}: a lost frame cost a timeout ({took:?})"
+        );
+        assert_eq!(threaded.decisions, stepped.decisions, "seed {seed}");
+        assert_eq!(
+            threaded.decision_rounds, stepped.decision_rounds,
+            "seed {seed}"
+        );
+        let last = stepped
+            .last_decision_round()
+            .expect("the stepped run decides") as usize;
+        let sets = |outcome: &SubstrateOutcome<u64>| -> Vec<RoundSets> {
+            outcome
+                .history
+                .iter()
+                .take(last)
+                .map(|(_, sets)| sets.clone())
+                .collect()
+        };
+        assert_eq!(sets(&threaded), sets(&stepped), "seed {seed}");
+        assert_eq!(sets(&stepped).len(), last, "seed {seed}");
+    }
 }

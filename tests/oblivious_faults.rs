@@ -308,15 +308,7 @@ fn the_acceptance_run_is_three_way_substrate_conformant() {
         .with_oblivious();
     let trace = NoiseTrace::fully_defective(SEED);
     let sim = run_sim_substrate(algo(), N, initial_values(), &cfg, &trace, ROUNDS);
-    let net = run_net_substrate(
-        algo(),
-        N,
-        initial_values(),
-        &cfg,
-        &trace,
-        ROUNDS,
-        Duration::from_millis(150),
-    );
+    let net = run_net_substrate(algo(), N, initial_values(), &cfg, &trace, ROUNDS);
     let asy = run_async_substrate(algo(), N, initial_values(), &cfg, &trace, ROUNDS);
     if let Some(diff) = first_matrix_divergence(&[("sim", &sim), ("net", &net), ("async", &asy)]) {
         panic!("substrates diverge under full corruption — {diff}");
