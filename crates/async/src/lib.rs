@@ -4,8 +4,9 @@
 //! processes** on one thread, exchanging coded wire frames through
 //! in-memory arenas.
 //!
-//! Where the threaded runtime (`heardof-net`) closes a round on its
-//! peers' end-of-round markers, on one OS thread per process, this
+//! Where the threaded runtime (`heardof-net`) closes a round once every
+//! peer's batch of that round's frames is in, on one OS thread per
+//! process, this
 //! substrate runs the round as a plain loop (`heardof_net::Lockstep`):
 //! every engine sends, then every engine drains its arena, then every
 //! engine transitions. Every round's sends land before any receiver
@@ -16,8 +17,8 @@
 //!
 //! * the per-process state machine is `heardof_engine::RoundEngine`
 //!   (algorithm step, adaptive framing, tagged encode/decode),
-//! * the fault model is the one behind `heardof_net::FaultyLink`,
-//!   appending into the stepper's arenas in place — same RNG streams,
+//! * the fault model is the threaded runtime's, appending into the
+//!   stepper's arenas in place — same links, same RNG streams,
 //!   same seeded [`NoiseTrace`](heardof_coding::NoiseTrace) corruption,
 //! * the outcome is the engine-standard `SubstrateOutcome`.
 //!

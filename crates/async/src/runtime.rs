@@ -2,16 +2,16 @@
 //!
 //! `n` round engines — [`RoundEngine`]s or [`MuxRoundEngine`]s, the
 //! loop is the same — run in lockstep on the calling thread, with the
-//! same coded, tagged wire format and the same byte-corrupting fault
-//! model as the threaded runtime's [`FaultyLink`]s, minus their sinks.
-//! A frame's bytes are borrowed from the sender's engine through the
-//! link's fault model into the receiver's arena — which the stepper
-//! owns, so no boxed sink, shared pointer or lock sits in between —
-//! and borrowed again from there into `ingest`: nothing is allocated
-//! per frame, and the per-run wiring is one arena per receiver and one
-//! fault model per link. Where the threaded runtime closes a round on
-//! its peers' end-of-round markers, here the round is the plain loop
-//! of [`Lockstep::round`]:
+//! same coded, tagged wire format and the same byte-corrupting link
+//! fault models as the threaded runtime. A frame's bytes are borrowed
+//! from the sender's engine through the link's fault model into the
+//! receiver's arena — which the stepper owns, so no boxed sink, shared
+//! pointer or lock sits in between — and borrowed again from there into
+//! `ingest`: nothing is allocated per frame, and the per-run wiring is
+//! one arena per receiver and one fault model per link. Where the
+//! threaded runtime closes a round once every peer's batch of that
+//! round's frames is in, here the round is the plain loop of
+//! [`Lockstep::round`]:
 //!
 //! 1. every engine, in process order, emits its coded frames through
 //!    its links' fault models,
@@ -25,7 +25,6 @@
 //! Unless in lockstep mode, the run stops after the first round at
 //! whose end every engine has decided everything it runs.
 //!
-//! [`FaultyLink`]: heardof_net::FaultyLink
 //! [`Lockstep::round`]: heardof_net::Lockstep::round
 
 use heardof_coding::{AdaptiveConfig, CodeSpec, NoiseTrace};

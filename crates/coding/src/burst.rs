@@ -32,7 +32,7 @@ use crate::noise_lanes::{self, Shape};
 use crate::script::FaultScript;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use std::sync::{Arc, Mutex as StdMutex};
+use std::sync::{Arc, Mutex as StdMutex, PoisonError};
 
 /// A noise process applied to wire bytes. Implemented by the memoryless
 /// [`BitNoise`] and the bursty [`GilbertElliott`] chain; measurement
@@ -263,10 +263,10 @@ pub struct NoiseTrace {
 }
 
 /// Lazily extended log of the shared regime chain.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct RegimeMemo {
-    /// RNG state at the frontier (`None` until the chain first steps).
-    rng: Option<StdRng>,
+    /// RNG state at the frontier, drawn from a seed-only stream.
+    rng: StdRng,
     /// Chain state at the frontier.
     in_burst: bool,
     /// `states[r-1]`: the chain's state after stepping into round `r`.
@@ -289,7 +289,14 @@ impl NoiseTrace {
             seed,
             phases,
             shared_regime: false,
-            regimes: Arc::new(StdMutex::new(RegimeMemo::default())),
+            regimes: Arc::new(StdMutex::new(RegimeMemo {
+                rng: StdRng::seed_from_u64(
+                    seed.wrapping_mul(0xD605_0BB5_9DF4_4F45)
+                        .wrapping_add(0x5EED_C0DE),
+                ),
+                in_burst: false,
+                states: Vec::new(),
+            })),
             script: None,
         }
     }
@@ -461,24 +468,20 @@ impl NoiseTrace {
         // transitions drawn from a seed-only stream; the memo holds the
         // frontier (RNG + state) so each round is stepped exactly once
         // per run, no matter how many frames ask.
-        let mut memo = self.regimes.lock().expect("regime memo poisoned");
-        if memo.rng.is_none() {
-            memo.rng = Some(StdRng::seed_from_u64(
-                self.seed
-                    .wrapping_mul(0xD605_0BB5_9DF4_4F45)
-                    .wrapping_add(0x5EED_C0DE),
-            ));
-        }
+        // A panic under the lock (an invalid probability in `gen_bool`,
+        // which checks before it draws) leaves every completed round
+        // pushed and the frontier at the last of them, so a poisoned
+        // memo is still a consistent one.
+        let mut memo = self.regimes.lock().unwrap_or_else(PoisonError::into_inner);
         while (memo.states.len() as u64) < round {
             let r = memo.states.len() as u64 + 1;
             let ch = self.channel_at(r);
             let mut in_burst = memo.in_burst;
-            let rng = memo.rng.as_mut().expect("frontier rng just seeded");
             if in_burst {
-                if ch.p_exit_burst > 0.0 && rng.gen_bool(ch.p_exit_burst) {
+                if ch.p_exit_burst > 0.0 && memo.rng.gen_bool(ch.p_exit_burst) {
                     in_burst = false;
                 }
-            } else if ch.p_enter_burst > 0.0 && rng.gen_bool(ch.p_enter_burst) {
+            } else if ch.p_enter_burst > 0.0 && memo.rng.gen_bool(ch.p_enter_burst) {
                 in_burst = true;
             }
             memo.in_burst = in_burst;

@@ -73,6 +73,10 @@
 
 #![deny(missing_docs)]
 #![deny(clippy::undocumented_unsafe_blocks)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 #![warn(rust_2018_idioms)]
 
 mod adaptive;

@@ -56,16 +56,10 @@ impl Repetition {
     /// The bit-at-a-time majority vote: reference semantics for every
     /// odd `k`, the fallback for `k > 5`, and the differential oracle
     /// for the word-wide fast path. Kept out of line, off the fast
-    /// path.
-    ///
-    /// # Errors
-    ///
-    /// [`CodeError::Malformed`] unless the wire length divides by `k`.
+    /// path. The caller has checked that the wire length divides by
+    /// `k`; the vote reads `k` whole copies and nothing past them.
     #[inline(never)]
-    fn decode_repaired_scalar(&self, wire: &[u8]) -> Result<(Vec<u8>, bool), CodeError> {
-        if !wire.len().is_multiple_of(self.k) {
-            return Err(CodeError::Malformed);
-        }
+    fn decode_repaired_scalar(&self, wire: &[u8]) -> (Vec<u8>, bool) {
         let len = wire.len() / self.k;
         let mut payload = Vec::with_capacity(len);
         let mut repaired = false;
@@ -84,7 +78,7 @@ impl Repetition {
             }
             payload.push(voted);
         }
-        Ok((payload, repaired))
+        (payload, repaired)
     }
 
     /// The word-wide majority vote for `k ∈ {3, 5}`: 64 bit positions
@@ -153,9 +147,7 @@ impl ChannelCode for Repetition {
             // One copy: the vote is the wire, unanimously.
             1 => return DecodeScan::delivered(wire, false, 0),
             3 | 5 => self.decode_words(wire),
-            _ => self
-                .decode_repaired_scalar(wire)
-                .expect("length divides by k"),
+            _ => self.decode_repaired_scalar(wire),
         };
         // The vote has no finer repair unit than the frame.
         DecodeScan::delivered(payload, repaired, usize::from(repaired))
@@ -231,7 +223,7 @@ mod tests {
                     let voted = code.decode_scan(&wire).outcome;
                     assert_eq!(
                         voted.map(|(payload, repaired)| (payload.into_owned(), repaired)),
-                        code.decode_repaired_scalar(&wire),
+                        Ok(code.decode_repaired_scalar(&wire)),
                         "k {k}, len {len}"
                     );
                 }

@@ -20,8 +20,8 @@
 //!   tally. All I/O is poll-style — *emit coded frames / ingest
 //!   received frames / advance round* — so a substrate contributes
 //!   nothing but byte transport and a notion of when a round is over
-//!   (every peer's end-of-round marker for threads, the end of a
-//!   lockstep loop pass). It is
+//!   (every peer's batch of the round's frames for threads, the end of
+//!   a lockstep loop pass). It is
 //!   generic over what a wire image carries ([`WireLayout`]):
 //!   [`RoundEngine`] is the one-instance instantiation (the image is a
 //!   frame body), [`MuxRoundEngine`] packs `k` instances into one slot

@@ -5,18 +5,20 @@
 //! configured), a [`Framing`] (fixed code or adaptive controller over
 //! the shared book), and a [`RoundEngine`] — then joins the engines'
 //! reports with the fault log into a [`SubstrateOutcome`]. A
-//! [`RunFabric`] does all of that once, parameterized only by how the
-//! substrate delivers bytes: [`FaultyLink`]s into its [`FrameSink`]s,
-//! or the lockstep stepper's sinkless links into its arenas. Both the threaded and
-//! the async runtimes stamp their processes out of this fabric, so the
-//! conformance matrix always compares identical wiring — and the next
-//! substrate cannot accidentally wire itself differently.
+//! [`RunFabric`] does all of that once. Both production substrates
+//! drive its sinkless links, appending into arenas: the lockstep
+//! stepper into one per receiver, the threaded runtime into one per
+//! peer that crosses the channel as the round's batch. Both stamp their
+//! processes out of this fabric, so the conformance matrix always
+//! compares identical wiring — and the next substrate cannot
+//! accidentally wire itself differently. [`RunFabric::links_for`] wraps
+//! the same links in [`FaultyLink`]s over a caller's [`FrameSink`]s,
+//! for callers outside this crate.
 //!
 //! What is per run is built per run: the fabric validates the fault
 //! model and assembles one [`LinkWiring`] block in [`RunFabric::new`],
 //! before any thread or task exists, and each of the `n·(n−1)` links
-//! it stamps out costs one reference to that block and an RNG seed —
-//! plus, through [`RunFabric::links_for`], the substrate's sink.
+//! it stamps out costs one reference to that block and an RNG seed.
 
 use crate::link::{
     FaultLog, FaultyLink, FrameSink, LinkFaults, LinkModel, LinkWiring, PatternBlock,
@@ -105,7 +107,7 @@ impl RunFabric {
 
     /// The outgoing links of process `p` in an `n`-process system, in
     /// the ascending-order-minus-self layout `link_index` expects;
-    /// `sink_for(q)` supplies the substrate's receiving end at `q`.
+    /// `sink_for(q)` supplies the receiving end at `q`.
     ///
     /// Under a seeded trace, on a CPU whose noise kernel runs lanes
     /// ([`NoiseTrace::lanes`]), and with at least two receivers, the
@@ -127,7 +129,7 @@ impl RunFabric {
     }
 
     /// The fault models of [`RunFabric::links_for`]'s links, without
-    /// their sinks — what the lockstep stepper delivers through.
+    /// their sinks — what both production substrates deliver through.
     pub(crate) fn link_models(&self, p: usize, n: usize) -> Vec<LinkModel> {
         let mut links = Vec::with_capacity(n.saturating_sub(1));
         let model = |q| LinkModel::new(p as u32, q as u32, self.seed, Arc::clone(&self.wiring));

@@ -9,10 +9,10 @@
 //! Where the lockstep simulator (`heardof-sim`) gives adversarial
 //! control, this crate shows the *same algorithms, unchanged*, running
 //! the way a real system would: heard-of sets arise from lossy links,
-//! with rounds closed by end-of-round markers (a control plane outside
-//! the fault model, see [`run_threaded`]); safe heard-of sets shrink
-//! exactly when a corruption
-//! slips past the channel code. Pick the code per deployment via
+//! each round crossing to a peer as one batch of whatever the links
+//! delivered, which also closes it (a control plane outside the fault
+//! model, see [`run_threaded`]); safe heard-of sets shrink exactly when
+//! a corruption slips past the channel code. Pick the code per deployment via
 //! [`NetConfig::code`] — the CRC-32 checksum default keeps the
 //! historical wire format, while a correcting code such as
 //! `CodeSpec::Hamming74` repairs corruption in flight, running the same
@@ -21,7 +21,9 @@
 //! usual predicate checkers apply.
 //!
 //! * [`crc32`], [`WireMessage`], [`Frame`], [`CodeSpec`] — the wire format,
-//! * [`LinkFaults`], [`FaultyLink`], [`LinkWiring`], [`FaultLog`] — the fault model,
+//! * [`LinkFaults`], [`LinkWiring`], [`FaultLog`] — the fault model;
+//!   [`FaultyLink`] and [`FrameSink`] — its owned-frame entry for
+//!   callers outside this crate,
 //! * [`RunFabric`], [`Lockstep`] — one run's wiring, and the
 //!   single-threaded lockstep round over it,
 //! * [`run_threaded`], [`NetConfig`], [`NetOutcome`] — the runtime,

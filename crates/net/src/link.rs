@@ -25,19 +25,21 @@
 //! block, built once per run. A link's own part is its fault model: two
 //! ids, an RNG stream and a scratch buffer, with **one** fault-decision
 //! body that hands what reaches the receiver to a generic delivery
-//! closure. The lockstep stepper drives bare fault models, appending
-//! into the arenas it owns; a [`FaultyLink`] is a fault model plus a
-//! [`FrameSink`], for the threaded runtime and for drivers outside this
-//! crate. A frame crosses a link **borrowed** ([`FaultyLink::send_bytes`]
-//! → [`FrameSink::deliver_bytes`], or the stepper's closure): one that
-//! nothing hits is delivered as the very slice the engine emitted, and
-//! only a frame a fault source may touch is copied — into the link's
-//! scratch, where it is corrupted while the borrowed input stays the
-//! pristine image the verdict is judged against.
+//! closure. Both production substrates drive bare fault models: the
+//! lockstep stepper appends into the arenas it owns, the threaded
+//! runtime into one outbox arena per peer. A frame crosses a link
+//! **borrowed**: one that nothing hits is delivered as the very slice
+//! the engine emitted, and only a frame a fault source may touch is
+//! copied — into the link's scratch, where it is corrupted while the
+//! borrowed input stays the pristine image the verdict is judged
+//! against. A [`FaultyLink`] is a fault model plus a boxed
+//! [`FrameSink`] taking owned frames: the entry for callers outside
+//! this crate, which no production path uses.
 //!
-//! Under a seeded trace, the links of one sender built together — by
-//! [`RunFabric::links_for`](crate::RunFabric::links_for), or for the
-//! lockstep stepper — share one pattern block, locked only by the
+//! Under a seeded trace, the links of one sender built together — for
+//! either substrate, or by
+//! [`RunFabric::links_for`](crate::RunFabric::links_for) — share one
+//! pattern block, locked only by the
 //! thread that sends on them. The
 //! first to send a `(round, copy, len)` draws every receiver's flip
 //! pattern at once ([`NoiseTrace::flip_masks`]); each link then reads
@@ -66,11 +68,10 @@ use std::borrow::Cow;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// The receiving end a [`FaultyLink`] delivers into: what the threaded
-/// runtime (`std::sync::mpsc` channels) and drivers outside this crate
-/// plug in. The lockstep stepper has none — its links deliver straight
-/// into the arenas it owns. Delivery must never block — a link models
-/// a wire, not flow control.
+/// The receiving end a [`FaultyLink`] delivers into: what callers
+/// outside this crate plug in. Neither production substrate has one —
+/// their links deliver straight into arenas. Delivery must never block
+/// — a link models a wire, not flow control.
 ///
 /// Frames are attributed to the link's sending process. The attribution
 /// is a property of the *link*, not the bytes — the one fact a
@@ -78,20 +79,8 @@ use std::sync::Arc;
 /// content-oblivious count channel decodes by
 /// ([`RoundEngine::ingest_from`](heardof_engine::RoundEngine)).
 pub trait FrameSink: Send {
-    /// The owned-buffer compatibility entry: hands over one (possibly
-    /// corrupted) wire frame the caller already holds as a `Vec`. It is
-    /// the required method only because sinks outside this workspace's
-    /// production crates (the repository benchmark's driver) implement
-    /// nothing else; see [`FaultyLink::send`].
+    /// Hands over one (possibly corrupted) wire frame.
     fn deliver(&self, sender: u32, frame: Vec<u8>);
-
-    /// Hands over one (possibly corrupted) wire frame by reference —
-    /// what [`FaultyLink::send_bytes`] calls. A sink that stores bytes
-    /// in place overrides it and never sees an owned frame; the default
-    /// makes the one owned copy a queue of `Vec`s needs.
-    fn deliver_bytes(&self, sender: u32, frame: &[u8]) {
-        self.deliver(sender, frame.to_vec());
-    }
 }
 
 /// Probabilities governing one link's behaviour.
@@ -205,7 +194,7 @@ pub struct LinkWiring {
     /// drawn from.
     pub(crate) trace: Option<NoiseTrace>,
     pub(crate) log: FaultLog,
-    /// Every [`FaultyLink::send_bytes`] verdict is mirrored as a
+    /// Every link's verdict on a frame is mirrored as a
     /// link-plane event stamped with `(round, receiver, sender, wire
     /// length)`, so flight recordings carry the exact per-link history
     /// the [`FaultLog`] only keeps for undetected faults.
@@ -301,9 +290,9 @@ impl LinkWiring {
     }
 }
 
-/// One sender's trace flip patterns, shared by the links
-/// [`RunFabric::links_for`](crate::RunFabric::links_for) builds for it
-/// and locked only by the thread that sends on them: the first of
+/// One sender's trace flip patterns, shared by the links the fabric
+/// builds for it together and locked only by the thread that sends on
+/// them: the first of
 /// those links to send a `(round, copy, len)` draws every receiver's
 /// pattern at once ([`NoiseTrace::flip_masks`]), and each link then
 /// reads its own lane.
@@ -375,9 +364,9 @@ impl PatternBlock {
 /// receiving end: its two ids, its RNG stream, a scratch buffer, its
 /// lane in the sender's shared trace patterns and the run's
 /// [`LinkWiring`]. [`LinkModel::send`] hands whatever reaches the
-/// receiver to a delivery closure; a [`FaultyLink`] is one of these
-/// plus a [`FrameSink`], and the lockstep stepper drives them bare,
-/// appending into its receivers' arenas.
+/// receiver to a delivery closure; both production substrates drive
+/// them bare, appending into arenas, and a [`FaultyLink`] is one of
+/// these plus a [`FrameSink`].
 pub(crate) struct LinkModel {
     sender_id: u32,
     pub(crate) receiver_id: u32,
@@ -543,29 +532,15 @@ impl FaultyLink {
         FaultyLink { model, tx }
     }
 
-    /// Sends an encoded frame through the fault model, borrowed: a
-    /// frame nothing hits reaches the sink as `encoded` itself. Returns
-    /// what happened (mostly for tests and statistics).
-    pub fn send_bytes(&mut self, round: u64, copy: u8, encoded: &[u8]) -> LinkEvent {
-        let (sender, tx) = (self.model.sender_id, &self.tx);
-        let deliver = |frame: Cow<'_, [u8]>| tx.deliver_bytes(sender, &frame);
-        self.model
-            .send(round, copy, Cow::Borrowed(encoded), deliver)
-    }
-
-    /// The owned-buffer compatibility entry of
-    /// [`send_bytes`](FaultyLink::send_bytes), for callers that already
-    /// hold the frame as a `Vec` (the repository benchmark's driver,
-    /// which this workspace may not edit): the same fault decisions,
-    /// draws and events, and an untouched frame reaches
-    /// [`FrameSink::deliver`] as the very `Vec` passed in.
+    /// Sends an encoded frame through the fault model and hands what
+    /// reaches the receiver to the sink: an untouched frame as the very
+    /// `Vec` passed in, a hit one as a copy of the link's noisy image.
+    /// Returns what happened (mostly for tests and statistics).
     pub fn send(&mut self, round: u64, copy: u8, encoded: Vec<u8>) -> LinkEvent {
         let (sender, tx) = (self.model.sender_id, &self.tx);
-        self.model
-            .send(round, copy, Cow::Owned(encoded), |frame| match frame {
-                Cow::Borrowed(bytes) => tx.deliver_bytes(sender, bytes),
-                Cow::Owned(bytes) => tx.deliver(sender, bytes),
-            })
+        self.model.send(round, copy, Cow::Owned(encoded), |frame| {
+            tx.deliver(sender, frame.into_owned())
+        })
     }
 }
 
@@ -777,17 +752,13 @@ mod tests {
         assert_eq!(got.msg, 5);
     }
 
-    /// Where each delivered frame's bytes live, and whether they came
-    /// through the owned entry.
+    /// Where each delivered frame's bytes live.
     #[derive(Clone, Default)]
-    struct Addresses(Arc<Mutex<Vec<(bool, usize)>>>);
+    struct Addresses(Arc<Mutex<Vec<usize>>>);
 
     impl FrameSink for Addresses {
         fn deliver(&self, _sender: u32, frame: Vec<u8>) {
-            self.0.lock().push((true, frame.as_ptr() as usize));
-        }
-        fn deliver_bytes(&self, _sender: u32, frame: &[u8]) {
-            self.0.lock().push((false, frame.as_ptr() as usize));
+            self.0.lock().push(frame.as_ptr() as usize);
         }
     }
 
@@ -808,27 +779,22 @@ mod tests {
         let seen = Addresses::default();
         let mut link = FaultyLink::new(0, 1, Box::new(seen.clone()), 9, wiring(LinkFaults::NONE));
         let owned = frame_bytes(5);
-        let borrowed = frame_bytes(6);
-        let expected = vec![
-            (true, owned.as_ptr() as usize),
-            (false, borrowed.as_ptr() as usize),
-        ];
+        let expected = vec![owned.as_ptr() as usize];
         assert_eq!(link.send(1, 0, owned), LinkEvent::Delivered);
-        assert_eq!(link.send_bytes(1, 0, &borrowed), LinkEvent::Delivered);
-        assert_eq!(*seen.0.lock(), expected, "no copy on either entry");
+        assert_eq!(*seen.0.lock(), expected, "no copy");
 
         // A frame the model hits is corrupted in the link's scratch and
-        // delivered from there; the input is only ever read.
+        // delivered as a copy of it; the input is only ever read.
         let corrupting = wiring(LinkFaults {
             corrupt_prob: 1.0,
             ..LinkFaults::NONE
         });
         let seen = Addresses::default();
         let mut link = FaultyLink::new(0, 1, Box::new(seen.clone()), 9, corrupting);
-        assert_ne!(link.send_bytes(1, 0, &borrowed), LinkEvent::Delivered);
-        assert_eq!(borrowed, frame_bytes(6));
-        let (owned_entry, at) = seen.0.lock()[0];
-        assert!(!owned_entry && at != borrowed.as_ptr() as usize);
+        let hit = frame_bytes(6);
+        let at = hit.as_ptr() as usize;
+        assert_ne!(link.send(1, 0, hit), LinkEvent::Delivered);
+        assert_ne!(seen.0.lock()[0], at);
     }
 
     #[test]
@@ -1051,7 +1017,10 @@ mod tests {
             let mut body = vec![0u8; len];
             body[0] = 3;
             body[COPY_OFFSET] = 2;
-            assert_eq!(link.send_bytes(3, 2, &body), LinkEvent::CorruptedUndetected);
+            assert_eq!(
+                link.send(3, 2, body.clone()),
+                LinkEvent::CorruptedUndetected
+            );
             let delivered = rx.recv().unwrap().1;
             assert!(delivered
                 .iter()

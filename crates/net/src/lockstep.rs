@@ -24,7 +24,8 @@
 //! FIFO of *frames*: boundaries are kept exactly, however short the
 //! frames (the content-oblivious count channel counts its 2- and 3-byte
 //! frames — a merged or split one would be a wrong value, not a
-//! rejected frame).
+//! rejected frame). The threaded runtime moves its rounds in the same
+//! arenas, one per (sender, receiver) pair, across its channels.
 
 use crate::fabric::RunFabric;
 use crate::link::LinkModel;
@@ -32,10 +33,12 @@ use heardof_engine::{link_index, RoundMachine, WireLayout, WireMessage};
 use heardof_model::HoAlgorithm;
 use std::borrow::Cow;
 
-/// One receiver's frames of the round, back to back in `bytes`;
-/// `frames[i]` is the `i`-th frame's sender attribution and the offset
-/// one past its last byte.
-struct Arena {
+/// Frames of one round, back to back in `bytes`; `frames[i]` is the
+/// `i`-th frame's sender attribution and the offset one past its last
+/// byte. The stepper keeps one per receiver; the threaded runtime posts
+/// one per (sender, receiver) pair and round, and reuses it once
+/// drained.
+pub(crate) struct Arena {
     bytes: Vec<u8>,
     frames: Vec<(u32, usize)>,
 }
@@ -43,7 +46,7 @@ struct Arena {
 impl Arena {
     /// An empty arena with room for `frames` frame records; its bytes
     /// are sized by the first frame it receives.
-    fn with_capacity(frames: usize) -> Self {
+    pub(crate) fn with_capacity(frames: usize) -> Self {
         Arena {
             bytes: Vec::new(),
             frames: Vec::with_capacity(frames),
@@ -54,7 +57,7 @@ impl Arena {
     /// which link the frame arrived on — known to the receiver
     /// regardless of content. A round's frames are mostly of one
     /// length, so the first sizes the byte buffer for all the records.
-    fn push(&mut self, sender: u32, frame: &[u8]) {
+    pub(crate) fn push(&mut self, sender: u32, frame: &[u8]) {
         if self.bytes.capacity() == 0 {
             self.bytes.reserve(frame.len() * self.frames.capacity());
         }
@@ -64,7 +67,7 @@ impl Arena {
 
     /// Hands every queued frame to `each` as `(sender, bytes)`, oldest
     /// first, then empties the arena, keeping its capacity.
-    fn drain(&mut self, mut each: impl FnMut(u32, &[u8])) {
+    pub(crate) fn drain(&mut self, mut each: impl FnMut(u32, &[u8])) {
         let mut start = 0;
         for &(sender, end) in &self.frames {
             each(sender, &self.bytes[start..end]);
@@ -389,13 +392,15 @@ mod tests {
     }
 }
 
-/// The stepper's sinkless links against the boxed links of
-/// [`RunFabric::links_for`](crate::RunFabric::links_for): for every
-/// link of a run, the same frames sent through both deliver the same
-/// bytes with the same boundaries to the same receivers in the same
-/// order, return the same verdicts, emit the same telemetry and log the
-/// same undetected faults. The sinkless links live inside the crate, so
-/// this is a unit test rather than one under `tests/`.
+/// The sinkless links both production substrates drive against the
+/// boxed links of [`RunFabric::links_for`](crate::RunFabric::links_for)
+/// — the owned entry the repository benchmark rebuilds the
+/// round loop on: for every link of a run, the same frames sent through
+/// both deliver the same bytes with the same boundaries to the same
+/// receivers in the same order, return the same verdicts, emit the same
+/// telemetry, log the same undetected faults and leave their RNGs in
+/// the same state. The sinkless links live inside the crate, so this is
+/// a unit test rather than one under `tests/`.
 #[cfg(test)]
 mod delivery_equivalence {
     use super::*;
@@ -431,15 +436,11 @@ mod delivery_equivalence {
         AdaptiveConfig::standard(4, 1).ladder
     }
 
-    /// What drives corruption: the probabilistic model (drops,
-    /// detectable corruption and adversarial forgeries), a seeded
-    /// bursty trace, or a script of every scripted fault.
-    fn sources(n: usize, seed: u64) -> Vec<(LinkFaults, Option<NoiseTrace>)> {
-        let faults = LinkFaults {
-            drop_prob: 0.2,
-            corrupt_prob: 0.5,
-            undetected_prob: 0.5,
-        };
+    /// What drives corruption: the probabilistic model or a trace.
+    type Source = (LinkFaults, Option<NoiseTrace>);
+
+    /// A script of every scripted fault, on the links `p → p + 1`.
+    fn script(n: usize) -> NoiseTrace {
         let mut script = FaultScript::new();
         for (i, round) in ROUNDS.enumerate() {
             let fault = match i % 4 {
@@ -452,24 +453,94 @@ mod delivery_equivalence {
                 script.insert(round, sender, (sender + 1) % n as u32, fault);
             }
         }
+        NoiseTrace::scripted(script)
+    }
+
+    /// The probabilistic model (drops, detectable corruption and
+    /// adversarial forgeries), a seeded bursty trace, and the script.
+    fn sources(n: usize, seed: u64) -> Vec<Source> {
+        let faults = LinkFaults {
+            drop_prob: 0.2,
+            corrupt_prob: 0.5,
+            undetected_prob: 0.5,
+        };
         vec![
             (faults, None),
             (LinkFaults::NONE, Some(NoiseTrace::bursty(seed))),
-            (LinkFaults::NONE, Some(NoiseTrace::scripted(script))),
+            (LinkFaults::NONE, Some(script(n))),
+        ]
+    }
+
+    /// The probabilistic model at every corner and the middle of its
+    /// cube, then the trace presets (per-link bursts, clean, shared
+    /// regime) and the script.
+    fn every_source(n: usize, seed: u64) -> Vec<Source> {
+        let mut all = Vec::new();
+        for drop_prob in [0.0, 0.4, 1.0] {
+            for corrupt_prob in [0.0, 0.5, 1.0] {
+                for undetected_prob in [0.0, 0.5, 1.0] {
+                    let faults = LinkFaults {
+                        drop_prob,
+                        corrupt_prob,
+                        undetected_prob,
+                    };
+                    all.push((faults, None));
+                }
+            }
+        }
+        let traces = [
+            NoiseTrace::bursty(seed),
+            NoiseTrace::clean(seed),
+            NoiseTrace::correlated_bursts(seed),
+            script(n),
+        ];
+        all.extend(traces.map(|trace| (LinkFaults::NONE, Some(trace))));
+        all
+    }
+
+    /// How the endpoints frame wire bytes.
+    #[derive(Clone, Copy, Debug)]
+    enum Framed {
+        Fixed(CodeSpec),
+        /// Tagged through the standard ladder's book, each frame on a
+        /// rung of the round's choosing, with a rung advertisement on
+        /// even rounds when `advert`.
+        Tagged {
+            advert: bool,
+        },
+    }
+
+    fn framings() -> [Framed; 10] {
+        [
+            Framed::Fixed(CodeSpec::None),
+            Framed::Fixed(CodeSpec::Checksum { width: 1 }),
+            Framed::Fixed(CodeSpec::Checksum { width: 4 }),
+            Framed::Fixed(CodeSpec::Repetition { k: 3 }),
+            Framed::Fixed(CodeSpec::Hamming74),
+            Framed::Fixed(CodeSpec::Interleaved { depth: 16 }),
+            Framed::Fixed(CodeSpec::Fountain { repair: 8 }),
+            Framed::Fixed(CodeSpec::Oblivious),
+            Framed::Tagged { advert: false },
+            Framed::Tagged { advert: true },
         ]
     }
 
     /// The wire `sender` hands `receiver` as `copy` in `round`: every
     /// third round a count-channel frame (2 bytes to even receivers, 3
-    /// to odd ones), otherwise a frame under the run's framing — tagged
-    /// on a rung of the round's choosing, with or without an advert,
-    /// when `tagged`, CRC-32 otherwise.
-    fn wire(tagged: bool, round: u64, sender: u32, receiver: u32, copy: u8) -> Vec<u8> {
+    /// to odd ones), otherwise a frame under `framed`. With `hostile`,
+    /// some frames have a byte flipped before the link sees them, and
+    /// some are 0–5 raw bytes no endpoint would emit.
+    fn wire(framed: Framed, hostile: bool, at: (u64, u32, u32, u8)) -> Vec<u8> {
+        let (round, sender, receiver, copy) = at;
         if round.is_multiple_of(3) {
             return match receiver % 2 {
                 0 => oblivious_value_frame().to_vec(),
                 _ => oblivious_advert_frame().to_vec(),
             };
+        }
+        let pick = round * 31 + u64::from(sender) * 7 + u64::from(receiver) * 3 + u64::from(copy);
+        if hostile && pick % 5 == 1 {
+            return pick.to_le_bytes()[..pick as usize % 6].to_vec();
         }
         let frame = Frame {
             round,
@@ -480,20 +551,24 @@ mod delivery_equivalence {
         let mut body = BytesMut::new();
         encode_body_into(&frame, &mut body);
         let mut wire = BytesMut::new();
-        if tagged {
-            let specs = ladder();
-            let id = ((round + u64::from(sender)) % specs.len() as u64) as u8;
-            let advert = round.is_multiple_of(2).then_some(RungAdvert {
-                rung: id,
-                epoch: (round % 16) as u8,
-            });
-            CodeBook::from_specs(&specs).encode_tagged(id, advert, None, &body, &mut wire);
-        } else {
-            CodeSpec::DEFAULT
-                .build()
-                .encode_into(&body, None, &mut wire);
+        match framed {
+            Framed::Fixed(spec) => spec.build().encode_into(&body, None, &mut wire),
+            Framed::Tagged { advert } => {
+                let specs = ladder();
+                let id = ((round + u64::from(sender)) % specs.len() as u64) as u8;
+                let advert = (advert && round.is_multiple_of(2)).then_some(RungAdvert {
+                    rung: id,
+                    epoch: (round % 16) as u8,
+                });
+                CodeBook::from_specs(&specs).encode_tagged(id, advert, None, &body, &mut wire);
+            }
         }
-        wire.into()
+        let mut wire: Vec<u8> = wire.into();
+        if hostile && pick % 5 == 3 {
+            let at = pick as usize % wire.len();
+            wire[at] ^= 1 << (pick % 8);
+        }
+        wire
     }
 
     /// Everything observable about one run of all `n · (n − 1)` links.
@@ -507,13 +582,13 @@ mod delivery_equivalence {
     }
 
     /// Sends every link's frames in engine order — each sender, each
-    /// receiver, each copy — round by round through `send(p, lane, q,
-    /// round, copy, wire)`, collecting each round's arrivals with
-    /// `collect()`.
+    /// receiver, each copy — round by round through `send(p, q, round,
+    /// copy, wire)`, collecting each round's arrivals with `collect()`.
     fn drive(
         n: usize,
         copies: u8,
-        tagged: bool,
+        framed: Framed,
+        hostile: bool,
         mut send: impl FnMut(usize, usize, u64, u8, &[u8]) -> LinkEvent,
         mut collect: impl FnMut() -> Vec<Arrivals>,
     ) -> (Vec<LinkEvent>, Vec<Vec<Arrivals>>) {
@@ -522,7 +597,7 @@ mod delivery_equivalence {
             for p in 0..n {
                 for q in (0..n).filter(|&q| q != p) {
                     for copy in 0..copies {
-                        let wire = wire(tagged, round, p as u32, q as u32, copy);
+                        let wire = wire(framed, hostile, (round, p as u32, q as u32, copy));
                         events.push(send(p, q, round, copy, &wire));
                     }
                 }
@@ -532,16 +607,13 @@ mod delivery_equivalence {
         (events, delivered)
     }
 
-    fn fabric(
-        (faults, trace): &(LinkFaults, Option<NoiseTrace>),
-        tagged: bool,
-        seed: u64,
-        copies: u8,
-    ) -> RunFabric {
-        let adaptive = tagged.then(|| AdaptiveConfig::standard(4, 1));
+    fn fabric((faults, trace): &Source, framed: Framed, seed: u64, copies: u8) -> RunFabric {
+        let (code, adaptive) = match framed {
+            Framed::Fixed(spec) => (spec, None),
+            Framed::Tagged { .. } => (CodeSpec::DEFAULT, Some(AdaptiveConfig::standard(4, 1))),
+        };
         let rounds = ROUNDS.end() + 1;
         let telemetry = Telemetry::ring();
-        let code = CodeSpec::DEFAULT;
         RunFabric::new(
             *faults,
             seed,
@@ -566,8 +638,8 @@ mod delivery_equivalence {
         }
     }
 
-    /// The stepper's links: fault models appending into arenas.
-    fn sinkless(fabric: &RunFabric, n: usize, tagged: bool) -> Observed {
+    /// The production links: fault models appending into arenas.
+    fn sinkless(fabric: &RunFabric, n: usize, framed: Framed, hostile: bool) -> Observed {
         let copies = fabric.copies;
         let mut links: Vec<_> = (0..n).map(|p| fabric.link_models(p, n)).collect();
         let frames = (n - 1) * usize::from(copies);
@@ -590,19 +662,19 @@ mod delivery_equivalence {
                 })
                 .collect()
         };
-        let run = drive(n, copies, tagged, send, collect);
+        let run = drive(n, copies, framed, hostile, send, collect);
         observed(fabric, run)
     }
 
     /// The same links as `links_for` builds them, each with a boxed
-    /// sink.
-    fn boxed(fabric: &RunFabric, n: usize, tagged: bool) -> Observed {
+    /// sink, driven through the owned entry.
+    fn boxed(fabric: &RunFabric, n: usize, framed: Framed, hostile: bool) -> Observed {
         let tapes: Vec<Tape> = (0..n).map(|_| Tape::default()).collect();
         let mut links: Vec<_> = (0..n)
             .map(|p| fabric.links_for(p, n, |q| Box::new(tapes[q].clone())))
             .collect();
         let send = |p: usize, q: usize, round, copy, wire: &[u8]| {
-            links[p][link_index(q as u32, p as u32)].send_bytes(round, copy, wire)
+            links[p][link_index(q as u32, p as u32)].send(round, copy, wire.to_vec())
         };
         let collect = || {
             tapes
@@ -610,25 +682,60 @@ mod delivery_equivalence {
                 .map(|tape| std::mem::take(&mut *tape.0.lock()))
                 .collect()
         };
-        let run = drive(n, fabric.copies, tagged, send, collect);
+        let run = drive(n, fabric.copies, framed, hostile, send, collect);
         observed(fabric, run)
+    }
+
+    /// Both link sets over one source and framing, with the links
+    /// seeded by `seed`, compared; returns the production side.
+    fn compare(
+        source: &Source,
+        framed: Framed,
+        hostile: bool,
+        n: usize,
+        copies: u8,
+        seed: u64,
+    ) -> Observed {
+        let stepper = sinkless(&fabric(source, framed, seed, copies), n, framed, hostile);
+        let links = boxed(&fabric(source, framed, seed, copies), n, framed, hostile);
+        assert_eq!(stepper, links, "n {n}, copies {copies}, {framed:?}");
+        stepper
     }
 
     #[test]
     fn sinkless_links_deliver_what_boxed_links_do() {
+        let tagged = Framed::Tagged { advert: true };
         for n in [2usize, 3, 8, 17] {
             for copies in 1..=3u8 {
                 let seed = 0xD1CE ^ (n as u64) << 8 ^ u64::from(copies);
                 for (i, source) in sources(n, seed).iter().enumerate() {
-                    for tagged in [false, true] {
-                        let what = format!("n {n}, copies {copies}, source {i}, tagged {tagged}");
-                        let stepper = sinkless(&fabric(source, tagged, seed, copies), n, tagged);
-                        let links = boxed(&fabric(source, tagged, seed, copies), n, tagged);
-                        assert_eq!(stepper, links, "{what}");
-                        let hit = stepper.events.iter().any(|e| *e != LinkEvent::Delivered);
-                        assert!(hit, "{what}: no frame was hit");
+                    for framed in [Framed::Fixed(CodeSpec::DEFAULT), tagged] {
+                        let seen = compare(source, framed, false, n, copies, seed);
+                        let hit = seen.events.iter().any(|e| *e != LinkEvent::Delivered);
+                        assert!(hit, "n {n}, copies {copies}, source {i}: no frame was hit");
                     }
                 }
+            }
+        }
+
+        // Every fault source × every framing, over valid, pre-corrupted
+        // and raw junk wires.
+        let (n, copies) = (3, 2);
+        let seed = 0xE17;
+        for (i, source) in every_source(n, seed).iter().enumerate() {
+            for framed in framings() {
+                let seen = compare(source, framed, true, n, copies, seed);
+                // One telemetry event per send, carrying the wire length
+                // handed in — the benchmark's wire-byte count.
+                assert_eq!(seen.recording.events.len(), seen.events.len(), "source {i}");
+                let undetected = seen
+                    .events
+                    .iter()
+                    .filter(|e| **e == LinkEvent::CorruptedUndetected);
+                assert!(
+                    seen.logged.len() <= undetected.count(),
+                    "source {i}: only leaks are logged"
+                );
             }
         }
     }

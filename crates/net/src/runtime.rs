@@ -2,32 +2,37 @@
 //!
 //! Each process runs a [`RoundEngine`] on its own OS thread, exchanging
 //! the engine's coded frames over `std::sync::mpsc` channels through
-//! byte-corrupting [`FaultyLink`]s. The thread contributes exactly what
-//! the engine cannot know: byte transport and a round synchronizer
-//! implementing communication-closed rounds on top of the asynchronous
-//! transport.
+//! the same byte-corrupting link fault models the lockstep stepper
+//! drives. The thread contributes exactly what the engine cannot know:
+//! byte transport and a round synchronizer implementing
+//! communication-closed rounds on top of the asynchronous transport.
 //!
-//! A round closes on evidence, not on a clock. After its round-`r`
-//! sends, a process posts an end-of-round marker into every peer's
-//! inbox. A thread's sends are enqueued in program order and a channel
-//! is FIFO per producer, so a receiver holding a peer's round-`r`
-//! marker has already seen every frame that peer's link delivered for
-//! `r`; the round closes once it holds a marker from every peer. What a
-//! peer sends after its marker belongs to the next round and is
-//! replayed, untouched, when that round opens. `HO(p, r)` is therefore
-//! a function of the link faults alone, as on the lockstep stepper.
+//! A round crosses the channel as one unit per peer. A process's links
+//! append what reaches each peer in round `r` into one outbox arena per
+//! peer, and after its sends the process posts every arena, tagged
+//! `r`, into its peer's inbox: one channel message per peer and round,
+//! whatever the copy count, carrying the round's frames and ending that
+//! peer's round at once. The round closes once it holds a round-`r`
+//! batch from every peer (lockstep or not). A batch of a later round is
+//! stashed whole and drained when that round opens, so even an
+//! undecodable early frame is tallied in its own round; a batch of an
+//! earlier round is drained at once, and the engine tallies its frames
+//! as late. `HO(p, r)` is therefore a function of the link faults alone,
+//! as on the lockstep stepper. A drained arena becomes an outbox of the
+//! next round, so a warm round allocates nothing per frame.
 //!
-//! The marker, like the halt below, is a variant of a type private to
-//! this module: it is the emulation's control plane, outside the fault
-//! model, and no link can produce, drop or corrupt it. A real network
-//! has no marker for a lost frame and would close a round on a timeout
-//! alone. Here `round_timeout` is paid only for a crashed or unspawned
-//! peer. Round 1 opens once every process is up, so a peer still being
-//! spawned is never mistaken for a dead one. The end of a run is an
-//! event too: the last process to announce that it has decided posts a
-//! halt into every peer's inbox, and a peer already blocked in the next
-//! round closes it with what it has and leaves. Lockstep runs never
-//! halt.
+//! The batch's round tag, like the halt below, is the emulation's
+//! control plane, outside the fault model: no link can produce, drop or
+//! corrupt it. A real network has no such tag for a lost frame and
+//! would close a round on a timeout alone. Here `round_timeout` is paid
+//! only for a crashed or unspawned peer. Round 1 opens once every
+//! process is up, so a peer still being spawned is never mistaken for a
+//! dead one. The end of a run is an event too: the last process to
+//! announce that it has decided posts a halt naming the round it just
+//! closed into every peer's inbox. A peer still in that round closes it
+//! on its batches as usual, every one of them already posted or being
+//! posted; a peer already blocked in the next round closes it with what
+//! it has and leaves. Lockstep runs never halt.
 //!
 //! The runtime reconstructs the exact `HO`/`SHO` collections afterwards
 //! by joining every engine's kept-frame log with the fault injector's
@@ -36,7 +41,8 @@
 //! runs.
 
 use crate::fabric::RunFabric;
-use crate::link::{FaultyLink, FrameSink, LinkFaults};
+use crate::link::{LinkFaults, LinkModel};
+use crate::lockstep::Arena;
 use heardof_coding::{AdaptiveConfig, CodeSpec, NoiseTrace};
 use heardof_engine::{
     link_index, MuxReport, MuxRoundEngine, RoundEngine, RoundMachine, SubstrateOutcome, WireLayout,
@@ -44,6 +50,7 @@ use heardof_engine::{
 };
 use heardof_model::HoAlgorithm;
 use heardof_telemetry::Telemetry;
+use std::borrow::Cow;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -59,10 +66,10 @@ pub struct NetConfig {
     /// Seed for all link randomness (runs are reproducible unless a
     /// peer crashes and a round closes on `round_timeout`).
     pub seed: u64,
-    /// How long a process waits for a peer's end-of-round marker before
-    /// closing the round without it. Rounds close on markers (see the
-    /// module docs), so only a crashed or unspawned peer ever costs it;
-    /// a lost frame does not.
+    /// How long a process waits for a peer's round batch before closing
+    /// the round without it. Rounds close on batches (see the module
+    /// docs), so only a crashed or unspawned peer ever costs it; a lost
+    /// frame does not.
     pub round_timeout: Duration,
     /// Copies of each frame to send (retransmission raises delivery
     /// probability under drops — the predicate-implementation knob of
@@ -101,7 +108,7 @@ pub struct NetConfig {
     pub trace: Option<NoiseTrace>,
     /// No early exit: every process runs exactly `max_rounds` rounds
     /// even once everyone has decided, as on the async substrate's
-    /// config. Rounds close on markers either way.
+    /// config. Rounds close on peers' batches either way.
     pub lockstep: bool,
     /// The telemetry plane every link and engine emits into. The
     /// default ([`Telemetry::null`]) records nothing at the cost of one
@@ -236,30 +243,18 @@ fn fabric_for(config: &NetConfig) -> RunFabric {
     )
 }
 
-/// What a process finds in its inbox: a wire frame with the link's
-/// sender attribution, a peer's end-of-round marker, or the runtime's
-/// own end-of-run wake-up. Markers and `Halt` are variants of a type
-/// private to this module, not reserved sender ids or byte patterns on
-/// the `(u32, Vec<u8>)` wire tuple, so nothing a link can deliver —
+/// What a process finds in its inbox: one peer's round, or the
+/// runtime's own end-of-run wake-up. `Round(r, frames)` holds every
+/// frame one peer's links delivered here in round `r`, each with the
+/// link's sender attribution, and ends that peer's round `r`.
+/// `Halt(r)`: the last process to decide has closed round `r`, so every
+/// peer has posted its round-`r` batches (or is posting them) and no
+/// later round need be waited for. The round tag and `Halt` are the
+/// runtime's, not bytes a link carries, so nothing a link can deliver —
 /// however hostile the bytes — can close a round or end a run.
 enum Inbound {
-    Frame(u32, Vec<u8>),
-    /// `EndOfRound(peer, r)`: `peer` has sent everything it sends in
-    /// round `r`.
-    EndOfRound(u32, u64),
-    Halt,
-}
-
-/// The only handle a link gets on an inbox: it delivers frames and
-/// nothing else.
-struct InboxSink(Sender<Inbound>);
-
-impl FrameSink for InboxSink {
-    fn deliver(&self, sender: u32, frame: Vec<u8>) {
-        // A disconnected receiver models a crashed process: the wire
-        // happily drops the bytes.
-        let _ = self.0.send(Inbound::Frame(sender, frame));
-    }
+    Round(u64, Arena),
+    Halt(u64),
 }
 
 /// One inbox per process: the sending ends, then the receiving ends.
@@ -299,8 +294,8 @@ where
     std::thread::scope(|scope| {
         let handles: Vec<_> = (engines.into_iter().zip(rxs).enumerate())
             .map(|(p, (engine, inbox))| {
-                let links = fabric.links_for(p, n, |q| Box::new(InboxSink(txs[q].clone())));
-                // Each process owns its marker and halt senders, and
+                let links = fabric.link_models(p, n);
+                // Each process owns its batch and halt senders, and
                 // never one to itself, so an inbox still disconnects —
                 // closing its owner's open round at once — when every
                 // peer has left.
@@ -319,11 +314,14 @@ where
     })
 }
 
+/// One process's round loop. `links` and `peers` are both in
+/// `link_index` order: `links[i]` delivers into the outbox posted to
+/// `peers[i]`.
 fn process_main<A, L>(
     mut engine: RoundMachine<A, L>,
     pid: u32,
     inbox: Receiver<Inbound>,
-    mut links: Vec<FaultyLink>,
+    mut links: Vec<LinkModel>,
     peers: Vec<Sender<Inbound>>,
     run: &Run,
     config: &NetConfig,
@@ -333,67 +331,79 @@ where
     A::Msg: WireMessage,
     L: WireLayout,
 {
+    let fresh = || Arena::with_capacity(usize::from(config.copies));
+    // One outbox per peer, in `link_index` order: the arenas drained
+    // last round, topped up with fresh ones when fewer came back. Never
+    // more than one round's worth is kept.
+    let mut outboxes = Vec::with_capacity(peers.len());
+    // Batches of later rounds, in arrival order, drained when their
+    // round opens: at most one per peer while every peer is alive. Two
+    // buffers swapped each round, so the stash keeps its capacity.
+    let mut early = Vec::with_capacity(peers.len());
+    let mut stashed = Vec::with_capacity(peers.len());
     // Round 1's clock starts once every process is up: a peer that has
     // not been spawned yet has lost nothing, so nobody times out on it.
     run.barrier.wait();
     let mut announced = false;
-    // `closed[q]`: peer `q`'s marker for the open round has arrived.
-    let mut closed = vec![false; peers.len() + 1];
-    // What closed peers sent after their marker, in arrival order: it
-    // belongs to a later round and is replayed raw when the next one
-    // opens, so even an undecodable early frame is tallied in its own
-    // round.
-    let mut early = Vec::new();
     for r in 1..=config.max_rounds {
         // Never reached in lockstep: those runs take exactly `max_rounds`.
         if run.undecided.load(Ordering::SeqCst) == 0 {
             break;
         }
 
-        // --- Send phase: the engine emits, the links corrupt, then the
-        // marker follows every frame into each peer's inbox. A wire
-        // image stays borrowed from the engine's arena through the
-        // link; the inbox sink makes the one owned copy a channel of
-        // `Vec`s needs (`FrameSink::deliver_bytes`' default). ---
+        // --- Send phase: the engine emits, the links corrupt into the
+        // outboxes, then each outbox goes to its peer as one message. ---
+        outboxes.resize_with(peers.len(), fresh);
         engine.begin_round_with(|dest, copy, bytes| {
-            links[link_index(dest, pid)].send_bytes(r, copy, bytes);
+            let i = link_index(dest, pid);
+            let outbox = &mut outboxes[i];
+            links[i].send(r, copy, Cow::Borrowed(bytes), |frame| {
+                outbox.push(pid, &frame)
+            });
         });
-        for peer in &peers {
-            // A peer that already left needs no marker.
-            let _ = peer.send(Inbound::EndOfRound(pid, r));
+        for (peer, outbox) in peers.iter().zip(outboxes.drain(..)) {
+            // A peer that already left needs no frames.
+            let _ = peer.send(Inbound::Round(r, outbox));
         }
 
-        // --- Collect phase: replay what arrived early, then read the
-        // inbox until every peer's marker is in, a peer has been silent
-        // for `round_timeout` (or every peer has left), or the run is
-        // over. Past the deadline `recv_timeout` still hands over what
-        // is already queued — it did arrive in time, it is this thread
-        // that ran late. ---
-        closed.fill(false);
+        // --- Collect phase: drain what arrived early, then read the
+        // inbox until every peer's round-`r` batch is in, a peer has
+        // been silent for `round_timeout` (or every peer has left), or
+        // the run is over. Past the deadline `recv_timeout` still hands
+        // over what is already queued — it did arrive in time, it is
+        // this thread that ran late. ---
         let mut open = peers.len();
-        let mut replay = std::mem::take(&mut early).into_iter();
+        std::mem::swap(&mut early, &mut stashed);
+        let mut replay = stashed.drain(..);
         let deadline = Instant::now() + config.round_timeout;
         while let Some(message) = replay.next().or_else(|| {
             let wait = deadline.saturating_duration_since(Instant::now());
             (open > 0).then(|| inbox.recv_timeout(wait).ok()).flatten()
         }) {
             match message {
-                // A link's attribution is not trusted to be a peer id.
-                m @ Inbound::Frame(s, _) if closed.get(s as usize) == Some(&true) => early.push(m),
-                Inbound::Frame(sender, bytes) => {
-                    let _ = engine.ingest_from(sender, &bytes);
+                m @ Inbound::Round(round, _) if round > r => early.push(m),
+                // This round's batch, or a stale one whose round
+                // already closed on the timeout: its frames are
+                // ingested now, and the engine tallies a stale one's as
+                // late.
+                Inbound::Round(round, mut batch) => {
+                    batch.drain(|sender, bytes| {
+                        let _ = engine.ingest_from(sender, bytes);
+                    });
+                    if round == r {
+                        open -= 1;
+                    }
+                    if outboxes.len() < peers.len() {
+                        outboxes.push(batch);
+                    }
                 }
-                Inbound::EndOfRound(peer, round) if round == r => {
-                    closed[peer as usize] = true;
-                    open -= 1;
-                }
-                marker @ Inbound::EndOfRound(_, round) if round > r => early.push(marker),
-                // Stale: this round already closed on the timeout.
-                Inbound::EndOfRound(..) => {}
-                // Everyone has decided: close the round with what
-                // arrived — a legitimate heard-of set — and leave at the
-                // top of the loop.
-                Inbound::Halt => break,
+                // Everyone has decided by round `done`. Its batches are
+                // all on their way, so round `done` still closes on
+                // them; a later round closes with what arrived — a
+                // legitimate heard-of set. Either way the process leaves
+                // at the top of the loop.
+                Inbound::Halt(done) if done >= r => {}
+                Inbound::Halt(_) => break,
             }
         }
 
@@ -402,7 +412,7 @@ where
 
         // --- Termination: announce once; whoever announces last ends
         // the run. Its peers may already have opened the next round
-        // and be waiting for markers that will never be sent, so the
+        // and be waiting for batches that will never be sent, so the
         // board alone is not enough: a halt in every inbox wakes them
         // now instead of one `round_timeout` later.
         if !config.lockstep && !announced && engine.all_decided() {
@@ -410,7 +420,7 @@ where
             if run.undecided.fetch_sub(1, Ordering::SeqCst) == 1 {
                 for peer in &peers {
                     // A peer that already left has nobody to wake.
-                    let _ = peer.send(Inbound::Halt);
+                    let _ = peer.send(Inbound::Halt(r));
                 }
             }
         }
@@ -612,7 +622,7 @@ mod tests {
         assert_eq!(outcome.decisions.iter().flatten().next(), Some(&8));
     }
 
-    /// A peer that never starts sends no marker: each survivor closes
+    /// A peer that never starts sends no batch: each survivor closes
     /// every round on `round_timeout`, without the missing peer in its
     /// heard-of set, and the run still ends.
     #[test]
@@ -637,7 +647,7 @@ mod tests {
             let handles: Vec<_> = (rxs.into_iter().enumerate())
                 .map(|(p, inbox)| {
                     let engine = fabric.engine_for(algo.clone(), p, n, 1);
-                    let links = fabric.links_for(p, n, |q| Box::new(InboxSink(txs[q].clone())));
+                    let links = fabric.link_models(p, n);
                     let peers = (0..n).filter(|&q| q != p).map(|q| txs[q].clone()).collect();
                     let config = &config;
                     scope.spawn(move || {
@@ -651,7 +661,7 @@ mod tests {
 
         assert!(
             took >= config.round_timeout * config.max_rounds as u32,
-            "a round closed without the missing peer's marker: {took:?}"
+            "a round closed without the missing peer's batch: {took:?}"
         );
         for (p, engine) in engines.into_iter().enumerate() {
             assert_eq!(engine.decision(), Some(&1), "process {p}");
@@ -665,13 +675,14 @@ mod tests {
         }
     }
 
-    /// Hostile bytes in a live inbox: an intruder holding a link's view
-    /// of every inbox pours in frames attributed to sender `u32::MAX`
-    /// and zero-length frames while a lossless run is under way. They
-    /// are bytes like any other — rejected and counted — and can close
-    /// neither a round nor the run: under a timeout far beyond the
-    /// test, every process hears everyone in every round up to its
-    /// decision (only after that may a halt cut a round short).
+    /// Hostile bytes in a live inbox: an intruder holding a sender's
+    /// view of every inbox pours in round-0 batches — always stale —
+    /// of frames attributed to sender `u32::MAX` and zero-length frames
+    /// while a lossless run is under way. They are bytes like any other
+    /// — rejected and counted — and can close neither a round nor the
+    /// run: under a timeout far beyond the test, every process hears
+    /// everyone in every round up to its decision (only after that may
+    /// a halt cut a round short).
     #[test]
     fn hostile_frames_end_neither_a_round_nor_the_run() {
         let n = 4;
@@ -687,12 +698,14 @@ mod tests {
             .map(|p| fabric.engine_for(algo.clone(), p, n, p as u64 % 2))
             .collect();
         let (txs, rxs) = inboxes(n);
-        let taps: Vec<InboxSink> = txs.iter().map(|tx| InboxSink(tx.clone())).collect();
+        let taps = txs.clone();
         let pour = move || {
             for tap in &taps {
-                tap.deliver(u32::MAX, vec![0xFF; 24]);
-                tap.deliver(u32::MAX, Vec::new());
-                tap.deliver(0, Vec::new());
+                let mut junk = Arena::with_capacity(3);
+                junk.push(u32::MAX, &[0xFF; 24]);
+                junk.push(u32::MAX, &[]);
+                junk.push(0, &[]);
+                let _ = tap.send(Inbound::Round(0, junk));
             }
         };
         // The first burst is queued before any process starts, so every

@@ -113,7 +113,7 @@ fn drive(links: &mut [Vec<FaultyLink>], copies: u8) -> Vec<LinkEvent> {
                 let resend = (lane == 0).then_some(copies - 1);
                 for copy in (0..copies).chain(resend) {
                     let wire = wire(round, p as u32, q, copy);
-                    events.push(link.send_bytes(round, copy, &wire));
+                    events.push(link.send(round, copy, wire));
                 }
             }
         }

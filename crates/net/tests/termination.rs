@@ -2,7 +2,8 @@
 //!
 //! `round_timeout` bounds the wait for a *crashed* peer. While every
 //! peer is alive it must never be paid — not by a round (the last
-//! peer's end-of-round marker closes it, lost frames or not) and not by
+//! peer's batch of the round's frames closes it, lost frames or not)
+//! and not by
 //! the end of the run (the last decider wakes its peers). The tests use
 //! a 2 s timeout and demand a return inside 500 ms: a single paid
 //! timeout fails them, and the 4× gap keeps a loaded host from doing
@@ -82,7 +83,7 @@ fn a_clean_mux_run_returns_without_paying_a_timeout() {
 
 #[test]
 fn drops_with_retransmission_still_decide() {
-    // Real losses: markers still close every round, and the halt must
+    // Real losses: batches still close every round, and the halt must
     // not cost a run its decisions.
     let n = 5;
     let config = NetConfig {

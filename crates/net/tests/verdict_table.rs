@@ -4,7 +4,7 @@
 //! the link as it stood when it decoded the clean image first and the
 //! noisy image twice.
 //!
-//! A row is one `send_bytes` through the public path — fault source,
+//! A row is one `send` through the public path — fault source,
 //! verdict, sink, fault log, telemetry — chosen (by search, once) so
 //! that the source's flips land the frame in one cell of
 //!
@@ -198,7 +198,7 @@ fn observe(framed: Framed, source: Source, round: u64, copy: u8, spoil: bool) ->
         link_seed,
         Arc::new(wiring),
     );
-    let event = link.send_bytes(round, copy, &wire);
+    let event = link.send(round, copy, wire.clone());
     drop(link);
     let mut arrivals = std::mem::take(&mut *tape.0.lock().expect("no sink panics"));
     assert_eq!(arrivals.len(), 1, "neither source drops");

@@ -3,9 +3,10 @@
 //! The lockstep simulator gives adversarial control; this example shows
 //! `A_{T,E}` unchanged on a *threaded* substrate where
 //!
-//! * heard-of sets arise from lossy links (each round closes on every
-//!   peer's end-of-round marker, the emulation's control plane; the
-//!   round timeout only covers a crashed peer),
+//! * heard-of sets arise from lossy links (each round crosses to a
+//!   peer as one batch of whatever its links delivered, which also
+//!   closes the round — the emulation's control plane; the round
+//!   timeout only covers a crashed peer),
 //! * corrupted frames are detected by CRC-32 and dropped (→ omissions),
 //! * a tunable fraction of corruptions defeats the checksum
 //!   (→ genuine value faults, the coverage gap of §5.2),
@@ -46,8 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = NetConfig {
         faults,
         seed: 3,
-        // Paid only for a crashed peer: rounds close on end-of-round
-        // markers, lost frames or not, and the run's end is signalled
+        // Paid only for a crashed peer: rounds close on peers' round
+        // batches, lost frames or not, and the run's end is signalled
         // rather than timed out.
         round_timeout: Duration::from_millis(30),
         copies: 3, // retransmit against the 10% drops

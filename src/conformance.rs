@@ -5,21 +5,22 @@
 //!
 //! The adaptive coding stack has one implementation of the per-process
 //! machine (`heardof_engine::RoundEngine` over its `Framing`) and one
-//! fault model ([`FaultyLink`]), but three round semantics — who runs
+//! link fault model (the links of a `heardof_net::RunFabric`), but
+//! three round semantics — who runs
 //! the algorithm, and what closes a round:
 //!
 //! * the **sim** substrate — the lockstep [`Simulator`] runs the
 //!   algorithm and rebuilds `HO`/`SHO` from its intended and delivered
 //!   matrices; a [`WireChannel`] computes the delivered matrix by
 //!   relaying every intended message through `n` round engines and the
-//!   [`FaultyLink`]s of one `RunFabric`, stepped by its `Lockstep`,
-//!   with no threads and no clock;
+//!   links of one `RunFabric`, stepped by its `Lockstep`, with no
+//!   threads and no clock;
 //! * the **net** substrate — OS threads exchanging those same frames
-//!   over [`FaultyLink`]s in trace + lockstep mode, rounds closed by
-//!   every peer's end-of-round marker;
+//!   over the same links in trace + lockstep mode, each round crossing
+//!   to a peer as one batch that also closes it;
 //! * the **async** substrate — the algorithm's own engines stepped by
-//!   that same lockstep loop behind the *same* [`FaultyLink`]s, rounds
-//!   closed when every engine has sent, received and transitioned.
+//!   that same lockstep loop behind the *same* links, rounds closed
+//!   when every engine has sent, received and transitioned.
 //!
 //! Because the trace is a pure function of
 //! `(seed, round, sender, receiver, copy, frame length)` and the
@@ -38,8 +39,6 @@
 //! routes it through the same engines, so its delivered matrix carries
 //! the frame in that later round exactly as the byte-level runtimes'
 //! kept logs do.
-//!
-//! [`FaultyLink`]: heardof_net::FaultyLink
 
 use crate::WireChannel;
 use heardof_async::{run_async, run_async_mux, AsyncConfig};
@@ -247,9 +246,9 @@ where
     }
 }
 
-/// How long a threaded run waits for a peer's end-of-round marker. Only
-/// a crashed peer ever costs it: live peers close every round on their
-/// markers.
+/// How long a threaded run waits for a peer's round batch. Only a
+/// crashed peer ever costs it: live peers close every round on their
+/// batches.
 const CRASH_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Runs the **threaded** substrate in lockstep + trace mode for

@@ -192,64 +192,86 @@ fn sim_and_net_agree_on_fault_free_outcome() {
     assert_eq!(net_value, 4, "majority value wins in both worlds");
 }
 
-/// Rounds close on end-of-round markers, not on a clock, so the
+/// Rounds close on peers' round batches, not on a clock, so the
 /// threaded runtime is exact without the lockstep flag: on links that
 /// drop and corrupt frames it replays the lockstep stepper's run round
-/// for round, and no lost frame costs it the (long) round timeout.
+/// for round, and no lost frame costs it the (long) round timeout. The
+/// same holds with two copies of every frame (several frames in a
+/// batch), and under a seeded bursty trace (a sender's links share one
+/// pattern block), run in lockstep through the trace's noisy phase
+/// from round 31 on.
 #[test]
 fn threaded_runs_replay_the_lockstep_stepper_on_lossy_links() {
     let n = 5;
-    let faults = LinkFaults {
+    let lossy = LinkFaults {
         drop_prob: 0.15,
         corrupt_prob: 0.1,
         undetected_prob: 0.2,
     };
     let algo = Ate::<u64>::new(AteParams::balanced(n, 1).unwrap());
     for seed in [1, 2, 3] {
-        let initial: Vec<u64> = (0..n as u64).map(|i| (i + seed) % 2).collect();
-        let started = Instant::now();
-        let threaded = run_threaded(
-            algo.clone(),
-            n,
-            initial.clone(),
-            NetConfig {
-                round_timeout: Duration::from_secs(2),
-                ..config(faults, 1, seed)
-            },
-        );
-        let took = started.elapsed();
-        let stepped = run_async(
-            algo.clone(),
-            n,
-            initial,
-            AsyncConfig {
-                faults,
-                seed,
-                ..AsyncConfig::default()
-            },
-        );
+        let cases = [
+            (lossy, 1, None),
+            (lossy, 2, None),
+            (LinkFaults::NONE, 1, Some(NoiseTrace::bursty(seed))),
+        ];
+        for (faults, copies, trace) in cases {
+            let what = format!("seed {seed}, copies {copies}, traced {}", trace.is_some());
+            // A traced run goes on to round 40, past the quiet phase.
+            let lockstep = trace.is_some();
+            let max_rounds = if lockstep { 40 } else { 100 };
+            let initial: Vec<u64> = (0..n as u64).map(|i| (i + seed) % 2).collect();
+            let started = Instant::now();
+            let threaded = run_threaded(
+                algo.clone(),
+                n,
+                initial.clone(),
+                NetConfig {
+                    round_timeout: Duration::from_secs(2),
+                    max_rounds,
+                    trace: trace.clone(),
+                    lockstep,
+                    ..config(faults, copies, seed)
+                },
+            );
+            let took = started.elapsed();
+            let stepped = run_async(
+                algo.clone(),
+                n,
+                initial,
+                AsyncConfig {
+                    faults,
+                    seed,
+                    copies,
+                    max_rounds,
+                    trace,
+                    lockstep,
+                    ..AsyncConfig::default()
+                },
+            );
 
-        assert!(
-            took < Duration::from_millis(500),
-            "seed {seed}: a lost frame cost a timeout ({took:?})"
-        );
-        assert_eq!(threaded.decisions, stepped.decisions, "seed {seed}");
-        assert_eq!(
-            threaded.decision_rounds, stepped.decision_rounds,
-            "seed {seed}"
-        );
-        let last = stepped
-            .last_decision_round()
-            .expect("the stepped run decides") as usize;
-        let sets = |outcome: &SubstrateOutcome<u64>| -> Vec<RoundSets> {
-            outcome
-                .history
-                .iter()
-                .take(last)
-                .map(|(_, sets)| sets.clone())
-                .collect()
-        };
-        assert_eq!(sets(&threaded), sets(&stepped), "seed {seed}");
-        assert_eq!(sets(&stepped).len(), last, "seed {seed}");
+            assert!(
+                took < Duration::from_millis(500),
+                "{what}: a lost frame cost a timeout ({took:?})"
+            );
+            assert_eq!(threaded.decisions, stepped.decisions, "{what}");
+            assert_eq!(threaded.decision_rounds, stepped.decision_rounds, "{what}");
+            let last = match lockstep {
+                true => max_rounds as usize,
+                false => stepped
+                    .last_decision_round()
+                    .expect("the stepped run decides") as usize,
+            };
+            let sets = |outcome: &SubstrateOutcome<u64>| -> Vec<RoundSets> {
+                outcome
+                    .history
+                    .iter()
+                    .take(last)
+                    .map(|(_, sets)| sets.clone())
+                    .collect()
+            };
+            assert_eq!(sets(&threaded), sets(&stepped), "{what}");
+            assert_eq!(sets(&stepped).len(), last, "{what}");
+        }
     }
 }
