@@ -410,7 +410,7 @@ mod delivery_equivalence {
         oblivious_advert_frame, oblivious_value_frame, AdaptiveConfig, CodeBook, CodeSpec,
         FaultScript, LinkFault, NoiseTrace, RungAdvert,
     };
-    use heardof_engine::{encode_body_into, Frame};
+    use heardof_engine::{encode_body_into, Frame, COPY_OFFSET, PAYLOAD_OFFSET};
     use heardof_telemetry::{RunRecording, Telemetry};
     use parking_lot::Mutex;
     use std::collections::HashSet;
@@ -527,10 +527,11 @@ mod delivery_equivalence {
 
     /// The wire `sender` hands `receiver` as `copy` in `round`: every
     /// third round a count-channel frame (2 bytes to even receivers, 3
-    /// to odd ones), otherwise a frame under `framed`. With `hostile`,
-    /// some frames have a byte flipped before the link sees them, and
-    /// some are 0–5 raw bytes no endpoint would emit.
-    fn wire(framed: Framed, hostile: bool, at: (u64, u32, u32, u8)) -> Vec<u8> {
+    /// to odd ones), otherwise a frame under `framed`. With a `hostile`
+    /// salt, some frames (which ones, the salt decides) have a byte
+    /// flipped before the link sees them, and some are 0–5 raw bytes no
+    /// endpoint would emit.
+    fn wire(framed: Framed, hostile: Option<u64>, at: (u64, u32, u32, u8)) -> Vec<u8> {
         let (round, sender, receiver, copy) = at;
         if round.is_multiple_of(3) {
             return match receiver % 2 {
@@ -539,7 +540,8 @@ mod delivery_equivalence {
             };
         }
         let pick = round * 31 + u64::from(sender) * 7 + u64::from(receiver) * 3 + u64::from(copy);
-        if hostile && pick % 5 == 1 {
+        let pick = pick.wrapping_add(hostile.unwrap_or(0));
+        if hostile.is_some() && pick % 5 == 1 {
             return pick.to_le_bytes()[..pick as usize % 6].to_vec();
         }
         let frame = Frame {
@@ -564,7 +566,7 @@ mod delivery_equivalence {
             }
         }
         let mut wire: Vec<u8> = wire.into();
-        if hostile && pick % 5 == 3 {
+        if hostile.is_some() && pick % 5 == 3 {
             let at = pick as usize % wire.len();
             wire[at] ^= 1 << (pick % 8);
         }
@@ -588,7 +590,7 @@ mod delivery_equivalence {
         n: usize,
         copies: u8,
         framed: Framed,
-        hostile: bool,
+        hostile: Option<u64>,
         mut send: impl FnMut(usize, usize, u64, u8, &[u8]) -> LinkEvent,
         mut collect: impl FnMut() -> Vec<Arrivals>,
     ) -> (Vec<LinkEvent>, Vec<Vec<Arrivals>>) {
@@ -639,7 +641,7 @@ mod delivery_equivalence {
     }
 
     /// The production links: fault models appending into arenas.
-    fn sinkless(fabric: &RunFabric, n: usize, framed: Framed, hostile: bool) -> Observed {
+    fn sinkless(fabric: &RunFabric, n: usize, framed: Framed, hostile: Option<u64>) -> Observed {
         let copies = fabric.copies;
         let mut links: Vec<_> = (0..n).map(|p| fabric.link_models(p, n)).collect();
         let frames = (n - 1) * usize::from(copies);
@@ -668,7 +670,7 @@ mod delivery_equivalence {
 
     /// The same links as `links_for` builds them, each with a boxed
     /// sink, driven through the owned entry.
-    fn boxed(fabric: &RunFabric, n: usize, framed: Framed, hostile: bool) -> Observed {
+    fn boxed(fabric: &RunFabric, n: usize, framed: Framed, hostile: Option<u64>) -> Observed {
         let tapes: Vec<Tape> = (0..n).map(|_| Tape::default()).collect();
         let mut links: Vec<_> = (0..n)
             .map(|p| fabric.links_for(p, n, |q| Box::new(tapes[q].clone())))
@@ -686,12 +688,68 @@ mod delivery_equivalence {
         observed(fabric, run)
     }
 
+    /// The `(round, sender, copy)` a receiver under `framed` parses from
+    /// `wire`, decoded here through the codes' public API, independently
+    /// of the link.
+    fn received_header(framed: Framed, wire: &[u8]) -> Option<(u64, u32, u8)> {
+        let body = match framed {
+            Framed::Fixed(spec) => spec.build().decode_scan(wire).outcome.ok()?.0.into_owned(),
+            Framed::Tagged { .. } => {
+                let book = CodeBook::from_specs(&ladder());
+                book.decode_tagged(wire).0.ok()?.body.into_owned()
+            }
+        };
+        (body.len() >= PAYLOAD_OFFSET).then(|| {
+            (
+                u64::from_le_bytes(body[0..8].try_into().expect("8 bytes")),
+                u32::from_le_bytes(body[8..12].try_into().expect("4 bytes")),
+                body[COPY_OFFSET],
+            )
+        })
+    }
+
+    /// Pairs every send of a run with what it delivered: each frame a
+    /// send did not drop reaches its receiver, from its sender, in send
+    /// order, and nothing else does. Every undetected fault is logged
+    /// under the header its receiver will decode from the delivered
+    /// frame (the key the HO/SHO reconstruction joins on), or under the
+    /// sender's `(round, sender, copy)` when that frame holds none.
+    fn assert_leaks_logged(seen: &Observed, n: usize, copies: u8, framed: Framed) {
+        let mut events = seen.events.iter();
+        for (round, arrivals) in ROUNDS.zip(&seen.delivered) {
+            let mut frames: Vec<_> = arrivals.iter().map(|got| got.iter()).collect();
+            for p in 0..n {
+                for q in (0..n).filter(|&q| q != p) {
+                    for copy in 0..copies {
+                        let event = events.next().expect("an event per send");
+                        if *event == LinkEvent::Dropped {
+                            continue;
+                        }
+                        let (from, wire) = frames[q].next().expect("a frame per undropped send");
+                        assert_eq!(*from, p as u32, "round {round}, receiver {q}");
+                        if *event == LinkEvent::CorruptedUndetected {
+                            let (r, s, c) =
+                                received_header(framed, wire).unwrap_or((round, p as u32, copy));
+                            let key = (r, s, q as u32, c);
+                            assert!(seen.logged.contains(&key), "{framed:?}: {key:?}");
+                        }
+                    }
+                }
+            }
+            assert!(
+                frames.iter_mut().all(|rest| rest.next().is_none()),
+                "round {round}"
+            );
+        }
+        assert!(events.next().is_none(), "an event per send");
+    }
+
     /// Both link sets over one source and framing, with the links
     /// seeded by `seed`, compared; returns the production side.
     fn compare(
         source: &Source,
         framed: Framed,
-        hostile: bool,
+        hostile: Option<u64>,
         n: usize,
         copies: u8,
         seed: u64,
@@ -710,32 +768,36 @@ mod delivery_equivalence {
                 let seed = 0xD1CE ^ (n as u64) << 8 ^ u64::from(copies);
                 for (i, source) in sources(n, seed).iter().enumerate() {
                     for framed in [Framed::Fixed(CodeSpec::DEFAULT), tagged] {
-                        let seen = compare(source, framed, false, n, copies, seed);
+                        let seen = compare(source, framed, None, n, copies, seed);
                         let hit = seen.events.iter().any(|e| *e != LinkEvent::Delivered);
                         assert!(hit, "n {n}, copies {copies}, source {i}: no frame was hit");
+                        assert_leaks_logged(&seen, n, copies, framed);
                     }
                 }
             }
         }
 
         // Every fault source × every framing, over valid, pre-corrupted
-        // and raw junk wires.
+        // and raw junk wires, under several seeds (each also choosing
+        // which wires are hostile).
         let (n, copies) = (3, 2);
-        let seed = 0xE17;
-        for (i, source) in every_source(n, seed).iter().enumerate() {
-            for framed in framings() {
-                let seen = compare(source, framed, true, n, copies, seed);
-                // One telemetry event per send, carrying the wire length
-                // handed in — the benchmark's wire-byte count.
-                assert_eq!(seen.recording.events.len(), seen.events.len(), "source {i}");
-                let undetected = seen
-                    .events
-                    .iter()
-                    .filter(|e| **e == LinkEvent::CorruptedUndetected);
-                assert!(
-                    seen.logged.len() <= undetected.count(),
-                    "source {i}: only leaks are logged"
-                );
+        for seed in [0xE17, 0x5EED_CAFE, 0x0123_4567_89AB_CDEF, u64::MAX - 2] {
+            for (i, source) in every_source(n, seed).iter().enumerate() {
+                for framed in framings() {
+                    let seen = compare(source, framed, Some(seed), n, copies, seed);
+                    // One telemetry event per send, carrying the wire
+                    // length handed in — the benchmark's wire-byte count.
+                    assert_eq!(seen.recording.events.len(), seen.events.len(), "source {i}");
+                    assert_leaks_logged(&seen, n, copies, framed);
+                    let undetected = seen
+                        .events
+                        .iter()
+                        .filter(|e| **e == LinkEvent::CorruptedUndetected);
+                    assert!(
+                        seen.logged.len() <= undetected.count(),
+                        "source {i}: only leaks are logged"
+                    );
+                }
             }
         }
     }

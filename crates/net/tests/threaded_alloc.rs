@@ -45,13 +45,19 @@ static COUNTER: CountingAlloc = CountingAlloc;
 
 const N: usize = 4;
 
-/// What a scheduler may move between two runs of the same shape: the
+/// What a scheduler may move between the four runs compared: the
 /// channel allocates its message blocks (31 messages each) in the
 /// sender that fills one, and when several peers race to fill the same
-/// block each may allocate the next one, the losers freeing theirs.
-/// Every inbox crosses about one block boundary in ten rounds at
-/// n = 4, each with at most n − 2 losing racers.
-const SLACK: u64 = (N * (N - 2)) as u64;
+/// block each may allocate the next one, the losers freeing theirs. An
+/// inbox takes n − 1 = 3 batches a round, so it installs two blocks in
+/// a 20-round run and one in a 10-round run, each with at most n − 2
+/// losing racers; `single − triple` adds one run of each length and
+/// subtracts the other two, so it moves by at most
+/// (2 + 1)·n·(n − 2) = 24. Measured on a 2-vCPU host, 110 runs (40
+/// debug, 40 release, 30 release beside two busy-looping processes):
+/// the worst |single − triple| was 4. A per-frame allocation costs
+/// 240 over ten rounds, ten times the slack.
+const SLACK: u64 = (3 * N * (N - 2)) as u64;
 
 /// Allocations of one clean lockstep `run_threaded` of exactly `rounds`
 /// rounds, inputs and algorithm built outside the count.
