@@ -1,32 +1,29 @@
 //! # heardof-async
 //!
-//! The third deployment substrate: HO algorithms as **lockstep
-//! processes** on one thread, exchanging coded wire frames through
-//! in-memory arenas.
+//! The name of the deterministic deployment: HO algorithms as
+//! **lockstep processes** on one thread, exchanging coded wire frames
+//! through in-memory arenas. Every round, every engine sends, then
+//! every engine drains its arena, then every engine transitions, so
+//! rounds are communication-closed by construction and runs are
+//! **fully deterministic** — no threads, no scheduling, bit-identical
+//! replays.
 //!
-//! Where the threaded runtime (`heardof-net`) closes a round once every
-//! peer's batch of that round's frames is in, on one OS thread per
-//! process, this
-//! substrate runs the round as a plain loop (`heardof_net::Lockstep`):
-//! every engine sends, then every engine drains its arena, then every
-//! engine transitions. Every round's sends land before any receiver
-//! reads, so rounds are communication-closed by construction and runs
-//! are **fully deterministic** — no threads, no scheduling,
-//! bit-identical replays. Everything else is shared with the other
-//! substrates, by construction:
+//! The runs themselves live in `heardof-net`: [`run_async`] and
+//! [`run_async_mux`] are the stepper driver of the one run skeleton the
+//! threaded runtime also uses, over the same [`RunFabric`] links and
+//! engines and the same configuration ([`AsyncConfig`] is
+//! [`NetConfig`]). This crate only re-exports them, under the names
+//! that code depending on `heardof-async` — the repo benchmark among
+//! it — was written against. New code can use `heardof_net` directly.
 //!
-//! * the per-process state machine is `heardof_engine::RoundEngine`
-//!   (algorithm step, adaptive framing, tagged encode/decode),
-//! * the fault model is the threaded runtime's, appending into the
-//!   stepper's arenas in place — same links, same RNG streams,
-//!   same seeded [`NoiseTrace`](heardof_coding::NoiseTrace) corruption,
-//! * the outcome is the engine-standard `SubstrateOutcome`.
-//!
-//! The cross-substrate conformance harness (`heardof::conformance`) is
-//! the acceptance bar this substrate was built against: on a seeded
-//! trace it must replay the simulator's and the threaded runtime's
-//! controller decisions and `HO`/`SHO` reconstructions round for round
+//! The cross-substrate conformance harness (`heardof::conformance`)
+//! is the acceptance bar: on a seeded trace, the stepper must replay
+//! the simulator's and the threaded runtime's controller decisions and
+//! `HO`/`SHO` reconstructions round for round
 //! (`tests/adaptive_conformance.rs` at the workspace root).
+//!
+//! [`RunFabric`]: heardof_net::RunFabric
+//! [`NetConfig`]: heardof_net::NetConfig
 //!
 //! # Quickstart
 //!
@@ -51,10 +48,15 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod runtime;
+pub use heardof_net::{run_async, run_async_mux};
+// The shared outcome surface and the telemetry plane, for callers that
+// only import this crate.
+pub use heardof_net::{OutcomeView, RingRecorder, SubstrateOutcome, Telemetry};
 
-pub use runtime::{run_async, run_async_mux, AsyncConfig, AsyncOutcome};
-// The shared outcome surface, for callers that only import this crate.
-pub use heardof_engine::{OutcomeView, SubstrateOutcome};
-// The telemetry plane, so deployments can attach a recorder directly.
-pub use heardof_telemetry::{RingRecorder, Telemetry};
+/// The configuration of a stepped run: the one run configuration,
+/// whose `round_timeout` the stepper never reads.
+pub type AsyncConfig = heardof_net::NetConfig;
+
+/// The observable result of a stepped run — the engine-standard
+/// [`SubstrateOutcome`], as on the threaded runtime.
+pub type AsyncOutcome<V> = heardof_net::NetOutcome<V>;

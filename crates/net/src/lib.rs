@@ -1,23 +1,26 @@
 //! # heardof-net
 //!
-//! A message-passing deployment substrate for HO algorithms: OS threads,
-//! `std::sync::mpsc` channels, bit-level fault injection, a wire codec
-//! framed by a pluggable channel code (`heardof-coding`), and a round
-//! synchronizer implementing communication-closed rounds over an
-//! asynchronous transport.
+//! The byte-level deployment of HO algorithms: bit-level fault
+//! injection, a wire codec framed by a pluggable channel code
+//! (`heardof-coding`), and one run over it with two drivers — OS
+//! threads exchanging each round over `std::sync::mpsc` channels
+//! ([`run_threaded`]), or the lockstep stepper on the calling thread
+//! ([`run_async`]). Both read one [`NetConfig`], build the same links
+//! and engines from it, and return the same [`NetOutcome`]; on live
+//! peers they replay each other round for round.
 //!
 //! Where the lockstep simulator (`heardof-sim`) gives adversarial
 //! control, this crate shows the *same algorithms, unchanged*, running
 //! the way a real system would: heard-of sets arise from lossy links,
-//! each round crossing to a peer as one batch of whatever the links
-//! delivered, which also closes it (a control plane outside the fault
-//! model, see [`run_threaded`]); safe heard-of sets shrink exactly when
+//! each threaded round crossing to a peer as one batch of whatever the
+//! links delivered, which also closes it (a control plane outside the
+//! fault model); safe heard-of sets shrink exactly when
 //! a corruption slips past the channel code. Pick the code per deployment via
 //! [`NetConfig::code`] — the CRC-32 checksum default keeps the
 //! historical wire format, while a correcting code such as
 //! `CodeSpec::Hamming74` repairs corruption in flight, running the same
 //! algorithm at raw corruption rates far beyond its uncoded tolerance.
-//! The runtime reconstructs both heard-of collections post-hoc so the
+//! A run reconstructs both heard-of collections post-hoc so the
 //! usual predicate checkers apply.
 //!
 //! * [`crc32`], [`WireMessage`], [`Frame`], [`CodeSpec`] — the wire format,
@@ -26,7 +29,9 @@
 //!   callers outside this crate,
 //! * [`RunFabric`], [`Lockstep`] — one run's wiring, and the
 //!   single-threaded lockstep round over it,
-//! * [`run_threaded`], [`NetConfig`], [`NetOutcome`] — the runtime,
+//! * [`NetConfig`], [`NetOutcome`] and the runs: [`run_threaded`] /
+//!   [`run_threaded_mux`] on threads, [`run_async`] / [`run_async_mux`]
+//!   on the stepper,
 //! * [`recommend_alpha`] — predicate-coverage engineering (§5.2 / \[10\]).
 //!
 //! # Examples
@@ -60,6 +65,7 @@ mod coverage;
 mod fabric;
 mod link;
 mod lockstep;
+mod run;
 mod runtime;
 
 pub use coverage::{recommend_alpha, recommend_alpha_from_ledger, AlphaEstimate};
@@ -86,4 +92,4 @@ pub use heardof_telemetry::{
 };
 pub use link::{FaultKey, FaultLog, FaultyLink, FrameSink, LinkEvent, LinkFaults, LinkWiring};
 pub use lockstep::Lockstep;
-pub use runtime::{run_threaded, run_threaded_mux, NetConfig, NetOutcome};
+pub use run::{run_async, run_async_mux, run_threaded, run_threaded_mux, NetConfig, NetOutcome};

@@ -1,6 +1,7 @@
-//! A threaded deployment of HO algorithms over faulty links.
+//! The threaded driver of a run (see `crate::run`): HO algorithms
+//! deployed on OS threads over faulty links.
 //!
-//! Each process runs a [`RoundEngine`] on its own OS thread, exchanging
+//! Each process runs a round engine on its own OS thread, exchanging
 //! the engine's coded frames over `std::sync::mpsc` channels through
 //! the same byte-corrupting link fault models the lockstep stepper
 //! drives. The thread contributes exactly what the engine cannot know:
@@ -36,212 +37,22 @@
 //!
 //! The runtime reconstructs the exact `HO`/`SHO` collections afterwards
 //! by joining every engine's kept-frame log with the fault injector's
-//! undetected-corruption log ([`SubstrateOutcome::assemble`]), so the
+//! undetected-corruption log (`SubstrateOutcome::assemble`), so the
 //! same predicate checkers used on simulator traces apply to threaded
 //! runs.
 
 use crate::fabric::RunFabric;
-use crate::link::{LinkFaults, LinkModel};
+use crate::link::LinkModel;
 use crate::lockstep::Arena;
-use heardof_coding::{AdaptiveConfig, CodeSpec, NoiseTrace};
-use heardof_engine::{
-    link_index, MuxReport, MuxRoundEngine, RoundEngine, RoundMachine, SubstrateOutcome, WireLayout,
-    WireMessage,
-};
+use crate::run::NetConfig;
+use heardof_engine::{link_index, RoundMachine, WireLayout, WireMessage};
 use heardof_model::HoAlgorithm;
-use heardof_telemetry::Telemetry;
 use std::borrow::Cow;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Barrier;
-use std::time::{Duration, Instant};
-
-/// Configuration of a threaded run.
-#[derive(Clone, Debug)]
-pub struct NetConfig {
-    /// Fault probabilities applied to every inter-process link
-    /// (self-delivery is local and never faulty).
-    pub faults: LinkFaults,
-    /// Seed for all link randomness (runs are reproducible unless a
-    /// peer crashes and a round closes on `round_timeout`).
-    pub seed: u64,
-    /// How long a process waits for a peer's round batch before closing
-    /// the round without it. Rounds close on batches (see the module
-    /// docs), so only a crashed or unspawned peer ever costs it; a lost
-    /// frame does not.
-    pub round_timeout: Duration,
-    /// Copies of each frame to send (retransmission raises delivery
-    /// probability under drops — the predicate-implementation knob of
-    /// \[10\]).
-    ///
-    /// Under a rateless code ([`CodeSpec::Fountain`], fixed or as the
-    /// ladder's current rung) this field is a **compatibility shim**
-    /// over the incremental-symbol pathway: each copy beyond the first
-    /// becomes `k` extra repair symbols on the *single* frame actually
-    /// sent (see `heardof_coding::SymbolBudget`), paying the same
-    /// redundancy in the cheaper currency. The trade to know about:
-    /// symbol redundancy defends against corruption and partial loss,
-    /// while literal duplicates also defended against whole-frame
-    /// drops — deployments on drop-dominated links should stay on a
-    /// fixed-rate code.
-    pub copies: u8,
-    /// Hard cap on rounds.
-    pub max_rounds: u64,
-    /// Channel code framing every wire frame. The default — a CRC-32
-    /// checksum — reproduces the historical wire format; correcting
-    /// codes (e.g. [`CodeSpec::Hamming74`]) turn link corruption back
-    /// into clean deliveries at the cost of redundancy. Ignored when
-    /// [`NetConfig::adaptive`] is set.
-    pub code: CodeSpec,
-    /// Per-round code renegotiation: each process runs its own
-    /// deterministic [`AdaptiveController`](heardof_coding::AdaptiveController)
-    /// over the ladder, re-deciding
-    /// its *send* code from the tallies it observes as a receiver.
-    /// Frames carry a 1-byte code id (see
-    /// [`CodeBook`](heardof_coding::CodeBook)), so mixed epochs decode
-    /// exactly during a switch.
-    pub adaptive: Option<AdaptiveConfig>,
-    /// Replaces the probabilistic link faults with a seeded
-    /// [`NoiseTrace`]: corruption becomes a pure function of each
-    /// frame's coordinates, reproducible by the lockstep simulator.
-    pub trace: Option<NoiseTrace>,
-    /// No early exit: every process runs exactly `max_rounds` rounds
-    /// even once everyone has decided, as on the async substrate's
-    /// config. Rounds close on peers' batches either way.
-    pub lockstep: bool,
-    /// The telemetry plane every link and engine emits into. The
-    /// default ([`Telemetry::null`]) records nothing at the cost of one
-    /// branch per event; attach [`Telemetry::ring`] to capture a flight
-    /// recording, or [`Telemetry::counters`] for counters-only runs.
-    pub telemetry: Telemetry,
-}
-
-impl Default for NetConfig {
-    fn default() -> Self {
-        NetConfig {
-            faults: LinkFaults::NONE,
-            seed: 0,
-            round_timeout: Duration::from_millis(50),
-            copies: 1,
-            max_rounds: 100,
-            code: CodeSpec::DEFAULT,
-            adaptive: None,
-            trace: None,
-            lockstep: false,
-            telemetry: Telemetry::null(),
-        }
-    }
-}
-
-/// The observable result of a threaded run — the engine-standard
-/// [`SubstrateOutcome`], shared with the async substrate (see
-/// `heardof-async`). Use the [`OutcomeView`](heardof_engine::OutcomeView)
-/// trait for `all_decided` / `agreement_ok` / `last_decision_round`.
-pub type NetOutcome<V> = SubstrateOutcome<V>;
-
-/// Runs `algo` on `n` OS threads over faulty links.
-///
-/// # Panics
-///
-/// Panics if `initial.len() != n`, `n == 0`, or `config.copies == 0`.
-///
-/// # Examples
-///
-/// ```
-/// use heardof_core::{Ate, AteParams};
-/// use heardof_net::{run_threaded, NetConfig, OutcomeView};
-///
-/// let n = 5;
-/// let algo: Ate<u64> = Ate::new(AteParams::balanced(n, 0)?);
-/// let outcome = run_threaded(algo, n, (0..n as u64).map(|i| i % 2).collect(),
-///                            NetConfig::default());
-/// assert!(outcome.all_decided());
-/// assert!(outcome.agreement_ok());
-/// # Ok::<(), heardof_core::ParamError>(())
-/// ```
-pub fn run_threaded<A>(
-    algo: A,
-    n: usize,
-    initial: Vec<A::Value>,
-    config: NetConfig,
-) -> NetOutcome<A::Value>
-where
-    A: HoAlgorithm,
-    A::Msg: WireMessage,
-{
-    assert!(n > 0, "system must have at least one process");
-    assert_eq!(initial.len(), n, "one initial value per process");
-
-    let fabric = fabric_for(&config);
-    let engines: Vec<_> = initial
-        .into_iter()
-        .enumerate()
-        .map(|(p, value)| fabric.engine_for(algo.clone(), p, n, value))
-        .collect();
-    let engines = drive(&config, &fabric, engines, inboxes(n));
-    let decisions = engines.iter().map(|e| e.decision().cloned()).collect();
-    let reports = engines.into_iter().map(RoundEngine::into_report).collect();
-    fabric.assemble(reports, decisions)
-}
-
-/// Runs `initials[p].len()` multiplexed consensus instances per
-/// process on `n` OS threads: each process drives one
-/// [`MuxRoundEngine`] whose per-round sends pack every instance's frame
-/// into a single coded wire image per peer (see
-/// `heardof_engine::MuxRoundEngine`). Links, round closing, lockstep semantics
-/// and end-of-run wake-up are those of [`run_threaded`] — it is the
-/// same process loop; only the frame format differs, and a process
-/// announces itself once *every* instance it runs has decided. Returns
-/// one [`MuxReport`] per process.
-///
-/// # Panics
-///
-/// Panics if `initials.len() != n`, any process's instance list is
-/// empty, or the instance counts differ across processes.
-pub fn run_threaded_mux<A>(
-    algo: A,
-    n: usize,
-    initials: Vec<Vec<A::Value>>,
-    config: NetConfig,
-) -> Vec<MuxReport<A::Value>>
-where
-    A: HoAlgorithm,
-    A::Msg: WireMessage,
-{
-    assert!(n > 0, "system must have at least one process");
-    assert_eq!(initials.len(), n, "one initial-value list per process");
-    let k = initials[0].len();
-    assert!(k > 0, "at least one instance");
-    assert!(
-        initials.iter().all(|v| v.len() == k),
-        "every process runs the same instance set"
-    );
-
-    let fabric = fabric_for(&config);
-    let engines: Vec<_> = initials
-        .into_iter()
-        .enumerate()
-        .map(|(p, values)| fabric.mux_engine_for(algo.clone(), p, n, values))
-        .collect();
-    drive(&config, &fabric, engines, inboxes(n))
-        .into_iter()
-        .map(MuxRoundEngine::into_report)
-        .collect()
-}
-
-fn fabric_for(config: &NetConfig) -> RunFabric {
-    RunFabric::new(
-        config.faults,
-        config.seed,
-        config.copies,
-        config.max_rounds,
-        config.code,
-        config.adaptive.clone(),
-        config.trace.clone(),
-        config.telemetry.clone(),
-    )
-}
+use std::time::Instant;
 
 /// What a process finds in its inbox: one peer's round, or the
 /// runtime's own end-of-run wake-up. `Round(r, frames)` holds every
@@ -252,15 +63,15 @@ fn fabric_for(config: &NetConfig) -> RunFabric {
 /// later round need be waited for. The round tag and `Halt` are the
 /// runtime's, not bytes a link carries, so nothing a link can deliver —
 /// however hostile the bytes — can close a round or end a run.
-enum Inbound {
+pub(crate) enum Inbound {
     Round(u64, Arena),
     Halt(u64),
 }
 
 /// One inbox per process: the sending ends, then the receiving ends.
-type Inboxes = (Vec<Sender<Inbound>>, Vec<Receiver<Inbound>>);
+pub(crate) type Inboxes = (Vec<Sender<Inbound>>, Vec<Receiver<Inbound>>);
 
-fn inboxes(n: usize) -> Inboxes {
+pub(crate) fn inboxes(n: usize) -> Inboxes {
     (0..n).map(|_| mpsc::channel()).unzip()
 }
 
@@ -275,7 +86,7 @@ struct Run {
 
 /// Runs one thread per engine over `inboxes` until every process has
 /// left its round loop; hands the engines back in process order.
-fn drive<A, L>(
+pub(crate) fn drive<A, L>(
     config: &NetConfig,
     fabric: &RunFabric,
     engines: Vec<RoundMachine<A, L>>,
@@ -431,10 +242,14 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::LinkFaults;
+    use crate::run::{fabric_for, run_threaded};
+    use heardof_coding::{AdaptiveConfig, CodeSpec, NoiseTrace};
     use heardof_core::{Ate, AteParams, Ute, UteParams};
     use heardof_engine::OutcomeView;
     use heardof_predicates::{CommPredicate, PAlpha, PBenign};
-    use heardof_telemetry::EventKind;
+    use heardof_telemetry::{EventKind, Telemetry};
+    use std::time::Duration;
 
     #[test]
     fn perfect_network_reaches_consensus_fast() {

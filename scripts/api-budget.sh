@@ -56,7 +56,9 @@ crate_budget() {
   items=$(printf '%s' "$names" | grep -c . || true)
   echo "== $label: $lines code lines, $items public items"
   echo "   pre-test unwrap/expect/panic! lines: $panics"
-  printf '%s' "$names" | grep . | sort
+  # A crate with no public items lists none; under pipefail a bare
+  # `grep .` matching nothing would abort the whole listing.
+  printf '%s' "$names" | { grep . || true; } | sort
   echo
 }
 

@@ -41,13 +41,13 @@
 //! kept logs do.
 
 use crate::WireChannel;
-use heardof_async::{run_async, run_async_mux, AsyncConfig};
 use heardof_coding::{AdaptiveConfig, CodeSpec, NoiseTrace};
 use heardof_engine::{MuxReport, SubstrateOutcome, WireMessage};
 use heardof_model::{HoAlgorithm, RoundSets, TraceLevel};
-use heardof_net::{run_threaded, run_threaded_mux, LinkFaults, NetConfig};
+use heardof_net::{run_async, run_async_mux, run_threaded, run_threaded_mux, NetConfig};
 use heardof_sim::Simulator;
-use heardof_telemetry::{RoundReport, RunRecording, Telemetry};
+use heardof_telemetry::{RingRecorder, RoundReport, RunRecording, Telemetry};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Environment variable naming a directory where
@@ -216,34 +216,66 @@ where
     A: HoAlgorithm,
     A::Msg: WireMessage,
 {
-    let telemetry = Telemetry::ring();
-    let channel = WireChannel::new(
-        n,
-        CodeSpec::DEFAULT,
-        Some(cfg.clone()),
-        trace.clone(),
-        rounds,
-        telemetry.clone(),
-    );
-    let codes = channel.code_log();
-    let outcome = Simulator::new(algo, n)
-        .adversary(channel)
-        .initial_values(initial)
-        .trace_level(TraceLevel::SetsOnly)
-        .run_rounds(rounds as usize)
-        .expect("sim substrate run");
-    let recording = telemetry.snapshot().expect("ring-backed telemetry");
+    let ((codes, sets), recording) = recorded(|telemetry| {
+        let channel = WireChannel::new(
+            n,
+            CodeSpec::DEFAULT,
+            Some(cfg.clone()),
+            trace.clone(),
+            rounds,
+            telemetry,
+        );
+        let codes = channel.code_log();
+        // Only a configuration error (the caller's arity, see Panics)
+        // fails the run; no wire byte reaches this check.
+        #[allow(clippy::expect_used)]
+        let outcome = Simulator::new(algo, n)
+            .adversary(channel)
+            .initial_values(initial)
+            .trace_level(TraceLevel::SetsOnly)
+            .run_rounds(rounds as usize)
+            .expect("sim substrate run");
+        let sets = outcome.trace.rounds().iter().map(|rec| rec.sets.clone());
+        (codes.rounds(), sets.collect())
+    });
     SubstrateReport {
-        codes: codes.rounds(),
-        sets: outcome
-            .trace
-            .rounds()
-            .iter()
-            .map(|rec| rec.sets.clone())
-            .collect(),
+        codes,
+        sets,
         telemetry: recording.rounds.clone(),
         recording,
     }
+}
+
+/// Runs `run` with a telemetry plane over a ring the harness holds, and
+/// hands back its result with the ring's recording — the one path by
+/// which every runner records.
+fn recorded<R>(run: impl FnOnce(Telemetry) -> R) -> (R, RunRecording) {
+    let ring = Arc::new(RingRecorder::new());
+    let result = run(Telemetry::from_ring(Arc::clone(&ring)));
+    (result, ring.snapshot())
+}
+
+/// Runs a byte-level substrate on the harness's one configuration —
+/// the adaptive ladder under the seeded trace, in lockstep for exactly
+/// `rounds` rounds, one copy per frame, no other link faults — and
+/// hands back its result with the run's recording.
+fn recorded_on_bytes<R>(
+    cfg: &AdaptiveConfig,
+    trace: &NoiseTrace,
+    rounds: u64,
+    run: impl FnOnce(NetConfig) -> R,
+) -> (R, RunRecording) {
+    recorded(|telemetry| {
+        run(NetConfig {
+            adaptive: Some(cfg.clone()),
+            trace: Some(trace.clone()),
+            lockstep: true,
+            max_rounds: rounds,
+            round_timeout: CRASH_TIMEOUT,
+            telemetry,
+            ..NetConfig::default()
+        })
+    })
 }
 
 /// How long a threaded run waits for a peer's round batch. Only a
@@ -265,33 +297,17 @@ where
     A: HoAlgorithm,
     A::Msg: WireMessage,
 {
-    let telemetry = Telemetry::ring();
-    let outcome = run_threaded(
-        algo,
-        n,
-        initial,
-        NetConfig {
-            faults: LinkFaults::NONE,
-            adaptive: Some(cfg.clone()),
-            trace: Some(trace.clone()),
-            lockstep: true,
-            max_rounds: rounds,
-            round_timeout: CRASH_TIMEOUT,
-            copies: 1,
-            seed: 0,
-            code: CodeSpec::DEFAULT,
-            telemetry: telemetry.clone(),
-        },
-    );
-    let recording = telemetry.snapshot().expect("ring-backed telemetry");
+    let (outcome, recording) = recorded_on_bytes(cfg, trace, rounds, |config| {
+        run_threaded(algo, n, initial, config)
+    });
     SubstrateReport::from_outcome(&outcome, recording)
 }
 
 /// What one substrate reports for a **multi-instance** (multiplexed)
 /// conformance run: per-round code decisions, per-instance decisions,
-/// and the wire-level kept logs. One wire image carries every
-/// instance's frame, so the kept set is a per-process per-round fact
-/// (see `heardof_engine::MuxRoundEngine`).
+/// the wire-level kept logs and the per-round telemetry counters. One
+/// wire image carries every instance's frame, so the kept set is a
+/// per-process per-round fact (see `heardof_engine::MuxRoundEngine`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct MuxSubstrateReport<V> {
     /// `codes[r-1][p]`: the code process `p` sent with in round `r`
@@ -304,12 +320,15 @@ pub struct MuxSubstrateReport<V> {
     /// `kept[p][r-1]`: the `(sender, copy)` images process `p` kept in
     /// round `r`.
     pub kept: Vec<Vec<Vec<(u32, u8)>>>,
+    /// Per-round telemetry counters, every kind — substrates must agree
+    /// on these exactly, as on [`SubstrateReport::telemetry`].
+    pub telemetry: Vec<RoundReport>,
 }
 
 impl<V> MuxSubstrateReport<V> {
-    /// Projects the per-process engine reports onto the conformance
-    /// dimensions.
-    fn from_reports(reports: Vec<MuxReport<V>>) -> Self {
+    /// Projects the per-process engine reports and the run's flight
+    /// recording onto the conformance dimensions.
+    fn from_reports(reports: Vec<MuxReport<V>>, recording: RunRecording) -> Self {
         let completed = reports
             .iter()
             .map(|r| r.rounds_completed as usize)
@@ -338,6 +357,7 @@ impl<V> MuxSubstrateReport<V> {
             decisions,
             decision_rounds,
             kept,
+            telemetry: recording.rounds,
         }
     }
 }
@@ -356,24 +376,10 @@ where
     A: HoAlgorithm,
     A::Msg: WireMessage,
 {
-    let reports = run_threaded_mux(
-        algo,
-        n,
-        initials,
-        NetConfig {
-            faults: LinkFaults::NONE,
-            adaptive: Some(cfg.clone()),
-            trace: Some(trace.clone()),
-            lockstep: true,
-            max_rounds: rounds,
-            round_timeout: CRASH_TIMEOUT,
-            copies: 1,
-            seed: 0,
-            code: CodeSpec::DEFAULT,
-            telemetry: Telemetry::null(),
-        },
-    );
-    MuxSubstrateReport::from_reports(reports)
+    let (reports, recording) = recorded_on_bytes(cfg, trace, rounds, |config| {
+        run_threaded_mux(algo, n, initials, config)
+    });
+    MuxSubstrateReport::from_reports(reports, recording)
 }
 
 /// Runs the **async** multiplexed substrate in lockstep + trace mode
@@ -390,23 +396,10 @@ where
     A: HoAlgorithm,
     A::Msg: WireMessage,
 {
-    let reports = run_async_mux(
-        algo,
-        n,
-        initials,
-        AsyncConfig {
-            faults: LinkFaults::NONE,
-            adaptive: Some(cfg.clone()),
-            trace: Some(trace.clone()),
-            lockstep: true,
-            max_rounds: rounds,
-            copies: 1,
-            seed: 0,
-            code: CodeSpec::DEFAULT,
-            telemetry: Telemetry::null(),
-        },
-    );
-    MuxSubstrateReport::from_reports(reports)
+    let (reports, recording) = recorded_on_bytes(cfg, trace, rounds, |config| {
+        run_async_mux(algo, n, initials, config)
+    });
+    MuxSubstrateReport::from_reports(reports, recording)
 }
 
 /// Runs the **async** substrate in lockstep + trace mode for `rounds`
@@ -424,23 +417,8 @@ where
     A: HoAlgorithm,
     A::Msg: WireMessage,
 {
-    let telemetry = Telemetry::ring();
-    let outcome = run_async(
-        algo,
-        n,
-        initial,
-        AsyncConfig {
-            faults: LinkFaults::NONE,
-            adaptive: Some(cfg.clone()),
-            trace: Some(trace.clone()),
-            lockstep: true,
-            max_rounds: rounds,
-            copies: 1,
-            seed: 0,
-            code: CodeSpec::DEFAULT,
-            telemetry: telemetry.clone(),
-        },
-    );
-    let recording = telemetry.snapshot().expect("ring-backed telemetry");
+    let (outcome, recording) = recorded_on_bytes(cfg, trace, rounds, |config| {
+        run_async(algo, n, initial, config)
+    });
     SubstrateReport::from_outcome(&outcome, recording)
 }

@@ -33,9 +33,12 @@
 //!   step, adaptive framing and the wire codec every substrate shares),
 //! * [`telemetry`] — the deterministic observability plane (flight
 //!   recorder, α-budget ledger, cross-substrate metrics),
-//! * [`net`] — a threaded message-passing deployment substrate,
-//! * [`async_rt`] — a deterministic deployment substrate (the engines
-//!   stepped in lockstep on one thread over faulty in-memory links),
+//! * [`net`] — the byte-level deployment: faulty links and one run
+//!   configuration with two drivers, OS threads and the lockstep
+//!   stepper,
+//! * [`async_rt`] — the deterministic deployment's name: `net`'s
+//!   lockstep stepper runs (the engines stepped on one thread over
+//!   faulty in-memory links), re-exported,
 //! * [`core`] — the paper's algorithms and bounds,
 //! * [`analysis`] — experiments, statistics and witness search.
 //!
@@ -70,6 +73,10 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 #![warn(rust_2018_idioms)]
 
 pub mod conformance;

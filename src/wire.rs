@@ -9,7 +9,7 @@ use heardof_net::{LinkFaults, Lockstep, RunFabric};
 use heardof_telemetry::Telemetry;
 use rand::rngs::StdRng;
 use std::fmt::Debug;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The algorithm every engine of a [`WireChannel`] runs. Its sending
 /// function reads the simulator's intended matrix, and its state is the
@@ -33,9 +33,12 @@ impl<M: Clone + Eq + Debug + Send + 'static> HoAlgorithm for Relay<M> {
         ReceptionVector::new(n)
     }
 
+    // The engines ask for the simulator's own intended matrix, which
+    // holds a message for every (sender, receiver) pair: the sending
+    // functions are total, and no wire byte reaches this lookup.
+    #[allow(clippy::expect_used)]
     fn send(&self, _round: Round, p: ProcessId, _state: &Self::State, dest: ProcessId) -> M {
-        let intended = self.intended.lock().expect("relay matrix lock");
-        intended
+        lock(&self.intended)
             .get(p, dest)
             .cloned()
             .expect("the simulator's sending functions are total")
@@ -56,6 +59,12 @@ impl<M: Clone + Eq + Debug + Send + 'static> HoAlgorithm for Relay<M> {
     }
 }
 
+/// Locks one of the channel's shared values, recovering it when
+/// poisoned: every writer replaces or appends a whole value.
+fn lock<T>(value: &Mutex<T>) -> MutexGuard<'_, T> {
+    value.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A read handle on a [`WireChannel`]'s per-round code log, taken with
 /// [`WireChannel::code_log`] before the simulator takes the channel.
 #[derive(Clone, Debug)]
@@ -65,7 +74,7 @@ impl CodeLog {
     /// `rounds()[r - 1][p]`: the code process `p` sent with in round
     /// `r`, for every round relayed so far.
     pub fn rounds(&self) -> Vec<Vec<CodeSpec>> {
-        self.0.lock().expect("code log lock").clone()
+        lock(&self.0).clone()
     }
 }
 
@@ -180,16 +189,9 @@ impl<M: WireMessage + Clone + Eq + Debug + Send + 'static> Adversary<M> for Wire
         out: &mut MessageMatrix<M>,
         _rng: &mut StdRng,
     ) {
-        self.intended
-            .lock()
-            .expect("relay matrix lock")
-            .clone_from(intended);
+        lock(&self.intended).clone_from(intended);
         let codes = self.stepper.engines().iter().map(RoundEngine::current_code);
-        self.codes
-            .0
-            .lock()
-            .expect("code log lock")
-            .push(codes.collect());
+        lock(&self.codes.0).push(codes.collect());
         self.stepper.round(round.get());
         let engines = self.stepper.engines();
         out.refill(|sender, receiver| {

@@ -1,8 +1,8 @@
 //! Cross-substrate conformance for **instance-multiplexed** runs
 //! (batch > 1): the same seeded [`NoiseTrace`] drives the threaded mux
 //! runtime and the async mux runtime, and both must agree on controller
-//! decisions, per-instance decisions and wire-level kept logs, round
-//! for round. The async runtime is the reference: its lockstep loop
+//! decisions, per-instance decisions, wire-level kept logs and
+//! per-round telemetry counters, round for round. The async runtime is the reference: its lockstep loop
 //! closes rounds exactly, so it is the deterministic side of the pair.
 //!
 //! This is the batch-axis extension of `tests/adaptive_conformance.rs`:
@@ -131,6 +131,10 @@ fn the_mux_seed_is_not_vacuous() {
             .any(|kept| kept.len() < N),
         "no image was ever dropped — mux trace too tame"
     );
+    // The per-round counters are compared too; an empty recording
+    // would make that comparison vacuous.
+    let events: u64 = asy.telemetry.iter().map(|r| r.counts.total()).sum();
+    assert!(events > 0, "the mux run recorded no telemetry event");
 }
 
 #[test]

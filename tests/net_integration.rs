@@ -2,7 +2,7 @@
 //! message-passing substrate, with predicate checking on reconstructed
 //! histories.
 
-use heardof::net::{run_threaded, LinkFaults, NetConfig};
+use heardof::net::{run_async, run_threaded, LinkFaults, NetConfig};
 use heardof::prelude::*;
 use std::time::{Duration, Instant};
 
@@ -193,7 +193,7 @@ fn sim_and_net_agree_on_fault_free_outcome() {
 }
 
 /// Rounds close on peers' round batches, not on a clock, so the
-/// threaded runtime is exact without the lockstep flag: on links that
+/// threaded driver is exact without the lockstep flag: on links that
 /// drop and corrupt frames it replays the lockstep stepper's run round
 /// for round, and no lost frame costs it the (long) round timeout. The
 /// same holds with two copies of every frame (several frames in a
@@ -221,34 +221,17 @@ fn threaded_runs_replay_the_lockstep_stepper_on_lossy_links() {
             let lockstep = trace.is_some();
             let max_rounds = if lockstep { 40 } else { 100 };
             let initial: Vec<u64> = (0..n as u64).map(|i| (i + seed) % 2).collect();
+            let config = NetConfig {
+                round_timeout: Duration::from_secs(2),
+                max_rounds,
+                trace,
+                lockstep,
+                ..config(faults, copies, seed)
+            };
             let started = Instant::now();
-            let threaded = run_threaded(
-                algo.clone(),
-                n,
-                initial.clone(),
-                NetConfig {
-                    round_timeout: Duration::from_secs(2),
-                    max_rounds,
-                    trace: trace.clone(),
-                    lockstep,
-                    ..config(faults, copies, seed)
-                },
-            );
+            let threaded = run_threaded(algo.clone(), n, initial.clone(), config.clone());
             let took = started.elapsed();
-            let stepped = run_async(
-                algo.clone(),
-                n,
-                initial,
-                AsyncConfig {
-                    faults,
-                    seed,
-                    copies,
-                    max_rounds,
-                    trace,
-                    lockstep,
-                    ..AsyncConfig::default()
-                },
-            );
+            let stepped = run_async(algo.clone(), n, initial, config);
 
             assert!(
                 took < Duration::from_millis(500),
