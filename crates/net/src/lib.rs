@@ -2,9 +2,10 @@
 //!
 //! The byte-level deployment of HO algorithms: bit-level fault
 //! injection, a wire codec framed by a pluggable channel code
-//! (`heardof-coding`), and one run over it with two drivers — OS
-//! threads exchanging each round over `std::sync::mpsc` channels
-//! ([`run_threaded`]), or the lockstep stepper on the calling thread
+//! (`heardof-coding`), and one run over it with two drivers — standing
+//! OS threads, pooled across runs, exchanging each round over
+//! `std::sync::mpsc` channels ([`run_threaded`]), or the lockstep
+//! stepper on the calling thread
 //! ([`run_async`]). Both read one [`NetConfig`], build the same links
 //! and engines from it, and return the same [`NetOutcome`]; on live
 //! peers they replay each other round for round.

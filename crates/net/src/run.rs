@@ -14,7 +14,9 @@
 //!   fully deterministic;
 //! * the **threads** ([`run_threaded`], [`run_threaded_mux`]): one OS
 //!   thread per process, each round crossing to a peer as one batch of
-//!   the frames its links delivered, which also closes it.
+//!   the frames its links delivered, which also closes it. The threads
+//!   are standing workers of a process-wide pool, so a run spawns none
+//!   once an earlier run has spawned as many as it needs.
 //!
 //! Both read one [`NetConfig`], build the same links and engines from
 //! it, and end a run the same way: after the first round at whose end
@@ -46,7 +48,7 @@ pub struct NetConfig {
     pub seed: u64,
     /// How long a threaded process waits for a peer's round batch
     /// before closing the round without it. Only the threaded driver
-    /// reads it, and only a crashed or unspawned peer ever costs it; a
+    /// reads it, and only a crashed peer ever costs it; a
     /// lost frame does not (see [`run_threaded`]). The stepper never
     /// waits, so [`run_async`] ignores it.
     pub round_timeout: Duration,
@@ -123,12 +125,27 @@ pub type NetOutcome<V> = SubstrateOutcome<V>;
 /// process posts each peer one batch of the frames its link delivered
 /// there, tagged with the round: the batch carries the frames and ends
 /// the sender's round at the peer, so a round closes once every peer's
-/// batch is in, and only a crashed or unspawned peer costs
-/// [`NetConfig::round_timeout`].
+/// batch is in, and only a crashed peer (one whose process panicked)
+/// costs [`NetConfig::round_timeout`].
+///
+/// The threads are standing workers shared by every threaded run of
+/// the process: a run takes `n` idle ones, spawns only those missing,
+/// and hands them back when it returns, so repeated runs pay no thread
+/// spawn. Concurrent runs each take their own.
+///
+/// Unless in lockstep mode, the run ends once the last process to
+/// decide announces it, and a peer that had already opened the next
+/// round completes it with what it has: a run may complete one round
+/// past its last decision round, and that round's frames count in the
+/// fault log and on the wire.
 ///
 /// # Panics
 ///
-/// Panics if `initial.len() != n`, `n == 0`, or `config.copies == 0`.
+/// Panics if `initial.len() != n`, `n == 0`, or `config.copies == 0`,
+/// or if the OS refuses a missing worker thread (before any process
+/// starts). A process that panics (a bug in `algo`, never wire bytes)
+/// is re-raised with its payload once every other process of the run
+/// has returned; its worker stays in the pool.
 ///
 /// # Examples
 ///
@@ -341,8 +358,8 @@ where
     stepper.into_engines()
 }
 
-/// The threaded driver: one OS thread per engine, each with a fresh
-/// inbox, until every process has left its round loop.
+/// The threaded driver: one standing worker per engine, each with a
+/// fresh inbox, until every process has left its round loop.
 fn threads<A, L>(
     config: &NetConfig,
     fabric: &RunFabric,
@@ -351,7 +368,7 @@ fn threads<A, L>(
 where
     A: HoAlgorithm,
     A::Msg: WireMessage,
-    L: WireLayout,
+    L: WireLayout + 'static,
 {
     let inboxes = runtime::inboxes(engines.len());
     runtime::drive(config, fabric, engines, inboxes)

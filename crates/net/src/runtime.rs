@@ -8,6 +8,17 @@
 //! byte transport and a round synchronizer implementing
 //! communication-closed rounds on top of the asynchronous transport.
 //!
+//! The threads stand: they outlive the run. A round's heard-of sets
+//! depend on the link faults alone, not on which thread executes a
+//! process, so a run borrows one idle worker per process from a
+//! process-wide pool, spawning only the ones it lacks, posts each one
+//! job (its process's round loop, owning everything it touches), and
+//! puts the workers back once every process has reported. The pool
+//! holds as many workers as the most processes that ran at once; runs
+//! in flight together never share one. Every worker a run needs exists
+//! before any of its processes starts, so a failed spawn panics in the
+//! caller with no process waiting on it.
+//!
 //! A round crosses the channel as one unit per peer. A process's links
 //! append what reaches each peer in round `r` into one outbox arena per
 //! peer, and after its sends the process posts every arena, tagged
@@ -26,8 +37,8 @@
 //! control plane, outside the fault model: no link can produce, drop or
 //! corrupt it. A real network has no such tag for a lost frame and
 //! would close a round on a timeout alone. Here `round_timeout` is paid
-//! only for a crashed or unspawned peer. Round 1 opens once every
-//! process is up, so a peer still being spawned is never mistaken for a
+//! only for a crashed peer. Round 1 opens once every process is up, so
+//! a peer whose worker has not started it yet is never mistaken for a
 //! dead one. The end of a run is an event too: the last process to
 //! announce that it has decided posts a halt naming the round it just
 //! closed into every peer's inbox. A peer still in that round closes it
@@ -48,10 +59,11 @@ use crate::run::NetConfig;
 use heardof_engine::{link_index, RoundMachine, WireLayout, WireMessage};
 use heardof_model::HoAlgorithm;
 use std::borrow::Cow;
-use std::panic::resume_unwind;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier, Mutex, PoisonError};
+use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
 /// What a process finds in its inbox: one peer's round, or the
@@ -82,10 +94,68 @@ struct Run {
     undecided: AtomicUsize,
     /// Opens round 1 on every process at once, see [`process_main`].
     barrier: Barrier,
+    /// The run's configuration, which every process reads.
+    config: NetConfig,
 }
 
-/// Runs one thread per engine over `inboxes` until every process has
-/// left its round loop; hands the engines back in process order.
+/// What a worker is posted: one process of one run, which reports its
+/// engine (or its panic) back to the run's `drive` itself.
+type Job = Box<dyn FnOnce() + Send>;
+
+/// A standing worker: an OS thread parked on its own job channel. Its
+/// jobs catch their own panics, so the thread outlives every run it
+/// carries and ends only when its job channel closes.
+struct Worker {
+    jobs: Sender<Job>,
+    thread: JoinHandle<()>,
+}
+
+/// The idle workers of the process, shared by every threaded run: a
+/// run takes the ones it needs and puts them back when it is over, so
+/// the pool only ever holds as many as the most processes that ran at
+/// once.
+static IDLE: Mutex<Vec<Worker>> = Mutex::new(Vec::new());
+
+/// The workers of one run. Dropping it puts them back idle: after the
+/// run, or while a failed spawn unwinds half way through taking them.
+/// A run takes every worker it needs before it posts any process, so
+/// a failed spawn strands no process at the round-1 barrier.
+struct Crew(Vec<Worker>);
+
+impl Crew {
+    /// Takes `n` idle workers, spawning the missing ones and replacing
+    /// any whose thread is gone. `thread::spawn` panics when the OS
+    /// refuses a thread, with the OS error as its message; the workers
+    /// already taken go back as that panic unwinds.
+    fn take(n: usize) -> Crew {
+        // Every update of the list leaves it valid, so a poisoned lock
+        // still guards a good one.
+        let mut idle = IDLE.lock().unwrap_or_else(PoisonError::into_inner);
+        let keep = idle.len().saturating_sub(n);
+        let mut crew = Crew(idle.split_off(keep));
+        drop(idle);
+        crew.0.retain(|worker| !worker.thread.is_finished());
+        while crew.0.len() < n {
+            let (jobs, posted) = mpsc::channel::<Job>();
+            let thread = thread::spawn(move || posted.into_iter().for_each(|job| job()));
+            crew.0.push(Worker { jobs, thread });
+        }
+        crew
+    }
+}
+
+impl Drop for Crew {
+    fn drop(&mut self) {
+        let mut idle = IDLE.lock().unwrap_or_else(PoisonError::into_inner);
+        idle.append(&mut self.0);
+    }
+}
+
+/// Runs each engine as one process on a standing worker over `inboxes`
+/// until every process has left its round loop; hands the engines back
+/// in process order. A process that panics (only ever on a bug, never
+/// on wire bytes) is re-raised unchanged once every other process of
+/// the run has returned.
 pub(crate) fn drive<A, L>(
     config: &NetConfig,
     fabric: &RunFabric,
@@ -95,34 +165,47 @@ pub(crate) fn drive<A, L>(
 where
     A: HoAlgorithm,
     A::Msg: WireMessage,
-    L: WireLayout,
+    L: WireLayout + 'static,
 {
     let n = engines.len();
-    let run = &Run {
+    let run = Arc::new(Run {
         undecided: AtomicUsize::new(n),
         barrier: Barrier::new(n),
-    };
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (engines.into_iter().zip(rxs).enumerate())
-            .map(|(p, (engine, inbox))| {
-                let links = fabric.link_models(p, n);
-                // Each process owns its batch and halt senders, and
-                // never one to itself, so an inbox still disconnects —
-                // closing its owner's open round at once — when every
-                // peer has left.
-                let peers: Vec<_> = (0..n).filter(|&q| q != p).map(|q| txs[q].clone()).collect();
-                scope
-                    .spawn(move || process_main(engine, p as u32, inbox, links, peers, run, config))
-            })
-            .collect();
-        drop(txs);
-        handles
-            .into_iter()
-            // A process thread panics only on a bug, never on wire
-            // bytes: hand its panic to the caller unchanged.
-            .map(|h| h.join().unwrap_or_else(|panic| resume_unwind(panic)))
-            .collect()
-    })
+        config: config.clone(),
+    });
+    let (done, finished) = mpsc::channel();
+    let jobs: Vec<_> = (engines.into_iter().zip(rxs).enumerate())
+        .map(|(p, (engine, inbox))| {
+            let links = fabric.link_models(p, n);
+            // Each process owns its batch and halt senders, and never
+            // one to itself, so an inbox still disconnects — closing its
+            // owner's open round at once — when every peer has left.
+            let peers: Vec<_> = (0..n).filter(|&q| q != p).map(|q| txs[q].clone()).collect();
+            let (run, done) = (Arc::clone(&run), done.clone());
+            Box::new(move || {
+                let main =
+                    || process_main(engine, p as u32, inbox, links, peers, &run, &run.config);
+                let _ = done.send((p, catch_unwind(AssertUnwindSafe(main))));
+            }) as Job
+        })
+        .collect();
+    // Everything that can fail is done before the first job is posted:
+    // a process that started waits at the round-1 barrier for all n.
+    let crew = Crew::take(n);
+    for (worker, job) in crew.0.iter().zip(jobs) {
+        // A live worker's channel is open: `take` replaced the others.
+        let _ = worker.jobs.send(job);
+    }
+    drop((txs, done));
+    let mut results: Vec<_> = finished.iter().take(n).collect();
+    results.sort_unstable_by_key(|&(p, _)| p);
+    // Every process has returned: the crew goes back idle (also while
+    // a panic unwinds), and the lowest-numbered process that panicked
+    // is re-raised.
+    results
+        .into_iter()
+        .map(|(_, result)| result.unwrap_or_else(|panic| resume_unwind(panic)))
+        .collect()
 }
 
 /// One process's round loop. `links` and `peers` are both in
@@ -456,6 +539,7 @@ mod tests {
         let run = &Run {
             undecided: AtomicUsize::new(n - 1),
             barrier: Barrier::new(n - 1),
+            config: config.clone(),
         };
         let started = Instant::now();
         let engines: Vec<_> = std::thread::scope(|scope| {
