@@ -32,6 +32,7 @@ use crate::noise_lanes::{self, Shape};
 use crate::script::FaultScript;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+use std::ops::Range;
 use std::sync::{Arc, Mutex as StdMutex, PoisonError};
 
 /// A noise process applied to wire bytes. Implemented by the memoryless
@@ -550,19 +551,54 @@ impl NoiseTrace {
             // deterministic on all substrates by construction.
             return script.apply(round, sender, receiver, data);
         }
+        let mut flipped = 0;
+        self.draw_flips(round, sender, receiver, copy, data.len() * 8, |bit| {
+            data[bit / 8] ^= 1 << (bit % 8);
+            flipped += 1;
+        });
+        flipped
+    }
+
+    /// Hands every bit a seeded trace flips in a `bits`-bit frame with
+    /// these coordinates to `flip`, in ascending order, drawing once per
+    /// event rather than once per bit.
+    ///
+    /// The law is the chain's: the start state (before bit 0) comes
+    /// from the stationary fraction, and at each bit the state advances
+    /// first, then the bit flips at that state's BER. So the start
+    /// state holds for `Geom(p_leave)` bits and every later state for
+    /// `1 + Geom(p_leave)`, and within each stretch the flips are
+    /// independent at one BER ([`flip_stretch`]). The shared regime's
+    /// per-round BSC is one stretch over the whole frame.
+    fn draw_flips(
+        &self,
+        round: u64,
+        sender: u32,
+        receiver: u32,
+        copy: u8,
+        bits: usize,
+        mut flip: impl FnMut(usize),
+    ) {
         let mut rng = StdRng::seed_from_u64(self.frame_seed(round, sender, receiver, copy));
         let channel = self.channel_at(round);
         if self.shared_regime {
-            // The round's regime is global; within the round each link
-            // flips bits independently at the regime's BER.
-            return BitNoise::new(self.regime_ber(round, &channel)).apply(data, &mut rng);
+            let ber = self.regime_ber(round, &channel);
+            return flip_stretch(&mut rng, ber, 0..bits, &mut flip);
         }
-        let mut channel = channel;
-        // Start each frame from the phase's stationary distribution so
-        // bad phases corrupt from the first bit.
-        let stationary = channel.stationary_burst_fraction();
-        channel.reset(stationary > 0.0 && rng.gen_bool(stationary));
-        channel.apply(data, &mut rng)
+        let mut in_burst = bernoulli(&mut rng, channel.stationary_burst_fraction());
+        let (mut at, mut entered) = (0, 0);
+        while at < bits {
+            let (leave, ber) = if in_burst {
+                (channel.p_exit_burst, channel.ber_bad)
+            } else {
+                (channel.p_enter_burst, channel.ber_good)
+            };
+            // A state the chain moved into holds the bit it moved at.
+            let held = at + entered;
+            let end = held + gap(&mut rng, leave, bits - held).unwrap_or(bits - held);
+            flip_stretch(&mut rng, ber, at..end, &mut flip);
+            (at, entered, in_burst) = (end, 1, !in_burst);
+        }
     }
 
     /// The form `round`'s channel takes when its frames can run in
@@ -658,10 +694,6 @@ impl NoiseTrace {
         flips: &mut [usize],
     ) {
         assert_eq!(flips.len(), receivers.len(), "one flip count per receiver");
-        #[cfg(target_arch = "x86_64")]
-        if let Some(shape) = self.shape_at(round).filter(|_| noise_lanes::avx512()) {
-            return self.flip_masks_avx512(shape, round, sender, copy, receivers, masks, flips);
-        }
         self.flip_masks_scalar(round, sender, copy, receivers, masks, flips);
     }
 
@@ -720,6 +752,70 @@ impl NoiseTrace {
             // `is_x86_feature_detected!`; it is the one feature
             // `avx512::fill` is compiled with.
             unsafe { noise_lanes::avx512::fill(shape, states, len, masks, flips) };
+        }
+    }
+}
+
+/// BERs at or above this flip bit by bit; below it, by geometric gaps.
+/// A gap costs one `ln` — about sixteen word draws — and a BER of `p`
+/// spaces flips `1 / p` bits apart, so compares win from `1 / 16` up.
+const DENSE_BER: f64 = 1.0 / 16.0;
+
+/// One draw at probability `p`, as `gen_bool` answers it; `p` of 0 or
+/// 1 draws nothing.
+fn bernoulli(rng: &mut StdRng, p: f64) -> bool {
+    p >= 1.0 || p > 0.0 && (rng.next_u64() >> 11) < (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// `Geom(p)`, the bits that pass before an event of per-bit probability
+/// `p` fires, when that is fewer than `within`; `None` otherwise, and
+/// without a draw when `p` is 0 or `within` is. By inversion:
+/// `⌊ln U / ln(1 − p)⌋` for `U` uniform on `(0, 1]`, since
+/// `P(Geom(p) ≥ k) = (1 − p)^k`. A certain event (`p = 1`) divides by
+/// `−∞` and fires at once.
+fn gap(rng: &mut StdRng, p: f64, within: usize) -> Option<usize> {
+    if within == 0 || p <= 0.0 {
+        return None;
+    }
+    let u = ((rng.next_u64() >> 11) + 1) as f64 * (1.0 / (1u64 << 53) as f64);
+    let gap = u.ln() / (-p).ln_1p();
+    (gap < within as f64).then_some(gap as usize)
+}
+
+/// Flips each bit of `bits` independently at `ber`, handing the flipped
+/// ones to `flip` in ascending order. A sparse BER walks geometric gaps
+/// between flips; a dense one draws a word per bit and compares, 64
+/// bits to a mask; a BER of one half takes each bit of a word as it
+/// comes, and a BER of 1 flips everything without a draw.
+fn flip_stretch(rng: &mut StdRng, ber: f64, bits: Range<usize>, flip: &mut impl FnMut(usize)) {
+    if ber <= 0.0 {
+        return;
+    }
+    if ber >= 1.0 {
+        return bits.for_each(flip);
+    }
+    let end = bits.end;
+    if ber < DENSE_BER {
+        let mut at = bits.start;
+        while let Some(gap) = gap(rng, ber, end - at) {
+            flip(at + gap);
+            at += gap + 1;
+        }
+        return;
+    }
+    let threshold = (ber * (1u64 << 53) as f64).ceil() as u64;
+    for base in bits.step_by(64) {
+        let n = (end - base).min(64);
+        let mut word = if ber == 0.5 {
+            rng.next_u64()
+        } else {
+            (0..n).fold(0, |word, k| {
+                word | u64::from((rng.next_u64() >> 11) < threshold) << k
+            })
+        } & u64::MAX >> (64 - n);
+        while word != 0 {
+            flip(base + word.trailing_zeros() as usize);
+            word &= word - 1;
         }
     }
 }
@@ -922,9 +1018,9 @@ mod tests {
     /// One number over the flip stream the repository benchmark's
     /// `bursty-adaptive` links see — its 6-bursty / 4-clean phases, over
     /// a grid of seeds, rounds, links, copies and the wire lengths its
-    /// rungs produce. Computed on the trace as it stood before `apply`
-    /// drew ahead of the chain; if it moves, every noisy conformance
-    /// seed and that workload's counts are about to. Folded twice — per
+    /// rungs produce, as trace noise v2 draws it; if it moves, every
+    /// noisy conformance seed and that workload's counts are about to.
+    /// Folded twice — per
     /// frame through `corrupt_frame`, then per sender and round through
     /// `flip_masks` — and both must read the pin.
     #[test]
@@ -999,7 +1095,7 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(digest, 0x2E48_F240_0F4F_38C0, "the flip stream moved");
+            assert_eq!(digest, 0x260E_3974_2AE7_3699, "the flip stream moved");
         }
     }
 
@@ -1085,12 +1181,6 @@ mod tests {
             let (mut masks, mut flips) = fresh();
             trace.flip_masks_scalar(round, sender, copy, &receivers, &mut masks, &mut flips);
             got.push(("scalar", masks, flips));
-            #[cfg(target_arch = "x86_64")]
-            if let Some(shape) = shape.filter(|_| noise_lanes::avx512()) {
-                let (mut masks, mut flips) = fresh();
-                trace.flip_masks_avx512(shape, round, sender, copy, &receivers, &mut masks, &mut flips);
-                got.push(("avx512", masks, flips));
-            }
             for (kernel, masks, flips) in got {
                 prop_assert_eq!(&masks, &want, "{} masks, shape {:?}", kernel, shape);
                 prop_assert_eq!(&flips, &want_flips, "{} flips, shape {:?}", kernel, shape);
@@ -1221,5 +1311,169 @@ mod tests {
                 "link {sender}→{receiver} must be calm in the good round, got {flips}"
             );
         }
+    }
+
+    /// v1, the per-bit chain `corrupt_frame` drew before v2, rebuilt
+    /// from the production models on the same per-frame stream:
+    /// [`GilbertElliott::apply`] from a stationary start, or the shared
+    /// regime's [`BitNoise`]. v2's statistical oracle.
+    fn v1_frame(trace: &NoiseTrace, at: (u64, u32, u32, u8), data: &mut [u8]) -> usize {
+        let (round, sender, receiver, copy) = at;
+        let mut rng = StdRng::seed_from_u64(trace.frame_seed(round, sender, receiver, copy));
+        let mut channel = trace.channel_at(round);
+        if trace.shared_regime {
+            return BitNoise::new(trace.regime_ber(round, &channel)).apply(data, &mut rng);
+        }
+        let stationary = channel.stationary_burst_fraction();
+        channel.reset(stationary > 0.0 && rng.gen_bool(stationary));
+        channel.apply(data, &mut rng)
+    }
+
+    /// The flipped bit positions of `frames` zeroed `len`-byte frames
+    /// under `corrupt`, one list per frame. Frame `i` sits at round
+    /// `1 + i % 60` — every phase of every preset — on a link of its own.
+    fn flip_lists(
+        frames: usize,
+        len: usize,
+        corrupt: impl Fn((u64, u32, u32, u8), &mut [u8]) -> usize,
+    ) -> Vec<Vec<usize>> {
+        let mut frame = vec![0u8; len];
+        (0..frames)
+            .map(|i| {
+                let at = (
+                    1 + (i % 60) as u64,
+                    (i / 60 % 8) as u32,
+                    (i / 480) as u32,
+                    0,
+                );
+                frame.fill(0);
+                let flips = corrupt(at, &mut frame);
+                let bits: Vec<usize> = (0..len * 8)
+                    .filter(|&bit| frame[bit / 8] & 1 << (bit % 8) != 0)
+                    .collect();
+                assert_eq!(flips, bits.len(), "the count is the pattern's weight");
+                bits
+            })
+            .collect()
+    }
+
+    /// Whether two samples of frames fill one histogram alike:
+    /// `bins(flips)` lists the bins a frame adds one to. Adjacent bins
+    /// are pooled until each holds 40 events over both samples, and
+    /// each pooled bin's two totals must lie within five standard
+    /// errors, estimated from the per-frame counts (a burst puts
+    /// several flips in one bin of one frame, so the counts are not
+    /// Poisson). `Err` names the first bin that does not.
+    fn same_histogram(
+        v1: &[Vec<usize>],
+        v2: &[Vec<usize>],
+        bins: impl Fn(&[usize]) -> Vec<usize>,
+    ) -> Result<(), String> {
+        let per_frame: Vec<Vec<Vec<usize>>> = [v1, v2]
+            .map(|sample| sample.iter().map(|flips| bins(flips)).collect())
+            .to_vec();
+        let width = per_frame
+            .iter()
+            .flatten()
+            .flatten()
+            .max()
+            .map_or(0, |b| b + 1);
+        let mut raw = vec![0usize; width];
+        per_frame
+            .iter()
+            .flatten()
+            .flatten()
+            .for_each(|&b| raw[b] += 1);
+        let (mut pooled, mut next, mut held) = (vec![0; width], 0, 0);
+        for (b, &count) in raw.iter().enumerate() {
+            pooled[b] = next;
+            held += count;
+            if held >= 40 {
+                (next, held) = (next + 1, 0);
+            }
+        }
+        // A short last pool joins the one before it.
+        let pools = if held > 0 && next > 0 { next } else { next + 1 };
+        pooled.iter_mut().for_each(|p| *p = (*p).min(pools - 1));
+        let mut totals = vec![[0f64; 2]; pools];
+        let mut squares = vec![0f64; pools];
+        let mut counts = vec![0f64; pools];
+        for (side, frames) in per_frame.iter().enumerate() {
+            for frame in frames {
+                frame.iter().for_each(|&b| counts[pooled[b]] += 1.0);
+                for (pool, count) in counts.iter_mut().enumerate() {
+                    totals[pool][side] += *count;
+                    squares[pool] += *count * *count;
+                    *count = 0.0;
+                }
+            }
+        }
+        for (pool, ([a, b], square)) in totals.iter().zip(&squares).enumerate() {
+            if *square > 0.0 && (a - b).abs() > 5.0 * square.sqrt() {
+                return Err(format!("pool {pool}: v1 {a} against v2 {b}"));
+            }
+        }
+        Ok(())
+    }
+
+    /// v2 against v1 on `frames` frames of each channel and length:
+    /// flips per frame, gaps between flips and flip rate per bit
+    /// position.
+    fn v2_draws_the_law_of_v1(frames: usize) {
+        let one_phase = |channel| NoiseTrace::new(1, vec![NoisePhase { rounds: 1, channel }]);
+        let traces = [
+            ("bursty", one_phase(GilbertElliott::bursty())),
+            ("clean", one_phase(GilbertElliott::clean())),
+            ("correlated_bursts", NoiseTrace::correlated_bursts(1)),
+            (
+                "correlated_bursts_moderate",
+                NoiseTrace::correlated_bursts_moderate(1),
+            ),
+            ("oscillating", NoiseTrace::oscillating(1)),
+            // Both BERs off the presets' paths: 0.1 compares per bit.
+            (
+                "gossip_faults",
+                one_phase(GilbertElliott::new(0.05, 0.05, 0.01, 0.1)),
+            ),
+        ];
+        let mut failures = Vec::new();
+        for (name, trace) in &traces {
+            for len in [34, 60] {
+                let v1 = flip_lists(frames, len, |at, frame| v1_frame(trace, at, frame));
+                let v2 = flip_lists(frames, len, |(r, s, q, c), frame| {
+                    trace.corrupt_frame(r, s, q, c, frame)
+                });
+                type Bins = fn(&[usize]) -> Vec<usize>;
+                let histograms: [(&str, Bins); 3] = [
+                    ("flips per frame", |flips| vec![flips.len()]),
+                    ("gaps", |flips| {
+                        flips.windows(2).map(|w| w[1] - w[0]).collect()
+                    }),
+                    ("positions", |flips| flips.to_vec()),
+                ];
+                for (histogram, bins) in histograms {
+                    if let Err(why) = same_histogram(&v1, &v2, bins) {
+                        failures.push(format!("{name}, {len} bytes, {histogram}: {why}"));
+                    }
+                }
+            }
+        }
+        assert!(
+            failures.is_empty(),
+            "v2 left v1's law:\n{}",
+            failures.join("\n")
+        );
+    }
+
+    #[test]
+    fn v2_flips_like_v1_within_sampling_error() {
+        v2_draws_the_law_of_v1(10_000);
+    }
+
+    /// The same over 10⁶ frames per channel and length (release).
+    #[test]
+    #[ignore]
+    fn v2_flips_like_v1_over_a_million_frames() {
+        v2_draws_the_law_of_v1(1_000_000);
     }
 }

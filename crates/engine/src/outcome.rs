@@ -120,7 +120,11 @@ impl<V> SubstrateOutcome<V> {
                 let mut sho_p = ProcessSet::empty(n);
                 for &(sender, copy) in &report.kept[(r - 1) as usize] {
                     ho_p.insert(ProcessId::new(sender));
-                    if !was_corrupted(r, sender, p as u32, copy) {
+                    // A process's own message never crosses a link. A
+                    // key naming it is a peer's frame whose header a
+                    // rate<1 code miscorrected into this process's
+                    // name, which the receiver drops as a duplicate.
+                    if sender == p as u32 || !was_corrupted(r, sender, p as u32, copy) {
                         sho_p.insert(ProcessId::new(sender));
                     }
                 }

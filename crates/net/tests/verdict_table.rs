@@ -2,7 +2,9 @@
 //! single decode of what the receiver will see, and the outcome of every
 //! case that decode order could touch is pinned here, row by row, from
 //! the link as it stood when it decoded the clean image first and the
-//! noisy image twice.
+//! noisy image twice. The trace rows were searched again, with the same
+//! rule, when trace noise moved to drawing per burst (v2): each is the
+//! first round that lands its cell.
 //!
 //! A row is one `send` through the public path — fault source,
 //! verdict, sink, fault log, telemetry — chosen (by search, once) so
@@ -249,39 +251,39 @@ const TABLE: &[Row] = &[
     Row { framed: Static, source: Model(9523), round: 9, copy: 1, clean: Decodable, noisy: Noisy::Header, event: CorruptedUndetected, kind: EventKind::LinkUndetected, delivered: "990000000000000000000000000000003300a200000000000f00960000000000000099000000000000000000f0f0ffff00c3", key: Some((9, 2818, 5, 1)) },
     Row { framed: Static, source: Model(10678), round: 9, copy: 0, clean: Decodable, noisy: Noisy::Payload, event: CorruptedUndetected, kind: EventKind::LinkUndetected, delivered: "9900000000000000000000000000000033000000000000000000965400000000000099000000000000000000f0f0ffff00c3", key: Some((9, 2, 5, 0)) },
     Row { framed: Static, source: Model(58318), round: 9, copy: 0, clean: Decodable, noisy: Noisy::CopyOnly, event: CorruptedCorrected, kind: EventKind::LinkCorrected, delivered: "9900000000000000000000000000000033000000000000000031960000000000000099000000000000000000f0f0ffff00c3", key: None },
-    Row { framed: Static, source: Trace(1), round: 1, copy: 1, clean: Decodable, noisy: Noisy::Equal, event: CorruptedCorrected, kind: EventKind::LinkCorrected, delivered: "0f00000000008000000000000000000033000000000000000f0096000000000000000f008000000000000000f0f0ffff00c3", key: None },
-    Row { framed: Static, source: Trace(1), round: 3, copy: 1, clean: Decodable, noisy: Noisy::Rejected, event: CorruptedDetectable, kind: EventKind::LinkDetected, delivered: "3c00000000000000000000000000000033000000000000000f0096000000000000003c0000000000c0060000f0f0ffff32f5", key: None },
-    Row { framed: Static, source: Trace(1), round: 7, copy: 1, clean: Decodable, noisy: Noisy::Payload, event: CorruptedUndetected, kind: EventKind::LinkUndetected, delivered: "6900000000000000000000000000000033000000000000000f00960000000000000069000000000000000000f058ffff00c3", key: Some((7, 2, 5, 1)) },
-    Row { framed: Static, source: Trace(1), round: 9, copy: 1, clean: Decodable, noisy: Noisy::Header, event: CorruptedUndetected, kind: EventKind::LinkUndetected, delivered: "990000000b000000000000000000000033000000000000000f00960000000000000099000080310000000000f0f0ffff00c3", key: Some((65545, 2, 5, 1)) },
-    Row { framed: Static, source: Trace(1), round: 91, copy: 1, clean: Decodable, noisy: Noisy::CopyOnly, event: CorruptedCorrected, kind: EventKind::LinkCorrected, delivered: "aa5a000000000000000000000000000033000000000000000f7c9600000000000000aa5a0000000000000000f0f0ffff00c3", key: None },
+    Row { framed: Static, source: Trace(1), round: 38, copy: 1, clean: Decodable, noisy: Noisy::Equal, event: CorruptedCorrected, kind: EventKind::LinkCorrected, delivered: "6633000000000000000000000000000033000000000002000f00960000000000000066330000000000000000f0f0ffff00c3", key: None },
+    Row { framed: Static, source: Trace(1), round: 1, copy: 1, clean: Decodable, noisy: Noisy::Rejected, event: CorruptedDetectable, kind: EventKind::LinkDetected, delivered: "1200000000000000000000000000000033000000000000000f0096000000000000000f000000000000000000f0f0ffff00c3", key: None },
+    Row { framed: Static, source: Trace(1), round: 10, copy: 1, clean: Decodable, noisy: Noisy::Payload, event: CorruptedUndetected, kind: EventKind::LinkUndetected, delivered: "a5000000000000000000000000000000330000000000000007009600000000000000a50000000000800b0000f0f0ffff00c3", key: Some((10, 2, 5, 1)) },
+    Row { framed: Static, source: Trace(1), round: 8, copy: 1, clean: Decodable, noisy: Noisy::Header, event: CorruptedUndetected, kind: EventKind::LinkUndetected, delivered: "960000000000000000000000000000003300000000007332320096000000000000009600000000963b000000f0f0ffff00c3", key: Some((8, 570425346, 5, 2)) },
+    Row { framed: Static, source: Trace(1), round: 197, copy: 1, clean: Decodable, noisy: Noisy::CopyOnly, event: CorruptedCorrected, kind: EventKind::LinkCorrected, delivered: "5ac300000000000000000000000000003300000000000020c42596000000000000005ac30000000000000000f0f0ffff00c3", key: None },
     Row { framed: Static, source: Model(0), round: 9, copy: 0, clean: Spoiled, noisy: Noisy::Rejected, event: CorruptedDetectable, kind: EventKind::LinkDetected, delivered: "9900000000000000000000000000000033000000000000000080960000000000100099000000000000000012f0f0ffff00c3", key: None },
     Row { framed: Static, source: Model(26), round: 9, copy: 0, clean: Spoiled, noisy: Noisy::Payload, event: CorruptedDetectable, kind: EventKind::LinkDetected, delivered: "9900000000000000000000000000000033000000000000000010960000000000000099000000000000000192f0f0ffff00c3", key: None },
-    Row { framed: Static, source: Trace(1), round: 1, copy: 1, clean: Spoiled, noisy: Noisy::Rejected, event: CorruptedDetectable, kind: EventKind::LinkDetected, delivered: "0f00000000008000000000000000000033000000000000000f0096000000000000000f008000000000000012f0f0ffff00c3", key: None },
-    Row { framed: Static, source: Trace(1), round: 83, copy: 1, clean: Spoiled, noisy: Noisy::Header, event: CorruptedDetectable, kind: EventKind::LinkDetected, delivered: "3c5a00000000000000000000000000003300f4c2000000000f00960000100b0000003c5a0000000000000010f0f0ffff00c3", key: None },
+    Row { framed: Static, source: Trace(1), round: 1, copy: 1, clean: Spoiled, noisy: Noisy::Rejected, event: CorruptedDetectable, kind: EventKind::LinkDetected, delivered: "1200000000000000000000000000000033000000000000000f0096000000000000000f000000000000000012f0f0ffff00c3", key: None },
+    Row { framed: Static, source: Trace(1), round: 145, copy: 1, clean: Spoiled, noisy: Noisy::Header, event: CorruptedDetectable, kind: EventKind::LinkDetected, delivered: "0f99000000000000b00100000000000033000000000000000f1c96000000000000000f990000000000000092f0f0ffff00c3", key: None },
     Row { framed: Tagged(1), source: Model(0), round: 9, copy: 0, clean: Decodable, noisy: Noisy::Equal, event: CorruptedCorrected, kind: EventKind::LinkCorrected, delivered: "81999900000000000000000000000000000033000000000000000000960000000000000089800000000000000000f0f0ffff00c3", key: None },
     Row { framed: Tagged(1), source: Model(1), round: 9, copy: 1, clean: Decodable, noisy: Noisy::Rejected, event: CorruptedDetectable, kind: EventKind::LinkDetected, delivered: "81999900000000000000000000000000000033000000000000000f00960000010060000099000000000000000000f0f0ffff00c3", key: None },
     Row { framed: Tagged(1), source: Model(377), round: 9, copy: 1, clean: Decodable, noisy: Noisy::Header, event: CorruptedUndetected, kind: EventKind::LinkUndetected, delivered: "819999000000000000000000000000000000330000002c0000000f00960000000000000099000000000000000000f0f0ffff00c3", key: Some((9, 196610, 5, 1)) },
     Row { framed: Tagged(1), source: Model(1298), round: 9, copy: 0, clean: Decodable, noisy: Noisy::Payload, event: CorruptedUndetected, kind: EventKind::LinkUndetected, delivered: "81999900000000000000000000000000000033000000000000000000960000000000000099000000000000a10000f0f0ffff00c3", key: Some((9, 2, 5, 0)) },
     Row { framed: Tagged(1), source: Model(146968), round: 9, copy: 0, clean: Decodable, noisy: Noisy::CopyOnly, event: CorruptedCorrected, kind: EventKind::LinkCorrected, delivered: "81999900000000000000000000000000000033000000000000004600960000000000000099000000000000000000f0f0ffff00c3", key: None },
-    Row { framed: Tagged(1), source: Trace(1), round: 1, copy: 1, clean: Decodable, noisy: Noisy::Equal, event: CorruptedCorrected, kind: EventKind::LinkCorrected, delivered: "81990f00000080000000000000000000000033000000000000000f0096000000000000008f000000000000000000f0f0ffff00c3", key: None },
-    Row { framed: Tagged(1), source: Trace(1), round: 3, copy: 1, clean: Decodable, noisy: Noisy::Rejected, event: CorruptedDetectable, kind: EventKind::LinkDetected, delivered: "81993c00000000000000000000000000000033000000000000000f0096000000000000003c000000c00600000000f0f0cdc900c3", key: None },
-    Row { framed: Tagged(1), source: Trace(1), round: 7, copy: 1, clean: Decodable, noisy: Noisy::Payload, event: CorruptedUndetected, kind: EventKind::LinkUndetected, delivered: "81996900000000000000000000000000000033000000000000000f009600000000000000690000000000000000a8f0f0ffff00c3", key: Some((7, 2, 5, 1)) },
-    Row { framed: Tagged(1), source: Trace(1), round: 9, copy: 1, clean: Decodable, noisy: Noisy::Header, event: CorruptedUndetected, kind: EventKind::LinkUndetected, delivered: "819999000b0000000000000000000000000033000000000000000f00960000000000000099803100000000000000f0f0ffff00c3", key: Some((265, 2, 5, 1)) },
-    Row { framed: Tagged(1), source: Trace(1), round: 69, copy: 1, clean: Decodable, noisy: Noisy::CopyOnly, event: CorruptedCorrected, kind: EventKind::LinkCorrected, delivered: "81995a5500000000000000000000000000003300000000000000ef1996000000000000005a550000000000000080f4f0ffff00c3", key: None },
+    Row { framed: Tagged(1), source: Trace(1), round: 38, copy: 1, clean: Decodable, noisy: Noisy::Equal, event: CorruptedCorrected, kind: EventKind::LinkCorrected, delivered: "81996633000000000000000000000000000033000000020000000f00960000000000000066330000000000000000f0f0ffff00c3", key: None },
+    Row { framed: Tagged(1), source: Trace(1), round: 1, copy: 1, clean: Decodable, noisy: Noisy::Rejected, event: CorruptedDetectable, kind: EventKind::LinkDetected, delivered: "9c990f00000000000000000000000000000033000000000000000f0096000000000000000f000000000000000000f0f0ffff00c3", key: None },
+    Row { framed: Tagged(1), source: Trace(1), round: 10, copy: 1, clean: Decodable, noisy: Noisy::Payload, event: CorruptedUndetected, kind: EventKind::LinkUndetected, delivered: "8199a500000000000000000000000000000033000000000008000f009600000000000000a5000000800b00000000f0f0ffff00c3", key: Some((10, 2, 5, 1)) },
+    Row { framed: Tagged(1), source: Trace(1), round: 8, copy: 1, clean: Decodable, noisy: Noisy::Header, event: CorruptedUndetected, kind: EventKind::LinkUndetected, delivered: "8199960000000000000000000000000000003300000073323d000f009600000000000000960000963b0000000000f0f0ffff00c3", key: Some((8, 52559874, 5, 1)) },
+    Row { framed: Tagged(1), source: Trace(1), round: 439, copy: 1, clean: Decodable, noisy: Noisy::CopyOnly, event: CorruptedCorrected, kind: EventKind::LinkCorrected, delivered: "819969aa0f0000000000000000000000000033000000000000000800960000000000000069aa0f00000000000000f0f0ffff00c3", key: None },
     Row { framed: Tagged(1), source: Model(0), round: 9, copy: 0, clean: Spoiled, noisy: Noisy::Rejected, event: CorruptedDetectable, kind: EventKind::LinkDetected, delivered: "81999900000000000000000000000000000033000000000000000000960000000000000089800000000000000012f0f0ffff00c3", key: None },
     Row { framed: Tagged(1), source: Model(58), round: 9, copy: 0, clean: Spoiled, noisy: Noisy::Payload, event: CorruptedDetectable, kind: EventKind::LinkDetected, delivered: "81999900000000000000000000000000000033000000000000000000960000200000000099000000000000000092f0f0ffff02c3", key: None },
-    Row { framed: Tagged(1), source: Trace(1), round: 1, copy: 1, clean: Spoiled, noisy: Noisy::Rejected, event: CorruptedDetectable, kind: EventKind::LinkDetected, delivered: "81990f00000080000000000000000000000033000000000000000f0096000000000000008f000000000000000012f0f0ffff00c3", key: None },
-    Row { framed: Tagged(1), source: Trace(1), round: 7, copy: 1, clean: Spoiled, noisy: Noisy::Payload, event: CorruptedDetectable, kind: EventKind::LinkDetected, delivered: "81996900000000000000000000000000000033000000000000000f009600000000000000690000000000000000baf0f0ffff00c3", key: None },
+    Row { framed: Tagged(1), source: Trace(1), round: 1, copy: 1, clean: Spoiled, noisy: Noisy::Rejected, event: CorruptedDetectable, kind: EventKind::LinkDetected, delivered: "9c990f00000000000000000000000000000033000000000000000f0096000000000000000f000000000000000012f0f0ffff00c3", key: None },
+    Row { framed: Tagged(1), source: Trace(1), round: 33, copy: 1, clean: Spoiled, noisy: Noisy::Payload, event: CorruptedDetectable, kind: EventKind::LinkDetected, delivered: "81990f33000000000000000000000000000033000000000000000f0096000000000000000f3300000000000000eaf1f0ffff00c3", key: None },
     Row { framed: Tagged(2), source: Model(0), round: 9, copy: 0, clean: Decodable, noisy: Noisy::Equal, event: CorruptedCorrected, kind: EventKind::LinkCorrected, delivered: "829a01880088008021802188008000c021c020c000410001000000010000004000410040104000c0004000400040004400c000c0", key: None },
     Row { framed: Tagged(2), source: Model(9), round: 9, copy: 1, clean: Decodable, noisy: Noisy::Rejected, event: CorruptedDetectable, kind: EventKind::LinkDetected, delivered: "829a01880088008021802188008000c021c020c00041000100000001000000400441004084c080c0804080400040004400c000c0", key: None },
     Row { framed: Tagged(2), source: Model(24858), round: 9, copy: 0, clean: Decodable, noisy: Noisy::Header, event: CorruptedUndetected, kind: EventKind::LinkUndetected, delivered: "829a01880088008021802188008000c021c020c00041000100000001000000400041004008c000c0084008400040004400c000c0", key: Some((246290604621833, 2, 5, 0)) },
     Row { framed: Tagged(2), source: Model(26526), round: 9, copy: 0, clean: Decodable, noisy: Noisy::CopyOnly, event: CorruptedCorrected, kind: EventKind::LinkCorrected, delivered: "829a01880088008021802188008000c021c020c00041000100000001000000400041004000c080c0804000408040004400c000c0", key: None },
     Row { framed: Tagged(2), source: Model(27409), round: 9, copy: 1, clean: Decodable, noisy: Noisy::Payload, event: CorruptedUndetected, kind: EventKind::LinkUndetected, delivered: "829a01880088008021802188008000c021c020c00041000100000001000000400043004080c280c0804080420040004400c000c0", key: Some((9, 2, 5, 1)) },
-    Row { framed: Tagged(2), source: Trace(1), round: 1, copy: 1, clean: Decodable, noisy: Noisy::Equal, event: CorruptedCorrected, kind: EventKind::LinkCorrected, delivered: "829a01880180818021802080008000c020c020c00041000100000001000000400041004000c080c0804080400040004400c400c4", key: None },
-    Row { framed: Tagged(2), source: Trace(1), round: 11, copy: 1, clean: Decodable, noisy: Noisy::Rejected, event: CorruptedDetectable, kind: EventKind::LinkDetected, delivered: "829a008801800088218020886100dfc021c020c00041000100000001000060b80370004080c080c0804080400040004000c400c0", key: None },
-    Row { framed: Tagged(2), source: Trace(1), round: 1165, copy: 1, clean: Decodable, noisy: Noisy::Payload, event: CorruptedUndetected, kind: EventKind::LinkUndetected, delivered: "829a00b498cc018021882088008001c821c820c00149010100000109000800400149014080c881c0804881400040014000c00003", key: Some((1165, 2, 5, 1)) },
-    Row { framed: Tagged(2), source: Trace(1), round: 2649, copy: 1, clean: Decodable, noisy: Noisy::CopyOnly, event: CorruptedCorrected, kind: EventKind::LinkCorrected, delivered: "82020d59008800802180218800d3e9c921c020c80149000101080101000801400049014080c081c8804080480140004401c000c0", key: None },
-    Row { framed: Tagged(2), source: Trace(1), round: 3799, copy: 1, clean: Decodable, noisy: Noisy::Header, event: CorruptedUndetected, kind: EventKind::LinkUndetected, delivered: "829a01880080008829881845018001c020c820c80041010101080009000001400141004080c880c88048814801c0054401c000c0", key: Some((824633724631, 2, 5, 1)) },
+    Row { framed: Tagged(2), source: Trace(1), round: 5, copy: 1, clean: Decodable, noisy: Noisy::Equal, event: CorruptedCorrected, kind: EventKind::LinkCorrected, delivered: "829a0088018800802188e9c5008001c020c020c02042000100000001000000400041004080c090c0804080400040004000c400c0", key: None },
+    Row { framed: Tagged(2), source: Trace(1), round: 1, copy: 1, clean: Decodable, noisy: Noisy::Rejected, event: CorruptedDetectable, kind: EventKind::LinkDetected, delivered: "9f9a01880180018021802080008000c020c020c00041000100000001000000400041004080c080c0804080400040004400c400c4", key: None },
+    Row { framed: Tagged(2), source: Trace(1), round: 451, copy: 1, clean: Decodable, noisy: Noisy::Payload, event: CorruptedUndetected, kind: EventKind::LinkUndetected, delivered: "829a60880088018821802180018800c820c021c001410001000800d9028895ea0349014881c081c0814080400040004000c000c4", key: Some((451, 2, 5, 1)) },
+    Row { framed: Tagged(2), source: Trace(1), round: 7928, copy: 1, clean: Decodable, noisy: Noisy::CopyOnly, event: CorruptedCorrected, kind: EventKind::LinkCorrected, delivered: "829a02800388038020812188008800c821c821c801490109010801090100014001410040401e80c88048814881490148a1cc01cc", key: None },
+    Row { framed: Tagged(2), source: Trace(1), round: 342, copy: 1, clean: Decodable, noisy: Noisy::Header, event: CorruptedUndetected, kind: EventKind::LinkUndetected, delivered: "829a00800180018820882080018001c820c020c881a58a0001080101800801480049014881c081c0814080400040004000c40094", key: Some((342, 536870914, 5, 1)) },
 ];
 
 #[test]

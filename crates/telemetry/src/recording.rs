@@ -27,10 +27,13 @@ impl KindCounts {
         self.counts[kind.index()]
     }
 
-    /// Adds `delta` to one kind's slot.
+    /// Adds `delta` to one kind's slot, saturating: a value can come
+    /// off the wire (a garbage frame's claimed round), so a sum of them
+    /// must not overflow.
     #[inline]
     pub fn add(&mut self, kind: EventKind, delta: u64) {
-        self.counts[kind.index()] += delta;
+        let slot = &mut self.counts[kind.index()];
+        *slot = slot.saturating_add(delta);
     }
 
     /// True when every slot is zero.
