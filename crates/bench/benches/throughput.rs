@@ -46,14 +46,16 @@
 //!    `Interleaved{16}` decode of the 60-byte tagged wire makes
 //!    **≤ 1 allocation** (the payload).
 //!
-//! One measurement rides along ungated: **trace noise**, ns per 49-byte
-//! frame from one sender to its 7 receivers (n = 8) under a bursty and
-//! a calm Gilbert–Elliott channel, frame by frame through
-//! `NoiseTrace::corrupt_frame` vs. a round at a time through
-//! `NoiseTrace::flip_masks`. The ratios are named without `_speedup`:
-//! they depend on the kernel the CPU selects (`trace_noise_lanes` is 8
-//! under AVX-512F, 1 on the scalar path, where batching gains nothing),
-//! so a runner without AVX-512 must not fail the gate on them.
+//! Two more ratios ride the same `_speedup` gate without a claim:
+//! **trace noise**, ns per 49-byte frame from one sender to its 7
+//! receivers (n = 8) under a bursty and a calm Gilbert–Elliott channel,
+//! drawn per event by `NoiseTrace::corrupt_frame` (v2) vs. bit by bit
+//! by the chain it replaced, `GilbertElliott::apply` from a stationary
+//! start on a per-frame stream (v1, the statistical oracle of its
+//! tests): `trace_noise_bursty_v2_speedup` and
+//! `trace_noise_calm_v2_speedup`. The two draw different flips of the
+//! same law, so the passes are checked to flip alike in total before
+//! they are timed.
 
 use bytes::BytesMut;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -70,6 +72,8 @@ use heardof_engine::{
     decode_body, encode_body_into, Frame, Framing, Ingest, RoundEngine, COPY_OFFSET,
 };
 use heardof_model::ProcessId;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -742,33 +746,39 @@ fn fold_pattern(acc: u64, flips: usize, pattern: &[u8]) -> u64 {
 }
 
 /// Sender 0's frames, round by round, through `corrupt_frame` one
-/// receiver at a time.
-fn noise_per_frame_pass(trace: &NoiseTrace) -> u64 {
-    let mut acc = 0u64;
+/// receiver at a time — trace noise v2. Returns the pattern fold and
+/// the flips.
+fn noise_v2_pass(trace: &NoiseTrace) -> (u64, usize) {
+    let (mut acc, mut total) = (0u64, 0);
     let mut frame = [0u8; NOISE_FRAME_BYTES];
     for round in 1..=NOISE_ROUNDS {
         for receiver in 1..NOISE_N {
             frame.fill(0);
             let flips = trace.corrupt_frame(round, 0, receiver, 0, &mut frame);
-            acc = fold_pattern(acc, flips, &frame);
+            (acc, total) = (fold_pattern(acc, flips, &frame), total + flips);
         }
     }
-    acc
+    (acc, total)
 }
 
-/// The same frames, each round's drawn at once by `flip_masks`.
-fn noise_batched_pass(trace: &NoiseTrace) -> u64 {
-    let receivers: Vec<u32> = (1..NOISE_N).collect();
-    let mut masks = vec![0u8; receivers.len() * NOISE_FRAME_BYTES];
-    let mut flips = vec![0usize; receivers.len()];
-    let mut acc = 0u64;
+/// The same frames through the per-bit chain v2 replaced: a stationary
+/// start, then `GilbertElliott::apply`, on a stream per frame.
+fn noise_v1_pass(channel: GilbertElliott) -> (u64, usize) {
+    let (mut acc, mut total) = (0u64, 0);
+    let mut frame = [0u8; NOISE_FRAME_BYTES];
+    let stationary = channel.p_enter_burst
+        / (channel.p_enter_burst + channel.p_exit_burst).max(f64::MIN_POSITIVE);
     for round in 1..=NOISE_ROUNDS {
-        trace.flip_masks(round, 0, 0, &receivers, &mut masks, &mut flips);
-        for (mask, &flips) in masks.chunks(NOISE_FRAME_BYTES).zip(&flips) {
-            acc = fold_pattern(acc, flips, mask);
+        for receiver in 1..NOISE_N {
+            frame.fill(0);
+            let mut rng = StdRng::seed_from_u64(round << 32 | u64::from(receiver));
+            let mut chain = channel;
+            chain.reset(stationary > 0.0 && rng.gen_bool(stationary));
+            let flips = chain.apply(&mut frame, &mut rng);
+            (acc, total) = (fold_pattern(acc, flips, &frame), total + flips);
         }
     }
-    acc
+    (acc, total)
 }
 
 fn throughput(c: &mut Criterion) {
@@ -802,15 +812,20 @@ fn throughput(c: &mut Criterion) {
         mux_arena_pass(&framing),
         "the two mux paths must agree before their speeds mean anything"
     );
-    let bursty = noise_trace(GilbertElliott::bursty());
-    let calm = noise_trace(GilbertElliott::clean());
-    for trace in [&bursty, &calm] {
-        assert_eq!(
-            noise_per_frame_pass(trace),
-            noise_batched_pass(trace),
-            "the two trace-noise paths must agree before their speeds mean anything"
+    let noise = [GilbertElliott::bursty(), GilbertElliott::clean()].map(|channel| {
+        let trace = noise_trace(channel);
+        // v1 and v2 draw different flips of one law, so their totals
+        // agree within sampling error — five standard errors, with
+        // room for flips arriving in bursts of up to ten. (The law
+        // itself is tested in heardof-coding's `burst.rs`.)
+        let (v1, v2) = (noise_v1_pass(channel).1, noise_v2_pass(&trace).1);
+        assert!(
+            v1.abs_diff(v2) as f64 <= 5.0 * (10.0 * (v1 + v2 + 1) as f64).sqrt(),
+            "the two trace-noise paths must flip alike before their speeds mean anything \
+             ({v1} vs {v2} flips)"
         );
-    }
+        (channel, trace)
+    });
 
     let mut group = c.benchmark_group("hamming_batch64");
     group.throughput(Throughput::Elements((BATCHES * LANES) as u64));
@@ -878,22 +893,19 @@ fn throughput(c: &mut Criterion) {
         || permute_tiled_pass(&codewords),
     );
     let small_permute_speedup = small_permute_scalar.as_secs_f64() / small_permute.as_secs_f64();
-    // Per frame; the ratio is named without `_speedup` because it
-    // depends on the kernel the CPU selects (1.0 on the scalar path).
+    // Per frame, v1 against v2.
     let noise_frames = (NOISE_ROUNDS * u64::from(NOISE_N - 1)) as u32;
-    let [(bursty_per_frame, bursty_batched), (calm_per_frame, calm_batched)] = [&bursty, &calm]
-        .map(|trace| {
-            let (per_frame, batched) = measure_interleaved(
+    let [(bursty_v1, bursty_per_frame), (calm_v1, calm_per_frame)] =
+        noise.each_ref().map(|(channel, trace)| {
+            let (v1, v2) = measure_interleaved(
                 samples,
-                || noise_per_frame_pass(trace),
-                || noise_batched_pass(trace),
+                || noise_v1_pass(*channel).0,
+                || noise_v2_pass(trace).0,
             );
-            (per_frame / noise_frames, batched / noise_frames)
+            (v1 / noise_frames, v2 / noise_frames)
         });
-    let noise_lanes = NoiseTrace::lanes();
-    let noise_kernel = if noise_lanes > 1 { "avx512" } else { "scalar" };
-    let bursty_ratio = bursty_per_frame.as_secs_f64() / bursty_batched.as_secs_f64();
-    let calm_ratio = calm_per_frame.as_secs_f64() / calm_batched.as_secs_f64();
+    let bursty_speedup = bursty_v1.as_secs_f64() / bursty_per_frame.as_secs_f64();
+    let calm_speedup = calm_v1.as_secs_f64() / calm_per_frame.as_secs_f64();
 
     // Differential allocation proof: 3× the frame traffic on a
     // detection-only rung must cost exactly the same allocation bill
@@ -925,8 +937,7 @@ fn throughput(c: &mut Criterion) {
              Hamming74 and its {CODEWORD_BYTES}-byte codeword through the depth-{PERMUTE_DEPTH} \
              permute ({BATCHES} frames each), one Interleaved{{16}} decode of the tagged frame; \
              trace noise on {NOISE_FRAME_BYTES}-byte bursty and calm frames from one sender to its \
-             {} receivers, frame by frame vs. batched on the {noise_kernel} kernel \
-             ({noise_lanes} lanes)",
+             {} receivers, drawn per event (v2) vs. per bit (v1)",
             NOISE_N - 1
         ),
         samples,
@@ -957,12 +968,9 @@ fn throughput(c: &mut Criterion) {
         .metric_ratio("interleave_small_frame_speedup", small_permute_speedup)
         .metric_count("interleaved_decode_allocs", interleaved_decode_allocs)
         .metric_ns("trace_noise_bursty_per_frame", bursty_per_frame)
-        .metric_ns("trace_noise_bursty_batched", bursty_batched)
-        .metric_ratio("trace_noise_bursty_batched_ratio", bursty_ratio)
+        .metric_ratio("trace_noise_bursty_v2_speedup", bursty_speedup)
         .metric_ns("trace_noise_calm_per_frame", calm_per_frame)
-        .metric_ns("trace_noise_calm_batched", calm_batched)
-        .metric_ratio("trace_noise_calm_batched_ratio", calm_ratio)
-        .metric_count("trace_noise_lanes", noise_lanes as u64)
+        .metric_ratio("trace_noise_calm_v2_speedup", calm_speedup)
         .claim(
             "bitsliced >= 4x scalar on a 64-slot batch",
             hamming_speedup >= 4.0,
@@ -1020,28 +1028,22 @@ fn throughput(c: &mut Criterion) {
          interleaved decode allocs {interleaved_decode_allocs}"
     );
     println!(
-        "trace noise ({noise_kernel}, {noise_lanes} lanes): bursty per-frame {bursty_per_frame:?}  \
-         batched {bursty_batched:?}  ratio {bursty_ratio:.2}x  calm per-frame {calm_per_frame:?}  \
-         batched {calm_batched:?}  ratio {calm_ratio:.2}x"
+        "trace noise per frame: bursty v1 {bursty_v1:?}  v2 {bursty_per_frame:?}  speedup \
+         {bursty_speedup:.2}x  calm v1 {calm_v1:?}  v2 {calm_per_frame:?}  speedup {calm_speedup:.2}x"
     );
     println!(
         "steady allocs: frame-differential {frame_steady_allocs}  heavy rung {heavy_per_round}/round  fountain image {fountain_image_allocs}  async run n16 {async_run_allocs_n16}  ten lockstep rounds n8 {lockstep_ten_rounds_allocs_n8}  -> {path}"
     );
 
-    // Last: on a host that runs the AVX-512 lanes, the kernels measured
-    // after them read up to 20 % slower (mux assemble, 1.04 → 1.25 ms),
-    // so nothing gated is measured after this group.
     let mut group = c.benchmark_group("trace_noise");
     group.throughput(Throughput::Elements(NOISE_ROUNDS * u64::from(NOISE_N - 1)));
-    for (name, trace) in [("bursty", &bursty), ("calm", &calm)] {
-        group.bench_function(
-            BenchmarkId::from_parameter(format!("{name}/per_frame")),
-            |b| b.iter(|| noise_per_frame_pass(trace)),
-        );
-        group.bench_function(
-            BenchmarkId::from_parameter(format!("{name}/batched")),
-            |b| b.iter(|| noise_batched_pass(trace)),
-        );
+    for (name, (channel, trace)) in ["bursty", "calm"].into_iter().zip(&noise) {
+        group.bench_function(BenchmarkId::from_parameter(format!("{name}/v1")), |b| {
+            b.iter(|| noise_v1_pass(*channel))
+        });
+        group.bench_function(BenchmarkId::from_parameter(format!("{name}/v2")), |b| {
+            b.iter(|| noise_v2_pass(trace))
+        });
     }
     group.finish();
 }

@@ -92,7 +92,6 @@ mod interleave;
 mod measure;
 pub mod mesh;
 mod noise;
-mod noise_lanes;
 mod oblivious;
 mod repetition;
 mod script;

@@ -32,11 +32,6 @@ impl Chance {
         self.0 != 0
     }
 
-    /// The 53-bit draws below which the chance hits.
-    pub(crate) fn threshold(self) -> u64 {
-        self.0
-    }
-
     /// What a draw that produced `word` answers.
     #[inline]
     pub(crate) fn hits(self, word: u64) -> bool {

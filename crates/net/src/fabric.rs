@@ -20,23 +20,14 @@
 //! before any thread or task exists, and each of the `n·(n−1)` links
 //! it stamps out costs one reference to that block and an RNG seed.
 
-use crate::link::{
-    FaultLog, FaultyLink, FrameSink, LinkFaults, LinkModel, LinkWiring, PatternBlock,
-};
+use crate::link::{FaultLog, FaultyLink, FrameSink, LinkFaults, LinkModel, LinkWiring};
 use heardof_coding::{AdaptiveConfig, AdaptiveController, CodeBook, CodeSpec, NoiseTrace};
 use heardof_engine::{
     EngineReport, Framing, MuxRoundEngine, RoundEngine, SubstrateOutcome, WireMessage,
 };
 use heardof_model::{HoAlgorithm, ProcessId};
 use heardof_telemetry::Telemetry;
-use parking_lot::Mutex;
 use std::sync::Arc;
-
-/// Below this many receivers a sender's links draw their trace
-/// patterns frame by frame. On a 2 GHz AVX-512 Xeon one receiver's
-/// 49-byte bursty frame takes 1.7 µs through the scalar chain against
-/// 2.9 µs for a lane block; two receivers' frames already take 3.4 µs.
-const MIN_BLOCK_RECEIVERS: usize = 2;
 
 /// The per-run, substrate-independent pieces — fault model, channel
 /// code, optional adaptive book and noise trace, shared fault log —
@@ -108,11 +99,6 @@ impl RunFabric {
     /// The outgoing links of process `p` in an `n`-process system, in
     /// the ascending-order-minus-self layout `link_index` expects;
     /// `sink_for(q)` supplies the receiving end at `q`.
-    ///
-    /// Under a seeded trace, on a CPU whose noise kernel runs lanes
-    /// ([`NoiseTrace::lanes`]), and with at least two receivers, the
-    /// links share one pattern block: the first to send a frame draws
-    /// the flip patterns of all of them.
     pub fn links_for(
         &self,
         p: usize,
@@ -134,18 +120,6 @@ impl RunFabric {
         let mut links = Vec::with_capacity(n.saturating_sub(1));
         let model = |q| LinkModel::new(p as u32, q as u32, self.seed, Arc::clone(&self.wiring));
         links.extend((0..n).filter(|&q| q != p).map(model));
-        let batched = self.wiring.trace.as_ref().is_some_and(|trace| {
-            trace.script().is_none()
-                && NoiseTrace::lanes() > 1
-                && links.len() >= MIN_BLOCK_RECEIVERS
-        });
-        if batched {
-            let receivers = (0..n as u32).filter(|&q| q != p as u32).collect();
-            let block = Arc::new(Mutex::new(PatternBlock::new(receivers)));
-            for link in &mut links {
-                link.patterns = Some(Arc::clone(&block));
-            }
-        }
         links
     }
 

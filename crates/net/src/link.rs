@@ -29,26 +29,14 @@
 //! lockstep stepper appends into the arenas it owns, the threaded
 //! runtime into one outbox arena per peer. A frame crosses a link
 //! **borrowed**: one that nothing hits is delivered as the very slice
-//! the engine emitted, and only a frame a fault source may touch is
-//! copied — into the link's scratch, where it is corrupted while the
-//! borrowed input stays the pristine image the verdict is judged
-//! against. A [`FaultyLink`] is a fault model plus a boxed
-//! [`FrameSink`] taking owned frames: the entry for callers outside
-//! this crate, which no production path uses.
-//!
-//! Under a seeded trace, the links of one sender built together — for
-//! either substrate, or by
-//! [`RunFabric::links_for`](crate::RunFabric::links_for) — share one
-//! pattern block, locked only by the
-//! thread that sends on them. The
-//! first to send a `(round, copy, len)` draws every receiver's flip
-//! pattern at once ([`NoiseTrace::flip_masks`]); each link then reads
-//! its own lane, delivers a frame its lane leaves clean without a copy,
-//! and builds a hit frame's noisy image in the lane itself, restoring
-//! the lane once the frame is judged and delivered. Verdicts, events,
-//! log entries and delivered bytes are those of a link built alone
-//! ([`FaultyLink::new`]), which draws each frame's pattern itself — as
-//! do all links in a round whose channel cannot run in lanes.
+//! the engine emitted, and only a frame a fault source hits is copied —
+//! into the link's scratch, where it is corrupted while the borrowed
+//! input stays the pristine image the verdict is judged against. Under
+//! a seeded trace the pattern is drawn before anything is copied
+//! ([`NoiseTrace::corrupt_copy`]), and a link whose fault model cannot
+//! fire draws nothing at all. A [`FaultyLink`] is a fault model plus a
+//! boxed [`FrameSink`] taking owned frames: the entry for callers
+//! outside this crate, which no production path uses.
 //!
 //! A hit frame is judged on **one decode of its noisy image** — what
 //! the receiver will see. A noisy image that does not decode is a
@@ -59,7 +47,7 @@
 
 use bytes::{BufMut, BytesMut};
 use heardof_coding::{BitNoise, ChannelCode, CodeBook, NoiseTrace, RungAdvert};
-use heardof_engine::{link_index, COPY_OFFSET, PAYLOAD_OFFSET};
+use heardof_engine::{COPY_OFFSET, PAYLOAD_OFFSET};
 use heardof_telemetry::{Event, EventKind, Telemetry};
 use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::StdRng;
@@ -290,80 +278,9 @@ impl LinkWiring {
     }
 }
 
-/// One sender's trace flip patterns, shared by the links the fabric
-/// builds for it together and locked only by the thread that sends on
-/// them: the first of
-/// those links to send a `(round, copy, len)` draws every receiver's
-/// pattern at once ([`NoiseTrace::flip_masks`]), and each link then
-/// reads its own lane.
-pub(crate) struct PatternBlock {
-    /// The sender's receivers, in [`link_index`] order: receiver `q`'s
-    /// pattern is lane `link_index(q, sender)`.
-    receivers: Vec<u32>,
-    /// One per copy, so interleaved copies do not evict each other.
-    slots: Vec<PatternSlot>,
-}
-
-/// The patterns of one copy's frames.
-#[derive(Default)]
-struct PatternSlot {
-    /// The `(round, len)` the slot was drawn for.
-    key: Option<(u64, usize)>,
-    /// Whether that round runs in lanes; when it does not, the slot
-    /// holds nothing and each link draws its own frame.
-    lockstep: bool,
-    /// One `len`-byte mask per receiver, back to back.
-    masks: Vec<u8>,
-    flips: Vec<usize>,
-}
-
-impl PatternBlock {
-    pub(crate) fn new(receivers: Vec<u32>) -> Self {
-        PatternBlock {
-            receivers,
-            slots: Vec::new(),
-        }
-    }
-
-    /// Lane `lane`'s mask and flip count for the `len`-byte frame
-    /// `sender` sends as `copy` in `round`, drawing the whole block
-    /// first when the slot holds another frame's; `None` when `round`
-    /// does not run in lanes.
-    #[inline]
-    fn pattern(
-        &mut self,
-        trace: &NoiseTrace,
-        (round, sender, copy): (u64, u32, u8),
-        len: usize,
-        lane: usize,
-    ) -> Option<(&mut [u8], usize)> {
-        let copy = usize::from(copy);
-        if self.slots.len() <= copy {
-            self.slots.resize_with(copy + 1, PatternSlot::default);
-        }
-        let slot = &mut self.slots[copy];
-        if slot.key != Some((round, len)) {
-            slot.key = Some((round, len));
-            slot.lockstep = trace.lockstep_at(round);
-            if slot.lockstep {
-                let receivers = &self.receivers;
-                slot.masks.resize(receivers.len() * len, 0);
-                slot.flips.resize(receivers.len(), 0);
-                let (masks, flips) = (&mut slot.masks, &mut slot.flips);
-                trace.flip_masks(round, sender, copy as u8, receivers, masks, flips);
-            }
-        }
-        if !slot.lockstep {
-            return None;
-        }
-        Some((&mut slot.masks[lane * len..][..len], slot.flips[lane]))
-    }
-}
-
 /// The fault model of one link `sender → receiver`, without a
-/// receiving end: its two ids, its RNG stream, a scratch buffer, its
-/// lane in the sender's shared trace patterns and the run's
-/// [`LinkWiring`]. [`LinkModel::send`] hands whatever reaches the
+/// receiving end: its two ids, its RNG stream, a scratch buffer and the
+/// run's [`LinkWiring`]. [`LinkModel::send`] hands whatever reaches the
 /// receiver to a delivery closure; both production substrates drive
 /// them bare, appending into arenas, and a [`FaultyLink`] is one of
 /// these plus a [`FrameSink`].
@@ -371,13 +288,9 @@ pub(crate) struct LinkModel {
     sender_id: u32,
     pub(crate) receiver_id: u32,
     rng: StdRng,
-    /// Where a frame a fault source may touch is corrupted; reused from
+    /// Where a frame a fault source hits is corrupted; reused from
     /// frame to frame.
     scratch: BytesMut,
-    /// The sender's shared trace patterns, when the fabric built the
-    /// link with its siblings; the link's lane in them is its
-    /// receiver's [`link_index`].
-    pub(crate) patterns: Option<Arc<Mutex<PatternBlock>>>,
     wiring: Arc<LinkWiring>,
 }
 
@@ -395,7 +308,6 @@ impl LinkModel {
             receiver_id: receiver,
             rng: StdRng::seed_from_u64(link_seed),
             scratch: BytesMut::new(),
-            patterns: None,
             wiring,
         }
     }
@@ -403,7 +315,7 @@ impl LinkModel {
     /// Sends an encoded frame through the fault model and hands what
     /// reaches the receiver, if anything, to `deliver`: `encoded`
     /// itself when nothing touched it, a borrow of the link's scratch
-    /// or pattern lane when something did. Emits the verdict as a
+    /// when something did. Emits the verdict as a
     /// link-plane event and returns it.
     pub(crate) fn send(
         &mut self,
@@ -434,79 +346,48 @@ impl LinkModel {
     ) -> LinkEvent {
         let wiring = &*self.wiring;
         let sent = (round, self.sender_id, self.receiver_id, copy);
-        let mut adversarial = false;
+        let noisy = &mut self.scratch;
         if let Some(trace) = &wiring.trace {
-            if let Some(block) = &self.patterns {
-                let mut block = block.lock();
-                let lane = link_index(self.receiver_id, self.sender_id);
-                let at = (round, self.sender_id, copy);
-                if let Some((mask, flips)) = block.pattern(trace, at, pristine.len(), lane) {
-                    return send_patterned(wiring, mask, flips, pristine, sent, deliver);
-                }
-            }
-        } else {
-            if self.rng.gen_bool(wiring.faults.drop_prob) {
-                return LinkEvent::Dropped;
-            }
-            if !self.rng.gen_bool(wiring.faults.corrupt_prob) {
+            // The link's own RNG is never consulted, so the outcome is a
+            // pure function of the trace and the bytes — reproducible by
+            // any substrate.
+            let (sender, receiver) = (self.sender_id, self.receiver_id);
+            if trace.corrupt_copy(round, sender, receiver, copy, &pristine, noisy) == 0 {
                 deliver(pristine);
                 return LinkEvent::Delivered;
             }
-            adversarial = self.rng.gen_bool(wiring.faults.undetected_prob);
+            let event = wiring.judge(&pristine, noisy, sent);
+            deliver(Cow::Borrowed(noisy));
+            return event;
         }
-
-        // A fault source may touch this frame: it works on a copy, and
-        // `pristine` stays what the verdict is judged against.
-        let noisy = &mut self.scratch;
+        // With no drop and no corruption possible, `undetected_prob` is
+        // never consulted either: the frame goes through without a draw.
+        let faults = wiring.faults;
+        if faults.drop_prob == 0.0 && faults.corrupt_prob == 0.0 {
+            deliver(pristine);
+            return LinkEvent::Delivered;
+        }
+        if self.rng.gen_bool(faults.drop_prob) {
+            return LinkEvent::Dropped;
+        }
+        if !self.rng.gen_bool(faults.corrupt_prob) {
+            deliver(pristine);
+            return LinkEvent::Delivered;
+        }
+        // The model hits this frame: it works on a copy, and `pristine`
+        // stays what the verdict is judged against.
         noisy.clear();
         noisy.put_slice(&pristine);
-        let event = if adversarial {
+        let event = if self.rng.gen_bool(faults.undetected_prob) {
             forge(wiring, &mut self.rng, &pristine, noisy, sent)
+        } else if flip_physically(&mut self.rng, noisy) {
+            wiring.judge(&pristine, noisy, sent)
         } else {
-            let hit = match &wiring.trace {
-                // The link's own RNG is never consulted, so the outcome
-                // is a pure function of the trace and the bytes —
-                // reproducible by any substrate.
-                Some(trace) => {
-                    trace.corrupt_frame(round, self.sender_id, self.receiver_id, copy, noisy) > 0
-                }
-                None => flip_physically(&mut self.rng, noisy),
-            };
-            if hit {
-                wiring.judge(&pristine, noisy, sent)
-            } else {
-                LinkEvent::Delivered
-            }
+            LinkEvent::Delivered
         };
         deliver(Cow::Borrowed(noisy));
         event
     }
-}
-
-/// Delivers and judges a traced frame whose flip pattern is `mask`,
-/// with `flips` bits set. A frame the pattern leaves clean is delivered
-/// uncopied. A hit frame's noisy image is built in the mask itself, and
-/// the mask restored once the frame is judged and delivered: no copy,
-/// and a frame sent twice meets the same pattern twice. Kept out of
-/// line, off the untraced path.
-#[inline(never)]
-fn send_patterned(
-    wiring: &LinkWiring,
-    mask: &mut [u8],
-    flips: usize,
-    pristine: Cow<'_, [u8]>,
-    sent: FaultKey,
-    deliver: impl FnOnce(Cow<'_, [u8]>),
-) -> LinkEvent {
-    if flips == 0 {
-        deliver(pristine);
-        return LinkEvent::Delivered;
-    }
-    xor_in(mask, &pristine);
-    let event = wiring.judge(&pristine, mask, sent);
-    deliver(Cow::Borrowed(mask));
-    xor_in(mask, &pristine);
-    event
 }
 
 /// The sending half of a faulty link from one process to another: its
@@ -542,15 +423,6 @@ impl FaultyLink {
             tx.deliver(sender, frame.into_owned())
         })
     }
-}
-
-/// `dst ^= src`, byte for byte. `#[inline]`, like
-/// [`PatternBlock::pattern`]: the fault body is generic in its delivery
-/// closure, so it is compiled in the crate that drives the links, where
-/// these per-frame helpers would otherwise be calls.
-#[inline]
-fn xor_in(dst: &mut [u8], src: &[u8]) {
-    dst.iter_mut().zip(src).for_each(|(d, s)| *d ^= s);
 }
 
 /// Code-consistent corruption: alter payload bytes of the body
