@@ -22,8 +22,11 @@ const MUX_SEED: u64 = 0xB47C4;
 /// The pinned **gossip-enabled** multi-instance seed: same mux wire
 /// format, but every frame also carries the rung-advertisement byte
 /// and controllers adopt peer rungs — the gossip pathway under the
-/// batch-axis conformance bar.
-const GOSSIP_MUX_SEED: u64 = 0x6B47E;
+/// batch-axis conformance bar. Gossip changes a mux decision on only
+/// about one seed in eight (25 of 0..200 on this trace), so when the
+/// trace's stream moves this is re-pinned to the next seed up on which
+/// it does (0x6B47E → 0x6B47F when trace noise came to draw per event).
+const GOSSIP_MUX_SEED: u64 = 0x6B47F;
 const N: usize = 5;
 /// Instances multiplexed per process — batch > 1 by construction.
 const K: usize = 3;
