@@ -183,8 +183,7 @@ where
             let peers: Vec<_> = (0..n).filter(|&q| q != p).map(|q| txs[q].clone()).collect();
             let (run, done) = (Arc::clone(&run), done.clone());
             Box::new(move || {
-                let main =
-                    || process_main(engine, p as u32, inbox, links, peers, &run, &run.config);
+                let main = || process_main(engine, p as u32, inbox, links, peers, &run);
                 let _ = done.send((p, catch_unwind(AssertUnwindSafe(main))));
             }) as Job
         })
@@ -218,13 +217,13 @@ fn process_main<A, L>(
     mut links: Vec<LinkModel>,
     peers: Vec<Sender<Inbound>>,
     run: &Run,
-    config: &NetConfig,
 ) -> RoundMachine<A, L>
 where
     A: HoAlgorithm,
     A::Msg: WireMessage,
     L: WireLayout,
 {
+    let config = &run.config;
     let fresh = || Arena::with_capacity(usize::from(config.copies));
     // One outbox per peer, in `link_index` order: the arenas drained
     // last round, topped up with fresh ones when fewer came back. Never
@@ -548,10 +547,7 @@ mod tests {
                     let engine = fabric.engine_for(algo.clone(), p, n, 1);
                     let links = fabric.link_models(p, n);
                     let peers = (0..n).filter(|&q| q != p).map(|q| txs[q].clone()).collect();
-                    let config = &config;
-                    scope.spawn(move || {
-                        process_main(engine, p as u32, inbox, links, peers, run, config)
-                    })
+                    scope.spawn(move || process_main(engine, p as u32, inbox, links, peers, run))
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()

@@ -197,9 +197,8 @@ fn sim_and_net_agree_on_fault_free_outcome() {
 /// drop and corrupt frames it replays the lockstep stepper's run round
 /// for round, and no lost frame costs it the (long) round timeout. The
 /// same holds with two copies of every frame (several frames in a
-/// batch), and under a seeded bursty trace (a sender's links share one
-/// pattern block), run in lockstep through the trace's noisy phase
-/// from round 31 on.
+/// batch), and under a seeded bursty trace, run in lockstep through
+/// the trace's noisy phase from round 31 on.
 #[test]
 fn threaded_runs_replay_the_lockstep_stepper_on_lossy_links() {
     let n = 5;
