@@ -194,19 +194,22 @@ mod tests {
     #[test]
     fn assemble_joins_kept_logs_with_the_fault_oracle() {
         // 2 processes, 1 round: each heard the other; p1's reception
-        // from p0 was silently corrupted.
+        // from p0 was silently corrupted. The oracle also names p1's
+        // own message — a peer's frame miscorrected into p1's name —
+        // which never crossed a link and stays safe.
         let reports = vec![
             report(Some(1), vec![vec![(0, 0), (1, 0)]]),
             report(None, vec![vec![(0, 0), (1, 0)]]),
         ];
         let outcome =
-            SubstrateOutcome::assemble(reports, vec![Some(9u64), None], 1, |r, s, p, _| {
-                (r, s, p) == (1, 0, 1)
+            SubstrateOutcome::assemble(reports, vec![Some(9u64), None], 1, |r, _, p, _| {
+                r == 1 && p == 1
             });
         assert_eq!(outcome.history.num_rounds(), 1);
         let sets = &outcome.history.iter().next().unwrap().1;
         assert_eq!(sets.ho(ProcessId::new(1)).len(), 2);
         assert_eq!(sets.sho(ProcessId::new(1)).len(), 1, "corruption left SHO");
+        assert!(sets.sho(ProcessId::new(1)).contains(ProcessId::new(1)));
         assert_eq!(sets.sho(ProcessId::new(0)).len(), 2);
         assert_eq!(outcome.undetected_corruptions, 1);
     }

@@ -278,6 +278,14 @@ mod tests {
     }
 
     #[test]
+    fn counts_saturate() {
+        let mut counts = KindCounts::new();
+        counts.add(EventKind::FrameGarbage, u64::MAX - 1);
+        counts.add(EventKind::FrameGarbage, 2);
+        assert_eq!(counts.get(EventKind::FrameGarbage), u64::MAX);
+    }
+
+    #[test]
     fn code_schedule_requires_every_process() {
         let recording = RunRecording {
             events: vec![
