@@ -149,7 +149,7 @@ fn bursty_adaptive_is_pinned() {
         max_rounds: 100,
         ..c
     });
-    assert_eq!(digest, 0xBB30_C62D_4DBB_4B83, "bursty-adaptive moved");
+    assert_eq!(digest, 0xD753_0A0C_B993_44A9, "bursty-adaptive moved");
 }
 
 #[test]

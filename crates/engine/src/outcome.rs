@@ -120,11 +120,7 @@ impl<V> SubstrateOutcome<V> {
                 let mut sho_p = ProcessSet::empty(n);
                 for &(sender, copy) in &report.kept[(r - 1) as usize] {
                     ho_p.insert(ProcessId::new(sender));
-                    // A process's own message never crosses a link. A
-                    // key naming it is a peer's frame whose header a
-                    // rate<1 code miscorrected into this process's
-                    // name, which the receiver drops as a duplicate.
-                    if sender == p as u32 || !was_corrupted(r, sender, p as u32, copy) {
+                    if !was_corrupted(r, sender, p as u32, copy) {
                         sho_p.insert(ProcessId::new(sender));
                     }
                 }
@@ -194,16 +190,14 @@ mod tests {
     #[test]
     fn assemble_joins_kept_logs_with_the_fault_oracle() {
         // 2 processes, 1 round: each heard the other; p1's reception
-        // from p0 was silently corrupted. The oracle also names p1's
-        // own message — a peer's frame miscorrected into p1's name —
-        // which never crossed a link and stays safe.
+        // from p0 was silently corrupted.
         let reports = vec![
             report(Some(1), vec![vec![(0, 0), (1, 0)]]),
             report(None, vec![vec![(0, 0), (1, 0)]]),
         ];
         let outcome =
-            SubstrateOutcome::assemble(reports, vec![Some(9u64), None], 1, |r, _, p, _| {
-                r == 1 && p == 1
+            SubstrateOutcome::assemble(reports, vec![Some(9u64), None], 1, |r, s, p, c| {
+                (r, s, p, c) == (1, 0, 1, 0)
             });
         assert_eq!(outcome.history.num_rounds(), 1);
         let sets = &outcome.history.iter().next().unwrap().1;

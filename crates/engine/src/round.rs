@@ -13,7 +13,7 @@
 //!         /* substrate: copy the coded frame onto the wire to `dest` */
 //!     });
 //!     /* substrate: gather arrivals */
-//!     engine.ingest(&bytes);                 // 0..many times
+//!     engine.ingest_from(sender, &bytes);    // 0..many times
 //!     /* substrate: decide the round is over (timeout / all ingested) */
 //!     engine.finish_round();                 // transition + renegotiate
 //! }
@@ -31,8 +31,10 @@
 //! receiver's side of `HO(p, r)`), decisions — is a pure function of
 //! the byte sequences ingested per round, *independent of how frames
 //! from different senders interleave* (first valid frame per sender
-//! wins, and the choice per sender never depends on other senders; a
-//! proptest in `tests/order_independence.rs` pins this). With
+//! wins, and the choice per sender never depends on other senders,
+//! because [`RoundMachine::ingest_from`] attributes an image to the link
+//! it came in on, whatever its header says; a proptest in
+//! `tests/order_independence.rs` pins this). With
 //! retransmission copies the invariant is scoped to **per-sender FIFO
 //! delivery**: a transport that reorders one sender's copies against
 //! each other can change *which* copy is kept (and hence the `SHO`
@@ -648,9 +650,14 @@ where
     /// and its link survive any content rewrite). A pattern-length
     /// frame (2 or 3 bytes — lengths no tagged frame can have) from a
     /// valid peer is tallied per sender and never decoded; everything
-    /// else falls through to [`RoundMachine::ingest`]. On ladders
-    /// without the oblivious rung, and on the slot layout, this *is*
-    /// `ingest`, byte for byte.
+    /// else is decoded as by [`RoundMachine::ingest`], except that a
+    /// valid peer's link, not the header, says who sent it: an image
+    /// whose header a rate<1 code miscorrected into another peer's name
+    /// is still that link's image (one naming no process at all is
+    /// garbage, as in `ingest`). Which image is kept from a sender then
+    /// depends on its link's frames alone, in whatever order the links
+    /// interleave. A sender that is no peer (this process, or out of
+    /// range — no in-tree transport names one) leaves it to the header.
     pub fn ingest_from(&mut self, sender: u32, bytes: &[u8]) -> Ingest {
         if !self.value_counts.is_empty() {
             if let Some(channel) = oblivious_channel(bytes.len()) {
@@ -665,17 +672,30 @@ where
                 }
             }
         }
-        self.ingest(bytes)
+        let peer = sender != self.me && (sender as usize) < self.n;
+        self.admit(peer.then_some(sender), bytes)
     }
 
     /// Feeds one wire arrival through coded decode, the layout's
-    /// unpack, header sanity and round routing. Call any number of
-    /// times between `begin_round` and `finish_round`; the observable
-    /// end-of-round state does not depend on ingestion order within the
-    /// round. The whole image shares one fate: any inconsistency drops
-    /// all of it (a detected omission / garbage), never a subset of
-    /// instances.
+    /// unpack, header sanity and round routing, attributing it by its
+    /// header. Call any number of times between `begin_round` and
+    /// `finish_round`. The whole image shares one fate: any
+    /// inconsistency drops all of it (a detected omission / garbage),
+    /// never a subset of instances.
+    ///
+    /// The end-of-round state does not depend on ingestion order while
+    /// every header names its true sender. A rate<1 code can miscorrect
+    /// a header into another sender's name, and then the first of the
+    /// two images to arrive wins; a substrate that knows the link a
+    /// frame came in on calls [`RoundMachine::ingest_from`], which has
+    /// no such race.
     pub fn ingest(&mut self, bytes: &[u8]) -> Ingest {
+        self.admit(None, bytes)
+    }
+
+    /// [`RoundMachine::ingest`], attributing the image to the peer
+    /// `link` when it is known and to its header's sender otherwise.
+    fn admit(&mut self, link: Option<u32>, bytes: &[u8]) -> Ingest {
         let me = self.me;
         // The view decode borrows the input on detection-only rungs —
         // no copy of the image is made unless a correcting code
@@ -713,6 +733,7 @@ where
         if sender as usize >= self.n || round > self.max_rounds {
             return self.garbage(round);
         }
+        let sender = link.unwrap_or(sender);
         if round < self.round {
             self.event(EventKind::FrameLate, self.round, sender, round);
             return Ingest::Late; // the round is closed

@@ -1,7 +1,7 @@
 //! Property: the round core is **delivery-order independent**.
 //!
 //! Within a round, a substrate may hand frames to
-//! [`RoundEngine::ingest`] in any order — threads race, a lockstep
+//! [`RoundEngine::ingest_from`] in any order — threads race, a lockstep
 //! loop drains in sender order, the simulator iterates a matrix. The engine's observable
 //! end-of-round state (algorithm state, controller decisions, kept
 //! sets, reconstructed `HO`/`SHO`) must not depend on how frames from
@@ -44,7 +44,10 @@ struct Observed {
 /// Randomly interleaves per-sender FIFO queues: cross-sender order is
 /// arbitrary, each sender's own frames keep their relative order —
 /// exactly what an asynchronous network of FIFO links can produce.
-fn fifo_preserving_interleave(frames: Vec<(u32, Vec<u8>)>, rng: &mut StdRng) -> Vec<Vec<u8>> {
+fn fifo_preserving_interleave(
+    frames: Vec<(u32, Vec<u8>)>,
+    rng: &mut StdRng,
+) -> Vec<(u32, Vec<u8>)> {
     let mut queues: Vec<(u32, VecDeque<Vec<u8>>)> = Vec::new();
     for (sender, bytes) in frames {
         match queues.iter_mut().find(|(s, _)| *s == sender) {
@@ -55,8 +58,8 @@ fn fifo_preserving_interleave(frames: Vec<(u32, Vec<u8>)>, rng: &mut StdRng) -> 
     let mut merged = Vec::new();
     while !queues.is_empty() {
         let pick = rng.gen_range(0..queues.len());
-        let (_, q) = &mut queues[pick];
-        merged.push(q.pop_front().expect("non-empty queue"));
+        let (sender, q) = &mut queues[pick];
+        merged.push((*sender, q.pop_front().expect("non-empty queue")));
         if q.is_empty() {
             queues.swap_remove(pick);
         }
@@ -116,10 +119,12 @@ fn run_system(trace_seed: u64, copies: u8, shuffle_seed: Option<u64>) -> Observe
             let arrived = std::mem::take(&mut inboxes[p]);
             let frames = match shuffler.as_mut() {
                 Some(rng) => fifo_preserving_interleave(arrived, rng),
-                None => arrived.into_iter().map(|(_, bytes)| bytes).collect(),
+                None => arrived,
             };
-            for bytes in &frames {
-                let _ = engine.ingest(bytes);
+            // Every substrate attributes a frame by the link it came in
+            // on, as here.
+            for (sender, bytes) in &frames {
+                let _ = engine.ingest_from(*sender, bytes);
             }
             engine.finish_round();
         }

@@ -41,9 +41,9 @@
 //! A hit frame is judged on **one decode of its noisy image** — what
 //! the receiver will see. A noisy image that does not decode is a
 //! detected omission whatever the clean body was; only one that does
-//! decode pays for the clean decode it is compared with, and the header
-//! that keys an undetected fault in the [`FaultLog`] is read off that
-//! same noisy body.
+//! decode pays for the clean decode it is compared with. An undetected
+//! fault is keyed in the [`FaultLog`] by the link's two ends and by the
+//! round and copy read off that same noisy body.
 
 use bytes::{BufMut, BytesMut};
 use heardof_coding::{BitNoise, ChannelCode, CodeBook, NoiseTrace, RungAdvert};
@@ -249,30 +249,36 @@ impl LinkWiring {
         let Some(body) = self.decode_any(pristine) else {
             return LinkEvent::CorruptedDetectable;
         };
-        // The retransmission-copy byte is bookkeeping, not message
-        // content: the receiver still gets the intended (round, sender,
-        // payload) intact, so this is a safe delivery, not an α-counted
-        // fault — and it is exactly what an abstract-message substrate
-        // observes for the same noise.
-        if *after == *body || differs_only_in_copy_index(&body, &after) {
+        // The header's sender field and retransmission-copy byte are
+        // bookkeeping, not message content: the receiver attributes an
+        // image to the link it came in on, so it still gets the
+        // intended (round, payload) from the intended sender, or — a
+        // sender naming no process — drops the image as garbage. Either
+        // way this is not an α-counted fault, and it is exactly what an
+        // abstract-message substrate observes for the same noise.
+        if *after == *body || differs_only_in_attribution(&body, &after) {
             return LinkEvent::CorruptedCorrected;
         }
         self.log_undetected(&after, sent);
         LinkEvent::CorruptedUndetected
     }
 
-    /// Records an undetected corruption under the `(round, sender,
-    /// copy)` header the receiver will parse from the `delivered` body,
-    /// not the sender's intent: under a rate<1 code, noise can (rarely)
-    /// miscorrect header bits too, and the reconstruction joins on the
-    /// receiver's view. A body too short to hold a header is logged as
+    /// Records an undetected corruption under the link's own sender
+    /// and receiver, with the round and copy the receiver will parse
+    /// from the `delivered` body rather than the sender's intent: under
+    /// a rate<1 code, noise can (rarely) miscorrect header bits too, and
+    /// the reconstruction joins on the receiver's view. The receiver
+    /// attributes an image to its link too ([`RoundEngine::ingest_from`]),
+    /// so a miscorrected sender field marks this link's frame, never
+    /// another sender's. A body too short to hold a header is logged as
     /// `sent`.
+    ///
+    /// [`RoundEngine::ingest_from`]: heardof_engine::RoundEngine
     fn log_undetected(&self, delivered: &[u8], sent: FaultKey) {
         let seen = || {
             let header = delivered.first_chunk::<PAYLOAD_OFFSET>()?;
             let round = u64::from_le_bytes(*header.first_chunk()?);
-            let sender = u32::from_le_bytes(*header[8..].first_chunk()?);
-            Some((round, sender, sent.2, header[COPY_OFFSET]))
+            Some((round, sent.1, sent.2, header[COPY_OFFSET]))
         };
         self.log.record(seen().unwrap_or(sent));
     }
@@ -481,12 +487,14 @@ fn flip_physically(rng: &mut StdRng, wire: &mut [u8]) -> bool {
     true
 }
 
-/// `true` when two frame bodies agree everywhere except the
-/// retransmission-copy byte (which carries no message semantics).
-fn differs_only_in_copy_index(a: &[u8], b: &[u8]) -> bool {
+/// `true` when two frame bodies agree everywhere except the sender
+/// field and the retransmission-copy byte right after it, which carry
+/// no message semantics for a receiver that attributes by link.
+fn differs_only_in_attribution(a: &[u8], b: &[u8]) -> bool {
+    const SENDER_OFFSET: usize = COPY_OFFSET - 4;
     a.len() == b.len()
         && a.len() > COPY_OFFSET
-        && a[..COPY_OFFSET] == b[..COPY_OFFSET]
+        && a[..SENDER_OFFSET] == b[..SENDER_OFFSET]
         && a[COPY_OFFSET + 1..] == b[COPY_OFFSET + 1..]
 }
 
@@ -869,15 +877,17 @@ mod tests {
     }
 
     #[test]
-    fn a_leak_is_keyed_by_the_header_the_receiver_parses_or_as_sent() {
+    fn a_leak_is_keyed_by_its_link_and_the_header_the_receiver_parses() {
         // An uncoded link whose every byte is complemented: whatever is
         // sent leaks. A body that holds a whole header — payload length
-        // included — is logged under the header the receiver will read;
-        // one that stops short of it, as sent.
+        // included — is logged under the round and copy the receiver
+        // will read, and always under the link's sender, whatever the
+        // header's sender field became; one that stops short of it, as
+        // sent.
         use heardof_coding::{FaultScript, LinkFault};
         let script = FaultScript::new().with(3, 0, 1, LinkFault::CorruptAll);
         for (len, key) in [
-            (PAYLOAD_OFFSET, (!3u64, !0u32, 1, !2u8)),
+            (PAYLOAD_OFFSET, (!3u64, 0u32, 1, !2u8)),
             (PAYLOAD_OFFSET - 1, (3, 0, 1, 2)),
             (COPY_OFFSET + 1, (3, 0, 1, 2)),
         ] {

@@ -711,9 +711,10 @@ mod delivery_equivalence {
     /// Pairs every send of a run with what it delivered: each frame a
     /// send did not drop reaches its receiver, from its sender, in send
     /// order, and nothing else does. Every undetected fault is logged
-    /// under the header its receiver will decode from the delivered
-    /// frame (the key the HO/SHO reconstruction joins on), or under the
-    /// sender's `(round, sender, copy)` when that frame holds none.
+    /// under its link's sender and receiver, with the round and copy its
+    /// receiver will decode from the delivered frame (the key the HO/SHO
+    /// reconstruction joins on), or under the sender's `(round, copy)`
+    /// when that frame holds no header.
     fn assert_leaks_logged(seen: &Observed, n: usize, copies: u8, framed: Framed) {
         let mut events = seen.events.iter();
         for (round, arrivals) in ROUNDS.zip(&seen.delivered) {
@@ -728,9 +729,9 @@ mod delivery_equivalence {
                         let (from, wire) = frames[q].next().expect("a frame per undropped send");
                         assert_eq!(*from, p as u32, "round {round}, receiver {q}");
                         if *event == LinkEvent::CorruptedUndetected {
-                            let (r, s, c) =
+                            let (r, _, c) =
                                 received_header(framed, wire).unwrap_or((round, p as u32, copy));
-                            let key = (r, s, q as u32, c);
+                            let key = (r, p as u32, q as u32, c);
                             assert!(seen.logged.contains(&key), "{framed:?}: {key:?}");
                         }
                     }

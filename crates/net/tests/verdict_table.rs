@@ -4,7 +4,11 @@
 //! the link as it stood when it decoded the clean image first and the
 //! noisy image twice. The trace rows were searched again, with the same
 //! rule, when trace noise moved to drawing per burst (v2): each is the
-//! first round that lands its cell.
+//! first round that lands its cell. When receivers began attributing a
+//! frame to the link it came in on, a header miscorrected only in its
+//! sender field (and copy byte) became a corrected delivery: those
+//! header rows keep their bytes and now pin that verdict, and the key
+//! of an undetected fault names the link's sender.
 //!
 //! A row is one `send` through the public path — fault source,
 //! verdict, sink, fault log, telemetry — chosen (by search, once) so
@@ -72,6 +76,7 @@ enum Noisy {
     Equal,
     CopyOnly,
     Payload,
+    /// The round, sender or copy field differs, and nothing past them.
     Header,
 }
 
@@ -248,13 +253,13 @@ use Source::{Model, Trace};
 const TABLE: &[Row] = &[
     Row { framed: Static, source: Model(0), round: 9, copy: 0, clean: Decodable, noisy: Noisy::Equal, event: CorruptedCorrected, kind: EventKind::LinkCorrected, delivered: "9900000000000000000000000000000033000000000000000080960000000000100099000000000000000000f0f0ffff00c3", key: None },
     Row { framed: Static, source: Model(65), round: 9, copy: 1, clean: Decodable, noisy: Noisy::Rejected, event: CorruptedDetectable, kind: EventKind::LinkDetected, delivered: "9900000000000000000000000000000033000000000000000f00960000000000000099000000000000000000d1f2ffff00c3", key: None },
-    Row { framed: Static, source: Model(9523), round: 9, copy: 1, clean: Decodable, noisy: Noisy::Header, event: CorruptedUndetected, kind: EventKind::LinkUndetected, delivered: "990000000000000000000000000000003300a200000000000f00960000000000000099000000000000000000f0f0ffff00c3", key: Some((9, 2818, 5, 1)) },
+    Row { framed: Static, source: Model(9523), round: 9, copy: 1, clean: Decodable, noisy: Noisy::Header, event: CorruptedCorrected, kind: EventKind::LinkCorrected, delivered: "990000000000000000000000000000003300a200000000000f00960000000000000099000000000000000000f0f0ffff00c3", key: None },
     Row { framed: Static, source: Model(10678), round: 9, copy: 0, clean: Decodable, noisy: Noisy::Payload, event: CorruptedUndetected, kind: EventKind::LinkUndetected, delivered: "9900000000000000000000000000000033000000000000000000965400000000000099000000000000000000f0f0ffff00c3", key: Some((9, 2, 5, 0)) },
     Row { framed: Static, source: Model(58318), round: 9, copy: 0, clean: Decodable, noisy: Noisy::CopyOnly, event: CorruptedCorrected, kind: EventKind::LinkCorrected, delivered: "9900000000000000000000000000000033000000000000000031960000000000000099000000000000000000f0f0ffff00c3", key: None },
     Row { framed: Static, source: Trace(1), round: 38, copy: 1, clean: Decodable, noisy: Noisy::Equal, event: CorruptedCorrected, kind: EventKind::LinkCorrected, delivered: "6633000000000000000000000000000033000000000002000f00960000000000000066330000000000000000f0f0ffff00c3", key: None },
     Row { framed: Static, source: Trace(1), round: 1, copy: 1, clean: Decodable, noisy: Noisy::Rejected, event: CorruptedDetectable, kind: EventKind::LinkDetected, delivered: "1200000000000000000000000000000033000000000000000f0096000000000000000f000000000000000000f0f0ffff00c3", key: None },
     Row { framed: Static, source: Trace(1), round: 10, copy: 1, clean: Decodable, noisy: Noisy::Payload, event: CorruptedUndetected, kind: EventKind::LinkUndetected, delivered: "a5000000000000000000000000000000330000000000000007009600000000000000a50000000000800b0000f0f0ffff00c3", key: Some((10, 2, 5, 1)) },
-    Row { framed: Static, source: Trace(1), round: 8, copy: 1, clean: Decodable, noisy: Noisy::Header, event: CorruptedUndetected, kind: EventKind::LinkUndetected, delivered: "960000000000000000000000000000003300000000007332320096000000000000009600000000963b000000f0f0ffff00c3", key: Some((8, 570425346, 5, 2)) },
+    Row { framed: Static, source: Trace(1), round: 8, copy: 1, clean: Decodable, noisy: Noisy::Header, event: CorruptedUndetected, kind: EventKind::LinkUndetected, delivered: "960000000000000000000000000000003300000000007332320096000000000000009600000000963b000000f0f0ffff00c3", key: Some((8, 2, 5, 2)) },
     Row { framed: Static, source: Trace(1), round: 197, copy: 1, clean: Decodable, noisy: Noisy::CopyOnly, event: CorruptedCorrected, kind: EventKind::LinkCorrected, delivered: "5ac300000000000000000000000000003300000000000020c42596000000000000005ac30000000000000000f0f0ffff00c3", key: None },
     Row { framed: Static, source: Model(0), round: 9, copy: 0, clean: Spoiled, noisy: Noisy::Rejected, event: CorruptedDetectable, kind: EventKind::LinkDetected, delivered: "9900000000000000000000000000000033000000000000000080960000000000100099000000000000000012f0f0ffff00c3", key: None },
     Row { framed: Static, source: Model(26), round: 9, copy: 0, clean: Spoiled, noisy: Noisy::Payload, event: CorruptedDetectable, kind: EventKind::LinkDetected, delivered: "9900000000000000000000000000000033000000000000000010960000000000000099000000000000000192f0f0ffff00c3", key: None },
@@ -262,13 +267,13 @@ const TABLE: &[Row] = &[
     Row { framed: Static, source: Trace(1), round: 145, copy: 1, clean: Spoiled, noisy: Noisy::Header, event: CorruptedDetectable, kind: EventKind::LinkDetected, delivered: "0f99000000000000b00100000000000033000000000000000f1c96000000000000000f990000000000000092f0f0ffff00c3", key: None },
     Row { framed: Tagged(1), source: Model(0), round: 9, copy: 0, clean: Decodable, noisy: Noisy::Equal, event: CorruptedCorrected, kind: EventKind::LinkCorrected, delivered: "81999900000000000000000000000000000033000000000000000000960000000000000089800000000000000000f0f0ffff00c3", key: None },
     Row { framed: Tagged(1), source: Model(1), round: 9, copy: 1, clean: Decodable, noisy: Noisy::Rejected, event: CorruptedDetectable, kind: EventKind::LinkDetected, delivered: "81999900000000000000000000000000000033000000000000000f00960000010060000099000000000000000000f0f0ffff00c3", key: None },
-    Row { framed: Tagged(1), source: Model(377), round: 9, copy: 1, clean: Decodable, noisy: Noisy::Header, event: CorruptedUndetected, kind: EventKind::LinkUndetected, delivered: "819999000000000000000000000000000000330000002c0000000f00960000000000000099000000000000000000f0f0ffff00c3", key: Some((9, 196610, 5, 1)) },
+    Row { framed: Tagged(1), source: Model(377), round: 9, copy: 1, clean: Decodable, noisy: Noisy::Header, event: CorruptedCorrected, kind: EventKind::LinkCorrected, delivered: "819999000000000000000000000000000000330000002c0000000f00960000000000000099000000000000000000f0f0ffff00c3", key: None },
     Row { framed: Tagged(1), source: Model(1298), round: 9, copy: 0, clean: Decodable, noisy: Noisy::Payload, event: CorruptedUndetected, kind: EventKind::LinkUndetected, delivered: "81999900000000000000000000000000000033000000000000000000960000000000000099000000000000a10000f0f0ffff00c3", key: Some((9, 2, 5, 0)) },
     Row { framed: Tagged(1), source: Model(146968), round: 9, copy: 0, clean: Decodable, noisy: Noisy::CopyOnly, event: CorruptedCorrected, kind: EventKind::LinkCorrected, delivered: "81999900000000000000000000000000000033000000000000004600960000000000000099000000000000000000f0f0ffff00c3", key: None },
     Row { framed: Tagged(1), source: Trace(1), round: 38, copy: 1, clean: Decodable, noisy: Noisy::Equal, event: CorruptedCorrected, kind: EventKind::LinkCorrected, delivered: "81996633000000000000000000000000000033000000020000000f00960000000000000066330000000000000000f0f0ffff00c3", key: None },
     Row { framed: Tagged(1), source: Trace(1), round: 1, copy: 1, clean: Decodable, noisy: Noisy::Rejected, event: CorruptedDetectable, kind: EventKind::LinkDetected, delivered: "9c990f00000000000000000000000000000033000000000000000f0096000000000000000f000000000000000000f0f0ffff00c3", key: None },
     Row { framed: Tagged(1), source: Trace(1), round: 10, copy: 1, clean: Decodable, noisy: Noisy::Payload, event: CorruptedUndetected, kind: EventKind::LinkUndetected, delivered: "8199a500000000000000000000000000000033000000000008000f009600000000000000a5000000800b00000000f0f0ffff00c3", key: Some((10, 2, 5, 1)) },
-    Row { framed: Tagged(1), source: Trace(1), round: 8, copy: 1, clean: Decodable, noisy: Noisy::Header, event: CorruptedUndetected, kind: EventKind::LinkUndetected, delivered: "8199960000000000000000000000000000003300000073323d000f009600000000000000960000963b0000000000f0f0ffff00c3", key: Some((8, 52559874, 5, 1)) },
+    Row { framed: Tagged(1), source: Trace(1), round: 8, copy: 1, clean: Decodable, noisy: Noisy::Header, event: CorruptedUndetected, kind: EventKind::LinkUndetected, delivered: "8199960000000000000000000000000000003300000073323d000f009600000000000000960000963b0000000000f0f0ffff00c3", key: Some((8, 2, 5, 1)) },
     Row { framed: Tagged(1), source: Trace(1), round: 439, copy: 1, clean: Decodable, noisy: Noisy::CopyOnly, event: CorruptedCorrected, kind: EventKind::LinkCorrected, delivered: "819969aa0f0000000000000000000000000033000000000000000800960000000000000069aa0f00000000000000f0f0ffff00c3", key: None },
     Row { framed: Tagged(1), source: Model(0), round: 9, copy: 0, clean: Spoiled, noisy: Noisy::Rejected, event: CorruptedDetectable, kind: EventKind::LinkDetected, delivered: "81999900000000000000000000000000000033000000000000000000960000000000000089800000000000000012f0f0ffff00c3", key: None },
     Row { framed: Tagged(1), source: Model(58), round: 9, copy: 0, clean: Spoiled, noisy: Noisy::Payload, event: CorruptedDetectable, kind: EventKind::LinkDetected, delivered: "81999900000000000000000000000000000033000000000000000000960000200000000099000000000000000092f0f0ffff02c3", key: None },
@@ -283,7 +288,7 @@ const TABLE: &[Row] = &[
     Row { framed: Tagged(2), source: Trace(1), round: 1, copy: 1, clean: Decodable, noisy: Noisy::Rejected, event: CorruptedDetectable, kind: EventKind::LinkDetected, delivered: "9f9a01880180018021802080008000c020c020c00041000100000001000000400041004080c080c0804080400040004400c400c4", key: None },
     Row { framed: Tagged(2), source: Trace(1), round: 451, copy: 1, clean: Decodable, noisy: Noisy::Payload, event: CorruptedUndetected, kind: EventKind::LinkUndetected, delivered: "829a60880088018821802180018800c820c021c001410001000800d9028895ea0349014881c081c0814080400040004000c000c4", key: Some((451, 2, 5, 1)) },
     Row { framed: Tagged(2), source: Trace(1), round: 7928, copy: 1, clean: Decodable, noisy: Noisy::CopyOnly, event: CorruptedCorrected, kind: EventKind::LinkCorrected, delivered: "829a02800388038020812188008800c821c821c801490109010801090100014001410040401e80c88048814881490148a1cc01cc", key: None },
-    Row { framed: Tagged(2), source: Trace(1), round: 342, copy: 1, clean: Decodable, noisy: Noisy::Header, event: CorruptedUndetected, kind: EventKind::LinkUndetected, delivered: "829a00800180018820882080018001c820c020c881a58a0001080101800801480049014881c081c0814080400040004000c40094", key: Some((342, 536870914, 5, 1)) },
+    Row { framed: Tagged(2), source: Trace(1), round: 342, copy: 1, clean: Decodable, noisy: Noisy::Header, event: CorruptedCorrected, kind: EventKind::LinkCorrected, delivered: "829a00800180018820882080018001c820c020c881a58a0001080101800801480049014881c081c0814080400040004000c40094", key: None },
 ];
 
 #[test]
