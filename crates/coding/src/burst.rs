@@ -622,7 +622,7 @@ impl NoiseTrace {
             };
             // A state the chain moved into holds the bit it moved at.
             let held = at + entered;
-            let end = held + gap(&mut rng, leave, bits - held).unwrap_or(bits - held);
+            let end = held + gap(&mut rng, (-leave).ln_1p(), bits - held).unwrap_or(bits - held);
             flip_stretch(&mut rng, ber, at..end, &mut flip);
             (at, entered, in_burst) = (end, 1, !in_burst);
         }
@@ -630,10 +630,12 @@ impl NoiseTrace {
 }
 
 /// BERs at or above this flip bit by bit; below it, by geometric gaps.
-/// A gap (a draw, an `ln` and an `ln_1p`) costs about eight draws and
-/// compares — 14 ns against 1.7 ns on a 2-vCPU AVX-512 host — and a
-/// BER of `p` spaces flips `1 / p` bits apart, so compares win from
-/// about `1 / 8` up.
+/// A BER of `p` spaces flips `1 / p` bits apart, and a gap (a draw and
+/// an `ln`; `ln(1 − p)` is taken once per stretch) costs as much as
+/// seven to ten draws and compares. On a 2-vCPU AVX-512 host the two
+/// paths break even at a BER of about 0.13 over a 64-bit stretch and
+/// 0.165 over a 480-bit one (and shorter stretches favour the
+/// compares), so the cut-over sits at `1 / 8`.
 const DENSE_BER: f64 = 1.0 / 8.0;
 
 /// One draw at probability `p`, as `gen_bool` answers it; `p` of 0 or
@@ -644,16 +646,17 @@ fn bernoulli(rng: &mut StdRng, p: f64) -> bool {
 
 /// `Geom(p)`, the bits that pass before an event of per-bit probability
 /// `p` fires, when that is fewer than `within`; `None` otherwise, and
-/// without a draw when `p` is 0 or `within` is. By inversion:
-/// `⌊ln U / ln(1 − p)⌋` for `U` uniform on `(0, 1]`, since
+/// without a draw when `p` is 0 or `within` is. The caller passes
+/// `log_miss = ln(1 − p)`, computed once per run of gaps at one `p`. By
+/// inversion: `⌊ln U / ln(1 − p)⌋` for `U` uniform on `(0, 1]`, since
 /// `P(Geom(p) ≥ k) = (1 − p)^k`. A certain event (`p = 1`) divides by
 /// `−∞` and fires at once.
-fn gap(rng: &mut StdRng, p: f64, within: usize) -> Option<usize> {
-    if within == 0 || p <= 0.0 {
+fn gap(rng: &mut StdRng, log_miss: f64, within: usize) -> Option<usize> {
+    if within == 0 || log_miss >= 0.0 {
         return None;
     }
     let u = ((rng.next_u64() >> 11) + 1) as f64 * (1.0 / (1u64 << 53) as f64);
-    let gap = u.ln() / (-p).ln_1p();
+    let gap = u.ln() / log_miss;
     (gap < within as f64).then_some(gap as usize)
 }
 
@@ -661,7 +664,9 @@ fn gap(rng: &mut StdRng, p: f64, within: usize) -> Option<usize> {
 /// ones to `flip` in ascending order. A sparse BER walks geometric gaps
 /// between flips; a dense one draws a word per bit and compares, 64
 /// bits to a mask; a BER of one half takes each bit of a word as it
-/// comes, and a BER of 1 flips everything without a draw.
+/// comes, and a BER of 1 flips everything without a draw. (One half is
+/// the bursty channel's bad state: a word per 64 bits there instead of
+/// one per bit takes a bursty 49-byte frame from about 320 to 295 ns.)
 fn flip_stretch(rng: &mut StdRng, ber: f64, bits: Range<usize>, flip: &mut impl FnMut(usize)) {
     if ber <= 0.0 {
         return;
@@ -671,8 +676,9 @@ fn flip_stretch(rng: &mut StdRng, ber: f64, bits: Range<usize>, flip: &mut impl 
     }
     let end = bits.end;
     if ber < DENSE_BER {
+        let log_miss = (-ber).ln_1p();
         let mut at = bits.start;
-        while let Some(gap) = gap(rng, ber, end - at) {
+        while let Some(gap) = gap(rng, log_miss, end - at) {
             flip(at + gap);
             at += gap + 1;
         }
