@@ -53,9 +53,11 @@
 //! `Delivered`, `DetectedOmission`, or `UndetectedValueFault` — and
 //! [`measure_code`] estimates the rates of each under any
 //! [`NoiseModel`] — the binary symmetric [`BitNoise`] or the bursty
-//! [`GilbertElliott`] chain — which is what the
-//! `coding_tradeoff` and `adaptive_tradeoff` experiments sweep against
-//! the paper's `P_α` feasibility thresholds.
+//! [`GilbertElliott`] chain — which is what the `coding_tradeoff`
+//! experiment sweeps against the paper's `P_α` feasibility thresholds.
+//! The adaptive experiments (`adaptive_tradeoff`, `ladder`,
+//! `fountain`) do not sample rates: they push frames through a seeded
+//! [`NoiseTrace`], mostly as whole lockstep runs of the system.
 //!
 //! # Quickstart
 //!
@@ -90,7 +92,6 @@ mod fountain;
 mod hamming;
 mod interleave;
 mod measure;
-pub mod mesh;
 mod noise;
 mod oblivious;
 mod repetition;
