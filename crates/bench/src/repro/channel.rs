@@ -746,10 +746,11 @@ pub(super) fn ladder(out: &mut String) {
 /// 2. the same comparison over the whole 30-round burst phase: per-α
 ///    and per-byte, incremental symbols dominate the copies they
 ///    replace;
-/// 3. the incremental pathway live: a `Framing` holding the fountain
-///    rung renegotiates its `SymbolBudget` per round — growing under
-///    loss, decaying once the channel calms — so redundancy tracks the
-///    channel instead of being provisioned for the worst case.
+/// 3. the incremental pathway live: in a lockstep run on the fixed
+///    fountain rung, each engine renegotiates its `SymbolBudget` per
+///    round — growing under loss, decaying once the channel calms — so
+///    redundancy tracks the channel instead of being provisioned for
+///    the worst case.
 pub(super) fn fountain(out: &mut String) {
     /// A wire allowance just under repetition5's 5× price.
     const ALLOWANCE: usize = 120;

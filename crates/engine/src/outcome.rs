@@ -68,7 +68,14 @@ pub struct SubstrateOutcome<V> {
     /// Reconstructed heard-of collections (up to the shortest process
     /// log, so every round has data for all receivers).
     pub history: CommHistory,
-    /// Total undetected corruptions injected by the links.
+    /// Frames the links judged delivered with a wrong body: every
+    /// decode that differed from what was sent, counted at the link,
+    /// including images the receiver then dropped (a body that does not
+    /// parse, or a miscorrected header naming no process or another
+    /// round). An upper bound on
+    /// the receptions that were valid and wrong; the `α` demand is
+    /// `Σ_{p,r} |AHO(p, r)|` over [`SubstrateOutcome::history`]
+    /// ([`RoundSets::total_corruptions`] per round).
     pub undetected_corruptions: usize,
     /// The code each process used for its sends, per completed round
     /// (`code_schedule[p][r-1]`). Constant for static runs; the

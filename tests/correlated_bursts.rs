@@ -13,9 +13,14 @@
 //! with probability ≈ ½ and tallies are private binomial draws,
 //! independent controllers split for tens of rounds, and the
 //! piggybacked rung gossip of `AdaptiveConfig::with_gossip` is what
-//! closes the lag (the mesh-level numbers are the `adaptive_tradeoff`
-//! artifact, pinned by `crates/bench/tests/repro_golden.rs`; the
-//! facade-level form is asserted below).
+//! shortens the splits. It does not close each one within a round:
+//! the `adaptive_tradeoff` artifact (pinned by
+//! `crates/bench/tests/repro_golden.rs`) runs both presets over 32
+//! trace seeds each on the stepper and judges gossip by its summed
+//! divergence and `Σ|AHO|`; its longest split on the moderate preset
+//! reads up to 13 rounds. The facade-level form is asserted below,
+//! together with what the link-level undetected count does and does
+//! not measure.
 
 use heardof::conformance::{run_async_substrate, run_sim_substrate};
 use heardof::prelude::*;
@@ -79,7 +84,7 @@ fn gossip_cuts_divergence_on_the_moderate_preset_at_the_facade_level() {
     // tallies straddle thresholds and splits self-sustain); the same
     // consensus run with gossip enabled must stay strictly less
     // divergent. This is the facade-level (engine + consensus) form of
-    // the mesh claim the `adaptive_tradeoff` golden pins.
+    // the seed-run claim the `adaptive_tradeoff` golden pins.
     let rounds = 40u64;
     let trace = NoiseTrace::correlated_bursts_moderate(0xD00D);
     let initial: Vec<u64> = (0..N as u64).map(|i| i % 2).collect();
@@ -125,4 +130,54 @@ fn the_correlated_preset_clears_the_conformance_bar_too() {
     if let Some(diff) = sim.first_divergence(&asy) {
         panic!("correlated trace diverges across substrates — {diff}");
     }
+}
+
+/// Over 32 trace seeds of `preset` from `first`, the summed link-level
+/// undetected count and `Σ|AHO(p, r)|` of lockstep adaptive runs,
+/// checking on every seed that the first bounds the second.
+fn undetected_and_aho(preset: fn(u64) -> NoiseTrace, first: u64) -> (usize, usize) {
+    let initial: Vec<u64> = (0..N as u64).map(|i| i % 2).collect();
+    let algo: Ate<u64> = Ate::new(AteParams::balanced(N, 1).unwrap());
+    let (mut undetected, mut aho) = (0, 0);
+    for seed in first..first + 32 {
+        let outcome = run_async(
+            algo.clone(),
+            N,
+            initial.clone(),
+            AsyncConfig {
+                adaptive: Some(AdaptiveConfig::standard(N, 1)),
+                trace: Some(preset(seed)),
+                lockstep: true,
+                max_rounds: 120,
+                ..AsyncConfig::default()
+            },
+        );
+        let seed_aho: usize = outcome
+            .history
+            .iter()
+            .map(|(_, sets)| sets.total_corruptions())
+            .sum();
+        assert!(
+            seed_aho <= outcome.undetected_corruptions,
+            "seed {seed:#x}: Σ|AHO| {seed_aho} > link undetected {}",
+            outcome.undetected_corruptions
+        );
+        undetected += outcome.undetected_corruptions;
+        aho += seed_aho;
+    }
+    (undetected, aho)
+}
+
+#[test]
+fn link_undetected_counts_bound_the_alpha_demand_from_above() {
+    // `undetected_corruptions` counts every frame a link judged
+    // delivered with a wrong body; `Σ|AHO(p, r)|` counts the ones a
+    // receiver kept, the paper's α demand. On the hard preset the gap
+    // is the whole count: its miscorrections decode to images the
+    // receivers drop, so the links see value faults that no receiver
+    // ever acts on.
+    let (undetected, aho) = undetected_and_aho(NoiseTrace::correlated_bursts, 0x1234);
+    assert!(undetected > 0, "the hard preset never beat a code");
+    assert_eq!(aho, 0, "a receiver kept a wrong body");
+    undetected_and_aho(NoiseTrace::correlated_bursts_moderate, 0xD00D);
 }
